@@ -9,19 +9,17 @@ failures aggregate into the summary; only configuration problems abort.
 Nothing here depends on wall-clock state or iteration order of hashes:
 all loops run over sorted keys and every random draw comes from a
 criterion-local seeded generator, so two runs of the same build produce
-byte-identical reports at any parallelism degree.
+byte-identical reports.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from . import filtration as filtration_mod
 from . import lattice
 from .config import RunConfig, resolve_model
 from .errors import FanokitError
@@ -130,8 +128,6 @@ def _criterion_blowup_profile(config: RunConfig) -> tuple:
         profile = blowup_volume_profile(X, point_subscheme(X, 0))
         target = poly_trim([Fraction((n + 1) ** n)]
                            + [Fraction(0)] * (n - 1) + [Fraction(-1)])
-        if profile.approximate:
-            problems.append(f"{name}: profile unexpectedly approximate")
         if profile.tau != n + 1 or profile.function.breakpoints[0] != 0:
             problems.append(f"{name}: domain [{profile.function.breakpoints[0]}"
                             f", {profile.tau}] != [0, {n + 1}]")
@@ -158,8 +154,6 @@ def _criterion_beta_point(config: RunConfig) -> tuple:
             quantity=f"lct({name}, {Z.label})", method="VALUATION_ENUM",
             value=oracle_lct, parameters=(("gens", str(gens)),)))
         expected_integral = Fraction(n * (n + 1) ** n)
-        if rep.approximate:
-            problems.append(f"{name}: approximate profile")
         if rep.lct_value != n or oracle_lct != n:
             problems.append(f"{name}: lct {rep.lct_value} (oracle "
                             f"{oracle_lct}) != {n}")
@@ -178,28 +172,17 @@ def _criterion_beta_point(config: RunConfig) -> tuple:
 def _criterion_ke_battery(config: RunConfig) -> tuple:
     problems: list[str] = []
     entries = 0
-    approx = 0
     for name in KE_CATALOG:
         X = catalog_model(name)
-        scan = semistability_scan(X, standard_battery(X),
-                                  workers=config.workers)
-        for entry in scan.entries:
+        for entry in semistability_scan(X, standard_battery(X)).entries:
             entries += 1
             if entry.error is not None:
                 problems.append(f"{name}/{entry.subscheme}: {entry.error}")
-                continue
-            rep = entry.report
-            if rep.approximate:
-                # counting fallback: allow one sampling step of slack
-                approx += 1
-                if rep.beta < -rep.anticanonical_volume / 8:
-                    problems.append(f"{name}/{entry.subscheme}: approximate "
-                                    f"beta {rep.beta} below tolerance")
-            elif rep.beta < 0:
-                problems.append(f"{name}/{entry.subscheme}: beta {rep.beta}")
-    detail = f"{entries} battery entries nonnegative across {len(KE_CATALOG)} models"
-    detail += ", all exact" if approx == 0 else f", {approx} approximate"
-    return _verdict(problems, detail)
+            elif entry.report.beta < 0:
+                problems.append(f"{name}/{entry.subscheme}: beta "
+                                f"{entry.report.beta}")
+    return _verdict(problems, f"{entries} battery entries nonnegative across "
+                              f"{len(KE_CATALOG)} models")
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +339,6 @@ def _criterion_ding(config: RunConfig) -> tuple:
 # ---------------------------------------------------------------------------
 # 9. the lct engine against brute force, hand values, and the scaling law
 
-def _power_gens(gens: tuple, m: int) -> tuple:
-    out = gens
-    for _ in range(m - 1):
-        out = tuple(lattice.minimalize(lattice.minkowski_sum(out, gens)))
-    return out
-
-
 def _criterion_lct_engine(config: RunConfig) -> tuple:
     problems: list[str] = []
     oracles = []
@@ -376,6 +352,8 @@ def _criterion_lct_engine(config: RunConfig) -> tuple:
             if any(g):
                 gens.add(g)
         ideal = tuple(sorted(gens))
+        Z = MonomialSubscheme(label=f"random ideal {trial}", dimension=n,
+                              chart_gens={0: ideal})
         main = lct_chart(ideal)
         orac = bruteforce_lct(ideal)
         oracles.append(OracleResult(
@@ -384,7 +362,7 @@ def _criterion_lct_engine(config: RunConfig) -> tuple:
         if main != orac:
             problems.append(f"ideal {ideal}: LP {main} != brute force {orac}")
         for m in (2, 3):
-            powered = lct_chart(_power_gens(ideal, m))
+            powered = lct_chart(Z.power(m).gens_on(0))
             if powered != main / m:
                 problems.append(f"ideal {ideal}: lct(I^{m}) = {powered} != "
                                 f"{main}/{m}")
@@ -432,29 +410,17 @@ def run_acceptance_suite_timed(
     if config.model:
         resolve_model(config.model)
 
-    def run_one(entry) -> tuple[CriterionResult, float]:
-        number, name, fn = entry
+    results, timings = [], {}
+    for number, name, fn in _REGISTRY:
         start = time.perf_counter()
         try:
             passed, detail, oracles = fn(config)
         except FanokitError as exc:
             passed, detail, oracles = False, f"{type(exc).__name__}: {exc}", ()
-        return (CriterionResult(number=number, name=name, passed=passed,
-                                detail=detail, oracles=oracles),
-                time.perf_counter() - start)
-
-    previous_cap = filtration_mod.GENERATOR_CAP
-    filtration_mod.GENERATOR_CAP = config.generator_cap
-    try:
-        if config.workers is not None and config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                rows = list(pool.map(run_one, _REGISTRY))
-        else:
-            rows = [run_one(entry) for entry in _REGISTRY]
-    finally:
-        filtration_mod.GENERATOR_CAP = previous_cap
-    return (AcceptanceSummary(results=tuple(row[0] for row in rows)),
-            {row[0].number: row[1] for row in rows})
+        results.append(CriterionResult(number=number, name=name, passed=passed,
+                                       detail=detail, oracles=oracles))
+        timings[number] = time.perf_counter() - start
+    return AcceptanceSummary(results=tuple(results)), timings
 
 
 def run_acceptance_suite(config: RunConfig | None = None) -> AcceptanceSummary:

@@ -91,9 +91,8 @@ def _cmd_volume(args) -> int:
         return 0
     Z = resolve_subscheme(X, args.subscheme)
     profile = blowup_volume_profile(X, Z)
-    note = " (approximate)" if profile.approximate else ""
     print(f"profile for {Z.label}: tau = {_show(profile.tau)}, "
-          f"integral = {_show(profile.integral())}{note}")
+          f"integral = {_show(profile.integral())}")
     if args.profile_csv:
         write_profile_csv(profile, args.profile_csv)
         print(f"profile pieces written to {args.profile_csv}")
@@ -137,10 +136,9 @@ def _cmd_beta(args) -> int:
     X = resolve_model(args.model)
     Z = resolve_subscheme(X, args.subscheme)
     report = beta(X, Z)
-    note = " (approximate)" if report.approximate else ""
     print(f"lct = {_show(report.lct_value)}; "
           f"integral = {_show(report.volume_integral)}")
-    print(f"beta({Z.label}) = {_show(report.beta)}{note}: {report.verdict}")
+    print(f"beta({Z.label}) = {_show(report.beta)}: {report.verdict}")
     _write_if_requested(report, args.out)
     return 0 if report.beta >= 0 else 2
 
@@ -176,7 +174,7 @@ def _cmd_scan(args) -> int:
         candidates = [resolve_subscheme(X, source) for source in args.subscheme]
     else:
         candidates = standard_battery(X)
-    report = semistability_scan(X, candidates, workers=args.workers)
+    report = semistability_scan(X, candidates)
     for entry in report.entries:
         if entry.error is not None:
             print(f"{entry.subscheme}: FAILED ({entry.error})")
@@ -191,7 +189,7 @@ def _cmd_scan(args) -> int:
 
 def _cmd_test_acceptance(args) -> int:
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    config = config.with_overrides(out=args.out, workers=args.workers)
+    config = config.with_overrides(out=args.out)
     summary, timings = run_acceptance_suite_timed(config)
     for result in summary.results:
         flag = "PASS" if result.passed else "FAIL"
@@ -284,8 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subscheme", action="append", metavar="FILE|SHORTHAND",
                    help="candidate (repeatable); default is the standard "
                         "battery")
-    p.add_argument("--workers", type=_positive_int, metavar="N",
-                   help="thread count (default: FANOKIT_THREADS or serial)")
     p.add_argument("--out", metavar="OUT.json", help="write the report")
     p.set_defaults(func=_cmd_scan)
 
@@ -293,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
                                                "criteria")
     p.add_argument("--config", metavar="FILE", help="RunConfig JSON file")
     p.add_argument("--out", metavar="OUT.json", help="write the summary")
-    p.add_argument("--workers", type=_positive_int, metavar="N",
-                   help="run criteria on N threads")
     p.set_defaults(func=_cmd_test_acceptance)
 
     return parser

@@ -38,21 +38,17 @@ class RunConfig:
     k_max: int = 10
     r_list: tuple[int, ...] = DEFAULT_R_LIST
     r1_cap: int = 64
-    generator_cap: int = 20_000
     out: str | None = None
     profile_csv: str | None = None
-    workers: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "subschemes", tuple(self.subschemes))
         object.__setattr__(self, "r_list", tuple(int(r) for r in self.r_list))
-        for cap_name in ("k_max", "r1_cap", "generator_cap"):
+        for cap_name in ("k_max", "r1_cap"):
             if int(getattr(self, cap_name)) < 1:
                 raise ConfigError(f"{cap_name} must be positive")
         if not self.r_list or any(r < 1 for r in self.r_list):
             raise ConfigError("r_list must be a nonempty list of positive ints")
-        if self.workers is not None and int(self.workers) < 1:
-            raise ConfigError("workers must be positive when given")
 
     def validate_paths(self) -> None:
         for path in (self.out, self.profile_csv):

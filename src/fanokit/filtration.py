@@ -560,12 +560,11 @@ def compute_d_infty(F: FiltrationSpec, e_plus: int | None = None,
         a_r = lead / ((n + 1) * Fraction(r * X.r0) ** (n + 1))
         a_samples.append((r, a_r))
         d_samples.append((r, 1 - Fraction(e, X.r0) + a_r / vol))
-    if F.kind == IDEAL_POWER:
-        a_limit = -Fraction(e_minus) * vol / X.r0 + F.profile.integral()
-        approximate = F.profile.approximate
-    else:
+    approximate = F.kind != IDEAL_POWER
+    if approximate:
         a_limit = a_samples[-1][1]
-        approximate = True
+    else:
+        a_limit = -Fraction(e_minus) * vol / X.r0 + F.profile.integral()
     d_infty = 1 - Fraction(e, X.r0) + a_limit / vol
     return DInftyReport(e_plus=e_plus, e_minus=e_minus, r1=r1,
                         a_samples=tuple(a_samples), a_limit=a_limit,

@@ -56,11 +56,6 @@ class Chart:
             out.append(int(val))
         return tuple(out)
 
-    def kernel_map(self, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """(matrix rows, shift) for the integer kernels at level k."""
-        rows = self.dual
-        return rows, tuple([int(k)] * len(rows))
-
 
 @dataclass(frozen=True)
 class ToricFanoModel:

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 from .errors import SizeCap
-from .model import ToricFanoModel, anticanonical_volume
-from .piecewise import PiecewisePolynomial, fit_polynomial
+from .model import ToricFanoModel
 from .polytope import enumerate_basic_feasible, lattice_points
-from .subscheme import IdealSequenceOnXxA1, MonomialSubscheme
+from .subscheme import IdealSequenceOnXxA1
 
 _ORACLE_CAP = 2_000_000
 
@@ -146,54 +144,3 @@ def bruteforce_lct(gens) -> Fraction | None:
     if not verts:
         return None
     return min(sum(v, Fraction(0)) for v in verts)
-
-
-def counting_profile(X: ToricFanoModel, Z: MonomialSubscheme,
-                     k: int = 8) -> "BlowupVolumeProfile":
-    """Finite-level counting surrogate for the volume profile.
-
-    Samples normalized section counts of multiples killed to increasing
-    ideal powers and joins them piecewise linearly.  Marked approximate:
-    the exact engine is reserved for integrally closed chart data.
-    """
-    from .volumes import BlowupVolumeProfile
-
-    Z.require_usable()
-    n = X.dimension
-    pts = lattice_points(X.polytope, k)
-    if not pts:
-        raise SizeCap("no sections at sampling level")
-    charts = {idx: X.charts[idx] for idx in Z.active_chart_indices()}
-
-    scale = Fraction(factorial(n), k ** n)
-    values = [scale * len(pts)]
-    power = None
-    j = 0
-    while values[-1] > 0:
-        j += 1
-        power = Z if j == 1 else Z.power(j)
-        count = 0
-        for u in pts:
-            ok = True
-            for idx, chart in charts.items():
-                gens = power.gens_on(idx)
-                if gens is None:
-                    continue
-                a = chart.exponents(u, k)
-                if not any(all(ai >= gi for ai, gi in zip(a, g)) for g in gens):
-                    ok = False
-                    break
-            if ok:
-                count += 1
-        values.append(scale * count)
-        if j > 64 * k:
-            raise SizeCap("counting profile failed to reach zero")
-
-    breaks = [Fraction(i, k) for i in range(len(values))]
-    pieces = [fit_polynomial([breaks[i], breaks[i + 1]],
-                             [values[i], values[i + 1]])
-              for i in range(len(values) - 1)]
-    pp = PiecewisePolynomial(breaks, pieces, degree_bound=n)
-    return BlowupVolumeProfile(subscheme_label=Z.label,
-                               total_volume=anticanonical_volume(X),
-                               tau=breaks[-1], function=pp, approximate=True)

@@ -17,8 +17,6 @@ the test suite holds the two against each other.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
@@ -28,7 +26,6 @@ from .errors import EmptyOrFull, FanokitError, OutOfDomain, UnsupportedSubscheme
 from .filtration import _convolve_step, _stable_leading_difference
 from .lct import lct_monomial, lct_on_product_with_line
 from .model import ToricFanoModel, anticanonical_volume
-from .oracles import counting_profile
 from .polytope import lattice_points
 from .subscheme import IdealSequenceOnXxA1, MonomialSubscheme
 from .volumes import blowup_volume_profile, seshadri_constant
@@ -41,9 +38,9 @@ OBSTRUCTS_SEMISTABILITY = "OBSTRUCTS_SEMISTABILITY"
 class BetaReport:
     """One beta evaluation.
 
-    beta = lct_value * anticanonical_volume - volume_integral, exact
-    whenever approximate is false; the verdict is OBSTRUCTS_SEMISTABILITY
-    exactly when beta is negative.
+    beta = lct_value * anticanonical_volume - volume_integral, always
+    exact; the verdict is OBSTRUCTS_SEMISTABILITY exactly when beta is
+    negative.
     """
 
     model: str
@@ -53,32 +50,27 @@ class BetaReport:
     anticanonical_volume: Fraction
     beta: Fraction
     verdict: str
-    approximate: bool
 
 
 def beta(X: ToricFanoModel, Z: MonomialSubscheme) -> BetaReport:
     """Threshold-versus-volume invariant of a nonzero proper subscheme.
 
     The profile integral runs over [0, tau] only, the profile being zero
-    past the pseudoeffective threshold.  When the exact profile engine
-    rejects the subscheme the counting surrogate is used instead and the
-    report is marked approximate.
+    past the pseudoeffective threshold.  Both terms are exact: chart data
+    on a singular chart is refused by the threshold before any profile is
+    built.
     """
     if Z.is_empty or Z.has_zero_chart:
         raise EmptyOrFull(f"{Z.label}: beta needs a nonzero proper subscheme")
     lct_value = lct_monomial(X, Z)
-    try:
-        profile = blowup_volume_profile(X, Z)
-    except UnsupportedSubscheme:
-        profile = counting_profile(X, Z)
+    profile = blowup_volume_profile(X, Z)
     vol = anticanonical_volume(X)
     integral = profile.integral()
     value = lct_value * vol - integral
     verdict = OBSTRUCTS_SEMISTABILITY if value < 0 else CONSISTENT
     return BetaReport(model=X.name, subscheme=Z.label, lct_value=lct_value,
                       volume_integral=integral, anticanonical_volume=vol,
-                      beta=value, verdict=verdict,
-                      approximate=profile.approximate)
+                      beta=value, verdict=verdict)
 
 
 @dataclass(frozen=True)
@@ -230,30 +222,17 @@ class ScanReport:
 
 
 def semistability_scan(X: ToricFanoModel,
-                       candidates: Iterable[MonomialSubscheme],
-                       workers: int | None = None) -> ScanReport:
-    """Run beta over every candidate, collecting per-candidate errors.
-
-    Evaluations are pure, so they run on a thread pool sized by the
-    FANOKIT_THREADS environment variable when workers is not given; the
-    output order is the input order regardless of scheduling.  A failed
-    candidate contributes an error entry instead of aborting the scan.
+                       candidates: Iterable[MonomialSubscheme]) -> ScanReport:
+    """Run beta over every candidate in input order, collecting
+    per-candidate errors: a failed candidate contributes an error entry
+    instead of aborting the scan.
     """
-    cands = list(candidates)
-    if workers is None:
-        workers = int(os.environ.get("FANOKIT_THREADS", "0")) or None
-
-    def run(Z: MonomialSubscheme):
+    entries = []
+    for Z in candidates:
         try:
-            return beta(X, Z), None
+            entries.append(ScanEntry(subscheme=Z.label, report=beta(X, Z),
+                                     error=None))
         except FanokitError as exc:
-            return None, f"{type(exc).__name__}: {exc}"
-
-    if workers == 1 or len(cands) < 2:
-        outcomes = [run(Z) for Z in cands]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, cands))
-    entries = tuple(ScanEntry(subscheme=Z.label, report=rep, error=err)
-                    for Z, (rep, err) in zip(cands, outcomes))
-    return ScanReport(model=X.name, entries=entries)
+            entries.append(ScanEntry(subscheme=Z.label, report=None,
+                                     error=f"{type(exc).__name__}: {exc}"))
+    return ScanReport(model=X.name, entries=tuple(entries))

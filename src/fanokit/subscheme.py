@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 from typing import Mapping, Sequence
 
 from . import lattice
@@ -179,9 +180,7 @@ class NewtonPolyhedron:
             enumerate_basic_feasible(n, rows))
         ineqs = []
         for w in self.dual_vertices:
-            den = 1
-            for x in w:
-                den = den * x.denominator // _gcd(den, x.denominator)
+            den = lcm(*(x.denominator for x in w))
             ineqs.append((tuple(int(x * den) for x in w), den))
         for i in range(n):
             ineqs.append((tuple(1 if j == i else 0 for j in range(n)), 0))
@@ -196,27 +195,6 @@ class NewtonPolyhedron:
 
     def contains(self, point: Sequence) -> bool:
         return self.scaled_contains(point, 1)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def is_integrally_closed(gens: Gens) -> bool:
-    """A monomial ideal is integrally closed iff every lattice point of its
-    Newton polyhedron already dominates a generator.  Minimal lattice
-    points of the polyhedron sit inside the componentwise-max box."""
-    if len(gens) == 0:
-        return True
-    N = NewtonPolyhedron(gens)
-    n = len(gens[0])
-    hi = [max(g[i] for g in gens) for i in range(n)]
-    pts = lattice.enum_points([list(m) for m, b in N.inequalities],
-                              [b for m, b in N.inequalities],
-                              [0] * n, hi)
-    return all(lattice.dominates_any(p, gens) for p in pts)
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,10 @@ routes, all exact:
     membership constraints of every chart, a polytope moving linearly in
     x, handled by candidate breakpoints plus per-interval interpolation.
 
-Chart ideals that are not integrally closed get the finite-k counting
-fallback from the oracles module and an ``approximate`` flag, per the
-volume semantics of section rings (closures only affect lower-order
-terms, but the exact contract is reserved for closed ideals).
+The Newton polyhedron sees only the integral closure of a chart ideal.
+That is exact for every monomial ideal, closed or not: by Rees's
+theorem there is a fixed k with closure(I^(m+k)) inside I^m for every
+m, so I and its closure have the same volume profile.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .model import ToricFanoModel, anticanonical_volume
 from .piecewise import PiecewisePolynomial, fit_polynomial, poly_trim
 from .polytope import (enumerate_basic_feasible, sliced_volume_function,
                        _volume_rec)
-from .subscheme import MonomialSubscheme, NewtonPolyhedron, is_integrally_closed
+from .subscheme import MonomialSubscheme, NewtonPolyhedron
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class BlowupVolumeProfile:
     total_volume: Fraction
     tau: Fraction
     function: PiecewisePolynomial
-    approximate: bool = False
 
     def evaluate(self, x) -> Fraction:
         x = Fraction(x)
@@ -98,19 +97,12 @@ def blowup_volume_profile(X: ToricFanoModel, Z: MonomialSubscheme) -> BlowupVolu
         if not X.charts[idx].smooth:
             raise UnsupportedSubscheme(
                 f"{Z.label} touches the singular chart at {X.charts[idx].vertex}")
-
-    closed = all(is_integrally_closed(Z.gens_on(idx) or ())
-                 for idx in Z.active_chart_indices())
-    if not closed:
-        from .oracles import counting_profile
-        return counting_profile(X, Z)
-
     return _newton_region_profile(X, Z, vol)
 
 
 def _newton_region_profile(X: ToricFanoModel, Z: MonomialSubscheme,
                            vol: Fraction) -> BlowupVolumeProfile:
-    """Exact profile for integrally closed smooth-chart monomial data."""
+    """Exact profile for smooth-chart monomial data."""
     n = X.dimension
     P = X.polytope
     static_rows: list[tuple[Vec, Fraction]] = [

@@ -41,17 +41,12 @@ class TestRunConfig:
         config = RunConfig()
         assert config.k_max == 10
         assert config.r_list == (1, 2, 4, 8)
-        assert config.workers is None
 
     def test_caps_must_be_positive(self):
         with pytest.raises(ConfigError):
             RunConfig(k_max=0)
         with pytest.raises(ConfigError):
-            RunConfig(generator_cap=-5)
-        with pytest.raises(ConfigError):
             RunConfig(r_list=())
-        with pytest.raises(ConfigError):
-            RunConfig(workers=0)
 
     def test_from_file(self, tmp_path):
         path = tmp_path / "c.json"
@@ -75,9 +70,9 @@ class TestRunConfig:
             RunConfig.from_file(str(tmp_path / "absent.json"))
 
     def test_overrides_ignore_none(self):
-        config = RunConfig(k_max=4).with_overrides(k_max=None, workers=2)
+        config = RunConfig(k_max=4).with_overrides(k_max=None, r1_cap=2)
         assert config.k_max == 4
-        assert config.workers == 2
+        assert config.r1_cap == 2
 
 
 class TestResolvers:
@@ -196,6 +191,16 @@ class TestBetaAndDing:
         code, out, _ = run("beta", "--model", "P2", "--subscheme", "point@0")
         assert code == 0
         assert "beta(point@0) = 0 (0.000000000000): CONSISTENT" in out
+
+    def test_ideal_that_is_not_integrally_closed(self, run, tmp_path):
+        # (x^2, y^2) on P2 has the profile of its closure (x^2, xy, y^2)
+        path = tmp_path / "x2y2.json"
+        path.write_text('{"label": "x2y2", "dim": 2, '
+                        '"charts": {"0": [[2, 0], [0, 2]]}}')
+        code, out, _ = run("beta", "--model", "P2", "--subscheme", str(path))
+        assert code == 0
+        assert "beta(x2y2) = 0 (0.000000000000): CONSISTENT" in out
+        assert "approximate" not in out
 
     def test_obstructing_divisor_exits_two(self, run, tmp_path):
         out_path = tmp_path / "beta.json"

@@ -8,9 +8,8 @@ from fanokit.errors import EmptyOrFull, NotSmoothPoint, ZeroIdeal
 from fanokit.model import catalog_model
 from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                                NewtonPolyhedron, boundary_divisor_subscheme,
-                               is_integrally_closed, point_subscheme,
-                               standard_battery, thickened_point_subscheme,
-                               verify_gluing)
+                               point_subscheme, standard_battery,
+                               thickened_point_subscheme, verify_gluing)
 
 
 class TestMonomialSubscheme:
@@ -107,26 +106,6 @@ class TestNewtonPolyhedron:
             NewtonPolyhedron(((0, 0),))
         with pytest.raises(ZeroIdeal):
             NewtonPolyhedron(())
-
-
-class TestIntegralClosure:
-    def test_closed_ideals(self):
-        assert is_integrally_closed(((1, 0), (0, 1)))
-        assert is_integrally_closed(((2, 0), (1, 1), (0, 2)))
-        assert is_integrally_closed(((2, 0), (1, 1), (0, 3)))
-        assert is_integrally_closed(())
-
-    def test_open_ideals(self):
-        # (x^2, y^2) misses xy, (x^2, y^3) misses xy^2
-        assert not is_integrally_closed(((2, 0), (0, 2)))
-        assert not is_integrally_closed(((2, 0), (0, 3)))
-
-    def test_battery_charts_are_closed(self):
-        for name in ("P2", "P3", "P112"):
-            X = catalog_model(name)
-            for Z in standard_battery(X):
-                for idx in Z.active_chart_indices():
-                    assert is_integrally_closed(Z.gens_on(idx))
 
 
 class TestIdealSequence:

@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanokit.errors import (DimensionTooSmall, EmptyOrFull, NotSmoothPoint,
                             UnsupportedSubscheme)
 from fanokit.model import anticanonical_volume, catalog, catalog_model
+from fanokit.stability import beta
 from fanokit.subscheme import (MonomialSubscheme, boundary_divisor_subscheme,
                                point_subscheme, standard_battery,
                                thickened_point_subscheme)
@@ -23,7 +26,6 @@ class TestPointProfiles:
             piece = [Fraction((n + 1) ** n)] + [Fraction(0)] * (n - 1) + [Fraction(-1)]
             assert prof.function.pieces == (tuple(piece),)
             assert prof.tau == n + 1
-            assert not prof.approximate
 
     def test_quadric_surface(self):
         X = catalog_model("P1xP1")
@@ -101,17 +103,43 @@ class TestGeneralEngine:
         assert prof.function.breakpoints == (0, Fraction(3, 2))
         assert prof.function.pieces == ((9, -12, 4),)
 
-    def test_open_ideal_takes_counting_fallback(self):
+    def test_open_ideal_shares_its_closure_profile(self):
+        # (x^2, y^2) is not integrally closed: its closure adds xy
         X = catalog_model("P2")
         Z = MonomialSubscheme(label="x2y2", dimension=2,
                               chart_gens={0: ((2, 0), (0, 2))})
+        closure = MonomialSubscheme(label="closure", dimension=2,
+                                    chart_gens={0: ((2, 0), (1, 1), (0, 2))})
         prof = blowup_volume_profile(X, Z)
-        assert prof.approximate
-        # closure profile is 9 - 4x^2 on [0, 3/2]; finite-level counting
-        # overshoots by a boundary term that dies off with the level
-        assert prof.evaluate(0) >= 9
-        assert abs(prof.integral() - 9) < Fraction(3, 2)
-        assert abs(prof.tau - Fraction(3, 2)) <= Fraction(1, 4)
+        assert prof.function.breakpoints == (0, Fraction(3, 2))
+        assert prof.function.pieces == ((9, 0, -4),)
+        assert prof.integral() == 9
+        other = blowup_volume_profile(X, closure)
+        assert (prof.function, prof.tau) == (other.function, other.tau)
+
+    @given(st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_profile_ignores_monomials_from_the_closure(self, data):
+        # I is x^a, y^b and up to two mixed monomials at a smooth fixed
+        # point of a KE surface.  Each ceil((g + h) / 2) lies over the
+        # midpoint of two generators, hence in the closure of I, so
+        # adding them must leave the profile alone, and beta >= 0.
+        X = catalog_model(data.draw(st.sampled_from(("P2", "P1xP1", "dP6"))))
+        idx = data.draw(st.sampled_from(X.smooth_chart_indices()))
+        a, b = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        gens = {(a, 0), (0, b)}
+        if a > 1 and b > 1:
+            gens |= set(data.draw(st.lists(
+                st.tuples(st.integers(1, a - 1), st.integers(1, b - 1)),
+                max_size=2)))
+        mids = {tuple(-(-(p + q) // 2) for p, q in zip(g, h))
+                for g in gens for h in gens}
+        I = MonomialSubscheme(label="I", dimension=2, chart_gens={idx: gens})
+        J = MonomialSubscheme(label="J", dimension=2,
+                              chart_gens={idx: gens | mids})
+        pi, pj = blowup_volume_profile(X, I), blowup_volume_profile(X, J)
+        assert (pi.function, pi.tau) == (pj.function, pj.tau)
+        assert beta(X, I).beta >= 0
 
     def test_singular_chart_refused(self):
         X = catalog_model("P112")
@@ -173,4 +201,3 @@ class TestThreshold:
                 prof = blowup_volume_profile(X, Z)
                 assert prof.tau > 0
                 assert prof.evaluate(0) == anticanonical_volume(X)
-                assert not prof.approximate
