@@ -393,10 +393,6 @@ _REGISTRY: tuple[tuple[int, str, object], ...] = (
     (9, "lct-engine", _criterion_lct_engine),
 )
 
-CRITERION_BUDGETS = {1: 1.0, 2: 5.0, 3: 5.0, 4: 5.0, 5: 120.0, 6: 120.0,
-                     7: 180.0, 8: 120.0, 9: 60.0}
-
-
 def run_acceptance_suite_timed(
         config: RunConfig | None = None
 ) -> tuple[AcceptanceSummary, dict[int, float]]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, fields, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import ConfigError
 from .model import CATALOG_RAYS, ToricFanoModel, catalog_model

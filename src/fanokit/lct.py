@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 from . import lattice
 from .errors import (EmptyOrFull, FamilyNotGraded, LPInfeasible, LPUnbounded,
-                     NotSmoothChart, ZeroIdeal)
+                     NotSmoothChart)
 from .exactlp import GE, solve_lp
 from .model import ToricFanoModel
 from .subscheme import IdealSequenceOnXxA1, MonomialSubscheme

@@ -3,13 +3,19 @@
 Everything here works over fractions.Fraction (integers are accepted and
 promoted).  Sizes are tiny throughout the package (n <= 4, systems of at
 most a dozen rows), so plain Gaussian elimination with exact pivoting is
-entirely adequate and keeps the arithmetic auditable.
+entirely adequate and keeps the arithmetic auditable.  The hot polytope
+paths instead scale their rows to integers (rational_primitive) and use
+int_det and cramer, which stay in Python ints until one final Fraction.
+Those paths build tuples and star-arguments from lists, not generators:
+CPython resizes a tuple built from a generator, and the resized tuples
+pile up on its tuple free lists, which raised the peak memory of a long
+scan by about 1 MB.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 Vec = tuple[Fraction, ...]
@@ -27,7 +33,7 @@ def mat(rows: Sequence[Sequence]) -> Mat:
 def dot(a: Sequence, b: Sequence) -> Fraction:
     if len(a) != len(b):
         raise ValueError(f"dot: length mismatch {len(a)} vs {len(b)}")
-    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+    return Fraction(sum(x * y for x, y in zip(a, b)))
 
 
 def vsub(a: Sequence, b: Sequence) -> Vec:
@@ -66,6 +72,52 @@ def det(rows: Sequence[Sequence]) -> Fraction:
     for i in range(n):
         result *= m[i][i]
     return result
+
+
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every intermediate division is exact."""
+    n = len(rows)
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    m = [list(r) for r in rows]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if piv is None:
+                return 0
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        mk = m[k]
+        pk = mk[k]
+        for i in range(k + 1, n):
+            mi = m[i]
+            mik = mi[k]
+            for j in range(k + 1, n):
+                mi[j] = (mi[j] * pk - mik * mk[j]) // prev
+        prev = pk
+    return sign * m[n - 1][n - 1]
+
+
+def cramer(rows: Sequence[Sequence[int]],
+           rhs: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
+    """Solve the square integer system rows * x = rhs by Cramer's rule.
+
+    Returns (nums, den) with x = nums / den, den > 0 and gcd(nums, den) = 1,
+    so equal solutions have equal keys; None when singular.
+    """
+    den = int_det(rows)
+    if den == 0:
+        return None
+    nums = [int_det([(*r[:j], b, *r[j + 1:]) for r, b in zip(rows, rhs)])
+            for j in range(len(rows))]
+    if den < 0:
+        den = -den
+        nums = [-x for x in nums]
+    g = gcd(den, *nums)
+    return tuple([x // g for x in nums]), den // g
 
 
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
@@ -127,13 +179,12 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
 
 
 def rational_primitive(v: Sequence) -> tuple[int, ...]:
-    """Scale a rational vector to the primitive integer vector on the same ray."""
-    fr = [Fraction(x) for x in v]
-    denom_lcm = 1
-    for x in fr:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in fr]
-    return primitive(ints)
+    """Scale a vector of ints and Fractions to the primitive integer vector
+    on the same ray (zero stays zero)."""
+    den = lcm(*[x.denominator for x in v])
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    g = gcd(*ints)
+    return tuple([x // g for x in ints]) if g else tuple(ints)
 
 
 def lcm_list(values: Sequence[int]) -> int:

@@ -7,21 +7,25 @@ a RationalPolytope always carries both and they always describe the same
 set.
 
 Sizes here are tiny (at most a dozen facets, a handful of vertices), so
-vertex enumeration by n-subsets of inequalities and hull facets by
-n-subsets of vertices are entirely adequate and keep every step exact.
+vertex enumeration by n-subsets of inequalities (Cramer's rule on rows
+scaled to integers) and hull facets by n-subsets of vertices are entirely
+adequate and keep every step exact.  Volumes build no hulls: the rows
+that cut a polytope out already say which vertices lie on which face, so
+a pulling triangulation reads the facets of every face off those row
+incidences and sums integer simplex determinants.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, lcm
 from typing import Sequence
 
 from . import lattice
-from .errors import DegeneratePolytope, LPInfeasible, LPUnbounded, UnboundedPolytope
-from .exactlp import GE, LE, solve_lp
-from .linalg import Vec, det, dot, lcm_list, rational_primitive, solve, vsub
+from .errors import DegeneratePolytope, LPInfeasible, UnboundedPolytope
+from .exactlp import GE, solve_lp
+from .linalg import Vec, cramer, det, dot, int_det, rational_primitive, vsub
 from .piecewise import PiecewisePolynomial, fit_polynomial
 
 Ineq = tuple[tuple[int, ...], Fraction]
@@ -41,14 +45,72 @@ def enumerate_basic_feasible(dim: int, rows: Sequence[tuple[Sequence, object]]) 
     Rows may have rational normals.  Unbounded directions are not detected
     here; callers that care run a recession-cone check first.
     """
-    verts: set[Vec] = set()
-    for sub in combinations(range(len(rows)), dim):
-        sol = solve([rows[i][0] for i in sub], [rows[i][1] for i in sub])
+    irows = [rational_primitive((*nr, off)) for nr, off in rows]
+    found: set[tuple[tuple[int, ...], int]] = set()
+    for sub in combinations(irows, dim):
+        sol = cramer([r[:dim] for r in sub], [r[dim] for r in sub])
         if sol is None:
             continue
-        if all(dot(nr, sol) >= Fraction(off) for nr, off in rows):
-            verts.add(sol)
-    return sorted(verts)
+        nums, den = sol
+        if all(sum(a * x for a, x in zip(r, nums)) >= r[dim] * den for r in irows):
+            found.add(sol)
+    return sorted(tuple([Fraction(x, den) for x in nums]) for nums, den in found)
+
+
+def volume(dim: int, rows: Sequence[tuple[Sequence, object]],
+           vertices: Sequence[Vec]) -> Fraction:
+    """Exact volume of {u : <normal, u> >= offset for all rows}.
+
+    ``vertices`` must be every vertex of that set, each once, as
+    enumerate_basic_feasible returns them.  Rows with a zero normal cut out
+    no face and are skipped.  The set is lower-dimensional, and the volume
+    0, exactly when some other row is tight at every vertex.
+    Otherwise each face is a set of vertices, and the facets of a face F
+    are the maximal proper nonempty sets F ∩ {row tight}: no rank test and
+    no hull is needed.  The pulling triangulation from the first vertex of
+    each face gives simplices whose vertices are scaled to integers by the
+    common denominator den; the volume is the sum of their |det| over
+    dim! * den^dim.
+    """
+    if len(vertices) <= dim:
+        return Fraction(0)
+    den = lcm(*[x.denominator for v in vertices for x in v])
+    pts = [[x.numerator * (den // x.denominator) for x in v] for v in vertices]
+    every = (1 << len(pts)) - 1
+    tight_sets = set()
+    for nr, off in rows:
+        r = rational_primitive((*nr, off))
+        if not any(r[:dim]):
+            continue
+        target = r[dim] * den
+        mask = 0
+        for i, p in enumerate(pts):
+            if sum(a * x for a, x in zip(r, p)) == target:
+                mask |= 1 << i
+        if mask == every:
+            return Fraction(0)
+        if mask:
+            tight_sets.add(mask)
+
+    facets_of: dict[int, list[int]] = {}
+    total = 0
+    stack = [(every, ())]
+    while stack:
+        face, chain = stack.pop()
+        apex_bit = face & -face
+        chain += (pts[apex_bit.bit_length() - 1],)
+        if face == apex_bit:
+            total += abs(int_det([[a - b for a, b in zip(p, chain[-1])]
+                                  for p in chain[:-1]]))
+            continue
+        facets = facets_of.get(face)
+        if facets is None:
+            faces = {face & m for m in tight_sets} - {face, 0}
+            facets = [f for f in faces if not f & apex_bit
+                      and not any(f != g and f & g == f for g in faces)]
+            facets_of[face] = facets
+        stack.extend((f, chain) for f in facets)
+    return Fraction(total, factorial(dim) * den ** dim)
 
 
 def _affine_rank(points: Sequence[Vec]) -> int:
@@ -109,25 +171,6 @@ def hull_facets(dim: int, vertices: Sequence[Vec]) -> list[tuple[tuple[int, ...]
         if _affine_rank(members) == dim - 1:
             facets[(normal, offset)] = (normal, offset, members)
     return sorted(facets.values(), key=lambda f: (f[0], f[1]))
-
-
-def _volume_rec(dim: int, vertices: Sequence[Vec]) -> Fraction:
-    vertices = sorted(set(vertices))
-    if _affine_rank(vertices) < dim:
-        return Fraction(0)
-    if dim == 1:
-        xs = [v[0] for v in vertices]
-        return max(xs) - min(xs)
-    apex = vertices[0]
-    total = Fraction(0)
-    for normal, offset, members in hull_facets(dim, vertices):
-        height = dot(normal, apex) - offset
-        if height == 0:
-            continue
-        j = max(range(dim), key=lambda c: abs(normal[c]))
-        proj = [tuple(w[c] for c in range(dim) if c != j) for w in members]
-        total += height * _volume_rec(dim - 1, proj) / abs(normal[j])
-    return total / dim
 
 
 class RationalPolytope:
@@ -267,7 +310,7 @@ def lattice_points(P: RationalPolytope, r) -> list[tuple[int, ...]]:
 
 def euclidean_volume(P: RationalPolytope) -> Fraction:
     """Exact Lebesgue volume via a pulling triangulation from the lex-min vertex."""
-    return _volume_rec(P.dimension, P.vertices)
+    return volume(P.dimension, P.inequalities, P.vertices)
 
 
 def polytope_edges(P: RationalPolytope) -> list[tuple[int, int]]:
@@ -300,7 +343,7 @@ def truncated_volume(P: RationalPolytope, lam_linear: Sequence, lam_offset, x) -
     rows: list[tuple[Sequence, object]] = list(P.inequalities)
     rows.append((tuple(Fraction(c) for c in lam_linear), Fraction(x) - Fraction(lam_offset)))
     verts = enumerate_basic_feasible(P.dimension, rows)
-    return _volume_rec(P.dimension, verts)
+    return volume(P.dimension, rows, verts)
 
 
 def sliced_volume_function(P: RationalPolytope, lam_linear: Sequence,

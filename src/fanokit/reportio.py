@@ -14,7 +14,7 @@ import csv
 import json
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .linalg import primitive
 from .model import ToricFanoModel, build_model

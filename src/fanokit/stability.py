@@ -64,7 +64,7 @@ def beta(X: ToricFanoModel, Z: MonomialSubscheme) -> BetaReport:
         raise EmptyOrFull(f"{Z.label}: beta needs a nonzero proper subscheme")
     lct_value = lct_monomial(X, Z)
     profile = blowup_volume_profile(X, Z)
-    vol = anticanonical_volume(X)
+    vol = profile.total_volume
     integral = profile.integral()
     value = lct_value * vol - integral
     verdict = OBSTRUCTS_SEMISTABILITY if value < 0 else CONSISTENT

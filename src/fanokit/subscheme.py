@@ -13,13 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import lcm
 from typing import Mapping, Sequence
 
 from . import lattice
 from .errors import EmptyOrFull, NotSmoothPoint, ZeroIdeal
 from .linalg import Vec, dot, invert, matmul_vec, transpose
-from .model import Chart, ToricFanoModel
+from .model import ToricFanoModel
 from .polytope import enumerate_basic_feasible, polytope_edges
 
 Gens = tuple[tuple[int, ...], ...]
@@ -160,7 +159,7 @@ class NewtonPolyhedron:
     plus the coordinate halfspaces.
     """
 
-    __slots__ = ("generators", "dual_vertices", "inequalities")
+    __slots__ = ("generators", "dual_vertices")
 
     def __init__(self, generators: Sequence[Sequence[int]]):
         gens = _normalize_gens(generators)
@@ -178,13 +177,6 @@ class NewtonPolyhedron:
             rows.append((tuple(Fraction(x) for x in g), Fraction(1)))
         self.dual_vertices: tuple[Vec, ...] = tuple(
             enumerate_basic_feasible(n, rows))
-        ineqs = []
-        for w in self.dual_vertices:
-            den = lcm(*(x.denominator for x in w))
-            ineqs.append((tuple(int(x * den) for x in w), den))
-        for i in range(n):
-            ineqs.append((tuple(1 if j == i else 0 for j in range(n)), 0))
-        self.inequalities = tuple(sorted(set(ineqs)))
 
     def scaled_contains(self, point: Sequence, x) -> bool:
         """Membership of a rational point in x * (this polyhedron)."""

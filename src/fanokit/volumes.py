@@ -10,6 +10,8 @@ routes, all exact:
   * general monomial data on smooth charts cuts P by the scaled Newton
     membership constraints of every chart, a polytope moving linearly in
     x, handled by candidate breakpoints plus per-interval interpolation.
+    Each sample volume comes from the rows that cut the region out
+    (polytope.volume), never from a hull rebuilt over its vertices.
 
 The Newton polyhedron sees only the integral closure of a chart ideal.
 That is exact for every monomial ideal, closed or not: by Rees's
@@ -23,15 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
-from typing import Sequence
 
 from .errors import (DimensionTooSmall, EmptyOrFull, NotSmoothPoint,
                      UnsupportedSubscheme)
-from .linalg import Vec, dot, matmul_vec, solve, transpose
+from .linalg import Vec, cramer, matmul_vec, rational_primitive, transpose
 from .model import ToricFanoModel, anticanonical_volume
 from .piecewise import PiecewisePolynomial, fit_polynomial, poly_trim
-from .polytope import (enumerate_basic_feasible, sliced_volume_function,
-                       _volume_rec)
+from .polytope import enumerate_basic_feasible, sliced_volume_function, volume
 from .subscheme import MonomialSubscheme, NewtonPolyhedron
 
 
@@ -117,15 +117,14 @@ def _newton_region_profile(X: ToricFanoModel, Z: MonomialSubscheme,
                                                 for r in D_rows)), w)
             moving_rows.append((normal, sum(w, Fraction(0))))
 
+    # (u, x) rows <normal, u> - x * moves >= offset, scaled to integers
+    lifted = ([rational_primitive((*nr, 0, off)) for nr, off in static_rows]
+              + [rational_primitive((*nr, -1, -base)) for nr, base in moving_rows])
     candidates = {Fraction(0)}
-    all_rows = ([(nr, off, Fraction(0)) for nr, off in static_rows]
-                + [(nr, -base, Fraction(1)) for nr, base in moving_rows])
-    for sub in combinations(range(len(all_rows)), n + 1):
-        mat = [list(all_rows[i][0]) + [-all_rows[i][2]] for i in sub]
-        rhs = [all_rows[i][1] for i in sub]
-        sol = solve(mat, rhs)
-        if sol is not None and sol[n] > 0:
-            candidates.add(sol[n])
+    for sub in combinations(lifted, n + 1):
+        sol = cramer([r[:n + 1] for r in sub], [r[n + 1] for r in sub])
+        if sol is not None and sol[0][n] > 0:
+            candidates.add(Fraction(sol[0][n], sol[1]))
 
     cuts = sorted(candidates)
     nfact = factorial(n)
@@ -133,7 +132,7 @@ def _newton_region_profile(X: ToricFanoModel, Z: MonomialSubscheme,
     def region_volume(x: Fraction) -> Fraction:
         rows = list(static_rows) + [(nr, x - base) for nr, base in moving_rows]
         verts = enumerate_basic_feasible(n, rows)
-        return _volume_rec(n, verts)
+        return volume(n, rows, verts)
 
     pieces: list[tuple[Fraction, ...]] = []
     spans: list[tuple[Fraction, Fraction]] = []

@@ -9,7 +9,7 @@ the integer kernels).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 
 
@@ -49,6 +49,33 @@ def box_lattice_count(inequalities, lo, hi) -> int:
         if all(sum(a * x for a, x in zip(nr, u)) >= off for nr, off in rows):
             count += 1
     return count
+
+
+def basic_feasible_points(dim, rows):
+    """Vertices of {u : <normal, u> >= offset for all rows}, lex sorted.
+
+    Gauss-Jordan elimination in Fractions over every dim-subset of rows,
+    then a feasibility check against all rows; the package solves each
+    subset by integer Cramer's rule instead.
+    """
+    rows = [(tuple(Fraction(a) for a in nr), Fraction(off)) for nr, off in rows]
+    found = set()
+    for sub in combinations(rows, dim):
+        m = [list(nr) + [off] for nr, off in sub]
+        for col in range(dim):
+            piv = next((r for r in range(col, dim) if m[r][col] != 0), None)
+            if piv is None:
+                break
+            m[col], m[piv] = m[piv], m[col]
+            m[col] = [x / m[col][col] for x in m[col]]
+            for r in range(dim):
+                if r != col and m[r][col] != 0:
+                    m[r] = [a - m[r][col] * b for a, b in zip(m[r], m[col])]
+        else:
+            u = tuple(m[i][dim] for i in range(dim))
+            if all(sum(a * x for a, x in zip(nr, u)) >= off for nr, off in rows):
+                found.add(u)
+    return sorted(found)
 
 
 def finite_difference_leading(values, degree) -> Fraction:

@@ -1,16 +1,21 @@
 """Polytopes, volumes, slices, piecewise polynomials."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fanokit.errors import DegeneratePolytope, OutOfDomain, UnboundedPolytope
+from fanokit.linalg import cramer, det, int_det, solve
+from fanokit.oracles import bruteforce_lct
 from fanokit.piecewise import PiecewisePolynomial, fit_polynomial, poly_trim
-from fanokit.polytope import (RationalPolytope, euclidean_volume,
-                              lattice_points, polytope_from_rays,
-                              sliced_volume_function, truncated_volume)
+from fanokit.polytope import (RationalPolytope, enumerate_basic_feasible,
+                              euclidean_volume, lattice_points,
+                              polytope_from_rays, sliced_volume_function,
+                              truncated_volume, volume)
+from fanokit.subscheme import NewtonPolyhedron
 
 import helpers
 
@@ -100,6 +105,115 @@ class TestEuclideanVolume:
         shifted = RationalPolytope.from_vertices(
             2, [(v[0] + F(1, 3), v[1] - 2) for v in TRIANGLE.vertices])
         assert euclidean_volume(shifted) == F(9, 2)
+
+
+def _lattice_polytope(dim, points):
+    try:
+        return RationalPolytope.from_vertices(dim, points)
+    except DegeneratePolytope:
+        assume(False)
+
+
+def _row_volume(dim, rows):
+    return volume(dim, rows, enumerate_basic_feasible(dim, rows))
+
+
+UNIT_SQUARE_ROWS = [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)]
+
+
+class TestRowVolume:
+    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                    min_size=3, max_size=7))
+    @settings(max_examples=40, deadline=None)
+    def test_lattice_polygon_matches_shoelace(self, points):
+        P = _lattice_polytope(2, points)
+        area = helpers.shoelace_area(P.vertices)
+        assert volume(2, P.inequalities, P.vertices) == area
+        assert _row_volume(2, P.inequalities) == area
+
+    @given(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=4, max_size=7))
+    @settings(max_examples=15, deadline=None)
+    def test_lattice_polytope_matches_ehrhart(self, points):
+        P = _lattice_polytope(3, points)
+
+        def count(k):
+            lo, hi = P.bounding_box(F(k))
+            return helpers.box_lattice_count(
+                [(nr, k * off) for nr, off in P.inequalities], lo, hi)
+
+        assert volume(3, P.inequalities, P.vertices) == helpers.ehrhart_volume(count, 3)
+
+    def test_square_pyramid_with_non_simple_apex(self):
+        P = RationalPolytope.from_vertices(
+            3, [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 3)])
+        apex = (F(1), F(1), F(3))
+        assert sum(1 for nr, off in P.inequalities
+                   if sum(a * x for a, x in zip(nr, apex)) == off) == 4
+        assert euclidean_volume(P) == 4
+        assert _row_volume(3, P.inequalities) == 4
+
+    def test_octahedron(self):
+        rows = [(signs, -1) for signs in product((1, -1), repeat=3)]
+        verts = enumerate_basic_feasible(3, rows)
+        assert len(verts) == 6
+        assert volume(3, rows, verts) == F(4, 3)
+
+    def test_redundant_rows(self):
+        rows = UNIT_SQUARE_ROWS + [((1, 1), 0),        # tight at one vertex
+                                   ((1, 1), -5),       # tight nowhere
+                                   ((F(2), F(0)), 0),  # a scaled copy
+                                   ((0, 0), 0)]        # zero normal
+        assert len(enumerate_basic_feasible(2, rows)) == 4
+        assert _row_volume(2, rows) == 1
+
+    def test_truncation_at_last_breakpoint_is_flat(self):
+        assert truncated_volume(TRIANGLE, (1, 1), 2, 3) == 0     # an edge
+        assert truncated_volume(CUBE, (1, 1, 1), 3, 6) == 0      # a vertex
+        assert truncated_volume(CUBE, (1, 1, 1), 3, 7) == 0      # empty
+        assert _row_volume(2, UNIT_SQUARE_ROWS + [((-1, 0), 0)]) == 0
+
+    def test_constant_functional_keeps_the_polytope(self):
+        assert truncated_volume(TRIANGLE, (0, 0), 0, 0) == F(9, 2)
+        assert truncated_volume(TRIANGLE, (0, 0), 0, 1) == 0
+
+
+NEWTON_GENS = st.integers(2, 3).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(0, 4)] * n).filter(any), min_size=1, max_size=4))
+
+
+class TestBasicFeasible:
+    @given(NEWTON_GENS, st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_newton_dual_rows_match_bruteforce(self, gens, data):
+        n = len(gens[0])
+        rows = [(tuple(F(int(i == j)) for i in range(n)), F(0)) for j in range(n)]
+        rows += [(tuple(F(x) for x in g), F(1)) for g in gens]
+        expected = helpers.basic_feasible_points(n, rows)
+        assert enumerate_basic_feasible(n, rows) == expected
+        assert list(NewtonPolyhedron(gens).dual_vertices) == expected
+        assert bruteforce_lct(gens) == min(sum(v) for v in expected)
+        scales = data.draw(st.lists(st.fractions(F(1, 6), 6).filter(lambda q: q > 0),
+                                    min_size=len(rows), max_size=len(rows)))
+        scaled = [(tuple(c * a for a in nr), c * off)
+                  for c, (nr, off) in zip(scales, rows)]
+        assert enumerate_basic_feasible(n, scaled) == expected
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-5, 5), min_size=n + 1, max_size=n + 1),
+        min_size=n, max_size=n)))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_cramer_matches_fraction_elimination(self, aug):
+        n = len(aug)
+        rows = [tuple(r[:n]) for r in aug]
+        rhs = [r[n] for r in aug]
+        assert int_det(rows) == det(rows)
+        sol = cramer(rows, rhs)
+        expected = solve(rows, rhs)
+        if expected is None:
+            assert sol is None
+        else:
+            nums, den = sol
+            assert den > 0 and tuple(F(x, den) for x in nums) == expected
 
 
 class TestSlicedVolume:

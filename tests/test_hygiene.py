@@ -1,0 +1,42 @@
+"""Source hygiene: every name a package module imports is used in it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fanokit"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that the module never reads."""
+    tree = ast.parse(source)
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in sorted(imported.items())
+            if name not in used]
+
+
+def test_scan_flags_an_unused_import():
+    source = "from math import gcd, lcm\nimport os\n\nx = gcd(2, 4)\n"
+    assert unused_imports(source) == ["lcm (line 1)", "os (line 2)"]
+
+
+def test_scan_sees_attribute_roots_and_annotations():
+    source = ("from __future__ import annotations\nimport os.path\n"
+              "from typing import Sequence\n\n"
+              "def f(v: Sequence) -> str:\n    return os.path.sep\n")
+    assert unused_imports(source) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
