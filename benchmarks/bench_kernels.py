@@ -2,8 +2,8 @@
 """Time the pure-Python lattice kernels against the compiled twin.
 
 Workloads mirror the three hot paths: section counting (enum_points over
-a dilated polytope), saturation membership (count_points_in_ideals on a
-thickened point), and ideal powering (minkowski_sum + minimalize).  Each
+a dilated polytope), saturation membership (filter_points_in_ideals on a
+power of a point), and ideal powering (minkowski_sum + minimalize).  Each
 workload is checked for agreement before timing, then the median of
 --repeat runs is reported per backend.
 
@@ -66,8 +66,8 @@ def build_workloads(scale: int) -> list[tuple[str, object, tuple]]:
          call("enum_points"), _enum_args("P1xP2", scale)),
         (f"enum_points dP6 k={6 * scale}",
          call("enum_points"), _enum_args("dP6", 6 * scale)),
-        (f"count_points_in_ideals P2 point^{2 * scale}",
-         call("count_points_in_ideals"), _membership_args(2 * scale)),
+        (f"filter_points_in_ideals P2 point^{2 * scale}",
+         call("filter_points_in_ideals"), _membership_args(2 * scale)),
         (f"minkowski+minimalize 3d power {scale + 4}",
          _power_chain, (gens, scale + 4)),
     ]

@@ -225,37 +225,6 @@ def filter_points_in_ideals(points, charts):
         free(img)
 
 
-def count_points_in_ideals(points, charts):
-    cdef Py_ssize_t nc = len(charts)
-    cdef Py_ssize_t n = 0, i, d_max = 1
-    cdef Py_ssize_t hits = 0
-    cdef _ChartC *cs = NULL
-    cdef long long *u = NULL
-    cdef long long *img = NULL
-    if len(points) == 0:
-        return 0
-    n = len(points[0])
-    try:
-        cs = _build_charts(charts, n)
-        for i in range(nc):
-            if cs[i].d > d_max:
-                d_max = cs[i].d
-        u = <long long *> malloc(max(n, 1) * sizeof(long long))
-        img = <long long *> malloc(d_max * sizeof(long long))
-        if u == NULL or img == NULL:
-            raise MemoryError()
-        for pt in points:
-            for i in range(n):
-                u[i] = pt[i]
-            if _point_in_all(u, n, cs, nc, img):
-                hits += 1
-        return hits
-    finally:
-        _free_charts(cs, nc)
-        free(u)
-        free(img)
-
-
 def minkowski_sum(a, b):
     """All pairwise sums, deduplicated, sorted lex."""
     seen = set()

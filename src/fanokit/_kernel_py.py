@@ -74,11 +74,6 @@ def filter_points_in_ideals(points: Sequence[Sequence[int]],
     return out
 
 
-def count_points_in_ideals(points: Sequence[Sequence[int]],
-                           charts: Sequence[tuple]) -> int:
-    return len(filter_points_in_ideals(points, charts))
-
-
 def minkowski_sum(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """All pairwise sums, deduplicated, sorted lex."""
     seen = {tuple(x + y for x, y in zip(g, h)) for g in a for h in b}

@@ -25,21 +25,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import lattice
-from .errors import CombinatorialBlowup, NoStabilization, R1NotFound, UnsupportedSubscheme
+from .errors import NoStabilization, R1NotFound, UnsupportedSubscheme
 from .model import ToricFanoModel, anticanonical_volume
 from .polytope import lattice_points
 from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
-                        _subscheme_contains)
+                        _convolve_step, _subscheme_contains)
 from .volumes import BlowupVolumeProfile, blowup_volume_profile
 
 IDEAL_POWER = "ideal-power"
 EXPLICIT = "explicit"
 
 R1_CAP = 64
-GENERATOR_CAP = 20_000
 
 Point = tuple[int, ...]
 
@@ -49,10 +48,11 @@ def _zero_subscheme(X: ToricFanoModel, label: str = "zero") -> MonomialSubscheme
                              chart_gens={i: () for i in range(len(X.charts))})
 
 
-def _ray_images(chart, points: Iterable[Point], level: int) -> set[Point]:
+def _ray_images(chart, points: Iterable[Point], level: int) -> list[Point]:
+    """Chart exponent vectors <rho, u> + level of the points, in order."""
     rows = chart.cone_rays
-    return {tuple(sum(a * b for a, b in zip(row, u)) + level for row in rows)
-            for u in points}
+    return [tuple(sum(a * b for a, b in zip(row, u)) + level for row in rows)
+            for u in points]
 
 
 def _ideal_kernel_charts(X: ToricFanoModel, ideal: MonomialSubscheme,
@@ -369,9 +369,9 @@ class WeightRecord:
     """One k-slice of a weight series.
 
     level_dims lists (j, dim of the j-th graded piece at level kr); the
-    weight identity w = -k r (e_plus - e_minus) h0 + v holds by
-    construction and is cross-checked against the direct quotient count
-    in the test suite.
+    weight identity w = -k (hi - lo) h0 + v over the step window [lo, hi]
+    holds by construction and is cross-checked against the direct
+    quotient count in the test suite.
     """
 
     k: int
@@ -394,10 +394,9 @@ def compute_weight_series(F: FiltrationSpec, r: int, k_max: int = 10, *,
                           e_minus: int | None = None) -> WeightSeries:
     """Weight sums of the k-th powers of the level-r step ideals.
 
-    The t-graded product ideals J(k, j) are built by convolving the step
-    table with the previous power, chart by chart, with minimalisation
-    after every merge; each section's maximal level is then located by
-    bisection in j, which the decreasing property of J makes sound.
+    Step j of the window [r e_minus, r e_plus] is the saturated level
+    ideal at x = j; _weight_records turns the steps into one record per k,
+    the route ding_weight_series takes as well.
     """
     r, k_max = int(r), int(k_max)
     if r < 1 or k_max < 1:
@@ -410,72 +409,40 @@ def compute_weight_series(F: FiltrationSpec, r: int, k_max: int = 10, *,
         raise ValueError(
             f"F^x V_r not full at x = {r * e_minus}; r={r} is below r1")
     lo, hi = r * e_minus, r * e_plus
-    base = {}
-    for j in range(lo, hi + 1):
-        ideal, _ = saturate(F, r, j)
-        base[j] = dict(ideal.chart_gens)
-    universe = sorted(set().union(*(set(d) for d in base.values())))
+    base = {j: saturate(F, r, j)[0].chart_gens for j in range(lo, hi + 1)}
+    records = _weight_records(F.X, r, base, lo, hi, k_max, F.sections)
+    return WeightSeries(r=r, e_plus=e_plus, e_minus=e_minus, records=records)
 
+
+def _weight_records(X: ToricFanoModel, r: int, base: Mapping[int, Mapping],
+                   lo: int, hi: int, k_max: int,
+                   sections: Callable[[int], Sequence[Point]]
+                   ) -> tuple[WeightRecord, ...]:
+    """Records k = 1..k_max of the t-graded ideal with steps base[lo..hi].
+
+    base[j] holds the chart generators of the j-th step, decreasing in j
+    and the unit ideal at j = lo; sections(s) lists the lattice points of
+    s*r0*P.  The k-th power's pieces J(k, j) come from convolving the
+    steps with the previous power, chart by chart, with minimalisation
+    after every merge; each section's top level is then located by
+    bisection in j, which the decreasing property of J makes sound.
+    """
+    universe = sorted(set().union(*base.values()))
     records = []
     table = base
     for k in range(1, k_max + 1):
         if k > 1:
             table = _convolve_step(base, table, lo, hi, k, universe)
-        records.append(_weight_record(F, r, k, lo, hi, table, universe))
-    return WeightSeries(r=r, e_plus=e_plus, e_minus=e_minus,
-                        records=tuple(records))
+        records.append(_weight_record(X, sections(k * r), k * r * X.r0, k,
+                                      lo, hi, table, universe))
+    return tuple(records)
 
 
-def _convolve_step(base: dict, prev: dict, lo: int, hi: int, k: int,
-                   universe: Sequence[int]) -> dict:
-    """J(k, .) from J(k-1, .): sum over j' of step[j'] * prev[j - j']."""
-    plo, phi = (k - 1) * lo, (k - 1) * hi
-    out = {}
-    for j in range(k * lo, k * hi + 1):
-        terms = [(base[j1], prev[j - j1])
-                 for j1 in range(max(lo, j - phi), min(hi, j - plo) + 1)]
-        per_chart = {}
-        for c in universe:
-            acc: list[Point] = []
-            unit = False
-            for first, second in terms:
-                ga = first.get(c)
-                gb = second.get(c)
-                if ga is None and gb is None:
-                    unit = True
-                    break
-                if ga is None:
-                    prod = gb
-                elif gb is None:
-                    prod = ga
-                elif len(ga) == 0 or len(gb) == 0:
-                    continue
-                else:
-                    prod = lattice.minkowski_sum(ga, gb)
-                if len(prod) == 0:
-                    continue
-                acc.extend(prod)
-            if unit:
-                continue
-            gens = lattice.minimalize(acc)
-            if len(gens) > GENERATOR_CAP:
-                raise CombinatorialBlowup(
-                    f"{len(gens)} generators at (k={k}, j={j}) "
-                    f"exceed the cap {GENERATOR_CAP}")
-            per_chart[c] = tuple(gens)
-        out[j] = per_chart
-    return out
-
-
-def _weight_record(F: FiltrationSpec, r: int, k: int, lo: int, hi: int,
-                   table: dict, universe: Sequence[int]) -> WeightRecord:
-    X = F.X
-    pts = F.sections(k * r)
-    level = k * r * X.r0
+def _weight_record(X: ToricFanoModel, pts: Sequence[Point], level: int,
+                   k: int, lo: int, hi: int, table: dict,
+                   universe: Sequence[int]) -> WeightRecord:
     klo, khi = k * lo, k * hi
-    images = {c: [tuple(sum(a * b for a, b in zip(row, u)) + level
-                        for row in X.charts[c].cone_rays) for u in pts]
-              for c in universe}
+    images = {c: _ray_images(X.charts[c], pts, level) for c in universe}
 
     def member(i: int, j: int) -> bool:
         for c, gens in table[j].items():
@@ -506,8 +473,7 @@ def _weight_record(F: FiltrationSpec, r: int, k: int, lo: int, hi: int,
     dims.reverse()
     v = sum(d for _, d in dims)
     h0 = len(pts)
-    e = (hi - lo) // r
-    w = -k * r * e * h0 + v
+    w = -k * (hi - lo) * h0 + v
     return WeightRecord(k=k, h0=h0, v=v, w=w, level_dims=tuple(dims))
 
 

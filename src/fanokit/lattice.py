@@ -3,7 +3,7 @@
 The compiled extension is optional; the pure-Python module implements the
 same five functions.  Import-time selection keeps call sites oblivious:
 
-    from fanokit.lattice import enum_points, count_points_in_ideals, BACKEND
+    from fanokit.lattice import enum_points, filter_points_in_ideals, BACKEND
 """
 
 from __future__ import annotations
@@ -18,6 +18,5 @@ BACKEND: str = _impl.BACKEND_NAME
 enum_points = _impl.enum_points
 dominates_any = _impl.dominates_any
 filter_points_in_ideals = _impl.filter_points_in_ideals
-count_points_in_ideals = _impl.count_points_in_ideals
 minkowski_sum = _impl.minkowski_sum
 minimalize = _impl.minimalize

@@ -120,14 +120,14 @@ def cramer(rows: Sequence[Sequence[int]],
     return tuple([x // g for x in nums]), den // g
 
 
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
-    """Solve the square system rows * x = rhs; None when singular."""
-    n = len(rows)
-    m = [[Fraction(x) for x in r] + [Fraction(rhs[i])] for i, r in enumerate(rows)]
+def _gauss_jordan(m: list[list[Fraction]]) -> bool:
+    """Reduce the augmented matrix [A | B] in place to [I | A^-1 B], A
+    being its first len(m) columns; False when A is singular."""
+    n = len(m)
     for col in range(n):
         piv = next((r for r in range(col, n) if m[r][col] != 0), None)
         if piv is None:
-            return None
+            return False
         m[col], m[piv] = m[piv], m[col]
         pivval = m[col][col]
         m[col] = [x / pivval for x in m[col]]
@@ -135,7 +135,15 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
             if r != col and m[r][col]:
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return tuple(m[i][n] for i in range(n))
+    return True
+
+
+def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
+    """Solve the square system rows * x = rhs; None when singular."""
+    m = [[Fraction(x) for x in r] + [Fraction(rhs[i])] for i, r in enumerate(rows)]
+    if not _gauss_jordan(m):
+        return None
+    return tuple(row[-1] for row in m)
 
 
 def invert(rows: Sequence[Sequence]) -> Mat | None:
@@ -143,18 +151,9 @@ def invert(rows: Sequence[Sequence]) -> Mat | None:
     n = len(rows)
     m = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
          for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return None
-        m[col], m[piv] = m[piv], m[col]
-        pivval = m[col][col]
-        m[col] = [x / pivval for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return tuple(tuple(m[i][n:]) for i in range(n))
+    if not _gauss_jordan(m):
+        return None
+    return tuple(tuple(row[n:]) for row in m)
 
 
 def matmul_vec(rows: Sequence[Sequence], x: Sequence) -> Vec:

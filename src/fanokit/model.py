@@ -73,12 +73,6 @@ class ToricFanoModel:
     def smooth_chart_indices(self) -> list[int]:
         return [i for i, c in enumerate(self.charts) if c.smooth]
 
-    def to_dict(self) -> dict:
-        d = self.polytope.to_dict()
-        d.update({"name": self.name, "rays": [list(r) for r in self.rays],
-                  "r0": self.r0})
-        return d
-
 
 def _build_chart(P: RationalPolytope, vertex: Vec) -> Chart:
     n = P.dimension

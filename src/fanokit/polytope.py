@@ -231,14 +231,6 @@ class RationalPolytope:
     def contains(self, point: Sequence) -> bool:
         return all(dot(nr, point) >= off for nr, off in self.inequalities)
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dimension,
-            "vertices": [list(v) for v in self.vertices],
-            "inequalities": [{"normal": list(nr), "offset": off}
-                             for nr, off in self.inequalities],
-        }
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalPolytope):
             return NotImplemented

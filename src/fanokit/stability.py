@@ -7,6 +7,9 @@ nothing.  Ding invariants of t-graded ideal sequences on X x A^1 are
 evaluated in the product-space form: the limit self-intersection of the
 polarisation comes from quotient weight counts w(k), stabilised as a
 degree-(n+1) polynomial, and the threshold term is one LP per chart.
+The weight counts take the one route filtration slopes take: the
+sequence's steps are convolved into the t-graded pieces of each power,
+and every section's top level is found by bisection.
 verify_volume_bound compares the anticanonical volume against (n+1)^n
 exactly and, in the equality case, fingerprints the Seshadri constants
 at the fixed points.
@@ -21,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from . import lattice
-from .errors import EmptyOrFull, FanokitError, OutOfDomain, UnsupportedSubscheme
-from .filtration import _convolve_step, _stable_leading_difference
+from .errors import EmptyOrFull, FanokitError, OutOfDomain
+from .filtration import (_ideal_kernel_charts, _stable_leading_difference,
+                         _weight_records)
 from .lct import lct_monomial, lct_on_product_with_line
 from .model import ToricFanoModel, anticanonical_volume
 from .polytope import lattice_points
@@ -95,53 +98,26 @@ class DingReport:
     hypothesis_semiample_assumed: bool = True
 
 
-def _sequence_kernel_triples(X: ToricFanoModel, chart_gens: dict,
-                             level: int) -> list[tuple]:
-    triples = []
-    for idx in sorted(chart_gens):
-        rows = X.charts[idx].cone_rays
-        gens = chart_gens[idx]
-        if any(len(g) != len(rows) for g in gens):
-            raise UnsupportedSubscheme(
-                f"sequence generators on chart {idx} do not match its "
-                f"{len(rows)} cone rays")
-        triples.append((rows, (level,) * len(rows), gens))
-    return triples
-
-
 def ding_weight_series(X: ToricFanoModel, S: IdealSequenceOnXxA1, r: int,
                        k_max: int = 10) -> tuple[int, ...]:
     """w(k) for k = 1..k_max: minus the dimension of the sections of
     L^{kr} x O(A^1) modulo the k-th power of the sequence ideal.
 
-    The k-th power's t-graded pieces come from the same chartwise
-    convolution that drives the filtration weight series; each piece is
-    then counted against the section lattice directly, so the quotient
-    dimension is k M h0 minus the sum of the piece counts.
+    Steps 0..M of S are the step window of the filtration weight series,
+    and the records come from the same route: the k-th power's t-graded
+    pieces by chartwise convolution, each section's top level by
+    bisection, and w = -k M h0 plus the summed piece dimensions.
     """
     r, k_max = int(r), int(k_max)
     if r < 1 or k_max < 1:
         raise ValueError("r and k_max must be positive")
-    M = S.M
-    base = {s: dict(S.step(s).chart_gens) for s in range(0, M + 1)}
-    universe = sorted(set().union(*(set(d) for d in base.values())))
-
-    ws = []
-    table = base
-    for k in range(1, k_max + 1):
-        if k > 1:
-            table = _convolve_step(base, table, 0, M, k, universe)
-        level = k * r * X.r0
-        pts = lattice_points(X.polytope, level)
-        inside = 0
-        for s in range(1, k * M + 1):
-            triples = _sequence_kernel_triples(X, table[s], level)
-            if triples:
-                inside += lattice.count_points_in_ideals(pts, triples)
-            else:
-                inside += len(pts)
-        ws.append(-k * M * len(pts) + inside)
-    return tuple(ws)
+    for step in S.steps:
+        _ideal_kernel_charts(X, step, 0)  # refuses generators of the wrong arity
+    base = {s: S.step(s).chart_gens for s in range(S.M + 1)}
+    records = _weight_records(
+        X, r, base, 0, S.M, k_max,
+        lambda s: lattice_points(X.polytope, s * X.r0))
+    return tuple(rec.w for rec in records)
 
 
 def ding_invariant(X: ToricFanoModel, S: IdealSequenceOnXxA1, r: int,

@@ -16,12 +16,14 @@ from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
 from . import lattice
-from .errors import EmptyOrFull, NotSmoothPoint, ZeroIdeal
+from .errors import CombinatorialBlowup, EmptyOrFull, NotSmoothPoint, ZeroIdeal
 from .linalg import Vec, dot, invert, matmul_vec, transpose
 from .model import ToricFanoModel
 from .polytope import enumerate_basic_feasible, polytope_edges
 
 Gens = tuple[tuple[int, ...], ...]
+
+GENERATOR_CAP = 20_000
 
 
 def _normalize_gens(gens: Sequence[Sequence[int]]) -> Gens | None:
@@ -230,60 +232,67 @@ class IdealSequenceOnXxA1:
 
     def power(self, m: int) -> "IdealSequenceOnXxA1":
         """Sequence inducing the m-th power of the induced ideal: the new
-        step s collects all products I_{j_1} ... I_{j_m} with sum >= s."""
+        step s is the sum over j_1 + ... + j_m = s of the products
+        I_{j_1} ... I_{j_m}, built by m - 1 convolutions of the steps."""
         if m < 1:
             raise ValueError("power must be >= 1")
+        base = {s: self.step(s).chart_gens for s in range(self.M + 1)}
+        universe = sorted(set().union(*base.values()))
+        table = base
+        for k in range(2, m + 1):
+            table = _convolve_step(base, table, 0, self.M, k, universe)
         dim = self.steps[0].dimension
-        chart_ids = set()
-        for s in self.steps:
-            chart_ids.update(s.active_chart_indices())
-        new_steps = []
-        for s in range(1, m * self.M + 1):
-            chart_gens: dict[int, Gens] = {}
-            for idx in chart_ids:
-                gens = self._power_step_chart(idx, s, m)
-                if gens is not None:
-                    chart_gens[idx] = gens
-            new_steps.append(MonomialSubscheme(
-                label=f"pow{m}[{s}]", dimension=dim, chart_gens=chart_gens))
-        return IdealSequenceOnXxA1(steps=tuple(new_steps))
+        return IdealSequenceOnXxA1(steps=tuple(
+            MonomialSubscheme(label=f"pow{m}[{s}]", dimension=dim,
+                              chart_gens=table[s])
+            for s in range(1, m * self.M + 1)))
 
-    def _power_step_chart(self, idx: int, s: int, m: int) -> Gens | None:
-        """Generators of sum over j_1+...+j_m = s (0 <= j_i <= M) of the
-        product of steps, on one chart; None for the unit ideal."""
-        acc: set[tuple[int, ...]] = set()
-        unit_hit = False
 
-        def rec(parts_left: int, total_needed: int, current: tuple[int, ...] | None):
-            nonlocal unit_hit
-            if unit_hit:
-                return
-            if parts_left == 0:
-                if total_needed <= 0:
-                    if current is None:
-                        unit_hit = True
-                    else:
-                        acc.add(current)
-                return
-            lo = max(0, total_needed - (parts_left - 1) * self.M)
-            for j in range(lo, self.M + 1):
-                gens = self.step(j).gens_on(idx) if j >= 1 else None
-                if j >= 1 and gens is not None and len(gens) == 0:
-                    continue  # zero ideal kills the product
-                if j >= 1 and gens is not None:
-                    for g in gens:
-                        nxt = g if current is None else tuple(
-                            a + b for a, b in zip(current, g))
-                        rec(parts_left - 1, total_needed - j, nxt)
+def _convolve_step(base: dict, prev: dict, lo: int, hi: int, k: int,
+                   universe: Sequence[int]) -> dict:
+    """J(k, .) from J(k-1, .): sum over j' of step[j'] * prev[j - j'].
+
+    base maps each step j in [lo, hi] to its chart generators (a missing
+    chart is the unit ideal, an empty tuple the zero ideal); prev holds
+    the (k-1)-st power on [(k-1) lo, (k-1) hi].  Every chart is
+    minimalised after the merge.
+    """
+    plo, phi = (k - 1) * lo, (k - 1) * hi
+    out = {}
+    for j in range(k * lo, k * hi + 1):
+        terms = [(base[j1], prev[j - j1])
+                 for j1 in range(max(lo, j - phi), min(hi, j - plo) + 1)]
+        per_chart = {}
+        for c in universe:
+            acc: list[tuple[int, ...]] = []
+            unit = False
+            for first, second in terms:
+                ga = first.get(c)
+                gb = second.get(c)
+                if ga is None and gb is None:
+                    unit = True
+                    break
+                if ga is None:
+                    prod = gb
+                elif gb is None:
+                    prod = ga
+                elif len(ga) == 0 or len(gb) == 0:
+                    continue
                 else:
-                    rec(parts_left - 1, total_needed - j, current)
-
-        rec(m, s, None)
-        if unit_hit:
-            return None
-        if not acc:
-            return ()
-        return tuple(lattice.minimalize(acc))
+                    prod = lattice.minkowski_sum(ga, gb)
+                if len(prod) == 0:
+                    continue
+                acc.extend(prod)
+            if unit:
+                continue
+            gens = lattice.minimalize(acc)
+            if len(gens) > GENERATOR_CAP:
+                raise CombinatorialBlowup(
+                    f"{len(gens)} generators at (k={k}, j={j}) "
+                    f"exceed the cap {GENERATOR_CAP}")
+            per_chart[c] = tuple(gens)
+        out[j] = per_chart
+    return out
 
 
 def _subscheme_contains(big: MonomialSubscheme, small: MonomialSubscheme) -> bool:

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-import fanokit.filtration as filtration_mod
+import fanokit.subscheme as subscheme_mod
 from fanokit.errors import (CombinatorialBlowup, NoStabilization, R1NotFound,
                             ZeroIdeal)
 from fanokit.filtration import (build_saturated_table, compute_d_infty,
@@ -395,7 +395,7 @@ class TestWeightSeries:
             compute_weight_series(F, 1, 3, e_plus=-1)
 
     def test_generator_cap(self, monkeypatch):
-        monkeypatch.setattr(filtration_mod, "GENERATOR_CAP", 2)
+        monkeypatch.setattr(subscheme_mod, "GENERATOR_CAP", 2)
         X, F = _point_filtration("P2")
         with pytest.raises(CombinatorialBlowup):
             compute_weight_series(F, 1, 3)

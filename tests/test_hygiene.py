@@ -1,11 +1,15 @@
-"""Source hygiene: every name a package module imports is used in it."""
+"""Source hygiene: every name a package module imports is used in it,
+and git tracks no file that .gitignore excludes (generated files)."""
 
 import ast
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fanokit"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fanokit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -40,3 +44,17 @@ def test_scan_sees_attribute_roots_and_annotations():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_no_ignored_file_is_tracked():
+    git = shutil.which("git")
+    if git is None:
+        pytest.skip("git is not installed")
+    inside = subprocess.run([git, "rev-parse", "--show-toplevel"], cwd=ROOT,
+                            capture_output=True, text=True)
+    if inside.returncode != 0 or Path(inside.stdout.strip()) != ROOT:
+        pytest.skip("not a git checkout")
+    listed = subprocess.run([git, "ls-files", "-ci", "--exclude-standard"],
+                            cwd=ROOT, capture_output=True, text=True,
+                            check=True)
+    assert listed.stdout.split() == []

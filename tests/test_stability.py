@@ -120,6 +120,15 @@ class TestDing:
         for k in range(1, 11):
             assert ws[k - 1] == -oracle_h0_quotient(X, S, 1, k)
 
+    def test_weights_match_oracle_when_r_does_not_divide_m(self):
+        # M = 3 at r = 2: w(k) = -k M h0 + v, where M is not a multiple of r
+        X = catalog_model("P2")
+        pt = point_subscheme(X, 0)
+        S = IdealSequenceOnXxA1(steps=(pt, pt, pt.power(2)))
+        ws = ding_weight_series(X, S, 2, 4)
+        for k in range(1, 5):
+            assert ws[k - 1] == -oracle_h0_quotient(X, S, 2, k)
+
     def test_scale_covariance(self):
         X, S = _dnc_sequence()
         base = ding_invariant(X, S, 1)

@@ -3,7 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fanokit import lattice
 from fanokit.errors import EmptyOrFull, NotSmoothPoint, ZeroIdeal
 from fanokit.model import catalog_model
 from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
@@ -108,6 +111,26 @@ class TestNewtonPolyhedron:
             NewtonPolyhedron(())
 
 
+@st.composite
+def point_power_sequences(draw):
+    """Steps whose chart ideals are powers of the fixed points' maximal
+    ideals, the exponents growing step by step on each chart."""
+    X = catalog_model(draw(st.sampled_from(["P1", "P2", "P1xP1"])))
+    M = draw(st.integers(1, 3))
+    charts = draw(st.lists(st.integers(0, len(X.charts) - 1),
+                           min_size=1, max_size=2, unique=True))
+    exps = {c: sorted(draw(st.lists(st.integers(0, 3), min_size=M,
+                                    max_size=M)))
+            for c in charts}
+    steps = []
+    for j in range(M):
+        gens = {c: point_subscheme(X, c).power(e[j]).gens_on(c)
+                for c, e in exps.items() if e[j]}
+        steps.append(MonomialSubscheme(label=f"s{j + 1}",
+                                       dimension=X.dimension, chart_gens=gens))
+    return X, IdealSequenceOnXxA1(steps=tuple(steps))
+
+
 class TestIdealSequence:
     def _dnc(self):
         X = catalog_model("P1")
@@ -144,6 +167,20 @@ class TestIdealSequence:
     def test_power_one_is_identity_on_products(self):
         S = self._dnc()
         assert S.power(1).product_gens(0) == S.product_gens(0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(point_power_sequences(), st.integers(1, 3))
+    def test_power_induces_the_power_of_the_product_ideal(self, drawn, m):
+        X, S = drawn
+        P = S.power(m)
+        assert P.M == m * S.M
+        for c in range(len(X.charts)):
+            gens = S.product_gens(c)
+            expected = gens
+            for _ in range(m - 1):
+                expected = tuple(lattice.minimalize(
+                    lattice.minkowski_sum(expected, gens)))
+            assert P.product_gens(c) == expected
 
 
 class TestGluing:
