@@ -1,21 +1,19 @@
-"""Pure-Python lattice kernels.
+"""The integer lattice kernels.
 
-These are the only hot loops in the package: enumerating integer points of
-a box that satisfy integer inequality systems, and testing monomial-ideal
-membership of chart images of many points at once.  The compiled twin in
-``_kernel.pyx`` implements the identical interface; ``fanokit.lattice``
-picks whichever imports.
+These are the only implementations of the package's hot loops:
+enumerating integer points of a box that satisfy integer inequality
+systems, and testing monomial-ideal membership of chart images of many
+points at once.  ``fanokit.lattice`` re-exports them.
 
 All arguments are plain ints / tuples of ints.  Rational scaling happens
-in the callers, never here.
+in the callers, never here.  Python ints cannot overflow, so large
+dilations and coordinates give exact results.
 """
 
 from __future__ import annotations
 
 from itertools import product
 from typing import Sequence
-
-BACKEND_NAME = "python"
 
 
 def enum_points(normals: Sequence[Sequence[int]], offsets: Sequence[int],

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from . import lattice
-from .config import RunConfig, resolve_model
+from .config import RunConfig
 from .errors import FanokitError
 from .filtration import (compute_d_infty, compute_weight_series, find_r1,
                          ideal_power_filtration, induced_ideal_sequence,
@@ -33,7 +32,8 @@ from .oracles import OracleResult, bruteforce_lct, oracle_h0_quotient
 from .piecewise import poly_trim
 from .stability import beta, ding_invariant, ding_weight_series, semistability_scan
 from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
-                        _subscheme_contains, point_subscheme, standard_battery)
+                        _subscheme_contains, point_subscheme, product,
+                        standard_battery)
 from .volumes import blowup_volume_profile, seshadri_constant
 
 
@@ -188,23 +188,6 @@ def _criterion_ke_battery(config: RunConfig) -> tuple:
 # ---------------------------------------------------------------------------
 # 6. saturation laws on random samples of the ideal-power filtrations
 
-def _chartwise_product(a: MonomialSubscheme, b: MonomialSubscheme,
-                       chart_count: int) -> MonomialSubscheme:
-    gens: dict[int, tuple] = {}
-    for idx in range(chart_count):
-        ga, gb = a.gens_on(idx), b.gens_on(idx)
-        if ga is None and gb is None:
-            continue
-        if ga is None or gb is None:
-            gens[idx] = gb if ga is None else ga
-        elif len(ga) == 0 or len(gb) == 0:
-            gens[idx] = ()
-        else:
-            gens[idx] = tuple(lattice.minkowski_sum(ga, gb))
-    return MonomialSubscheme(label=f"{a.label}*{b.label}",
-                             dimension=a.dimension, chart_gens=gens)
-
-
 def _criterion_saturation_laws(config: RunConfig) -> tuple:
     problems: list[str] = []
     samples = 0
@@ -231,9 +214,7 @@ def _criterion_saturation_laws(config: RunConfig) -> tuple:
             other, _ = saturate(F, r2, x2)
             combined, _ = saturate(F, r + r2, x + x2)
             # (1) products of step ideals land in the summed step
-            if not _subscheme_contains(combined,
-                                       _chartwise_product(ideal, other,
-                                                          len(X.charts))):
+            if not _subscheme_contains(combined, product(ideal, other)):
                 problems.append(f"{tag}: product law fails against "
                                 f"(r={r + r2}, x={x + x2})")
             # (2) monotone in x, on values and on ideals
@@ -403,8 +384,6 @@ def run_acceptance_suite_timed(
     """
     config = config if config is not None else RunConfig()
     config.validate_paths()
-    if config.model:
-        resolve_model(config.model)
 
     results, timings = [], {}
     for number, name, fn in _REGISTRY:

@@ -19,7 +19,7 @@ from .acceptance import run_acceptance_suite_timed
 from .config import (RunConfig, resolve_model, resolve_sequence,
                      resolve_subscheme)
 from .errors import ConfigError, FanokitError
-from .filtration import compute_d_infty, ideal_power_filtration
+from .filtration import DEFAULT_R_LIST, compute_d_infty, ideal_power_filtration
 from .lct import lct_monomial, lct_on_product_with_line
 from .model import CATALOG_RAYS, anticanonical_volume, catalog_model
 from .reportio import (dump_report, dumps_report, format_rational,
@@ -244,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
                                           "filtration")
     _add_model(p)
     p.add_argument("--subscheme", required=True, metavar="FILE|SHORTHAND")
-    p.add_argument("--rlist", type=_r_list, default=(1, 2, 4, 8),
+    p.add_argument("--rlist", type=_r_list, default=DEFAULT_R_LIST,
                    metavar="R1,R2,...", help="levels to sample (default "
-                                             "1,2,4,8)")
+                   f"{','.join(map(str, DEFAULT_R_LIST))})")
     p.add_argument("--kmax", type=_positive_int, default=8, metavar="K",
                    help="power budget per level (default 8)")
     p.add_argument("--report", required=True, metavar="OUT.json",

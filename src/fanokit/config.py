@@ -16,33 +16,23 @@ from dataclasses import dataclass, fields, replace
 from typing import Mapping
 
 from .errors import ConfigError
+from .filtration import DEFAULT_R_LIST, R1_CAP
 from .model import CATALOG_RAYS, ToricFanoModel, catalog_model
 from .reportio import model_from_dict, sequence_from_dict, subscheme_from_dict
 from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                         boundary_divisor_subscheme, point_subscheme,
                         thickened_point_subscheme)
 
-DEFAULT_R_LIST = (1, 2, 4, 8)
-
-
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs beyond the subcommand itself.
+    """Everything a run needs beyond the subcommand itself."""
 
-    model and subschemes are sources in the sense of the module
-    docstring; empty means "built-in catalog" and "standard battery".
-    """
-
-    model: str = ""
-    subschemes: tuple[str, ...] = ()
     k_max: int = 10
     r_list: tuple[int, ...] = DEFAULT_R_LIST
-    r1_cap: int = 64
+    r1_cap: int = R1_CAP
     out: str | None = None
-    profile_csv: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "subschemes", tuple(self.subschemes))
         object.__setattr__(self, "r_list", tuple(int(r) for r in self.r_list))
         for cap_name in ("k_max", "r1_cap"):
             if int(getattr(self, cap_name)) < 1:
@@ -51,12 +41,11 @@ class RunConfig:
             raise ConfigError("r_list must be a nonempty list of positive ints")
 
     def validate_paths(self) -> None:
-        for path in (self.out, self.profile_csv):
-            if path is None:
-                continue
-            parent = os.path.dirname(os.path.abspath(path))
-            if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
-                raise ConfigError(f"output path {path!r} is not writable")
+        if self.out is None:
+            return
+        parent = os.path.dirname(os.path.abspath(self.out))
+        if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+            raise ConfigError(f"output path {self.out!r} is not writable")
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":

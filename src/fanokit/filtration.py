@@ -491,9 +491,12 @@ class DInftyReport:
     approximate: bool
 
 
+DEFAULT_R_LIST = (1, 2, 4, 8)
+
+
 def compute_d_infty(F: FiltrationSpec, e_plus: int | None = None,
                     e_minus: int | None = None,
-                    r_list: Sequence[int] = (1, 2, 4, 8),
+                    r_list: Sequence[int] = DEFAULT_R_LIST,
                     k_max: int = 10) -> DInftyReport:
     """Slope samples d_r over r_list and the limit slope d_infty.
 

@@ -1,19 +1,17 @@
-"""Backend selection for the integer lattice kernels.
+"""The integer lattice kernels, re-exported under the names call sites use.
 
-The compiled extension is optional; the pure-Python module implements the
-same five functions.  Import-time selection keeps call sites oblivious:
+The five functions live in ``_kernel_py``.  Callers import them from
+here, so a tracer that wraps these names sees every outside call, while
+the calls the kernels make to each other stay internal:
 
-    from fanokit.lattice import enum_points, filter_points_in_ideals, BACKEND
+    from fanokit.lattice import enum_points, filter_points_in_ideals
 """
 
 from __future__ import annotations
 
-try:
-    from . import _kernel as _impl  # type: ignore[attr-defined]
-except ImportError:
-    from . import _kernel_py as _impl
+from . import _kernel_py as _impl
 
-BACKEND: str = _impl.BACKEND_NAME
+BACKEND = "python"
 
 enum_points = _impl.enum_points
 dominates_any = _impl.dominates_any

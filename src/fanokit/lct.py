@@ -24,7 +24,8 @@ from .errors import (EmptyOrFull, FamilyNotGraded, LPInfeasible, LPUnbounded,
                      NotSmoothChart)
 from .exactlp import GE, solve_lp
 from .model import ToricFanoModel
-from .subscheme import IdealSequenceOnXxA1, MonomialSubscheme
+from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme, _subscheme_contains,
+                        product)
 
 
 def lct_chart(gens: Sequence[Sequence[int]]) -> Fraction | None:
@@ -160,7 +161,7 @@ def _check_graded(family: Mapping[int, object], r_list: Sequence[int]) -> None:
             a, b, ab = family[r], family[s], family[r + s]
             if isinstance(a, MonomialSubscheme) and isinstance(b, MonomialSubscheme) \
                     and isinstance(ab, MonomialSubscheme):
-                if not _product_contained(a, b, ab):
+                if not _subscheme_contains(ab, product(a, b)):
                     raise FamilyNotGraded(f"I_{r} * I_{s} not inside I_{r + s}")
             elif isinstance(a, IdealSequenceOnXxA1) and isinstance(b, IdealSequenceOnXxA1) \
                     and isinstance(ab, IdealSequenceOnXxA1):
@@ -168,36 +169,6 @@ def _check_graded(family: Mapping[int, object], r_list: Sequence[int]) -> None:
                     raise FamilyNotGraded(f"ideal_{r} * ideal_{s} not inside ideal_{r + s}")
             else:
                 raise FamilyNotGraded(f"mixed member types at {r}, {s}, {r + s}")
-
-
-def _product_contained(a: MonomialSubscheme, b: MonomialSubscheme,
-                       target: MonomialSubscheme) -> bool:
-    idxs = (set(a.active_chart_indices()) | set(b.active_chart_indices())
-            | set(target.active_chart_indices()))
-    for idx in idxs:
-        ga, gb, gt = a.gens_on(idx), b.gens_on(idx), target.gens_on(idx)
-        if gt is None:
-            continue
-        if ga is None and gb is None:
-            return False  # unit * unit = unit cannot sit inside a proper ideal
-        prod: Sequence[Sequence[int]]
-        if ga is None:
-            prod = gb if gb is not None else ()
-        elif gb is None:
-            prod = ga
-        else:
-            if len(ga) == 0 or len(gb) == 0:
-                prod = ()
-            else:
-                prod = lattice.minkowski_sum(ga, gb)
-        if len(gt) == 0:
-            if len(prod) != 0:
-                return False
-            continue
-        for g in prod:
-            if not lattice.dominates_any(g, gt):
-                return False
-    return True
 
 
 def _sequence_product_contained(a: IdealSequenceOnXxA1, b: IdealSequenceOnXxA1,

@@ -22,14 +22,6 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
 
-def vec(entries: Sequence) -> Vec:
-    return tuple(Fraction(e) for e in entries)
-
-
-def mat(rows: Sequence[Sequence]) -> Mat:
-    return tuple(vec(r) for r in rows)
-
-
 def dot(a: Sequence, b: Sequence) -> Fraction:
     if len(a) != len(b):
         raise ValueError(f"dot: length mismatch {len(a)} vs {len(b)}")
@@ -38,15 +30,6 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
 
 def vsub(a: Sequence, b: Sequence) -> Vec:
     return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))
-
-
-def vadd(a: Sequence, b: Sequence) -> Vec:
-    return tuple(Fraction(x) + Fraction(y) for x, y in zip(a, b))
-
-
-def vscale(c, a: Sequence) -> Vec:
-    c = Fraction(c)
-    return tuple(c * Fraction(x) for x in a)
 
 
 def det(rows: Sequence[Sequence]) -> Fraction:
@@ -185,11 +168,3 @@ def rational_primitive(v: Sequence) -> tuple[int, ...]:
     g = gcd(*ints)
     return tuple([x // g for x in ints]) if g else tuple(ints)
 
-
-def lcm_list(values: Sequence[int]) -> int:
-    out = 1
-    for v in values:
-        v = abs(int(v))
-        if v:
-            out = out * v // gcd(out, v)
-    return out

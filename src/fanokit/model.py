@@ -17,11 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Sequence
 
 from .errors import DegeneratePolytope, NotFano, NotSmoothChart, UnboundedPolytope
-from .linalg import Vec, det, dot, invert, lcm_list, primitive, rational_primitive
+from .linalg import Vec, det, dot, invert, primitive, rational_primitive
 from .polytope import (RationalPolytope, euclidean_volume, lattice_points,
                        polytope_from_rays)
 
@@ -114,7 +114,7 @@ def build_model(dimension: int, rays: Sequence[Sequence[int]], name: str = "") -
     for r in rays_t:
         if r not in facet_normals:
             raise NotFano(f"ray {r} supports no facet of the polytope")
-    r0 = lcm_list([x.denominator for v in P.vertices for x in v]) or 1
+    r0 = lcm(*[x.denominator for v in P.vertices for x in v])
     charts = tuple(_build_chart(P, v) for v in P.vertices)
     return ToricFanoModel(name=name, dimension=dimension, rays=rays_t,
                           polytope=P, r0=r0, charts=charts)

@@ -77,17 +77,26 @@ class MonomialSubscheme:
     def power(self, m: int) -> "MonomialSubscheme":
         if m < 1:
             raise ValueError("power must be >= 1")
-        new = {}
-        for idx, gens in self.chart_gens.items():
-            if len(gens) == 0:
-                new[idx] = ()
-                continue
-            acc = gens
-            for _ in range(m - 1):
-                acc = tuple(lattice.minimalize(lattice.minkowski_sum(acc, gens)))
-            new[idx] = acc
+        acc = self
+        for _ in range(m - 1):
+            acc = product(acc, self)
         return MonomialSubscheme(label=f"{self.label}^{m}", dimension=self.dimension,
-                                 chart_gens=new, boundary_ray=None)
+                                 chart_gens=acc.chart_gens, boundary_ray=None)
+
+
+def product(a: MonomialSubscheme, b: MonomialSubscheme) -> MonomialSubscheme:
+    """Chartwise product ideal: unit times I is I, zero times I is zero."""
+    gens: dict[int, Gens] = {}
+    for idx in {**a.chart_gens, **b.chart_gens}:
+        ga, gb = a.gens_on(idx), b.gens_on(idx)
+        if ga is None or gb is None:
+            gens[idx] = gb if ga is None else ga
+        elif len(ga) == 0 or len(gb) == 0:
+            gens[idx] = ()
+        else:
+            gens[idx] = tuple(lattice.minkowski_sum(ga, gb))
+    return MonomialSubscheme(label=f"{a.label}*{b.label}",
+                             dimension=a.dimension, chart_gens=gens)
 
 
 def point_subscheme(X: ToricFanoModel, chart_index: int) -> MonomialSubscheme:

@@ -75,11 +75,6 @@ def test_oracles_attached_where_promised(suite):
     assert methods == {"LATTICE_COUNT", "VALUATION_ENUM", "HAND_FORMULA"}
 
 
-def test_missing_model_aborts_before_criteria():
-    with pytest.raises(ConfigError, match="neither a catalog name"):
-        run_acceptance_suite(RunConfig(model="/nonexistent/model.json"))
-
-
 def test_unwritable_output_aborts():
     with pytest.raises(ConfigError, match="not writable"):
         run_acceptance_suite(RunConfig(out="/nonexistent/dir/summary.json"))

@@ -285,7 +285,7 @@ class TestAcceptanceCommand:
         code, out, err = run("test-acceptance", "--config", str(config_path))
         assert code == 1
         assert out == ""
-        assert "neither a catalog name" in err
+        assert "unknown config keys: model" in err
 
 
 class TestErrorPaths:

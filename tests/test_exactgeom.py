@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fanokit.errors import DegeneratePolytope, OutOfDomain, UnboundedPolytope
 from fanokit.linalg import cramer, det, int_det, solve
+from fanokit.model import CATALOG_RAYS, catalog_model
 from fanokit.oracles import bruteforce_lct
 from fanokit.piecewise import PiecewisePolynomial, fit_polynomial, poly_trim
 from fanokit.polytope import (RationalPolytope, enumerate_basic_feasible,
@@ -77,10 +78,14 @@ class TestLatticePoints:
         assert lattice_points(thin, 1) == []
 
     def test_matches_independent_count(self):
-        for P, r in [(TRIANGLE, 2), (TRIANGLE, 5), (CUBE, 3), (SEGMENT, 8)]:
+        catalog = [(catalog_model(name).polytope, k)
+                   for name in sorted(CATALOG_RAYS) for k in (1, 2, 3)]
+        for P, r in [(TRIANGLE, 2), (TRIANGLE, 5), (CUBE, 3), (SEGMENT, 8)] + catalog:
+            pts = lattice_points(P, r)
+            assert pts == sorted(pts)
             lo, hi = P.bounding_box(F(r))
             rows = [(nr, F(r) * off) for nr, off in P.inequalities]
-            assert len(lattice_points(P, r)) == helpers.box_lattice_count(rows, lo, hi)
+            assert len(pts) == helpers.box_lattice_count(rows, lo, hi)
 
 
 class TestEuclideanVolume:

@@ -1,7 +1,9 @@
 """Source hygiene: every name a package module imports is used in it,
-and git tracks no file that .gitignore excludes (generated files)."""
+every name it defines is used somewhere, and git tracks no file that
+.gitignore excludes (generated files)."""
 
 import ast
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -11,6 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fanokit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SEARCHED = ("src", "tests", "perfbench", "benchmarks")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,6 +47,58 @@ def test_scan_sees_attribute_roots_and_annotations():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def top_level_definitions(tree: ast.Module) -> list[tuple[str, int, int]]:
+    """(name, first line, last line) of each module-level function, class
+    and assigned constant."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        out.extend((name, node.lineno, node.end_lineno) for name in names)
+    return out
+
+
+def name_references(tree: ast.Module) -> list[tuple[str, int]]:
+    """(identifier, line) of every name, attribute, imported name, and word
+    inside a string literal other than a docstring."""
+    docstrings = {id(node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Expr)
+                  and isinstance(node.value, ast.Constant)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            out.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            out.extend((alias.name, node.lineno) for alias in node.names)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            out.extend((word, node.lineno)
+                       for word in re.findall(r"[A-Za-z_]\w*", node.value))
+    return out
+
+
+def test_no_unreferenced_names():
+    sites: dict[str, list[tuple[Path, int]]] = {}
+    for top in SEARCHED:
+        for path in (ROOT / top).rglob("*.py"):
+            for name, line in name_references(ast.parse(path.read_text())):
+                sites.setdefault(name, []).append((path, line))
+    unreferenced = []
+    for module in MODULES:
+        for name, first, last in top_level_definitions(ast.parse(module.read_text())):
+            if all(path == module and first <= line <= last
+                   for path, line in sites.get(name, [])):
+                unreferenced.append(f"{module.name}:{name}")
+    assert unreferenced == []
 
 
 def test_no_ignored_file_is_tracked():
