@@ -341,7 +341,7 @@ def _criterion_lct_engine(config: RunConfig) -> tuple:
             quantity=f"lct(random ideal {trial})", method="VALUATION_ENUM",
             value=orac, parameters=(("gens", str(ideal)),)))
         if main != orac:
-            problems.append(f"ideal {ideal}: LP {main} != brute force {orac}")
+            problems.append(f"ideal {ideal}: lct_chart {main} != Howald {orac}")
         for m in (2, 3):
             powered = lct_chart(Z.power(m).gens_on(0))
             if powered != main / m:

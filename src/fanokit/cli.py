@@ -106,10 +106,7 @@ def _cmd_lct(args) -> int:
             raise ConfigError("--product-line needs --c1 a/b")
         S = resolve_sequence(X, args.subscheme)
         value = lct_on_product_with_line(X, S, parse_rational(args.c1))
-        if value is None:
-            print("no finite threshold at this c1")
-        else:
-            print(f"product-line threshold: {_show(value)}")
+        print(f"product-line threshold: {_show(value)}")
         return 0
     Z = resolve_subscheme(X, args.subscheme)
     value = lct_monomial(X, Z, power=args.power)

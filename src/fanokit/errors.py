@@ -80,11 +80,3 @@ class CombinatorialBlowup(FanokitError):
 
 class SizeCap(FanokitError):
     """Oracle enumeration exceeded its size budget."""
-
-
-class LPUnbounded(FanokitError):
-    """Linear program objective is unbounded below."""
-
-
-class LPInfeasible(FanokitError):
-    """Linear program has no feasible point."""

@@ -1,8 +1,9 @@
 """Log canonical thresholds of monomial data, exactly.
 
-On a smooth chart the threshold of a monomial ideal is the optimum of the
-weight LP: minimize the weight sum subject to every generator having
-valuation >= 1.  The global value is the minimum over charts carrying a
+On a smooth chart the threshold of a monomial ideal is the least weight
+sum over the dual region {w >= 0 : <g, w> >= 1 for every generator g},
+attained at one of its vertices: the dual vertices of the ideal's Newton
+polyhedron.  The global value is the minimum over charts carrying a
 proper ideal.  Reduced toric boundary divisors short-circuit to 1 through
 the global valuation of their ray, which also covers divisors passing
 through singular charts.
@@ -10,7 +11,8 @@ through singular charts.
 For ideals on X x A^1 of the form I_M + I_{M-1} t + ... + (t^M) the
 routine computes the largest c2 with (X x A^1, ideal^c1 * (t)^c2) sub log
 canonical, again chart by chart; the inner minimum over generators is
-linearized with one extra LP variable.
+linearized with one extra variable s, and the optimum is read off the
+vertices of the lifted region in (w, s).
 """
 
 from __future__ import annotations
@@ -20,25 +22,19 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import lattice
-from .errors import (EmptyOrFull, FamilyNotGraded, LPInfeasible, LPUnbounded,
-                     NotSmoothChart)
-from .exactlp import GE, solve_lp
+from .errors import EmptyOrFull, FamilyNotGraded, NotSmoothChart
 from .model import ToricFanoModel
-from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme, _subscheme_contains,
-                        product)
+from .polytope import enumerate_basic_feasible
+from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme, NewtonPolyhedron,
+                        _subscheme_contains, product)
 
 
 def lct_chart(gens: Sequence[Sequence[int]]) -> Fraction | None:
     """Threshold of one chart ideal; None when the chart gives no bound
-    (every nonnegative weight has valuation <= 0 on the ideal)."""
-    n = len(gens[0])
-    objective = [Fraction(1)] * n
-    constraints = [(tuple(Fraction(x) for x in g), GE, Fraction(1)) for g in gens]
-    try:
-        res = solve_lp(objective, constraints)
-    except LPInfeasible:
+    (a generator is 1, so the ideal is the unit ideal)."""
+    if any(not any(g) for g in gens):
         return None
-    return res.value
+    return min(sum(w) for w in NewtonPolyhedron(gens).dual_vertices)
 
 
 def lct_monomial(X: ToricFanoModel, Z: MonomialSubscheme, power: int = 1) -> Fraction:
@@ -67,35 +63,27 @@ def lct_monomial(X: ToricFanoModel, Z: MonomialSubscheme, power: int = 1) -> Fra
 
 
 def lct_on_product_with_line(X: ToricFanoModel, S: IdealSequenceOnXxA1,
-                             c1) -> Fraction | None:
+                             c1) -> Fraction:
     """Largest c2 with (X x A^1, induced-ideal^c1 * (t)^c2) sub log canonical.
 
-    Returns None when no finite c2 works (the infimum is -infinity, which
-    happens once c1 exceeds the relevant chart threshold).  Requires every
-    chart of X to be smooth, since the log discrepancy of a monomial
-    valuation is its weight sum only there.
+    Requires every chart of X to be smooth, since the log discrepancy of
+    a monomial valuation is its weight sum only there.  The value is
+    always finite: the generator t^M of the induced ideal bounds s.
     """
     c1 = Fraction(c1)
     if c1 < 0:
         raise ValueError("c1 must be nonnegative")
     n = X.dimension
+    units = [(tuple(int(i == j) for i in range(n + 1)), 0) for j in range(n + 1)]
     best: Fraction | None = None
     for idx, chart in enumerate(X.charts):
         if not chart.smooth:
             raise NotSmoothChart(f"chart at {chart.vertex} is singular")
-        gens = S.product_gens(idx)
-        # variables: w_1..w_n, s; minimize sum(w) + 1 - c1*s with
-        # s <= <w, g_x> + g_t for every generator
-        objective = [Fraction(1)] * n + [-c1]
-        constraints = []
-        for g in gens:
-            row = [Fraction(x) for x in g[:n]] + [Fraction(-1)]
-            constraints.append((row, GE, Fraction(-g[n])))
-        try:
-            res = solve_lp(objective, constraints)
-        except LPUnbounded:
-            return None
-        val = res.value + 1
+        # 1 + min sum(w) - c1*s over w, s >= 0 with s <= <w, g_x> + g_t
+        # for every generator g; s <= M, so a vertex attains the minimum
+        rows = units + [((*g[:n], -1), -g[n]) for g in S.product_gens(idx)]
+        val = 1 + min(sum(v[:n]) - c1 * v[n]
+                      for v in enumerate_basic_feasible(n + 1, rows))
         if best is None or val < best:
             best = val
     assert best is not None

@@ -2,19 +2,22 @@
 
 Everything here recomputes a quantity the main modules produce, using a
 deliberately different algorithm: plain enumeration loops instead of the
-lattice kernels, combinatorial vertex scans instead of the simplex
-solver.  Keep it that way; the whole point is that a bug would have to
-occur twice, in two unrelated pieces of code, to slip through.
+lattice kernels, Howald's primal test on the Newton polyhedron instead of
+the dual vertex scan.  Keep it that way; the whole point is that a bug
+would have to occur twice, in two unrelated pieces of code, to slip
+through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .errors import SizeCap
+from .linalg import solve
 from .model import ToricFanoModel
-from .polytope import enumerate_basic_feasible, lattice_points
+from .polytope import lattice_points
 from .subscheme import IdealSequenceOnXxA1
 
 _ORACLE_CAP = 2_000_000
@@ -127,20 +130,32 @@ def _xt_minimal(gens: list[tuple[tuple[int, ...], int]]) -> list[tuple[tuple[int
 
 
 def bruteforce_lct(gens) -> Fraction | None:
-    """Log canonical threshold by vertex scan of the dual region.
+    """Log canonical threshold by Howald's primal test.
 
-    Enumerates basic feasible points of {w >= 0, <g, w> >= 1} directly
-    and minimizes the coordinate sum, bypassing the simplex code.
-    Returns None when no generator constrains anything (unit ideal).
+    lct = 1/t* for the least t with t (1, ..., 1) in the Newton polyhedron
+    conv(gens) + R^n_{>=0} (Howald, Multiplier ideals of monomial ideals).
+    The least t is a basic solution of t (1, ..., 1) = sum lam_i g_i +
+    sum mu_j e_j, sum lam_i = 1, lam, mu >= 0: by Caratheodory it uses
+    k <= n generators and n - k unit vectors, and each choice is one square
+    system solved by Gauss-Jordan elimination.  Returns None for the unit
+    ideal (a generator is 1) and for an empty generator list.
     """
-    gens = [g for g in gens if any(g)]
-    if not gens:
+    gens = [tuple(int(x) for x in g) for g in gens]
+    if not gens or any(not any(g) for g in gens):
         return None
     n = len(gens[0])
-    rows = [(tuple(Fraction(int(i == j)) for i in range(n)), Fraction(0))
-            for j in range(n)]
-    rows += [(tuple(Fraction(gi) for gi in g), Fraction(1)) for g in gens]
-    verts = enumerate_basic_feasible(n, rows)
-    if not verts:
-        return None
-    return min(sum(v, Fraction(0)) for v in verts)
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    best = None
+    for k in range(1, n + 1):
+        for chosen in combinations(gens, k):
+            for free in combinations(units, n - k):
+                cols = chosen + free
+                # unknowns lam (k), mu (n - k), t
+                rows = [[c[i] for c in cols] + [-1] for i in range(n)]
+                rows.append([1] * k + [0] * (n - k + 1))
+                sol = solve(rows, [0] * n + [1])
+                if sol is None or any(x < 0 for x in sol[:n]):
+                    continue
+                if best is None or sol[n] < best:
+                    best = sol[n]
+    return 1 / best

@@ -12,7 +12,10 @@ scaled to integers) and hull facets by n-subsets of vertices are entirely
 adequate and keep every step exact.  Volumes build no hulls: the rows
 that cut a polytope out already say which vertices lie on which face, so
 a pulling triangulation reads the facets of every face off those row
-incidences and sums integer simplex determinants.
+incidences and sums integer simplex determinants.  A region whose rows
+move linearly in a parameter x takes its breakpoints in x from the
+vertices of the region lifted to (u, x), so one vertex enumeration serves
+volumes, volume profiles and the recession check.
 """
 
 from __future__ import annotations
@@ -23,10 +26,9 @@ from math import factorial, lcm
 from typing import Sequence
 
 from . import lattice
-from .errors import DegeneratePolytope, LPInfeasible, UnboundedPolytope
-from .exactlp import GE, solve_lp
+from .errors import DegeneratePolytope, UnboundedPolytope
 from .linalg import Vec, cramer, det, dot, int_det, rational_primitive, vsub
-from .piecewise import PiecewisePolynomial, fit_polynomial
+from .piecewise import PiecewisePolynomial, fit_polynomial, poly_trim
 
 Ineq = tuple[tuple[int, ...], Fraction]
 
@@ -247,27 +249,13 @@ class RationalPolytope:
 def _recession_cone_nontrivial(dim: int, normals: Sequence[Vec]) -> bool:
     """True when {d : <normal, d> >= 0 for all normals} contains d != 0.
 
-    The cone is scale-invariant, so it is nontrivial iff it contains a
-    point with some coordinate equal to +1 or -1; that is 2*dim exact LP
-    feasibility checks over d = dplus - dminus.
+    The cone is {0} exactly when 0 is interior to the convex hull of the
+    normals: the hull is full-dimensional and every facet offset is
+    strictly negative.
     """
-    nvar = 2 * dim
-    zero_obj = [Fraction(0)] * nvar
-    base: list[tuple[list[Fraction], str, Fraction]] = []
-    for nr in normals:
-        row = [Fraction(x) for x in nr] + [-Fraction(x) for x in nr]
-        base.append((row, GE, Fraction(0)))
-    for i in range(dim):
-        for sign in (1, -1):
-            row = [Fraction(0)] * nvar
-            row[i] = Fraction(sign)
-            row[dim + i] = Fraction(-sign)
-            try:
-                solve_lp(zero_obj, base + [(row, GE, Fraction(1))])
-                return True
-            except LPInfeasible:
-                continue
-    return False
+    if _affine_rank(normals) < dim:
+        return True
+    return any(off >= 0 for _, off, _ in hull_facets(dim, normals))
 
 
 def polytope_from_rays(dimension: int, rays: Sequence[Sequence[int]]) -> RationalPolytope:
@@ -330,33 +318,41 @@ def polytope_edges(P: RationalPolytope) -> list[tuple[int, int]]:
     return out
 
 
-def truncated_volume(P: RationalPolytope, lam_linear: Sequence, lam_offset, x) -> Fraction:
-    """Volume of P intersected with {lam_linear . u + lam_offset >= x}."""
-    rows: list[tuple[Sequence, object]] = list(P.inequalities)
-    rows.append((tuple(Fraction(c) for c in lam_linear), Fraction(x) - Fraction(lam_offset)))
-    verts = enumerate_basic_feasible(P.dimension, rows)
-    return volume(P.dimension, rows, verts)
+def moving_volume_function(dim: int, rows: Sequence[tuple[Sequence, object]],
+                           moving: Sequence[tuple[Sequence, object]]) -> PiecewisePolynomial:
+    """x -> dim! * vol of the region cut out by the static ``rows`` and, for
+    each moving (a, b), the row <a, u> >= x - b, on [0, tau].
 
-
-def sliced_volume_function(P: RationalPolytope, lam_linear: Sequence,
-                           lam_offset=0) -> PiecewisePolynomial:
-    """x -> n! * vol(P ∩ {lam(u) >= x}) as an exact piecewise polynomial.
-
-    Breakpoints are exactly the deduplicated sorted values of lam at the
-    vertices of P; between consecutive breakpoints the function is a
-    polynomial of degree <= n, recovered by exact interpolation at n+1
-    rational sample points.
+    The region shrinks as x grows and tau is where its volume reaches 0.
+    Its combinatorial type changes only at the x-coordinates of the
+    vertices of the lifted polyhedron {(u, x)}, so those (the positive
+    ones) and 0 are the breakpoints.  Between them the volume is a
+    polynomial of degree <= dim, recovered by exact interpolation at dim+1
+    samples, and equal neighbouring pieces are merged.  Raises
+    DegeneratePolytope when the region has no volume for any x > 0.
     """
-    n = P.dimension
-    lam_linear = tuple(Fraction(c) for c in lam_linear)
-    lam_offset = Fraction(lam_offset)
-    values = sorted({dot(lam_linear, v) + lam_offset for v in P.vertices})
-    if len(values) < 2:
-        raise ValueError("slicing functional is constant on the polytope")
-    nfact = factorial(n)
-    pieces = []
-    for a, b in zip(values, values[1:]):
-        xs = [a + (b - a) * Fraction(i, n) for i in range(n + 1)] if n >= 1 else [a]
-        ys = [nfact * truncated_volume(P, lam_linear, lam_offset, x) for x in xs]
-        pieces.append(fit_polynomial(xs, ys))
-    return PiecewisePolynomial(values, pieces, degree_bound=n)
+    lifted = ([((*nr, 0), off) for nr, off in rows]
+              + [((*a, -1), -b) for a, b in moving])
+    cuts = sorted({Fraction(0)} | {v[dim] for v in enumerate_basic_feasible(dim + 1, lifted)
+                                   if v[dim] > 0})
+    nfact = factorial(dim)
+
+    def region_volume(x: Fraction) -> Fraction:
+        at_x = list(rows) + [(a, x - b) for a, b in moving]
+        return nfact * volume(dim, at_x, enumerate_basic_feasible(dim, at_x))
+
+    breakpoints, pieces = [cuts[0]], []
+    for a, b in zip(cuts, cuts[1:]):
+        xs = [a + (b - a) * Fraction(i, dim) for i in range(dim + 1)]
+        piece = fit_polynomial(xs, [region_volume(x) for x in xs])
+        if pieces and poly_trim(piece) == poly_trim(pieces[-1]):
+            breakpoints[-1] = b
+        else:
+            pieces.append(piece)
+            breakpoints.append(b)
+    # rows that flatten the region at some x include a moving row, which
+    # empties it past x, unless static rows flatten it at every x: so a
+    # zero piece can only be the only piece
+    if not pieces or poly_trim(pieces[-1]) == ():
+        raise DegeneratePolytope("region has no volume for x > 0")
+    return PiecewisePolynomial(breakpoints, pieces, degree_bound=dim)

@@ -6,7 +6,8 @@ the model is not Ding semistable, while nonnegative values certify
 nothing.  Ding invariants of t-graded ideal sequences on X x A^1 are
 evaluated in the product-space form: the limit self-intersection of the
 polarisation comes from quotient weight counts w(k), stabilised as a
-degree-(n+1) polynomial, and the threshold term is one LP per chart.
+degree-(n+1) polynomial, and the threshold term is a vertex scan per
+chart.
 The weight counts take the one route filtration slopes take: the
 sequence's steps are convolved into the t-graded pieces of each power,
 and every section's top level is found by bisection.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .errors import EmptyOrFull, FanokitError, OutOfDomain
+from .errors import EmptyOrFull, FanokitError
 from .filtration import (_ideal_kernel_charts, _stable_leading_difference,
                          _weight_records)
 from .lct import lct_monomial, lct_on_product_with_line
@@ -127,8 +128,7 @@ def ding_invariant(X: ToricFanoModel, S: IdealSequenceOnXxA1, r: int,
     Needs -r r0 K to be the Cartier multiple the sequence was written
     for.  The weight counts must stabilise to degree n+1 within k_max
     steps (three vanishing top differences) or NoStabilization is
-    raised.  A sequence always carries the (t^M) generator, which keeps
-    the threshold LP bounded; the OutOfDomain branch below is defensive.
+    raised.
     """
     ws = ding_weight_series(X, S, r, k_max)
     n = X.dimension
@@ -136,10 +136,6 @@ def ding_invariant(X: ToricFanoModel, S: IdealSequenceOnXxA1, r: int,
     vol = anticanonical_volume(X)
     d = 1 + lead / ((n + 1) * Fraction(r * X.r0) ** (n + 1) * vol)
     lct_product = lct_on_product_with_line(X, S, Fraction(1, r * X.r0))
-    if lct_product is None:
-        raise OutOfDomain(
-            f"no finite (t)-threshold against the ideal to weight "
-            f"1/{r * X.r0}")
     return DingReport(r=r, r0=X.r0, M=S.M, L_power_top=lead, d=d,
                       lct_product=lct_product, ding=lct_product - d)
 

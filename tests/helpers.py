@@ -105,7 +105,7 @@ def bruteforce_lct_chart(gens, wmax=6):
     """min (sum w) / (min_g <w,g>) over nonzero integer weights 0 <= w_i <= wmax.
 
     Returns None when every enumerated weight has valuation 0 on the ideal
-    (unit-like within the box).  The box is verified against the LP on the
+    (unit-like within the box).  The box is verified against lct_chart on the
     fixed seeds used by the suite.
     """
     gens = [tuple(int(x) for x in g) for g in gens]

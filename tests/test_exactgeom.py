@@ -1,4 +1,4 @@
-"""Polytopes, volumes, slices, piecewise polynomials."""
+"""Polytopes, volumes, moving-row volume functions, piecewise polynomials."""
 
 from fractions import Fraction
 from itertools import product
@@ -14,8 +14,8 @@ from fanokit.oracles import bruteforce_lct
 from fanokit.piecewise import PiecewisePolynomial, fit_polynomial, poly_trim
 from fanokit.polytope import (RationalPolytope, enumerate_basic_feasible,
                               euclidean_volume, lattice_points,
-                              polytope_from_rays, sliced_volume_function,
-                              truncated_volume, volume)
+                              moving_volume_function, polytope_from_rays,
+                              volume)
 from fanokit.subscheme import NewtonPolyhedron
 
 import helpers
@@ -27,7 +27,15 @@ SEGMENT = polytope_from_rays(1, [(1,), (-1,)])
 TRIANGLE = polytope_from_rays(2, P2_RAYS)
 CUBE = polytope_from_rays(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0),
                               (0, -1, 0), (0, 0, 1), (0, 0, -1)])
-CUBE_SLICE = sliced_volume_function(CUBE, (1, 1, 1), 12)
+
+
+def slice_function(P, lam_linear, lam_offset):
+    """x -> n! vol(P ∩ {lam(u) + lam_offset >= x}): one moving row."""
+    return moving_volume_function(P.dimension, P.inequalities,
+                                  [(lam_linear, lam_offset)])
+
+
+CUBE_SLICE = slice_function(CUBE, (1, 1, 1), 12)
 
 
 class TestPolytopeFromRays:
@@ -38,8 +46,18 @@ class TestPolytopeFromRays:
         assert SEGMENT.vertices == ((F(-1),), (F(1),))
 
     def test_not_positively_spanning(self):
-        with pytest.raises(UnboundedPolytope):
-            polytope_from_rays(2, [(1, 0), (0, 1)])
+        for dim, rays in ((2, [(1, 0), (0, 1)]),
+                          (2, [(1, 0), (-1, 0)]),           # lower affine rank
+                          (2, [(1, 0), (0, 1), (-1, 0)]),   # 0 on the hull's boundary
+                          (3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 0)])):
+            with pytest.raises(UnboundedPolytope):
+                polytope_from_rays(dim, rays)
+
+    def test_positively_spanning_builds(self):
+        rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 0)]
+        P = polytope_from_rays(3, rays)
+        rows = [(ray, -1) for ray in rays]
+        assert list(P.vertices) == helpers.basic_feasible_points(3, rows)
 
     def test_halfline_unbounded(self):
         with pytest.raises(UnboundedPolytope):
@@ -172,14 +190,22 @@ class TestRowVolume:
         assert _row_volume(2, rows) == 1
 
     def test_truncation_at_last_breakpoint_is_flat(self):
-        assert truncated_volume(TRIANGLE, (1, 1), 2, 3) == 0     # an edge
-        assert truncated_volume(CUBE, (1, 1, 1), 3, 6) == 0      # a vertex
-        assert truncated_volume(CUBE, (1, 1, 1), 3, 7) == 0      # empty
+        S = slice_function(TRIANGLE, (1, 1), 2)
+        assert S.domain == (0, 3) and S.evaluate(3) == 0          # an edge
+        S = slice_function(CUBE, (1, 1, 1), 3)
+        assert S.domain == (0, 6) and S.evaluate(6) == 0          # a vertex
+        rows = list(CUBE.inequalities) + [((1, 1, 1), 7 - 3)]
+        assert _row_volume(3, rows) == 0                          # empty
         assert _row_volume(2, UNIT_SQUARE_ROWS + [((-1, 0), 0)]) == 0
+        with pytest.raises(DegeneratePolytope):                   # no volume at any x
+            moving_volume_function(2, UNIT_SQUARE_ROWS + [((-1, 0), 0)], [((0, 1), 1)])
 
     def test_constant_functional_keeps_the_polytope(self):
-        assert truncated_volume(TRIANGLE, (0, 0), 0, 0) == F(9, 2)
-        assert truncated_volume(TRIANGLE, (0, 0), 0, 1) == 0
+        S = slice_function(TRIANGLE, (0, 0), 1)
+        assert S.breakpoints == (0, 1)
+        assert poly_trim(S.pieces[0]) == (2 * F(9, 2),)
+        with pytest.raises(DegeneratePolytope):
+            slice_function(TRIANGLE, (0, 0), 0)
 
 
 NEWTON_GENS = st.integers(2, 3).flatmap(lambda n: st.lists(
@@ -223,33 +249,55 @@ class TestBasicFeasible:
 
 class TestSlicedVolume:
     def test_triangle_slice(self):
-        S = sliced_volume_function(TRIANGLE, (1, 1), 2)
+        S = slice_function(TRIANGLE, (1, 1), 2)
         assert S.breakpoints == (F(0), F(3))
         assert poly_trim(S.pieces[0]) == (F(9), F(0), F(-1))
         assert S.integrate(0, 3) == 18
 
     def test_segment_slice(self):
-        S = sliced_volume_function(SEGMENT, (1,), 1)
+        S = slice_function(SEGMENT, (1,), 1)
         assert S.breakpoints == (F(0), F(2))
         assert poly_trim(S.pieces[0]) == (F(2), F(-1))
 
     def test_breakpoints_are_vertex_values(self):
-        S = sliced_volume_function(CUBE, (1, 1, 1), 3)
+        S = slice_function(CUBE, (1, 1, 1), 3)
         assert S.breakpoints == (F(0), F(2), F(4), F(6))
+        # below the least vertex value, 9, the whole cube is kept
+        assert CUBE_SLICE.breakpoints == (F(0), F(9), F(11), F(13), F(15))
+        assert poly_trim(CUBE_SLICE.pieces[0]) == (6 * euclidean_volume(CUBE),)
+        for x in (9, 10, F(23, 2), 13, 14):
+            assert CUBE_SLICE.evaluate(x) == S.evaluate(x - 9)
 
     def test_monotone_and_matches_explicit_slices(self):
-        S = sliced_volume_function(TRIANGLE, (1, 1), 2)
+        S = slice_function(TRIANGLE, (1, 1), 2)
         samples = [F(i, 7) * 3 for i in range(8)]
         last = None
         for x in samples:
             val = S.evaluate(x)
-            assert val == 2 * truncated_volume(TRIANGLE, (1, 1), 2, x)
+            rows = list(TRIANGLE.inequalities) + [((1, 1), x - 2)]
+            assert val == 2 * helpers.shoelace_area(
+                helpers.basic_feasible_points(2, rows))
             if last is not None:
                 assert val <= last
             last = val
 
+    def test_equal_neighbouring_pieces_merge(self):
+        # the lifted region has a vertex at x = 2, but the area is one
+        # quadratic on [0, 4]
+        P = RationalPolytope.from_vertices(2, [(-2, -1), (-2, 1), (0, -1), (2, 1)])
+        moving = [((-2, 2), 0), ((-1, 0), 2)]
+        lifted = ([((*nr, 0), off) for nr, off in P.inequalities]
+                  + [((*a, -1), -b) for a, b in moving])
+        assert 2 in {v[2] for v in helpers.basic_feasible_points(3, lifted)}
+        S = moving_volume_function(2, P.inequalities, moving)
+        assert S.breakpoints == (0, 4)
+        for x in (0, 1, 2, F(5, 2), 4):
+            rows = list(P.inequalities) + [(a, x - b) for a, b in moving]
+            assert S.evaluate(x) == 2 * helpers.shoelace_area(
+                helpers.basic_feasible_points(2, rows))
+
     def test_out_of_domain(self):
-        S = sliced_volume_function(SEGMENT, (1,), 1)
+        S = slice_function(SEGMENT, (1,), 1)
         with pytest.raises(OutOfDomain):
             S.evaluate(F(5, 2))
         with pytest.raises(OutOfDomain):
@@ -283,13 +331,13 @@ class TestPiecewisePolynomial:
            .filter(lambda xs: xs[0] < xs[1] < xs[2]))
     @settings(max_examples=15, deadline=None)
     def test_integral_additivity(self, cuts):
-        S = CUBE_SLICE  # domain [9, 15]
+        S = CUBE_SLICE  # domain [0, 15]
         lo, hi = S.domain
         a, b, c = (lo + (hi - lo) * F(x + 8, 16) for x in cuts)
         assert S.integrate(a, c) == S.integrate(a, b) + S.integrate(b, c)
 
     def test_integral_linearity(self):
-        S = sliced_volume_function(TRIANGLE, (1, 1), 2)
+        S = slice_function(TRIANGLE, (1, 1), 2)
         scaled = PiecewisePolynomial(
             S.breakpoints, [tuple(3 * c for c in p) for p in S.pieces])
         assert scaled.integrate(0, 3) == 3 * S.integrate(0, 3)

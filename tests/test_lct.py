@@ -1,4 +1,4 @@
-"""Log canonical thresholds: chart LPs, global values, product-line form."""
+"""Log canonical thresholds: chart values, global values, product-line form."""
 
 from fractions import Fraction
 
@@ -14,7 +14,7 @@ from fanokit.oracles import bruteforce_lct
 from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                                boundary_divisor_subscheme, point_subscheme,
                                thickened_point_subscheme)
-from helpers import bruteforce_lct_chart
+from helpers import basic_feasible_points, bruteforce_lct_chart
 
 
 class TestLctChart:
@@ -115,6 +115,29 @@ class TestProductLine:
         X, S = self._dnc()
         with pytest.raises(ValueError):
             lct_on_product_with_line(X, S, -1)
+
+    @given(st.sampled_from(["P1", "P2", "P1xP1"]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_always_finite_and_matches_vertex_oracle(self, name, data):
+        # the generator t^M bounds s, so no c1 makes the threshold infinite
+        X = catalog_model(name)
+        n = X.dimension
+        idx = data.draw(st.sampled_from(X.smooth_chart_indices()))
+        pt = point_subscheme(X, idx)
+        powers = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+        unit = MonomialSubscheme(label="unit", dimension=n)
+        S = IdealSequenceOnXxA1(steps=tuple(pt.power(e) if e else unit
+                                            for e in sorted(powers)))
+        chart_lct = Fraction(n, max(powers)) if max(powers) else Fraction(1)
+        c1 = data.draw(st.fractions(0, 10 * chart_lct, max_denominator=12))
+        value = lct_on_product_with_line(X, S, c1)
+        assert isinstance(value, Fraction)
+        units = [(tuple(int(i == j) for i in range(n + 1)), 0) for j in range(n + 1)]
+        expected = min(
+            1 + min(sum(v[:n]) - c1 * v[n] for v in basic_feasible_points(
+                n + 1, units + [((*g[:n], -1), -g[n]) for g in S.product_gens(k)]))
+            for k in range(len(X.charts)))
+        assert value == expected
 
     def test_singular_model_refused(self):
         X = catalog_model("P112")

@@ -68,8 +68,8 @@ class TestDivisorProfiles:
         assert prof.integral() == Fraction(32, 3)
 
     def test_slice_route_equals_general_engine(self):
-        # the same divisor, once with its ray recorded and once as raw
-        # chart data forced through the moving-polytope engine
+        # the same divisor, once with its ray recorded (one moving row,
+        # <rho, u> >= x - 1) and once as raw chart data (one row per chart)
         X = catalog_model("P2")
         raw = MonomialSubscheme(label="raw", dimension=2,
                                 chart_gens={0: ((0, 1),), 1: ((0, 1),)})
