@@ -151,7 +151,7 @@ def _criterion_beta_point(config: RunConfig) -> tuple:
         gens = Z.gens_on(0)
         oracle_lct = bruteforce_lct(gens)
         oracles.append(OracleResult(
-            quantity=f"lct({name}, {Z.label})", method="VALUATION_ENUM",
+            quantity=f"lct({name}, {Z.label})", method="HOWALD_PRIMAL",
             value=oracle_lct, parameters=(("gens", str(gens)),)))
         expected_integral = Fraction(n * (n + 1) ** n)
         if rep.lct_value != n or oracle_lct != n:
@@ -338,7 +338,7 @@ def _criterion_lct_engine(config: RunConfig) -> tuple:
         main = lct_chart(ideal)
         orac = bruteforce_lct(ideal)
         oracles.append(OracleResult(
-            quantity=f"lct(random ideal {trial})", method="VALUATION_ENUM",
+            quantity=f"lct(random ideal {trial})", method="HOWALD_PRIMAL",
             value=orac, parameters=(("gens", str(ideal)),)))
         if main != orac:
             problems.append(f"ideal {ideal}: lct_chart {main} != Howald {orac}")

@@ -24,15 +24,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import ceil
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import lattice
 from .errors import NoStabilization, R1NotFound, UnsupportedSubscheme
 from .model import ToricFanoModel, anticanonical_volume
 from .polytope import lattice_points
-from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
-                        _convolve_step, _subscheme_contains)
+from .subscheme import (IdealSequenceOnXxA1, LevelTable, MonomialSubscheme,
+                        _subscheme_contains, level_table)
 from .volumes import BlowupVolumeProfile, blowup_volume_profile
 
 IDEAL_POWER = "ideal-power"
@@ -51,7 +53,7 @@ def _zero_subscheme(X: ToricFanoModel, label: str = "zero") -> MonomialSubscheme
 def _ray_images(chart, points: Iterable[Point], level: int) -> list[Point]:
     """Chart exponent vectors <rho, u> + level of the points, in order."""
     rows = chart.cone_rays
-    return [tuple(sum(a * b for a, b in zip(row, u)) + level for row in rows)
+    return [tuple(sum(map(mul, row, u)) + level for row in rows)
             for u in points]
 
 
@@ -409,68 +411,47 @@ def compute_weight_series(F: FiltrationSpec, r: int, k_max: int = 10, *,
         raise ValueError(
             f"F^x V_r not full at x = {r * e_minus}; r={r} is below r1")
     lo, hi = r * e_minus, r * e_plus
-    base = {j: saturate(F, r, j)[0].chart_gens for j in range(lo, hi + 1)}
-    records = _weight_records(F.X, r, base, lo, hi, k_max, F.sections)
+    steps = [saturate(F, r, j)[0] for j in range(lo + 1, hi + 1)]
+    records = _weight_records(F.X, r, steps, lo, k_max, F.sections)
     return WeightSeries(r=r, e_plus=e_plus, e_minus=e_minus, records=records)
 
 
-def _weight_records(X: ToricFanoModel, r: int, base: Mapping[int, Mapping],
-                   lo: int, hi: int, k_max: int,
-                   sections: Callable[[int], Sequence[Point]]
-                   ) -> tuple[WeightRecord, ...]:
-    """Records k = 1..k_max of the t-graded ideal with steps base[lo..hi].
-
-    base[j] holds the chart generators of the j-th step, decreasing in j
-    and the unit ideal at j = lo; sections(s) lists the lattice points of
-    s*r0*P.  The k-th power's pieces J(k, j) come from convolving the
-    steps with the previous power, chart by chart, with minimalisation
-    after every merge; each section's top level is then located by
-    bisection in j, which the decreasing property of J makes sound.
+def _weight_records(X: ToricFanoModel, r: int,
+                    steps: Sequence[MonomialSubscheme], lo: int, k_max: int,
+                    sections: Callable[[int], Sequence[Point]]
+                    ) -> tuple[WeightRecord, ...]:
+    """Records k = 1..k_max of the t-graded ideal with the unit ideal at
+    j = lo and the decreasing steps at j = lo + 1, ..., hi; sections(s)
+    lists the lattice points of s*r0*P.  Each active chart holds the k-th
+    power as a level table, the (k-1)-st times the first, and a section's
+    top level is the least of its charts' levels: membership is chartwise.
     """
-    universe = sorted(set().union(*base.values()))
+    hi = lo + len(steps)
+    base = {c: level_table(steps, c, len(X.charts[c].cone_rays), lo)
+            for c in set().union(*(s.chart_gens for s in steps))}
     records = []
-    table = base
+    tables = base
     for k in range(1, k_max + 1):
         if k > 1:
-            table = _convolve_step(base, table, lo, hi, k, universe)
+            tables = {c: t.times(base[c]) for c, t in tables.items()}
         records.append(_weight_record(X, sections(k * r), k * r * X.r0, k,
-                                      lo, hi, table, universe))
+                                      lo, hi, tables))
     return tuple(records)
 
 
 def _weight_record(X: ToricFanoModel, pts: Sequence[Point], level: int,
-                   k: int, lo: int, hi: int, table: dict,
-                   universe: Sequence[int]) -> WeightRecord:
+                   k: int, lo: int, hi: int,
+                   tables: Mapping[int, LevelTable]) -> WeightRecord:
     klo, khi = k * lo, k * hi
-    images = {c: _ray_images(X.charts[c], pts, level) for c in universe}
-
-    def member(i: int, j: int) -> bool:
-        for c, gens in table[j].items():
-            if not lattice.dominates_any(images[c][i], gens):
-                return False
-        return True
-
+    tops = [khi] * len(pts)
+    for c, table in tables.items():
+        tops = list(map(min, tops, map(table.level,
+                                       _ray_images(X.charts[c], pts, level))))
     histogram = [0] * (khi - klo + 1)
-    for i in range(len(pts)):
-        if member(i, khi):
-            top = khi
-        else:
-            a, b = klo, khi
-            while b - a > 1:
-                mid = (a + b) // 2
-                if member(i, mid):
-                    a = mid
-                else:
-                    b = mid
-            top = a
-        histogram[top - klo] += 1
-
-    dims = []
-    running = 0
-    for j in range(khi, klo, -1):
-        running += histogram[j - klo]
-        dims.append((j, running))
-    dims.reverse()
+    for top in tops:
+        histogram[khi - top] += 1
+    # dims[i] = (j, number of sections whose top level is at least j)
+    dims = list(zip(range(khi, klo, -1), accumulate(histogram[:-1])))[::-1]
     v = sum(d for _, d in dims)
     h0 = len(pts)
     w = -k * (hi - lo) * h0 + v

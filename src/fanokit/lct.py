@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import lattice
-from .errors import EmptyOrFull, FamilyNotGraded, NotSmoothChart
+from .errors import FamilyNotGraded, NotSmoothChart
 from .model import ToricFanoModel
 from .polytope import enumerate_basic_feasible
 from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme, NewtonPolyhedron,
@@ -46,20 +46,13 @@ def lct_monomial(X: ToricFanoModel, Z: MonomialSubscheme, power: int = 1) -> Fra
         # (X, sum of boundary divisors) is log canonical and the ray's own
         # valuation has log discrepancy 1, so the threshold is exactly 1
         return Fraction(1, power)
-    best: Fraction | None = None
     for idx in Z.active_chart_indices():
-        gens = Z.gens_on(idx)
-        assert gens is not None and len(gens) > 0
         chart = X.charts[idx]
         if not chart.smooth:
             raise NotSmoothChart(
                 f"{Z.label} lives on the singular chart at {chart.vertex}")
-        val = lct_chart(gens)
-        if val is not None and (best is None or val < best):
-            best = val
-    if best is None:
-        raise EmptyOrFull(f"{Z.label}: no chart constrains the threshold")
-    return best / power
+    return min(sum(w) for duals in Z.dual_vertices.values()
+               for w in duals) / power
 
 
 def lct_on_product_with_line(X: ToricFanoModel, S: IdealSequenceOnXxA1,

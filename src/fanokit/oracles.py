@@ -22,7 +22,7 @@ from .subscheme import IdealSequenceOnXxA1
 
 _ORACLE_CAP = 2_000_000
 
-ORACLE_METHODS = ("LATTICE_COUNT", "VALUATION_ENUM", "HAND_FORMULA")
+ORACLE_METHODS = ("LATTICE_COUNT", "HOWALD_PRIMAL", "HAND_FORMULA")
 
 
 @dataclass(frozen=True)

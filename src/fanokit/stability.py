@@ -8,9 +8,9 @@ evaluated in the product-space form: the limit self-intersection of the
 polarisation comes from quotient weight counts w(k), stabilised as a
 degree-(n+1) polynomial, and the threshold term is a vertex scan per
 chart.
-The weight counts take the one route filtration slopes take: the
-sequence's steps are convolved into the t-graded pieces of each power,
-and every section's top level is found by bisection.
+The weight counts take the one route filtration slopes take: each chart
+holds the k-th power of the sequence ideal as a level table, and every
+section's top level is the least of its charts' table levels.
 verify_volume_bound compares the anticanonical volume against (n+1)^n
 exactly and, in the equality case, fingerprints the Seshadri constants
 at the fixed points.
@@ -105,19 +105,17 @@ def ding_weight_series(X: ToricFanoModel, S: IdealSequenceOnXxA1, r: int,
     L^{kr} x O(A^1) modulo the k-th power of the sequence ideal.
 
     Steps 0..M of S are the step window of the filtration weight series,
-    and the records come from the same route: the k-th power's t-graded
-    pieces by chartwise convolution, each section's top level by
-    bisection, and w = -k M h0 plus the summed piece dimensions.
+    and the records come from the same route: the k-th power's level table
+    on each chart, each section's top level by one lookup per chart, and
+    w = -k M h0 plus the summed piece dimensions.
     """
     r, k_max = int(r), int(k_max)
     if r < 1 or k_max < 1:
         raise ValueError("r and k_max must be positive")
     for step in S.steps:
         _ideal_kernel_charts(X, step, 0)  # refuses generators of the wrong arity
-    base = {s: S.step(s).chart_gens for s in range(S.M + 1)}
-    records = _weight_records(
-        X, r, base, 0, S.M, k_max,
-        lambda s: lattice_points(X.polytope, s * X.r0))
+    records = _weight_records(X, r, S.steps, 0, k_max,
+                              lambda s: lattice_points(X.polytope, s * X.r0))
     return tuple(rec.w for rec in records)
 
 

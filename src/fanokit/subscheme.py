@@ -6,13 +6,16 @@ the unit ideal; an explicitly empty generator tuple is the zero ideal.
 Reduced toric boundary divisors additionally remember their ray, which
 lets global valuation routes work even through singular charts where no
 exponent coordinates exist.
+A t-graded ideal, decreasing chart ideals J(j), is one LevelTable per chart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from functools import cached_property
+from itertools import accumulate, combinations_with_replacement, compress
+from operator import add, and_, gt, mul
 from typing import Mapping, Sequence
 
 from . import lattice
@@ -23,7 +26,7 @@ from .polytope import enumerate_basic_feasible, polytope_edges
 
 Gens = tuple[tuple[int, ...], ...]
 
-GENERATOR_CAP = 20_000
+CELL_CAP = 1_000_000
 
 
 def _normalize_gens(gens: Sequence[Sequence[int]]) -> Gens | None:
@@ -67,6 +70,13 @@ class MonomialSubscheme:
 
     def active_chart_indices(self) -> list[int]:
         return sorted(self.chart_gens)
+
+    @cached_property
+    def dual_vertices(self) -> dict[int, tuple[Vec, ...]]:
+        """Dual vertices of each active chart's Newton polyhedron, built
+        once for the threshold and the volume profile alike."""
+        return {idx: NewtonPolyhedron(gens).dual_vertices
+                for idx, gens in self.chart_gens.items()}
 
     def require_usable(self) -> None:
         if self.has_zero_chart:
@@ -225,83 +235,101 @@ class IdealSequenceOnXxA1:
         return self.steps[j - 1]
 
     def product_gens(self, chart_index: int) -> tuple[tuple[int, ...], ...]:
-        """Generators of the induced (n+1)-variable chart ideal; the last
-        coordinate is the t-exponent.  None never occurs: (0, M) is always
-        a generator, and unit I_j contribute (0, M-j)."""
-        n = self.steps[0].dimension
-        out: set[tuple[int, ...]] = {tuple([0] * n + [self.M])}
-        for j in range(1, self.M + 1):
-            gens = self.step(j).gens_on(chart_index)
-            if gens is None:
-                out.add(tuple([0] * n + [self.M - j]))
-            else:
-                for g in gens:
-                    out.add(tuple(list(g) + [self.M - j]))
-        return tuple(lattice.minimalize(out))
+        """Generators of the induced (n+1)-variable chart ideal, the last
+        coordinate being the t-exponent: the corners of the chart's level
+        table at t-exponent M - level, so (0, M) when no step is unit."""
+        table = level_table(self.steps, chart_index, self.steps[0].dimension)
+        return tuple((*e, self.M - j) for e, j in table.corners)
 
     def power(self, m: int) -> "IdealSequenceOnXxA1":
         """Sequence inducing the m-th power of the induced ideal: the new
         step s is the sum over j_1 + ... + j_m = s of the products
-        I_{j_1} ... I_{j_m}, built by m - 1 convolutions of the steps."""
+        I_{j_1} ... I_{j_m}, read off the m-th power of each level table."""
         if m < 1:
             raise ValueError("power must be >= 1")
-        base = {s: self.step(s).chart_gens for s in range(self.M + 1)}
-        universe = sorted(set().union(*base.values()))
-        table = base
-        for k in range(2, m + 1):
-            table = _convolve_step(base, table, 0, self.M, k, universe)
-        dim = self.steps[0].dimension
+        dim, corners = self.steps[0].dimension, {}
+        for c in sorted(set().union(*(s.chart_gens for s in self.steps))):
+            base = table = level_table(self.steps, c, dim)
+            for _ in range(m - 1):
+                table = table.times(base)
+            corners[c] = table.corners
         return IdealSequenceOnXxA1(steps=tuple(
             MonomialSubscheme(label=f"pow{m}[{s}]", dimension=dim,
-                              chart_gens=table[s])
+                              chart_gens={c: tuple(e for e, j in cs if j >= s)
+                                          for c, cs in corners.items()})
             for s in range(1, m * self.M + 1)))
 
 
-def _convolve_step(base: dict, prev: dict, lo: int, hi: int, k: int,
-                   universe: Sequence[int]) -> dict:
-    """J(k, .) from J(k-1, .): sum over j' of step[j'] * prev[j - j'].
+def _box(top: Sequence[int], floor: int) -> tuple[list[int], list[int]]:
+    """Lex-order strides of the box [0, top] and its cells, all at floor."""
+    strides = list(accumulate((t + 1 for t in top[:0:-1]), mul, initial=1))[::-1]
+    size = strides[0] * (top[0] + 1)
+    if size > CELL_CAP:
+        raise CombinatorialBlowup(f"{size} table cells exceed the cap {CELL_CAP}")
+    return strides, [floor] * size
 
-    base maps each step j in [lo, hi] to its chart generators (a missing
-    chart is the unit ideal, an empty tuple the zero ideal); prev holds
-    the (k-1)-st power on [(k-1) lo, (k-1) hi].  Every chart is
-    minimalised after the merge.
-    """
-    plo, phi = (k - 1) * lo, (k - 1) * hi
-    out = {}
-    for j in range(k * lo, k * hi + 1):
-        terms = [(base[j1], prev[j - j1])
-                 for j1 in range(max(lo, j - phi), min(hi, j - plo) + 1)]
-        per_chart = {}
-        for c in universe:
-            acc: list[tuple[int, ...]] = []
-            unit = False
-            for first, second in terms:
-                ga = first.get(c)
-                gb = second.get(c)
-                if ga is None and gb is None:
-                    unit = True
-                    break
-                if ga is None:
-                    prod = gb
-                elif gb is None:
-                    prod = ga
-                elif len(ga) == 0 or len(gb) == 0:
+
+class LevelTable:
+    """L(e) = max{j : x^e in J(j)} for decreasing monomial ideals J(j) on
+    one chart, dense in lex order over the box [0, top] spanned by their
+    generators; past the box L is read at the clip, which keeps every
+    membership.  ``corners``, the (e, L(e)) whose level beats each lower
+    neighbour's, are the minimal generators of sum_j J(j) t^(-j)."""
+
+    __slots__ = ("top", "strides", "levels", "corners")
+
+    def __init__(self, top: tuple[int, ...], strides: list[int], levels: list[int]):
+        """levels holds each cell's own tag; each cell then takes the
+        largest tag at or below it."""
+        self.top, self.strides, self.levels = top, strides, levels
+        size, corner = len(levels), [True] * len(levels)
+        for t, s in zip(top, self.strides):
+            block = (t + 1) * s
+            for a in range(0, size, block):
+                if s == 1:
+                    levels[a:a + block] = accumulate(levels[a:a + block], max)
                     continue
-                else:
-                    prod = lattice.minkowski_sum(ga, gb)
-                if len(prod) == 0:
-                    continue
-                acc.extend(prod)
-            if unit:
-                continue
-            gens = lattice.minimalize(acc)
-            if len(gens) > GENERATOR_CAP:
-                raise CombinatorialBlowup(
-                    f"{len(gens)} generators at (k={k}, j={j}) "
-                    f"exceed the cap {GENERATOR_CAP}")
-            per_chart[c] = tuple(gens)
-        out[j] = per_chart
-    return out
+                for b in range(a + s, a + block, s):
+                    levels[b:b + s] = map(max, levels[b - s:b], levels[b:b + s])
+        for t, s in zip(top, self.strides):
+            block = (t + 1) * s
+            for a in range(0, size, block):
+                corner[a + s:a + block] = map(and_, corner[a + s:a + block], map(
+                    gt, levels[a + s:a + block], levels[a:a + block - s]))
+        self.corners = tuple(
+            (tuple(i // s % (t + 1) for t, s in zip(top, self.strides)), levels[i])
+            for i in compress(range(size), corner))
+
+    def level(self, e: Sequence[int]) -> int:
+        """L at a nonnegative exponent vector, clipped to the box."""
+        return self.levels[sum(map(mul, map(min, e, self.top), self.strides))]
+
+    def times(self, other: "LevelTable") -> "LevelTable":
+        """Table of the product, with piece j the sum over j1 + j2 = j of
+        J1(j1) J2(j2): each sum of two corners takes their summed levels."""
+        top = tuple(map(add, self.top, other.top))
+        strides, levels = _box(top, self.levels[0] + other.levels[0])
+        mine = [(sum(map(mul, e, strides)), j) for e, j in self.corners]
+        for e, j2 in other.corners:
+            b = sum(map(mul, e, strides))
+            for a, j1 in mine:
+                if j1 + j2 > levels[a + b]:
+                    levels[a + b] = j1 + j2
+        return LevelTable(top, strides, levels)
+
+
+def level_table(steps: Sequence[MonomialSubscheme], chart_index: int,
+                dim: int, floor: int = 0) -> LevelTable:
+    """Table on one chart of the pieces steps[0], steps[1], ... at
+    j = floor + 1, floor + 2, ..., the unit ideal at j = floor."""
+    chart_steps = [s.gens_on(chart_index) for s in steps]
+    gens = [g for gs in chart_steps if gs for g in gs]
+    top = tuple(max((g[i] for g in gens), default=0) for i in range(dim))
+    strides, levels = _box(top, floor)
+    for j, gs in enumerate(chart_steps, start=floor + 1):
+        for g in [(0,) * dim] if gs is None else gs:
+            levels[sum(map(mul, g, strides))] = j
+    return LevelTable(top, strides, levels)
 
 
 def _subscheme_contains(big: MonomialSubscheme, small: MonomialSubscheme) -> bool:

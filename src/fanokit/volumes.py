@@ -29,7 +29,7 @@ from .linalg import matmul_vec, transpose
 from .model import ToricFanoModel, anticanonical_volume
 from .piecewise import PiecewisePolynomial, poly_trim
 from .polytope import moving_volume_function
-from .subscheme import MonomialSubscheme, NewtonPolyhedron, point_subscheme
+from .subscheme import MonomialSubscheme, point_subscheme
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ def blowup_volume_profile(X: ToricFanoModel, Z: MonomialSubscheme) -> BlowupVolu
                     f"{Z.label} touches the singular chart at {chart.vertex}")
             cols = transpose(chart.dual)
             moving.extend((matmul_vec(cols, w), sum(w))
-                          for w in NewtonPolyhedron(Z.gens_on(idx)).dual_vertices)
+                          for w in Z.dual_vertices[idx])
     pp = moving_volume_function(X.dimension, X.polytope.inequalities, moving)
     return BlowupVolumeProfile(subscheme_label=Z.label,
                                total_volume=anticanonical_volume(X),

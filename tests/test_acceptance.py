@@ -72,7 +72,7 @@ def test_oracles_attached_where_promised(suite):
     for number in (1, 4, 7, 8, 9):
         assert by_number[number].oracles, f"criterion {number} lost its oracles"
     methods = {o.method for r in summary.results for o in r.oracles}
-    assert methods == {"LATTICE_COUNT", "VALUATION_ENUM", "HAND_FORMULA"}
+    assert methods == {"LATTICE_COUNT", "HOWALD_PRIMAL", "HAND_FORMULA"}
 
 
 def test_unwritable_output_aborts():

@@ -9,6 +9,8 @@ self-intersection -2, slope 1/2, and Ding invariant 1/2.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanokit.errors import EmptyOrFull, NoStabilization
 from fanokit.filtration import (compute_d_infty, ideal_power_filtration,
@@ -19,8 +21,10 @@ from fanokit.stability import (CONSISTENT, OBSTRUCTS_SEMISTABILITY, beta,
                                ding_invariant, ding_weight_series,
                                semistability_scan, verify_volume_bound)
 from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
-                               boundary_divisor_subscheme, point_subscheme,
-                               standard_battery, thickened_point_subscheme)
+                               NewtonPolyhedron, boundary_divisor_subscheme,
+                               point_subscheme, standard_battery,
+                               thickened_point_subscheme)
+from strategies import decreasing_sequences
 
 
 def _dnc_sequence():
@@ -73,6 +77,21 @@ class TestBeta:
             assert rep.beta == (rep.lct_value * rep.anticanonical_volume
                                 - rep.volume_integral)
             assert (rep.verdict == OBSTRUCTS_SEMISTABILITY) == (rep.beta < 0)
+
+    def test_one_newton_polyhedron_per_chart_ideal(self, monkeypatch):
+        # the threshold and the profile share each chart's dual vertices
+        built = []
+        init = NewtonPolyhedron.__init__
+
+        def counting(self, generators):
+            built.append(generators)
+            init(self, generators)
+
+        monkeypatch.setattr(NewtonPolyhedron, "__init__", counting)
+        X = catalog_model("dP6")
+        Z = thickened_point_subscheme(X, 0)
+        beta(X, Z)
+        assert built == [Z.gens_on(0)]
 
     def test_whole_space_rejected(self):
         X = catalog_model("P2")
@@ -128,6 +147,21 @@ class TestDing:
         ws = ding_weight_series(X, S, 2, 4)
         for k in range(1, 5):
             assert ws[k - 1] == -oracle_h0_quotient(X, S, 2, k)
+
+    @settings(max_examples=100, deadline=None)
+    @given(decreasing_sequences(), st.integers(1, 2))
+    def test_weights_match_oracle_on_random_sequences(self, drawn, r):
+        X, S = drawn
+        ws = ding_weight_series(X, S, r, 4 - r)
+        assert ws == tuple(-oracle_h0_quotient(X, S, r, k)
+                           for k in range(1, 5 - r))
+
+    def test_weights_match_oracle_on_a_threefold(self):
+        X = catalog_model("P1xP2")
+        pt = point_subscheme(X, 0)
+        S = IdealSequenceOnXxA1(steps=(pt, pt.power(2)))
+        ws = ding_weight_series(X, S, 1, 2)
+        assert ws == tuple(-oracle_h0_quotient(X, S, 1, k) for k in (1, 2))
 
     def test_scale_covariance(self):
         X, S = _dnc_sequence()

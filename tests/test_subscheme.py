@@ -13,6 +13,7 @@ from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                                NewtonPolyhedron, boundary_divisor_subscheme,
                                point_subscheme, standard_battery,
                                thickened_point_subscheme, verify_gluing)
+from strategies import decreasing_sequences
 
 
 class TestMonomialSubscheme:
@@ -131,6 +132,20 @@ def point_power_sequences(draw):
     return X, IdealSequenceOnXxA1(steps=tuple(steps))
 
 
+def _product_gens_longhand(S, c):
+    """(x, t)-generators of the induced chart ideal, collected step by
+    step and minimalised."""
+    n = S.steps[0].dimension
+    out = {(0,) * n + (S.M,)}
+    for j, step in enumerate(S.steps, start=1):
+        gens = step.gens_on(c)
+        if gens is None:
+            out.add((0,) * n + (S.M - j,))
+        else:
+            out.update((*g, S.M - j) for g in gens)
+    return tuple(lattice.minimalize(out))
+
+
 class TestIdealSequence:
     def _dnc(self):
         X = catalog_model("P1")
@@ -168,14 +183,16 @@ class TestIdealSequence:
         S = self._dnc()
         assert S.power(1).product_gens(0) == S.product_gens(0)
 
-    @settings(max_examples=60, deadline=None)
-    @given(point_power_sequences(), st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(point_power_sequences(), decreasing_sequences()),
+           st.integers(1, 3))
     def test_power_induces_the_power_of_the_product_ideal(self, drawn, m):
         X, S = drawn
         P = S.power(m)
         assert P.M == m * S.M
         for c in range(len(X.charts)):
-            gens = S.product_gens(c)
+            gens = _product_gens_longhand(S, c)
+            assert S.product_gens(c) == gens
             expected = gens
             for _ in range(m - 1):
                 expected = tuple(lattice.minimalize(
