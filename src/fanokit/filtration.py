@@ -427,7 +427,7 @@ def _weight_records(X: ToricFanoModel, r: int,
     top level is the least of its charts' levels: membership is chartwise.
     """
     hi = lo + len(steps)
-    base = {c: level_table(steps, c, len(X.charts[c].cone_rays), lo)
+    base = {c: level_table(steps, c, len(X.charts[c].cone_rays), lo, k_max)
             for c in set().union(*(s.chart_gens for s in steps))}
     records = []
     tables = base
@@ -450,7 +450,6 @@ def _weight_record(X: ToricFanoModel, pts: Sequence[Point], level: int,
     histogram = [0] * (khi - klo + 1)
     for top in tops:
         histogram[khi - top] += 1
-    # dims[i] = (j, number of sections whose top level is at least j)
     dims = list(zip(range(khi, klo, -1), accumulate(histogram[:-1])))[::-1]
     v = sum(d for _, d in dims)
     h0 = len(pts)

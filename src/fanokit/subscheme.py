@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations_with_replacement, compress
+from math import prod
 from operator import add, and_, gt, mul
 from typing import Mapping, Sequence
 
@@ -73,8 +74,7 @@ class MonomialSubscheme:
 
     @cached_property
     def dual_vertices(self) -> dict[int, tuple[Vec, ...]]:
-        """Dual vertices of each active chart's Newton polyhedron, built
-        once for the threshold and the volume profile alike."""
+        """Each active chart's Newton dual vertices, for lct and profile."""
         return {idx: NewtonPolyhedron(gens).dual_vertices
                 for idx, gens in self.chart_gens.items()}
 
@@ -249,7 +249,7 @@ class IdealSequenceOnXxA1:
             raise ValueError("power must be >= 1")
         dim, corners = self.steps[0].dimension, {}
         for c in sorted(set().union(*(s.chart_gens for s in self.steps))):
-            base = table = level_table(self.steps, c, dim)
+            base = table = level_table(self.steps, c, dim, reach=m)
             for _ in range(m - 1):
                 table = table.times(base)
             corners[c] = table.corners
@@ -263,10 +263,7 @@ class IdealSequenceOnXxA1:
 def _box(top: Sequence[int], floor: int) -> tuple[list[int], list[int]]:
     """Lex-order strides of the box [0, top] and its cells, all at floor."""
     strides = list(accumulate((t + 1 for t in top[:0:-1]), mul, initial=1))[::-1]
-    size = strides[0] * (top[0] + 1)
-    if size > CELL_CAP:
-        raise CombinatorialBlowup(f"{size} table cells exceed the cap {CELL_CAP}")
-    return strides, [floor] * size
+    return strides, [floor] * (strides[0] * (top[0] + 1))
 
 
 class LevelTable:
@@ -319,12 +316,16 @@ class LevelTable:
 
 
 def level_table(steps: Sequence[MonomialSubscheme], chart_index: int,
-                dim: int, floor: int = 0) -> LevelTable:
+                dim: int, floor: int = 0, reach: int = 1) -> LevelTable:
     """Table on one chart of the pieces steps[0], steps[1], ... at
-    j = floor + 1, floor + 2, ..., the unit ideal at j = floor."""
+    j = floor + 1, floor + 2, ..., the unit ideal at j = floor.  Refuses
+    up front a table whose reach-th power would exceed CELL_CAP cells."""
     chart_steps = [s.gens_on(chart_index) for s in steps]
     gens = [g for gs in chart_steps if gs for g in gs]
     top = tuple(max((g[i] for g in gens), default=0) for i in range(dim))
+    size = prod(reach * t + 1 for t in top)
+    if size > CELL_CAP:
+        raise CombinatorialBlowup(f"{size} table cells exceed the cap {CELL_CAP}")
     strides, levels = _box(top, floor)
     for j, gs in enumerate(chart_steps, start=floor + 1):
         for g in [(0,) * dim] if gs is None else gs:

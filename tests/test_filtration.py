@@ -395,7 +395,7 @@ class TestWeightSeries:
             compute_weight_series(F, 1, 3, e_plus=-1)
 
     def test_generator_cap(self, monkeypatch):
-        # the P2 point tables have 4 x 4 cells at k = 1, 7 x 7 at k = 2
+        # the P2 point tables have 4 x 4 cells at k = 1, 10 x 10 at k = 3
         monkeypatch.setattr(subscheme_mod, "CELL_CAP", 16)
         X, F = _point_filtration("P2")
         compute_weight_series(F, 1, 1)
