@@ -7,7 +7,8 @@ Runs the checkout's own ``perfbench/run.py`` (this repository's by
 default) unchanged on all three workloads, and writes
 ``BENCH_<date>_<label>.json`` at the root of this repository: the line
 run.py prints for each workload, the stamps of its runs (commit, Python,
-seed, seconds), the label and the date.  Bench a before and after pair
+seed, seconds), the label and the date.  run.py's defaults hold: seed 1,
+35 seconds per workload.  Bench a before and after pair
 on the same machine, one right after the other; the checkout must be a
 git clone for its stamp to name the commit.
 """
@@ -32,13 +33,11 @@ def main(argv=None) -> int:
                     help="names the record, e.g. parent or change")
     ap.add_argument("--checkout", type=Path, default=ROOT,
                     help="repository whose perfbench/run.py runs")
-    ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9_-]+", args.label):
         ap.error("--label takes letters, digits, '_' and '-' only")
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "all",
-         "--seed", str(args.seed)],
+        [sys.executable, "perfbench/run.py", "--workload", "all"],
         cwd=args.checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"bench: perfbench/run.py exited {proc.returncode}:\n"
