@@ -5,7 +5,8 @@
 
 Runs the checkout's own ``perfbench/run.py`` (this repository's by
 default) unchanged on all three workloads, and writes
-``BENCH_<date>_<label>.json`` at the root of this repository: the line
+``BENCH_<date>_<label>.json`` at the root of this repository, refusing
+to overwrite one that exists: the line
 run.py prints for each workload, the stamps of its runs (commit, Python,
 seed, seconds), the label and the date.  run.py's defaults hold: seed 1,
 35 seconds per workload.  Bench a before and after pair
@@ -36,6 +37,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if not re.fullmatch(r"[A-Za-z0-9_-]+", args.label):
         ap.error("--label takes letters, digits, '_' and '-' only")
+    date = datetime.date.today().isoformat()
+    path = ROOT / f"BENCH_{date}_{args.label}.json"
+    if path.exists():
+        sys.exit(f"bench: {path.name} exists; pick another --label")
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "all"],
         cwd=args.checkout, capture_output=True, text=True)
@@ -43,12 +48,10 @@ def main(argv=None) -> int:
         sys.exit(f"bench: perfbench/run.py exited {proc.returncode}:\n"
                  f"{proc.stderr}")
     out = proc.stdout.splitlines()
-    date = datetime.date.today().isoformat()
     record = {"label": args.label, "date": date,
               "stamps": [json.loads(line[len(STAMP):]) for line in out
                          if line.startswith(STAMP)],
               "workloads": json.loads(out[-1])}
-    path = ROOT / f"BENCH_{date}_{args.label}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(path.name)
     for name, line in record["workloads"].items():

@@ -1,9 +1,10 @@
 """The integer lattice kernels.
 
 These are the only implementations of the package's hot loops:
-enumerating integer points of a box that satisfy integer inequality
-systems, and testing monomial-ideal membership of chart images of many
-points at once.  ``fanokit.lattice`` re-exports them.
+enumerating the integer points that satisfy an integer inequality system
+inside a box, one fiber of the last coordinate at a time, and testing
+monomial-ideal membership of chart images of many points at once.
+``fanokit.lattice`` re-exports them.
 
 All arguments are plain ints / tuples of ints.  Rational scaling happens
 in the callers, never here.  Python ints cannot overflow, so large
@@ -12,32 +13,36 @@ dilations and coordinates give exact results.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, repeat
+from operator import mul
 from typing import Sequence
 
 
 def enum_points(normals: Sequence[Sequence[int]], offsets: Sequence[int],
                 lo: Sequence[int], hi: Sequence[int]) -> list[tuple[int, ...]]:
-    """Integer points u with lo <= u <= hi and <normal, u> >= offset for all rows.
+    """Integer points u with lo <= u <= hi and <normal, u> >= offset for all
+    rows, in ascending lexicographic order; the box has n >= 1 axes.
 
-    Output in ascending lexicographic order (itertools.product over ranges
-    guarantees it).
+    The box is walked fiber by fiber.  For each prefix u[:-1], every row is
+    solved for the last coordinate: a positive coefficient gives a ceiling
+    bound, a negative one a floor bound, and a zero one tests the prefix
+    alone.  The fiber then emits one range of last coordinates.  Prefixes
+    come from itertools.product over ascending ranges and each fiber
+    ascends, which makes the whole list ascend lexicographically.
     """
-    rows = [tuple(int(x) for x in r) for r in normals]
-    offs = [int(c) for c in offsets]
-    ranges = [range(int(a), int(b) + 1) for a, b in zip(lo, hi)]
-    out = []
-    for u in product(*ranges):
-        ok = True
-        for row, c in zip(rows, offs):
-            s = 0
-            for a, b in zip(row, u):
-                s += a * b
-            if s < c:
-                ok = False
-                break
-        if ok:
-            out.append(u)
+    rows = [(r[:-1], r[-1], c) for r, c in zip(normals, offsets)]
+    above = [(h, a, c) for h, a, c in rows if a > 0]
+    below = [(h, a, c) for h, a, c in rows if a < 0]
+    flat = [(h, c) for h, a, c in rows if a == 0]
+    out: list[tuple[int, ...]] = []
+    for p in product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
+        if any(sum(map(mul, h, p)) < c for h, c in flat):
+            continue
+        first = max([lo[-1]] + [(c - sum(map(mul, h, p)) + a - 1) // a
+                                for h, a, c in above])
+        last = min([hi[-1]] + [(c - sum(map(mul, h, p))) // a
+                               for h, a, c in below])
+        out.extend(zip(*map(repeat, p), range(first, last + 1)))
     return out
 
 
@@ -56,7 +61,7 @@ def filter_points_in_ideals(points: Sequence[Sequence[int]],
     Each chart entry is (rows, shift, gens): the image of u is
     ``rows @ u + shift`` (integer matrix, integer vector), and membership
     means the image dominates some generator.  An empty chart list keeps
-    everything.
+    everything.  Kept points are the given objects, in order.
     """
     out = []
     for u in points:
@@ -68,7 +73,7 @@ def filter_points_in_ideals(points: Sequence[Sequence[int]],
                 keep = False
                 break
         if keep:
-            out.append(tuple(int(x) for x in u))
+            out.append(u)
     return out
 
 

@@ -17,16 +17,18 @@ Chart exponent vectors here are ray pairings <rho, u> + level over the
 cone rays of each chart.  On smooth charts this is the usual exponent
 map; on simplicial singular charts it still converts ideal membership,
 products, and containment into componentwise arithmetic, which is all
-the saturation and weight routes need.
+the saturation and weight routes need.  The weight route pairs a list of
+sections with each distinct ray once, as a column shared by every chart
+that has the ray.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from math import ceil
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import lattice
@@ -112,8 +114,7 @@ class FiltrationSpec:
         if r < 1:
             raise ValueError("level r must be positive")
         if r not in self._sections:
-            pts = lattice_points(self.X.polytope, r * self.X.r0)
-            self._sections[r] = tuple(tuple(int(c) for c in u) for u in pts)
+            self._sections[r] = tuple(lattice_points(self.X.polytope, r * self.X.r0))
         return self._sections[r]
 
     def level_ideal(self, r: int, x) -> MonomialSubscheme | None:
@@ -231,7 +232,7 @@ def saturate_points(X: ToricFanoModel, r: int, points: Sequence[Point],
     points on every chart; the closure is all sections of L^r inside the
     ideal.  Saturating the closure again changes nothing.
     """
-    sections = tuple(tuple(int(c) for c in u) for u in lattice_points(X.polytope, r * X.r0))
+    sections = tuple(lattice_points(X.polytope, r * X.r0))
     return _saturate_core(X, int(r), tuple(points), sections,
                           label or f"sat(r={r})")
 
@@ -425,6 +426,8 @@ def _weight_records(X: ToricFanoModel, r: int,
     lists the lattice points of s*r0*P.  Each active chart holds the k-th
     power as a level table, the (k-1)-st times the first, and a section's
     top level is the least of its charts' levels: membership is chartwise.
+    Each record pairs the sections with each ray of the active charts
+    once; charts that share a ray read the same column.
     """
     hi = lo + len(steps)
     base = {c: level_table(steps, c, len(X.charts[c].cone_rays), lo, k_max)
@@ -442,11 +445,27 @@ def _weight_records(X: ToricFanoModel, r: int,
 def _weight_record(X: ToricFanoModel, pts: Sequence[Point], level: int,
                    k: int, lo: int, hi: int,
                    tables: Mapping[int, LevelTable]) -> WeightRecord:
+    """Record of the sections pts of L^level under the k-th power tables.
+
+    The pairing columns <rho, u> + level are computed once per distinct
+    ray of the active charts, over the coordinate columns of pts, and
+    shared by every chart that has the ray; each chart's table then reads
+    its levels from its rays' columns.
+    """
     klo, khi = k * lo, k * hi
-    tops = [khi] * len(pts)
+    columns = list(zip(*pts))
+    pairings: dict[Point, list[int]] = {}
+    tops = repeat(khi, len(pts))
     for c, table in tables.items():
-        tops = list(map(min, tops, map(table.level,
-                                       _ray_images(X.charts[c], pts, level))))
+        rays = X.charts[c].cone_rays
+        for ray in rays:
+            if ray not in pairings:
+                col = repeat(level, len(pts))
+                for a, x in zip(ray, columns):
+                    if a:
+                        col = map(add, col, map(mul, x, repeat(a)))
+                pairings[ray] = list(col)
+        tops = map(min, tops, table.read([pairings[ray] for ray in rays]))
     histogram = [0] * (khi - klo + 1)
     for top in tops:
         histogram[khi - top] += 1

@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, combinations_with_replacement, compress
+from itertools import accumulate, combinations_with_replacement, compress, repeat
 from math import prod
 from operator import add, and_, gt, mul
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import lattice
 from .errors import CombinatorialBlowup, EmptyOrFull, NotSmoothPoint, ZeroIdeal
@@ -297,9 +297,16 @@ class LevelTable:
             (tuple(i // s % (t + 1) for t, s in zip(top, self.strides)), levels[i])
             for i in compress(range(size), corner))
 
-    def level(self, e: Sequence[int]) -> int:
-        """L at a nonnegative exponent vector, clipped to the box."""
-        return self.levels[sum(map(mul, map(min, e, self.top), self.strides))]
+    def read(self, columns: Sequence[Sequence[int]]) -> Iterator[int]:
+        """L at many nonnegative exponent vectors, given as one column of
+        equal length per axis, each vector clipped to the box; lazily, so
+        the columns must outlive the iterator.  Axes of extent 0 always
+        clip to 0 and are skipped."""
+        index = repeat(0, len(columns[0]))
+        for col, t, s in zip(columns, self.top, self.strides):
+            if t:
+                index = map(add, index, map(mul, map(min, col, repeat(t)), repeat(s)))
+        return map(self.levels.__getitem__, index)
 
     def times(self, other: "LevelTable") -> "LevelTable":
         """Table of the product, with piece j the sum over j1 + j2 = j of

@@ -36,19 +36,21 @@ def shoelace_area(vertices) -> Fraction:
     return abs(s) / 2
 
 
-def box_lattice_count(inequalities, lo, hi) -> int:
-    """Count integer points in the box satisfying <normal,u> >= offset rows.
+def box_lattice_points(inequalities, lo, hi) -> list[tuple[int, ...]]:
+    """Integer points in the box satisfying <normal,u> >= offset rows, sorted.
 
     Fraction arithmetic and reversed iteration order on purpose: this is
     the independent twin of the package's integer kernel.
     """
     rows = [(tuple(Fraction(a) for a in nr), Fraction(off)) for nr, off in inequalities]
-    count = 0
     ranges = [range(int(b), int(a) - 1, -1) for a, b in zip(lo, hi)]
-    for u in product(*ranges):
-        if all(sum(a * x for a, x in zip(nr, u)) >= off for nr, off in rows):
-            count += 1
-    return count
+    return sorted(u for u in product(*ranges)
+                  if all(sum(a * x for a, x in zip(nr, u)) >= off for nr, off in rows))
+
+
+def box_lattice_count(inequalities, lo, hi) -> int:
+    """Number of box_lattice_points."""
+    return len(box_lattice_points(inequalities, lo, hi))
 
 
 def basic_feasible_points(dim, rows):

@@ -2,9 +2,10 @@
 
 from fractions import Fraction
 from itertools import product
+from math import ceil, floor
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fanokit.errors import DegeneratePolytope, OutOfDomain, UnboundedPolytope
@@ -99,11 +100,30 @@ class TestLatticePoints:
         catalog = [(catalog_model(name).polytope, k)
                    for name in sorted(CATALOG_RAYS) for k in (1, 2, 3)]
         for P, r in [(TRIANGLE, 2), (TRIANGLE, 5), (CUBE, 3), (SEGMENT, 8)] + catalog:
-            pts = lattice_points(P, r)
-            assert pts == sorted(pts)
             lo, hi = P.bounding_box(F(r))
             rows = [(nr, F(r) * off) for nr, off in P.inequalities]
-            assert len(pts) == helpers.box_lattice_count(rows, lo, hi)
+            assert lattice_points(P, r) == helpers.box_lattice_points(rows, lo, hi)
+
+    # the examples pin rows whose last coefficient is zero, positive and
+    # negative in two and three dimensions, and empty results
+    @example([(F(1, 2), F(-1, 3)), (F(5, 2), F(-1, 3)), (F(1, 2), F(7, 3)),
+              (F(5, 2), F(2))], F(3, 2))
+    @example([(0, 0, 0), (F(3, 2), 0, 0), (0, 2, 0), (0, 0, F(5, 3)),
+              (1, 1, 1)], F(2))
+    @example([(F(1, 3),), (F(2, 3),)], F(1))
+    @example([(F(1, 3), F(1, 3)), (F(2, 3), F(1, 3)), (F(1, 3), F(2, 3))], F(1))
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+               st.tuples(*[st.fractions(-3, 3, max_denominator=3)] * n),
+               min_size=n + 1, max_size=n + 4)),
+           st.fractions(0, 3, max_denominator=4))
+    @settings(max_examples=60, deadline=None)
+    def test_random_rational_polytopes_match_longhand(self, points, r):
+        P = _lattice_polytope(len(points[0]), points)
+        n = P.dimension
+        lo = [floor(r * min(F(p[i]) for p in points)) - 1 for i in range(n)]
+        hi = [ceil(r * max(F(p[i]) for p in points)) + 1 for i in range(n)]
+        rows = [(nr, r * off) for nr, off in P.inequalities]
+        assert lattice_points(P, r) == helpers.box_lattice_points(rows, lo, hi)
 
 
 class TestEuclideanVolume:

@@ -14,7 +14,8 @@ import pytest
 import fanokit.subscheme as subscheme_mod
 from fanokit.errors import (CombinatorialBlowup, NoStabilization, R1NotFound,
                             ZeroIdeal)
-from fanokit.filtration import (build_saturated_table, compute_d_infty,
+from fanokit.filtration import (_weight_records, build_saturated_table,
+                                compute_d_infty,
                                 compute_weight_series, explicit_filtration,
                                 filtration_volume, find_r1,
                                 ideal_power_filtration,
@@ -383,6 +384,12 @@ class TestWeightSeries:
                 for j, dim in rec.level_dims:
                     _, closure = saturate(F, rec.k * r, j)
                     assert dim <= len(closure)
+
+    def test_no_sections_give_empty_records(self):
+        X = catalog_model("P1xP2")
+        pt = point_subscheme(X, 0)
+        records = _weight_records(X, 1, (pt, pt.power(2)), 0, 2, lambda s: ())
+        assert [(rec.h0, rec.v, rec.w) for rec in records] == [(0, 0, 0)] * 2
 
     def test_requires_fullness_at_window_bottom(self):
         X, F = _point_filtration("P1")

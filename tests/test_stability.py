@@ -156,6 +156,15 @@ class TestDing:
         assert ws == tuple(-oracle_h0_quotient(X, S, r, k)
                            for k in range(1, 5 - r))
 
+    # P1xP2 has 6 charts over 5 rays, so the charts share ray pairings;
+    # P112 cannot join, its singular chart has no oracle
+    @settings(max_examples=15, deadline=None)
+    @given(decreasing_sequences(models=("P1xP2",), max_steps=2))
+    def test_weights_match_oracle_on_random_threefold_sequences(self, drawn):
+        X, S = drawn
+        ws = ding_weight_series(X, S, 1, 2)
+        assert ws == tuple(-oracle_h0_quotient(X, S, 1, k) for k in (1, 2))
+
     def test_weights_match_oracle_on_a_threefold(self):
         X = catalog_model("P1xP2")
         pt = point_subscheme(X, 0)

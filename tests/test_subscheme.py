@@ -11,7 +11,7 @@ from fanokit.errors import EmptyOrFull, NotSmoothPoint, ZeroIdeal
 from fanokit.model import catalog_model
 from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                                NewtonPolyhedron, boundary_divisor_subscheme,
-                               point_subscheme, standard_battery,
+                               level_table, point_subscheme, standard_battery,
                                thickened_point_subscheme, verify_gluing)
 from strategies import decreasing_sequences
 
@@ -178,6 +178,18 @@ class TestIdealSequence:
         # (x, t^2)^2 = (x^2, x t^2, t^4)
         assert S2.product_gens(0) == ((0, 4), (1, 2), (2, 0))
         assert S2.product_gens(1) == ((0, 0),)
+
+    def test_level_table_reads_clipped_columns(self):
+        X = catalog_model("P2")
+        pt = point_subscheme(X, 0)
+        table = level_table((pt, pt.power(2)), 0, 2)
+        # L(e) = min(e_1 + e_2, 2); columns past the box read at the clip
+        assert list(table.read([[0, 1, 0, 1, 7, 0], [0, 0, 1, 1, 0, 9]])) == [
+            0, 1, 1, 2, 2, 2]
+        assert list(table.read([[], []])) == []
+        # the second axis has extent 0, so its column is never read
+        x = MonomialSubscheme(label="x", dimension=2, chart_gens={0: ((1, 0),)})
+        assert list(level_table((x,), 0, 2, floor=3).read([[0, 5], [8, 8]])) == [3, 4]
 
     def test_power_one_is_identity_on_products(self):
         S = self._dnc()
