@@ -48,11 +48,6 @@ def box_lattice_points(inequalities, lo, hi) -> list[tuple[int, ...]]:
                   if all(sum(a * x for a, x in zip(nr, u)) >= off for nr, off in rows))
 
 
-def box_lattice_count(inequalities, lo, hi) -> int:
-    """Number of box_lattice_points."""
-    return len(box_lattice_points(inequalities, lo, hi))
-
-
 def basic_feasible_points(dim, rows):
     """Vertices of {u : <normal, u> >= offset for all rows}, lex sorted.
 

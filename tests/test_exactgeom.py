@@ -181,8 +181,8 @@ class TestRowVolume:
 
         def count(k):
             lo, hi = P.bounding_box(F(k))
-            return helpers.box_lattice_count(
-                [(nr, k * off) for nr, off in P.inequalities], lo, hi)
+            return len(helpers.box_lattice_points(
+                [(nr, k * off) for nr, off in P.inequalities], lo, hi))
 
         assert volume(3, P.inequalities, P.vertices) == helpers.ehrhart_volume(count, 3)
 

@@ -187,7 +187,7 @@ class TestIdealSequence:
         assert list(table.read([[0, 1, 0, 1, 7, 0], [0, 0, 1, 1, 0, 9]])) == [
             0, 1, 1, 2, 2, 2]
         assert list(table.read([[], []])) == []
-        # the second axis has extent 0, so its column is never read
+        # the second axis has extent 0: every entry on it reads as 0
         x = MonomialSubscheme(label="x", dimension=2, chart_gens={0: ((1, 0),)})
         assert list(level_table((x,), 0, 2, floor=3).read([[0, 5], [8, 8]])) == [3, 4]
 
