@@ -299,9 +299,9 @@ class LevelTable:
 
     def read(self, columns: Sequence[Sequence[int]]) -> Iterator[int]:
         """L at many nonnegative exponent vectors, given as one column of
-        equal length per axis, each vector clipped to the box; lazily, so
-        the columns must outlive the iterator.  Axes of extent 0 always
-        clip to 0 and are skipped."""
+        equal length per axis, each vector clipped to the box.  The levels
+        come lazily: leave the columns unchanged until they are read.
+        Axes of extent 0 always clip to 0 and are skipped."""
         index = repeat(0, len(columns[0]))
         for col, t, s in zip(columns, self.top, self.strides):
             if t:
