@@ -4,14 +4,15 @@
     python3 benchmarks/bench.py --label parent --checkout ../fanokit-parent
 
 Runs the checkout's own ``perfbench/run.py`` (this repository's by
-default) unchanged on all three workloads, and writes
+default) unchanged on each workload its ``BENCHMARK.json`` lists, one
+process per workload so that each ``peak_rss_mb`` is that workload's own
+and not the largest heap of the workloads run before it.  Writes
 ``BENCH_<date>_<label>.json`` at the root of this repository, refusing
-to overwrite one that exists: the line
-run.py prints for each workload, the stamps of its runs (commit, Python,
-seed, seconds), the label and the date.  run.py's defaults hold: seed 1,
-35 seconds per workload.  Bench a before and after pair
-on the same machine, one right after the other; the checkout must be a
-git clone for its stamp to name the commit.
+to overwrite one that exists: the line run.py prints for each workload,
+the stamps of its runs (commit, Python, seed, seconds), the label and
+the date.  run.py's defaults hold: seed 1, 35 seconds per workload.
+Bench a before and after pair on the same machine, one right after the
+other; the checkout must be a git clone for its stamp to name the commit.
 """
 
 from __future__ import annotations
@@ -41,17 +42,19 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{date}_{args.label}.json"
     if path.exists():
         sys.exit(f"bench: {path.name} exists; pick another --label")
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "all"],
-        cwd=args.checkout, capture_output=True, text=True)
-    if proc.returncode != 0:
-        sys.exit(f"bench: perfbench/run.py exited {proc.returncode}:\n"
-                 f"{proc.stderr}")
-    out = proc.stdout.splitlines()
-    record = {"label": args.label, "date": date,
-              "stamps": [json.loads(line[len(STAMP):]) for line in out
-                         if line.startswith(STAMP)],
-              "workloads": json.loads(out[-1])}
+    manifest = json.loads((args.checkout / "BENCHMARK.json").read_text())
+    record = {"label": args.label, "date": date, "stamps": [], "workloads": {}}
+    for name in [w["name"] for w in manifest["workloads"]]:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", name],
+            cwd=args.checkout, capture_output=True, text=True)
+        if proc.returncode != 0:
+            sys.exit(f"bench: perfbench/run.py --workload {name} exited "
+                     f"{proc.returncode}:\n{proc.stderr}")
+        out = proc.stdout.splitlines()
+        record["stamps"] += [json.loads(line[len(STAMP):]) for line in out
+                             if line.startswith(STAMP)]
+        record["workloads"][name] = json.loads(out[-1])
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(path.name)
     for name, line in record["workloads"].items():

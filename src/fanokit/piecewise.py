@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import OutOfDomain
-from .linalg import solve
 
 Poly = tuple[Fraction, ...]
 
@@ -40,15 +39,21 @@ def poly_antiderivative(coeffs: Sequence) -> Poly:
 
 
 def fit_polynomial(xs: Sequence, ys: Sequence) -> Poly:
-    """Exact polynomial of degree < len(xs) through the given points."""
+    """Exact polynomial of degree < len(xs) through the given points, by
+    Newton's divided differences expanded to ascending coefficients."""
     if len(xs) != len(ys) or not xs:
         raise ValueError("fit_polynomial needs equally many xs and ys")
-    n = len(xs)
-    rows = [[Fraction(x) ** j for j in range(n)] for x in xs]
-    sol = solve(rows, [Fraction(y) for y in ys])
-    if sol is None:
+    xs = [Fraction(x) for x in xs]
+    if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes are not distinct")
-    return tuple(sol)
+    c = [Fraction(y) for y in ys]
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
+    coeffs: list[Fraction] = []
+    for x, ck in zip(reversed(xs), reversed(c)):
+        coeffs = [a - x * b for a, b in zip([ck, *coeffs], [*coeffs, 0])]
+    return tuple(coeffs)
 
 
 class PiecewisePolynomial:

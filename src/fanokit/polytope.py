@@ -14,8 +14,9 @@ that cut a polytope out already say which vertices lie on which face, so
 a pulling triangulation reads the facets of every face off those row
 incidences and sums integer simplex determinants.  A region whose rows
 move linearly in a parameter x takes its breakpoints in x from the
-vertices of the region lifted to (u, x), so one vertex enumeration serves
-volumes, volume profiles and the recession check.
+vertices of the region lifted to (u, x).  Between two breakpoints each
+vertex moves affinely along one lifted edge, so one enumeration at the
+midpoint of a piece gives the piece's volume polynomial in x.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from typing import Sequence
 from . import lattice
 from .errors import DegeneratePolytope, UnboundedPolytope
 from .linalg import Vec, cramer, det, dot, int_det, rational_primitive, vsub
-from .piecewise import PiecewisePolynomial, fit_polynomial, poly_trim
+from .piecewise import PiecewisePolynomial, Poly, fit_polynomial, poly_trim
 
 Ineq = tuple[tuple[int, ...], Fraction]
 
@@ -41,6 +42,21 @@ def _floor(q: Fraction) -> int:
     return q.numerator // q.denominator
 
 
+def _vertex_bases(dim: int, irows: Sequence[Sequence[int]]) -> dict:
+    """Vertices of {u : <r[:dim], u> >= r[dim] for all integer rows r}, as
+    Cramer's (nums, den), each mapped to the indices of the first dim rows
+    found tight and independent there."""
+    found: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+    for sub in combinations(range(len(irows)), dim):
+        sol = cramer([irows[i][:dim] for i in sub], [irows[i][dim] for i in sub])
+        if sol is None or sol in found:
+            continue
+        nums, den = sol
+        if all(sum(a * x for a, x in zip(r, nums)) >= r[dim] * den for r in irows):
+            found[sol] = sub
+    return found
+
+
 def enumerate_basic_feasible(dim: int, rows: Sequence[tuple[Sequence, object]]) -> list[Vec]:
     """Vertices of {u : <normal, u> >= offset for all rows}, lex sorted.
 
@@ -48,40 +64,26 @@ def enumerate_basic_feasible(dim: int, rows: Sequence[tuple[Sequence, object]]) 
     here; callers that care run a recession-cone check first.
     """
     irows = [rational_primitive((*nr, off)) for nr, off in rows]
-    found: set[tuple[tuple[int, ...], int]] = set()
-    for sub in combinations(irows, dim):
-        sol = cramer([r[:dim] for r in sub], [r[dim] for r in sub])
-        if sol is None:
-            continue
-        nums, den = sol
-        if all(sum(a * x for a, x in zip(r, nums)) >= r[dim] * den for r in irows):
-            found.add(sol)
-    return sorted(tuple([Fraction(x, den) for x in nums]) for nums, den in found)
+    return sorted(tuple([Fraction(x, den) for x in nums])
+                  for nums, den in _vertex_bases(dim, irows))
 
 
-def volume(dim: int, rows: Sequence[tuple[Sequence, object]],
-           vertices: Sequence[Vec]) -> Fraction:
-    """Exact volume of {u : <normal, u> >= offset for all rows}.
+def _pulling_simplices(dim: int, irows: Sequence[Sequence[int]],
+                       pts: Sequence[Sequence[int]], den: int):
+    """Pulling triangulation of {u : <r[:dim], u> >= r[dim]} from ``pts``,
+    every vertex of that set once, scaled to integers by den.
 
-    ``vertices`` must be every vertex of that set, each once, as
-    enumerate_basic_feasible returns them.  Rows with a zero normal cut out
-    no face and are skipped.  The set is lower-dimensional, and the volume
-    0, exactly when some other row is tight at every vertex.
-    Otherwise each face is a set of vertices, and the facets of a face F
-    are the maximal proper nonempty sets F ∩ {row tight}: no rank test and
-    no hull is needed.  The pulling triangulation from the first vertex of
-    each face gives simplices whose vertices are scaled to integers by the
-    common denominator den; the volume is the sum of their |det| over
-    dim! * den^dim.
+    Each face is a set of vertices, and the facets of a face F are the
+    maximal proper nonempty sets F ∩ {row tight} (rows with a zero normal
+    are skipped): no rank test and no hull.  Yields each simplex as the
+    indices of the first vertex of each face down a chain of facets, and
+    none when some row is tight at every vertex (a flat set).
     """
-    if len(vertices) <= dim:
-        return Fraction(0)
-    den = lcm(*[x.denominator for v in vertices for x in v])
-    pts = [[x.numerator * (den // x.denominator) for x in v] for v in vertices]
+    if len(pts) <= dim:
+        return
     every = (1 << len(pts)) - 1
     tight_sets = set()
-    for nr, off in rows:
-        r = rational_primitive((*nr, off))
+    for r in irows:
         if not any(r[:dim]):
             continue
         target = r[dim] * den
@@ -90,20 +92,18 @@ def volume(dim: int, rows: Sequence[tuple[Sequence, object]],
             if sum(a * x for a, x in zip(r, p)) == target:
                 mask |= 1 << i
         if mask == every:
-            return Fraction(0)
+            return
         if mask:
             tight_sets.add(mask)
 
     facets_of: dict[int, list[int]] = {}
-    total = 0
     stack = [(every, ())]
     while stack:
         face, chain = stack.pop()
         apex_bit = face & -face
-        chain += (pts[apex_bit.bit_length() - 1],)
+        chain += (apex_bit.bit_length() - 1,)
         if face == apex_bit:
-            total += abs(int_det([[a - b for a, b in zip(p, chain[-1])]
-                                  for p in chain[:-1]]))
+            yield chain
             continue
         facets = facets_of.get(face)
         if facets is None:
@@ -112,6 +112,22 @@ def volume(dim: int, rows: Sequence[tuple[Sequence, object]],
                       and not any(f != g and f & g == f for g in faces)]
             facets_of[face] = facets
         stack.extend((f, chain) for f in facets)
+
+
+def _simplex_det(pts: Sequence[Sequence[int]], simplex: Sequence[int]) -> int:
+    last = pts[simplex[-1]]
+    return int_det([[a - b for a, b in zip(pts[i], last)] for i in simplex[:-1]])
+
+
+def volume(dim: int, rows: Sequence[tuple[Sequence, object]],
+           vertices: Sequence[Vec]) -> Fraction:
+    """Exact volume of {u : <normal, u> >= offset for all rows}, given
+    every vertex of that set once, as enumerate_basic_feasible returns
+    them: the sum of |det| over the simplices of a pulling triangulation."""
+    den = lcm(*[x.denominator for v in vertices for x in v])
+    pts = [[x.numerator * (den // x.denominator) for x in v] for v in vertices]
+    irows = [rational_primitive((*nr, off)) for nr, off in rows]
+    total = sum(abs(_simplex_det(pts, s)) for s in _pulling_simplices(dim, irows, pts, den))
     return Fraction(total, factorial(dim) * den ** dim)
 
 
@@ -318,6 +334,30 @@ def polytope_edges(P: RationalPolytope) -> list[tuple[int, int]]:
     return out
 
 
+def _piece_polynomial(dim: int, lifted: Sequence[Sequence[int]], x: Fraction) -> Poly:
+    """dim! * vol of {u : <r[:dim], u> >= r[dim] + r[dim + 1] * x} as a
+    polynomial in x, valid on the open piece around x.  There each vertex
+    stays on one lifted edge, p + x q from the basis found at x, and the
+    triangulation and signs found at x hold: the signed determinants sum
+    to a polynomial, read off its integer values at x = 0..dim, where
+    |det| may be wrong."""
+    num, den = x.numerator, x.denominator
+    at_x = [(*[den * a for a in r[:dim]], den * r[dim] + num * r[dim + 1]) for r in lifted]
+    bases = _vertex_bases(dim, at_x)
+    common = lcm(*[d for _, d in bases])
+    pts = [[a * (common // d) for a in nums] for nums, d in bases]
+    lines = [[cramer([lifted[i][:dim] for i in basis], [lifted[i][col] for i in basis])
+              for col in (dim, dim + 1)] for basis in bases.values()]
+    scale = lcm(*[d for line in lines for _, d in line])
+    samples = [[[a * (scale // pd) + t * b * (scale // qd) for a, b in zip(p, q)]
+                for (p, pd), (q, qd) in lines] for t in range(dim + 1)]
+    values = [0] * (dim + 1)
+    for s in _pulling_simplices(dim, at_x, pts, common):
+        sign = 1 if _simplex_det(pts, s) > 0 else -1
+        values = [v + sign * _simplex_det(ps, s) for v, ps in zip(values, samples)]
+    return fit_polynomial(range(dim + 1), [Fraction(v, scale ** dim) for v in values])
+
+
 def moving_volume_function(dim: int, rows: Sequence[tuple[Sequence, object]],
                            moving: Sequence[tuple[Sequence, object]]) -> PiecewisePolynomial:
     """x -> dim! * vol of the region cut out by the static ``rows`` and, for
@@ -327,24 +367,18 @@ def moving_volume_function(dim: int, rows: Sequence[tuple[Sequence, object]],
     Its combinatorial type changes only at the x-coordinates of the
     vertices of the lifted polyhedron {(u, x)}, so those (the positive
     ones) and 0 are the breakpoints.  Between them the volume is a
-    polynomial of degree <= dim, recovered by exact interpolation at dim+1
-    samples, and equal neighbouring pieces are merged.  Raises
-    DegeneratePolytope when the region has no volume for any x > 0.
+    polynomial of degree <= dim, computed from one vertex enumeration at
+    the midpoint of the piece, and equal neighbouring pieces are merged.
+    Raises DegeneratePolytope when the region has no volume for any x > 0.
     """
     lifted = ([((*nr, 0), off) for nr, off in rows]
               + [((*a, -1), -b) for a, b in moving])
     cuts = sorted({Fraction(0)} | {v[dim] for v in enumerate_basic_feasible(dim + 1, lifted)
                                    if v[dim] > 0})
-    nfact = factorial(dim)
-
-    def region_volume(x: Fraction) -> Fraction:
-        at_x = list(rows) + [(a, x - b) for a, b in moving]
-        return nfact * volume(dim, at_x, enumerate_basic_feasible(dim, at_x))
-
+    ilifted = [rational_primitive((*nr[:dim], off, -nr[dim])) for nr, off in lifted]
     breakpoints, pieces = [cuts[0]], []
     for a, b in zip(cuts, cuts[1:]):
-        xs = [a + (b - a) * Fraction(i, dim) for i in range(dim + 1)]
-        piece = fit_polynomial(xs, [region_volume(x) for x in xs])
+        piece = _piece_polynomial(dim, ilifted, (a + b) / 2)
         if pieces and poly_trim(piece) == poly_trim(pieces[-1]):
             breakpoints[-1] = b
         else:

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from itertools import product
-from math import ceil, floor
+from math import ceil, factorial, floor
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -267,7 +267,59 @@ class TestBasicFeasible:
             assert den > 0 and tuple(F(x, den) for x in nums) == expected
 
 
+@st.composite
+def moving_regions(draw):
+    """(points, moving): a random lattice polytope of dimension 2 or 3 and
+    1 to 3 moving rows <a, u> >= x - b, each cutting the polytope at x = 0
+    to a depth of -1 to 3 below its least value of <a, u>."""
+    n = draw(st.integers(2, 3))
+    coords = st.tuples(*[st.integers(-2, 2)] * n)
+    points = draw(st.lists(coords, min_size=n + 1, max_size=n + 4))
+    moving = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = draw(coords)
+        low = min(sum(c * x for c, x in zip(a, p)) for p in points)
+        moving.append((a, draw(st.integers(-1, 3)) - low))
+    return points, moving
+
+
+OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+SQUARE_PYRAMID = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 3)]
+MERGING_REGION = ([(-2, -1), (-2, 1), (0, -1), (2, 1)], [((-2, 2), 0), ((-1, 0), 2)])
+
+
 class TestSlicedVolume:
+    # non-simple vertices stay inside the pieces of the octahedron and of
+    # the square pyramid (its apex); the 4-cube is the largest dimension
+    @example((OCTAHEDRON, [((0, 0, -1), 1)]), [F(1, 3)])
+    @example((OCTAHEDRON, [((1, 1, 0), 2), ((0, -1, -1), 1)]), [F(2, 7)])
+    @example((SQUARE_PYRAMID, [((0, 0, 1), 0)]), [F(1, 2)])
+    @example((SQUARE_PYRAMID, [((1, 0, 0), 0), ((0, 1, 1), -1)]), [F(5, 9)])
+    @example((list(product((-1, 1), repeat=4)), [((1, 1, 1, 1), 4), ((1, 0, -1, 0), 3)]),
+             [F(1, 5)])
+    @example(MERGING_REGION, [F(1, 4)])
+    @given(moving_regions(), st.lists(st.fractions(0, 1, max_denominator=9), max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_profile_matches_row_volumes(self, region, shares):
+        points, moving = region
+        P = _lattice_polytope(len(points[0]), points)
+        n = P.dimension
+
+        def row_volume(x):
+            at_x = list(P.inequalities) + [(a, x - b) for a, b in moving]
+            return factorial(n) * _row_volume(n, at_x)
+
+        try:
+            S = moving_volume_function(n, P.inequalities, moving)
+        except DegeneratePolytope:      # no volume at any x > 0
+            assert all(row_volume(x) == 0 for x in [F(1, 1000), *shares] if x > 0)
+            return
+        bps = S.breakpoints
+        xs = [*bps, *[(a + b) / 2 for a, b in zip(bps, bps[1:])],
+              *[t * bps[-1] for t in shares]]
+        for x in xs:
+            assert S.evaluate(x) == row_volume(x)
+
     def test_triangle_slice(self):
         S = slice_function(TRIANGLE, (1, 1), 2)
         assert S.breakpoints == (F(0), F(3))
@@ -346,6 +398,20 @@ class TestPiecewisePolynomial:
     def test_fit_polynomial_roundtrip(self):
         coeffs = fit_polynomial([0, 1, 2], [5, 6, 9])
         assert coeffs == (F(5), F(0), F(1))
+
+    def test_fit_polynomial_rejects_bad_nodes(self):
+        for xs, ys in (([], []), ([0, 1], [1]), ([0, 1, F(2, 2)], [1, 2, 3])):
+            with pytest.raises(ValueError):
+                fit_polynomial(xs, ys)
+
+    @given(st.lists(st.fractions(-4, 4, max_denominator=5), min_size=1, max_size=5,
+                    unique=True), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_fit_polynomial_matches_vandermonde_solve(self, xs, data):
+        ys = data.draw(st.lists(st.fractions(-9, 9, max_denominator=7),
+                                min_size=len(xs), max_size=len(xs)))
+        vandermonde = [[x ** j for j in range(len(xs))] for x in xs]
+        assert fit_polynomial(xs, ys) == tuple(solve(vandermonde, ys))
 
     @given(st.lists(st.integers(-8, 8), min_size=3, max_size=3).map(sorted)
            .filter(lambda xs: xs[0] < xs[1] < xs[2]))
