@@ -1,15 +1,15 @@
-"""Exact rational linear algebra on small dense matrices.
+"""Exact linear algebra on small dense matrices.
 
-Everything here works over fractions.Fraction (integers are accepted and
-promoted).  Sizes are tiny throughout the package (n <= 4, systems of at
-most a dozen rows), so plain Gaussian elimination with exact pivoting is
-entirely adequate and keeps the arithmetic auditable.  The hot polytope
-paths instead scale their rows to integers (rational_primitive) and use
-int_det and cramer, which stay in Python ints until one final Fraction.
-Those paths build tuples and star-arguments from lists, not generators:
-CPython resizes a tuple built from a generator, and the resized tuples
-pile up on its tuple free lists, which raised the peak memory of a long
-scan by about 1 MB.
+Sizes are tiny throughout the package (n <= 4, systems of at most a
+dozen rows).  The geometry scales its rows to integers
+(rational_primitive) and solves them with int_det (fraction-free
+elimination) and Cramer's rule, which stay in Python ints until one final
+Fraction.  solve, Gauss-Jordan elimination over fractions.Fraction, is the
+independent reference that the oracles and tests hold that integer route
+against.  The integer paths build tuples and star-arguments from lists,
+not generators: CPython resizes a tuple built from a generator, and the
+resized tuples pile up on its tuple free lists, which raised the peak
+memory of a long scan by about 1 MB.
 """
 
 from __future__ import annotations
@@ -26,35 +26,6 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
     if len(a) != len(b):
         raise ValueError(f"dot: length mismatch {len(a)} vs {len(b)}")
     return Fraction(sum(x * y for x, y in zip(a, b)))
-
-
-def vsub(a: Sequence, b: Sequence) -> Vec:
-    return tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b))
-
-
-def det(rows: Sequence[Sequence]) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
-    n = len(rows)
-    m = [[Fraction(x) for x in r] for r in rows]
-    if any(len(r) != n for r in m):
-        raise ValueError("det: matrix is not square")
-    sign = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        for r in range(col + 1, n):
-            factor = m[r][col] / m[col][col]
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    result = Fraction(sign)
-    for i in range(n):
-        result *= m[i][i]
-    return result
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -84,6 +55,13 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def cramer_numerators(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[int]:
+    """The determinants of rows with column j replaced by rhs, j = 0..n-1:
+    rows * x = rhs has x = these / int_det(rows) when that is nonzero."""
+    return [int_det([(*r[:j], b, *r[j + 1:]) for r, b in zip(rows, rhs)])
+            for j in range(len(rows))]
+
+
 def cramer(rows: Sequence[Sequence[int]],
            rhs: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
     """Solve the square integer system rows * x = rhs by Cramer's rule.
@@ -94,8 +72,7 @@ def cramer(rows: Sequence[Sequence[int]],
     den = int_det(rows)
     if den == 0:
         return None
-    nums = [int_det([(*r[:j], b, *r[j + 1:]) for r, b in zip(rows, rhs)])
-            for j in range(len(rows))]
+    nums = cramer_numerators(rows, rhs)
     if den < 0:
         den = -den
         nums = [-x for x in nums]
@@ -127,16 +104,6 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
     if not _gauss_jordan(m):
         return None
     return tuple(row[-1] for row in m)
-
-
-def invert(rows: Sequence[Sequence]) -> Mat | None:
-    """Matrix inverse, or None when singular."""
-    n = len(rows)
-    m = [[Fraction(x) for x in r] + [Fraction(int(i == j)) for j in range(n)]
-         for i, r in enumerate(rows)]
-    if not _gauss_jordan(m):
-        return None
-    return tuple(tuple(row[n:]) for row in m)
 
 
 def matmul_vec(rows: Sequence[Sequence], x: Sequence) -> Vec:

@@ -21,7 +21,7 @@ from math import factorial, lcm
 from typing import Sequence
 
 from .errors import DegeneratePolytope, NotFano, NotSmoothChart, UnboundedPolytope
-from .linalg import Vec, det, dot, invert, primitive, rational_primitive
+from .linalg import Vec, cramer, dot, int_det, primitive
 from .polytope import (RationalPolytope, euclidean_volume, lattice_points,
                        polytope_from_rays)
 
@@ -76,21 +76,16 @@ class ToricFanoModel:
 
 def _build_chart(P: RationalPolytope, vertex: Vec) -> Chart:
     n = P.dimension
-    tight = [nr for nr, off in P.inequalities if dot(nr, vertex) == off]
-    tight.sort()
+    tight = tuple(sorted(nr for nr, off in P.inequalities if dot(nr, vertex) == off))
     if len(tight) != n:
         return Chart(vertex=vertex, simplicial=False, index=0,
-                     cone_rays=tuple(tight), edges=None)
-    R = [list(r) for r in tight]
-    Rinv = invert(R)
-    if Rinv is None:
-        return Chart(vertex=vertex, simplicial=False, index=0,
-                     cone_rays=tuple(tight), edges=None)
-    cols = [tuple(Rinv[i][j] for i in range(n)) for j in range(n)]
-    edges = tuple(rational_primitive(c) for c in cols)
-    index = abs(int(det([list(e) for e in edges])))
-    return Chart(vertex=vertex, simplicial=True, index=index,
-                 cone_rays=tuple(tight), edges=edges)
+                     cone_rays=tight, edges=None)
+    # n rows tight at a vertex are independent; the edges are the columns
+    # of their inverse, each scaled to a primitive vector
+    edges = tuple(primitive(cramer(tight, [int(i == j) for i in range(n)])[0])
+                  for j in range(n))
+    return Chart(vertex=vertex, simplicial=True, index=abs(int_det(edges)),
+                 cone_rays=tight, edges=edges)
 
 
 def build_model(dimension: int, rays: Sequence[Sequence[int]], name: str = "") -> ToricFanoModel:
@@ -140,7 +135,7 @@ CATALOG_RAYS: dict[str, tuple[tuple[int, ...], ...]] = {
     "P112": ((1, 0), (0, 1), (-1, -2)),
 }
 
-KE_CATALOG = ("P1", "P2", "P1xP1", "P1xP2", "dP6")
+KE_CATALOG = ("P1", "P2", "P3", "P1xP1", "P1xP2", "dP6")
 
 
 @lru_cache(maxsize=None)

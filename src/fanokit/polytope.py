@@ -8,8 +8,9 @@ set.
 
 Sizes here are tiny (at most a dozen facets, a handful of vertices), so
 vertex enumeration by n-subsets of inequalities (Cramer's rule on rows
-scaled to integers) and hull facets by n-subsets of vertices are entirely
-adequate and keep every step exact.  Volumes build no hulls: the rows
+scaled to integers) is entirely adequate and keeps every step exact.  It
+is the hull algorithm too: the facets of conv(V) are the vertices of its
+polar about an interior point.  Volumes build no hulls: the rows
 that cut a polytope out already say which vertices lie on which face, so
 a pulling triangulation reads the facets of every face off those row
 incidences and sums integer simplex determinants.  A region whose rows
@@ -28,7 +29,7 @@ from typing import Sequence
 
 from . import lattice
 from .errors import DegeneratePolytope, UnboundedPolytope
-from .linalg import Vec, cramer, det, dot, int_det, rational_primitive, vsub
+from .linalg import Vec, cramer, cramer_numerators, dot, int_det, rational_primitive
 from .piecewise import PiecewisePolynomial, Poly, fit_polynomial, poly_trim
 
 Ineq = tuple[tuple[int, ...], Fraction]
@@ -131,64 +132,22 @@ def volume(dim: int, rows: Sequence[tuple[Sequence, object]],
     return Fraction(total, factorial(dim) * den ** dim)
 
 
-def _affine_rank(points: Sequence[Vec]) -> int:
-    if not points:
-        return -1
-    base = points[0]
-    diffs = [list(vsub(p, base)) for p in points[1:]]
-    rank = 0
-    cols = len(base)
-    for col in range(cols):
-        piv = next((i for i in range(rank, len(diffs)) if diffs[i][col] != 0), None)
-        if piv is None:
-            continue
-        diffs[rank], diffs[piv] = diffs[piv], diffs[rank]
-        for i in range(len(diffs)):
-            if i != rank and diffs[i][col]:
-                f = diffs[i][col] / diffs[rank][col]
-                diffs[i] = [a - f * b for a, b in zip(diffs[i], diffs[rank])]
-        rank += 1
-    return rank
+def hull_facets(dim: int, vertices: Sequence[Vec]) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Facets of conv(vertices) as sorted (inward primitive normal, offset)
+    pairs; none when the points are not full-dimensional.
 
-
-def _hyperplane_normal(points: Sequence[Vec]) -> tuple[int, ...] | None:
-    """Primitive integer normal of the hyperplane through dim points, or None."""
-    dim = len(points[0])
-    diffs = [vsub(p, points[0]) for p in points[1:]]
-    normal = []
-    idx = list(range(dim))
-    for j in range(dim):
-        sub = [[row[c] for c in idx if c != j] for row in diffs]
-        minor = det(sub) if sub else Fraction(1)
-        normal.append(minor if j % 2 == 0 else -minor)
-    if all(x == 0 for x in normal):
-        return None
-    return rational_primitive(normal)
-
-
-def hull_facets(dim: int, vertices: Sequence[Vec]) -> list[tuple[tuple[int, ...], Fraction, tuple[Vec, ...]]]:
-    """Facets of conv(vertices) as (inward normal, offset, member vertices)."""
-    if dim == 1:
-        xs = sorted(v[0] for v in vertices)
-        return [((1,), xs[0], ((xs[0],),)), ((-1,), -xs[-1], ((xs[-1],),))]
-    facets: dict[tuple, tuple] = {}
-    for sub in combinations(vertices, dim):
-        normal = _hyperplane_normal(list(sub))
-        if normal is None:
-            continue
-        offset = dot(normal, sub[0])
-        sides = [dot(normal, v) - offset for v in vertices]
-        if all(s >= 0 for s in sides):
-            pass
-        elif all(s <= 0 for s in sides):
-            normal = tuple(-x for x in normal)
-            offset = -offset
-        else:
-            continue
-        members = tuple(v for v in vertices if dot(normal, v) == offset)
-        if _affine_rank(members) == dim - 1:
-            facets[(normal, offset)] = (normal, offset, members)
-    return sorted(facets.values(), key=lambda f: (f[0], f[1]))
+    With c the mean of the points, the facets are the vertices y of the
+    polar {y : <v - c, y> >= -1 for every point v}, each the normal of the
+    facet <y, u - c> = -1.  The polar has a vertex only when the v - c have
+    rank dim, and it is bounded when they do, since c is then interior.
+    """
+    c = [Fraction(sum(xs), len(vertices)) for xs in zip(*vertices)]
+    polar = [([x - m for x, m in zip(v, c)], -1) for v in vertices]
+    facets = []
+    for y in enumerate_basic_feasible(dim, polar):
+        normal = rational_primitive(y)
+        facets.append((normal, min(dot(normal, v) for v in vertices)))
+    return sorted(facets)
 
 
 class RationalPolytope:
@@ -221,13 +180,10 @@ class RationalPolytope:
     @classmethod
     def from_vertices(cls, dimension: int, vertices: Sequence[Sequence]) -> "RationalPolytope":
         verts = sorted({tuple(Fraction(x) for x in v) for v in vertices})
-        if _affine_rank(verts) < dimension:
-            raise DegeneratePolytope(
-                f"vertex set spans affine dimension {_affine_rank(verts)} < {dimension}")
-        facets = hull_facets(dimension, verts)
-        ineqs = [(nr, off) for nr, off, _ in facets]
-        hull_verts = enumerate_basic_feasible(dimension, ineqs)
-        return cls(dimension, hull_verts, ineqs)
+        ineqs = hull_facets(dimension, verts)
+        if not ineqs:
+            raise DegeneratePolytope(f"vertex set is not {dimension}-dimensional")
+        return cls(dimension, enumerate_basic_feasible(dimension, ineqs), ineqs)
 
     @classmethod
     def from_inequalities(cls, dimension: int, rows: Sequence[tuple[Sequence, object]]) -> "RationalPolytope":
@@ -237,8 +193,6 @@ class RationalPolytope:
         verts = enumerate_basic_feasible(dimension, norm_rows)
         if not verts:
             raise DegeneratePolytope("inequality system is infeasible")
-        if _affine_rank(verts) < dimension:
-            raise DegeneratePolytope("solution set is not full-dimensional")
         return cls.from_vertices(dimension, verts)
 
     def bounding_box(self, scale: Fraction = Fraction(1)) -> tuple[list[int], list[int]]:
@@ -269,9 +223,8 @@ def _recession_cone_nontrivial(dim: int, normals: Sequence[Vec]) -> bool:
     normals: the hull is full-dimensional and every facet offset is
     strictly negative.
     """
-    if _affine_rank(normals) < dim:
-        return True
-    return any(off >= 0 for _, off, _ in hull_facets(dim, normals))
+    facets = hull_facets(dim, normals)
+    return not facets or any(off >= 0 for _, off in facets)
 
 
 def polytope_from_rays(dimension: int, rays: Sequence[Sequence[int]]) -> RationalPolytope:
@@ -312,25 +265,16 @@ def euclidean_volume(P: RationalPolytope) -> Fraction:
 def polytope_edges(P: RationalPolytope) -> list[tuple[int, int]]:
     """Index pairs of vertices joined by an edge.
 
-    Two vertices span an edge iff the normals tight at both have rank n-1,
-    i.e. the smallest face containing both is one-dimensional.
+    The rows tight at both vertices cut out the smallest face containing
+    both, and it is an edge exactly when no third vertex lies on it.
     """
-    n = P.dimension
-    tight_sets = []
-    for v in P.vertices:
-        tight_sets.append([nr for nr, off in P.inequalities if dot(nr, v) == off])
+    tight = [sum(1 << k for k, (nr, off) in enumerate(P.inequalities) if dot(nr, v) == off)
+             for v in P.vertices]
     out = []
-    for i in range(len(P.vertices)):
-        for j in range(i + 1, len(P.vertices)):
-            common = [nr for nr in tight_sets[i]
-                      if any(nr == m for m in tight_sets[j])]
-            if not common:
-                continue
-            origin = tuple(Fraction(0) for _ in range(n))
-            rank = _affine_rank([origin] + [tuple(Fraction(x) for x in nr)
-                                            for nr in common])
-            if rank == n - 1:
-                out.append((i, j))
+    for i, j in combinations(range(len(tight)), 2):
+        common = tight[i] & tight[j]
+        if sum(t & common == common for t in tight) == 2:
+            out.append((i, j))
     return out
 
 
@@ -346,11 +290,15 @@ def _piece_polynomial(dim: int, lifted: Sequence[Sequence[int]], x: Fraction) ->
     bases = _vertex_bases(dim, at_x)
     common = lcm(*[d for _, d in bases])
     pts = [[a * (common // d) for a in nums] for nums, d in bases]
-    lines = [[cramer([lifted[i][:dim] for i in basis], [lifted[i][col] for i in basis])
-              for col in (dim, dim + 1)] for basis in bases.values()]
-    scale = lcm(*[d for line in lines for _, d in line])
-    samples = [[[a * (scale // pd) + t * b * (scale // qd) for a, b in zip(p, q)]
-                for (p, pd), (q, qd) in lines] for t in range(dim + 1)]
+    lines = []
+    for basis in bases.values():
+        # one determinant d for both solves: the vertex is (p + x q) / d
+        rows = [lifted[i][:dim] for i in basis]
+        p, q = [cramer_numerators(rows, [lifted[i][col] for i in basis]) for col in (dim, dim + 1)]
+        lines.append((int_det(rows), p, q))
+    scale = lcm(*[d for d, _, _ in lines])
+    samples = [[[(a + t * b) * (scale // d) for a, b in zip(p, q)] for d, p, q in lines]
+               for t in range(dim + 1)]
     values = [0] * (dim + 1)
     for s in _pulling_simplices(dim, at_x, pts, common):
         sign = 1 if _simplex_det(pts, s) > 0 else -1

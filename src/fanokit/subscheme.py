@@ -21,7 +21,7 @@ from typing import Iterator, Mapping, Sequence
 
 from . import lattice
 from .errors import CombinatorialBlowup, EmptyOrFull, NotSmoothPoint, ZeroIdeal
-from .linalg import Vec, dot, invert, matmul_vec, transpose
+from .linalg import Vec, dot
 from .model import ToricFanoModel
 from .polytope import enumerate_basic_feasible, polytope_edges
 
@@ -382,12 +382,9 @@ def verify_gluing(X: ToricFanoModel, Z: MonomialSubscheme) -> None:
         li = _localize(gi, inv_i)
         lj = _localize(gj, inv_j)
         # transported version of chart i's localized gens, in chart j
-        # coordinates: exponents map by the transpose of D_i * D_j^{-1}
-        E_j = invert([list(r) for r in cj.cone_rays])
-        assert E_j is not None
-        M_cols = [matmul_vec([list(r) for r in ci.cone_rays], col)
-                  for col in transpose(E_j)]
-        T = tuple(M_cols)  # columns of D_i E_j as rows = the transpose
+        # coordinates: exponents map by the transpose of D_i * D_j^{-1},
+        # and D_j is unimodular, so its edges are the columns of D_j^{-1}
+        T = [[sum(a * b for a, b in zip(r, e)) for r in ci.cone_rays] for e in cj.edges]
         ti = _transport(li, T, inv_j)
         if ti != lj:
             raise ValueError(
@@ -408,21 +405,12 @@ def _localize(gens: Gens | None, inverted: int):
 
 
 def _transport(local, T, inv_target):
-    """Apply the exponent transform T then canonicalize at the target's
-    inverted coordinate."""
+    """Apply the integer exponent transform T then canonicalize at the
+    target's inverted coordinate."""
     if local is None or len(local) == 0:
         return local
-    moved = []
-    for g in local:
-        img = matmul_vec([list(row) for row in T], g)
-        img_int = []
-        for k, x in enumerate(img):
-            frac = Fraction(x)
-            if frac.denominator != 1:
-                raise ValueError("non-integral exponent transport")
-            img_int.append(int(frac))
-        moved.append(tuple(0 if k == inv_target else x
-                           for k, x in enumerate(img_int)))
+    moved = [tuple([0 if k == inv_target else sum(a * b for a, b in zip(row, g))
+                    for k, row in enumerate(T)]) for g in local]
     if any(any(x < 0 for x in g) for g in moved):
         raise ValueError("transported generator has a negative exponent")
     return _normalize_gens(moved)

@@ -9,8 +9,8 @@ the integer kernels).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
-from math import factorial
+from itertools import combinations, permutations, product
+from math import factorial, gcd, lcm
 
 
 def _pseudo_angle(dx: Fraction, dy: Fraction):
@@ -73,6 +73,52 @@ def basic_feasible_points(dim, rows):
             if all(sum(a * x for a, x in zip(nr, u)) >= off for nr, off in rows):
                 found.add(u)
     return sorted(found)
+
+
+def leibniz_det(rows) -> Fraction:
+    """Determinant as the signed sum over all permutations (Leibniz); the
+    empty matrix has determinant 1."""
+    total = Fraction(0)
+    for perm in permutations(range(len(rows))):
+        inversions = sum(1 for a, b in combinations(perm, 2) if a > b)
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def hull_facets_longhand(dim, points):
+    """Facets of conv(points) as sorted (primitive inward normal, offset)
+    pairs, or None when the points are not full-dimensional.
+
+    Tries the hyperplane through every dim of the points, in Fractions: its
+    normal is the vector of signed maximal minors of their differences,
+    zero when they are affinely dependent.  It is a facet when every point
+    lies on one side of it; a hyperplane holding every point, or none
+    found at all, means a flat set.
+    """
+    pts = sorted({tuple(Fraction(x) for x in p) for p in points})
+    facets = set()
+    for sub in combinations(pts, dim):
+        diffs = [[a - b for a, b in zip(p, sub[0])] for p in sub[1:]]
+        normal = [(-1) ** j * leibniz_det([r[:j] + r[j + 1:] for r in diffs])
+                  for j in range(dim)]
+        if not any(normal):
+            continue
+        sides = [sum(a * (x - y) for a, x, y in zip(normal, p, sub[0])) for p in pts]
+        if all(s == 0 for s in sides):
+            return None
+        if all(s <= 0 for s in sides):
+            normal = [-a for a in normal]
+        elif not all(s >= 0 for s in sides):
+            continue
+        den = lcm(*[a.denominator for a in normal])
+        ints = [int(a * den) for a in normal]
+        g = gcd(*ints)
+        normal = tuple(a // g for a in ints)
+        facets.add((normal, min(sum(a * x for a, x in zip(normal, p)) for p in pts)))
+    return sorted(facets) or None
 
 
 def finite_difference_leading(values, degree) -> Fraction:

@@ -21,7 +21,7 @@ CRITERION_BUDGETS = {
     2: 5.0,    # seshadri-equality
     3: 5.0,    # blowup-profile
     4: 5.0,    # beta-point-zero
-    5: 120.0,  # ke-battery: full scans over five models
+    5: 120.0,  # ke-battery: full scans over six models
     6: 120.0,  # saturation-laws: randomized product/monotonicity sampling
     7: 180.0,  # weight-identity-limit: weight series at several r
     8: 120.0,  # ding-values

@@ -9,14 +9,14 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fanokit.errors import DegeneratePolytope, OutOfDomain, UnboundedPolytope
-from fanokit.linalg import cramer, det, int_det, solve
+from fanokit.linalg import cramer, int_det, solve
 from fanokit.model import CATALOG_RAYS, catalog_model
 from fanokit.oracles import bruteforce_lct
 from fanokit.piecewise import PiecewisePolynomial, fit_polynomial, poly_trim
 from fanokit.polytope import (RationalPolytope, enumerate_basic_feasible,
                               euclidean_volume, lattice_points,
-                              moving_volume_function, polytope_from_rays,
-                              volume)
+                              moving_volume_function, polytope_edges,
+                              polytope_from_rays, volume)
 from fanokit.subscheme import NewtonPolyhedron
 
 import helpers
@@ -45,6 +45,7 @@ class TestPolytopeFromRays:
 
     def test_segment(self):
         assert SEGMENT.vertices == ((F(-1),), (F(1),))
+        assert SEGMENT.inequalities == (((-1,), F(-1)), ((1,), F(-1)))
 
     def test_not_positively_spanning(self):
         for dim, rays in ((2, [(1, 0), (0, 1)]),
@@ -80,6 +81,59 @@ class TestPolytopeFromRays:
     def test_degenerate_vertex_input(self):
         with pytest.raises(DegeneratePolytope):
             RationalPolytope.from_vertices(2, [(0, 0), (1, 1), (2, 2)])
+
+
+@st.composite
+def hull_inputs(draw):
+    """(dim, points): dim + 1 to dim + 4 rational points in dims 1 to 3,
+    a quarter of the time on an affine hyperplane (a flat set), plus
+    midpoints of pairs (interior, on the boundary, or repeats) and
+    repeated points."""
+    n = draw(st.integers(1, 3))
+    coord = st.fractions(-3, 3, max_denominator=3)
+    points = draw(st.lists(st.tuples(*[coord] * n), min_size=n + 1, max_size=n + 4))
+    if draw(st.integers(0, 3)) == 0:
+        slope = draw(st.tuples(*[st.integers(-1, 1)] * (n - 1)))
+        shift = draw(coord)
+        points = [(*p[:-1], shift + sum(a * x for a, x in zip(slope, p))) for p in points]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(points), st.sampled_from(points)),
+                          max_size=3))
+    points += [tuple((a + b) / 2 for a, b in zip(p, q)) for p, q in pairs]
+    points += draw(st.lists(st.sampled_from(points), max_size=2))
+    return n, points
+
+
+class TestPolarHull:
+    @given(hull_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_from_vertices_matches_longhand_facet_search(self, drawn):
+        n, points = drawn
+        expected = helpers.hull_facets_longhand(n, points)
+        if expected is None:
+            with pytest.raises(DegeneratePolytope):
+                RationalPolytope.from_vertices(n, points)
+            return
+        P = RationalPolytope.from_vertices(n, points)
+        assert list(P.inequalities) == expected
+        assert set(P.vertices) <= {tuple(F(x) for x in p) for p in points}
+
+
+class TestPolytopeEdges:
+    def test_catalog_edges(self):
+        # the pairs whose common tight rows hold no third vertex; on the
+        # segment that is its two ends, whose common rows are none
+        expected = {
+            "P1": [(0, 1)],
+            "P2": [(0, 1), (0, 2), (1, 2)],
+            "P112": [(0, 1), (0, 2), (1, 2)],
+            "P1xP1": [(0, 1), (0, 2), (1, 3), (2, 3)],
+            "dP6": [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5)],
+            "P3": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)],
+            "P1xP2": [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 5), (3, 4),
+                      (3, 5), (4, 5)],
+        }
+        assert {name: polytope_edges(catalog_model(name).polytope)
+                for name in CATALOG_RAYS} == expected
 
 
 class TestLatticePoints:
@@ -257,7 +311,7 @@ class TestBasicFeasible:
         n = len(aug)
         rows = [tuple(r[:n]) for r in aug]
         rhs = [r[n] for r in aug]
-        assert int_det(rows) == det(rows)
+        assert int_det(rows) == helpers.leibniz_det(rows)
         sol = cramer(rows, rhs)
         expected = solve(rows, rhs)
         if expected is None:

@@ -1,8 +1,10 @@
 """Source hygiene: every name a package module imports is used in it,
-every name it defines is used somewhere, and git tracks no file that
-.gitignore excludes (generated files)."""
+every name it defines is used somewhere, every function the benchmark's
+tracer wraps exists, and git tracks no file that .gitignore excludes
+(generated files)."""
 
 import ast
+import importlib
 import re
 import shutil
 import subprocess
@@ -14,6 +16,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fanokit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 SEARCHED = ("src", "tests", "perfbench", "benchmarks")
+# entry points the tracer still lists although the package dropped them
+STALE_ENTRY_POINTS = {"polytope.sliced_volume_function", "subscheme.is_integrally_closed",
+                      "oracles.counting_profile", "exactlp.solve_lp",
+                      "lattice.count_points_in_ideals"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -99,6 +105,23 @@ def test_no_unreferenced_names():
                    for path, line in sites.get(name, [])):
                 unreferenced.append(f"{module.name}:{name}")
     assert unreferenced == []
+
+
+def test_tracer_entry_points_resolve():
+    """A deleted or renamed function would read as 0 calls in a trace."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    table = next(node.value for node in tree.body if isinstance(node, ast.AnnAssign)
+                 and node.target.id == "ENTRY_POINTS")
+    unresolved = set()
+    for entry in table.elts:
+        module, attr = entry.elts[0].value, entry.elts[1].value
+        try:
+            found = hasattr(importlib.import_module(f"fanokit.{module}"), attr)
+        except ModuleNotFoundError:
+            found = False
+        if not found:
+            unresolved.add(f"{module}.{attr}")
+    assert unresolved <= STALE_ENTRY_POINTS
 
 
 def test_no_ignored_file_is_tracked():

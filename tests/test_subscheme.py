@@ -230,3 +230,11 @@ class TestGluing:
     def test_point_power_still_glues(self):
         X = catalog_model("P2")
         verify_gluing(X, point_subscheme(X, 1).power(3))
+
+    def test_segment_compares_its_two_charts(self):
+        X = catalog_model("P1")
+        verify_gluing(X, point_subscheme(X, 0))
+        verify_gluing(X, point_subscheme(X, 1))
+        zero = MonomialSubscheme(label="zero", dimension=1, chart_gens={0: ()})
+        with pytest.raises(ValueError, match="disagree"):
+            verify_gluing(X, zero)
