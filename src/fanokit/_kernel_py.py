@@ -2,8 +2,9 @@
 
 These are the only implementations of the package's hot loops:
 enumerating the integer points that satisfy an integer inequality system
-inside a box, one fiber of the last coordinate at a time, and testing
-monomial-ideal membership of chart images of many points at once.
+inside a box as fibers of the last coordinate (``enum_fibers``, which
+``enum_points`` expands into points), and testing monomial-ideal
+membership of chart images of many points at once.
 ``fanokit.lattice`` re-exports them.
 
 All arguments are plain ints / tuples of ints.  Rational scaling happens
@@ -18,23 +19,23 @@ from operator import mul
 from typing import Sequence
 
 
-def enum_points(normals: Sequence[Sequence[int]], offsets: Sequence[int],
-                lo: Sequence[int], hi: Sequence[int]) -> list[tuple[int, ...]]:
-    """Integer points u with lo <= u <= hi and <normal, u> >= offset for all
-    rows, in ascending lexicographic order; the box has n >= 1 axes.
+def enum_fibers(normals: Sequence[Sequence[int]], offsets: Sequence[int],
+                lo: Sequence[int], hi: Sequence[int]) -> list[tuple[tuple[int, ...], int, int]]:
+    """Fibers (prefix, first, last) of the integer points u with
+    lo <= u <= hi and <normal, u> >= offset for all rows: the points are
+    (*prefix, x) for first <= x <= last.  Only nonempty fibers are listed,
+    prefixes in ascending lexicographic order; the box has n >= 1 axes.
 
-    The box is walked fiber by fiber.  For each prefix u[:-1], every row is
-    solved for the last coordinate: a positive coefficient gives a ceiling
-    bound, a negative one a floor bound, and a zero one tests the prefix
-    alone.  The fiber then emits one range of last coordinates.  Prefixes
-    come from itertools.product over ascending ranges and each fiber
-    ascends, which makes the whole list ascend lexicographically.
+    For each prefix u[:-1], every row is solved for the last coordinate:
+    a positive coefficient gives a ceiling bound, a negative one a floor
+    bound, and a zero one tests the prefix alone.  Prefixes come from
+    itertools.product over ascending ranges.
     """
     rows = [(r[:-1], r[-1], c) for r, c in zip(normals, offsets)]
     above = [(h, a, c) for h, a, c in rows if a > 0]
     below = [(h, a, c) for h, a, c in rows if a < 0]
     flat = [(h, c) for h, a, c in rows if a == 0]
-    out: list[tuple[int, ...]] = []
+    out: list[tuple[tuple[int, ...], int, int]] = []
     for p in product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
         if any(sum(map(mul, h, p)) < c for h, c in flat):
             continue
@@ -42,6 +43,18 @@ def enum_points(normals: Sequence[Sequence[int]], offsets: Sequence[int],
                                 for h, a, c in above])
         last = min([hi[-1]] + [(c - sum(map(mul, h, p))) // a
                                for h, a, c in below])
+        if first <= last:
+            out.append((p, first, last))
+    return out
+
+
+def enum_points(normals: Sequence[Sequence[int]], offsets: Sequence[int],
+                lo: Sequence[int], hi: Sequence[int]) -> list[tuple[int, ...]]:
+    """Integer points u with lo <= u <= hi and <normal, u> >= offset for all
+    rows, in ascending lexicographic order: the expansion of enum_fibers,
+    whose fibers each ascend."""
+    out: list[tuple[int, ...]] = []
+    for p, first, last in enum_fibers(normals, offsets, lo, hi):
         out.extend(zip(*map(repeat, p), range(first, last + 1)))
     return out
 

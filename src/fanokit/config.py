@@ -5,7 +5,9 @@ a subscheme source is a path to a subscheme JSON file or one of the
 shorthands "point@IDX", "point2@IDX", "divisor@i,j,...".  Sequence
 sources accept a steps JSON file or "trivial@M" / "dnc@IDX" (the
 deformation to the normal cone of the fixed point on chart IDX, two
-equal steps).
+equal steps).  A subscheme or sequence step read from a file must glue
+across the model's charts (``subscheme.verify_gluing``); the shorthands
+glue by construction.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .model import CATALOG_RAYS, ToricFanoModel, catalog_model
 from .reportio import model_from_dict, sequence_from_dict, subscheme_from_dict
 from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                         boundary_divisor_subscheme, point_subscheme,
-                        thickened_point_subscheme)
+                        thickened_point_subscheme, verify_gluing)
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -103,6 +105,7 @@ def resolve_subscheme(X: ToricFanoModel, source: str) -> MonomialSubscheme:
             raise ConfigError(
                 f"subscheme {Z.label!r} has dimension {Z.dimension}, "
                 f"model has {X.dimension}")
+        verify_gluing(X, Z)
         return Z
     kind, sep, arg = source.partition("@")
     try:
@@ -130,6 +133,8 @@ def resolve_sequence(X: ToricFanoModel, source: str) -> IdealSequenceOnXxA1:
             raise ConfigError(
                 f"sequence steps have dimension {S.steps[0].dimension}, "
                 f"model has {X.dimension}")
+        for step in S.steps:
+            verify_gluing(X, step)
         return S
     kind, sep, arg = source.partition("@")
     try:

@@ -46,6 +46,10 @@ class EmptyOrFull(FanokitError):
     """Subscheme is empty or all of X; the invariant is undefined."""
 
 
+class GluingMismatch(FanokitError):
+    """A subscheme's chart ideals disagree on the overlap of two charts."""
+
+
 class UnsupportedSubscheme(FanokitError):
     """Subscheme touches a singular chart along a route that needs smoothness."""
 

@@ -17,24 +17,26 @@ Chart exponent vectors here are ray pairings <rho, u> + level over the
 cone rays of each chart.  On smooth charts this is the usual exponent
 map; on simplicial singular charts it still converts ideal membership,
 products, and containment into componentwise arithmetic, which is all
-the saturation and weight routes need.  The weight route pairs a list of
-sections with each distinct ray once, as a column shared by every chart
-that has the ray.
+the saturation and weight routes need.  The weight route never lists the
+sections: it reads them as lattice fibers, runs of points that differ
+only in the last coordinate, along which each pairing is affine.  So it
+builds the column of each distinct ray once, a range per fiber, shared
+by every chart that has the ray.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from math import ceil
-from operator import add, mul
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import lattice
 from .errors import NoStabilization, R1NotFound, UnsupportedSubscheme
 from .model import ToricFanoModel, anticanonical_volume
-from .polytope import lattice_points
+from .polytope import lattice_fibers, lattice_points
 from .subscheme import (IdealSequenceOnXxA1, LevelTable, MonomialSubscheme,
                         _subscheme_contains, level_table)
 from .volumes import BlowupVolumeProfile, blowup_volume_profile
@@ -45,6 +47,7 @@ EXPLICIT = "explicit"
 R1_CAP = 64
 
 Point = tuple[int, ...]
+Fiber = tuple[Point, int, int]
 
 
 def _zero_subscheme(X: ToricFanoModel, label: str = "zero") -> MonomialSubscheme:
@@ -413,21 +416,23 @@ def compute_weight_series(F: FiltrationSpec, r: int, k_max: int = 10, *,
             f"F^x V_r not full at x = {r * e_minus}; r={r} is below r1")
     lo, hi = r * e_minus, r * e_plus
     steps = [saturate(F, r, j)[0] for j in range(lo + 1, hi + 1)]
-    records = _weight_records(F.X, r, steps, lo, k_max, F.sections)
+    records = _weight_records(F.X, r, steps, lo, k_max,
+                              lambda s: lattice_fibers(F.X.polytope, s * F.X.r0))
     return WeightSeries(r=r, e_plus=e_plus, e_minus=e_minus, records=records)
 
 
 def _weight_records(X: ToricFanoModel, r: int,
                     steps: Sequence[MonomialSubscheme], lo: int, k_max: int,
-                    sections: Callable[[int], Sequence[Point]]
+                    fibers: Callable[[int], Sequence[Fiber]]
                     ) -> tuple[WeightRecord, ...]:
     """Records k = 1..k_max of the t-graded ideal with the unit ideal at
-    j = lo and the decreasing steps at j = lo + 1, ..., hi; sections(s)
-    lists the lattice points of s*r0*P.  Each active chart holds the k-th
-    power as a level table, the (k-1)-st times the first, and a section's
-    top level is the least of its charts' levels: membership is chartwise.
-    Each record pairs the sections with each ray of the active charts
-    once; charts that share a ray read the same column.
+    j = lo and the decreasing steps at j = lo + 1, ..., hi; fibers(s)
+    lists the lattice points of s*r0*P as polytope.lattice_fibers does.
+    Each active chart holds the k-th power as a level table, the (k-1)-st
+    times the first, and a section's top level is the least of its
+    charts' levels: membership is chartwise.  Each record pairs the
+    fibers with each ray of the active charts once; charts that share a
+    ray read the same column.
     """
     hi = lo + len(steps)
     base = {c: level_table(steps, c, len(X.charts[c].cone_rays), lo, k_max)
@@ -437,41 +442,50 @@ def _weight_records(X: ToricFanoModel, r: int,
     for k in range(1, k_max + 1):
         if k > 1:
             tables = {c: t.times(base[c]) for c, t in tables.items()}
-        records.append(_weight_record(X, sections(k * r), k * r * X.r0, k,
+        records.append(_weight_record(X, fibers(k * r), k * r * X.r0, k,
                                       lo, hi, tables))
     return tuple(records)
 
 
-def _weight_record(X: ToricFanoModel, pts: Sequence[Point], level: int,
+def _pairing_column(ray: Point, fibers: Sequence[Fiber], level: int) -> list[int]:
+    """<ray, u> + level over the points u of the fibers, in order.  Along a
+    fiber it is affine in the last coordinate: one range per fiber, with
+    the ray's last entry as its step (a constant where that entry is 0)."""
+    *head, a = ray
+    runs = []
+    for p, first, last in fibers:
+        b = sum(map(mul, head, p)) + level
+        runs.append(range(b + a * first, b + a * (last + 1), a) if a
+                    else repeat(b, last - first + 1))
+    return list(chain.from_iterable(runs))
+
+
+def _weight_record(X: ToricFanoModel, fibers: Sequence[Fiber], level: int,
                    k: int, lo: int, hi: int,
                    tables: Mapping[int, LevelTable]) -> WeightRecord:
-    """Record of the sections pts of L^level under the k-th power tables.
+    """Record of the sections of L^level, given as lattice fibers, under
+    the k-th power tables.
 
-    The pairing columns <rho, u> + level are computed once per distinct
-    ray of the active charts, over the coordinate columns of pts, and
-    shared by every chart that has the ray; each chart's table then reads
-    its levels from its rays' columns.
+    The pairing columns <rho, u> + level are built once per distinct ray
+    of the active charts, fiber by fiber, and shared by every chart that
+    has the ray; each chart's table then reads its levels from its rays'
+    columns.
     """
     klo, khi = k * lo, k * hi
-    columns = list(zip(*pts))
+    h0 = sum(last - first + 1 for _, first, last in fibers)
     pairings: dict[Point, list[int]] = {}
-    tops = repeat(khi, len(pts))
+    tops = repeat(khi, h0)
     for c, table in tables.items():
         rays = X.charts[c].cone_rays
         for ray in rays:
             if ray not in pairings:
-                col = repeat(level, len(pts))
-                for a, x in zip(ray, columns):
-                    if a:
-                        col = map(add, col, map(mul, x, repeat(a)))
-                pairings[ray] = list(col)
+                pairings[ray] = _pairing_column(ray, fibers, level)
         tops = map(min, tops, table.read([pairings[ray] for ray in rays]))
     histogram = [0] * (khi - klo + 1)
     for top in tops:
         histogram[khi - top] += 1
     dims = list(zip(range(khi, klo, -1), accumulate(histogram[:-1])))[::-1]
     v = sum(d for _, d in dims)
-    h0 = len(pts)
     w = -k * (hi - lo) * h0 + v
     return WeightRecord(k=k, h0=h0, v=v, w=w, level_dims=tuple(dims))
 

@@ -1,6 +1,8 @@
 """The integer lattice kernels, re-exported under the names call sites use.
 
-The five functions live in ``_kernel_py``.  Callers import them from
+The six functions live in ``_kernel_py``: the fiber kernel
+``enum_fibers`` and its point expansion ``enum_points``, and the
+membership, sum and minimalisation kernels.  Callers import them from
 here, so a tracer that wraps these names sees every outside call, while
 the calls the kernels make to each other stay internal:
 
@@ -13,6 +15,7 @@ from . import _kernel_py as _impl
 
 BACKEND = "python"
 
+enum_fibers = _impl.enum_fibers
 enum_points = _impl.enum_points
 dominates_any = _impl.dominates_any
 filter_points_in_ideals = _impl.filter_points_in_ideals

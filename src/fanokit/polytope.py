@@ -191,9 +191,11 @@ class RationalPolytope:
         if _recession_cone_nontrivial(dimension, [nr for nr, _ in norm_rows]):
             raise UnboundedPolytope("inequality system has a nonzero recession direction")
         verts = enumerate_basic_feasible(dimension, norm_rows)
-        if not verts:
-            raise DegeneratePolytope("inequality system is infeasible")
-        return cls.from_vertices(dimension, verts)
+        ineqs = hull_facets(dimension, verts)
+        if not ineqs:
+            raise DegeneratePolytope("inequality system has no "
+                                     f"{dimension}-dimensional solution set")
+        return cls(dimension, verts, ineqs)
 
     def bounding_box(self, scale: Fraction = Fraction(1)) -> tuple[list[int], list[int]]:
         lo = [_ceil(scale * min(v[i] for v in self.vertices)) for i in range(self.dimension)]
@@ -242,19 +244,30 @@ def polytope_from_rays(dimension: int, rays: Sequence[Sequence[int]]) -> Rationa
     return RationalPolytope.from_inequalities(dimension, rows)
 
 
-def lattice_points(P: RationalPolytope, r) -> list[tuple[int, ...]]:
-    """Integer points of r*P in ascending lex order, exactly."""
+def _lattice_system(P: RationalPolytope, r):
+    """(normals, offsets, lo, hi) of the integer points of r*P for the
+    lattice kernels; None when the bounding box holds no integer point."""
     r = Fraction(r)
     if r < 0:
         raise ValueError("negative scale")
-    if r == 0:
-        return [tuple([0] * P.dimension)]
-    normals = [nr for nr, _ in P.inequalities]
-    offsets = [_ceil(r * off) for _, off in P.inequalities]
     lo, hi = P.bounding_box(r)
     if any(a > b for a, b in zip(lo, hi)):
-        return []
-    return lattice.enum_points(normals, offsets, lo, hi)
+        return None
+    return ([nr for nr, _ in P.inequalities],
+            [_ceil(r * off) for _, off in P.inequalities], lo, hi)
+
+
+def lattice_points(P: RationalPolytope, r) -> list[tuple[int, ...]]:
+    """Integer points of r*P in ascending lex order, exactly."""
+    system = _lattice_system(P, r)
+    return [] if system is None else lattice.enum_points(*system)
+
+
+def lattice_fibers(P: RationalPolytope, r) -> list[tuple[tuple[int, ...], int, int]]:
+    """The integer points of r*P as lattice.enum_fibers lists them: one
+    (prefix, first, last) per nonempty fiber of the last coordinate."""
+    system = _lattice_system(P, r)
+    return [] if system is None else lattice.enum_fibers(*system)
 
 
 def euclidean_volume(P: RationalPolytope) -> Fraction:

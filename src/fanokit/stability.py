@@ -30,7 +30,7 @@ from .filtration import (_ideal_kernel_charts, _stable_leading_difference,
                          _weight_records)
 from .lct import lct_monomial, lct_on_product_with_line
 from .model import ToricFanoModel, anticanonical_volume
-from .polytope import lattice_points
+from .polytope import lattice_fibers
 from .subscheme import IdealSequenceOnXxA1, MonomialSubscheme
 from .volumes import blowup_volume_profile, seshadri_constant
 
@@ -115,7 +115,7 @@ def ding_weight_series(X: ToricFanoModel, S: IdealSequenceOnXxA1, r: int,
     for step in S.steps:
         _ideal_kernel_charts(X, step, 0)  # refuses generators of the wrong arity
     records = _weight_records(X, r, S.steps, 0, k_max,
-                              lambda s: lattice_points(X.polytope, s * X.r0))
+                              lambda s: lattice_fibers(X.polytope, s * X.r0))
     return tuple(rec.w for rec in records)
 
 

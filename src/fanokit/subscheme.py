@@ -16,11 +16,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations_with_replacement, compress, repeat
 from math import prod
-from operator import add, and_, gt, mul
+from operator import add, and_, floordiv, gt, mod, mul
 from typing import Iterator, Mapping, Sequence
 
 from . import lattice
-from .errors import CombinatorialBlowup, EmptyOrFull, NotSmoothPoint, ZeroIdeal
+from .errors import (CombinatorialBlowup, EmptyOrFull, GluingMismatch, NotSmoothPoint,
+                     ZeroIdeal)
 from .linalg import Vec, dot
 from .model import ToricFanoModel
 from .polytope import enumerate_basic_feasible, polytope_edges
@@ -270,10 +271,11 @@ class LevelTable:
     """L(e) = max{j : x^e in J(j)} for decreasing monomial ideals J(j) on
     one chart, dense in lex order over the box [0, top] spanned by their
     generators; past the box L is read at the clip, which keeps every
-    membership.  ``corners``, the (e, L(e)) whose level beats each lower
-    neighbour's, are the minimal generators of sum_j J(j) t^(-j)."""
+    membership.  The corners, the (e, L(e)) whose level beats each lower
+    neighbour's, are the minimal generators of sum_j J(j) t^(-j); they
+    are kept as flat cell indices plus levels."""
 
-    __slots__ = ("top", "strides", "levels", "corners")
+    __slots__ = ("top", "strides", "levels", "corner_cells", "corner_levels")
 
     def __init__(self, top: tuple[int, ...], strides: list[int], levels: list[int]):
         """levels holds each cell's own tag; each cell then takes the
@@ -293,29 +295,46 @@ class LevelTable:
             for a in range(0, size, block):
                 corner[a + s:a + block] = map(and_, corner[a + s:a + block], map(
                     gt, levels[a + s:a + block], levels[a:a + block - s]))
-        self.corners = tuple(
-            (tuple(i // s % (t + 1) for t, s in zip(top, self.strides)), levels[i])
-            for i in compress(range(size), corner))
+        self.corner_cells = list(compress(range(size), corner))
+        self.corner_levels = list(compress(levels, corner))
+
+    @property
+    def corners(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """The corners as (exponent vector, level), in lex order."""
+        return tuple((tuple(i // s % (t + 1) for t, s in zip(self.top, self.strides)), j)
+                     for i, j in zip(self.corner_cells, self.corner_levels))
 
     def read(self, columns: Sequence[Sequence[int]]) -> Iterator[int]:
         """L at many nonnegative exponent vectors, given as one column of
         equal length per axis, each vector clipped to the box.  The levels
         come lazily: leave the columns unchanged until they are read.
-        Axes of extent 0 always clip to 0 and are skipped."""
+        Each axis clips and scales through one lookup list over its
+        column's values; axes of extent 0 always clip to 0 and are
+        skipped."""
         index = repeat(0, len(columns[0]))
         for col, t, s in zip(columns, self.top, self.strides):
             if t:
-                index = map(add, index, map(mul, map(min, col, repeat(t)), repeat(s)))
+                lut = [min(x, t) * s for x in range(max(col, default=0) + 1)]
+                index = map(add, index, map(lut.__getitem__, col))
         return map(self.levels.__getitem__, index)
+
+    def _cells_in(self, strides: Sequence[int]) -> Iterator[int]:
+        """The corner cells re-encoded for a box with the given strides
+        over axes at least as long."""
+        index = repeat(0, len(self.corner_cells))
+        for t, s, new in zip(self.top, self.strides, strides):
+            if t:
+                index = map(add, index, map(mul, map(mod, map(
+                    floordiv, self.corner_cells, repeat(s)), repeat(t + 1)), repeat(new)))
+        return index
 
     def times(self, other: "LevelTable") -> "LevelTable":
         """Table of the product, with piece j the sum over j1 + j2 = j of
         J1(j1) J2(j2): each sum of two corners takes their summed levels."""
         top = tuple(map(add, self.top, other.top))
         strides, levels = _box(top, self.levels[0] + other.levels[0])
-        mine = [(sum(map(mul, e, strides)), j) for e, j in self.corners]
-        for e, j2 in other.corners:
-            b = sum(map(mul, e, strides))
+        mine = list(zip(self._cells_in(strides), self.corner_levels))
+        for b, j2 in zip(other._cells_in(strides), other.corner_levels):
             for a, j1 in mine:
                 if j1 + j2 > levels[a + b]:
                     levels[a + b] = j1 + j2
@@ -365,8 +384,9 @@ def verify_gluing(X: ToricFanoModel, Z: MonomialSubscheme) -> None:
 
     For vertices joined by a polytope edge the overlap inverts exactly one
     coordinate on each side; the localized ideals must coincide under the
-    monomial coordinate change.  Raises ValueError on a mismatch; singular
-    charts are skipped (they carry no exponent coordinates).
+    monomial coordinate change.  Raises GluingMismatch naming the first
+    chart pair that disagrees; singular charts are skipped (they carry no
+    exponent coordinates).
     """
     for i, j in polytope_edges(X.polytope):
         ci, cj = X.charts[i], X.charts[j]
@@ -387,7 +407,7 @@ def verify_gluing(X: ToricFanoModel, Z: MonomialSubscheme) -> None:
         T = [[sum(a * b for a, b in zip(r, e)) for r in ci.cone_rays] for e in cj.edges]
         ti = _transport(li, T, inv_j)
         if ti != lj:
-            raise ValueError(
+            raise GluingMismatch(
                 f"{Z.label}: charts {i} and {j} disagree on their overlap: "
                 f"{ti} vs {lj}")
 

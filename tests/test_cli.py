@@ -202,6 +202,26 @@ class TestBetaAndDing:
         assert "beta(x2y2) = 0 (0.000000000000): CONSISTENT" in out
         assert "approximate" not in out
 
+    @pytest.mark.parametrize("charts, pair", [
+        ('{"0": [[1, 0]]}', "charts 0 and 2"),
+        ('{"0": [[1, 0]], "1": [[0, 3]]}', "charts 0 and 1")])
+    def test_subscheme_file_that_does_not_glue(self, run, tmp_path, charts, pair):
+        path = tmp_path / "z.json"
+        path.write_text(f'{{"label": "z", "dim": 2, "charts": {charts}}}')
+        code, out, err = run("beta", "--model", "P2", "--subscheme", str(path))
+        assert code == 1
+        assert "beta" not in out
+        assert f"GluingMismatch: z: {pair} disagree" in err
+
+    def test_sequence_file_step_that_does_not_glue(self, run, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_text('{"steps": [{"label": "s1", "dim": 2, "charts": {}}, '
+                        '{"label": "s2", "dim": 2, "charts": {"0": [[1, 0]]}}]}')
+        code, out, err = run("ding", "--model", "P2", "--sequence", str(path))
+        assert code == 1
+        assert "ding" not in out
+        assert "GluingMismatch: s2: charts 0 and 2 disagree" in err
+
     def test_obstructing_divisor_exits_two(self, run, tmp_path):
         out_path = tmp_path / "beta.json"
         code, out, _ = run("beta", "--model", "P112", "--subscheme",

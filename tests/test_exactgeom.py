@@ -8,13 +8,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from fanokit import lattice
 from fanokit.errors import DegeneratePolytope, OutOfDomain, UnboundedPolytope
 from fanokit.linalg import cramer, int_det, solve
 from fanokit.model import CATALOG_RAYS, catalog_model
 from fanokit.oracles import bruteforce_lct
 from fanokit.piecewise import PiecewisePolynomial, fit_polynomial, poly_trim
 from fanokit.polytope import (RationalPolytope, enumerate_basic_feasible,
-                              euclidean_volume, lattice_points,
+                              euclidean_volume, lattice_fibers, lattice_points,
                               moving_volume_function, polytope_edges,
                               polytope_from_rays, volume)
 from fanokit.subscheme import NewtonPolyhedron
@@ -178,6 +179,46 @@ class TestLatticePoints:
         hi = [ceil(r * max(F(p[i]) for p in points)) + 1 for i in range(n)]
         rows = [(nr, r * off) for nr, off in P.inequalities]
         assert lattice_points(P, r) == helpers.box_lattice_points(rows, lo, hi)
+
+
+def _expand(fibers):
+    return [(*p, x) for p, first, last in fibers for x in range(first, last + 1)]
+
+
+@st.composite
+def _integer_systems(draw):
+    """(normals, offsets, lo, hi) in dims 1-3; every row's last coefficient
+    is drawn from negative, zero and positive values, and the box may be
+    empty along any axis."""
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * n),
+                         min_size=0, max_size=5))
+    offsets = draw(st.lists(st.integers(-6, 3), min_size=len(rows),
+                            max_size=len(rows)))
+    lo = draw(st.lists(st.integers(-3, 2), min_size=n, max_size=n))
+    hi = [a + draw(st.integers(-1, 4)) for a in lo]
+    return rows, offsets, lo, hi
+
+
+class TestLatticeFibers:
+    @example(([(0, 1), (2, -1), (1, 0)], [-2, -3, 0], [-2, -2], [2, 2]))
+    @example(([(1, 1, -2), (0, 0, 1)], [-1, 0], [0, 0, 0], [2, 2, 2]))
+    @example(([(1,)], [0], [1], [0]))
+    @example(([], [], [0, 3], [1, 2]))
+    @given(_integer_systems())
+    @settings(max_examples=150, deadline=None)
+    def test_expansion_matches_points_and_longhand(self, system):
+        normals, offsets, lo, hi = system
+        fibers = lattice.enum_fibers(normals, offsets, lo, hi)
+        assert all(first <= last for _, first, last in fibers)
+        assert [p for p, _, _ in fibers] == sorted({p for p, _, _ in fibers})
+        expected = helpers.box_lattice_points(list(zip(normals, offsets)), lo, hi)
+        assert _expand(fibers) == lattice.enum_points(normals, offsets, lo, hi) == expected
+
+    def test_polytope_fibers_expand_to_its_points(self):
+        for P in (SEGMENT, TRIANGLE, CUBE, catalog_model("P1xP2").polytope):
+            for r in (0, 1, F(5, 2), 3):
+                assert _expand(lattice_fibers(P, r)) == lattice_points(P, r)
 
 
 class TestEuclideanVolume:

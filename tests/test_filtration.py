@@ -14,7 +14,8 @@ import pytest
 import fanokit.subscheme as subscheme_mod
 from fanokit.errors import (CombinatorialBlowup, NoStabilization, R1NotFound,
                             ZeroIdeal)
-from fanokit.filtration import (_weight_records, build_saturated_table,
+from fanokit.filtration import (_pairing_column, _weight_records,
+                                build_saturated_table,
                                 compute_d_infty,
                                 compute_weight_series, explicit_filtration,
                                 filtration_volume, find_r1,
@@ -22,6 +23,7 @@ from fanokit.filtration import (_weight_records, build_saturated_table,
                                 induced_ideal_sequence, saturate,
                                 saturate_points)
 from fanokit.model import anticanonical_volume, catalog_model
+from fanokit.polytope import lattice_fibers, lattice_points
 from fanokit.oracles import oracle_h0_quotient
 from fanokit.subscheme import (MonomialSubscheme, _subscheme_contains,
                                boundary_divisor_subscheme, point_subscheme)
@@ -390,6 +392,24 @@ class TestWeightSeries:
         pt = point_subscheme(X, 0)
         records = _weight_records(X, 1, (pt, pt.power(2)), 0, 2, lambda s: ())
         assert [(rec.h0, rec.v, rec.w) for rec in records] == [(0, 0, 0)] * 2
+
+    def test_pairing_column_descends_for_a_negative_last_entry(self):
+        fibers = [((0,), -1, 1), ((2,), 0, 0)]
+        assert _pairing_column((1, -1), fibers, 1) == [2, 1, 0, 3]
+        assert _pairing_column((1, 0), fibers, 1) == [1, 1, 1, 3]
+        assert _pairing_column((1, 2), fibers, 1) == [-1, 1, 3, 3]
+
+    def test_pairing_columns_match_pointwise_pairing(self):
+        X = catalog_model("P1xP2")
+        rays = sorted({ray for chart in X.charts for ray in chart.cone_rays})
+        assert {ray[-1] for ray in rays} == {-1, 0, 1}
+        for s in (1, 3):
+            level = s * X.r0
+            fibers = lattice_fibers(X.polytope, level)
+            pts = lattice_points(X.polytope, level)
+            for ray in rays:
+                assert _pairing_column(ray, fibers, level) == [
+                    sum(a * x for a, x in zip(ray, u)) + level for u in pts]
 
     def test_requires_fullness_at_window_bottom(self):
         X, F = _point_filtration("P1")

@@ -1,7 +1,7 @@
-"""Source hygiene: every name a package module imports is used in it,
-every name it defines is used somewhere, every function the benchmark's
-tracer wraps exists, and git tracks no file that .gitignore excludes
-(generated files)."""
+"""Source hygiene: every name a package module or test file imports is
+used in it, every name a package module defines is used somewhere, every
+function the benchmark's tracer wraps exists, and git tracks no file
+that .gitignore excludes (generated files)."""
 
 import ast
 import importlib
@@ -15,6 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fanokit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TEST_FILES = sorted((ROOT / "tests").glob("*.py"))
 SEARCHED = ("src", "tests", "perfbench", "benchmarks")
 # entry points the tracer still lists although the package dropped them
 STALE_ENTRY_POINTS = {"polytope.sliced_volume_function", "subscheme.is_integrally_closed",
@@ -50,7 +51,8 @@ def test_scan_sees_attribute_roots_and_annotations():
     assert unused_imports(source) == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + TEST_FILES,
+                         ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_FILES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -6,8 +6,8 @@ from math import factorial
 import pytest
 
 from fanokit.errors import NotFano, NotSmoothChart
-from fanokit.model import (ToricFanoModel, anticanonical_volume, build_model,
-                           catalog, catalog_model, section_count)
+from fanokit.model import (anticanonical_volume, build_model, catalog,
+                           catalog_model, section_count)
 
 import helpers
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanokit import lattice
-from fanokit.errors import EmptyOrFull, NotSmoothPoint, ZeroIdeal
+from fanokit.errors import EmptyOrFull, GluingMismatch, NotSmoothPoint, ZeroIdeal
 from fanokit.model import catalog_model
 from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                                NewtonPolyhedron, boundary_divisor_subscheme,
@@ -191,6 +191,25 @@ class TestIdealSequence:
         x = MonomialSubscheme(label="x", dimension=2, chart_gens={0: ((1, 0),)})
         assert list(level_table((x,), 0, 2, floor=3).read([[0, 5], [8, 8]])) == [3, 4]
 
+    @settings(max_examples=60, deadline=None)
+    @given(decreasing_sequences(),
+           st.lists(st.lists(st.integers(0, 9), min_size=3, max_size=3),
+                    max_size=12))
+    def test_level_table_read_matches_longhand_membership(self, drawn, vectors):
+        # vectors reach past every box (tops are at most 6); an empty list
+        # reads as no levels
+        X, S = drawn
+        n = X.dimension
+        vectors = [tuple(v[:n]) for v in vectors]
+        for c in range(len(X.charts)):
+            table = level_table(S.steps, c, n, floor=2)
+            columns = [list(col) for col in zip(*vectors)] or [[]] * n
+            expected = [max([2] + [j for j, step in enumerate(S.steps, start=3)
+                                   if step.gens_on(c) is None
+                                   or lattice.dominates_any(e, step.gens_on(c))])
+                        for e in vectors]
+            assert list(table.read(columns)) == expected
+
     def test_power_one_is_identity_on_products(self):
         S = self._dnc()
         assert S.power(1).product_gens(0) == S.product_gens(0)
@@ -224,7 +243,7 @@ class TestGluing:
         X = catalog_model("P2")
         bad = MonomialSubscheme(label="bad", dimension=2,
                                 chart_gens={0: ((0, 1),), 1: ((0, 2),)})
-        with pytest.raises(ValueError, match="disagree"):
+        with pytest.raises(GluingMismatch, match="disagree"):
             verify_gluing(X, bad)
 
     def test_point_power_still_glues(self):
@@ -236,5 +255,5 @@ class TestGluing:
         verify_gluing(X, point_subscheme(X, 0))
         verify_gluing(X, point_subscheme(X, 1))
         zero = MonomialSubscheme(label="zero", dimension=1, chart_gens={0: ()})
-        with pytest.raises(ValueError, match="disagree"):
+        with pytest.raises(GluingMismatch, match="disagree"):
             verify_gluing(X, zero)
