@@ -3,8 +3,8 @@
 These are the only implementations of the package's hot loops:
 enumerating the integer points that satisfy an integer inequality system
 inside a box as fibers of the last coordinate (``enum_fibers``, which
-``enum_points`` expands into points), and testing monomial-ideal
-membership of chart images of many points at once.
+``enum_points`` expands into points), and the dominance, sum and
+minimalisation of monomial generators.
 ``fanokit.lattice`` re-exports them.
 
 All arguments are plain ints / tuples of ints.  Rational scaling happens
@@ -65,29 +65,6 @@ def dominates_any(point: Sequence[int], gens: Sequence[Sequence[int]]) -> bool:
         if all(p >= e for p, e in zip(point, g)):
             return True
     return False
-
-
-def filter_points_in_ideals(points: Sequence[Sequence[int]],
-                            charts: Sequence[tuple]) -> list[tuple[int, ...]]:
-    """Keep points whose image under every chart map lands in that chart's ideal.
-
-    Each chart entry is (rows, shift, gens): the image of u is
-    ``rows @ u + shift`` (integer matrix, integer vector), and membership
-    means the image dominates some generator.  An empty chart list keeps
-    everything.  Kept points are the given objects, in order.
-    """
-    out = []
-    for u in points:
-        keep = True
-        for rows, shift, gens in charts:
-            img = tuple(sum(a * b for a, b in zip(row, u)) + s
-                        for row, s in zip(rows, shift))
-            if not dominates_any(img, gens):
-                keep = False
-                break
-        if keep:
-            out.append(u)
-    return out
 
 
 def minkowski_sum(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:

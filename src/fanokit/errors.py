@@ -54,10 +54,6 @@ class UnsupportedSubscheme(FanokitError):
     """Subscheme touches a singular chart along a route that needs smoothness."""
 
 
-class FamilyNotGraded(FanokitError):
-    """Ideal family fails the multiplicativity pre-check I_r * I_s <= I_{r+s}."""
-
-
 class ConfigError(FanokitError):
     """Run configuration is unusable: bad caps, unreadable sources, unwritable paths."""
 

@@ -17,28 +17,34 @@ Chart exponent vectors here are ray pairings <rho, u> + level over the
 cone rays of each chart.  On smooth charts this is the usual exponent
 map; on simplicial singular charts it still converts ideal membership,
 products, and containment into componentwise arithmetic, which is all
-the saturation and weight routes need.  The weight route never lists the
-sections: it reads them as lattice fibers, runs of points that differ
-only in the last coordinate, along which each pairing is affine.  So it
-builds the column of each distinct ray once, a range per fiber, shared
-by every chart that has the ray.
+the saturation and weight routes need.
+
+Every membership question, which sections of L^level lie in which chart
+ideals, has one reader, _least_levels: each section's least level over
+one subscheme.LevelTable per active chart.  Filtration values and
+saturation closures read single-step tables and keep the sections at
+level 1; weight records read the tables of a power and count the
+sections at each level.  The reader never lists the sections: it reads
+them as lattice fibers, runs of points that differ only in the last
+coordinate, along which each pairing is affine.  So it builds the column
+of each distinct ray once, a range per fiber, shared by every chart that
+has the ray.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import ceil
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from . import lattice
 from .errors import NoStabilization, R1NotFound, UnsupportedSubscheme
 from .model import ToricFanoModel, anticanonical_volume
 from .polytope import lattice_fibers, lattice_points
 from .subscheme import (IdealSequenceOnXxA1, LevelTable, MonomialSubscheme,
-                        _subscheme_contains, level_table)
+                        _subscheme_contains, ideal_table, level_table)
 from .volumes import BlowupVolumeProfile, blowup_volume_profile
 
 IDEAL_POWER = "ideal-power"
@@ -55,30 +61,16 @@ def _zero_subscheme(X: ToricFanoModel, label: str = "zero") -> MonomialSubscheme
                              chart_gens={i: () for i in range(len(X.charts))})
 
 
-def _ray_images(chart, points: Iterable[Point], level: int) -> list[Point]:
-    """Chart exponent vectors <rho, u> + level of the points, in order."""
-    rows = chart.cone_rays
-    return [tuple(sum(map(mul, row, u)) + level for row in rows)
-            for u in points]
-
-
-def _ideal_kernel_charts(X: ToricFanoModel, ideal: MonomialSubscheme,
-                         level: int) -> list[tuple]:
-    """(rows, shift, gens) triples for the lattice kernels, one per active
-    chart.  Generator arity must match the chart's ray count; the public
-    constructors only produce matching data, so a mismatch means the
-    ideal was written for a different fan."""
-    charts = []
+def _check_arity(X: ToricFanoModel, ideal: MonomialSubscheme) -> None:
+    """Refuse generators whose arity is not their chart's ray count.  The
+    public constructors only produce matching data, so a mismatch means
+    the ideal was written for a different fan."""
     for idx in ideal.active_chart_indices():
-        chart = X.charts[idx]
-        rows = chart.cone_rays
-        gens = ideal.chart_gens[idx]
-        if any(len(g) != len(rows) for g in gens):
+        rows = X.charts[idx].cone_rays
+        if any(len(g) != len(rows) for g in ideal.chart_gens[idx]):
             raise UnsupportedSubscheme(
                 f"{ideal.label}: generator arity does not match the "
                 f"{len(rows)} cone rays of chart {idx}")
-        charts.append((rows, (level,) * len(rows), gens))
-    return charts
 
 
 class FiltrationSpec:
@@ -88,6 +80,8 @@ class FiltrationSpec:
     Build instances with ideal_power_filtration or explicit_filtration.
     e_plus/e_minus are the integer window used by the weight routes;
     e_min_est/e_max_est are the slope estimates they must bracket.
+    F^x V_r is read off one single-step level table per active chart of
+    the level ideal: the sections whose least level is 1.
     """
 
     def __init__(self, X: ToricFanoModel, kind: str, *,
@@ -108,6 +102,7 @@ class FiltrationSpec:
         self.e_max_est = Fraction(e_max_est)
         self.profile = profile
         self._sections: dict[int, tuple[Point, ...]] = {}
+        self._fibers: dict[int, list[Fiber]] = {}
         self._powers: dict[int, MonomialSubscheme] = {}
         self._saturations: dict = {}
 
@@ -119,6 +114,13 @@ class FiltrationSpec:
         if r not in self._sections:
             self._sections[r] = tuple(lattice_points(self.X.polytope, r * self.X.r0))
         return self._sections[r]
+
+    def fibers(self, r: int) -> list[Fiber]:
+        """The sections as lattice fibers, in the same order, cached."""
+        r = int(r)
+        if r not in self._fibers:
+            self._fibers[r] = lattice_fibers(self.X.polytope, r * self.X.r0)
+        return self._fibers[r]
 
     def level_ideal(self, r: int, x) -> MonomialSubscheme | None:
         """Defining ideal of F^x V_r; None is the unit ideal."""
@@ -154,12 +156,17 @@ class FiltrationSpec:
 
     def value(self, r: int, x) -> tuple[Point, ...]:
         """F^x V_r as lattice points of r*r0*P."""
+        return tuple(compress(self.sections(r), self._members(r, x)))
+
+    def _members(self, r: int, x) -> Iterable[int]:
+        """Per section of V_r, in order, whether it lies in F^x V_r."""
         ideal = self.level_ideal(r, x)
-        pts = self.sections(r)
         if ideal is None:
-            return pts
-        charts = _ideal_kernel_charts(self.X, ideal, int(r) * self.X.r0)
-        return tuple(lattice.filter_points_in_ideals(pts, charts))
+            return repeat(True, len(self.sections(r)))
+        _check_arity(self.X, ideal)
+        gens = ideal.chart_gens
+        return _least_levels(self.X, self.fibers(r), int(r) * self.X.r0, 1, gens,
+                             lambda c, columns: ideal_table(gens[c], columns))
 
 
 def ideal_power_filtration(X: ToricFanoModel, Z: MonomialSubscheme) -> FiltrationSpec:
@@ -227,35 +234,47 @@ def explicit_filtration(X: ToricFanoModel,
                           e_max_est=e_max_est)
 
 
-def saturate_points(X: ToricFanoModel, r: int, points: Sequence[Point],
+def saturate_points(X: ToricFanoModel, r: int, points: Iterable[Point],
                     label: str = "") -> tuple[MonomialSubscheme, tuple[Point, ...]]:
     """Ideal generated by a set of level-r sections, and its closure.
 
     The ideal collects the minimal chart exponent vectors of the given
     points on every chart; the closure is all sections of L^r inside the
-    ideal.  Saturating the closure again changes nothing.
+    ideal.  Saturating the closure again changes nothing.  A point that
+    is not a section of L^r raises ValueError.
     """
+    r = int(r)
     sections = tuple(lattice_points(X.polytope, r * X.r0))
-    return _saturate_core(X, int(r), tuple(points), sections,
-                          label or f"sat(r={r})")
+    chosen = set(points)
+    kept = [u in chosen for u in sections]
+    if sum(kept) != len(chosen):
+        raise ValueError(f"points outside the sections of level r={r}")
+    return _saturate_core(X, r, kept, lattice_fibers(X.polytope, r * X.r0),
+                          sections, label or f"sat(r={r})")
 
 
-def _saturate_core(X: ToricFanoModel, r: int, points: tuple[Point, ...],
-                   sections: tuple[Point, ...],
+def _saturate_core(X: ToricFanoModel, r: int, kept: Sequence[bool],
+                   fibers: Sequence[Fiber], sections: tuple[Point, ...],
                    label: str) -> tuple[MonomialSubscheme, tuple[Point, ...]]:
-    level = r * X.r0
-    if len(points) == len(sections):
+    """Saturation of the kept sections.  On each chart a table is tagged
+    with the kept sections' images: its corners at level 1 are the
+    ideal's minimal generators, and the sections it reads at level 1 on
+    every chart are the closure."""
+    if all(kept):
         return MonomialSubscheme(label=label, dimension=X.dimension), sections
-    if not points:
+    if not any(kept):
         return _zero_subscheme(X, label=label), ()
     chart_gens = {}
-    for idx, chart in enumerate(X.charts):
-        chart_gens[idx] = tuple(_ray_images(chart, points, level))
-    ideal = MonomialSubscheme(label=label, dimension=X.dimension,
-                              chart_gens=chart_gens)
-    closure = tuple(lattice.filter_points_in_ideals(
-        sections, _ideal_kernel_charts(X, ideal, level)))
-    return ideal, closure
+
+    def table(c: int, columns: list[list[int]]) -> LevelTable:
+        t = ideal_table(compress(zip(*columns), kept), columns)
+        chart_gens[c] = tuple(e for e, j in t.corners if j)
+        return t
+
+    levels = _least_levels(X, fibers, r * X.r0, 1, range(len(X.charts)), table)
+    closure = tuple(compress(sections, levels))
+    return MonomialSubscheme(label=label, dimension=X.dimension,
+                             chart_gens=chart_gens), closure
 
 
 def saturate(F: FiltrationSpec, r: int, x) -> tuple[MonomialSubscheme, tuple[Point, ...]]:
@@ -264,37 +283,9 @@ def saturate(F: FiltrationSpec, r: int, x) -> tuple[MonomialSubscheme, tuple[Poi
     key = (r, F._level_key(r, x))
     if key not in F._saturations:
         F._saturations[key] = _saturate_core(
-            F.X, r, F.value(r, x), F.sections(r), f"sat(r={r},x={x})")
+            F.X, r, list(F._members(r, x)), F.fibers(r), F.sections(r),
+            f"sat(r={r},x={x})")
     return F._saturations[key]
-
-
-@dataclass(frozen=True)
-class SaturatedIdealTable:
-    """Saturations over a finite (r, x) grid, in the order requested."""
-
-    entries: tuple[tuple[int, Fraction, MonomialSubscheme, tuple[Point, ...]], ...]
-
-    def ideal(self, r: int, x) -> MonomialSubscheme:
-        return self._find(r, x)[2]
-
-    def closure(self, r: int, x) -> tuple[Point, ...]:
-        return self._find(r, x)[3]
-
-    def _find(self, r, x):
-        r, x = int(r), Fraction(x)
-        for row in self.entries:
-            if row[0] == r and row[1] == x:
-                return row
-        raise KeyError(f"no table entry for (r={r}, x={x})")
-
-
-def build_saturated_table(F: FiltrationSpec,
-                          pairs: Sequence[tuple[int, object]]) -> SaturatedIdealTable:
-    rows = []
-    for r, x in pairs:
-        ideal, closure = saturate(F, r, x)
-        rows.append((int(r), Fraction(x), ideal, closure))
-    return SaturatedIdealTable(entries=tuple(rows))
 
 
 def find_r1(F: FiltrationSpec, e_minus: int | None = None, cap: int = R1_CAP) -> int:
@@ -341,33 +332,6 @@ def _stable_leading_difference(values: Sequence, order: int, budget: int) -> Fra
     if len(tail) < 3 or any(t != 0 for t in tail[-3:]):
         raise NoStabilization(budget)
     return d[-1]
-
-
-def filtration_volume(F: FiltrationSpec, x) -> Fraction:
-    """Volume of the x-slice of the filtration, normalised to L = -r0 K.
-
-    Exact for ideal-power filtrations through the blowup volume profile;
-    for explicit tables the value is fitted from the dimensions of
-    F^{rx} V_r over the longest consecutive run of table rows ending at
-    the largest r, and is only as good as that table.
-    """
-    x = Fraction(x)
-    X = F.X
-    n = X.dimension
-    scale = Fraction(X.r0) ** n
-    if F.kind == IDEAL_POWER:
-        if x <= 0:
-            return scale * anticanonical_volume(X)
-        return scale * F.profile.evaluate(x / X.r0)
-    rs = sorted(F.table)
-    run = [rs[-1]]
-    for r in reversed(rs[:-1]):
-        if r == run[0] - 1:
-            run.insert(0, r)
-        else:
-            break
-    dims = [len(F.value(r, r * x)) for r in run]
-    return _stable_leading_difference(dims, n, run[-1])
 
 
 @dataclass(frozen=True)
@@ -460,29 +424,38 @@ def _pairing_column(ray: Point, fibers: Sequence[Fiber], level: int) -> list[int
     return list(chain.from_iterable(runs))
 
 
-def _weight_record(X: ToricFanoModel, fibers: Sequence[Fiber], level: int,
-                   k: int, lo: int, hi: int,
-                   tables: Mapping[int, LevelTable]) -> WeightRecord:
-    """Record of the sections of L^level, given as lattice fibers, under
-    the k-th power tables.
-
-    The pairing columns <rho, u> + level are built once per distinct ray
-    of the active charts, fiber by fiber, and shared by every chart that
-    has the ray; each chart's table then reads its levels from its rays'
-    columns.
+def _least_levels(X: ToricFanoModel, fibers: Sequence[Fiber], level: int,
+                  top: int, charts: Iterable[int],
+                  table: Callable[[int, list[list[int]]], LevelTable]) -> Iterator[int]:
+    """Each section's least level over the charts' tables, top where no
+    chart reads lower, for the sections of L^level given as lattice
+    fibers.  table(c, columns) is chart c's table, given the pairing
+    columns <rho, u> + level of its rays; each column is built once per
+    distinct ray, fiber by fiber, and shared by every chart that has the
+    ray.  The levels come lazily: the columns live until they are read.
     """
-    klo, khi = k * lo, k * hi
-    h0 = sum(last - first + 1 for _, first, last in fibers)
     pairings: dict[Point, list[int]] = {}
-    tops = repeat(khi, h0)
-    for c, table in tables.items():
+    levels = repeat(top, sum(last - first + 1 for _, first, last in fibers))
+    for c in charts:
         rays = X.charts[c].cone_rays
         for ray in rays:
             if ray not in pairings:
                 pairings[ray] = _pairing_column(ray, fibers, level)
-        tops = map(min, tops, table.read([pairings[ray] for ray in rays]))
+        columns = [pairings[ray] for ray in rays]
+        levels = map(min, levels, table(c, columns).read(columns))
+    return levels
+
+
+def _weight_record(X: ToricFanoModel, fibers: Sequence[Fiber], level: int,
+                   k: int, lo: int, hi: int,
+                   tables: Mapping[int, LevelTable]) -> WeightRecord:
+    """Record of the sections of L^level, given as lattice fibers, under
+    the k-th power tables: the histogram of their least levels."""
+    klo, khi = k * lo, k * hi
+    h0 = sum(last - first + 1 for _, first, last in fibers)
     histogram = [0] * (khi - klo + 1)
-    for top in tops:
+    for top in _least_levels(X, fibers, level, khi, tables,
+                             lambda c, columns: tables[c]):
         histogram[khi - top] += 1
     dims = list(zip(range(khi, klo, -1), accumulate(histogram[:-1])))[::-1]
     v = sum(d for _, d in dims)

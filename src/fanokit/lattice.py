@@ -1,12 +1,13 @@
 """The integer lattice kernels, re-exported under the names call sites use.
 
-The six functions live in ``_kernel_py``: the fiber kernel
+The five functions live in ``_kernel_py``: the fiber kernel
 ``enum_fibers`` and its point expansion ``enum_points``, and the
-membership, sum and minimalisation kernels.  Callers import them from
-here, so a tracer that wraps these names sees every outside call, while
-the calls the kernels make to each other stay internal:
+dominance, sum and minimalisation kernels on monomial generators.
+Callers import them from here, so a tracer that wraps these names sees
+every outside call, while the calls the kernels make to each other stay
+internal:
 
-    from fanokit.lattice import enum_points, filter_points_in_ideals
+    from fanokit.lattice import enum_points, minimalize
 """
 
 from __future__ import annotations
@@ -18,6 +19,5 @@ BACKEND = "python"
 enum_fibers = _impl.enum_fibers
 enum_points = _impl.enum_points
 dominates_any = _impl.dominates_any
-filter_points_in_ideals = _impl.filter_points_in_ideals
 minkowski_sum = _impl.minkowski_sum
 minimalize = _impl.minimalize

@@ -17,16 +17,13 @@ vertices of the lifted region in (w, s).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from . import lattice
-from .errors import FamilyNotGraded, NotSmoothChart
+from .errors import NotSmoothChart
 from .model import ToricFanoModel
 from .polytope import enumerate_basic_feasible
-from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme, NewtonPolyhedron,
-                        _subscheme_contains, product)
+from .subscheme import IdealSequenceOnXxA1, MonomialSubscheme, NewtonPolyhedron
 
 
 def lct_chart(gens: Sequence[Sequence[int]]) -> Fraction | None:
@@ -81,89 +78,3 @@ def lct_on_product_with_line(X: ToricFanoModel, S: IdealSequenceOnXxA1,
             best = val
     assert best is not None
     return best
-
-
-@dataclass(frozen=True)
-class GradedFamilyReport:
-    r_values: tuple[tuple[int, Fraction | None], ...]
-    estimate: Fraction | None
-    unbounded: bool
-    non_decreasing: bool
-
-
-def graded_family_lct_estimate(X: ToricFanoModel,
-                               family: Mapping[int, object],
-                               c=1) -> GradedFamilyReport:
-    """Threshold estimates along a graded family of ideals.
-
-    ``family`` maps the index r to either a MonomialSubscheme (value is
-    lct * r / c) or an IdealSequenceOnXxA1 (value is the product-line c2
-    at c1 = c/r).  Pairs r, s with r+s also in the family must satisfy the
-    graded inclusion I_r * I_s <= I_{r+s}, checked generator-wise; the
-    estimate is the supremum of the values and the report records whether
-    they are monotone along increasing r.
-    """
-    c = Fraction(c)
-    r_list = sorted(int(r) for r in family)
-    if not r_list or any(r <= 0 for r in r_list):
-        raise ValueError("family indices must be positive integers")
-    _check_graded(family, r_list)
-
-    values: list[tuple[int, Fraction | None]] = []
-    unbounded = False
-    for r in r_list:
-        member = family[r]
-        if isinstance(member, MonomialSubscheme):
-            if member.is_empty:
-                values.append((r, None))
-                unbounded = True
-                continue
-            values.append((r, lct_monomial(X, member) * r / c))
-        elif isinstance(member, IdealSequenceOnXxA1):
-            values.append((r, lct_on_product_with_line(X, member, c1=c / r)))
-        else:
-            raise TypeError(f"unsupported family member type {type(member)!r}")
-
-    finite = [v for _, v in values if v is not None]
-    estimate = max(finite) if finite and not unbounded else None
-    ordered = [v for _, v in values]
-    non_decreasing = all(
-        a is None or (b is not None and b >= a)
-        for a, b in zip(ordered, ordered[1:]))
-    return GradedFamilyReport(r_values=tuple(values), estimate=estimate,
-                              unbounded=unbounded, non_decreasing=non_decreasing)
-
-
-def _check_graded(family: Mapping[int, object], r_list: Sequence[int]) -> None:
-    for r in r_list:
-        for s in r_list:
-            if r > s or (r + s) not in family:
-                continue
-            a, b, ab = family[r], family[s], family[r + s]
-            if isinstance(a, MonomialSubscheme) and isinstance(b, MonomialSubscheme) \
-                    and isinstance(ab, MonomialSubscheme):
-                if not _subscheme_contains(ab, product(a, b)):
-                    raise FamilyNotGraded(f"I_{r} * I_{s} not inside I_{r + s}")
-            elif isinstance(a, IdealSequenceOnXxA1) and isinstance(b, IdealSequenceOnXxA1) \
-                    and isinstance(ab, IdealSequenceOnXxA1):
-                if not _sequence_product_contained(a, b, ab):
-                    raise FamilyNotGraded(f"ideal_{r} * ideal_{s} not inside ideal_{r + s}")
-            else:
-                raise FamilyNotGraded(f"mixed member types at {r}, {s}, {r + s}")
-
-
-def _sequence_product_contained(a: IdealSequenceOnXxA1, b: IdealSequenceOnXxA1,
-                                target: IdealSequenceOnXxA1) -> bool:
-    idxs = set()
-    for seq in (a, b, target):
-        for s in seq.steps:
-            idxs.update(s.active_chart_indices())
-    # charts with no content are unit for every sequence: nothing to check
-    for idx in sorted(idxs):
-        ga = a.product_gens(idx)
-        gb = b.product_gens(idx)
-        gt = target.product_gens(idx)
-        for g in lattice.minkowski_sum(ga, gb):
-            if not lattice.dominates_any(g, gt):
-                return False
-    return True

@@ -26,8 +26,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .errors import EmptyOrFull, FanokitError
-from .filtration import (_ideal_kernel_charts, _stable_leading_difference,
-                         _weight_records)
+from .filtration import _check_arity, _stable_leading_difference, _weight_records
 from .lct import lct_monomial, lct_on_product_with_line
 from .model import ToricFanoModel, anticanonical_volume
 from .polytope import lattice_fibers
@@ -113,7 +112,7 @@ def ding_weight_series(X: ToricFanoModel, S: IdealSequenceOnXxA1, r: int,
     if r < 1 or k_max < 1:
         raise ValueError("r and k_max must be positive")
     for step in S.steps:
-        _ideal_kernel_charts(X, step, 0)  # refuses generators of the wrong arity
+        _check_arity(X, step)
     records = _weight_records(X, r, S.steps, 0, k_max,
                               lambda s: lattice_fibers(X.polytope, s * X.r0))
     return tuple(rec.w for rec in records)

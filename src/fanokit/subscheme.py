@@ -16,8 +16,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations_with_replacement, compress, repeat
 from math import prod
-from operator import add, and_, floordiv, gt, mod, mul
-from typing import Iterator, Mapping, Sequence
+from operator import add, and_, floordiv, gt, le, mod, mul
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import lattice
 from .errors import (CombinatorialBlowup, EmptyOrFull, GluingMismatch, NotSmoothPoint,
@@ -341,22 +341,42 @@ class LevelTable:
         return LevelTable(top, strides, levels)
 
 
-def level_table(steps: Sequence[MonomialSubscheme], chart_index: int,
-                dim: int, floor: int = 0, reach: int = 1) -> LevelTable:
-    """Table on one chart of the pieces steps[0], steps[1], ... at
-    j = floor + 1, floor + 2, ..., the unit ideal at j = floor.  Refuses
-    up front a table whose reach-th power would exceed CELL_CAP cells."""
-    chart_steps = [s.gens_on(chart_index) for s in steps]
-    gens = [g for gs in chart_steps if gs for g in gs]
-    top = tuple(max((g[i] for g in gens), default=0) for i in range(dim))
+def _tagged_table(dim: int, tags: Sequence[tuple[Sequence[int], int]],
+                  floor: int, reach: int) -> LevelTable:
+    """Table over the box spanned by the tagged vectors: each tag (g, j),
+    in ascending j, sets level j at g over a floor.  Refuses up front a
+    table whose reach-th power would exceed CELL_CAP cells."""
+    top = tuple(max((g[i] for g, _ in tags), default=0) for i in range(dim))
     size = prod(reach * t + 1 for t in top)
     if size > CELL_CAP:
         raise CombinatorialBlowup(f"{size} table cells exceed the cap {CELL_CAP}")
     strides, levels = _box(top, floor)
-    for j, gs in enumerate(chart_steps, start=floor + 1):
-        for g in [(0,) * dim] if gs is None else gs:
-            levels[sum(map(mul, g, strides))] = j
+    for g, j in tags:
+        levels[sum(map(mul, g, strides))] = j
     return LevelTable(top, strides, levels)
+
+
+def level_table(steps: Sequence[MonomialSubscheme], chart_index: int,
+                dim: int, floor: int = 0, reach: int = 1) -> LevelTable:
+    """Table on one chart of the pieces steps[0], steps[1], ... at
+    j = floor + 1, floor + 2, ..., the unit ideal at j = floor, for
+    powers up to the reach-th."""
+    tags = []
+    for j, s in enumerate(steps, start=floor + 1):
+        gs = s.gens_on(chart_index)
+        tags += [(g, j) for g in ([(0,) * dim] if gs is None else gs)]
+    return _tagged_table(dim, tags, floor, reach)
+
+
+def ideal_table(gens: Iterable[Sequence[int]],
+                columns: Sequence[Sequence[int]]) -> LevelTable:
+    """Single-step table of one chart ideal, level 1 on it and 0 off it,
+    for reading these columns: over the box they reach, since a
+    generator with an entry above its column's maximum holds no vector
+    read and is dropped.  So generators of high degree cost no cells."""
+    bound = [max(col, default=0) for col in columns]
+    return _tagged_table(len(bound), [(g, 1) for g in gens if all(map(le, g, bound))],
+                         0, 1)
 
 
 def _subscheme_contains(big: MonomialSubscheme, small: MonomialSubscheme) -> bool:

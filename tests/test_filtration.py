@@ -7,26 +7,31 @@ slope -1 on P2, and v = k r h0 for the trivial filtration.
 """
 
 from fractions import Fraction
+from functools import cache
+from math import ceil
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fanokit.subscheme as subscheme_mod
 from fanokit.errors import (CombinatorialBlowup, NoStabilization, R1NotFound,
-                            ZeroIdeal)
+                            UnsupportedSubscheme, ZeroIdeal)
 from fanokit.filtration import (_pairing_column, _weight_records,
-                                build_saturated_table,
                                 compute_d_infty,
                                 compute_weight_series, explicit_filtration,
-                                filtration_volume, find_r1,
+                                find_r1,
                                 ideal_power_filtration,
                                 induced_ideal_sequence, saturate,
                                 saturate_points)
-from fanokit.model import anticanonical_volume, catalog_model
+from fanokit.model import CATALOG_RAYS, catalog_model
 from fanokit.polytope import lattice_fibers, lattice_points
 from fanokit.oracles import oracle_h0_quotient
 from fanokit.subscheme import (MonomialSubscheme, _subscheme_contains,
-                               boundary_divisor_subscheme, point_subscheme)
+                               boundary_divisor_subscheme, point_subscheme,
+                               standard_battery)
+from helpers import monomial_power_membership
 
 
 def _point_filtration(name):
@@ -168,14 +173,6 @@ class TestSaturate:
         assert dict(second.chart_gens) == dict(first.chart_gens)
         assert closure2 == closure
 
-    def test_table_builder(self):
-        X, F = _point_filtration("P1")
-        table = build_saturated_table(F, [(1, 1), (1, 2), (2, 2)])
-        assert dict(table.ideal(1, 1).chart_gens) == {0: ((1,),)}
-        assert table.closure(1, 2) == F.value(1, 2)
-        with pytest.raises(KeyError):
-            table.ideal(3, 1)
-
 
 class TestSaturationLaws:
     """Product, monotonicity, vanishing, fullness, closure, idempotence."""
@@ -250,6 +247,122 @@ class TestSaturationLaws:
                 assert closure2 == closure
 
 
+def _image(X, c, u, level):
+    return tuple(sum(a * x for a, x in zip(ray, u)) + level
+                 for ray in X.charts[c].cone_rays)
+
+
+@cache
+def _battery_filtration(name, index):
+    X = catalog_model(name)
+    Z = standard_battery(X)[index]
+    return X, Z, ideal_power_filtration(X, Z)
+
+
+@st.composite
+def _battery_draws(draw):
+    """(model, battery subscheme, its filtration, r, x) with r <= 3 and
+    ceil(x) <= 3, so the longhand power expansion stays small."""
+    name = draw(st.sampled_from(sorted(CATALOG_RAYS)))
+    size = len(standard_battery(catalog_model(name)))
+    X, Z, F = _battery_filtration(name, draw(st.integers(0, size - 1)))
+    r = draw(st.integers(1, 3))
+    den = r * X.r0
+    x = Fraction(draw(st.integers(-den, 3 * den)), den)
+    return X, Z, F, r, x
+
+
+class TestMembership:
+    """Values and closures against longhand membership: power expansion
+    of each chart image, and dominance scans over generators."""
+
+    @given(_battery_draws())
+    @settings(max_examples=60, deadline=None)
+    def test_value_is_longhand_power_membership(self, draw):
+        X, Z, F, r, x = draw
+        level = r * X.r0
+        assert F.value(r, x) == tuple(
+            u for u in F.sections(r)
+            if all(monomial_power_membership(_image(X, c, u, level), gens, ceil(x))
+                   for c, gens in Z.chart_gens.items()))
+
+    @given(_battery_draws())
+    @settings(max_examples=60, deadline=None)
+    def test_saturation_is_longhand_dominance(self, draw):
+        X, Z, F, r, x = draw
+        level = r * X.r0
+        value, sections = F.value(r, x), F.sections(r)
+        ideal, closure = saturate(F, r, x)
+        assert closure == tuple(
+            u for u in sections
+            if all(any(all(p >= e for p, e in zip(_image(X, c, u, level), g))
+                       for g in gens)
+                   for c, gens in ideal.chart_gens.items()))
+        if 0 < len(value) < len(sections):
+            for c in range(len(X.charts)):
+                images = {_image(X, c, u, level) for u in value}
+                minimal = tuple(sorted(
+                    g for g in images
+                    if not any(h != g and all(a >= b for a, b in zip(g, h))
+                               for h in images)))
+                unit = (0,) * len(X.charts[c].cone_rays) in images
+                assert ideal.gens_on(c) == (None if unit else minimal)
+
+    def test_p112_divisor_through_the_singular_chart(self):
+        X = catalog_model("P112")
+        F = ideal_power_filtration(X, boundary_divisor_subscheme(X, (1, 0)))
+        assert not X.charts[1].smooth
+        for r, x in [(1, 1), (1, 2), (2, 1), (2, 3), (3, Fraction(5, 3))]:
+            assert F.value(r, x) == tuple(
+                u for u in F.sections(r) if u[0] + r * X.r0 >= ceil(x))
+        ideal, closure = saturate(F, 1, 1)
+        assert dict(ideal.chart_gens) == {0: ((0, 1),), 1: ((0, 2), (1, 1))}
+        assert closure == F.value(1, 1)
+
+    def test_zero_chart_keeps_nothing(self):
+        X = catalog_model("P2")
+        pt = point_subscheme(X, 0)
+        zero = MonomialSubscheme(label="z", dimension=2,
+                                 chart_gens={0: (), 1: ((1, 0),)})
+        F = explicit_filtration(X, {1: [(0, None), (1, pt), (2, zero)]},
+                                e_plus=3, e_minus=-1)
+        assert F.value(1, 2) == ()
+        assert saturate(F, 1, 2)[1] == ()
+
+    def test_no_active_chart_keeps_everything(self):
+        X = catalog_model("P2")
+        unit = MonomialSubscheme(label="unit", dimension=2)
+        F = explicit_filtration(X, {1: [(0, None), (1, unit)]},
+                                e_plus=2, e_minus=-1)
+        assert F.value(1, 1) == F.sections(1)
+        ideal, closure = saturate(F, 1, 1)
+        assert ideal.is_empty and closure == F.sections(1)
+
+    def test_high_degree_generators_cost_no_cells(self):
+        # a dense table over these generators would hold 10^9 cells
+        X = catalog_model("P3")
+        Z = MonomialSubscheme(label="big", dimension=3, chart_gens={
+            0: ((1000, 0, 0), (0, 1000, 0), (0, 0, 1000))})
+        F = ideal_power_filtration(X, Z)
+        assert F.value(1, 1) == ()
+        report = compute_d_infty(F, r_list=(1,), k_max=8)
+        assert report.d_infty == Fraction(-997, 1000)
+
+    def test_wrong_arity_refused(self):
+        X = catalog_model("P2")
+        bad = MonomialSubscheme(label="bad", dimension=2,
+                                chart_gens={0: ((1, 0, 0),)})
+        F = explicit_filtration(X, {1: [(0, None), (1, bad)]},
+                                e_plus=2, e_minus=-1)
+        with pytest.raises(UnsupportedSubscheme, match="arity"):
+            F.value(1, 1)
+
+    def test_saturate_points_refuses_non_sections(self):
+        X = catalog_model("P2")
+        with pytest.raises(ValueError, match="outside"):
+            saturate_points(X, 1, [(0, 0), (5, 5)])
+
+
 class TestFindR1:
     def test_ideal_power_is_one(self):
         for name in ("P1", "P2"):
@@ -282,44 +395,6 @@ class TestFindR1:
         with pytest.raises(R1NotFound) as info:
             find_r1(F)
         assert info.value.cap == 64
-
-
-class TestFiltrationVolume:
-    def test_p2_point_at_one(self):
-        X, F = _point_filtration("P2")
-        assert filtration_volume(F, 1) == 8
-
-    def test_p1_point_at_one(self):
-        X, F = _point_filtration("P1")
-        assert filtration_volume(F, 1) == 1
-
-    def test_nonpositive_levels_give_total_volume(self):
-        X112 = catalog_model("P112")
-        cases = [
-            _point_filtration("P1"),
-            _point_filtration("P2"),
-            (X112, ideal_power_filtration(
-                X112, boundary_divisor_subscheme(X112, (1, 0)))),
-        ]
-        for X, F in cases:
-            expected = Fraction(X.r0) ** X.dimension * anticanonical_volume(X)
-            assert filtration_volume(F, 0) == expected
-            assert filtration_volume(F, -3) == expected
-
-    def test_vanishes_past_threshold(self):
-        X, F = _point_filtration("P2")
-        assert filtration_volume(F, 5) == 0
-
-    def test_explicit_trivial_table(self):
-        X, F = _trivial_filtration("P1", r_max=8)
-        assert filtration_volume(F, -1) == anticanonical_volume(X)
-        assert filtration_volume(F, 1) == 0
-
-    def test_explicit_too_few_rows(self):
-        X, F = _trivial_filtration("P1", r_max=3)
-        with pytest.raises(NoStabilization) as info:
-            filtration_volume(F, -1)
-        assert info.value.k_max == 3
 
 
 class TestWeightSeries:

@@ -20,7 +20,7 @@ SEARCHED = ("src", "tests", "perfbench", "benchmarks")
 # entry points the tracer still lists although the package dropped them
 STALE_ENTRY_POINTS = {"polytope.sliced_volume_function", "subscheme.is_integrally_closed",
                       "oracles.counting_profile", "exactlp.solve_lp",
-                      "lattice.count_points_in_ideals"}
+                      "lattice.count_points_in_ideals", "lattice.filter_points_in_ideals"}
 
 
 def unused_imports(source: str) -> list[str]:

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanokit.errors import EmptyOrFull, NotSmoothChart, FamilyNotGraded, ZeroIdeal
-from fanokit.lct import (GradedFamilyReport, graded_family_lct_estimate,
-                         lct_chart, lct_monomial, lct_on_product_with_line)
+from fanokit.errors import EmptyOrFull, NotSmoothChart, ZeroIdeal
+from fanokit.lct import lct_chart, lct_monomial, lct_on_product_with_line
 from fanokit.model import catalog_model
 from fanokit.oracles import bruteforce_lct
 from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
@@ -145,38 +144,3 @@ class TestProductLine:
         S = IdealSequenceOnXxA1(steps=(pt,))
         with pytest.raises(NotSmoothChart):
             lct_on_product_with_line(X, S, 1)
-
-
-class TestGradedFamily:
-    def test_point_powers(self):
-        X = catalog_model("P2")
-        pt = point_subscheme(X, 0)
-        family = {r: pt.power(r) for r in (1, 2, 3, 4)}
-        report = graded_family_lct_estimate(X, family)
-        assert isinstance(report, GradedFamilyReport)
-        assert report.estimate == 2
-        assert not report.unbounded
-        assert report.non_decreasing
-        assert report.r_values[0] == (1, 2)
-
-    def test_violation_detected(self):
-        X = catalog_model("P2")
-        pt = point_subscheme(X, 0)
-        with pytest.raises(FamilyNotGraded):
-            graded_family_lct_estimate(X, {1: pt, 2: pt.power(5)})
-
-    def test_sequence_powers(self):
-        X = catalog_model("P1")
-        pt = point_subscheme(X, 0)
-        S = IdealSequenceOnXxA1(steps=(pt, pt))
-        family = {1: S, 2: S.power(2), 4: S.power(4)}
-        report = graded_family_lct_estimate(X, family)
-        assert report.estimate == 1
-        assert [v for _, v in report.r_values] == [1, 1, 1]
-
-    def test_mixed_types_rejected(self):
-        X = catalog_model("P1")
-        pt = point_subscheme(X, 0)
-        S = IdealSequenceOnXxA1(steps=(pt,))
-        with pytest.raises(FamilyNotGraded):
-            graded_family_lct_estimate(X, {1: pt, 2: S})

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanokit.errors import EmptyOrFull, NoStabilization
+from fanokit.errors import EmptyOrFull, NoStabilization, UnsupportedSubscheme
 from fanokit.filtration import (compute_d_infty, ideal_power_filtration,
                                 induced_ideal_sequence)
 from fanokit.model import KE_CATALOG, build_model, catalog_model
@@ -115,6 +115,13 @@ class TestDing:
             assert rep.d == 1
             assert rep.lct_product == 1
             assert rep.ding == 0
+
+    def test_wrong_arity_refused(self):
+        X = catalog_model("P2")
+        bad = MonomialSubscheme(label="bad", dimension=2,
+                                chart_gens={0: ((1, 0, 0),)})
+        with pytest.raises(UnsupportedSubscheme, match="arity"):
+            ding_weight_series(X, IdealSequenceOnXxA1(steps=(bad,)), 1)
 
     def test_two_step_point_sequence_on_p1(self):
         X, S = _dnc_sequence()
