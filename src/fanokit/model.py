@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, lcm
 from typing import Sequence
 
@@ -73,6 +73,10 @@ class ToricFanoModel:
     def smooth_chart_indices(self) -> list[int]:
         return [i for i, c in enumerate(self.charts) if c.smooth]
 
+    @cached_property
+    def _anticanonical_volume(self) -> Fraction:
+        return factorial(self.dimension) * euclidean_volume(self.polytope)
+
 
 def _build_chart(P: RationalPolytope, vertex: Vec) -> Chart:
     n = P.dimension
@@ -116,8 +120,9 @@ def build_model(dimension: int, rays: Sequence[Sequence[int]], name: str = "") -
 
 
 def anticanonical_volume(X: ToricFanoModel) -> Fraction:
-    """Top self-intersection of -K: n! times the Euclidean volume of P."""
-    return factorial(X.dimension) * euclidean_volume(X.polytope)
+    """Top self-intersection of -K: n! times the Euclidean volume of P,
+    computed on first use and kept on the (frozen) model."""
+    return X._anticanonical_volume
 
 
 def section_count(X: ToricFanoModel, k) -> int:

@@ -14,17 +14,21 @@ polar about an interior point.  Volumes build no hulls: the rows
 that cut a polytope out already say which vertices lie on which face, so
 a pulling triangulation reads the facets of every face off those row
 incidences and sums integer simplex determinants.  A region whose rows
-move linearly in a parameter x takes its breakpoints in x from the
-vertices of the region lifted to (u, x).  Between two breakpoints each
-vertex moves affinely along one lifted edge, so one enumeration at the
-midpoint of a piece gives the piece's volume polynomial in x.
+move linearly in a parameter x is the slice at x of the region lifted to
+(u, x), and each vertex of a slice lies on a lifted edge (Ziegler,
+*Lectures on Polytopes*).  So each n-subset of the rows is solved once per
+region, as a path: a point moving affinely in x, with the closed interval
+of x where it satisfies every row.  The ends of those intervals are the
+lifted vertices, hence the breakpoints in x, and the paths live at the
+midpoint of a piece give its vertices and its volume polynomial in x.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial, lcm
+from math import factorial, gcd, lcm
+from operator import mul
 from typing import Sequence
 
 from . import lattice
@@ -43,18 +47,17 @@ def _floor(q: Fraction) -> int:
     return q.numerator // q.denominator
 
 
-def _vertex_bases(dim: int, irows: Sequence[Sequence[int]]) -> dict:
+def _vertex_bases(dim: int, irows: Sequence[Sequence[int]]) -> set:
     """Vertices of {u : <r[:dim], u> >= r[dim] for all integer rows r}, as
-    Cramer's (nums, den), each mapped to the indices of the first dim rows
-    found tight and independent there."""
-    found: dict[tuple[tuple[int, ...], int], tuple[int, ...]] = {}
+    Cramer's (nums, den) keys, from every dim-subset of the rows."""
+    found: set[tuple[tuple[int, ...], int]] = set()
     for sub in combinations(range(len(irows)), dim):
         sol = cramer([irows[i][:dim] for i in sub], [irows[i][dim] for i in sub])
         if sol is None or sol in found:
             continue
         nums, den = sol
         if all(sum(a * x for a, x in zip(r, nums)) >= r[dim] * den for r in irows):
-            found[sol] = sub
+            found.add(sol)
     return found
 
 
@@ -202,9 +205,6 @@ class RationalPolytope:
         hi = [_floor(scale * max(v[i] for v in self.vertices)) for i in range(self.dimension)]
         return lo, hi
 
-    def contains(self, point: Sequence) -> bool:
-        return all(dot(nr, point) >= off for nr, off in self.inequalities)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalPolytope):
             return NotImplemented
@@ -291,24 +291,71 @@ def polytope_edges(P: RationalPolytope) -> list[tuple[int, int]]:
     return out
 
 
-def _piece_polynomial(dim: int, lifted: Sequence[Sequence[int]], x: Fraction) -> Poly:
+def _lifted_paths(dim: int, lifted: Sequence[Sequence[int]]) -> list[tuple]:
+    """Every dim-subset of the integer rows (a, offset, slope), each
+    meaning <a, u> >= offset + slope * x, whose normals a are independent,
+    solved once: the subset's rows meet at (p + x q) / d for every x.
+
+    Returned in combinations order as (lo, hi, d, p, q), where [lo, hi] is
+    the closed set of x at which that point satisfies every row (None:
+    unbounded on that side).  Each row reads alpha + x * beta >= 0 there,
+    in integers with the sign of d folded in.  Subsets whose point
+    satisfies the rows at no x are left out.
+    """
+    paths = []
+    for sub in combinations(range(len(lifted)), dim):
+        rows = [lifted[i][:dim] for i in sub]
+        d = int_det(rows)
+        if d == 0:
+            continue
+        p, q = [cramer_numerators(rows, [lifted[i][col] for i in sub]) for col in (dim, dim + 1)]
+        s = 1 if d > 0 else -1
+        # lo = lo_n / lo_d and hi = hi_n / hi_d, denominators positive
+        lo_n = hi_n = None
+        for r in lifted:
+            alpha = s * (sum(map(mul, r, p)) - r[dim] * d)
+            beta = s * (sum(map(mul, r, q)) - r[dim + 1] * d)
+            if beta > 0:
+                if lo_n is None or -alpha * lo_d > lo_n * beta:
+                    lo_n, lo_d = -alpha, beta
+            elif beta < 0:
+                if hi_n is None or alpha * hi_d < hi_n * -beta:
+                    hi_n, hi_d = alpha, -beta
+            elif alpha < 0:
+                break
+            if lo_n is not None and hi_n is not None and lo_n * hi_d > hi_n * lo_d:
+                break
+        else:
+            paths.append((None if lo_n is None else Fraction(lo_n, lo_d),
+                          None if hi_n is None else Fraction(hi_n, hi_d), d, p, q))
+    return paths
+
+
+def _piece_polynomial(dim: int, lifted: Sequence[Sequence[int]],
+                      paths: Sequence[tuple], x: Fraction) -> Poly:
     """dim! * vol of {u : <r[:dim], u> >= r[dim] + r[dim + 1] * x} as a
-    polynomial in x, valid on the open piece around x.  There each vertex
-    stays on one lifted edge, p + x q from the basis found at x, and the
-    triangulation and signs found at x hold: the signed determinants sum
-    to a polynomial, read off its integer values at x = 0..dim, where
-    |det| may be wrong."""
+    polynomial in x, valid on the open piece around x, from the
+    _lifted_paths of the rows.  The vertices at x are the points of the
+    paths whose interval holds x, the first path per vertex kept; across
+    the piece each stays on its path, (p + x q) / d.  The triangulation
+    and signs found at x hold there too: the signed determinants sum to a
+    polynomial, read off its integer values at x = 0..dim, where |det|
+    may be wrong."""
     num, den = x.numerator, x.denominator
     at_x = [(*[den * a for a in r[:dim]], den * r[dim] + num * r[dim + 1]) for r in lifted]
-    bases = _vertex_bases(dim, at_x)
-    common = lcm(*[d for _, d in bases])
-    pts = [[a * (common // d) for a in nums] for nums, d in bases]
-    lines = []
-    for basis in bases.values():
-        # one determinant d for both solves: the vertex is (p + x q) / d
-        rows = [lifted[i][:dim] for i in basis]
-        p, q = [cramer_numerators(rows, [lifted[i][col] for i in basis]) for col in (dim, dim + 1)]
-        lines.append((int_det(rows), p, q))
+    vertices: dict[tuple[tuple[int, ...], int], tuple] = {}
+    for lo, hi, d, p, q in paths:
+        if (lo is None or lo <= x) and (hi is None or x <= hi):
+            # the point at x as Cramer's reduced (nums, den) key
+            nums = [den * a + num * b for a, b in zip(p, q)]
+            vden = den * d
+            if vden < 0:
+                vden, nums = -vden, [-a for a in nums]
+            g = gcd(vden, *nums)
+            vertices.setdefault((tuple([a // g for a in nums]), vden // g), (d, p, q))
+    common = lcm(*[vd for _, vd in vertices])
+    pts = [[a * (common // vd) for a in nums] for nums, vd in vertices]
+    lines = list(vertices.values())
     scale = lcm(*[d for d, _, _ in lines])
     samples = [[[(a + t * b) * (scale // d) for a, b in zip(p, q)] for d, p, q in lines]
                for t in range(dim + 1)]
@@ -327,19 +374,29 @@ def moving_volume_function(dim: int, rows: Sequence[tuple[Sequence, object]],
     The region shrinks as x grows and tau is where its volume reaches 0.
     Its combinatorial type changes only at the x-coordinates of the
     vertices of the lifted polyhedron {(u, x)}, so those (the positive
-    ones) and 0 are the breakpoints.  Between them the volume is a
-    polynomial of degree <= dim, computed from one vertex enumeration at
-    the midpoint of the piece, and equal neighbouring pieces are merged.
+    ones) and 0 are the breakpoints.  They are read off the paths: each
+    set of dim rows with independent normals, solved once for a point
+    moving affinely in x, and the closed interval of x where that point
+    is in the region.  An end of an interval is where the path meets one
+    more row transversally, so it is a lifted vertex.  Conversely, a lower
+    x only loosens the moving rows, so (0, -1) is a direction of the
+    lifted polyhedron.  At each vertex it lies in the cone spanned by the
+    vertex's edges, so every lifted vertex ends some edge (perhaps
+    unbounded) on which x is not constant.  The rows tight along that
+    edge include dim with independent normals, and their path has that
+    edge as its interval.  Between breakpoints the volume is a
+    polynomial of degree <= dim, read off the paths live at the midpoint
+    of the piece, and equal neighbouring pieces are merged.
     Raises DegeneratePolytope when the region has no volume for any x > 0.
     """
-    lifted = ([((*nr, 0), off) for nr, off in rows]
-              + [((*a, -1), -b) for a, b in moving])
-    cuts = sorted({Fraction(0)} | {v[dim] for v in enumerate_basic_feasible(dim + 1, lifted)
-                                   if v[dim] > 0})
-    ilifted = [rational_primitive((*nr[:dim], off, -nr[dim])) for nr, off in lifted]
+    lifted = ([rational_primitive((*nr, off, 0)) for nr, off in rows]
+              + [rational_primitive((*a, -b, 1)) for a, b in moving])
+    paths = _lifted_paths(dim, lifted)
+    cuts = sorted({Fraction(0)} | {e for lo, hi, *_ in paths for e in (lo, hi)
+                                   if e is not None and e > 0})
     breakpoints, pieces = [cuts[0]], []
     for a, b in zip(cuts, cuts[1:]):
-        piece = _piece_polynomial(dim, ilifted, (a + b) / 2)
+        piece = _piece_polynomial(dim, lifted, paths, (a + b) / 2)
         if pieces and poly_trim(piece) == poly_trim(pieces[-1]):
             breakpoints[-1] = b
         else:

@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from . import lattice
 from .errors import (CombinatorialBlowup, EmptyOrFull, GluingMismatch, NotSmoothPoint,
                      ZeroIdeal)
-from .linalg import Vec, dot
+from .linalg import Vec
 from .model import ToricFanoModel
 from .polytope import enumerate_basic_feasible, polytope_edges
 
@@ -199,16 +199,6 @@ class NewtonPolyhedron:
             rows.append((tuple(Fraction(x) for x in g), Fraction(1)))
         self.dual_vertices: tuple[Vec, ...] = tuple(
             enumerate_basic_feasible(n, rows))
-
-    def scaled_contains(self, point: Sequence, x) -> bool:
-        """Membership of a rational point in x * (this polyhedron)."""
-        x = Fraction(x)
-        if any(Fraction(p) < 0 for p in point):
-            return False
-        return all(dot(w, point) >= x for w in self.dual_vertices)
-
-    def contains(self, point: Sequence) -> bool:
-        return self.scaled_contains(point, 1)
 
 
 @dataclass(frozen=True)

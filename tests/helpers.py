@@ -48,15 +48,16 @@ def box_lattice_points(inequalities, lo, hi) -> list[tuple[int, ...]]:
                   if all(sum(a * x for a, x in zip(nr, u)) >= off for nr, off in rows))
 
 
-def basic_feasible_points(dim, rows):
-    """Vertices of {u : <normal, u> >= offset for all rows}, lex sorted.
+def basis_points(dim, rows):
+    """The solution of each dim-subset of rows with independent normals
+    that satisfies every row, in combinations order, repeats kept.
 
     Gauss-Jordan elimination in Fractions over every dim-subset of rows,
     then a feasibility check against all rows; the package solves each
     subset by integer Cramer's rule instead.
     """
     rows = [(tuple(Fraction(a) for a in nr), Fraction(off)) for nr, off in rows]
-    found = set()
+    found = []
     for sub in combinations(rows, dim):
         m = [list(nr) + [off] for nr, off in sub]
         for col in range(dim):
@@ -71,8 +72,13 @@ def basic_feasible_points(dim, rows):
         else:
             u = tuple(m[i][dim] for i in range(dim))
             if all(sum(a * x for a, x in zip(nr, u)) >= off for nr, off in rows):
-                found.add(u)
-    return sorted(found)
+                found.append(u)
+    return found
+
+
+def basic_feasible_points(dim, rows):
+    """Vertices of {u : <normal, u> >= offset for all rows}, lex sorted."""
+    return sorted(set(basis_points(dim, rows)))
 
 
 def leibniz_det(rows) -> Fraction:

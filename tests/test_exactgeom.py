@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from fanokit import lattice
 from fanokit.errors import DegeneratePolytope, OutOfDomain, UnboundedPolytope
-from fanokit.linalg import cramer, int_det, solve
+from fanokit.linalg import cramer, int_det, rational_primitive, solve
 from fanokit.model import CATALOG_RAYS, catalog_model
 from fanokit.oracles import bruteforce_lct
 from fanokit.piecewise import PiecewisePolynomial, fit_polynomial, poly_trim
-from fanokit.polytope import (RationalPolytope, enumerate_basic_feasible,
+from fanokit.polytope import (RationalPolytope, _lifted_paths, enumerate_basic_feasible,
                               euclidean_volume, lattice_fibers, lattice_points,
                               moving_volume_function, polytope_edges,
                               polytope_from_rays, volume)
@@ -381,6 +381,26 @@ def moving_regions(draw):
 OCTAHEDRON = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 SQUARE_PYRAMID = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (2, 2, 0), (1, 1, 3)]
 MERGING_REGION = ([(-2, -1), (-2, 1), (0, -1), (2, 1)], [((-2, 2), 0), ((-1, 0), 2)])
+# both moving rows pass through the corner (0, 0) at x = 1, where the rows
+# u1 >= 0 and -u1 + 2 u2 >= x - 1 meet on a line that leaves the region on
+# both sides; the corner (2, 2) is static until x = 3
+CORNER_REGION = ([(0, 0), (2, 0), (0, 2), (2, 2)], [((-1, 2), 1), ((2, -1), 1)])
+FOUR_CUBE = (list(product((-1, 1), repeat=4)), [((1, 1, 1, 1), 4), ((1, 0, -1, 0), 3)])
+
+
+def _region_paths(points, moving):
+    """(P, lifted rows, their paths) of a moving_regions draw."""
+    P = _lattice_polytope(len(points[0]), points)
+    n = P.dimension
+    lifted = ([((*nr, 0), off) for nr, off in P.inequalities]
+              + [((*a, -1), -b) for a, b in moving])
+    paths = _lifted_paths(n, [rational_primitive((*nr[:n], off, -nr[n])) for nr, off in lifted])
+    return P, lifted, paths
+
+
+def _live_points(paths, x):
+    return [tuple(F(a + x * b, d) for a, b in zip(p, q)) for lo, hi, d, p, q in paths
+            if (lo is None or lo <= x) and (hi is None or x <= hi)]
 
 
 class TestSlicedVolume:
@@ -390,8 +410,7 @@ class TestSlicedVolume:
     @example((OCTAHEDRON, [((1, 1, 0), 2), ((0, -1, -1), 1)]), [F(2, 7)])
     @example((SQUARE_PYRAMID, [((0, 0, 1), 0)]), [F(1, 2)])
     @example((SQUARE_PYRAMID, [((1, 0, 0), 0), ((0, 1, 1), -1)]), [F(5, 9)])
-    @example((list(product((-1, 1), repeat=4)), [((1, 1, 1, 1), 4), ((1, 0, -1, 0), 3)]),
-             [F(1, 5)])
+    @example(FOUR_CUBE, [F(1, 5)])
     @example(MERGING_REGION, [F(1, 4)])
     @given(moving_regions(), st.lists(st.fractions(0, 1, max_denominator=9), max_size=3))
     @settings(max_examples=40, deadline=None)
@@ -414,6 +433,33 @@ class TestSlicedVolume:
               *[t * bps[-1] for t in shares]]
         for x in xs:
             assert S.evaluate(x) == row_volume(x)
+
+    @example(CORNER_REGION)
+    @example(MERGING_REGION)
+    @example(FOUR_CUBE)
+    @given(moving_regions())
+    @settings(max_examples=40, deadline=None)
+    def test_paths_are_the_lifted_edges(self, region):
+        P, lifted, paths = _region_paths(*region)
+        n = P.dimension
+        ends = {e for lo, hi, *_ in paths for e in (lo, hi) if e is not None and e > 0}
+        assert ends == {v[n] for v in helpers.basic_feasible_points(n + 1, lifted) if v[n] > 0}
+        cuts = sorted({F(0)} | ends)
+        for x in [*cuts[1:], *[(a + b) / 2 for a, b in zip(cuts, cuts[1:])]]:
+            at_x = list(P.inequalities) + [(a, x - b) for a, b in region[1]]
+            live = _live_points(paths, x)
+            assert sorted(set(live)) == helpers.basic_feasible_points(n, at_x)
+            # one live path per feasible basis, in the same order
+            assert live == helpers.basis_points(n, at_x)
+
+    def test_single_point_and_static_paths(self):
+        _, _, paths = _region_paths(*CORNER_REGION)
+        assert any(lo == hi == 1 for lo, hi, *_ in paths)
+        static = [(lo, hi) for lo, hi, _, _, q in paths if not any(q)]
+        assert (None, 3) in static and all(lo is None for lo, _ in static)
+        S = moving_volume_function(2, _lattice_polytope(2, CORNER_REGION[0]).inequalities,
+                                   CORNER_REGION[1])
+        assert 1 in S.breakpoints
 
     def test_triangle_slice(self):
         S = slice_function(TRIANGLE, (1, 1), 2)

