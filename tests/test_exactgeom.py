@@ -457,9 +457,6 @@ class TestSlicedVolume:
         assert any(lo == hi == 1 for lo, hi, *_ in paths)
         static = [(lo, hi) for lo, hi, _, _, q in paths if not any(q)]
         assert (None, 3) in static and all(lo is None for lo, _ in static)
-        S = moving_volume_function(2, _lattice_polytope(2, CORNER_REGION[0]).inequalities,
-                                   CORNER_REGION[1])
-        assert 1 in S.breakpoints
 
     def test_triangle_slice(self):
         S = slice_function(TRIANGLE, (1, 1), 2)
