@@ -396,7 +396,3 @@ def run_acceptance_suite_timed(
                                        detail=detail, oracles=oracles))
         timings[number] = time.perf_counter() - start
     return AcceptanceSummary(results=tuple(results)), timings
-
-
-def run_acceptance_suite(config: RunConfig | None = None) -> AcceptanceSummary:
-    return run_acceptance_suite_timed(config)[0]

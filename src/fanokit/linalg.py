@@ -1,13 +1,16 @@
 """Exact linear algebra on small dense matrices.
 
-Sizes are tiny throughout the package (n <= 4, systems of at most a
-dozen rows).  The geometry scales its rows to integers
-(rational_primitive) and solves them with int_det (fraction-free
-elimination) and Cramer's rule, which stay in Python ints until one final
-Fraction.  solve, Gauss-Jordan elimination over fractions.Fraction, is the
-independent reference that the oracles and tests hold that integer route
-against.  The integer paths build tuples and star-arguments from lists,
-not generators: CPython resizes a tuple built from a generator, and the
+Sizes are tiny throughout the package (n <= 5, systems of a few dozen
+rows at most).  The geometry scales its rows to integers
+(rational_primitive) and solves them in Python ints: int_solve runs one
+fraction-free (Bareiss) elimination of a square system with any number
+of right-hand sides and returns the determinant d with d times each
+solution, the numerators of Cramer's rule; int_det is its d, written out
+for 2 x 2 and 3 x 3.  Callers divide once, at the end, if at all.
+solve, Gauss-Jordan elimination over fractions.Fraction, is the
+independent reference that the tests hold that integer route against.
+The integer paths build tuples and star-arguments from lists, not
+generators: CPython resizes a tuple built from a generator, and the
 resized tuples pile up on its tuple free lists, which raised the peak
 memory of a long scan by about 1 MB.
 """
@@ -29,55 +32,66 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free (Bareiss)
-    elimination: every intermediate division is exact."""
+    """Determinant of a square integer matrix: expanded up to 3 x 3, else
+    int_solve's d."""
     n = len(rows)
     if n == 2:
         (a, b), (c, d) = rows
         return a * d - b * c
-    m = [list(r) for r in rows]
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return int_solve(rows, ())[0]
+
+
+def int_solve(rows: Sequence[Sequence[int]],
+              rhs_columns: Sequence[Sequence[int]]) -> tuple[int, list[list[int]]]:
+    """(d, [d * x for each column b]) with d = det(rows) and rows * x = b.
+
+    One fraction-free (Bareiss) elimination of [rows | b1 | b2 ...] gives
+    d; fraction-free back substitution then gives each d * x, the
+    numerators of Cramer's rule.  Every division is exact, and when d is
+    0 the list is empty.
+    """
+    n = len(rows)
+    if n == 2:
+        (a, b), (c, d) = rows
+        det = a * d - b * c
+        if det == 0:
+            return 0, []
+        return det, [[u * d - b * v, a * v - c * u] for u, v in rhs_columns]
+    m = ([[*r, *b] for r, b in zip(rows, zip(*rhs_columns))] if rhs_columns
+         else [list(r) for r in rows])
     sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
+    for k in range(n):
+        mk = m[k]
+        if mk[k] == 0:
             piv = next((r for r in range(k + 1, n) if m[r][k]), None)
             if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
+                return 0, []
+            m[k], m[piv] = m[piv], mk
+            mk = m[k]
             sign = -sign
-        mk = m[k]
         pk = mk[k]
-        for i in range(k + 1, n):
-            mi = m[i]
-            mik = mi[k]
-            for j in range(k + 1, n):
-                mi[j] = (mi[j] * pk - mik * mk[j]) // prev
+        tail = mk[k + 1:]
+        for mi in m[k + 1:]:
+            f = mi[k]
+            mi[k + 1:] = [(a * pk - f * b) // prev for a, b in zip(mi[k + 1:], tail)]
         prev = pk
-    return sign * m[n - 1][n - 1]
-
-
-def cramer_numerators(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[int]:
-    """The determinants of rows with column j replaced by rhs, j = 0..n-1:
-    rows * x = rhs has x = these / int_det(rows) when that is nonzero."""
-    return [int_det([(*r[:j], b, *r[j + 1:]) for r, b in zip(rows, rhs)])
-            for j in range(len(rows))]
-
-
-def cramer(rows: Sequence[Sequence[int]],
-           rhs: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
-    """Solve the square integer system rows * x = rhs by Cramer's rule.
-
-    Returns (nums, den) with x = nums / den, den > 0 and gcd(nums, den) = 1,
-    so equal solutions have equal keys; None when singular.
-    """
-    den = int_det(rows)
-    if den == 0:
-        return None
-    nums = cramer_numerators(rows, rhs)
-    if den < 0:
-        den = -den
-        nums = [-x for x in nums]
-    g = gcd(den, *nums)
-    return tuple([x // g for x in nums]), den // g
+    # m is upper triangular, m[k][k] the k-th leading minor and prev = d
+    # up to the sign of the row swaps; y = d * x is an integer vector, so
+    # each division below is exact
+    cols = []
+    for c in range(n, n + len(rhs_columns)):
+        y = [0] * n
+        for k in range(n - 1, -1, -1):
+            mk = m[k]
+            acc = prev * mk[c]
+            for j in range(k + 1, n):
+                acc -= mk[j] * y[j]
+            y[k] = acc // mk[k]
+        cols.append(y if sign > 0 else [-a for a in y])
+    return sign * prev, cols
 
 
 def _gauss_jordan(m: list[list[Fraction]]) -> bool:

@@ -21,7 +21,7 @@ from math import factorial, lcm
 from typing import Sequence
 
 from .errors import DegeneratePolytope, NotFano, NotSmoothChart, UnboundedPolytope
-from .linalg import Vec, cramer, dot, int_det, primitive
+from .linalg import Vec, dot, int_det, int_solve, primitive
 from .polytope import (RationalPolytope, euclidean_volume, lattice_points,
                        polytope_from_rays)
 
@@ -85,9 +85,10 @@ def _build_chart(P: RationalPolytope, vertex: Vec) -> Chart:
         return Chart(vertex=vertex, simplicial=False, index=0,
                      cone_rays=tight, edges=None)
     # n rows tight at a vertex are independent; the edges are the columns
-    # of their inverse, each scaled to a primitive vector
-    edges = tuple(primitive(cramer(tight, [int(i == j) for i in range(n)])[0])
-                  for j in range(n))
+    # of their inverse (of the adjugate, signed by the determinant), each
+    # scaled to a primitive vector
+    d, cols = int_solve(tight, [[int(i == j) for i in range(n)] for j in range(n)])
+    edges = tuple(primitive(col if d > 0 else [-a for a in col]) for col in cols)
     return Chart(vertex=vertex, simplicial=True, index=abs(int_det(edges)),
                  cone_rays=tight, edges=edges)
 

@@ -6,12 +6,18 @@ final breakpoint belongs to the last piece.  Coefficients are stored in
 ascending degree in the *global* variable x (no per-piece shift), which
 makes piece-by-piece comparison against reference polynomials a plain
 tuple comparison after trimming trailing zeros.
+
+Interpolation and evaluation run in integers: fit_polynomial clears the
+nodes and values to common denominators and sums Lagrange's numerators,
+and poly_eval runs Horner's rule on the numerator and denominator of x
+apart; each builds one Fraction per result, not one per step.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
 from .errors import OutOfDomain
@@ -20,11 +26,19 @@ Poly = tuple[Fraction, ...]
 
 
 def poly_eval(coeffs: Sequence, x) -> Fraction:
+    """sum(c_j x^j) for int and Fraction coefficients c_j, by Horner's rule
+    in integers: with x = p/q and c_j = a_j/C, it is
+    sum(a_j p^j q^(m-j)) / (C q^m), m the degree, one Fraction at the end."""
+    if not coeffs:
+        return Fraction(0)
     x = Fraction(x)
-    acc = Fraction(0)
-    for c in reversed([Fraction(v) for v in coeffs]):
-        acc = acc * x + c
-    return acc
+    p, q = x.numerator, x.denominator
+    den = lcm(*[c.denominator for c in coeffs])
+    acc, qpow = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * p + c.numerator * (den // c.denominator) * qpow
+        qpow *= q
+    return Fraction(acc, den * qpow // q)
 
 
 def poly_trim(coeffs: Sequence) -> Poly:
@@ -40,20 +54,35 @@ def poly_antiderivative(coeffs: Sequence) -> Poly:
 
 def fit_polynomial(xs: Sequence, ys: Sequence) -> Poly:
     """Exact polynomial of degree < len(xs) through the given points, by
-    Newton's divided differences expanded to ascending coefficients."""
+    Lagrange's formula in integers.
+
+    With the nodes cleared to integers X_k = E x_k and the values to
+    Y_i = V y_i, the basis polynomial of node i is N_i / W_i, where
+    N_i(x) = prod_{k != i} (E x - X_k) and W_i = prod_{k != i} (X_i - X_k).
+    So the coefficients are sum_i Y_i (L / W_i) N_i over V L, L the lcm of
+    the W_i, summed in integers with one Fraction per coefficient.
+    """
     if len(xs) != len(ys) or not xs:
         raise ValueError("fit_polynomial needs equally many xs and ys")
     xs = [Fraction(x) for x in xs]
     if len(set(xs)) != len(xs):
         raise ValueError("interpolation nodes are not distinct")
-    c = [Fraction(y) for y in ys]
-    for j in range(1, len(xs)):
-        for i in range(len(xs) - 1, j - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - j])
-    coeffs: list[Fraction] = []
-    for x, ck in zip(reversed(xs), reversed(c)):
-        coeffs = [a - x * b for a, b in zip([ck, *coeffs], [*coeffs, 0])]
-    return tuple(coeffs)
+    ys = [Fraction(y) for y in ys]
+    e = lcm(*[x.denominator for x in xs])
+    v = lcm(*[y.denominator for y in ys])
+    nodes = [x.numerator * (e // x.denominator) for x in xs]
+    weights = [prod([a - b for b in nodes if b != a]) for a in nodes]
+    big = lcm(*weights)
+    sums = [0] * len(nodes)
+    for a, y, w in zip(nodes, ys, weights):
+        if not y:
+            continue
+        num = [y.numerator * (v // y.denominator) * (big // w)]
+        for b in nodes:
+            if b != a:
+                num = [e * c - b * d for c, d in zip([0, *num], [*num, 0])]
+        sums = [s + c for s, c in zip(sums, num)]
+    return tuple([Fraction(s, v * big) for s in sums])
 
 
 class PiecewisePolynomial:

@@ -6,21 +6,25 @@ of rational vertices.  Construction from either side derives the other, so
 a RationalPolytope always carries both and they always describe the same
 set.
 
-Sizes here are tiny (at most a dozen facets, a handful of vertices), so
-vertex enumeration by n-subsets of inequalities (Cramer's rule on rows
-scaled to integers) is entirely adequate and keeps every step exact.  It
-is the hull algorithm too: the facets of conv(V) are the vertices of its
-polar about an interior point.  Volumes build no hulls: the rows
-that cut a polytope out already say which vertices lie on which face, so
-a pulling triangulation reads the facets of every face off those row
-incidences and sums integer simplex determinants.  A region whose rows
-move linearly in a parameter x is the slice at x of the region lifted to
+Vertices are enumerated in integers by the double description method
+(Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996) on
+the rows scaled to primitive integer vectors: the rows are added one at
+a time to the homogenised cone, whose rays with a positive last entry
+are the vertices.  Its work follows the rays it meets, not the n-subsets
+of the rows, most of which are not vertices.  It is the hull algorithm
+too: the facets of conv(V) are the vertices of its polar about an
+interior point.  Volumes build no hulls: the rows that cut a polytope
+out already say which vertices lie on which face, so a pulling
+triangulation reads the facets of every face off those row incidences
+and sums integer simplex determinants.  A region whose rows move
+linearly in a parameter x is the slice at x of the region lifted to
 (u, x), and each vertex of a slice lies on a lifted edge (Ziegler,
-*Lectures on Polytopes*).  So each n-subset of the rows is solved once per
-region, as a path: a point moving affinely in x, with the closed interval
-of x where it satisfies every row.  The ends of those intervals are the
-lifted vertices, hence the breakpoints in x, and the paths live at the
-midpoint of a piece give its vertices and its volume polynomial in x.
+*Lectures on Polytopes*).  So each n-subset of the rows is solved once
+per region, by one int_solve, as a path: a point moving affinely in x,
+with the closed interval of x where it satisfies every row.  The ends
+of those intervals are the lifted vertices, hence the breakpoints in x,
+and the paths live at the midpoint of a piece give its vertices and its
+volume polynomial in x.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Sequence
 
 from . import lattice
 from .errors import DegeneratePolytope, UnboundedPolytope
-from .linalg import Vec, cramer, cramer_numerators, dot, int_det, rational_primitive
+from .linalg import Vec, dot, int_det, int_solve, rational_primitive
 from .piecewise import PiecewisePolynomial, Poly, fit_polynomial, poly_trim
 
 Ineq = tuple[tuple[int, ...], Fraction]
@@ -47,18 +51,75 @@ def _floor(q: Fraction) -> int:
     return q.numerator // q.denominator
 
 
+def _independent_rows(rows: Sequence[Sequence[int]], size: int) -> list[int] | None:
+    """Indices of the first ``size`` rows that are linearly independent,
+    taken greedily in order; None when the rows have smaller rank."""
+    picked, echelon = [], []
+    for i, r in enumerate(rows):
+        for c, e in echelon:
+            f, ec = r[c], e[c]
+            if f:
+                r = [a * ec - f * b for a, b in zip(r, e)]
+        c = next((c for c, a in enumerate(r) if a), None)
+        if c is not None:
+            picked.append(i)
+            echelon.append((c, r))
+            if len(picked) == size:
+                return picked
+    return None
+
+
 def _vertex_bases(dim: int, irows: Sequence[Sequence[int]]) -> set:
     """Vertices of {u : <r[:dim], u> >= r[dim] for all integer rows r}, as
-    Cramer's (nums, den) keys, from every dim-subset of the rows."""
-    found: set[tuple[tuple[int, ...], int]] = set()
-    for sub in combinations(range(len(irows)), dim):
-        sol = cramer([irows[i][:dim] for i in sub], [irows[i][dim] for i in sub])
-        if sol is None or sol in found:
+    Cramer's reduced (nums, den) keys, by integer double description.
+
+    The vertices are the extreme rays (nums, den) with den > 0 of the cone
+    {(u, lam) : <r[:dim], u> - r[dim] lam >= 0, lam >= 0}.  That cone is
+    pointed exactly when its rows have rank dim + 1; otherwise the set has
+    no vertex.  Its rows are added one at a time to the simplicial cone of
+    dim + 1 independent ones, whose rays are the signed columns of their
+    adjugate.  A row keeps the rays on its side and joins each adjacent
+    pair it separates; two rays are adjacent when no third ray is tight
+    at every row tight at both.  Each ray is a primitive integer vector,
+    kept with the bitmask of the rows it is tight at.
+    """
+    cone = [(0,) * dim + (1,)] + [(*r[:dim], -r[dim]) for r in irows]
+    size = dim + 1
+    start = _independent_rows(cone, size)
+    if start is None:
+        return set()
+    d, cols = int_solve([cone[i] for i in start],
+                        [[int(i == j) for i in range(size)] for j in range(size)])
+    start_mask = sum(1 << i for i in start)
+    rays = []
+    for i, col in zip(start, cols):
+        g = gcd(*col) if d > 0 else -gcd(*col)
+        rays.append(([a // g for a in col], start_mask ^ (1 << i)))
+    for k, row in enumerate(cone):
+        bit = 1 << k
+        if start_mask & bit:
             continue
-        nums, den = sol
-        if all(sum(a * x for a, x in zip(r, nums)) >= r[dim] * den for r in irows):
-            found.add(sol)
-    return found
+        kept, pos, neg = [], [], []
+        for ray, z in rays:
+            v = sum(map(mul, row, ray))
+            if v > 0:
+                pos.append((v, ray, z))
+                kept.append((ray, z))
+            elif v < 0:
+                neg.append((v, ray, z))
+            else:
+                kept.append((ray, z | bit))
+        for vp, rp, zp in pos:
+            for vn, rn, zn in neg:
+                common = zp & zn
+                if (common.bit_count() < dim - 1
+                        or sum(z & common == common for _, z in rays) > 2):
+                    continue
+                ray = [vp * a - vn * b for a, b in zip(rn, rp)]
+                g = gcd(*ray)
+                kept.append(([a // g for a in ray], common | bit))
+        rays = kept
+    return {(tuple(ray[:dim]), ray[dim]) for ray, _ in rays if ray[dim] > 0}
 
 
 def enumerate_basic_feasible(dim: int, rows: Sequence[tuple[Sequence, object]]) -> list[Vec]:
@@ -93,7 +154,7 @@ def _pulling_simplices(dim: int, irows: Sequence[Sequence[int]],
         target = r[dim] * den
         mask = 0
         for i, p in enumerate(pts):
-            if sum(a * x for a, x in zip(r, p)) == target:
+            if sum(map(mul, r, p)) == target:
                 mask |= 1 << i
         if mask == every:
             return
@@ -304,11 +365,11 @@ def _lifted_paths(dim: int, lifted: Sequence[Sequence[int]]) -> list[tuple]:
     """
     paths = []
     for sub in combinations(range(len(lifted)), dim):
-        rows = [lifted[i][:dim] for i in sub]
-        d = int_det(rows)
+        d, pq = int_solve([lifted[i][:dim] for i in sub],
+                          [[lifted[i][col] for i in sub] for col in (dim, dim + 1)])
         if d == 0:
             continue
-        p, q = [cramer_numerators(rows, [lifted[i][col] for i in sub]) for col in (dim, dim + 1)]
+        p, q = pq
         s = 1 if d > 0 else -1
         # lo = lo_n / lo_d and hi = hi_n / hi_d, denominators positive
         lo_n = hi_n = None

@@ -159,15 +159,6 @@ def model_from_dict(data: Mapping) -> ToricFanoModel:
 # ---------------------------------------------------------------------------
 # subschemes and ideal sequences
 
-def subscheme_to_dict(Z: MonomialSubscheme) -> dict:
-    out: dict = {"label": Z.label, "dim": Z.dimension,
-                 "charts": {str(i): [list(g) for g in gens]
-                            for i, gens in sorted(Z.chart_gens.items())}}
-    if Z.boundary_ray is not None:
-        out["boundary_ray"] = list(Z.boundary_ray)
-    return out
-
-
 def subscheme_from_dict(data: Mapping) -> MonomialSubscheme:
     charts = {int(i): tuple(tuple(int(x) for x in g) for g in gens)
               for i, gens in data.get("charts", {}).items()}
@@ -176,10 +167,6 @@ def subscheme_from_dict(data: Mapping) -> MonomialSubscheme:
         label=str(data.get("label", "subscheme")), dimension=int(data["dim"]),
         chart_gens=charts,
         boundary_ray=tuple(int(x) for x in ray) if ray is not None else None)
-
-
-def sequence_to_dict(S: IdealSequenceOnXxA1) -> dict:
-    return {"steps": [subscheme_to_dict(step) for step in S.steps]}
 
 
 def sequence_from_dict(data: Mapping) -> IdealSequenceOnXxA1:

@@ -219,12 +219,6 @@ class IdealSequenceOnXxA1:
     def M(self) -> int:
         return len(self.steps)
 
-    def step(self, j: int) -> MonomialSubscheme:
-        """I_j for 1 <= j <= M; the unit subscheme for j <= 0."""
-        if j <= 0:
-            return MonomialSubscheme(label="unit", dimension=self.steps[0].dimension)
-        return self.steps[j - 1]
-
     def product_gens(self, chart_index: int) -> tuple[tuple[int, ...], ...]:
         """Generators of the induced (n+1)-variable chart ideal, the last
         coordinate being the t-exponent: the corners of the chart's level

@@ -94,6 +94,24 @@ def leibniz_det(rows) -> Fraction:
     return total
 
 
+def fraction_horner(coeffs, x) -> Fraction:
+    """sum(c_j x^j), one Fraction multiply and add per coefficient."""
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * Fraction(x) + Fraction(c)
+    return acc
+
+
+def subscheme_to_dict(Z) -> dict:
+    """A subscheme in the file format that config and reportio read."""
+    out = {"label": Z.label, "dim": Z.dimension,
+           "charts": {str(i): [list(g) for g in gens]
+                      for i, gens in sorted(Z.chart_gens.items())}}
+    if Z.boundary_ray is not None:
+        out["boundary_ray"] = list(Z.boundary_ray)
+    return out
+
+
 def hull_facets_longhand(dim, points):
     """Facets of conv(points) as sorted (primitive inward normal, offset)
     pairs, or None when the points are not full-dimensional.

@@ -11,7 +11,7 @@ import json
 
 import pytest
 
-from fanokit.acceptance import run_acceptance_suite, run_acceptance_suite_timed
+from fanokit.acceptance import run_acceptance_suite_timed
 from fanokit.config import RunConfig
 from fanokit.errors import ConfigError
 from fanokit.reportio import dumps_report
@@ -77,4 +77,4 @@ def test_oracles_attached_where_promised(suite):
 
 def test_unwritable_output_aborts():
     with pytest.raises(ConfigError, match="not writable"):
-        run_acceptance_suite(RunConfig(out="/nonexistent/dir/summary.json"))
+        run_acceptance_suite_timed(RunConfig(out="/nonexistent/dir/summary.json"))

@@ -16,6 +16,8 @@ from fanokit.errors import ConfigError
 from fanokit.model import build_model, catalog_model
 from fanokit.reportio import model_to_dict
 
+import helpers
+
 
 @pytest.fixture()
 def run(capsys):
@@ -99,10 +101,9 @@ class TestResolvers:
     def test_subscheme_file_dimension_check(self, tmp_path):
         X2, X3 = catalog_model("P2"), catalog_model("P3")
         path = tmp_path / "z.json"
-        from fanokit.reportio import subscheme_to_dict
         from fanokit.subscheme import point_subscheme
 
-        path.write_text(json.dumps(subscheme_to_dict(point_subscheme(X2, 0))))
+        path.write_text(json.dumps(helpers.subscheme_to_dict(point_subscheme(X2, 0))))
         assert resolve_subscheme(X2, str(path)).chart_gens
         with pytest.raises(ConfigError, match="dimension"):
             resolve_subscheme(X3, str(path))

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from fanokit import lattice
 from fanokit.errors import DegeneratePolytope, OutOfDomain, UnboundedPolytope
-from fanokit.linalg import cramer, int_det, rational_primitive, solve
+from fanokit.linalg import int_det, int_solve, rational_primitive, solve
 from fanokit.model import CATALOG_RAYS, catalog_model
 from fanokit.oracles import bruteforce_lct
-from fanokit.piecewise import PiecewisePolynomial, fit_polynomial, poly_trim
+from fanokit.piecewise import PiecewisePolynomial, fit_polynomial, poly_eval, poly_trim
 from fanokit.polytope import (RationalPolytope, _lifted_paths, enumerate_basic_feasible,
                               euclidean_volume, lattice_fibers, lattice_points,
                               moving_volume_function, polytope_edges,
@@ -323,6 +323,26 @@ class TestRowVolume:
             slice_function(TRIANGLE, (0, 0), 0)
 
 
+SQUARE_PYRAMID_ROWS = [((0, 0, 1), 0), ((3, 0, -1), 0), ((0, 3, -1), 0),
+                       ((-3, 0, -1), -6), ((0, -3, -1), -6)]
+
+
+@st.composite
+def rational_systems(draw):
+    """(dim, rows) of general rational rows in dims 1-4, some of them
+    rescaled copies of others."""
+    dim = draw(st.integers(1, 4))
+    entry = st.fractions(-3, 3, max_denominator=3)
+    rows = draw(st.lists(st.tuples(st.tuples(*[entry] * dim), entry), max_size=dim + 4))
+    if rows:
+        scale = st.fractions(F(1, 4), 4, max_denominator=4).filter(bool)
+        for i, c in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1), scale),
+                                  max_size=2)):
+            nr, off = rows[i]
+            rows.append((tuple(c * a for a in nr), c * off))
+    return dim, rows
+
+
 NEWTON_GENS = st.integers(2, 3).flatmap(lambda n: st.lists(
     st.tuples(*[st.integers(0, 4)] * n).filter(any), min_size=1, max_size=4))
 
@@ -344,22 +364,50 @@ class TestBasicFeasible:
                   for c, (nr, off) in zip(scales, rows)]
         assert enumerate_basic_feasible(n, scaled) == expected
 
-    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
-        st.lists(st.integers(-5, 5), min_size=n + 1, max_size=n + 1),
-        min_size=n, max_size=n)))
-    @settings(max_examples=60, deadline=None)
-    def test_integer_cramer_matches_fraction_elimination(self, aug):
-        n = len(aug)
-        rows = [tuple(r[:n]) for r in aug]
-        rhs = [r[n] for r in aug]
-        assert int_det(rows) == helpers.leibniz_det(rows)
-        sol = cramer(rows, rhs)
-        expected = solve(rows, rhs)
-        if expected is None:
-            assert sol is None
+    @given(rational_systems())
+    @settings(max_examples=150, deadline=None)
+    @example((2, [((1, 0), 0), ((0, 1), 0), ((1, 1), 1)]))           # unbounded
+    @example((3, [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0)]))  # a cone
+    @example((1, [((1,), 1), ((-1,), 0)]))                             # infeasible
+    @example((2, UNIT_SQUARE_ROWS + [((1, 1), 3)]))                    # infeasible
+    @example((2, [((1, 0), 0), ((-1, 0), -1)]))                        # a strip
+    @example((3, [((1, 1, 0), 0), ((-1, -1, 0), -2), ((0, 0, 1), 0)]))  # a line
+    @example((2, [((-1, -1), -1), ((0, 0), -1), ((1, 1), -1)]))        # flat polar
+    @example((3, [(signs, -1) for signs in product((1, -1), repeat=3)]))  # octahedron
+    @example((3, SQUARE_PYRAMID_ROWS))                                 # pyramid apex
+    @example((2, UNIT_SQUARE_ROWS + [((F(3), F(0)), 0), ((1, 0), 0),  # repeated and
+                                     ((0, F(1, 2)), 0)]))              # rescaled rows
+    @example((2, UNIT_SQUARE_ROWS + [((0, 0), 0), ((0, 0), -2)]))      # zero normals
+    @example((2, UNIT_SQUARE_ROWS + [((0, 0), 1)]))                    # 0 >= 1
+    # the zero row is tight at every ray, so only the third-ray test tells
+    # adjacent rays apart here
+    @example((2, [((1, 1), -2), ((0, 0), 0), ((-1, 2), 0), ((-1, 0), -1), ((-1, 0), 0)]))
+    @example((4, [(e, 0) for e in product((0, 1), repeat=4) if sum(e) == 1]
+              + [((1, 1, 1, 1), 1), ((1, -1, 1, -1), -1)]))
+    def test_double_description_matches_row_subsets(self, system):
+        dim, rows = system
+        assert enumerate_basic_feasible(dim, rows) == helpers.basic_feasible_points(dim, rows)
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                 min_size=n, max_size=n),
+        st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                 min_size=1, max_size=3))))
+    @settings(max_examples=100, deadline=None)
+    @example(([[0, 2, 1], [0, 1, 3], [4, 0, 0]], [[1, 2, 3]]))        # zero pivot at 0
+    @example(([[1, 1, 0], [1, 1, 1], [0, 1, 1]], [[1, 0, 0], [0, 2, 5]]))  # ... at 1
+    @example(([[1, 2, 3], [2, 4, 6], [0, 1, 1]], [[1, 0, 0], [0, 0, 0]]))  # singular
+    @example(([[0, 0], [0, 0]], [[1, 1]]))
+    @example(([[3]], [[2], [-6], [0]]))
+    def test_integer_cramer_matches_fraction_elimination(self, system):
+        rows, columns = system
+        d, numerators = int_solve(rows, columns)
+        assert d == int_det(rows) == helpers.leibniz_det(rows)
+        if d == 0:
+            assert numerators == [] and all(solve(rows, b) is None for b in columns)
         else:
-            nums, den = sol
-            assert den > 0 and tuple(F(x, den) for x in nums) == expected
+            assert ([tuple(F(a, d) for a in y) for y in numerators]
+                    == [solve(rows, b) for b in columns])
 
 
 @st.composite
@@ -532,6 +580,16 @@ class TestPiecewisePolynomial:
     def test_strictly_increasing_breakpoints(self):
         with pytest.raises(ValueError):
             PiecewisePolynomial([0, 0, 1], [(1,), (1,)])
+
+    @given(st.lists(st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7)),
+                    max_size=6), st.fractions(-5, 5, max_denominator=6))
+    @settings(max_examples=80, deadline=None)
+    @example([], F(2, 3))
+    @example([1, F(1, 2), 0, F(-3, 4)], F(-5, 3))
+    @example([F(1, 6)], 0)
+    def test_poly_eval_matches_fraction_horner(self, coeffs, x):
+        assert poly_eval(coeffs, x) == helpers.fraction_horner(coeffs, x)
+        assert poly_eval(tuple(coeffs), int(x)) == helpers.fraction_horner(coeffs, int(x))
 
     def test_fit_polynomial_roundtrip(self):
         coeffs = fit_polynomial([0, 1, 2], [5, 6, 9])

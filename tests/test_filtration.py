@@ -552,9 +552,9 @@ class TestInducedSequence:
         X, F = _point_filtration("P1")
         seq = induced_ideal_sequence(F, 1)
         assert seq.M == 4
-        assert seq.step(1).is_empty
-        assert dict(seq.step(2).chart_gens) == {0: ((1,),)}
-        assert seq.step(4).has_zero_chart
+        assert seq.steps[0].is_empty
+        assert dict(seq.steps[1].chart_gens) == {0: ((1,),)}
+        assert seq.steps[3].has_zero_chart
         assert seq.product_gens(0) == ((0, 3), (1, 2), (2, 1))
 
     def test_scales_with_r(self):

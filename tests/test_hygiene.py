@@ -1,7 +1,8 @@
 """Source hygiene: every name a package module or test file imports is
-used in it, every name a package module defines is used somewhere, every
-function the benchmark's tracer wraps exists, and git tracks no file
-that .gitignore excludes (generated files)."""
+used in it, every name a package module defines is used outside the
+tests (the oracles excepted, which only tests read), every function the
+benchmark's tracer wraps exists, and git tracks no file that .gitignore
+excludes (generated files)."""
 
 import ast
 import importlib
@@ -9,6 +10,7 @@ import re
 import shutil
 import subprocess
 from pathlib import Path
+from typing import Sequence
 
 import pytest
 
@@ -17,6 +19,8 @@ PACKAGE = ROOT / "src" / "fanokit"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 TEST_FILES = sorted((ROOT / "tests").glob("*.py"))
 SEARCHED = ("src", "tests", "perfbench", "benchmarks")
+# the independent oracles exist for the tests to read
+TEST_READ_MODULES = {"oracles.py"}
 # entry points the tracer still lists although the package dropped them
 STALE_ENTRY_POINTS = {"polytope.sliced_volume_function", "subscheme.is_integrally_closed",
                       "oracles.counting_profile", "exactlp.solve_lp",
@@ -59,7 +63,8 @@ def test_no_unused_imports(path):
 
 def top_level_definitions(tree: ast.Module) -> list[tuple[str, int, int]]:
     """(name, first line, last line) of each module-level function, class
-    and assigned constant."""
+    and assigned constant, and of each method of a module-level class
+    other than the double-underscore ones."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -70,6 +75,10 @@ def top_level_definitions(tree: ast.Module) -> list[tuple[str, int, int]]:
         else:
             continue
         out.extend((name, node.lineno, node.end_lineno) for name in names)
+        if isinstance(node, ast.ClassDef):
+            out.extend((m.name, m.lineno, m.end_lineno) for m in node.body
+                       if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                       and not m.name.startswith("__"))
     return out
 
 
@@ -94,19 +103,32 @@ def name_references(tree: ast.Module) -> list[tuple[str, int]]:
     return out
 
 
-def test_no_unreferenced_names():
+def unreferenced_names(searched: Sequence[str], modules: Sequence[Path]) -> list[str]:
+    """module:name for each definition in modules that no file under the
+    searched directories names outside the definition itself."""
     sites: dict[str, list[tuple[Path, int]]] = {}
-    for top in SEARCHED:
+    for top in searched:
         for path in (ROOT / top).rglob("*.py"):
             for name, line in name_references(ast.parse(path.read_text())):
                 sites.setdefault(name, []).append((path, line))
     unreferenced = []
-    for module in MODULES:
+    for module in modules:
         for name, first, last in top_level_definitions(ast.parse(module.read_text())):
             if all(path == module and first <= line <= last
                    for path, line in sites.get(name, [])):
                 unreferenced.append(f"{module.name}:{name}")
-    assert unreferenced == []
+    return unreferenced
+
+
+def test_no_unreferenced_names():
+    assert unreferenced_names(SEARCHED, MODULES) == []
+
+
+def test_no_name_only_tests_reference():
+    """Library code that only tests reach is dead code with a test."""
+    untested_tops = [top for top in SEARCHED if top != "tests"]
+    modules = [m for m in MODULES if m.name not in TEST_READ_MODULES]
+    assert unreferenced_names(untested_tops, modules) == []
 
 
 def test_tracer_entry_points_resolve():

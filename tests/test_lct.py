@@ -138,6 +138,16 @@ class TestProductLine:
             for k in range(len(X.charts)))
         assert value == expected
 
+    def test_point_power_chains_on_p1xp2(self):
+        # 35 generators per chart for M = 4: far more rows than vertices
+        X = catalog_model("P1xP2")
+        pt = point_subscheme(X, 0)
+        chain = tuple(pt.power(k) for k in range(1, 5))
+        for steps, values in ((chain, (0, -1, -4)), (chain[:3], (1, Fraction(1, 4), -2))):
+            S = IdealSequenceOnXxA1(steps=steps)
+            assert tuple(lct_on_product_with_line(X, S, c1)
+                         for c1 in (1, Fraction(5, 4), 2)) == values
+
     def test_singular_model_refused(self):
         X = catalog_model("P112")
         pt = point_subscheme(X, 0)

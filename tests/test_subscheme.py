@@ -160,12 +160,6 @@ class TestIdealSequence:
         with pytest.raises(ValueError):
             IdealSequenceOnXxA1(steps=(pt.power(2), pt))
 
-    def test_step_indexing(self):
-        S = self._dnc()
-        assert S.M == 2
-        assert S.step(0).is_empty  # unit ideal below the range
-        assert S.step(1).gens_on(0) == ((1,),)
-
     def test_product_gens(self):
         S = self._dnc()
         # I_p + I_p t + (t^2) collapses to (x, t^2) on the chart at p
