@@ -382,8 +382,8 @@ class TestBasicFeasible:
     # the zero row is tight at every ray, so only the third-ray test tells
     # adjacent rays apart here
     @example((2, [((1, 1), -2), ((0, 0), 0), ((-1, 2), 0), ((-1, 0), -1), ((-1, 0), 0)]))
-    @example((4, [(e, 0) for e in product((0, 1), repeat=4) if sum(e) == 1]
-              + [((1, 1, 1, 1), 1), ((1, -1, 1, -1), -1)]))
+    @example((4, [(e, 0) for e in product((0, 1), repeat=4) if sum(e) == 1]  # unbounded
+              + [((1, 1, 1, 1), 1), ((1, -1, 1, -1), -1)]))                  # in dim 4
     def test_double_description_matches_row_subsets(self, system):
         dim, rows = system
         assert enumerate_basic_feasible(dim, rows) == helpers.basic_feasible_points(dim, rows)
