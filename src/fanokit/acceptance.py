@@ -195,7 +195,7 @@ def _criterion_saturation_laws(config: RunConfig) -> tuple:
         X = catalog_model(name)
         Z = standard_battery(X)[0]
         F = ideal_power_filtration(X, Z)
-        r1 = find_r1(F, cap=config.r1_cap)
+        r1 = find_r1(F)
         if r1 != 1:
             problems.append(f"{name}: r1 = {r1} != 1 for an ideal power")
         rng = random.Random(640 + offset)

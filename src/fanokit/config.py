@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Mapping
 
 from .errors import ConfigError
-from .filtration import DEFAULT_R_LIST, R1_CAP
+from .filtration import DEFAULT_R_LIST
 from .model import CATALOG_RAYS, ToricFanoModel, catalog_model
 from .reportio import model_from_dict, sequence_from_dict, subscheme_from_dict
 from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
@@ -31,14 +31,12 @@ class RunConfig:
 
     k_max: int = 10
     r_list: tuple[int, ...] = DEFAULT_R_LIST
-    r1_cap: int = R1_CAP
     out: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "r_list", tuple(int(r) for r in self.r_list))
-        for cap_name in ("k_max", "r1_cap"):
-            if int(getattr(self, cap_name)) < 1:
-                raise ConfigError(f"{cap_name} must be positive")
+        if int(self.k_max) < 1:
+            raise ConfigError("k_max must be positive")
         if not self.r_list or any(r < 1 for r in self.r_list):
             raise ConfigError("r_list must be a nonempty list of positive ints")
 

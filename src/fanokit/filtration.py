@@ -12,6 +12,9 @@ assemble into a t-graded ideal on X x A^1, its k-th powers produce weight
 sums v_r(k) and w_r(k), the stabilised leading coefficient of v_r gives
 the sample slope d_r, and for ideal-power filtrations the r -> infinity
 limit is evaluated in closed form through the blowup volume profile.
+The integer window [e_minus, e_plus] of those steps belongs to the
+filtration: the constructor that builds a spec checks it, and no route
+takes a window of its own.
 
 Chart exponent vectors here are ray pairings <rho, u> + level over the
 cone rays of each chart.  On smooth charts this is the usual exponent
@@ -78,10 +81,11 @@ class FiltrationSpec:
     spaces V_r of level-r anticanonical sections.
 
     Build instances with ideal_power_filtration or explicit_filtration.
-    e_plus/e_minus are the integer window used by the weight routes;
-    e_min_est/e_max_est are the slope estimates they must bracket.
-    F^x V_r is read off one single-step level table per active chart of
-    the level ideal: the sections whose least level is 1.
+    e_plus/e_minus are the integer window of the weight routes, the
+    spec's own: the constructors check it once, e_minus < e_min_est,
+    e_max_est < e_plus and e_minus < e_plus, and every route reads it
+    from here.  F^x V_r is read off one single-step level table per
+    active chart of the level ideal: the sections whose least level is 1.
     """
 
     def __init__(self, X: ToricFanoModel, kind: str, *,
@@ -122,45 +126,34 @@ class FiltrationSpec:
             self._fibers[r] = lattice_fibers(self.X.polytope, r * self.X.r0)
         return self._fibers[r]
 
-    def level_ideal(self, r: int, x) -> MonomialSubscheme | None:
-        """Defining ideal of F^x V_r; None is the unit ideal."""
+    def level_step(self, r: int, x) -> tuple[int, MonomialSubscheme | None]:
+        """The step of the filtration at r that contains level x: its
+        index, equal exactly when two levels share the step, and the
+        defining ideal of F^x V_r, None for the unit ideal."""
         x = Fraction(x)
         if self.kind == IDEAL_POWER:
             m = ceil(x)
             if m <= 0:
-                return None
+                return 0, None
             if m not in self._powers:
                 self._powers[m] = (self.subscheme if m == 1
                                    else self.subscheme.power(m))
-            return self._powers[m]
+            return m, self._powers[m]
         rows = self.table.get(int(r))
         if rows is None:
             raise KeyError(f"filtration table has no row for r={r}")
-        for threshold, ideal in rows:
+        for i, (threshold, ideal) in enumerate(rows):
             if x <= threshold:
-                return ideal
-        return _zero_subscheme(self.X)
-
-    def _level_key(self, r: int, x):
-        """Hashable key identifying the step that contains (r, x)."""
-        x = Fraction(x)
-        if self.kind == IDEAL_POWER:
-            return max(0, ceil(x))
-        rows = self.table.get(int(r))
-        if rows is None:
-            raise KeyError(f"filtration table has no row for r={r}")
-        for i, (threshold, _) in enumerate(rows):
-            if x <= threshold:
-                return i
-        return len(rows)
+                return i, ideal
+        return len(rows), _zero_subscheme(self.X)
 
     def value(self, r: int, x) -> tuple[Point, ...]:
         """F^x V_r as lattice points of r*r0*P."""
-        return tuple(compress(self.sections(r), self._members(r, x)))
+        _, ideal = self.level_step(r, x)
+        return tuple(compress(self.sections(r), self._members(r, ideal)))
 
-    def _members(self, r: int, x) -> Iterable[int]:
-        """Per section of V_r, in order, whether it lies in F^x V_r."""
-        ideal = self.level_ideal(r, x)
+    def _members(self, r: int, ideal: MonomialSubscheme | None) -> Iterable[int]:
+        """Per section of V_r, in order, whether it lies in the ideal."""
         if ideal is None:
             return repeat(True, len(self.sections(r)))
         _check_arity(self.X, ideal)
@@ -174,9 +167,10 @@ def ideal_power_filtration(X: ToricFanoModel, Z: MonomialSubscheme) -> Filtratio
 
     Level x keeps the sections whose chart exponents lie in the
     ceil(x)-th power of Z's ideal; nonpositive x keeps everything.  The
-    slope window defaults to e_minus = -1 and e_plus one past the scaled
+    window is e_minus = -1 and e_plus one past the scaled
     pseudoeffective threshold, which the blowup volume profile provides
-    exactly (or as a flagged overestimate on the counting fallback).
+    exactly; it brackets the slope estimates 0 and that threshold by
+    construction.
     """
     Z.require_usable()
     profile = blowup_volume_profile(X, Z)
@@ -197,7 +191,10 @@ def explicit_filtration(X: ToricFanoModel,
     to and including its threshold, the first entry (which must be the
     unit ideal, spelled None) covers everything below, and past the last
     threshold the filtration is zero.  Ideals must decrease along each
-    row.  Slope estimates are read from the table unless supplied.
+    row.  Slope estimates are read from the table unless supplied.  The
+    window must be nonempty and bracket them strictly: e_minus < e_min_est
+    and e_max_est < e_plus.  It is checked here, once, and every route
+    reads it from the spec.
     """
     norm: dict[int, tuple[tuple[Fraction, MonomialSubscheme | None], ...]] = {}
     for r, rows in table.items():
@@ -229,6 +226,8 @@ def explicit_filtration(X: ToricFanoModel,
         raise ValueError(f"e_plus={e_plus} must exceed e_max_est={e_max_est}")
     if not Fraction(e_minus) < Fraction(e_min_est):
         raise ValueError(f"e_minus={e_minus} must sit below e_min_est={e_min_est}")
+    if not e_plus > e_minus:
+        raise ValueError(f"e_plus={e_plus} must exceed e_minus={e_minus}")
     return FiltrationSpec(X, EXPLICIT, table=norm, e_plus=e_plus,
                           e_minus=e_minus, e_min_est=e_min_est,
                           e_max_est=e_max_est)
@@ -280,38 +279,35 @@ def _saturate_core(X: ToricFanoModel, r: int, kept: Sequence[bool],
 def saturate(F: FiltrationSpec, r: int, x) -> tuple[MonomialSubscheme, tuple[Point, ...]]:
     """I_(r,x) generated by F^x V_r, plus the saturated value itself."""
     r = int(r)
-    key = (r, F._level_key(r, x))
+    index, ideal = F.level_step(r, x)
+    key = (r, index)
     if key not in F._saturations:
         F._saturations[key] = _saturate_core(
-            F.X, r, list(F._members(r, x)), F.fibers(r), F.sections(r),
+            F.X, r, list(F._members(r, ideal)), F.fibers(r), F.sections(r),
             f"sat(r={r},x={x})")
     return F._saturations[key]
 
 
-def find_r1(F: FiltrationSpec, e_minus: int | None = None, cap: int = R1_CAP) -> int:
-    """Smallest r1 <= cap with F^{r e_minus} V_r full for all r in [r1, 2 r1].
+def find_r1(F: FiltrationSpec) -> int:
+    """Smallest r1 <= R1_CAP with F^{r e_minus} V_r full for all r in
+    [r1, 2 r1], at the spec's e_minus.
 
     Fullness is checked both as a point count and through the saturated
-    ideal being the unit ideal.  e_minus must sit strictly below the
-    filtration's e_min estimate.
+    ideal being the unit ideal.
     """
-    e_minus = F.e_minus if e_minus is None else int(e_minus)
-    if not Fraction(e_minus) < F.e_min_est:
-        raise ValueError(
-            f"e_minus={e_minus} is not below e_min_est={F.e_min_est}")
-    for r1 in range(1, cap + 1):
+    for r1 in range(1, R1_CAP + 1):
         good = True
         for r in range(r1, 2 * r1 + 1):
-            if len(F.value(r, r * e_minus)) != len(F.sections(r)):
+            if len(F.value(r, r * F.e_minus)) != len(F.sections(r)):
                 good = False
                 break
-            ideal, _ = saturate(F, r, r * e_minus)
+            ideal, _ = saturate(F, r, r * F.e_minus)
             if not ideal.is_empty:
                 good = False
                 break
         if good:
             return r1
-    raise R1NotFound(cap)
+    raise R1NotFound(R1_CAP)
 
 
 def _diffs(seq):
@@ -359,9 +355,14 @@ class WeightSeries:
     records: tuple[WeightRecord, ...]
 
 
-def compute_weight_series(F: FiltrationSpec, r: int, k_max: int = 10, *,
-                          e_plus: int | None = None,
-                          e_minus: int | None = None) -> WeightSeries:
+def _window_steps(F: FiltrationSpec, r: int) -> list[MonomialSubscheme]:
+    """The saturated level ideals at x = j for the integers j in
+    (r e_minus, r e_plus], the steps of the spec's window at r."""
+    return [saturate(F, r, j)[0]
+            for j in range(r * F.e_minus + 1, r * F.e_plus + 1)]
+
+
+def compute_weight_series(F: FiltrationSpec, r: int, k_max: int = 10) -> WeightSeries:
     """Weight sums of the k-th powers of the level-r step ideals.
 
     Step j of the window [r e_minus, r e_plus] is the saturated level
@@ -371,18 +372,13 @@ def compute_weight_series(F: FiltrationSpec, r: int, k_max: int = 10, *,
     r, k_max = int(r), int(k_max)
     if r < 1 or k_max < 1:
         raise ValueError("r and k_max must be positive")
-    e_plus = F.e_plus if e_plus is None else int(e_plus)
-    e_minus = F.e_minus if e_minus is None else int(e_minus)
-    if e_plus <= e_minus:
-        raise ValueError("e_plus must exceed e_minus")
-    if len(F.value(r, r * e_minus)) != len(F.sections(r)):
+    lo = r * F.e_minus
+    if len(F.value(r, lo)) != len(F.sections(r)):
         raise ValueError(
-            f"F^x V_r not full at x = {r * e_minus}; r={r} is below r1")
-    lo, hi = r * e_minus, r * e_plus
-    steps = [saturate(F, r, j)[0] for j in range(lo + 1, hi + 1)]
-    records = _weight_records(F.X, r, steps, lo, k_max,
+            f"F^x V_r not full at x = {lo}; r={r} is below r1")
+    records = _weight_records(F.X, r, _window_steps(F, r), lo, k_max,
                               lambda s: lattice_fibers(F.X.polytope, s * F.X.r0))
-    return WeightSeries(r=r, e_plus=e_plus, e_minus=e_minus, records=records)
+    return WeightSeries(r=r, e_plus=F.e_plus, e_minus=F.e_minus, records=records)
 
 
 def _weight_records(X: ToricFanoModel, r: int,
@@ -480,36 +476,27 @@ class DInftyReport:
 DEFAULT_R_LIST = (1, 2, 4, 8)
 
 
-def compute_d_infty(F: FiltrationSpec, e_plus: int | None = None,
-                    e_minus: int | None = None,
-                    r_list: Sequence[int] = DEFAULT_R_LIST,
+def compute_d_infty(F: FiltrationSpec, r_list: Sequence[int] = DEFAULT_R_LIST,
                     k_max: int = 10) -> DInftyReport:
-    """Slope samples d_r over r_list and the limit slope d_infty.
+    """Slope samples d_r over r_list and the limit slope d_infty, over
+    the spec's window.
 
     Each A_r comes from the stabilised leading coefficient of v_r(k); the
     limit value is the exact profile integral for ideal-power filtrations
     and the last sample, flagged approximate, otherwise.
     """
-    e_plus = F.e_plus if e_plus is None else int(e_plus)
-    e_minus = F.e_minus if e_minus is None else int(e_minus)
-    if not Fraction(e_plus) > F.e_max_est:
-        raise ValueError(f"e_plus={e_plus} must exceed e_max_est={F.e_max_est}")
-    if not Fraction(e_minus) < F.e_min_est:
-        raise ValueError(
-            f"e_minus={e_minus} must sit below e_min_est={F.e_min_est}")
     X = F.X
     n = X.dimension
     vol = anticanonical_volume(X)
-    e = e_plus - e_minus
-    r1 = find_r1(F, e_minus)
+    e = F.e_plus - F.e_minus
+    r1 = find_r1(F)
     a_samples = []
     d_samples = []
     for r in r_list:
         r = int(r)
         if r < r1:
             raise ValueError(f"r={r} is below r1={r1}")
-        series = compute_weight_series(F, r, k_max,
-                                       e_plus=e_plus, e_minus=e_minus)
+        series = compute_weight_series(F, r, k_max)
         lead = _stable_leading_difference(
             [rec.v for rec in series.records], n + 1, k_max)
         a_r = lead / ((n + 1) * Fraction(r * X.r0) ** (n + 1))
@@ -519,36 +506,29 @@ def compute_d_infty(F: FiltrationSpec, e_plus: int | None = None,
     if approximate:
         a_limit = a_samples[-1][1]
     else:
-        a_limit = -Fraction(e_minus) * vol / X.r0 + F.profile.integral()
+        a_limit = -Fraction(F.e_minus) * vol / X.r0 + F.profile.integral()
     d_infty = 1 - Fraction(e, X.r0) + a_limit / vol
-    return DInftyReport(e_plus=e_plus, e_minus=e_minus, r1=r1,
+    return DInftyReport(e_plus=F.e_plus, e_minus=F.e_minus, r1=r1,
                         a_samples=tuple(a_samples), a_limit=a_limit,
                         d_samples=tuple(d_samples), d_infty=d_infty,
                         approximate=approximate)
 
 
-def induced_ideal_sequence(F: FiltrationSpec, r: int, *,
-                           e_plus: int | None = None,
-                           e_minus: int | None = None) -> IdealSequenceOnXxA1:
+def induced_ideal_sequence(F: FiltrationSpec, r: int) -> IdealSequenceOnXxA1:
     """The t-graded ideal on X x A^1 whose powers drive the weight series.
 
     Step j carries the saturated level ideal at x = r*e_minus + j, so the
-    sequence has M = r*(e_plus - e_minus) steps, the early ones unit and
-    the late ones zero.  Charts must expose dimension-many cone rays
-    (every simplicial chart does); otherwise the sequence's unit markers
-    would have the wrong arity.
+    sequence has M = r*(e_plus - e_minus) steps over the spec's window,
+    the early ones unit and the late ones zero.  Charts must expose
+    dimension-many cone rays (every simplicial chart does); otherwise the
+    sequence's unit markers would have the wrong arity.
     """
-    r = int(r)
-    e_plus = F.e_plus if e_plus is None else int(e_plus)
-    e_minus = F.e_minus if e_minus is None else int(e_minus)
     n = F.X.dimension
-    steps = []
-    for j in range(1, r * (e_plus - e_minus) + 1):
-        ideal, _ = saturate(F, r, r * e_minus + j)
+    steps = _window_steps(F, int(r))
+    for ideal in steps:
         for idx, gens in ideal.chart_gens.items():
             if any(len(g) != n for g in gens):
                 raise UnsupportedSubscheme(
                     f"chart {idx} has {len(F.X.charts[idx].cone_rays)} cone "
                     f"rays; sequences need {n}-variable exponent charts")
-        steps.append(ideal)
     return IdealSequenceOnXxA1(steps=tuple(steps))

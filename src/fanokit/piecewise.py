@@ -88,7 +88,7 @@ def fit_polynomial(xs: Sequence, ys: Sequence) -> Poly:
 class PiecewisePolynomial:
     """Continuous piecewise polynomial on [breakpoints[0], breakpoints[-1]]."""
 
-    __slots__ = ("breakpoints", "pieces", "degree_bound")
+    __slots__ = ("breakpoints", "pieces")
 
     def __init__(self, breakpoints: Sequence, pieces: Sequence[Sequence],
                  degree_bound: int | None = None):
@@ -106,13 +106,12 @@ class PiecewisePolynomial:
             if left != right:
                 raise ValueError(
                     f"discontinuity at {bps[i + 1]}: {left} != {right}")
-        deg = max((len(poly_trim(p)) - 1 for p in pcs), default=0)
-        deg = max(deg, 0)
-        if degree_bound is not None and deg > degree_bound:
-            raise ValueError(f"piece degree {deg} exceeds bound {degree_bound}")
+        if degree_bound is not None:
+            deg = max(len(poly_trim(p)) - 1 for p in pcs)
+            if deg > degree_bound:
+                raise ValueError(f"piece degree {deg} exceeds bound {degree_bound}")
         self.breakpoints = bps
         self.pieces = pcs
-        self.degree_bound = degree_bound if degree_bound is not None else deg
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
@@ -132,25 +131,18 @@ class PiecewisePolynomial:
 
     __call__ = evaluate
 
-    def integrate(self, a, b, extend_zero: bool = False) -> Fraction:
-        """Exact integral over [a, b].
-
-        With extend_zero the function is treated as 0 outside its domain;
-        otherwise [a, b] must lie inside it.
-        """
+    def integrate(self, a, b) -> Fraction:
+        """Exact integral over [a, b], which must lie inside the domain."""
         a, b = Fraction(a), Fraction(b)
         if a > b:
             raise ValueError(f"reversed interval [{a}, {b}]")
         lo, hi = self.domain
-        if not extend_zero and (a < lo or b > hi):
+        if a < lo or b > hi:
             raise OutOfDomain(f"[{a}, {b}] outside [{lo}, {hi}]")
-        a_eff, b_eff = max(a, lo), min(b, hi)
-        if a_eff >= b_eff:
-            return Fraction(0)
         total = Fraction(0)
         for i, poly in enumerate(self.pieces):
-            left = max(a_eff, self.breakpoints[i])
-            right = min(b_eff, self.breakpoints[i + 1])
+            left = max(a, self.breakpoints[i])
+            right = min(b, self.breakpoints[i + 1])
             if left < right:
                 anti = poly_antiderivative(poly)
                 total += poly_eval(anti, right) - poly_eval(anti, left)

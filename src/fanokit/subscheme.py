@@ -226,24 +226,6 @@ class IdealSequenceOnXxA1:
         table = level_table(self.steps, chart_index, self.steps[0].dimension)
         return tuple((*e, self.M - j) for e, j in table.corners)
 
-    def power(self, m: int) -> "IdealSequenceOnXxA1":
-        """Sequence inducing the m-th power of the induced ideal: the new
-        step s is the sum over j_1 + ... + j_m = s of the products
-        I_{j_1} ... I_{j_m}, read off the m-th power of each level table."""
-        if m < 1:
-            raise ValueError("power must be >= 1")
-        dim, corners = self.steps[0].dimension, {}
-        for c in sorted(set().union(*(s.chart_gens for s in self.steps))):
-            base = table = level_table(self.steps, c, dim, reach=m)
-            for _ in range(m - 1):
-                table = table.times(base)
-            corners[c] = table.corners
-        return IdealSequenceOnXxA1(steps=tuple(
-            MonomialSubscheme(label=f"pow{m}[{s}]", dimension=dim,
-                              chart_gens={c: tuple(e for e, j in cs if j >= s)
-                                          for c, cs in corners.items()})
-            for s in range(1, m * self.M + 1)))
-
 
 def _box(top: Sequence[int], floor: int) -> tuple[list[int], list[int]]:
     """Lex-order strides of the box [0, top] and its cells, all at floor."""

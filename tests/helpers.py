@@ -12,6 +12,8 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, gcd, lcm
 
+from fanokit.subscheme import IdealSequenceOnXxA1, MonomialSubscheme
+
 
 def _pseudo_angle(dx: Fraction, dy: Fraction):
     """Exact rational key strictly increasing with the true angle in [0, 2pi)."""
@@ -110,6 +112,34 @@ def subscheme_to_dict(Z) -> dict:
     if Z.boundary_ray is not None:
         out["boundary_ray"] = list(Z.boundary_ray)
     return out
+
+
+def sequence_power(S, m):
+    """The sequence whose induced ideal on X x A^1 is the m-th power of
+    S's: its step s, for s = 1 .. m M, is the sum over j_1 + ... + j_m = s
+    of the products I_{j_1} ... I_{j_m}, with I_0 the unit ideal.
+
+    Products are expanded generator by generator, one factor at a time;
+    the package reads the same power off level tables instead.
+    """
+    dim, M = S.steps[0].dimension, S.M
+    unit = {(0,) * dim}
+    charts = sorted(set().union(*(step.chart_gens for step in S.steps)))
+    sums = {}
+    for c in charts:
+        factor = [unit] + [unit if step.gens_on(c) is None else set(step.gens_on(c))
+                           for step in S.steps]
+        acc = factor
+        for _ in range(m - 1):
+            acc = [{tuple(a + b for a, b in zip(g, h))
+                    for i in range(max(0, s - M), min(s, len(acc) - 1) + 1)
+                    for g in acc[i] for h in factor[s - i]}
+                   for s in range(len(acc) + M)]
+        sums[c] = acc
+    return IdealSequenceOnXxA1(steps=tuple(
+        MonomialSubscheme(label=f"pow{m}[{s}]", dimension=dim,
+                          chart_gens={c: tuple(sums[c][s]) for c in charts})
+        for s in range(1, m * M + 1)))
 
 
 def hull_facets_longhand(dim, points):

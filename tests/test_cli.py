@@ -72,9 +72,9 @@ class TestRunConfig:
             RunConfig.from_file(str(tmp_path / "absent.json"))
 
     def test_overrides_ignore_none(self):
-        config = RunConfig(k_max=4).with_overrides(k_max=None, r1_cap=2)
+        config = RunConfig(k_max=4).with_overrides(k_max=None, r_list=(1, 3))
         assert config.k_max == 4
-        assert config.r1_cap == 2
+        assert config.r_list == (1, 3)
 
 
 class TestResolvers:
@@ -307,6 +307,14 @@ class TestAcceptanceCommand:
         assert code == 1
         assert out == ""
         assert "unknown config keys: model" in err
+
+    def test_retired_r1_cap_key_is_refused(self, run, tmp_path):
+        config_path = tmp_path / "c.json"
+        config_path.write_text('{"k_max": 10, "r1_cap": 64}')
+        code, out, err = run("test-acceptance", "--config", str(config_path))
+        assert code == 1
+        assert out == ""
+        assert "unknown config keys: r1_cap" in err
 
 
 class TestErrorPaths:

@@ -560,7 +560,6 @@ class TestSlicedVolume:
             S.evaluate(F(5, 2))
         with pytest.raises(OutOfDomain):
             S.integrate(0, 3)
-        assert S.integrate(0, 3, extend_zero=True) == S.integrate(0, 2)
 
 
 class TestPiecewisePolynomial:

@@ -145,7 +145,7 @@ class TestSaturate:
         X, F = _point_filtration("P2")
         for r, x in [(1, 1), (1, 2), (2, 3), (2, Fraction(5, 2))]:
             ideal, _ = saturate(F, r, x)
-            assert _subscheme_contains(F.level_ideal(r, x), ideal)
+            assert _subscheme_contains(F.level_step(r, x)[1], ideal)
 
     def test_ideal_power_levels_already_saturated(self):
         X, F = _point_filtration("P2")
@@ -369,11 +369,6 @@ class TestFindR1:
             X, F = _point_filtration(name)
             assert find_r1(F) == 1
 
-    def test_requires_e_minus_below_estimate(self):
-        X, F = _point_filtration("P1")
-        with pytest.raises(ValueError, match="e_min"):
-            find_r1(F, e_minus=0)
-
     def test_shifted_table(self):
         X = catalog_model("P1")
         pt = point_subscheme(X, 0)
@@ -487,14 +482,21 @@ class TestWeightSeries:
                     sum(a * x for a, x in zip(ray, u)) + level for u in pts]
 
     def test_requires_fullness_at_window_bottom(self):
-        X, F = _point_filtration("P1")
+        # an e_min_est above the true one lets the window start where
+        # the filtration is not yet full
+        X = catalog_model("P1")
+        F = explicit_filtration(X, {1: [(-1, None), (0, point_subscheme(X, 0))]},
+                                e_plus=1, e_minus=0, e_min_est=5)
         with pytest.raises(ValueError, match="below r1"):
-            compute_weight_series(F, 1, 3, e_minus=1)
+            compute_weight_series(F, 1, 3)
 
     def test_rejects_empty_window(self):
-        X, F = _point_filtration("P1")
-        with pytest.raises(ValueError, match="exceed"):
-            compute_weight_series(F, 1, 3, e_plus=-1)
+        # a wrong e_min_est lets e_minus pass e_plus; the spec refuses
+        # that window when it is built, before any route reads it
+        X = catalog_model("P1")
+        with pytest.raises(ValueError, match="e_plus=1 must exceed e_minus=3"):
+            explicit_filtration(X, {1: [(0, None)]}, e_plus=1, e_minus=3,
+                                e_min_est=4)
 
     def test_generator_cap(self, monkeypatch):
         # the P2 point tables have 4 x 4 cells at k = 1, 10 x 10 at k = 3
@@ -533,13 +535,6 @@ class TestDInfty:
         assert report.d_infty == 1 - Fraction(1, X.r0)
         assert report.approximate
         assert report.a_limit == report.a_samples[-1][1]
-
-    def test_window_validation(self):
-        X, F = _point_filtration("P1")
-        with pytest.raises(ValueError, match="e_plus"):
-            compute_d_infty(F, e_plus=2, r_list=(1,), k_max=8)
-        with pytest.raises(ValueError, match="e_minus"):
-            compute_d_infty(F, e_minus=0, r_list=(1,), k_max=8)
 
     def test_needs_enough_k(self):
         X, F = _point_filtration("P1")

@@ -2,7 +2,11 @@
 used in it, every name a package module defines is used outside the
 tests (the oracles excepted, which only tests read), every function the
 benchmark's tracer wraps exists, and git tracks no file that .gitignore
-excludes (generated files)."""
+excludes (generated files).
+
+The name checks go by name only: a definition, a method above all, that
+shares its name with a live one elsewhere escapes them, because every
+reference to the live one counts for it too."""
 
 import ast
 import importlib

@@ -24,6 +24,7 @@ from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                                NewtonPolyhedron, boundary_divisor_subscheme,
                                point_subscheme, standard_battery,
                                thickened_point_subscheme)
+import helpers
 from strategies import decreasing_sequences
 
 
@@ -183,7 +184,7 @@ class TestDing:
         X, S = _dnc_sequence()
         base = ding_invariant(X, S, 1)
         for m in (2, 3):
-            rep = ding_invariant(X, S.power(m), m)
+            rep = ding_invariant(X, helpers.sequence_power(S, m), m)
             assert rep.ding == base.ding
             assert rep.d == base.d
             assert rep.lct_product == base.lct_product
