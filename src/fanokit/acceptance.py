@@ -22,7 +22,9 @@ from math import ceil
 
 from .config import RunConfig
 from .errors import FanokitError
-from .filtration import (compute_d_infty, compute_weight_series, find_r1,
+from .filtration import (_leading_integral, _stable_leading_difference,
+                         _window_steps, compute_d_infty,
+                         compute_weight_series, find_r1,
                          ideal_power_filtration, induced_ideal_sequence,
                          saturate, saturate_points)
 from .lct import lct_chart, lct_monomial
@@ -244,7 +246,8 @@ def _criterion_saturation_laws(config: RunConfig) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# 7. weight identity and the A_r limit for the point on the line
+# 7. weight identity, the leading integral against the weight counts, and
+#    the A_r limit for the point on the line
 
 def _criterion_weight_limit(config: RunConfig) -> tuple:
     problems: list[str] = []
@@ -254,6 +257,12 @@ def _criterion_weight_limit(config: RunConfig) -> tuple:
     e = F.e_plus - F.e_minus
     for r in (1, 2):
         series = compute_weight_series(F, r, config.k_max)
+        counted = _stable_leading_difference(
+            [rec.v for rec in series.records], X.dimension + 1, config.k_max)
+        integral = _leading_integral(X, r, _window_steps(F, r))
+        if integral != counted:
+            problems.append(f"r={r}: leading integral {integral} != weight "
+                            f"count {counted}")
         for rec in series.records:
             if rec.w != -rec.k * r * e * rec.h0 + rec.v:
                 problems.append(f"r={r}, k={rec.k}: identity fails")
@@ -277,13 +286,25 @@ def _criterion_weight_limit(config: RunConfig) -> tuple:
     if any(b > a for a, b in zip(gaps, gaps[1:])) or gaps[-1] > gaps[0]:
         problems.append(f"A_r gaps {gaps} not shrinking toward the integral")
     return _verdict(problems,
-                    f"identity and hand values for r in (1, 2), k <= "
-                    f"{config.k_max}; A_r gaps {[str(g) for g in gaps]}",
+                    f"identity, hand values and leading integral for r in "
+                    f"(1, 2), k <= {config.k_max}; A_r gaps "
+                    f"{[str(g) for g in gaps]}",
                     oracles)
 
 
 # ---------------------------------------------------------------------------
-# 8. Ding invariant: trivial configuration and the normal-cone deformation
+# 8. Ding invariant: trivial configuration and the normal-cone deformation,
+#    each top term against the weight counts
+
+def _weight_count_gap(X, S: IdealSequenceOnXxA1, rep, k_max: int) -> list[str]:
+    """The Ding report's exact top term against the stabilised leading
+    difference of the weight counts w(k), k <= k_max."""
+    counted = _stable_leading_difference(ding_weight_series(X, S, 1, k_max=k_max),
+                                         X.dimension + 1, k_max)
+    if rep.L_power_top == counted:
+        return []
+    return [f"{X.name}, M={S.M}: top {rep.L_power_top} != weight count {counted}"]
+
 
 def _criterion_ding(config: RunConfig) -> tuple:
     problems: list[str] = []
@@ -291,15 +312,17 @@ def _criterion_ding(config: RunConfig) -> tuple:
     for name in ("P1", "P2"):
         X = catalog_model(name)
         unit = MonomialSubscheme(label="unit", dimension=X.dimension)
-        rep = ding_invariant(X, IdealSequenceOnXxA1(steps=(unit,)), 1,
-                             k_max=config.k_max)
+        trivial = IdealSequenceOnXxA1(steps=(unit,))
+        rep = ding_invariant(X, trivial, 1)
+        problems += _weight_count_gap(X, trivial, rep, config.k_max)
         if rep.ding != 0 or rep.L_power_top != 0:
             problems.append(f"trivial sequence on {name}: ding {rep.ding}, "
                             f"top {rep.L_power_top}")
     X = catalog_model("P1")
     point = point_subscheme(X, 0)
     dnc = IdealSequenceOnXxA1(steps=(point, point))
-    rep = ding_invariant(X, dnc, 1, k_max=config.k_max)
+    rep = ding_invariant(X, dnc, 1)
+    problems += _weight_count_gap(X, dnc, rep, config.k_max)
     if rep.ding < 0:
         problems.append(f"normal-cone deformation: ding {rep.ding} < 0")
     k_top = min(config.k_max, 10)
@@ -314,7 +337,8 @@ def _criterion_ding(config: RunConfig) -> tuple:
         parameters=(("k", k_top), ("r", 1))))
     return _verdict(problems,
                     f"trivial ding 0; normal-cone ding {rep.ding} >= 0, "
-                    f"oracle-matched to k = {k_top}", oracles)
+                    f"oracle-matched to k = {k_top}; top terms match the "
+                    f"weight counts", oracles)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ rational printed to the terminal shows the exact fraction first and a
 
 Exit codes for the stability subcommands: 0 when everything checked out,
 2 when an obstruction was found, 1 on configuration or computational
-failure.  test-acceptance exits 0 only when all nine criteria pass.
+failure, usage errors on the command line included.  test-acceptance
+exits 0 only when all nine criteria pass.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ def _cmd_filtration(args) -> int:
     X = resolve_model(args.model)
     Z = resolve_subscheme(X, args.subscheme)
     F = ideal_power_filtration(X, Z)
-    report = compute_d_infty(F, r_list=args.rlist, k_max=args.kmax)
+    report = compute_d_infty(F, r_list=args.rlist)
     print(f"r1 = {report.r1}; window ({report.e_minus}, {report.e_plus})")
     for r, d_r in report.d_samples:
         print(f"d_{r} = {_show(d_r)}")
@@ -143,7 +144,7 @@ def _cmd_beta(args) -> int:
 def _cmd_ding(args) -> int:
     X = resolve_model(args.model)
     S = resolve_sequence(X, args.sequence)
-    report = ding_invariant(X, S, args.r, k_max=args.kmax)
+    report = ding_invariant(X, S, args.r)
     print(f"M = {report.M}, L_top = {_show(report.L_power_top)}, "
           f"d = {_show(report.d)}, threshold = {_show(report.lct_product)}")
     print(f"ding = {_show(report.ding)}")
@@ -200,8 +201,17 @@ def _cmd_test_acceptance(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, which here would read as an
+    obstruction: report it as the configuration failure it is."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fanokit",
         description="Exact stability-theoretic invariants of toric Fano "
                     "models: volumes, thresholds, filtrations, beta and "
@@ -244,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rlist", type=_r_list, default=DEFAULT_R_LIST,
                    metavar="R1,R2,...", help="levels to sample (default "
                    f"{','.join(map(str, DEFAULT_R_LIST))})")
-    p.add_argument("--kmax", type=_positive_int, default=8, metavar="K",
-                   help="power budget per level (default 8)")
     p.add_argument("--report", required=True, metavar="OUT.json",
                    help="write the full report as JSON")
     p.set_defaults(func=_cmd_filtration)
@@ -263,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="sequence JSON file or trivial@M / dnc@IDX shorthand")
     p.add_argument("--r", type=_positive_int, default=1, metavar="R",
                    help="polarisation level (default 1)")
-    p.add_argument("--kmax", type=_positive_int, default=10, metavar="K",
-                   help="power budget (default 10)")
     p.add_argument("--out", metavar="OUT.json", help="write the report")
     p.set_defaults(func=_cmd_ding)
 
@@ -293,11 +299,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
-        parser.print_help()
-        return 1
     try:
+        args = parser.parse_args(argv)
+        if not hasattr(args, "func"):
+            parser.print_help()
+            return 1
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

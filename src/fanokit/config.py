@@ -27,7 +27,14 @@ from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs beyond the subcommand itself."""
+    """Everything a run needs beyond the subcommand itself.
+
+    k_max is the power budget of the weight-count cross-check in
+    acceptance criteria 7 and 8: the weight records k = 1..k_max whose
+    stabilised leading difference the exact leading integrals are held
+    against.  No reported value depends on it.  r_list is the levels
+    sampled for the limit slope.
+    """
 
     k_max: int = 10
     r_list: tuple[int, ...] = DEFAULT_R_LIST

@@ -8,19 +8,27 @@ tuple of lattice points of r*r0*P, the saturation of a level into a
 monomial ideal plus its section closure, and the level ideal itself.
 
 Downstream every number follows one chain.  The step ideals at a fixed r
-assemble into a t-graded ideal on X x A^1, its k-th powers produce weight
-sums v_r(k) and w_r(k), the stabilised leading coefficient of v_r gives
-the sample slope d_r, and for ideal-power filtrations the r -> infinity
-limit is evaluated in closed form through the blowup volume profile.
-The integer window [e_minus, e_plus] of those steps belongs to the
-filtration: the constructor that builds a spec checks it, and no route
-takes a window of its own.
+assemble into a t-graded ideal on X x A^1.  On each chart its Newton
+polyhedron is the hypograph of a concave function, and their least, G,
+is the concave transform of the filtration (Boucksom and Chen, *Okounkov
+bodies of filtered linear series*, 2011; Witt Nystrom, *Test
+configurations and Okounkov bodies*, 2012): the sample slope d_r reads
+off the exact integral of G - r e_minus over r*r0*P, _leading_integral,
+one moving-row volume profile in polytope.moving_volume_function.  For
+ideal-power filtrations the r -> infinity limit is evaluated in closed
+form through the blowup volume profile.  The weight sums v_r(k) and
+w_r(k) of the k-th powers, compute_weight_series, count the same thing
+in lattice points: the (n+1)-st finite difference of v_r tends to that
+integral, and the acceptance checks and tests hold the two routes
+against each other.  The integer window [e_minus, e_plus] of the steps
+belongs to the filtration: the constructor that builds a spec checks it,
+and no route takes a window of its own.
 
 Chart exponent vectors here are ray pairings <rho, u> + level over the
 cone rays of each chart.  On smooth charts this is the usual exponent
 map; on simplicial singular charts it still converts ideal membership,
 products, and containment into componentwise arithmetic, which is all
-the saturation and weight routes need.
+the saturation, weight and integral routes need.
 
 Every membership question, which sections of L^level lie in which chart
 ideals, has one reader, _least_levels: each section's least level over
@@ -43,11 +51,14 @@ from math import ceil
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import NoStabilization, R1NotFound, UnsupportedSubscheme
+from .errors import (DegeneratePolytope, NoStabilization, R1NotFound,
+                     UnsupportedSubscheme)
+from .linalg import matmul_vec, transpose
 from .model import ToricFanoModel, anticanonical_volume
-from .polytope import lattice_fibers, lattice_points
+from .polytope import lattice_fibers, lattice_points, moving_volume_function
 from .subscheme import (IdealSequenceOnXxA1, LevelTable, MonomialSubscheme,
-                        _subscheme_contains, ideal_table, level_table)
+                        NewtonPolyhedron, _subscheme_contains, ideal_table,
+                        level_table, product)
 from .volumes import BlowupVolumeProfile, blowup_volume_profile
 
 IDEAL_POWER = "ideal-power"
@@ -107,7 +118,7 @@ class FiltrationSpec:
         self.profile = profile
         self._sections: dict[int, tuple[Point, ...]] = {}
         self._fibers: dict[int, list[Fiber]] = {}
-        self._powers: dict[int, MonomialSubscheme] = {}
+        self._powers: list[MonomialSubscheme] = []
         self._saturations: dict = {}
 
     def sections(self, r: int) -> tuple[Point, ...]:
@@ -129,16 +140,19 @@ class FiltrationSpec:
     def level_step(self, r: int, x) -> tuple[int, MonomialSubscheme | None]:
         """The step of the filtration at r that contains level x: its
         index, equal exactly when two levels share the step, and the
-        defining ideal of F^x V_r, None for the unit ideal."""
+        defining ideal of F^x V_r, None for the unit ideal.  The powers
+        of an ideal-power filtration are cached, each the product of the
+        one before and the ideal."""
         x = Fraction(x)
         if self.kind == IDEAL_POWER:
             m = ceil(x)
             if m <= 0:
                 return 0, None
-            if m not in self._powers:
-                self._powers[m] = (self.subscheme if m == 1
-                                   else self.subscheme.power(m))
-            return m, self._powers[m]
+            Z = self.subscheme
+            for k in range(len(self._powers) + 1, m + 1):
+                self._powers.append(Z if k == 1 else product(
+                    self._powers[-1], Z, label=f"{Z.label}^{k}"))
+            return m, self._powers[m - 1]
         rows = self.table.get(int(r))
         if rows is None:
             raise KeyError(f"filtration table has no row for r={r}")
@@ -277,14 +291,16 @@ def _saturate_core(X: ToricFanoModel, r: int, kept: Sequence[bool],
 
 
 def saturate(F: FiltrationSpec, r: int, x) -> tuple[MonomialSubscheme, tuple[Point, ...]]:
-    """I_(r,x) generated by F^x V_r, plus the saturated value itself."""
+    """I_(r,x) generated by F^x V_r, plus the saturated value itself.
+    Levels x in one step of the filtration share one saturation, cached
+    and labelled by r and the step's index."""
     r = int(r)
     index, ideal = F.level_step(r, x)
     key = (r, index)
     if key not in F._saturations:
         F._saturations[key] = _saturate_core(
             F.X, r, list(F._members(r, ideal)), F.fibers(r), F.sections(r),
-            f"sat(r={r},x={x})")
+            f"sat(r={r},step={index})")
     return F._saturations[key]
 
 
@@ -357,9 +373,14 @@ class WeightSeries:
 
 def _window_steps(F: FiltrationSpec, r: int) -> list[MonomialSubscheme]:
     """The saturated level ideals at x = j for the integers j in
-    (r e_minus, r e_plus], the steps of the spec's window at r."""
-    return [saturate(F, r, j)[0]
-            for j in range(r * F.e_minus + 1, r * F.e_plus + 1)]
+    (r e_minus, r e_plus], the steps of the spec's window at r.  The
+    routes put the unit ideal at the bottom, so F^x V_r must be full at
+    x = r e_minus."""
+    lo = r * F.e_minus
+    if len(F.value(r, lo)) != len(F.sections(r)):
+        raise ValueError(
+            f"F^x V_r not full at x = {lo}; r={r} is below r1")
+    return [saturate(F, r, j)[0] for j in range(lo + 1, r * F.e_plus + 1)]
 
 
 def compute_weight_series(F: FiltrationSpec, r: int, k_max: int = 10) -> WeightSeries:
@@ -367,18 +388,59 @@ def compute_weight_series(F: FiltrationSpec, r: int, k_max: int = 10) -> WeightS
 
     Step j of the window [r e_minus, r e_plus] is the saturated level
     ideal at x = j; _weight_records turns the steps into one record per k,
-    the route ding_weight_series takes as well.
+    the route ding_weight_series takes as well.  This is the lattice
+    count that the leading integral of compute_d_infty is held against.
     """
     r, k_max = int(r), int(k_max)
     if r < 1 or k_max < 1:
         raise ValueError("r and k_max must be positive")
-    lo = r * F.e_minus
-    if len(F.value(r, lo)) != len(F.sections(r)):
-        raise ValueError(
-            f"F^x V_r not full at x = {lo}; r={r} is below r1")
-    records = _weight_records(F.X, r, _window_steps(F, r), lo, k_max,
+    records = _weight_records(F.X, r, _window_steps(F, r), r * F.e_minus, k_max,
                               lambda s: lattice_fibers(F.X.polytope, s * F.X.r0))
     return WeightSeries(r=r, e_plus=F.e_plus, e_minus=F.e_minus, records=records)
+
+
+def _leading_integral(X: ToricFanoModel, r: int,
+                      steps: Sequence[MonomialSubscheme]) -> Fraction:
+    """(n+1)! times the integral over r*r0*P of G - lo, G the level
+    function of the t-graded ideal with the unit ideal at j = lo and the
+    decreasing steps at j = lo + 1, ..., lo + M: the exact limit of the
+    (n+1)-st finite difference of the weight sums v(k) that
+    _weight_records counts.  Only G - lo enters, so lo does not.
+
+    On each active chart the corners (e, j) of the level table are the
+    generators (e, M - j) of an ideal in the chart exponents and t, the
+    ones IdealSequenceOnXxA1.product_gens lists, and G_c(u) - lo is
+    M - min{s : (D u + r r0, s) in its Newton polyhedron}, D the chart's
+    cone rays; G is the least G_c, and lo + M where no chart is active.
+    The k-th powers and their integral closures count alike to leading
+    order (Rees), so the polyhedron is all that matters.  Each dual
+    vertex (w, w_t) gives one row of {G - lo >= x}, moving in x:
+    <D^T w / w_t, u> >= x - M + (1 - r r0 sum(w)) / w_t, and w_t > 0
+    because some (0, M - j) with j < M is a generator.  The integral is
+    the integral over x of that region's volume, up to M, where G
+    reaches its cap.
+    """
+    n = X.dimension
+    M = len(steps)
+    scale = r * X.r0
+    moving = []
+    for c in sorted(set().union(*(s.chart_gens for s in steps))):
+        rays = X.charts[c].cone_rays
+        table = level_table(steps, c, len(rays))
+        cols = transpose(rays)
+        for *w, wt in NewtonPolyhedron(
+                [(*e, M - j) for e, j in table.corners]).dual_vertices:
+            moving.append(([a / wt for a in matmul_vec(cols, w)],
+                           M - (1 - scale * sum(w)) / wt))
+    if not moving:
+        return (n + 1) * M * Fraction(scale) ** n * anticanonical_volume(X)
+    rows = [(nr, scale * off) for nr, off in X.polytope.inequalities]
+    try:
+        pp = moving_volume_function(n, rows, moving)
+    except DegeneratePolytope:
+        # G = lo almost everywhere: a chart has the zero ideal at lo + 1
+        return Fraction(0)
+    return (n + 1) * pp.integrate(0, min(M, pp.breakpoints[-1]))
 
 
 def _weight_records(X: ToricFanoModel, r: int,
@@ -461,7 +523,11 @@ def _weight_record(X: ToricFanoModel, fibers: Sequence[Fiber], level: int,
 
 @dataclass(frozen=True)
 class DInftyReport:
-    """Sampled and limiting slopes of one filtration."""
+    """Sampled and limiting slopes of one filtration.
+
+    Each A_r is the exact leading integral over r*r0*P divided by
+    (n+1)(r r0)^(n+1), and d_r = 1 - (e_plus - e_minus)/r0 + A_r/vol.
+    """
 
     e_plus: int
     e_minus: int
@@ -481,9 +547,12 @@ def compute_d_infty(F: FiltrationSpec, r_list: Sequence[int] = DEFAULT_R_LIST,
     """Slope samples d_r over r_list and the limit slope d_infty, over
     the spec's window.
 
-    Each A_r comes from the stabilised leading coefficient of v_r(k); the
-    limit value is the exact profile integral for ideal-power filtrations
-    and the last sample, flagged approximate, otherwise.
+    Each A_r comes from _leading_integral over the window's steps at r,
+    exact, with no power budget: k_max is accepted and ignored, kept for
+    callers of the weight-count route this replaced.  The weight series
+    of compute_weight_series is the lattice count it is checked against.
+    The limit value is the exact profile integral for ideal-power
+    filtrations and the last sample, flagged approximate, otherwise.
     """
     X = F.X
     n = X.dimension
@@ -496,9 +565,7 @@ def compute_d_infty(F: FiltrationSpec, r_list: Sequence[int] = DEFAULT_R_LIST,
         r = int(r)
         if r < r1:
             raise ValueError(f"r={r} is below r1={r1}")
-        series = compute_weight_series(F, r, k_max)
-        lead = _stable_leading_difference(
-            [rec.v for rec in series.records], n + 1, k_max)
+        lead = _leading_integral(X, r, _window_steps(F, r))
         a_r = lead / ((n + 1) * Fraction(r * X.r0) ** (n + 1))
         a_samples.append((r, a_r))
         d_samples.append((r, 1 - Fraction(e, X.r0) + a_r / vol))

@@ -42,10 +42,11 @@ def poly_eval(coeffs: Sequence, x) -> Fraction:
 
 
 def poly_trim(coeffs: Sequence) -> Poly:
-    cs = [Fraction(v) for v in coeffs]
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
+    """The coefficients without trailing zeros, each value kept as given."""
+    end = len(coeffs)
+    while end and coeffs[end - 1] == 0:
+        end -= 1
+    return tuple(coeffs[:end])
 
 
 def poly_antiderivative(coeffs: Sequence) -> Poly:

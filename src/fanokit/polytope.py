@@ -455,17 +455,19 @@ def moving_volume_function(dim: int, rows: Sequence[tuple[Sequence, object]],
     paths = _lifted_paths(dim, lifted)
     cuts = sorted({Fraction(0)} | {e for lo, hi, *_ in paths for e in (lo, hi)
                                    if e is not None and e > 0})
-    breakpoints, pieces = [cuts[0]], []
+    breakpoints, pieces, last = [cuts[0]], [], None
     for a, b in zip(cuts, cuts[1:]):
         piece = _piece_polynomial(dim, lifted, paths, (a + b) / 2)
-        if pieces and poly_trim(piece) == poly_trim(pieces[-1]):
+        trimmed = poly_trim(piece)
+        if trimmed == last:
             breakpoints[-1] = b
         else:
             pieces.append(piece)
             breakpoints.append(b)
+            last = trimmed
     # rows that flatten the region at some x include a moving row, which
     # empties it past x, unless static rows flatten it at every x: so a
     # zero piece can only be the only piece
-    if not pieces or poly_trim(pieces[-1]) == ():
+    if not pieces or last == ():
         raise DegeneratePolytope("region has no volume for x > 0")
     return PiecewisePolynomial(breakpoints, pieces, degree_bound=dim)

@@ -5,12 +5,16 @@ integral of its blowup volume profile; a negative value certifies that
 the model is not Ding semistable, while nonnegative values certify
 nothing.  Ding invariants of t-graded ideal sequences on X x A^1 are
 evaluated in the product-space form: the limit self-intersection of the
-polarisation comes from quotient weight counts w(k), stabilised as a
-degree-(n+1) polynomial, and the threshold term is a vertex scan per
-chart.
-The weight counts take the one route filtration slopes take: each chart
-holds the k-th power of the sequence ideal as a level table, and every
-section's top level is the least of its charts' table levels.
+polarisation is the exact leading integral that filtration slopes read
+(filtration._leading_integral, the integral of the concave transform
+over r*r0*P), less the (n+1) M (r r0)^n vol(-K) of the t^M shift, and the
+threshold term is a vertex scan per chart.
+The quotient weight counts w(k), ding_weight_series, count the same
+self-intersection in lattice points, by the one route filtration weight
+series take: each chart holds the k-th power of the sequence ideal as a
+level table, and every section's top level is the least of its charts'
+table levels.  Their stabilised (n+1)-st difference is what the
+acceptance checks and tests hold the integral against.
 verify_volume_bound compares the anticanonical volume against (n+1)^n
 exactly and, in the equality case, fingerprints the Seshadri constants
 at the fixed points.
@@ -26,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .errors import EmptyOrFull, FanokitError
-from .filtration import _check_arity, _stable_leading_difference, _weight_records
+from .filtration import _check_arity, _leading_integral, _weight_records
 from .lct import lct_monomial, lct_on_product_with_line
 from .model import ToricFanoModel, anticanonical_volume
 from .polytope import lattice_fibers
@@ -80,8 +84,10 @@ def beta(X: ToricFanoModel, Z: MonomialSubscheme) -> BetaReport:
 class DingReport:
     """Ding invariant of one ideal sequence at level r.
 
-    L_power_top is the computed (L-bar^{n+1}): the stabilised (n+1)-st
-    finite difference of w(k).  The slope term satisfies
+    L_power_top is the computed (L-bar^{n+1}): the exact leading
+    integral of the sequence over r*r0*P less (n+1) M (r r0)^n vol(-K),
+    the limit of the (n+1)-st finite difference of the weight counts
+    w(k) of ding_weight_series.  The slope term satisfies
     d = 1 + L_power_top / ((n+1) r^{n+1} r0^{n+1} vol), and
     ding = lct_product - d.  Semiampleness of the induced polarisation
     over the line is an assumption of this evaluation form, recorded in
@@ -123,16 +129,21 @@ def ding_invariant(X: ToricFanoModel, S: IdealSequenceOnXxA1, r: int,
     """Ding invariant of the test configuration attached to S at level r.
 
     Needs -r r0 K to be the Cartier multiple the sequence was written
-    for.  The weight counts must stabilise to degree n+1 within k_max
-    steps (three vanishing top differences) or NoStabilization is
-    raised.
+    for.  L_power_top is exact, read off the leading integral with no
+    power budget: k_max is accepted and ignored, kept for callers of the
+    weight-count route this replaced.
     """
-    ws = ding_weight_series(X, S, r, k_max)
+    r = int(r)
+    if r < 1:
+        raise ValueError("r must be positive")
+    for step in S.steps:
+        _check_arity(X, step)
     n = X.dimension
-    lead = _stable_leading_difference(ws, n + 1, k_max)
     vol = anticanonical_volume(X)
-    d = 1 + lead / ((n + 1) * Fraction(r * X.r0) ** (n + 1) * vol)
-    lct_product = lct_on_product_with_line(X, S, Fraction(1, r * X.r0))
+    scale = Fraction(r * X.r0)
+    lead = _leading_integral(X, r, S.steps) - (n + 1) * S.M * scale ** n * vol
+    d = 1 + lead / ((n + 1) * scale ** (n + 1) * vol)
+    lct_product = lct_on_product_with_line(X, S, 1 / scale)
     return DingReport(r=r, r0=X.r0, M=S.M, L_power_top=lead, d=d,
                       lct_product=lct_product, ding=lct_product - d)
 

@@ -329,6 +329,27 @@ class TestErrorPaths:
         assert exc.value.code == 0
         assert "test-acceptance" in capsys.readouterr().out
 
+    def test_unknown_flag_exits_one_not_two(self, run):
+        # 2 means an obstruction was found; a typo must not read as one
+        code, out, err = run("ding", "--model", "P1", "--sequence", "dnc@0",
+                             "--bogus")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --bogus" in err
+
+    def test_missing_required_flag_exits_one(self, run):
+        code, out, err = run("ding", "--model", "P1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("usage: fanokit ding")
+        assert "required: --sequence" in err
+
+    def test_power_budget_flag_is_gone(self, run):
+        code, _, err = run("filtration", "--model", "P1", "--subscheme",
+                           "point@0", "--report", "d.json", "--kmax", "8")
+        assert code == 1
+        assert "unrecognized arguments: --kmax 8" in err
+
     def test_unknown_model_name(self, run):
         code, _, err = run("volume", "--model", "Q7")
         assert code == 1

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 import fanokit.subscheme as subscheme_mod
 from fanokit.errors import (CombinatorialBlowup, NoStabilization, R1NotFound,
                             UnsupportedSubscheme, ZeroIdeal)
-from fanokit.filtration import (_pairing_column, _weight_records,
-                                compute_d_infty,
+from fanokit.filtration import (_pairing_column, _stable_leading_difference,
+                                _weight_records, compute_d_infty,
                                 compute_weight_series, explicit_filtration,
                                 find_r1,
                                 ideal_power_filtration,
@@ -30,7 +30,7 @@ from fanokit.polytope import lattice_fibers, lattice_points
 from fanokit.oracles import oracle_h0_quotient
 from fanokit.subscheme import (MonomialSubscheme, _subscheme_contains,
                                boundary_divisor_subscheme, point_subscheme,
-                               standard_battery)
+                               standard_battery, thickened_point_subscheme)
 from helpers import monomial_power_membership
 
 
@@ -81,6 +81,17 @@ class TestLevels:
         X, F = _point_filtration("P1")
         assert F.value(1, -2) == F.sections(1)
         assert F.value(3, Fraction(-1, 2)) == F.sections(3)
+
+    def test_powers_build_on_the_previous_one(self):
+        X = catalog_model("P1xP2")
+        Z = point_subscheme(X, 1)
+        F = ideal_power_filtration(X, Z)
+        for m in (3, 5, 2, 4):
+            index, ideal = F.level_step(1, m)
+            assert index == m
+            assert ideal.label == Z.power(m).label == f"point@1^{m}"
+            assert ideal.chart_gens == Z.power(m).chart_gens
+        assert F.level_step(1, 1) == (1, Z)
 
     def test_fractional_level_rounds_up(self):
         X, F = _point_filtration("P1")
@@ -165,6 +176,14 @@ class TestSaturate:
         assert closure == ()
         assert ideal.has_zero_chart
         assert set(ideal.active_chart_indices()) == set(range(len(X.charts)))
+
+    def test_labels_do_not_depend_on_call_order(self):
+        X, first = _point_filtration("P1")
+        _, later = _point_filtration("P1")
+        saturate(first, 1, Fraction(1, 2))
+        assert ([s.label for s in induced_ideal_sequence(first, 1).steps]
+                == [s.label for s in induced_ideal_sequence(later, 1).steps]
+                == [f"sat(r=1,step={m})" for m in (0, 1, 2, 3)])
 
     def test_idempotent(self):
         X, F = _point_filtration("P2")
@@ -537,9 +556,61 @@ class TestDInfty:
         assert report.a_limit == report.a_samples[-1][1]
 
     def test_needs_enough_k(self):
+        # four weight records are too few to show the leading difference
+        # settled; the slope is the exact integral at any budget
         X, F = _point_filtration("P1")
         with pytest.raises(NoStabilization):
-            compute_d_infty(F, r_list=(1,), k_max=4)
+            _stable_leading_difference(
+                [rec.v for rec in compute_weight_series(F, 1, 4).records], 2, 4)
+        report = compute_d_infty(F, r_list=(1,), k_max=4)
+        assert report.a_samples == ((1, 4),)
+        assert report.d_samples == ((1, -1),)
+
+
+def _explicit_p2_filtration():
+    X = catalog_model("P2")
+    pt = point_subscheme(X, 0)
+    pt2 = thickened_point_subscheme(X, 0)
+    table = {1: [(0, None), (1, pt), (2, pt2)],
+             2: [(0, None), (1, pt), (3, pt2), (4, pt.power(3))]}
+    return X, explicit_filtration(X, table, e_plus=3, e_minus=-1)
+
+
+def _battery_filtration_at(name, label):
+    X = catalog_model(name)
+    Z = next(Z for Z in standard_battery(X) if Z.label == label)
+    return X, ideal_power_filtration(X, Z)
+
+
+class TestLeadingIntegral:
+    """The exact A_r against the stabilised leading difference of the
+    weight sums v_r(k), the lattice count it replaced as the value route."""
+
+    CASES = [
+        # the P1 window at r = 1 ends in a zero step
+        (lambda: _point_filtration("P1"), (1, 2)),
+        (lambda: _point_filtration("P2"), (1,)),
+        (lambda: _point_filtration("P1xP2"), (1,)),
+        (lambda: _battery_filtration_at("P1xP1", "point2@0"), (1,)),
+        (lambda: _battery_filtration_at("dP6", "divisor@(1, 1)"), (1,)),
+        # divisor through the singular chart, ray pairings over its cone
+        (lambda: _battery_filtration_at("P112", "divisor@(1, 0)"), (1, 2)),
+        (lambda: _battery_filtration_at("P112", "point@0"), (1,)),
+        # unit steps, then steps that are zero on every chart
+        (lambda: _trivial_filtration("P2", r_max=4), (1, 2)),
+        (_explicit_p2_filtration, (1, 2)),
+    ]
+
+    @pytest.mark.parametrize("index", range(len(CASES)))
+    def test_matches_weight_count(self, index):
+        build, r_list = self.CASES[index]
+        X, F = build()
+        n = X.dimension
+        report = compute_d_infty(F, r_list=r_list)
+        for r, a_r in report.a_samples:
+            values = [rec.v for rec in compute_weight_series(F, r, 8).records]
+            counted = _stable_leading_difference(values, n + 1, 8)
+            assert a_r * (n + 1) * (r * X.r0) ** (n + 1) == counted
 
 
 class TestInducedSequence:

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanokit.errors import EmptyOrFull, NoStabilization, UnsupportedSubscheme
-from fanokit.filtration import (compute_d_infty, ideal_power_filtration,
-                                induced_ideal_sequence)
+from fanokit.filtration import (_stable_leading_difference, compute_d_infty,
+                                ideal_power_filtration, induced_ideal_sequence)
 from fanokit.model import KE_CATALOG, build_model, catalog_model
 from fanokit.oracles import oracle_h0_quotient
 from fanokit.stability import (CONSISTENT, OBSTRUCTS_SEMISTABILITY, beta,
@@ -205,8 +205,57 @@ class TestDing:
         X, S = _dnc_sequence()
         with pytest.raises(ValueError):
             ding_invariant(X, S, 0)
+        # four weight counts are too few to show the leading difference
+        # settled; the Ding value is the exact integral at any budget
         with pytest.raises(NoStabilization):
-            ding_invariant(X, S, 1, k_max=4)
+            _stable_leading_difference(ding_weight_series(X, S, 1, 4), 2, 4)
+        rep = ding_invariant(X, S, 1, k_max=4)
+        assert (rep.L_power_top, rep.d, rep.ding) == (-2, Fraction(1, 2), Fraction(1, 2))
+
+
+def _ding_cases():
+    """(model, sequence) pairs whose weight counts settle by k = 10."""
+    out = [_dnc_sequence()]
+    for name in ("P2", "P1xP1"):
+        X = catalog_model(name)
+        pt, pt2 = point_subscheme(X, 0), thickened_point_subscheme(X, 0)
+        unit = MonomialSubscheme(label="unit", dimension=X.dimension)
+        # a first step zero on a chart leaves G at its floor everywhere
+        zero = MonomialSubscheme(label="zero", dimension=X.dimension,
+                                 chart_gens={0: ()})
+        out += [(X, IdealSequenceOnXxA1(steps=(pt, pt2))),
+                (X, IdealSequenceOnXxA1(steps=(unit, pt, pt))),
+                # no active chart
+                (X, IdealSequenceOnXxA1(steps=(unit, unit))),
+                (X, IdealSequenceOnXxA1(steps=(zero,)))]
+    return out
+
+
+class TestDingLeadingIntegral:
+    """The exact L_power_top against the stabilised leading difference
+    of the weight counts w(k), the lattice count it replaced."""
+
+    @pytest.mark.parametrize("index", range(len(_ding_cases())))
+    def test_matches_weight_count(self, index):
+        X, S = _ding_cases()[index]
+        counted = _stable_leading_difference(ding_weight_series(X, S, 1, 10),
+                                             X.dimension + 1, 10)
+        assert ding_invariant(X, S, 1).L_power_top == counted
+
+    def test_quasi_polynomial_counts_never_settle(self):
+        # the weight counts of (m^2) + (t) on dP6 are a quasi-polynomial of
+        # period 2: their third differences alternate and grow, as
+        # -7/2 + (-1)^k (k + 7/2), and -7/2 is what the integral reads
+        X = catalog_model("dP6")
+        S = IdealSequenceOnXxA1(steps=(thickened_point_subscheme(X, 0),))
+        ws = ding_weight_series(X, S, 1, 10)
+        with pytest.raises(NoStabilization):
+            _stable_leading_difference(ws, 3, 10)
+        for _ in range(3):
+            ws = [b - a for a, b in zip(ws, ws[1:])]
+        half = Fraction(7, 2)
+        assert ws == [-half + (-1) ** k * (k + half) for k in range(len(ws))]
+        assert ding_invariant(X, S, 1).L_power_top == -half
 
 
 class TestVolumeBound:
