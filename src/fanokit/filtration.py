@@ -416,27 +416,28 @@ def _leading_integral(X: ToricFanoModel, r: int,
     order (Rees), so the polyhedron is all that matters.  Each dual
     vertex (w, w_t) gives one row of {G - lo >= x}, moving in x:
     <D^T w / w_t, u> >= x - M + (1 - r r0 sum(w)) / w_t, and w_t > 0
-    because some (0, M - j) with j < M is a generator.  The integral is
-    the integral over x of that region's volume, up to M, where G
-    reaches its cap.
+    because some (0, M - j) with j < M is a generator.  Charts that see
+    the same part of the filtration give the same rows, kept once.  The
+    integral is the integral over x of that region's volume, up to M,
+    where G reaches its cap.
     """
     n = X.dimension
     M = len(steps)
     scale = r * X.r0
-    moving = []
+    moving = {}
     for c in sorted(set().union(*(s.chart_gens for s in steps))):
         rays = X.charts[c].cone_rays
         table = level_table(steps, c, len(rays))
         cols = transpose(rays)
         for *w, wt in NewtonPolyhedron(
                 [(*e, M - j) for e, j in table.corners]).dual_vertices:
-            moving.append(([a / wt for a in matmul_vec(cols, w)],
-                           M - (1 - scale * sum(w)) / wt))
+            moving[(tuple(a / wt for a in matmul_vec(cols, w)),
+                    M - (1 - scale * sum(w)) / wt)] = None
     if not moving:
         return (n + 1) * M * Fraction(scale) ** n * anticanonical_volume(X)
     rows = [(nr, scale * off) for nr, off in X.polytope.inequalities]
     try:
-        pp = moving_volume_function(n, rows, moving)
+        pp = moving_volume_function(n, rows, list(moving))
     except DegeneratePolytope:
         # G = lo almost everywhere: a chart has the zero ideal at lo + 1
         return Fraction(0)
