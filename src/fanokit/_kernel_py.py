@@ -15,7 +15,7 @@ dilations and coordinates give exact results.
 from __future__ import annotations
 
 from itertools import product, repeat
-from operator import mul
+from operator import floordiv, mul, sub
 from typing import Sequence
 
 
@@ -26,26 +26,44 @@ def enum_fibers(normals: Sequence[Sequence[int]], offsets: Sequence[int],
     (*prefix, x) for first <= x <= last.  Only nonempty fibers are listed,
     prefixes in ascending lexicographic order; the box has n >= 1 axes.
 
-    For each prefix u[:-1], every row is solved for the last coordinate:
-    a positive coefficient gives a ceiling bound, a negative one a floor
-    bound, and a zero one tests the prefix alone.  Prefixes come from
-    itertools.product over ascending ranges.
+    For each prefix u[:-1], every row a x >= v is solved for the last
+    coordinate x, v being the row's residual offset - <normal[:-1],
+    prefix>: a positive a gives the bound x >= ceil(v / a) = -(v // -a),
+    a negative one x <= v // a, and a zero one tests v <= 0.
     """
-    rows = [(r[:-1], r[-1], c) for r, c in zip(normals, offsets)]
-    above = [(h, a, c) for h, a, c in rows if a > 0]
-    below = [(h, a, c) for h, a, c in rows if a < 0]
-    flat = [(h, c) for h, a, c in rows if a == 0]
+    # rows ordered by their last coefficient: zero, positive, negative
+    rows = sorted(zip(normals, offsets), key=lambda rc: (rc[0][-1] > 0) + 2 * (rc[0][-1] < 0))
+    flat = sum(r[-1] == 0 for r, _ in rows)
+    cut = sum(r[-1] >= 0 for r, _ in rows)
+    up = [-r[-1] for r, _ in rows[flat:cut]]
+    down = [r[-1] for r, _ in rows[cut:]]
     out: list[tuple[tuple[int, ...], int, int]] = []
-    for p in product(*(range(a, b + 1) for a, b in zip(lo[:-1], hi[:-1]))):
-        if any(sum(map(mul, h, p)) < c for h, c in flat):
+    for p, res in _prefix_residuals(rows, lo, hi):
+        if any(v > 0 for v in res[:flat]):
             continue
-        first = max([lo[-1]] + [(c - sum(map(mul, h, p)) + a - 1) // a
-                                for h, a, c in above])
-        last = min([hi[-1]] + [(c - sum(map(mul, h, p))) // a
-                               for h, a, c in below])
+        first = -min([-lo[-1], *map(floordiv, res[flat:cut], up)])
+        last = min([hi[-1], *map(floordiv, res[cut:], down)])
         if first <= last:
             out.append((p, first, last))
     return out
+
+
+def _prefix_residuals(rows, lo, hi):
+    """(prefix, [offset - <normal[:-1], prefix> per row]) for the prefixes
+    u[:-1] of the box in ascending lex order.  Prefixes come from
+    itertools.product over all but the innermost prefix axis; along that
+    axis each row's residual steps by minus its coefficient there, so the
+    pairing is computed once per row and outer prefix."""
+    if len(lo) == 1:
+        yield (), [c for _, c in rows]
+        return
+    k = len(lo) - 2
+    step = [r[k] for r, _ in rows]
+    for q in product(*(range(a, b + 1) for a, b in zip(lo[:k], hi[:k]))):
+        res = [c - sum(map(mul, r, q)) - s * lo[k] for (r, c), s in zip(rows, step)]
+        for t in range(lo[k], hi[k] + 1):
+            yield (*q, t), res
+            res = list(map(sub, res, step))
 
 
 def enum_points(normals: Sequence[Sequence[int]], offsets: Sequence[int],

@@ -365,9 +365,6 @@ class WeightRecord:
 
 @dataclass(frozen=True)
 class WeightSeries:
-    r: int
-    e_plus: int
-    e_minus: int
     records: tuple[WeightRecord, ...]
 
 
@@ -396,7 +393,7 @@ def compute_weight_series(F: FiltrationSpec, r: int, k_max: int = 10) -> WeightS
         raise ValueError("r and k_max must be positive")
     records = _weight_records(F.X, r, _window_steps(F, r), r * F.e_minus, k_max,
                               lambda s: lattice_fibers(F.X.polytope, s * F.X.r0))
-    return WeightSeries(r=r, e_plus=F.e_plus, e_minus=F.e_minus, records=records)
+    return WeightSeries(records=records)
 
 
 def _leading_integral(X: ToricFanoModel, r: int,

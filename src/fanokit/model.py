@@ -10,6 +10,9 @@ chart the exponent vector of a level-k section u in local coordinates is
 
 nonnegative integers, zero exactly at the fixed point.  Singular charts
 keep their cone rays and index but expose no exponent map.
+A lattice map of N that permutes the rays is an automorphism of the fan
+(Cox-Little-Schenck, Toric Varieties, 3.3); it carries smooth charts to
+smooth charts and relabels their local coordinates.
 """
 
 from __future__ import annotations
@@ -17,8 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import permutations
 from math import factorial, lcm
-from typing import Sequence
+from operator import mul
+from typing import NamedTuple, Sequence
 
 from .errors import DegeneratePolytope, NotFano, NotSmoothChart, UnboundedPolytope
 from .linalg import Vec, dot, int_det, int_solve, primitive
@@ -57,6 +62,20 @@ class Chart:
         return tuple(out)
 
 
+class FanAutomorphism(NamedTuple):
+    """A lattice map g of N permuting the rays, with its action on the
+    smooth charts: g takes chart i to chart j, where (j, perm) =
+    charts[i], and the exponent vector e of chart i to the one of chart j
+    whose k-th entry is e[perm[k]]."""
+
+    matrix: tuple[tuple[int, ...], ...]
+    charts: dict[int, tuple[int, tuple[int, ...]]]
+
+    def apply(self, v: Sequence) -> tuple:
+        """g v for a vector v of N."""
+        return tuple(sum(map(mul, row, v)) for row in self.matrix)
+
+
 @dataclass(frozen=True)
 class ToricFanoModel:
     name: str
@@ -76,6 +95,41 @@ class ToricFanoModel:
     @cached_property
     def _anticanonical_volume(self) -> Fraction:
         return factorial(self.dimension) * euclidean_volume(self.polytope)
+
+    @cached_property
+    def automorphisms(self) -> tuple[FanAutomorphism, ...]:
+        """The fan's automorphism group, computed on first use.
+
+        An automorphism maps the cone of the first smooth chart onto the
+        cone of a smooth chart, so it is fixed by where it sends that
+        basis: every ordering of every smooth chart's cone rays is tried,
+        and g is kept when it permutes the rays.  g is then integer and
+        unimodular, being a product of two unimodular bases.  Without a
+        smooth chart only the identity is listed.
+        """
+        n = self.dimension
+        smooth = self.smooth_chart_indices()
+        if not smooth:
+            identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+            return (FanAutomorphism(identity, {}),)
+        base = self.charts[smooth[0]].cone_rays
+        by_cone = {self.charts[i].cone_rays: i for i in smooth}
+        rays = sorted(self.rays)
+        out = []
+        for target in smooth:
+            for image in permutations(self.charts[target].cone_rays):
+                # row j of g solves <row, base ray i> = image[i][j] for all i
+                d, g_rows = int_solve(base, list(zip(*image)))
+                g = FanAutomorphism(tuple(tuple(v // d for v in row) for row in g_rows), {})
+                if sorted(map(g.apply, self.rays)) != rays:
+                    continue
+                for i in smooth:
+                    moved = [g.apply(ray) for ray in self.charts[i].cone_rays]
+                    j = by_cone[tuple(sorted(moved))]
+                    g.charts[i] = (j, tuple(moved.index(ray)
+                                            for ray in self.charts[j].cone_rays))
+                out.append(g)
+        return tuple(out)
 
 
 def _build_chart(P: RationalPolytope, vertex: Vec) -> Chart:

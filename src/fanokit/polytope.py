@@ -393,27 +393,26 @@ def _lifted_paths(dim: int, lifted: Sequence[Sequence[int]]) -> list[tuple]:
 
 
 def _piece_polynomial(dim: int, lifted: Sequence[Sequence[int]],
-                      paths: Sequence[tuple], x: Fraction) -> Poly:
+                      live: Sequence[tuple], x: Fraction) -> Poly:
     """dim! * vol of {u : <r[:dim], u> >= r[dim] + r[dim + 1] * x} as a
     polynomial in x, valid on the open piece around x, from the
-    _lifted_paths of the rows.  The vertices at x are the points of the
-    paths whose interval holds x, the first path per vertex kept; across
-    the piece each stays on its path, (p + x q) / d.  The triangulation
+    (d, p, q) of the _lifted_paths of the rows whose interval holds x.
+    Their points at x are the vertices, the first path per vertex kept;
+    across the piece each stays on its path, (p + x q) / d.  The triangulation
     and signs found at x hold there too: the signed determinants sum to a
     polynomial, read off its integer values at x = 0..dim, where |det|
     may be wrong."""
     num, den = x.numerator, x.denominator
     at_x = [(*[den * a for a in r[:dim]], den * r[dim] + num * r[dim + 1]) for r in lifted]
     vertices: dict[tuple[tuple[int, ...], int], tuple] = {}
-    for lo, hi, d, p, q in paths:
-        if (lo is None or lo <= x) and (hi is None or x <= hi):
-            # the point at x as Cramer's reduced (nums, den) key
-            nums = [den * a + num * b for a, b in zip(p, q)]
-            vden = den * d
-            if vden < 0:
-                vden, nums = -vden, [-a for a in nums]
-            g = gcd(vden, *nums)
-            vertices.setdefault((tuple([a // g for a in nums]), vden // g), (d, p, q))
+    for d, p, q in live:
+        # the point at x as Cramer's reduced (nums, den) key
+        nums = [den * a + num * b for a, b in zip(p, q)]
+        vden = den * d
+        if vden < 0:
+            vden, nums = -vden, [-a for a in nums]
+        g = gcd(vden, *nums)
+        vertices.setdefault((tuple([a // g for a in nums]), vden // g), (d, p, q))
     common = lcm(*[vd for _, vd in vertices])
     pts = [[a * (common // vd) for a in nums] for nums, vd in vertices]
     lines = list(vertices.values())
@@ -455,9 +454,18 @@ def moving_volume_function(dim: int, rows: Sequence[tuple[Sequence, object]],
     paths = _lifted_paths(dim, lifted)
     cuts = sorted({Fraction(0)} | {e for lo, hi, *_ in paths for e in (lo, hi)
                                    if e is not None and e > 0})
+    # piece i is (cuts[i], cuts[i + 1]); a path is live on the pieces
+    # from the index of its positive lower end to that of its upper end
+    index = {c: i for i, c in enumerate(cuts)}
+    live: list[list[tuple]] = [[] for _ in cuts[1:]]
+    for lo, hi, d, p, q in paths:
+        first = index[lo] if lo is not None and lo > 0 else 0
+        stop = len(live) if hi is None else index[hi] if hi > 0 else 0
+        for i in range(first, stop):
+            live[i].append((d, p, q))
     breakpoints, pieces, last = [cuts[0]], [], None
-    for a, b in zip(cuts, cuts[1:]):
-        piece = _piece_polynomial(dim, lifted, paths, (a + b) / 2)
+    for a, b, at in zip(cuts, cuts[1:], live):
+        piece = _piece_polynomial(dim, lifted, at, (a + b) / 2)
         trimmed = poly_trim(piece)
         if trimmed == last:
             breakpoints[-1] = b

@@ -25,7 +25,7 @@ the test suite holds the two against each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -201,18 +201,58 @@ class ScanReport:
                      for e in self.entries if e.error is not None)
 
 
+def _scan_key(chart_gens, ray) -> tuple:
+    return tuple(sorted(chart_gens.items())), None if ray is None else tuple(ray)
+
+
+def _orbit_keys(X: ToricFanoModel, Z: MonomialSubscheme) -> list[tuple]:
+    """The scan keys of Z's images under the fan automorphisms: on each
+    chart the exponents permuted and the generators re-sorted, the chart
+    renumbered, and the boundary ray mapped.  Empty when Z has a chart
+    off the smooth ones or data of the wrong arity, which no automorphism
+    is known to carry."""
+    n = X.dimension
+    smooth = X.smooth_chart_indices()
+    if (any(idx not in smooth or any(len(g) != n for g in gens)
+            for idx, gens in Z.chart_gens.items())
+            or Z.boundary_ray is not None and len(Z.boundary_ray) != n):
+        return []
+    keys = []
+    for g in X.automorphisms:
+        gens = {}
+        for idx, chart_gens in Z.chart_gens.items():
+            j, perm = g.charts[idx]
+            gens[j] = tuple(sorted(tuple(e[p] for p in perm) for e in chart_gens))
+        ray = None if Z.boundary_ray is None else g.apply(Z.boundary_ray)
+        keys.append(_scan_key(gens, ray))
+    return keys
+
+
 def semistability_scan(X: ToricFanoModel,
                        candidates: Iterable[MonomialSubscheme]) -> ScanReport:
     """Run beta over every candidate in input order, collecting
     per-candidate errors: a failed candidate contributes an error entry
     instead of aborting the scan.
+
+    beta is invariant under the automorphisms of X, so it runs once per
+    orbit of the fan's automorphism group: every later candidate in the
+    orbit of an evaluated one reuses that report under its own label.
+    Errors are not shared, their texts naming the candidate, and a
+    candidate with generators on a singular chart is always evaluated.
     """
     entries = []
+    known: dict[tuple, BetaReport] = {}
     for Z in candidates:
-        try:
-            entries.append(ScanEntry(subscheme=Z.label, report=beta(X, Z),
-                                     error=None))
-        except FanokitError as exc:
-            entries.append(ScanEntry(subscheme=Z.label, report=None,
-                                     error=f"{type(exc).__name__}: {exc}"))
+        report = known.get(_scan_key(Z.chart_gens, Z.boundary_ray))
+        if report is not None:
+            report = replace(report, subscheme=Z.label)
+        else:
+            try:
+                report = beta(X, Z)
+            except FanokitError as exc:
+                entries.append(ScanEntry(subscheme=Z.label, report=None,
+                                         error=f"{type(exc).__name__}: {exc}"))
+                continue
+            known.update(dict.fromkeys(_orbit_keys(X, Z), report))
+        entries.append(ScanEntry(subscheme=Z.label, report=report, error=None))
     return ScanReport(model=X.name, entries=tuple(entries))

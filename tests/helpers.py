@@ -114,6 +114,32 @@ def subscheme_to_dict(Z) -> dict:
     return out
 
 
+def fan_image(X, matrix, Z, label):
+    """Z moved by the lattice map of N with the given rows, which must
+    permute the rays, found through the chart vertices: the chart at v
+    goes to the chart at the vertex v' with <g rho, v'> = <rho, v> for
+    every ray rho, and the exponent there on g rho is Z's exponent on
+    rho."""
+    def image(v):
+        return tuple(sum(a * b for a, b in zip(row, v)) for row in matrix)
+
+    def pair(a, b):
+        return sum(Fraction(x) * y for x, y in zip(a, b))
+
+    preimage = {image(rho): rho for rho in X.rays}
+    gens = {}
+    for idx, chart_gens in Z.chart_gens.items():
+        src = X.charts[idx]
+        j = next(j for j, c in enumerate(X.charts)
+                 if all(pair(r, c.vertex) == pair(preimage[r], src.vertex)
+                        for r in X.rays))
+        at = [src.cone_rays.index(preimage[r]) for r in X.charts[j].cone_rays]
+        gens[j] = tuple(tuple(e[i] for i in at) for e in chart_gens)
+    ray = None if Z.boundary_ray is None else image(Z.boundary_ray)
+    return MonomialSubscheme(label=label, dimension=Z.dimension,
+                             chart_gens=gens, boundary_ray=ray)
+
+
 def sequence_power(S, m):
     """The sequence whose induced ideal on X x A^1 is the m-th power of
     S's: its step s, for s = 1 .. m M, is the sum over j_1 + ... + j_m = s

@@ -104,6 +104,44 @@ class TestCharts:
         assert chart.edges == ((0, -1), (-1, 1))
 
 
+class TestAutomorphisms:
+    def test_group_orders(self):
+        assert {name: len(X.automorphisms) for name, X in catalog().items()} == {
+            "P1": 2, "P2": 6, "P1xP1": 8, "dP6": 12, "P3": 24, "P1xP2": 12,
+            "P112": 2}
+
+    def test_elements_are_unimodular_ray_permutations(self):
+        for X in catalog().values():
+            mats = {g.matrix for g in X.automorphisms}
+            assert len(mats) == len(X.automorphisms)
+            for g in X.automorphisms:
+                assert all(type(a) is int for row in g.matrix for a in row)
+                assert abs(helpers.leibniz_det(g.matrix)) == 1
+                assert sorted(g.apply(r) for r in X.rays) == sorted(X.rays)
+                # the product with every element stays in the group
+                for h in X.automorphisms:
+                    prod = tuple(tuple(sum(a * b for a, b in zip(row, col))
+                                       for col in zip(*h.matrix)) for row in g.matrix)
+                    assert prod in mats
+
+    def test_chart_action_follows_the_vertices(self):
+        for X in catalog().values():
+            for g in X.automorphisms:
+                assert sorted(g.charts) == X.smooth_chart_indices()
+                for i, (j, perm) in g.charts.items():
+                    src, tgt = X.charts[i], X.charts[j]
+                    assert tgt.cone_rays == tuple(g.apply(src.cone_rays[p]) for p in perm)
+                    for r in X.rays:
+                        assert (sum(a * b for a, b in zip(g.apply(r), tgt.vertex))
+                                == sum(a * b for a, b in zip(r, src.vertex)))
+
+    def test_no_smooth_chart_leaves_the_identity(self):
+        # P2 modulo Z/3: every chart has index 3
+        X = build_model(2, [(2, -1), (-1, 2), (-1, -1)])
+        assert X.smooth_chart_indices() == []
+        assert [g.matrix for g in X.automorphisms] == [((1, 0), (0, 1))]
+
+
 class TestBuildModelErrors:
     def test_not_spanning(self):
         with pytest.raises(NotFano):

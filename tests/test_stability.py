@@ -12,14 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanokit.errors import EmptyOrFull, NoStabilization, UnsupportedSubscheme
+from fanokit import stability
+from fanokit.errors import (EmptyOrFull, FanokitError, NoStabilization,
+                            UnsupportedSubscheme)
 from fanokit.filtration import (_stable_leading_difference, compute_d_infty,
                                 ideal_power_filtration, induced_ideal_sequence)
-from fanokit.model import KE_CATALOG, build_model, catalog_model
+from fanokit.model import KE_CATALOG, build_model, catalog, catalog_model
 from fanokit.oracles import oracle_h0_quotient
-from fanokit.stability import (CONSISTENT, OBSTRUCTS_SEMISTABILITY, beta,
-                               ding_invariant, ding_weight_series,
-                               semistability_scan, verify_volume_bound)
+from fanokit.stability import (CONSISTENT, OBSTRUCTS_SEMISTABILITY, ScanEntry,
+                               ScanReport, beta, ding_invariant,
+                               ding_weight_series, semistability_scan,
+                               verify_volume_bound)
 from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                                NewtonPolyhedron, boundary_divisor_subscheme,
                                point_subscheme, standard_battery,
@@ -341,3 +344,117 @@ class TestScan:
         assert "EmptyOrFull" in sc.entries[1].error
         assert sc.entries[2].report is not None
         assert len(sc.failures) == 1
+
+
+def _plain_scan(X, candidates):
+    """The scan as one beta call per candidate."""
+    entries = []
+    for Z in candidates:
+        try:
+            entries.append(ScanEntry(Z.label, beta(X, Z), None))
+        except FanokitError as exc:
+            entries.append(ScanEntry(Z.label, None, f"{type(exc).__name__}: {exc}"))
+    return ScanReport(X.name, tuple(entries))
+
+
+# one ideal per model that no nontrivial automorphism fixes on its chart
+ASYMMETRIC = {"P1": ((3,),), "P2": ((3, 0), (1, 1), (0, 2)),
+              "P1xP1": ((2, 0), (0, 1)), "dP6": ((3, 0), (1, 1), (0, 2)),
+              "P3": ((2, 0, 0), (0, 1, 0), (1, 0, 1), (0, 0, 3)),
+              "P1xP2": ((3, 0, 0), (0, 1, 0), (0, 0, 2)),
+              "P112": ((2, 0), (0, 1)),
+              "chiral": ((2, 0, 0), (0, 1, 0), (1, 0, 1), (0, 0, 3))}
+# a Fano 3-fold whose automorphisms are the three rotations of the
+# coordinates: they move some smooth charts by a 3-cycle of coordinates,
+# where a permutation and its inverse differ
+CHIRAL = build_model(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1),
+                         (-1, 0, 1), (0, 1, -1), (1, -1, 0)], name="chiral")
+
+
+class TestScanOrbits:
+    """The scan evaluates beta once per orbit of the fan automorphisms and
+    must still equal the plain per-candidate loop."""
+
+    def _extras(self, X):
+        smooth = X.smooth_chart_indices()
+        n = X.dimension
+        first = standard_battery(X)[0]
+        extras = [MonomialSubscheme(label="twin", dimension=n,
+                                    chart_gens=first.chart_gens,
+                                    boundary_ray=first.boundary_ray)]
+        # zero ideals in one orbit: each error names its own candidate
+        extras += [MonomialSubscheme(label=f"zero@{i}", dimension=n,
+                                     chart_gens={i: ()}) for i in smooth[:2]]
+        for i in smooth:
+            Z = MonomialSubscheme(label=f"asym@{i}", dimension=n,
+                                  chart_gens={i: ASYMMETRIC[X.name]})
+            extras += [Z] + [helpers.fan_image(X, g.matrix, Z, f"asym@{i}:{k}")
+                             for k, g in enumerate(X.automorphisms)]
+        singular = [i for i, c in enumerate(X.charts) if not c.smooth]
+        if singular:
+            extras += [MonomialSubscheme(label=f"sing{k}", dimension=n,
+                                         chart_gens={singular[0]: ASYMMETRIC[X.name]})
+                       for k in range(2)]
+        return extras
+
+    def test_catalog_batteries_match_the_plain_loop(self):
+        for X in [*catalog().values(), CHIRAL]:
+            candidates = standard_battery(X) + self._extras(X)
+            sc = semistability_scan(X, candidates)
+            assert sc == _plain_scan(X, candidates), X.name
+            errors = {e.subscheme: e.error for e in sc.entries if e.error}
+            for label, error in errors.items():
+                assert label in error
+            assert {label for label in errors if label.startswith("zero@")}
+            if X.name == "P112":
+                assert {"sing0", "sing1"} <= set(errors)
+
+    def test_battery_runs_beta_once_per_orbit(self, monkeypatch):
+        calls = []
+
+        def counted(X, Z):
+            calls.append(Z.label)
+            return beta(X, Z)
+
+        monkeypatch.setattr(stability, "beta", counted)
+        counts = {}
+        for X in catalog().values():
+            calls.clear()
+            semistability_scan(X, standard_battery(X))
+            counts[X.name] = len(calls)
+        assert counts == {"P1": 3, "P2": 3, "P1xP1": 3, "dP6": 3, "P3": 3,
+                          "P1xP2": 4, "P112": 4}
+
+    def test_beta_is_invariant_under_every_automorphism(self):
+        for X in [*catalog().values(), CHIRAL]:
+            Z = MonomialSubscheme(label="asym", dimension=X.dimension,
+                                  chart_gens={X.smooth_chart_indices()[0]:
+                                              ASYMMETRIC[X.name]})
+            images = [helpers.fan_image(X, g.matrix, Z, "asym")
+                      for g in X.automorphisms]
+            assert len({tuple(sorted(W.chart_gens.items())) for W in images}) > 1
+            expected = beta(X, Z)
+            for W in images:
+                assert beta(X, W) == expected, (X.name, W.chart_gens)
+
+    def test_data_of_the_wrong_arity_is_not_shared(self):
+        # beta reads only the ray of a boundary candidate, so these succeed
+        X = catalog_model("P2")
+        candidates = [
+            MonomialSubscheme(label="long", dimension=2, boundary_ray=(1, 0, 0)),
+            MonomialSubscheme(label="bare", dimension=2, boundary_ray=(1, 0)),
+            MonomialSubscheme(label="short", dimension=2, chart_gens={0: ((1,),)},
+                              boundary_ray=(0, 1))]
+        sc = semistability_scan(X, candidates)
+        assert sc == _plain_scan(X, candidates)
+        assert sc.entries[0].report.beta != sc.entries[1].report.beta
+
+    @settings(max_examples=15, deadline=None)
+    @given(decreasing_sequences(), st.data())
+    def test_drawn_candidates_match_the_plain_loop(self, drawn, data):
+        X, S = drawn
+        candidates = []
+        for Z in S.steps:
+            g = data.draw(st.sampled_from(X.automorphisms))
+            candidates += [Z, helpers.fan_image(X, g.matrix, Z, f"{Z.label}'")]
+        assert semistability_scan(X, candidates) == _plain_scan(X, candidates)
