@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from itertools import product, repeat
 from operator import floordiv, mul, sub
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 def enum_fibers(normals: Sequence[Sequence[int]], offsets: Sequence[int],
@@ -48,7 +48,8 @@ def enum_fibers(normals: Sequence[Sequence[int]], offsets: Sequence[int],
     return out
 
 
-def _prefix_residuals(rows, lo, hi):
+def _prefix_residuals(rows: Sequence[tuple[Sequence[int], int]], lo: Sequence[int],
+                      hi: Sequence[int]) -> Iterator[tuple[tuple[int, ...], list[int]]]:
     """(prefix, [offset - <normal[:-1], prefix> per row]) for the prefixes
     u[:-1] of the box in ascending lex order.  Prefixes come from
     itertools.product over all but the innermost prefix axis; along that
