@@ -35,7 +35,7 @@ from .piecewise import poly_trim
 from .stability import beta, ding_invariant, ding_weight_series, semistability_scan
 from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                         _subscheme_contains, point_subscheme, product,
-                        standard_battery)
+                        product_dual_vertices, standard_battery)
 from .volumes import blowup_volume_profile, seshadri_constant
 
 
@@ -259,7 +259,9 @@ def _criterion_weight_limit(config: RunConfig) -> tuple:
         series = compute_weight_series(F, r, config.k_max)
         counted = _stable_leading_difference(
             [rec.v for rec in series.records], X.dimension + 1, config.k_max)
-        integral = _leading_integral(X, r, _window_steps(F, r))
+        steps = _window_steps(F, r)
+        integral = _leading_integral(X, r, len(steps),
+                                     product_dual_vertices(X, steps))
         if integral != counted:
             problems.append(f"r={r}: leading integral {integral} != weight "
                             f"count {counted}")

@@ -53,12 +53,12 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (DegeneratePolytope, NoStabilization, R1NotFound,
                      UnsupportedSubscheme)
-from .linalg import matmul_vec, transpose
+from .linalg import Vec, matmul_vec, transpose
 from .model import ToricFanoModel, anticanonical_volume
 from .polytope import lattice_fibers, lattice_points, moving_volume_function
 from .subscheme import (IdealSequenceOnXxA1, LevelTable, MonomialSubscheme,
-                        NewtonPolyhedron, _subscheme_contains, ideal_table,
-                        level_table, product)
+                        _subscheme_contains, ideal_table, level_table, product,
+                        product_dual_vertices)
 from .volumes import BlowupVolumeProfile, blowup_volume_profile
 
 IDEAL_POWER = "ideal-power"
@@ -76,9 +76,11 @@ def _zero_subscheme(X: ToricFanoModel, label: str = "zero") -> MonomialSubscheme
 
 
 def _check_arity(X: ToricFanoModel, ideal: MonomialSubscheme) -> None:
-    """Refuse generators whose arity is not their chart's ray count.  The
-    public constructors only produce matching data, so a mismatch means
-    the ideal was written for a different fan."""
+    """Refuse an ideal of another dimension, or generators whose arity is
+    not their chart's ray count: data written for a different fan, which
+    no public constructor produces."""
+    if ideal.dimension != X.dimension:
+        raise UnsupportedSubscheme(f"{ideal.label}: dimension does not match {X.dimension}")
     for idx in ideal.active_chart_indices():
         rows = X.charts[idx].cone_rays
         if any(len(g) != len(rows) for g in ideal.chart_gens[idx]):
@@ -396,38 +398,32 @@ def compute_weight_series(F: FiltrationSpec, r: int, k_max: int = 10) -> WeightS
     return WeightSeries(records=records)
 
 
-def _leading_integral(X: ToricFanoModel, r: int,
-                      steps: Sequence[MonomialSubscheme]) -> Fraction:
+def _leading_integral(X: ToricFanoModel, r: int, M: int,
+                      duals: Mapping[int, Sequence[Vec]]) -> Fraction:
     """(n+1)! times the integral over r*r0*P of G - lo, G the level
-    function of the t-graded ideal with the unit ideal at j = lo and the
+    function of the t-graded ideal with the unit ideal at j = lo and M
     decreasing steps at j = lo + 1, ..., lo + M: the exact limit of the
     (n+1)-st finite difference of the weight sums v(k) that
     _weight_records counts.  Only G - lo enters, so lo does not.
 
-    On each active chart the corners (e, j) of the level table are the
-    generators (e, M - j) of an ideal in the chart exponents and t, the
-    ones IdealSequenceOnXxA1.product_gens lists, and G_c(u) - lo is
-    M - min{s : (D u + r r0, s) in its Newton polyhedron}, D the chart's
-    cone rays; G is the least G_c, and lo + M where no chart is active.
-    The k-th powers and their integral closures count alike to leading
-    order (Rees), so the polyhedron is all that matters.  Each dual
-    vertex (w, w_t) gives one row of {G - lo >= x}, moving in x:
-    <D^T w / w_t, u> >= x - M + (1 - r r0 sum(w)) / w_t, and w_t > 0
-    because some (0, M - j) with j < M is a generator.  Charts that see
+    duals are the steps' product_dual_vertices, and on each active chart
+    G_c(u) - lo is M - min{s : (D u + r r0, s) in the Newton polyhedron of
+    the induced ideal}, D the chart's cone rays; G is the least G_c, and
+    lo + M where no chart is active.  The k-th powers and their integral
+    closures count alike to leading order (Rees), so the polyhedron is
+    all that matters.  Each dual vertex (w, w_t) gives one row of
+    {G - lo >= x}, moving in x:
+    <D^T w / w_t, u> >= x - M + (1 - r r0 sum(w)) / w_t.  Charts that see
     the same part of the filtration give the same rows, kept once.  The
     integral is the integral over x of that region's volume, up to M,
     where G reaches its cap.
     """
     n = X.dimension
-    M = len(steps)
     scale = r * X.r0
     moving = {}
-    for c in sorted(set().union(*(s.chart_gens for s in steps))):
-        rays = X.charts[c].cone_rays
-        table = level_table(steps, c, len(rays))
-        cols = transpose(rays)
-        for *w, wt in NewtonPolyhedron(
-                [(*e, M - j) for e, j in table.corners]).dual_vertices:
+    for c, vertices in duals.items():
+        cols = transpose(X.charts[c].cone_rays)
+        for *w, wt in vertices:
             moving[(tuple(a / wt for a in matmul_vec(cols, w)),
                     M - (1 - scale * sum(w)) / wt)] = None
     if not moving:
@@ -563,7 +559,8 @@ def compute_d_infty(F: FiltrationSpec, r_list: Sequence[int] = DEFAULT_R_LIST,
         r = int(r)
         if r < r1:
             raise ValueError(f"r={r} is below r1={r1}")
-        lead = _leading_integral(X, r, _window_steps(F, r))
+        steps = _window_steps(F, r)
+        lead = _leading_integral(X, r, len(steps), product_dual_vertices(X, steps))
         a_r = lead / ((n + 1) * Fraction(r * X.r0) ** (n + 1))
         a_samples.append((r, a_r))
         d_samples.append((r, 1 - Fraction(e, X.r0) + a_r / vol))

@@ -9,21 +9,23 @@ the global valuation of their ray, which also covers divisors passing
 through singular charts.
 
 For ideals on X x A^1 of the form I_M + I_{M-1} t + ... + (t^M) the
-routine computes the largest c2 with (X x A^1, ideal^c1 * (t)^c2) sub log
-canonical, again chart by chart; the inner minimum over generators is
-linearized with one extra variable s, and the optimum is read off the
-vertices of the lifted region in (w, s).
+largest c2 with (X x A^1, ideal^c1 * (t)^c2) sub log canonical is read
+off the dual vertices (w, w_t) of each active chart's induced ideal, the
+Newton polyhedra the leading integral reads.  Each point of the dual
+region bounds c2 by 1 + (sum(w) - c1) / w_t, linear-fractional there with
+w_t > 0, so the least bound is at a vertex or is the limit 1 along t.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .errors import NotSmoothChart
+from .linalg import Vec
 from .model import ToricFanoModel
-from .polytope import enumerate_basic_feasible
-from .subscheme import IdealSequenceOnXxA1, MonomialSubscheme, NewtonPolyhedron
+from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme, NewtonPolyhedron,
+                        product_dual_vertices)
 
 
 def lct_chart(gens: Sequence[Sequence[int]]) -> Fraction | None:
@@ -52,29 +54,21 @@ def lct_monomial(X: ToricFanoModel, Z: MonomialSubscheme, power: int = 1) -> Fra
                for w in duals) / power
 
 
-def lct_on_product_with_line(X: ToricFanoModel, S: IdealSequenceOnXxA1,
-                             c1) -> Fraction:
-    """Largest c2 with (X x A^1, induced-ideal^c1 * (t)^c2) sub log canonical.
+def lct_on_product_with_line(X: ToricFanoModel, S: IdealSequenceOnXxA1, c1) -> Fraction:
+    """Largest c2 with (X x A^1, induced-ideal^c1 * (t)^c2) sub log canonical."""
+    return product_line_threshold(X, product_dual_vertices(X, S.steps), c1)
 
+
+def product_line_threshold(X: ToricFanoModel, duals: Mapping[int, Sequence[Vec]],
+                           c1) -> Fraction:
+    """The threshold at weight c1 from a sequence's product_dual_vertices.
     Requires every chart of X to be smooth, since the log discrepancy of
-    a monomial valuation is its weight sum only there.  The value is
-    always finite: the generator t^M of the induced ideal bounds s.
-    """
+    a monomial valuation is its weight sum only there."""
     c1 = Fraction(c1)
     if c1 < 0:
         raise ValueError("c1 must be nonnegative")
-    n = X.dimension
-    units = [(tuple(int(i == j) for i in range(n + 1)), 0) for j in range(n + 1)]
-    best: Fraction | None = None
-    for idx, chart in enumerate(X.charts):
+    for chart in X.charts:
         if not chart.smooth:
             raise NotSmoothChart(f"chart at {chart.vertex} is singular")
-        # 1 + min sum(w) - c1*s over w, s >= 0 with s <= <w, g_x> + g_t
-        # for every generator g; s <= M, so a vertex attains the minimum
-        rows = units + [((*g[:n], -1), -g[n]) for g in S.product_gens(idx)]
-        val = 1 + min(sum(v[:n]) - c1 * v[n]
-                      for v in enumerate_basic_feasible(n + 1, rows))
-        if best is None or val < best:
-            best = val
-    assert best is not None
-    return best
+    return 1 + min([Fraction(0), *((sum(w) - c1) / wt for vertices in duals.values()
+                                   for *w, wt in vertices)])

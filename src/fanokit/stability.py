@@ -8,7 +8,7 @@ evaluated in the product-space form: the limit self-intersection of the
 polarisation is the exact leading integral that filtration slopes read
 (filtration._leading_integral, the integral of the concave transform
 over r*r0*P), less the (n+1) M (r r0)^n vol(-K) of the t^M shift, and the
-threshold term is a vertex scan per chart.
+threshold term is read off the same dual vertices, built once per chart.
 The quotient weight counts w(k), ding_weight_series, count the same
 self-intersection in lattice points, by the one route filtration weight
 series take: each chart holds the k-th power of the sequence ideal as a
@@ -31,10 +31,10 @@ from typing import Iterable, NamedTuple
 
 from .errors import EmptyOrFull, FanokitError
 from .filtration import _check_arity, _leading_integral, _weight_records
-from .lct import lct_monomial, lct_on_product_with_line
+from .lct import lct_monomial, product_line_threshold
 from .model import ToricFanoModel, anticanonical_volume
 from .polytope import lattice_fibers
-from .subscheme import IdealSequenceOnXxA1, MonomialSubscheme
+from .subscheme import IdealSequenceOnXxA1, MonomialSubscheme, product_dual_vertices
 from .volumes import blowup_volume_profile, seshadri_constant
 
 CONSISTENT = "CONSISTENT"
@@ -69,6 +69,7 @@ def beta(X: ToricFanoModel, Z: MonomialSubscheme) -> BetaReport:
     """
     if Z.is_empty or Z.has_zero_chart:
         raise EmptyOrFull(f"{Z.label}: beta needs a nonzero proper subscheme")
+    _check_arity(X, Z)
     lct_value = lct_monomial(X, Z)
     profile = blowup_volume_profile(X, Z)
     vol = profile.total_volume
@@ -141,9 +142,10 @@ def ding_invariant(X: ToricFanoModel, S: IdealSequenceOnXxA1, r: int,
     n = X.dimension
     vol = anticanonical_volume(X)
     scale = Fraction(r * X.r0)
-    lead = _leading_integral(X, r, S.steps) - (n + 1) * S.M * scale ** n * vol
+    duals = product_dual_vertices(X, S.steps)
+    lead = _leading_integral(X, r, S.M, duals) - (n + 1) * S.M * scale ** n * vol
     d = 1 + lead / ((n + 1) * scale ** (n + 1) * vol)
-    lct_product = lct_on_product_with_line(X, S, 1 / scale)
+    lct_product = product_line_threshold(X, duals, 1 / scale)
     return DingReport(r=r, r0=X.r0, M=S.M, L_power_top=lead, d=d,
                       lct_product=lct_product, ding=lct_product - d)
 
@@ -209,13 +211,9 @@ def _orbit_keys(X: ToricFanoModel, Z: MonomialSubscheme) -> list[tuple]:
     """The scan keys of Z's images under the fan automorphisms: on each
     chart the exponents permuted and the generators re-sorted, the chart
     renumbered, and the boundary ray mapped.  Empty when Z has a chart
-    off the smooth ones or data of the wrong arity, which no automorphism
-    is known to carry."""
-    n = X.dimension
+    off the smooth ones, which no automorphism is known to carry."""
     smooth = X.smooth_chart_indices()
-    if (any(idx not in smooth or any(len(g) != n for g in gens)
-            for idx, gens in Z.chart_gens.items())
-            or Z.boundary_ray is not None and len(Z.boundary_ray) != n):
+    if any(idx not in smooth for idx in Z.chart_gens):
         return []
     keys = []
     for g in X.automorphisms:

@@ -12,7 +12,6 @@ A t-graded ideal, decreasing chart ideals J(j), is one LevelTable per chart.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, combinations_with_replacement, compress, repeat
 from math import prod
@@ -47,6 +46,9 @@ class MonomialSubscheme:
     boundary_ray: tuple[int, ...] | None = None
 
     def __post_init__(self):
+        if self.boundary_ray is not None and len(self.boundary_ray) != self.dimension:
+            raise ValueError(f"{self.label}: boundary ray {self.boundary_ray} "
+                             f"is not {self.dimension}-dimensional")
         norm: dict[int, Gens] = {}
         for idx, gens in self.chart_gens.items():
             if len(gens) == 0:
@@ -183,7 +185,7 @@ class NewtonPolyhedron:
     plus the coordinate halfspaces.
     """
 
-    __slots__ = ("generators", "dual_vertices")
+    __slots__ = ("dual_vertices",)
 
     def __init__(self, generators: Sequence[Sequence[int]]):
         gens = _normalize_gens(generators)
@@ -191,16 +193,10 @@ class NewtonPolyhedron:
             raise ValueError("unit ideal has no Newton polyhedron here")
         if len(gens) == 0:
             raise ZeroIdeal("zero ideal has empty Newton polyhedron")
-        self.generators = gens
         n = len(gens[0])
-        rows: list[tuple[tuple, object]] = []
-        for i in range(n):
-            rows.append((tuple(Fraction(1 if j == i else 0) for j in range(n)),
-                         Fraction(0)))
-        for g in gens:
-            rows.append((tuple(Fraction(x) for x in g), Fraction(1)))
+        rows = [(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
         self.dual_vertices: tuple[Vec, ...] = tuple(
-            enumerate_basic_feasible(n, rows))
+            enumerate_basic_feasible(n, rows + [(g, 1) for g in gens]))
 
 
 @dataclass(frozen=True)
@@ -221,12 +217,23 @@ class IdealSequenceOnXxA1:
     def M(self) -> int:
         return len(self.steps)
 
-    def product_gens(self, chart_index: int) -> tuple[tuple[int, ...], ...]:
-        """Generators of the induced (n+1)-variable chart ideal, the last
-        coordinate being the t-exponent: the corners of the chart's level
-        table at t-exponent M - level, so (0, M) when no step is unit."""
-        table = level_table(self.steps, chart_index, self.steps[0].dimension)
-        return tuple((*e, self.M - j) for e, j in table.corners)
+
+def product_gens(X: ToricFanoModel, steps: Sequence[MonomialSubscheme],
+                 chart_index: int) -> Gens:
+    """Generators of the induced chart ideal in the chart's cone-ray count
+    of exponents and a last one for t: the corners (e, j) of the chart's
+    level table as (e, M - j), so (0, M) when no step is unit."""
+    table = level_table(steps, chart_index, len(X.charts[chart_index].cone_rays))
+    return tuple((*e, len(steps) - j) for e, j in table.corners)
+
+
+def product_dual_vertices(X: ToricFanoModel, steps: Sequence[MonomialSubscheme]
+                          ) -> dict[int, tuple[Vec, ...]]:
+    """Each active chart's Newton dual vertices (w, w_t) of product_gens;
+    w_t > 0, some (0, M - j) with j < M being a generator.  Charts where
+    every step is unit have no entry."""
+    return {c: NewtonPolyhedron(product_gens(X, steps, c)).dual_vertices
+            for c in sorted(set().union(*(s.chart_gens for s in steps)))}
 
 
 def _box(top: Sequence[int], floor: int) -> tuple[list[int], list[int]]:

@@ -1,22 +1,48 @@
 """benchmarks/bench.py keeps every record it has written and benches each
-workload in its own process."""
+workload in its own process; perfbench/run.py's passes still run on the
+program and match their frozen outputs."""
 
 import datetime
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "bench.py"
+import fanokit
+
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "benchmarks" / "bench.py"
+PERFBENCH_RUN = ROOT / "perfbench" / "run.py"
 
 
-def _load_bench():
-    spec = importlib.util.spec_from_file_location("bench", BENCH)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_bench():
+    return _load("bench", BENCH)
+
+
+def test_perfbench_passes_match_their_frozen_outputs(monkeypatch):
+    # run.py puts perfbench/ on sys.path to import its tracer
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    run = _load("perfbench_run", PERFBENCH_RUN)
+    reference = json.loads(run.REFERENCE.read_text())
+    cases = [("scan", 1)] + [(w, idx) for w in ("dinfty", "ding") for idx in range(6)]
+    for workload, inputs in cases:
+        if workload == "scan":
+            inputs = run.make_inputs(fanokit, workload, inputs)
+        result = run.PASSES[workload](fanokit, inputs)
+        attempted, failures, correct = run.check(fanokit, workload, inputs,
+                                                 result, reference)
+        assert (correct, failures) == (True, {}), (workload, inputs)
+        assert attempted > 0
 
 
 def test_refuses_to_overwrite_a_record(tmp_path, monkeypatch):

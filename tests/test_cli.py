@@ -214,6 +214,14 @@ class TestBetaAndDing:
         assert "beta" not in out
         assert f"GluingMismatch: z: {pair} disagree" in err
 
+    def test_subscheme_file_with_a_boundary_ray_of_the_wrong_arity(self, run, tmp_path):
+        path = tmp_path / "w.json"
+        path.write_text('{"label": "w", "dim": 2, "boundary_ray": [1, 0, 0]}')
+        code, out, err = run("beta", "--model", "P2", "--subscheme", str(path))
+        assert code == 1
+        assert "beta" not in out
+        assert "w: boundary ray (1, 0, 0) is not 2-dimensional" in err
+
     def test_sequence_file_step_that_does_not_glue(self, run, tmp_path):
         path = tmp_path / "s.json"
         path.write_text('{"steps": [{"label": "s1", "dim": 2, "charts": {}}, '

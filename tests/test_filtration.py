@@ -30,7 +30,8 @@ from fanokit.polytope import lattice_fibers, lattice_points
 from fanokit.oracles import oracle_h0_quotient
 from fanokit.subscheme import (MonomialSubscheme, _subscheme_contains,
                                boundary_divisor_subscheme, point_subscheme,
-                               standard_battery, thickened_point_subscheme)
+                               product_gens, standard_battery,
+                               thickened_point_subscheme)
 from helpers import monomial_power_membership
 
 
@@ -621,13 +622,13 @@ class TestInducedSequence:
         assert seq.steps[0].is_empty
         assert dict(seq.steps[1].chart_gens) == {0: ((1,),)}
         assert seq.steps[3].has_zero_chart
-        assert seq.product_gens(0) == ((0, 3), (1, 2), (2, 1))
+        assert product_gens(X, seq.steps, 0) == ((0, 3), (1, 2), (2, 1))
 
     def test_scales_with_r(self):
         X, F = _point_filtration("P1")
         seq = induced_ideal_sequence(F, 2)
         assert seq.M == 8
-        assert seq.product_gens(0) == (
+        assert product_gens(X, seq.steps, 0) == (
             (0, 6), (1, 5), (2, 4), (3, 3), (4, 2))
 
     def test_singular_chart_sequence_builds(self):

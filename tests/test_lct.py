@@ -12,8 +12,21 @@ from fanokit.model import catalog_model
 from fanokit.oracles import bruteforce_lct
 from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                                boundary_divisor_subscheme, point_subscheme,
-                               thickened_point_subscheme)
+                               product_gens, thickened_point_subscheme)
 from helpers import basic_feasible_points, bruteforce_lct_chart
+from strategies import decreasing_sequences
+
+
+@st.composite
+def point_chains(draw):
+    """(model, sequence) of powers of one smooth fixed point, the unit
+    ideal for power 0, in decreasing order."""
+    X = catalog_model(draw(st.sampled_from(["P1", "P2", "P1xP1"])))
+    pt = point_subscheme(X, draw(st.sampled_from(X.smooth_chart_indices())))
+    powers = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    unit = MonomialSubscheme(label="unit", dimension=X.dimension)
+    return X, IdealSequenceOnXxA1(steps=tuple(pt.power(e) if e else unit
+                                              for e in sorted(powers)))
 
 
 class TestLctChart:
@@ -115,26 +128,22 @@ class TestProductLine:
         with pytest.raises(ValueError):
             lct_on_product_with_line(X, S, -1)
 
-    @given(st.sampled_from(["P1", "P2", "P1xP1"]), st.data())
-    @settings(max_examples=30, deadline=None)
-    def test_always_finite_and_matches_vertex_oracle(self, name, data):
-        # the generator t^M bounds s, so no c1 makes the threshold infinite
-        X = catalog_model(name)
+    @given(st.one_of(point_chains(), decreasing_sequences()),
+           st.fractions(0, 10, max_denominator=12))
+    @settings(max_examples=60, deadline=None)
+    def test_always_finite_and_matches_vertex_oracle(self, drawn, c1):
+        # the generator t^M bounds s, so no c1 makes the threshold infinite;
+        # the reference is the least 1 + sum(w) - c1 s over the vertices of
+        # each chart's lifted region {w, s >= 0 : s <= <g_x, w> + g_t}
+        X, S = drawn
         n = X.dimension
-        idx = data.draw(st.sampled_from(X.smooth_chart_indices()))
-        pt = point_subscheme(X, idx)
-        powers = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
-        unit = MonomialSubscheme(label="unit", dimension=n)
-        S = IdealSequenceOnXxA1(steps=tuple(pt.power(e) if e else unit
-                                            for e in sorted(powers)))
-        chart_lct = Fraction(n, max(powers)) if max(powers) else Fraction(1)
-        c1 = data.draw(st.fractions(0, 10 * chart_lct, max_denominator=12))
         value = lct_on_product_with_line(X, S, c1)
         assert isinstance(value, Fraction)
         units = [(tuple(int(i == j) for i in range(n + 1)), 0) for j in range(n + 1)]
         expected = min(
             1 + min(sum(v[:n]) - c1 * v[n] for v in basic_feasible_points(
-                n + 1, units + [((*g[:n], -1), -g[n]) for g in S.product_gens(k)]))
+                n + 1, units + [((*g[:n], -1), -g[n])
+                                for g in product_gens(X, S.steps, k)]))
             for k in range(len(X.charts)))
         assert value == expected
 

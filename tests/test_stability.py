@@ -6,13 +6,14 @@ two-step point sequence on P1 has w(k) = -k^2 - k, hence limit
 self-intersection -2, slope 1/2, and Ding invariant 1/2.
 """
 
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanokit import stability
+from fanokit import polytope, stability
 from fanokit.errors import (EmptyOrFull, FanokitError, NoStabilization,
                             UnsupportedSubscheme)
 from fanokit.filtration import (_stable_leading_difference, compute_d_infty,
@@ -108,6 +109,13 @@ class TestBeta:
         with pytest.raises(EmptyOrFull):
             beta(X, MonomialSubscheme(label="none", dimension=2))
 
+    @pytest.mark.parametrize("Z", [
+        MonomialSubscheme(label="long", dimension=2, chart_gens={0: ((1, 0, 0),)}),
+        MonomialSubscheme(label="solid", dimension=3, boundary_ray=(1, 0, 0))])
+    def test_data_for_another_fan_rejected(self, Z):
+        with pytest.raises(UnsupportedSubscheme, match="does not match"):
+            beta(catalog_model("P2"), Z)
+
 
 class TestDing:
     def test_trivial_sequence_is_exactly_zero(self):
@@ -126,6 +134,27 @@ class TestDing:
                                 chart_gens={0: ((1, 0, 0),)})
         with pytest.raises(UnsupportedSubscheme, match="arity"):
             ding_weight_series(X, IdealSequenceOnXxA1(steps=(bad,)), 1)
+
+    def test_ding_builds_each_active_charts_dual_vertices_once(self, monkeypatch):
+        # dnc@0 on P1xP2 is active on chart 0 alone: one enumeration feeds
+        # both the leading integral and the threshold
+        real = polytope.enumerate_basic_feasible
+        calls = []
+
+        def counted(dim, rows):
+            calls.append(dim)
+            return real(dim, rows)
+
+        for module in list(sys.modules.values()):
+            if (module.__name__.startswith("fanokit")
+                    and getattr(module, "enumerate_basic_feasible", None) is real):
+                monkeypatch.setattr(module, "enumerate_basic_feasible", counted)
+        X = catalog_model("P1xP2")
+        pt = point_subscheme(X, 0)
+        X.polytope  # built before counting
+        rep = ding_invariant(X, IdealSequenceOnXxA1(steps=(pt, pt)), 1)
+        assert calls == [4]
+        assert (rep.lct_product, rep.ding) == (1, Fraction(1, 108))
 
     def test_two_step_point_sequence_on_p1(self):
         X, S = _dnc_sequence()
@@ -438,16 +467,21 @@ class TestScanOrbits:
                 assert beta(X, W) == expected, (X.name, W.chart_gens)
 
     def test_data_of_the_wrong_arity_is_not_shared(self):
-        # beta reads only the ray of a boundary candidate, so these succeed
+        # beta refuses data written for another fan, so each such candidate
+        # is an error entry naming itself and no orbit is keyed on it
         X = catalog_model("P2")
         candidates = [
-            MonomialSubscheme(label="long", dimension=2, boundary_ray=(1, 0, 0)),
-            MonomialSubscheme(label="bare", dimension=2, boundary_ray=(1, 0)),
+            MonomialSubscheme(label="long", dimension=2,
+                              chart_gens={0: ((1, 0, 0), (0, 1, 0))}),
             MonomialSubscheme(label="short", dimension=2, chart_gens={0: ((1,),)},
-                              boundary_ray=(0, 1))]
+                              boundary_ray=(0, 1)),
+            MonomialSubscheme(label="solid", dimension=3, boundary_ray=(1, 0, 0)),
+            MonomialSubscheme(label="bare", dimension=2, boundary_ray=(1, 0))]
         sc = semistability_scan(X, candidates)
         assert sc == _plain_scan(X, candidates)
-        assert sc.entries[0].report.beta != sc.entries[1].report.beta
+        for entry in sc.entries[:3]:
+            assert entry.error.startswith("UnsupportedSubscheme: " + entry.subscheme)
+        assert sc.entries[3].report is not None
 
     @settings(max_examples=15, deadline=None)
     @given(decreasing_sequences(), st.data())

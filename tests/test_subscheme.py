@@ -11,7 +11,8 @@ from fanokit.errors import EmptyOrFull, GluingMismatch, NotSmoothPoint, ZeroIdea
 from fanokit.model import catalog_model
 from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                                NewtonPolyhedron, boundary_divisor_subscheme,
-                               level_table, point_subscheme, standard_battery,
+                               level_table, point_subscheme, product_gens,
+                               standard_battery,
                                thickened_point_subscheme, verify_gluing)
 import helpers
 from strategies import decreasing_sequences
@@ -24,6 +25,10 @@ class TestMonomialSubscheme:
         assert Z.gens_on(0) == ((1, 0),)
         assert Z.gens_on(1) is None  # a unit generator makes the chart unit
         assert Z.active_chart_indices() == [0]
+
+    def test_boundary_ray_of_the_wrong_arity_refused(self):
+        with pytest.raises(ValueError, match="not 2-dimensional"):
+            MonomialSubscheme(label="w", dimension=2, boundary_ray=(1, 0, 0))
 
     def test_zero_chart_and_empty(self):
         zero = MonomialSubscheme(label="zero", dimension=1, chart_gens={0: ()})
@@ -162,18 +167,18 @@ class TestIdealSequence:
             IdealSequenceOnXxA1(steps=(pt.power(2), pt))
 
     def test_product_gens(self):
-        S = self._dnc()
+        X, S = catalog_model("P1"), self._dnc()
         # I_p + I_p t + (t^2) collapses to (x, t^2) on the chart at p
-        assert S.product_gens(0) == ((0, 2), (1, 0))
+        assert product_gens(X, S.steps, 0) == ((0, 2), (1, 0))
         # and to (t^0) = the unit ideal away from p
-        assert S.product_gens(1) == ((0, 0),)
+        assert product_gens(X, S.steps, 1) == ((0, 0),)
 
     def test_power_matches_hand_expansion(self):
-        S2 = helpers.sequence_power(self._dnc(), 2)
+        X, S2 = catalog_model("P1"), helpers.sequence_power(self._dnc(), 2)
         assert S2.M == 4
         # (x, t^2)^2 = (x^2, x t^2, t^4)
-        assert S2.product_gens(0) == ((0, 4), (1, 2), (2, 0))
-        assert S2.product_gens(1) == ((0, 0),)
+        assert product_gens(X, S2.steps, 0) == ((0, 4), (1, 2), (2, 0))
+        assert product_gens(X, S2.steps, 1) == ((0, 0),)
 
     def test_level_table_reads_clipped_columns(self):
         X = catalog_model("P2")
@@ -207,8 +212,9 @@ class TestIdealSequence:
             assert list(table.read(columns)) == expected
 
     def test_power_one_is_identity_on_products(self):
-        S = self._dnc()
-        assert helpers.sequence_power(S, 1).product_gens(0) == S.product_gens(0)
+        X, S = catalog_model("P1"), self._dnc()
+        assert product_gens(X, helpers.sequence_power(S, 1).steps, 0) == product_gens(
+            X, S.steps, 0)
 
     @settings(max_examples=80, deadline=None)
     @given(st.one_of(point_power_sequences(), decreasing_sequences()),
@@ -219,12 +225,12 @@ class TestIdealSequence:
         assert P.M == m * S.M
         for c in range(len(X.charts)):
             gens = _product_gens_longhand(S, c)
-            assert S.product_gens(c) == gens
+            assert product_gens(X, S.steps, c) == gens
             expected = gens
             for _ in range(m - 1):
                 expected = tuple(lattice.minimalize(
                     lattice.minkowski_sum(expected, gens)))
-            assert P.product_gens(c) == expected
+            assert product_gens(X, P.steps, c) == expected
 
 
 class TestGluing:
