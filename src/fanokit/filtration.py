@@ -14,9 +14,11 @@ is the concave transform of the filtration (Boucksom and Chen, *Okounkov
 bodies of filtered linear series*, 2011; Witt Nystrom, *Test
 configurations and Okounkov bodies*, 2012): the sample slope d_r reads
 off the exact integral of G - r e_minus over r*r0*P, _leading_integral,
-one moving-row volume profile in polytope.moving_volume_function.  For
+the volume of {(u, x) : 0 <= x <= G(u) - r e_minus}, which
+polytope.moving_volume_integral reads off one vertex enumeration.  For
 ideal-power filtrations the r -> infinity limit is evaluated in closed
-form through the blowup volume profile.  The weight sums v_r(k) and
+form through the integral of the blowup volume profile, read the same
+way by volumes.blowup_volume_integral.  The weight sums v_r(k) and
 w_r(k) of the k-th powers, compute_weight_series, count the same thing
 in lattice points: the (n+1)-st finite difference of v_r tends to that
 integral, and the acceptance checks and tests hold the two routes
@@ -51,15 +53,14 @@ from math import ceil
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import (DegeneratePolytope, NoStabilization, R1NotFound,
-                     UnsupportedSubscheme)
+from .errors import NoStabilization, R1NotFound, UnsupportedSubscheme
 from .linalg import Vec, matmul_vec, transpose
 from .model import ToricFanoModel, anticanonical_volume
-from .polytope import lattice_fibers, lattice_points, moving_volume_function
+from .polytope import lattice_fibers, lattice_points, moving_volume_integral
 from .subscheme import (IdealSequenceOnXxA1, LevelTable, MonomialSubscheme,
                         _subscheme_contains, ideal_table, level_table, product,
                         product_dual_vertices)
-from .volumes import BlowupVolumeProfile, blowup_volume_profile
+from .volumes import blowup_volume_integral
 
 IDEAL_POWER = "ideal-power"
 EXPLICIT = "explicit"
@@ -106,7 +107,7 @@ class FiltrationSpec:
                  table: Mapping[int, tuple[tuple[Fraction, MonomialSubscheme | None], ...]] | None = None,
                  e_plus: int, e_minus: int,
                  e_min_est, e_max_est,
-                 profile: BlowupVolumeProfile | None = None):
+                 profile_integral: Fraction | None = None):
         if kind not in (IDEAL_POWER, EXPLICIT):
             raise ValueError(f"unknown filtration kind {kind!r}")
         self.X = X
@@ -117,7 +118,7 @@ class FiltrationSpec:
         self.e_minus = int(e_minus)
         self.e_min_est = Fraction(e_min_est)
         self.e_max_est = Fraction(e_max_est)
-        self.profile = profile
+        self.profile_integral = profile_integral
         self._sections: dict[int, tuple[Point, ...]] = {}
         self._fibers: dict[int, list[Fiber]] = {}
         self._powers: list[MonomialSubscheme] = []
@@ -184,16 +185,16 @@ def ideal_power_filtration(X: ToricFanoModel, Z: MonomialSubscheme) -> Filtratio
     Level x keeps the sections whose chart exponents lie in the
     ceil(x)-th power of Z's ideal; nonpositive x keeps everything.  The
     window is e_minus = -1 and e_plus one past the scaled
-    pseudoeffective threshold, which the blowup volume profile provides
-    exactly; it brackets the slope estimates 0 and that threshold by
-    construction.
+    pseudoeffective threshold tau; it brackets the slope estimates 0 and
+    that threshold by construction.  tau and the integral of the blowup
+    volume profile, which the limit slope reads, come exactly from
+    volumes.blowup_volume_integral, with no profile built.
     """
-    Z.require_usable()
-    profile = blowup_volume_profile(X, Z)
-    e_max = X.r0 * profile.tau
+    tau, integral = blowup_volume_integral(X, Z)
+    e_max = X.r0 * tau
     return FiltrationSpec(X, IDEAL_POWER, subscheme=Z,
                           e_plus=ceil(e_max) + 1, e_minus=-1,
-                          e_min_est=0, e_max_est=e_max, profile=profile)
+                          e_min_est=0, e_max_est=e_max, profile_integral=integral)
 
 
 def explicit_filtration(X: ToricFanoModel,
@@ -415,10 +416,13 @@ def _leading_integral(X: ToricFanoModel, r: int, M: int,
     {G - lo >= x}, moving in x:
     <D^T w / w_t, u> >= x - M + (1 - r r0 sum(w)) / w_t.  Charts that see
     the same part of the filtration give the same rows, kept once.  The
-    integral is the integral over x of that region's volume, up to M,
-    where G reaches its cap.
+    integral is the integral over 0 <= x <= M, where G reaches its cap,
+    of that region's volume: polytope.moving_volume_integral reads it
+    off one vertex enumeration of the region lifted to (u, x), capped at
+    x = M, with no profile built.  Where no chart is active the region
+    is r r0 P at every x; where a chart has the zero ideal at lo + 1 the
+    lifted region is flat and the integral 0.
     """
-    n = X.dimension
     scale = r * X.r0
     moving = {}
     for c, vertices in duals.items():
@@ -426,15 +430,9 @@ def _leading_integral(X: ToricFanoModel, r: int, M: int,
         for *w, wt in vertices:
             moving[(tuple(a / wt for a in matmul_vec(cols, w)),
                     M - (1 - scale * sum(w)) / wt)] = None
-    if not moving:
-        return (n + 1) * M * Fraction(scale) ** n * anticanonical_volume(X)
     rows = [(nr, scale * off) for nr, off in X.polytope.inequalities]
-    try:
-        pp = moving_volume_function(n, rows, list(moving))
-    except DegeneratePolytope:
-        # G = lo almost everywhere: a chart has the zero ideal at lo + 1
-        return Fraction(0)
-    return (n + 1) * pp.integrate(0, min(M, pp.breakpoints[-1]))
+    _, integral = moving_volume_integral(X.dimension, rows, list(moving), cap=M)
+    return (X.dimension + 1) * integral
 
 
 def _weight_records(X: ToricFanoModel, r: int,
@@ -568,7 +566,7 @@ def compute_d_infty(F: FiltrationSpec, r_list: Sequence[int] = DEFAULT_R_LIST,
     if approximate:
         a_limit = a_samples[-1][1]
     else:
-        a_limit = -Fraction(F.e_minus) * vol / X.r0 + F.profile.integral()
+        a_limit = -Fraction(F.e_minus) * vol / X.r0 + F.profile_integral
     d_infty = 1 - Fraction(e, X.r0) + a_limit / vol
     return DInftyReport(e_plus=F.e_plus, e_minus=F.e_minus, r1=r1,
                         a_samples=tuple(a_samples), a_limit=a_limit,

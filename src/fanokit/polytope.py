@@ -24,7 +24,11 @@ per region, by one int_solve, as a path: a point moving affinely in x,
 with the closed interval of x where it satisfies every row.  The ends
 of those intervals are the lifted vertices, hence the breakpoints in x,
 and the paths live at the midpoint of a piece give its vertices and its
-volume polynomial in x.
+volume polynomial in x (moving_volume_function).  The integral of the
+slice volumes over x needs no slice: it is the volume of the lifted
+region itself, cut by x >= 0 and perhaps a cap on x, so one vertex
+enumeration in dim + 1 variables and its triangulation give it
+(moving_volume_integral), and the profile is its independent check.
 """
 
 from __future__ import annotations
@@ -479,3 +483,35 @@ def moving_volume_function(dim: int, rows: Sequence[tuple[Sequence, object]],
     if not pieces or last == ():
         raise DegeneratePolytope("region has no volume for x > 0")
     return PiecewisePolynomial(breakpoints, pieces, degree_bound=dim)
+
+
+def moving_volume_integral(dim: int, rows: Sequence[tuple[Sequence, object]],
+                           moving: Sequence[tuple[Sequence, object]],
+                           cap=None) -> tuple[Fraction, Fraction]:
+    """(tau, integral) for the region of moving_volume_function, with no
+    profile built: the integral over 0 <= x <= cap of dim! * vol of the
+    region at x, and tau, the largest such x at which it is nonempty.
+
+    That integral is dim! times the (dim+1)-volume of the region lifted
+    to (u, x) and cut by x >= 0 and x <= cap, so it is read off one
+    vertex enumeration of the lifted rows: the vertices scaled to one
+    common denominator, and the integer determinants of a pulling
+    triangulation.  An empty or flat lifted region gives 0.  The static
+    rows must cut out a bounded set; each moving row then bounds x, and
+    with neither a moving row nor a cap the region is unbounded in x.
+    """
+    if cap is None and not moving:
+        raise UnboundedPolytope("no moving row and no cap: x is unbounded")
+    lifted = ([rational_primitive((*nr, 0, off)) for nr, off in rows]
+              + [rational_primitive((*a, -1, -b)) for a, b in moving]
+              + [(0,) * dim + (1, 0)])
+    if cap is not None:
+        lifted.append(rational_primitive((0,) * dim + (-1, -Fraction(cap))))
+    keys = _vertex_bases(dim + 1, lifted)
+    if not keys:
+        return Fraction(0), Fraction(0)
+    den = lcm(*[d for _, d in keys])
+    pts = [[a * (den // d) for a in nums] for nums, d in keys]
+    total = sum(abs(_simplex_det(pts, s)) for s in _pulling_simplices(dim + 1, lifted, pts, den))
+    return (Fraction(max(p[dim] for p in pts), den),
+            Fraction(total, (dim + 1) * den ** (dim + 1)))

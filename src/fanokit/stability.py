@@ -1,14 +1,16 @@
 """Headline semistability invariants: beta, Ding, and the volume bound.
 
 beta pairs the log canonical threshold of a monomial subscheme with the
-integral of its blowup volume profile; a negative value certifies that
-the model is not Ding semistable, while nonnegative values certify
-nothing.  Ding invariants of t-graded ideal sequences on X x A^1 are
-evaluated in the product-space form: the limit self-intersection of the
-polarisation is the exact leading integral that filtration slopes read
-(filtration._leading_integral, the integral of the concave transform
-over r*r0*P), less the (n+1) M (r r0)^n vol(-K) of the t^M shift, and the
-threshold term is read off the same dual vertices, built once per chart.
+integral of its blowup volume profile, read off the lifted region's
+vertices (volumes.blowup_volume_integral) with no profile built; a
+negative value certifies that the model is not Ding semistable, while
+nonnegative values certify nothing.  Ding invariants of t-graded ideal
+sequences on X x A^1 are evaluated in the product-space form: the limit
+self-intersection of the polarisation is the exact leading integral that
+filtration slopes read (filtration._leading_integral, the integral of
+the concave transform over r*r0*P, off the same kind of lifted region),
+less the (n+1) M (r r0)^n vol(-K) of the t^M shift, and the threshold
+term is read off the same dual vertices, built once per chart.
 The quotient weight counts w(k), ding_weight_series, count the same
 self-intersection in lattice points, by the one route filtration weight
 series take: each chart holds the k-th power of the sequence ideal as a
@@ -35,7 +37,7 @@ from .lct import lct_monomial, product_line_threshold
 from .model import ToricFanoModel, anticanonical_volume
 from .polytope import lattice_fibers
 from .subscheme import IdealSequenceOnXxA1, MonomialSubscheme, product_dual_vertices
-from .volumes import blowup_volume_profile, seshadri_constant
+from .volumes import blowup_volume_integral, seshadri_constant
 
 CONSISTENT = "CONSISTENT"
 OBSTRUCTS_SEMISTABILITY = "OBSTRUCTS_SEMISTABILITY"
@@ -62,18 +64,19 @@ class BetaReport:
 def beta(X: ToricFanoModel, Z: MonomialSubscheme) -> BetaReport:
     """Threshold-versus-volume invariant of a nonzero proper subscheme.
 
-    The profile integral runs over [0, tau] only, the profile being zero
-    past the pseudoeffective threshold.  Both terms are exact: chart data
-    on a singular chart is refused by the threshold before any profile is
-    built.
+    The volume integral is the profile's integral over [0, tau], the
+    profile being zero past the pseudoeffective threshold, read by
+    volumes.blowup_volume_integral off one vertex enumeration of the
+    lifted region: no profile is built.  Both terms are exact: chart data
+    on a singular chart is refused by the threshold before the region is
+    read.
     """
     if Z.is_empty or Z.has_zero_chart:
         raise EmptyOrFull(f"{Z.label}: beta needs a nonzero proper subscheme")
     _check_arity(X, Z)
     lct_value = lct_monomial(X, Z)
-    profile = blowup_volume_profile(X, Z)
-    vol = profile.total_volume
-    integral = profile.integral()
+    _, integral = blowup_volume_integral(X, Z)
+    vol = anticanonical_volume(X)
     value = lct_value * vol - integral
     verdict = OBSTRUCTS_SEMISTABILITY if value < 0 else CONSISTENT
     return BetaReport(model=X.name, subscheme=Z.label, lct_value=lct_value,

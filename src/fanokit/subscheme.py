@@ -379,10 +379,14 @@ def verify_gluing(X: ToricFanoModel, Z: MonomialSubscheme) -> None:
 
     For vertices joined by a polytope edge the overlap inverts exactly one
     coordinate on each side; the localized ideals must coincide under the
-    monomial coordinate change.  Raises GluingMismatch naming the first
-    chart pair that disagrees; singular charts are skipped (they carry no
-    exponent coordinates).
+    monomial coordinate change.  Raises GluingMismatch naming a chart
+    index the model lacks, or else the first chart pair that disagrees;
+    singular charts are skipped (they carry no exponent coordinates).
     """
+    for idx in Z.chart_gens:
+        if not 0 <= idx < len(X.charts):
+            raise GluingMismatch(f"{Z.label}: chart {idx} is not one of the "
+                                 f"{len(X.charts)} charts of {X.name}")
     for i, j in polytope_edges(X.polytope):
         ci, cj = X.charts[i], X.charts[j]
         if not (ci.smooth and cj.smooth):

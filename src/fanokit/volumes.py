@@ -4,7 +4,7 @@ The profile of a subscheme Z is x -> vol of (pullback of -K_X) minus x
 times the exceptional divisor, as an exact piecewise polynomial.  It is
 n! times the volume of the part of the moment polytope P where the
 sections vanish to order >= x along Z, a region cut from P by rows
-moving linearly in x, and polytope.moving_volume_function computes it:
+moving linearly in x:
 
   * a reduced boundary divisor gives the one row <rho, u> >= x - 1, the
     global valuation of its ray, which needs no chart and so also works
@@ -12,6 +12,15 @@ moving linearly in x, and polytope.moving_volume_function computes it:
   * monomial data on smooth charts gives, for every dual vertex w of the
     chart's Newton polyhedron, the row <D^T w, u> >= x - sum(w) that
     puts the chart exponents D u + 1 into x times the polyhedron.
+
+Two routes read that region.  blowup_volume_integral gives the
+pseudoeffective threshold tau and the profile's integral off one vertex
+enumeration of the region lifted to (u, x), in
+polytope.moving_volume_integral; beta, pseudoeffective_threshold and
+ideal-power filtrations need nothing more.  blowup_volume_profile builds
+the whole profile, piece by piece, in polytope.moving_volume_function,
+for `fanokit volume`, seshadri_constant and acceptance criterion 3; the
+tests hold its integral against the first route.
 
 The Newton polyhedron sees only the integral closure of a chart ideal.
 That is exact for every monomial ideal, closed or not: by Rees's
@@ -28,7 +37,7 @@ from .errors import DimensionTooSmall, NotSmoothPoint, UnsupportedSubscheme
 from .linalg import matmul_vec, transpose
 from .model import ToricFanoModel, anticanonical_volume
 from .piecewise import PiecewisePolynomial, poly_trim
-from .polytope import moving_volume_function
+from .polytope import moving_volume_function, moving_volume_integral
 from .subscheme import MonomialSubscheme, point_subscheme
 
 
@@ -52,24 +61,35 @@ class BlowupVolumeProfile:
         return self.function.integrate(0, self.tau)
 
 
-def blowup_volume_profile(X: ToricFanoModel, Z: MonomialSubscheme) -> BlowupVolumeProfile:
+def _moving_rows(X: ToricFanoModel, Z: MonomialSubscheme) -> list[tuple]:
+    """The rows <a, u> >= x - b of Z's profile region, as (a, b)."""
     Z.require_usable()
     if Z.boundary_ray is not None:
-        moving = [(Z.boundary_ray, 1)]
-    else:
-        moving = []
-        for idx in Z.active_chart_indices():
-            chart = X.charts[idx]
-            if not chart.smooth:
-                raise UnsupportedSubscheme(
-                    f"{Z.label} touches the singular chart at {chart.vertex}")
-            cols = transpose(chart.dual)
-            moving.extend((matmul_vec(cols, w), sum(w))
-                          for w in Z.dual_vertices[idx])
-    pp = moving_volume_function(X.dimension, X.polytope.inequalities, moving)
+        return [(Z.boundary_ray, 1)]
+    moving = []
+    for idx in Z.active_chart_indices():
+        chart = X.charts[idx]
+        if not chart.smooth:
+            raise UnsupportedSubscheme(
+                f"{Z.label} touches the singular chart at {chart.vertex}")
+        cols = transpose(chart.dual)
+        moving.extend((matmul_vec(cols, w), sum(w))
+                      for w in Z.dual_vertices[idx])
+    return moving
+
+
+def blowup_volume_profile(X: ToricFanoModel, Z: MonomialSubscheme) -> BlowupVolumeProfile:
+    pp = moving_volume_function(X.dimension, X.polytope.inequalities, _moving_rows(X, Z))
     return BlowupVolumeProfile(subscheme_label=Z.label,
                                total_volume=anticanonical_volume(X),
                                tau=pp.breakpoints[-1], function=pp)
+
+
+def blowup_volume_integral(X: ToricFanoModel, Z: MonomialSubscheme) -> tuple[Fraction, Fraction]:
+    """(tau, integral) of Z's profile, read off the lifted region with no
+    profile built: the numbers blowup_volume_profile(X, Z) gives as its
+    tau and integral()."""
+    return moving_volume_integral(X.dimension, X.polytope.inequalities, _moving_rows(X, Z))
 
 
 def seshadri_constant(X: ToricFanoModel, chart_index: int) -> Fraction:
@@ -93,4 +113,4 @@ def seshadri_constant(X: ToricFanoModel, chart_index: int) -> Fraction:
 
 def pseudoeffective_threshold(X: ToricFanoModel, Z: MonomialSubscheme) -> Fraction:
     """Smallest x past which the profile is identically zero."""
-    return blowup_volume_profile(X, Z).tau
+    return blowup_volume_integral(X, Z)[0]

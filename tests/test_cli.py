@@ -231,6 +231,20 @@ class TestBetaAndDing:
         assert "ding" not in out
         assert "GluingMismatch: s2: charts 0 and 2 disagree" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("beta", "--model", "P1", "--subscheme", "{z}"),
+        ("ding", "--model", "P1", "--sequence", "{s}"),
+        ("lct", "--model", "P1", "--product-line", "--c1", "1/2", "--subscheme", "{s}")])
+    def test_file_naming_a_chart_the_model_lacks(self, run, tmp_path, argv):
+        far = '{"label": "far", "dim": 1, "charts": {"5": [[1]]}}'
+        z, s = tmp_path / "far.json", tmp_path / "far_seq.json"
+        z.write_text(far)
+        s.write_text(f'{{"steps": [{far}]}}')
+        code, out, err = run(*[a.format(z=z, s=s) for a in argv])
+        assert code == 1
+        assert out == ""
+        assert err == "error: GluingMismatch: far: chart 5 is not one of the 2 charts of P1\n"
+
     def test_obstructing_divisor_exits_two(self, run, tmp_path):
         out_path = tmp_path / "beta.json"
         code, out, _ = run("beta", "--model", "P112", "--subscheme",

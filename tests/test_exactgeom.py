@@ -16,8 +16,8 @@ from fanokit.oracles import bruteforce_lct
 from fanokit.piecewise import PiecewisePolynomial, fit_polynomial, poly_eval, poly_trim
 from fanokit.polytope import (RationalPolytope, _lifted_paths, enumerate_basic_feasible,
                               euclidean_volume, lattice_fibers, lattice_points,
-                              moving_volume_function, polytope_edges,
-                              polytope_from_rays, volume)
+                              moving_volume_function, moving_volume_integral,
+                              polytope_edges, polytope_from_rays, volume)
 from fanokit.subscheme import NewtonPolyhedron
 
 import helpers
@@ -481,6 +481,44 @@ class TestSlicedVolume:
               *[t * bps[-1] for t in shares]]
         for x in xs:
             assert S.evaluate(x) == row_volume(x)
+
+    @example(FOUR_CUBE, [F(1, 2), F(3, 2)])
+    @example(MERGING_REGION, [F(1, 4), F(1, 2)])
+    @example(CORNER_REGION, [F(0), F(1, 3)])
+    @example((SQUARE_PYRAMID, [((0, 0, 1), 0)]), [F(1, 2), F(2)])
+    @given(moving_regions(), st.lists(st.fractions(0, 2, max_denominator=9), max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_integral_matches_the_profile(self, region, shares):
+        points, moving = region
+        P = _lattice_polytope(len(points[0]), points)
+        n = P.dimension
+
+        def integral(cap=None):
+            return moving_volume_integral(n, P.inequalities, moving, cap)
+
+        try:
+            S = moving_volume_function(n, P.inequalities, moving)
+        except DegeneratePolytope:      # flat or empty past x = 0
+            assert integral()[1] == 0
+            assert all(integral(cap)[1] == 0 for cap in [1, *shares])
+            return
+        tau = S.breakpoints[-1]
+        assert integral() == (tau, S.integrate(0, tau))
+        # caps below, at and past tau, and at every breakpoint
+        for cap in {*S.breakpoints, *[t * tau for t in shares], tau + 1}:
+            assert integral(cap) == (min(cap, tau), S.integrate(0, min(cap, tau)))
+
+    def test_integral_of_a_static_region(self):
+        rows = TRIANGLE.inequalities
+        with pytest.raises(UnboundedPolytope):
+            moving_volume_integral(2, rows, [])
+        assert moving_volume_integral(2, rows, [], cap=F(1, 2)) == (F(1, 2), F(9, 2))
+        assert moving_volume_integral(2, rows, [], cap=0) == (0, 0)
+        assert moving_volume_integral(2, rows, [], cap=-1) == (0, 0)
+        # no volume at any x > 0, with and without a cap
+        flat = UNIT_SQUARE_ROWS + [((-1, 0), 0)]
+        assert moving_volume_integral(2, flat, [((0, 1), 1)])[1] == 0
+        assert moving_volume_integral(2, flat, [], cap=3)[1] == 0
 
     @example(CORNER_REGION)
     @example(MERGING_REGION)

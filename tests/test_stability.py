@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanokit import polytope, stability
+from fanokit import piecewise, polytope, stability, volumes
 from fanokit.errors import (EmptyOrFull, FanokitError, NoStabilization,
                             UnsupportedSubscheme)
 from fanokit.filtration import (_stable_leading_difference, compute_d_infty,
@@ -97,6 +97,13 @@ class TestBeta:
         Z = thickened_point_subscheme(X, 0)
         beta(X, Z)
         assert built == [Z.gens_on(0)]
+
+    @pytest.mark.parametrize("name", sorted(catalog()))
+    def test_volume_integral_is_the_profile_integral(self, name):
+        X = catalog_model(name)
+        for Z in standard_battery(X):
+            assert (beta(X, Z).volume_integral
+                    == volumes.blowup_volume_profile(X, Z).integral())
 
     def test_whole_space_rejected(self):
         X = catalog_model("P2")
@@ -288,6 +295,24 @@ class TestDingLeadingIntegral:
         half = Fraction(7, 2)
         assert ws == [-half + (-1) ** k * (k + half) for k in range(len(ws))]
         assert ding_invariant(X, S, 1).L_power_top == -half
+
+
+def test_integral_routes_build_no_profile(monkeypatch):
+    """beta, the leading integral and the limit slope read the lifted
+    region's vertices: no profile pieces, paths or fitted polynomials."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a profile was built")
+
+    for module, name in [(polytope, "moving_volume_function"), (volumes, "moving_volume_function"),
+                         (polytope, "_lifted_paths"), (polytope, "fit_polynomial"),
+                         (piecewise, "fit_polynomial")]:
+        monkeypatch.setattr(module, name, refuse)
+    X = catalog_model("P1xP2")
+    for Z in standard_battery(X):
+        beta(X, Z)
+    pt = point_subscheme(X, 0)
+    compute_d_infty(ideal_power_filtration(X, pt), r_list=(1,))
+    ding_invariant(X, IdealSequenceOnXxA1(steps=(pt, pt)), 1)
 
 
 class TestVolumeBound:

@@ -200,4 +200,5 @@ class TestThreshold:
             for Z in standard_battery(X):
                 prof = blowup_volume_profile(X, Z)
                 assert prof.tau > 0
+                assert pseudoeffective_threshold(X, Z) == prof.tau
                 assert prof.evaluate(0) == anticanonical_volume(X)
