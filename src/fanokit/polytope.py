@@ -496,9 +496,10 @@ def moving_volume_integral(dim: int, rows: Sequence[tuple[Sequence, object]],
     to (u, x) and cut by x >= 0 and x <= cap, so it is read off one
     vertex enumeration of the lifted rows: the vertices scaled to one
     common denominator, and the integer determinants of a pulling
-    triangulation.  An empty or flat lifted region gives 0.  The static
-    rows must cut out a bounded set; each moving row then bounds x, and
-    with neither a moving row nor a cap the region is unbounded in x.
+    triangulation.  An empty lifted region gives (0, 0), a flat one the
+    integral 0.  The static rows must cut out a bounded set; each moving
+    row then bounds x, and with neither a moving row nor a cap the region
+    is unbounded in x.
     """
     if cap is None and not moving:
         raise UnboundedPolytope("no moving row and no cap: x is unbounded")
