@@ -130,8 +130,6 @@ class PiecewisePolynomial:
     def evaluate(self, x) -> Fraction:
         return poly_eval(self.pieces[self.piece_index(x)], x)
 
-    __call__ = evaluate
-
     def integrate(self, a, b) -> Fraction:
         """Exact integral over [a, b], which must lie inside the domain."""
         a, b = Fraction(a), Fraction(b)

@@ -18,17 +18,16 @@ out already say which vertices lie on which face, so a pulling
 triangulation reads the facets of every face off those row incidences
 and sums integer simplex determinants.  A region whose rows move
 linearly in a parameter x is the slice at x of the region lifted to
-(u, x), and each vertex of a slice lies on a lifted edge (Ziegler,
-*Lectures on Polytopes*).  So each n-subset of the rows is solved once
-per region, by one int_solve, as a path: a point moving affinely in x,
-with the closed interval of x where it satisfies every row.  The ends
-of those intervals are the lifted vertices, hence the breakpoints in x,
-and the paths live at the midpoint of a piece give its vertices and its
-volume polynomial in x (moving_volume_function).  The integral of the
-slice volumes over x needs no slice: it is the volume of the lifted
-region itself, cut by x >= 0 and perhaps a cap on x, so one vertex
-enumeration in dim + 1 variables and its triangulation give it
-(moving_volume_integral), and the profile is its independent check.
+(u, x) and cut by x >= 0, and one vertex enumeration of those lifted
+rows in dim + 1 variables serves both readers of such a region.  The
+integral of the slice volumes over x needs no slice: it is the volume
+of the lifted region itself, perhaps cut by a cap on x, read off that
+enumeration's triangulation (moving_volume_integral).  The slices
+change combinatorial type only at the x-coordinates of the lifted
+vertices (Ziegler, *Lectures on Polytopes*), so those are the
+breakpoints of the volume as a function of x, and between them the
+volume is one polynomial, fitted through the volumes of a few slices
+(moving_volume_function), which the tests hold the integral against.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import Sequence
 from . import lattice
 from .errors import DegeneratePolytope, UnboundedPolytope
 from .linalg import Vec, dot, int_det, int_solve, rational_primitive
-from .piecewise import PiecewisePolynomial, Poly, fit_polynomial, poly_trim
+from .piecewise import PiecewisePolynomial, fit_polynomial, poly_trim
 
 Ineq = tuple[tuple[int, ...], Fraction]
 
@@ -356,78 +355,14 @@ def polytope_edges(P: RationalPolytope) -> list[tuple[int, int]]:
     return out
 
 
-def _lifted_paths(dim: int, lifted: Sequence[Sequence[int]]) -> list[tuple]:
-    """Every dim-subset of the integer rows (a, offset, slope), each
-    meaning <a, u> >= offset + slope * x, whose normals a are independent,
-    solved once: the subset's rows meet at (p + x q) / d for every x.
-
-    Returned in combinations order as (lo, hi, d, p, q), where [lo, hi] is
-    the closed set of x at which that point satisfies every row (None:
-    unbounded on that side).  Each row reads alpha + x * beta >= 0 there,
-    in integers with the sign of d folded in.  Subsets whose point
-    satisfies the rows at no x are left out.
-    """
-    paths = []
-    for sub in combinations(range(len(lifted)), dim):
-        d, pq = int_solve([lifted[i][:dim] for i in sub],
-                          [[lifted[i][col] for i in sub] for col in (dim, dim + 1)])
-        if d == 0:
-            continue
-        p, q = pq
-        s = 1 if d > 0 else -1
-        # lo = lo_n / lo_d and hi = hi_n / hi_d, denominators positive
-        lo_n = hi_n = None
-        for r in lifted:
-            alpha = s * (sum(map(mul, r, p)) - r[dim] * d)
-            beta = s * (sum(map(mul, r, q)) - r[dim + 1] * d)
-            if beta > 0:
-                if lo_n is None or -alpha * lo_d > lo_n * beta:
-                    lo_n, lo_d = -alpha, beta
-            elif beta < 0:
-                if hi_n is None or alpha * hi_d < hi_n * -beta:
-                    hi_n, hi_d = alpha, -beta
-            elif alpha < 0:
-                break
-            if lo_n is not None and hi_n is not None and lo_n * hi_d > hi_n * lo_d:
-                break
-        else:
-            paths.append((None if lo_n is None else Fraction(lo_n, lo_d),
-                          None if hi_n is None else Fraction(hi_n, hi_d), d, p, q))
-    return paths
-
-
-def _piece_polynomial(dim: int, lifted: Sequence[Sequence[int]],
-                      live: Sequence[tuple], x: Fraction) -> Poly:
-    """dim! * vol of {u : <r[:dim], u> >= r[dim] + r[dim + 1] * x} as a
-    polynomial in x, valid on the open piece around x, from the
-    (d, p, q) of the _lifted_paths of the rows whose interval holds x.
-    Their points at x are the vertices, the first path per vertex kept;
-    across the piece each stays on its path, (p + x q) / d.  The triangulation
-    and signs found at x hold there too: the signed determinants sum to a
-    polynomial, read off its integer values at x = 0..dim, where |det|
-    may be wrong."""
-    num, den = x.numerator, x.denominator
-    at_x = [(*[den * a for a in r[:dim]], den * r[dim] + num * r[dim + 1]) for r in lifted]
-    vertices: dict[tuple[tuple[int, ...], int], tuple] = {}
-    for d, p, q in live:
-        # the point at x as Cramer's reduced (nums, den) key
-        nums = [den * a + num * b for a, b in zip(p, q)]
-        vden = den * d
-        if vden < 0:
-            vden, nums = -vden, [-a for a in nums]
-        g = gcd(vden, *nums)
-        vertices.setdefault((tuple([a // g for a in nums]), vden // g), (d, p, q))
-    common = lcm(*[vd for _, vd in vertices])
-    pts = [[a * (common // vd) for a in nums] for nums, vd in vertices]
-    lines = list(vertices.values())
-    scale = lcm(*[d for d, _, _ in lines])
-    samples = [[[(a + t * b) * (scale // d) for a, b in zip(p, q)] for d, p, q in lines]
-               for t in range(dim + 1)]
-    values = [0] * (dim + 1)
-    for s in _pulling_simplices(dim, at_x, pts, common):
-        sign = 1 if _simplex_det(pts, s) > 0 else -1
-        values = [v + sign * _simplex_det(ps, s) for v, ps in zip(values, samples)]
-    return fit_polynomial(range(dim + 1), [Fraction(v, scale ** dim) for v in values])
+def _lifted_rows(dim: int, rows: Sequence[tuple[Sequence, object]],
+                 moving: Sequence[tuple[Sequence, object]]) -> list[tuple[int, ...]]:
+    """The region cut out by the static ``rows`` and, for each moving
+    (a, b), the row <a, u> >= x - b, lifted to (u, x) and cut by x >= 0:
+    integer rows (*normal, c, offset) meaning <normal, u> + c x >= offset."""
+    return ([rational_primitive((*nr, 0, off)) for nr, off in rows]
+            + [rational_primitive((*a, -1, -b)) for a, b in moving]
+            + [(0,) * dim + (1, 0)])
 
 
 def moving_volume_function(dim: int, rows: Sequence[tuple[Sequence, object]],
@@ -437,39 +372,24 @@ def moving_volume_function(dim: int, rows: Sequence[tuple[Sequence, object]],
 
     The region shrinks as x grows and tau is where its volume reaches 0.
     Its combinatorial type changes only at the x-coordinates of the
-    vertices of the lifted polyhedron {(u, x)}, so those (the positive
-    ones) and 0 are the breakpoints.  They are read off the paths: each
-    set of dim rows with independent normals, solved once for a point
-    moving affinely in x, and the closed interval of x where that point
-    is in the region.  An end of an interval is where the path meets one
-    more row transversally, so it is a lifted vertex.  Conversely, a lower
-    x only loosens the moving rows, so (0, -1) is a direction of the
-    lifted polyhedron.  At each vertex it lies in the cone spanned by the
-    vertex's edges, so every lifted vertex ends some edge (perhaps
-    unbounded) on which x is not constant.  The rows tight along that
-    edge include dim with independent normals, and their path has that
-    edge as its interval.  Between breakpoints the volume is a
-    polynomial of degree <= dim, read off the paths live at the midpoint
-    of the piece, and equal neighbouring pieces are merged.
+    vertices of the lifted polyhedron {(u, x) : x >= 0} (Ziegler,
+    *Lectures on Polytopes*), so those and 0 are the breakpoints: one
+    vertex enumeration of the rows moving_volume_integral reads.  Between
+    breakpoints the volume is a polynomial of degree <= dim, fitted
+    through the volumes of dim + 1 slices inside the piece, and equal
+    neighbouring pieces are merged.
     Raises DegeneratePolytope when the region has no volume for any x > 0.
     """
-    lifted = ([rational_primitive((*nr, off, 0)) for nr, off in rows]
-              + [rational_primitive((*a, -b, 1)) for a, b in moving])
-    paths = _lifted_paths(dim, lifted)
-    cuts = sorted({Fraction(0)} | {e for lo, hi, *_ in paths for e in (lo, hi)
-                                   if e is not None and e > 0})
-    # piece i is (cuts[i], cuts[i + 1]); a path is live on the pieces
-    # from the index of its positive lower end to that of its upper end
-    index = {c: i for i, c in enumerate(cuts)}
-    live: list[list[tuple]] = [[] for _ in cuts[1:]]
-    for lo, hi, d, p, q in paths:
-        first = index[lo] if lo is not None and lo > 0 else 0
-        stop = len(live) if hi is None else index[hi] if hi > 0 else 0
-        for i in range(first, stop):
-            live[i].append((d, p, q))
+    def slice_volume(x):
+        at_x = [*rows, *[(a, x - b) for a, b in moving]]
+        return factorial(dim) * volume(dim, at_x, enumerate_basic_feasible(dim, at_x))
+
+    keys = _vertex_bases(dim + 1, _lifted_rows(dim, rows, moving))
+    cuts = sorted({Fraction(0)} | {Fraction(nums[dim], den) for nums, den in keys})
     breakpoints, pieces, last = [cuts[0]], [], None
-    for a, b, at in zip(cuts, cuts[1:], live):
-        piece = _piece_polynomial(dim, lifted, at, (a + b) / 2)
+    for a, b in zip(cuts, cuts[1:]):
+        xs = [a + (b - a) * k / (dim + 2) for k in range(1, dim + 2)]
+        piece = fit_polynomial(xs, [slice_volume(x) for x in xs])
         trimmed = poly_trim(piece)
         if trimmed == last:
             breakpoints[-1] = b
@@ -503,9 +423,7 @@ def moving_volume_integral(dim: int, rows: Sequence[tuple[Sequence, object]],
     """
     if cap is None and not moving:
         raise UnboundedPolytope("no moving row and no cap: x is unbounded")
-    lifted = ([rational_primitive((*nr, 0, off)) for nr, off in rows]
-              + [rational_primitive((*a, -1, -b)) for a, b in moving]
-              + [(0,) * dim + (1, 0)])
+    lifted = _lifted_rows(dim, rows, moving)
     if cap is not None:
         lifted.append(rational_primitive((0,) * dim + (-1, -Fraction(cap))))
     keys = _vertex_bases(dim + 1, lifted)

@@ -13,14 +13,16 @@ moving linearly in x:
     chart's Newton polyhedron, the row <D^T w, u> >= x - sum(w) that
     puts the chart exponents D u + 1 into x times the polyhedron.
 
-Two routes read that region.  blowup_volume_integral gives the
-pseudoeffective threshold tau and the profile's integral off one vertex
-enumeration of the region lifted to (u, x), in
+Both readers of that region start from one vertex enumeration of it
+lifted to (u, x).  blowup_volume_integral reads the pseudoeffective
+threshold tau and the profile's integral off its triangulation, in
 polytope.moving_volume_integral; beta, pseudoeffective_threshold and
-ideal-power filtrations need nothing more.  blowup_volume_profile builds
-the whole profile, piece by piece, in polytope.moving_volume_function,
-for `fanokit volume`, seshadri_constant and acceptance criterion 3; the
-tests hold its integral against the first route.
+ideal-power filtrations need nothing more.  blowup_volume_profile, for
+`fanokit volume`, seshadri_constant and acceptance criterion 3, takes
+the profile's breakpoints from the x-coordinates of the lifted vertices
+and each piece from a few slice volumes, in
+polytope.moving_volume_function; the tests hold its integral against
+the first reader.
 
 The Newton polyhedron sees only the integral closure of a chart ideal.
 That is exact for every monomial ideal, closed or not: by Rees's
@@ -35,7 +37,7 @@ from fractions import Fraction
 
 from .errors import DimensionTooSmall, NotSmoothPoint, UnsupportedSubscheme
 from .linalg import matmul_vec, transpose
-from .model import ToricFanoModel, anticanonical_volume
+from .model import ToricFanoModel
 from .piecewise import PiecewisePolynomial, poly_trim
 from .polytope import moving_volume_function, moving_volume_integral
 from .subscheme import MonomialSubscheme, point_subscheme
@@ -45,16 +47,16 @@ from .subscheme import MonomialSubscheme, point_subscheme
 class BlowupVolumeProfile:
     """vol(sigma^*(-K) - x F) on [0, tau], zero afterwards."""
 
-    subscheme_label: str
-    total_volume: Fraction
-    tau: Fraction
     function: PiecewisePolynomial
 
-    def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
-        if x >= self.tau:
-            return Fraction(0)
-        return self.function.evaluate(x)
+    @property
+    def tau(self) -> Fraction:
+        return self.function.breakpoints[-1]
+
+    @property
+    def total_volume(self) -> Fraction:
+        """vol(-K), the profile's value at x = 0."""
+        return self.function.evaluate(0)
 
     def integral(self) -> Fraction:
         """Integral over [0, infinity), which is the integral to tau."""
@@ -79,10 +81,8 @@ def _moving_rows(X: ToricFanoModel, Z: MonomialSubscheme) -> list[tuple]:
 
 
 def blowup_volume_profile(X: ToricFanoModel, Z: MonomialSubscheme) -> BlowupVolumeProfile:
-    pp = moving_volume_function(X.dimension, X.polytope.inequalities, _moving_rows(X, Z))
-    return BlowupVolumeProfile(subscheme_label=Z.label,
-                               total_volume=anticanonical_volume(X),
-                               tau=pp.breakpoints[-1], function=pp)
+    return BlowupVolumeProfile(moving_volume_function(
+        X.dimension, X.polytope.inequalities, _moving_rows(X, Z)))
 
 
 def blowup_volume_integral(X: ToricFanoModel, Z: MonomialSubscheme) -> tuple[Fraction, Fraction]:

@@ -50,16 +50,15 @@ def box_lattice_points(inequalities, lo, hi) -> list[tuple[int, ...]]:
                   if all(sum(a * x for a, x in zip(nr, u)) >= off for nr, off in rows))
 
 
-def basis_points(dim, rows):
-    """The solution of each dim-subset of rows with independent normals
-    that satisfies every row, in combinations order, repeats kept.
+def basic_feasible_points(dim, rows):
+    """Vertices of {u : <normal, u> >= offset for all rows}, lex sorted.
 
     Gauss-Jordan elimination in Fractions over every dim-subset of rows,
-    then a feasibility check against all rows; the package solves each
-    subset by integer Cramer's rule instead.
+    then a feasibility check against all rows; the package enumerates the
+    vertices by integer double description instead.
     """
     rows = [(tuple(Fraction(a) for a in nr), Fraction(off)) for nr, off in rows]
-    found = []
+    found = set()
     for sub in combinations(rows, dim):
         m = [list(nr) + [off] for nr, off in sub]
         for col in range(dim):
@@ -74,13 +73,43 @@ def basis_points(dim, rows):
         else:
             u = tuple(m[i][dim] for i in range(dim))
             if all(sum(a * x for a, x in zip(nr, u)) >= off for nr, off in rows):
-                found.append(u)
-    return found
+                found.add(u)
+    return sorted(found)
 
 
-def basic_feasible_points(dim, rows):
-    """Vertices of {u : <normal, u> >= offset for all rows}, lex sorted."""
-    return sorted(set(basis_points(dim, rows)))
+def least_edge_length(rays, vertex) -> Fraction:
+    """Least lattice length of the edges of P = {u : <u, ray> >= -1} at a
+    smooth vertex: the Seshadri constant of -K at its fixed point (Di
+    Rocco, *Generation of k-jets on toric varieties*, 1999).
+
+    The edges leave the vertex v along the basis e_j dual to the n rays
+    tight at v, <rho_i, e_j> = delta_ij, which is primitive because the
+    chart is smooth: the columns of the inverse of those rays, by
+    Gauss-Jordan elimination in Fractions.  The edge along e_j ends at
+    max{t : v + t e_j in P}, the least (<rho, v> + 1) / -<rho, e_j> over
+    the rays rho with <rho, e_j> < 0.
+    """
+    def pair(a, b):
+        return sum(Fraction(x) * y for x, y in zip(a, b))
+
+    n = len(vertex)
+    tight = [ray for ray in rays if pair(ray, vertex) == -1]
+    assert len(tight) == n, "not a simple vertex"
+    m = [[Fraction(a) for a in ray] + [Fraction(int(i == j)) for j in range(n)]
+         for i, ray in enumerate(tight)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if m[r][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        m[col] = [x / m[col][col] for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                m[r] = [a - m[r][col] * b for a, b in zip(m[r], m[col])]
+    lengths = []
+    for j in range(n):
+        e = [m[i][n + j] for i in range(n)]
+        lengths.append(min((pair(ray, vertex) + 1) / -pair(ray, e)
+                           for ray in rays if pair(ray, e) < 0))
+    return min(lengths)
 
 
 def leibniz_det(rows) -> Fraction:

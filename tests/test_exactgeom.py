@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from fanokit import lattice
 from fanokit.errors import DegeneratePolytope, OutOfDomain, UnboundedPolytope
-from fanokit.linalg import int_det, int_solve, rational_primitive, solve
+from fanokit.linalg import int_det, int_solve, solve
 from fanokit.model import CATALOG_RAYS, catalog_model
 from fanokit.oracles import bruteforce_lct
 from fanokit.piecewise import PiecewisePolynomial, fit_polynomial, poly_eval, poly_trim
-from fanokit.polytope import (RationalPolytope, _lifted_paths, enumerate_basic_feasible,
+from fanokit.polytope import (RationalPolytope, enumerate_basic_feasible,
                               euclidean_volume, lattice_fibers, lattice_points,
                               moving_volume_function, moving_volume_integral,
                               polytope_edges, polytope_from_rays, volume)
@@ -436,19 +436,10 @@ CORNER_REGION = ([(0, 0), (2, 0), (0, 2), (2, 2)], [((-1, 2), 1), ((2, -1), 1)])
 FOUR_CUBE = (list(product((-1, 1), repeat=4)), [((1, 1, 1, 1), 4), ((1, 0, -1, 0), 3)])
 
 
-def _region_paths(points, moving):
-    """(P, lifted rows, their paths) of a moving_regions draw."""
-    P = _lattice_polytope(len(points[0]), points)
-    n = P.dimension
-    lifted = ([((*nr, 0), off) for nr, off in P.inequalities]
-              + [((*a, -1), -b) for a, b in moving])
-    paths = _lifted_paths(n, [rational_primitive((*nr[:n], off, -nr[n])) for nr, off in lifted])
-    return P, lifted, paths
-
-
-def _live_points(paths, x):
-    return [tuple(F(a + x * b, d) for a, b in zip(p, q)) for lo, hi, d, p, q in paths
-            if (lo is None or lo <= x) and (hi is None or x <= hi)]
+def _lifted(P, moving):
+    """The rows of {(u, x) : u in P, <a, u> >= x - b for each moving (a, b)}."""
+    return ([((*nr, 0), off) for nr, off in P.inequalities]
+            + [((*a, -1), -b) for a, b in moving])
 
 
 class TestSlicedVolume:
@@ -460,6 +451,7 @@ class TestSlicedVolume:
     @example((SQUARE_PYRAMID, [((1, 0, 0), 0), ((0, 1, 1), -1)]), [F(5, 9)])
     @example(FOUR_CUBE, [F(1, 5)])
     @example(MERGING_REGION, [F(1, 4)])
+    @example(CORNER_REGION, [F(1, 3)])
     @given(moving_regions(), st.lists(st.fractions(0, 1, max_denominator=9), max_size=3))
     @settings(max_examples=40, deadline=None)
     def test_profile_matches_row_volumes(self, region, shares):
@@ -477,6 +469,11 @@ class TestSlicedVolume:
             assert all(row_volume(x) == 0 for x in [F(1, 1000), *shares] if x > 0)
             return
         bps = S.breakpoints
+        # every breakpoint is 0 or the x of a vertex of the region lifted
+        # to (u, x), and the last is the largest such x
+        ends = {v[n] for v in helpers.basic_feasible_points(n + 1, _lifted(P, moving))}
+        assert set(bps) <= ends | {0}
+        assert bps[-1] == max(ends)
         xs = [*bps, *[(a + b) / 2 for a, b in zip(bps, bps[1:])],
               *[t * bps[-1] for t in shares]]
         for x in xs:
@@ -520,30 +517,6 @@ class TestSlicedVolume:
         assert moving_volume_integral(2, flat, [((0, 1), 1)])[1] == 0
         assert moving_volume_integral(2, flat, [], cap=3)[1] == 0
 
-    @example(CORNER_REGION)
-    @example(MERGING_REGION)
-    @example(FOUR_CUBE)
-    @given(moving_regions())
-    @settings(max_examples=40, deadline=None)
-    def test_paths_are_the_lifted_edges(self, region):
-        P, lifted, paths = _region_paths(*region)
-        n = P.dimension
-        ends = {e for lo, hi, *_ in paths for e in (lo, hi) if e is not None and e > 0}
-        assert ends == {v[n] for v in helpers.basic_feasible_points(n + 1, lifted) if v[n] > 0}
-        cuts = sorted({F(0)} | ends)
-        for x in [*cuts[1:], *[(a + b) / 2 for a, b in zip(cuts, cuts[1:])]]:
-            at_x = list(P.inequalities) + [(a, x - b) for a, b in region[1]]
-            live = _live_points(paths, x)
-            assert sorted(set(live)) == helpers.basic_feasible_points(n, at_x)
-            # one live path per feasible basis, in the same order
-            assert live == helpers.basis_points(n, at_x)
-
-    def test_single_point_and_static_paths(self):
-        _, _, paths = _region_paths(*CORNER_REGION)
-        assert any(lo == hi == 1 for lo, hi, *_ in paths)
-        static = [(lo, hi) for lo, hi, _, _, q in paths if not any(q)]
-        assert (None, 3) in static and all(lo is None for lo, _ in static)
-
     def test_triangle_slice(self):
         S = slice_function(TRIANGLE, (1, 1), 2)
         assert S.breakpoints == (F(0), F(3))
@@ -582,9 +555,7 @@ class TestSlicedVolume:
         # quadratic on [0, 4]
         P = RationalPolytope.from_vertices(2, [(-2, -1), (-2, 1), (0, -1), (2, 1)])
         moving = [((-2, 2), 0), ((-1, 0), 2)]
-        lifted = ([((*nr, 0), off) for nr, off in P.inequalities]
-                  + [((*a, -1), -b) for a, b in moving])
-        assert 2 in {v[2] for v in helpers.basic_feasible_points(3, lifted)}
+        assert 2 in {v[2] for v in helpers.basic_feasible_points(3, _lifted(P, moving))}
         S = moving_volume_function(2, P.inequalities, moving)
         assert S.breakpoints == (0, 4)
         for x in (0, 1, 2, F(5, 2), 4):

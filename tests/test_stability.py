@@ -299,13 +299,12 @@ class TestDingLeadingIntegral:
 
 def test_integral_routes_build_no_profile(monkeypatch):
     """beta, the leading integral and the limit slope read the lifted
-    region's vertices: no profile pieces, paths or fitted polynomials."""
+    region's vertices: no profile pieces or fitted polynomials."""
     def refuse(*args, **kwargs):
         raise AssertionError("a profile was built")
 
     for module, name in [(polytope, "moving_volume_function"), (volumes, "moving_volume_function"),
-                         (polytope, "_lifted_paths"), (polytope, "fit_polynomial"),
-                         (piecewise, "fit_polynomial")]:
+                         (polytope, "fit_polynomial"), (piecewise, "fit_polynomial")]:
         monkeypatch.setattr(module, name, refuse)
     X = catalog_model("P1xP2")
     for Z in standard_battery(X):

@@ -16,6 +16,8 @@ from fanokit.subscheme import (MonomialSubscheme, boundary_divisor_subscheme,
 from fanokit.volumes import (blowup_volume_profile, pseudoeffective_threshold,
                              seshadri_constant)
 
+import helpers
+
 
 class TestPointProfiles:
     def test_projective_space_single_corner_piece(self):
@@ -26,6 +28,8 @@ class TestPointProfiles:
             piece = [Fraction((n + 1) ** n)] + [Fraction(0)] * (n - 1) + [Fraction(-1)]
             assert prof.function.pieces == (tuple(piece),)
             assert prof.tau == n + 1
+            x = n + Fraction(1, 2)
+            assert prof.function.evaluate(x) == (n + 1) ** n - x ** n   # 11/4 on P2
 
     def test_quadric_surface(self):
         X = catalog_model("P1xP1")
@@ -49,14 +53,7 @@ class TestPointProfiles:
             prof = blowup_volume_profile(X, point_subscheme(X, 0))
             for i in range(50):
                 x = prof.tau * Fraction(i, 50)
-                assert prof.evaluate(x) >= vol - x ** n
-
-    def test_evaluate_vanishes_past_tau(self):
-        X = catalog_model("P2")
-        prof = blowup_volume_profile(X, point_subscheme(X, 0))
-        assert prof.evaluate(3) == 0
-        assert prof.evaluate(100) == 0
-        assert prof.evaluate(Fraction(5, 2)) == Fraction(11, 4)
+                assert prof.function.evaluate(x) >= vol - x ** n
 
 
 class TestDivisorProfiles:
@@ -168,6 +165,20 @@ class TestSeshadri:
         for idx in range(len(X.charts)):
             assert seshadri_constant(X, idx) == 1
 
+    def test_least_edge_length_oracle(self):
+        # at a smooth fixed point the Seshadri constant is the least
+        # lattice length of the edges of P at its vertex (Di Rocco)
+        count = 0
+        for name in catalog():
+            X = catalog_model(name)
+            if X.dimension < 2:
+                continue
+            for idx in X.smooth_chart_indices():
+                assert seshadri_constant(X, idx) == helpers.least_edge_length(
+                    X.rays, X.charts[idx].vertex), (name, idx)
+                count += 1
+        assert count == 25
+
     def test_curve_rejected(self):
         with pytest.raises(DimensionTooSmall):
             seshadri_constant(catalog_model("P1"), 0)
@@ -201,4 +212,4 @@ class TestThreshold:
                 prof = blowup_volume_profile(X, Z)
                 assert prof.tau > 0
                 assert pseudoeffective_threshold(X, Z) == prof.tau
-                assert prof.evaluate(0) == anticanonical_volume(X)
+                assert prof.function.evaluate(0) == anticanonical_volume(X)
