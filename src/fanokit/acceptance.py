@@ -22,17 +22,16 @@ from math import ceil
 
 from .config import RunConfig
 from .errors import FanokitError
-from .filtration import (_leading_integral, _stable_leading_difference,
-                         _window_steps, compute_d_infty,
-                         compute_weight_series, find_r1,
+from .filtration import (_leading_integral, compute_d_infty, find_r1,
                          ideal_power_filtration, induced_ideal_sequence,
                          saturate, saturate_points)
 from .lct import lct_chart, lct_monomial
 from .model import (CATALOG_RAYS, KE_CATALOG, anticanonical_volume,
                     catalog_model)
-from .oracles import OracleResult, bruteforce_lct, oracle_h0_quotient
+from .oracles import (OracleResult, bruteforce_lct, oracle_h0_quotient,
+                      oracle_weight_records, stable_leading_difference)
 from .piecewise import poly_trim
-from .stability import beta, ding_invariant, ding_weight_series, semistability_scan
+from .stability import beta, ding_invariant, semistability_scan
 from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                         _subscheme_contains, point_subscheme, product,
                         product_dual_vertices, standard_battery)
@@ -130,10 +129,10 @@ def _criterion_blowup_profile(config: RunConfig) -> tuple:
         profile = blowup_volume_profile(X, point_subscheme(X, 0))
         target = poly_trim([Fraction((n + 1) ** n)]
                            + [Fraction(0)] * (n - 1) + [Fraction(-1)])
-        if profile.tau != n + 1 or profile.function.breakpoints[0] != 0:
-            problems.append(f"{name}: domain [{profile.function.breakpoints[0]}"
-                            f", {profile.tau}] != [0, {n + 1}]")
-        for i, piece in enumerate(profile.function.pieces):
+        start, tau = profile.domain
+        if tau != n + 1 or start != 0:
+            problems.append(f"{name}: domain [{start}, {tau}] != [0, {n + 1}]")
+        for i, piece in enumerate(profile.pieces):
             if poly_trim(piece) != target:
                 problems.append(f"{name} piece {i}: {list(piece)} != "
                                 f"{list(target)}")
@@ -256,31 +255,29 @@ def _criterion_weight_limit(config: RunConfig) -> tuple:
     F = ideal_power_filtration(X, point_subscheme(X, 0))
     e = F.e_plus - F.e_minus
     for r in (1, 2):
-        series = compute_weight_series(F, r, config.k_max)
-        counted = _stable_leading_difference(
-            [rec.v for rec in series.records], X.dimension + 1, config.k_max)
-        steps = _window_steps(F, r)
-        integral = _leading_integral(X, r, len(steps),
-                                     product_dual_vertices(X, steps))
+        sequence = induced_ideal_sequence(F, r)
+        records = oracle_weight_records(X, sequence, r, config.k_max)
+        counted = stable_leading_difference([rec.v for rec in records], X.dimension + 1)
+        integral = _leading_integral(X, r, sequence.M,
+                                     product_dual_vertices(X, sequence.steps))
         if integral != counted:
             problems.append(f"r={r}: leading integral {integral} != weight "
                             f"count {counted}")
-        for rec in series.records:
+        for rec in records:
             if rec.w != -rec.k * r * e * rec.h0 + rec.v:
                 problems.append(f"r={r}, k={rec.k}: identity fails")
             if rec.w != -4 * (rec.k * r) ** 2 - 2 * rec.k * r:
                 problems.append(f"r={r}, k={rec.k}: w={rec.w} off the "
                                 f"hand value")
-        sequence = induced_ideal_sequence(F, r)
         for k in range(1, min(config.k_max, 6) + 1):
             count = oracle_h0_quotient(X, sequence, r, k)
-            if series.records[k - 1].w != -count:
+            if records[k - 1].w != -count:
                 problems.append(f"r={r}, k={k}: w != -oracle ({count})")
         oracles.append(OracleResult(
             quantity=f"w(P1 point, r={r})", method="HAND_FORMULA",
             value=Fraction(-4 * r * r - 2 * r),
             parameters=(("form", "-4(kr)^2 - 2kr at k=1"), ("r", r))))
-    rep = compute_d_infty(F, r_list=config.r_list, k_max=config.k_max)
+    rep = compute_d_infty(F, r_list=config.r_list)
     oracles.append(OracleResult(
         quantity="A_limit(P1 point)", method="HAND_FORMULA",
         value=rep.a_limit, parameters=(("integral", "vol + int_0^2 (2-x)"),)))
@@ -301,8 +298,8 @@ def _criterion_weight_limit(config: RunConfig) -> tuple:
 def _weight_count_gap(X, S: IdealSequenceOnXxA1, rep, k_max: int) -> list[str]:
     """The Ding report's exact top term against the stabilised leading
     difference of the weight counts w(k), k <= k_max."""
-    counted = _stable_leading_difference(ding_weight_series(X, S, 1, k_max=k_max),
-                                         X.dimension + 1, k_max)
+    counted = stable_leading_difference(
+        [rec.w for rec in oracle_weight_records(X, S, 1, k_max)], X.dimension + 1)
     if rep.L_power_top == counted:
         return []
     return [f"{X.name}, M={S.M}: top {rep.L_power_top} != weight count {counted}"]
@@ -328,11 +325,10 @@ def _criterion_ding(config: RunConfig) -> tuple:
     if rep.ding < 0:
         problems.append(f"normal-cone deformation: ding {rep.ding} < 0")
     k_top = min(config.k_max, 10)
-    ws = ding_weight_series(X, dnc, 1, k_max=k_top)
-    for k in range(1, k_top + 1):
-        count = oracle_h0_quotient(X, dnc, 1, k)
-        if ws[k - 1] != -count:
-            problems.append(f"k={k}: w {ws[k - 1]} != -oracle ({count})")
+    for rec in oracle_weight_records(X, dnc, 1, k_top):
+        count = oracle_h0_quotient(X, dnc, 1, rec.k)
+        if rec.w != -count:
+            problems.append(f"k={rec.k}: w {rec.w} != -oracle ({count})")
     oracles.append(OracleResult(
         quantity="h0_quotient(P1, point normal cone)", method="LATTICE_COUNT",
         value=Fraction(oracle_h0_quotient(X, dnc, 1, k_top)),

@@ -92,8 +92,8 @@ def _cmd_volume(args) -> int:
         return 0
     Z = resolve_subscheme(X, args.subscheme)
     profile = blowup_volume_profile(X, Z)
-    print(f"profile for {Z.label}: tau = {_show(profile.tau)}, "
-          f"integral = {_show(profile.integral())}")
+    print(f"profile for {Z.label}: tau = {_show(profile.domain[1])}, "
+          f"integral = {_show(profile.integrate(*profile.domain))}")
     if args.profile_csv:
         write_profile_csv(profile, args.profile_csv)
         print(f"profile pieces written to {args.profile_csv}")

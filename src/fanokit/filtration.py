@@ -18,47 +18,45 @@ the volume of {(u, x) : 0 <= x <= G(u) - r e_minus}, which
 polytope.moving_volume_integral reads off one vertex enumeration.  For
 ideal-power filtrations the r -> infinity limit is evaluated in closed
 form through the integral of the blowup volume profile, read the same
-way by volumes.blowup_volume_integral.  The weight sums v_r(k) and
-w_r(k) of the k-th powers, compute_weight_series, count the same thing
-in lattice points: the (n+1)-st finite difference of v_r tends to that
-integral, and the acceptance checks and tests hold the two routes
-against each other.  The integer window [e_minus, e_plus] of the steps
-belongs to the filtration: the constructor that builds a spec checks it,
-and no route takes a window of its own.
+way by volumes.blowup_volume_integral.  The weight sums v_r(k) of the
+k-th powers of induced_ideal_sequence count the same thing in lattice
+points: their (n+1)-st finite difference tends to that integral.  That
+count is a check, in oracles, and no route here.  The integer window
+[e_minus, e_plus] of the steps belongs to the filtration: the
+constructor that builds a spec checks it, and no route takes a window
+of its own.
 
 Chart exponent vectors here are ray pairings <rho, u> + level over the
 cone rays of each chart.  On smooth charts this is the usual exponent
 map; on simplicial singular charts it still converts ideal membership,
 products, and containment into componentwise arithmetic, which is all
-the saturation, weight and integral routes need.
+the saturation and integral routes need.
 
 Every membership question, which sections of L^level lie in which chart
 ideals, has one reader, _least_levels: each section's least level over
 one subscheme.LevelTable per active chart.  Filtration values and
 saturation closures read single-step tables and keep the sections at
-level 1; weight records read the tables of a power and count the
-sections at each level.  The reader never lists the sections: it reads
-them as lattice fibers, runs of points that differ only in the last
-coordinate, along which each pairing is affine.  So it builds the column
-of each distinct ray once, a range per fiber, shared by every chart that
-has the ray.
+level 1.  The reader never lists the sections: it reads them as lattice
+fibers, runs of points that differ only in the last coordinate, along
+which each pairing is affine.  So it builds the column of each distinct
+ray once, a range per fiber, shared by every chart that has the ray.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, compress, repeat
+from itertools import chain, compress, repeat
 from math import ceil
 from operator import mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import NoStabilization, R1NotFound, UnsupportedSubscheme
+from .errors import R1NotFound, UnsupportedSubscheme
 from .linalg import Vec, matmul_vec, transpose
 from .model import ToricFanoModel, anticanonical_volume
 from .polytope import lattice_fibers, lattice_points, moving_volume_integral
 from .subscheme import (IdealSequenceOnXxA1, LevelTable, MonomialSubscheme,
-                        _subscheme_contains, ideal_table, level_table, product,
+                        _subscheme_contains, ideal_table, product,
                         product_dual_vertices)
 from .volumes import blowup_volume_integral
 
@@ -329,48 +327,6 @@ def find_r1(F: FiltrationSpec) -> int:
     raise R1NotFound(R1_CAP)
 
 
-def _diffs(seq):
-    return [b - a for a, b in zip(seq, seq[1:])]
-
-
-def _stable_leading_difference(values: Sequence, order: int, budget: int) -> Fraction:
-    """Last entry of the order-th finite difference, once stable.
-
-    Stability means the (order+1)-st difference vanishes on its last
-    three entries; anything less raises NoStabilization rather than
-    extrapolating silently.
-    """
-    d = [Fraction(v) for v in values]
-    for _ in range(order):
-        d = _diffs(d)
-    tail = _diffs(d)
-    if len(tail) < 3 or any(t != 0 for t in tail[-3:]):
-        raise NoStabilization(budget)
-    return d[-1]
-
-
-@dataclass(frozen=True)
-class WeightRecord:
-    """One k-slice of a weight series.
-
-    level_dims lists (j, dim of the j-th graded piece at level kr); the
-    weight identity w = -k (hi - lo) h0 + v over the step window [lo, hi]
-    holds by construction and is cross-checked against the direct
-    quotient count in the test suite.
-    """
-
-    k: int
-    h0: int
-    v: int
-    w: int
-    level_dims: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class WeightSeries:
-    records: tuple[WeightRecord, ...]
-
-
 def _window_steps(F: FiltrationSpec, r: int) -> list[MonomialSubscheme]:
     """The saturated level ideals at x = j for the integers j in
     (r e_minus, r e_plus], the steps of the spec's window at r.  The
@@ -383,29 +339,13 @@ def _window_steps(F: FiltrationSpec, r: int) -> list[MonomialSubscheme]:
     return [saturate(F, r, j)[0] for j in range(lo + 1, r * F.e_plus + 1)]
 
 
-def compute_weight_series(F: FiltrationSpec, r: int, k_max: int = 10) -> WeightSeries:
-    """Weight sums of the k-th powers of the level-r step ideals.
-
-    Step j of the window [r e_minus, r e_plus] is the saturated level
-    ideal at x = j; _weight_records turns the steps into one record per k,
-    the route ding_weight_series takes as well.  This is the lattice
-    count that the leading integral of compute_d_infty is held against.
-    """
-    r, k_max = int(r), int(k_max)
-    if r < 1 or k_max < 1:
-        raise ValueError("r and k_max must be positive")
-    records = _weight_records(F.X, r, _window_steps(F, r), r * F.e_minus, k_max,
-                              lambda s: lattice_fibers(F.X.polytope, s * F.X.r0))
-    return WeightSeries(records=records)
-
-
 def _leading_integral(X: ToricFanoModel, r: int, M: int,
                       duals: Mapping[int, Sequence[Vec]]) -> Fraction:
     """(n+1)! times the integral over r*r0*P of G - lo, G the level
     function of the t-graded ideal with the unit ideal at j = lo and M
     decreasing steps at j = lo + 1, ..., lo + M: the exact limit of the
-    (n+1)-st finite difference of the weight sums v(k) that
-    _weight_records counts.  Only G - lo enters, so lo does not.
+    (n+1)-st finite difference of the weight sums v(k) of its k-th
+    powers.  Only G - lo enters, so lo does not.
 
     duals are the steps' product_dual_vertices, and on each active chart
     G_c(u) - lo is M - min{s : (D u + r r0, s) in the Newton polyhedron of
@@ -433,32 +373,6 @@ def _leading_integral(X: ToricFanoModel, r: int, M: int,
     rows = [(nr, scale * off) for nr, off in X.polytope.inequalities]
     _, integral = moving_volume_integral(X.dimension, rows, list(moving), cap=M)
     return (X.dimension + 1) * integral
-
-
-def _weight_records(X: ToricFanoModel, r: int,
-                    steps: Sequence[MonomialSubscheme], lo: int, k_max: int,
-                    fibers: Callable[[int], Sequence[Fiber]]
-                    ) -> tuple[WeightRecord, ...]:
-    """Records k = 1..k_max of the t-graded ideal with the unit ideal at
-    j = lo and the decreasing steps at j = lo + 1, ..., hi; fibers(s)
-    lists the lattice points of s*r0*P as polytope.lattice_fibers does.
-    Each active chart holds the k-th power as a level table, the (k-1)-st
-    times the first, and a section's top level is the least of its
-    charts' levels: membership is chartwise.  Each record pairs the
-    fibers with each ray of the active charts once; charts that share a
-    ray read the same column.
-    """
-    hi = lo + len(steps)
-    base = {c: level_table(steps, c, len(X.charts[c].cone_rays), lo, k_max)
-            for c in set().union(*(s.chart_gens for s in steps))}
-    records = []
-    tables = base
-    for k in range(1, k_max + 1):
-        if k > 1:
-            tables = {c: t.times(base[c]) for c, t in tables.items()}
-        records.append(_weight_record(X, fibers(k * r), k * r * X.r0, k,
-                                      lo, hi, tables))
-    return tuple(records)
 
 
 def _pairing_column(ray: Point, fibers: Sequence[Fiber], level: int) -> list[int]:
@@ -496,23 +410,6 @@ def _least_levels(X: ToricFanoModel, fibers: Sequence[Fiber], level: int,
     return levels
 
 
-def _weight_record(X: ToricFanoModel, fibers: Sequence[Fiber], level: int,
-                   k: int, lo: int, hi: int,
-                   tables: Mapping[int, LevelTable]) -> WeightRecord:
-    """Record of the sections of L^level, given as lattice fibers, under
-    the k-th power tables: the histogram of their least levels."""
-    klo, khi = k * lo, k * hi
-    h0 = sum(last - first + 1 for _, first, last in fibers)
-    histogram = [0] * (khi - klo + 1)
-    for top in _least_levels(X, fibers, level, khi, tables,
-                             lambda c, columns: tables[c]):
-        histogram[khi - top] += 1
-    dims = list(zip(range(khi, klo, -1), accumulate(histogram[:-1])))[::-1]
-    v = sum(d for _, d in dims)
-    w = -k * (hi - lo) * h0 + v
-    return WeightRecord(k=k, h0=h0, v=v, w=w, level_dims=tuple(dims))
-
-
 @dataclass(frozen=True)
 class DInftyReport:
     """Sampled and limiting slopes of one filtration.
@@ -540,11 +437,11 @@ def compute_d_infty(F: FiltrationSpec, r_list: Sequence[int] = DEFAULT_R_LIST,
     the spec's window.
 
     Each A_r comes from _leading_integral over the window's steps at r,
-    exact, with no power budget: k_max is accepted and ignored, kept for
-    callers of the weight-count route this replaced.  The weight series
-    of compute_weight_series is the lattice count it is checked against.
-    The limit value is the exact profile integral for ideal-power
-    filtrations and the last sample, flagged approximate, otherwise.
+    exact, with no power budget.  k_max is accepted and ignored: the
+    benchmark harness, perfbench/run.py, still passes it, and it goes
+    when that call does.  The limit value is the exact profile integral
+    for ideal-power filtrations and the last sample, flagged approximate,
+    otherwise.
     """
     X = F.X
     n = X.dimension
@@ -575,7 +472,7 @@ def compute_d_infty(F: FiltrationSpec, r_list: Sequence[int] = DEFAULT_R_LIST,
 
 
 def induced_ideal_sequence(F: FiltrationSpec, r: int) -> IdealSequenceOnXxA1:
-    """The t-graded ideal on X x A^1 whose powers drive the weight series.
+    """The t-graded ideal on X x A^1 of the spec's window at r.
 
     Step j carries the saturated level ideal at x = r*e_minus + j, so the
     sequence has M = r*(e_plus - e_minus) steps over the spec's window,

@@ -1,24 +1,34 @@
 """Independent cross-check routes.
 
 Everything here recomputes a quantity the main modules produce, using a
-deliberately different algorithm: plain enumeration loops instead of the
-lattice kernels, Howald's primal test on the Newton polyhedron instead of
-the dual vertex scan.  Keep it that way; the whole point is that a bug
-would have to occur twice, in two unrelated pieces of code, to slip
-through.
+deliberately different algorithm: lattice counts instead of exact
+integrals, plain enumeration loops instead of the lattice kernels,
+Howald's primal test on the Newton polyhedron instead of the dual vertex
+scan.  Keep it that way; the whole point is that a bug would have to
+occur twice, in two unrelated pieces of code, to slip through.
+
+The weight count, oracle_weight_records, the fast check of the leading
+integrals in dimension 3, shares level tables, lattice fibers and
+filtration._least_levels with the saturation route, and nothing of the
+integral route: no Newton polyhedron, no vertex enumeration.  Only the
+acceptance criteria and the tests read this module.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations, repeat
+from math import prod
+from operator import add, floordiv, mod, mul
+from typing import Mapping, Sequence
 
-from .errors import SizeCap
+from .errors import CombinatorialBlowup, NoStabilization, SizeCap
+from .filtration import _least_levels
 from .linalg import solve
 from .model import ToricFanoModel
-from .polytope import lattice_points
-from .subscheme import IdealSequenceOnXxA1
+from .polytope import lattice_fibers, lattice_points
+from .subscheme import CELL_CAP, IdealSequenceOnXxA1, LevelTable, _box, level_table
 
 _ORACLE_CAP = 2_000_000
 
@@ -89,6 +99,107 @@ def oracle_h0_quotient(X: ToricFanoModel, sequence: IdealSequenceOnXxA1,
                     survivors += 1
                     break
     return survivors
+
+
+@dataclass(frozen=True)
+class WeightRecord:
+    """One k-slice of the weight count of an ideal sequence at level r.
+
+    level_dims lists (j, dim of the j-th graded piece at level kr) for
+    j = 1..kM; v is their sum, and the weight w = -k M h0 + v is minus
+    the dimension oracle_h0_quotient counts.
+    """
+
+    k: int
+    h0: int
+    v: int
+    w: int
+    level_dims: tuple[tuple[int, int], ...]
+
+
+def oracle_weight_records(X: ToricFanoModel, sequence: IdealSequenceOnXxA1,
+                          r: int, k_max: int) -> tuple[WeightRecord, ...]:
+    """Records k = 1..k_max of the k-th powers of the sequence ideal on the
+    sections of L^{kr}.  Each active chart holds the k-th power as a level
+    table, the (k-1)-st times the first; a section's top level is the
+    least of its charts' levels, and a record is the histogram of those.
+    Refuses up front a k_max-th power table of more than CELL_CAP cells.
+    """
+    if k_max < 1 or r < 1:
+        raise ValueError("k_max and r must be positive")
+    base = {c: level_table(sequence.steps, c, len(X.charts[c].cone_rays))
+            for c in set().union(*(s.chart_gens for s in sequence.steps))}
+    for table in base.values():
+        size = prod(k_max * t + 1 for t in table.top)
+        if size > CELL_CAP:
+            raise CombinatorialBlowup(f"{size} table cells exceed the cap {CELL_CAP}")
+    records = []
+    tables = base
+    for k in range(1, k_max + 1):
+        if k > 1:
+            tables = {c: _times(t, base[c]) for c, t in tables.items()}
+        records.append(_weight_record(X, k * r * X.r0, k, sequence.M, tables))
+    return tuple(records)
+
+
+def _cells_in(table: LevelTable, strides: Sequence[int]):
+    """The table's corner cells re-encoded for a box with the given
+    strides over axes at least as long."""
+    index = repeat(0, len(table.corner_cells))
+    for t, s, new in zip(table.top, table.strides, strides):
+        if t:
+            index = map(add, index, map(mul, map(mod, map(
+                floordiv, table.corner_cells, repeat(s)), repeat(t + 1)), repeat(new)))
+    return index
+
+
+def _times(a: LevelTable, b: LevelTable) -> LevelTable:
+    """Table of the product, with piece j the sum over j1 + j2 = j of
+    J1(j1) J2(j2): each sum of two corners takes their summed levels."""
+    top = tuple(map(add, a.top, b.top))
+    strides, levels = _box(top)
+    mine = list(zip(_cells_in(a, strides), a.corner_levels))
+    for cell, j2 in zip(_cells_in(b, strides), b.corner_levels):
+        for other, j1 in mine:
+            if j1 + j2 > levels[other + cell]:
+                levels[other + cell] = j1 + j2
+    return LevelTable(top, strides, levels)
+
+
+def _weight_record(X: ToricFanoModel, level: int, k: int, M: int,
+                   tables: Mapping[int, LevelTable]) -> WeightRecord:
+    """Record of the sections of L^level under the k-th power tables: the
+    histogram of their least levels, read off the lattice fibers."""
+    fibers = lattice_fibers(X.polytope, level)
+    top = k * M
+    h0 = sum(last - first + 1 for _, first, last in fibers)
+    histogram = [0] * (top + 1)
+    for j in _least_levels(X, fibers, level, top, tables, lambda c, columns: tables[c]):
+        histogram[top - j] += 1
+    dims = list(zip(range(top, 0, -1), accumulate(histogram[:-1])))[::-1]
+    v = sum(d for _, d in dims)
+    return WeightRecord(k=k, h0=h0, v=v, w=-top * h0 + v, level_dims=tuple(dims))
+
+
+def _diffs(seq):
+    return [b - a for a, b in zip(seq, seq[1:])]
+
+
+def stable_leading_difference(values: Sequence, order: int) -> Fraction:
+    """Last entry of the order-th finite difference of values k = 1..k_max,
+    once stable.
+
+    Stability means the (order+1)-st difference vanishes on its last
+    three entries; anything less raises NoStabilization at the budget
+    k_max rather than extrapolating silently.
+    """
+    d = [Fraction(v) for v in values]
+    for _ in range(order):
+        d = _diffs(d)
+    tail = _diffs(d)
+    if len(tail) < 3 or any(t != 0 for t in tail[-3:]):
+        raise NoStabilization(len(values))
+    return d[-1]
 
 
 def _xt_gens(sequence: IdealSequenceOnXxA1,

@@ -187,15 +187,23 @@ def _simplex_det(pts: Sequence[Sequence[int]], simplex: Sequence[int]) -> int:
     return int_det([[a - b for a, b in zip(pts[i], last)] for i in simplex[:-1]])
 
 
-def volume(dim: int, rows: Sequence[tuple[Sequence, object]],
-           vertices: Sequence[Vec]) -> Fraction:
-    """Exact volume of {u : <normal, u> >= offset for all rows}, given
-    every vertex of that set once, as enumerate_basic_feasible returns
-    them: the sum of |det| over the simplices of a pulling triangulation."""
-    den = lcm(*[x.denominator for v in vertices for x in v])
-    pts = [[x.numerator * (den // x.denominator) for x in v] for v in vertices]
-    irows = [rational_primitive((*nr, off)) for nr, off in rows]
+def _pulled_volume(dim: int, irows: Sequence[Sequence[int]],
+                   keys: set) -> tuple[list[list[int]], int, int]:
+    """(pts, den, total) for {u : <r[:dim], u> >= r[dim]} and its vertex
+    keys from _vertex_bases: the vertices over one common denominator den,
+    and total = dim! vol den^dim, the integer |det| summed over a pulling
+    triangulation."""
+    den = lcm(*[d for _, d in keys])
+    pts = [[a * (den // d) for a in nums] for nums, d in keys]
     total = sum(abs(_simplex_det(pts, s)) for s in _pulling_simplices(dim, irows, pts, den))
+    return pts, den, total
+
+
+def volume(dim: int, rows: Sequence[tuple[Sequence, object]]) -> Fraction:
+    """Exact volume of the bounded set {u : <normal, u> >= offset for all
+    rows}, off one vertex enumeration of its rows."""
+    irows = [rational_primitive((*nr, off)) for nr, off in rows]
+    _, den, total = _pulled_volume(dim, irows, _vertex_bases(dim, irows))
     return Fraction(total, factorial(dim) * den ** dim)
 
 
@@ -335,8 +343,8 @@ def lattice_fibers(P: RationalPolytope, r) -> list[tuple[tuple[int, ...], int, i
 
 
 def euclidean_volume(P: RationalPolytope) -> Fraction:
-    """Exact Lebesgue volume via a pulling triangulation from the lex-min vertex."""
-    return volume(P.dimension, P.inequalities, P.vertices)
+    """Exact Lebesgue volume via a pulling triangulation."""
+    return volume(P.dimension, P.inequalities)
 
 
 def polytope_edges(P: RationalPolytope) -> list[tuple[int, int]]:
@@ -382,7 +390,7 @@ def moving_volume_function(dim: int, rows: Sequence[tuple[Sequence, object]],
     """
     def slice_volume(x):
         at_x = [*rows, *[(a, x - b) for a, b in moving]]
-        return factorial(dim) * volume(dim, at_x, enumerate_basic_feasible(dim, at_x))
+        return factorial(dim) * volume(dim, at_x)
 
     keys = _vertex_bases(dim + 1, _lifted_rows(dim, rows, moving))
     cuts = sorted({Fraction(0)} | {Fraction(nums[dim], den) for nums, den in keys})
@@ -414,12 +422,10 @@ def moving_volume_integral(dim: int, rows: Sequence[tuple[Sequence, object]],
 
     That integral is dim! times the (dim+1)-volume of the region lifted
     to (u, x) and cut by x >= 0 and x <= cap, so it is read off one
-    vertex enumeration of the lifted rows: the vertices scaled to one
-    common denominator, and the integer determinants of a pulling
-    triangulation.  An empty lifted region gives (0, 0), a flat one the
-    integral 0.  The static rows must cut out a bounded set; each moving
-    row then bounds x, and with neither a moving row nor a cap the region
-    is unbounded in x.
+    vertex enumeration of the lifted rows, by _pulled_volume.  An empty
+    lifted region gives (0, 0), a flat one the integral 0.  The static
+    rows must cut out a bounded set; each moving row then bounds x, and
+    with neither a moving row nor a cap the region is unbounded in x.
     """
     if cap is None and not moving:
         raise UnboundedPolytope("no moving row and no cap: x is unbounded")
@@ -429,8 +435,6 @@ def moving_volume_integral(dim: int, rows: Sequence[tuple[Sequence, object]],
     keys = _vertex_bases(dim + 1, lifted)
     if not keys:
         return Fraction(0), Fraction(0)
-    den = lcm(*[d for _, d in keys])
-    pts = [[a * (den // d) for a in nums] for nums, d in keys]
-    total = sum(abs(_simplex_det(pts, s)) for s in _pulling_simplices(dim + 1, lifted, pts, den))
+    pts, den, total = _pulled_volume(dim + 1, lifted, keys)
     return (Fraction(max(p[dim] for p in pts), den),
             Fraction(total, (dim + 1) * den ** (dim + 1)))

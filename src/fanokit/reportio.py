@@ -21,7 +21,6 @@ from .model import ToricFanoModel, build_model
 from .piecewise import PiecewisePolynomial
 from .polytope import RationalPolytope, polytope_from_rays
 from .subscheme import IdealSequenceOnXxA1, MonomialSubscheme
-from .volumes import BlowupVolumeProfile
 
 DECIMAL_PLACES = 12
 
@@ -180,22 +179,22 @@ def sequence_from_dict(data: Mapping) -> IdealSequenceOnXxA1:
 # ---------------------------------------------------------------------------
 # volume profiles
 
-def profile_csv_rows(profile: BlowupVolumeProfile) -> list[list[str]]:
+def profile_csv_rows(profile: PiecewisePolynomial) -> list[list[str]]:
     """Breakpoints and coefficient rows, all as rational strings.
 
     Row i covers [start, end) with the polynomial sum(c_j x^j); the
     profile is zero past the last row.
     """
-    width = max(len(p) for p in profile.function.pieces)
+    width = max(len(p) for p in profile.pieces)
     rows = [["start", "end"] + [f"c{j}" for j in range(width)]]
-    bps = profile.function.breakpoints
-    for i, piece in enumerate(profile.function.pieces):
+    bps = profile.breakpoints
+    for i, piece in enumerate(profile.pieces):
         coeffs = list(piece) + [Fraction(0)] * (width - len(piece))
         rows.append([format_rational(bps[i]), format_rational(bps[i + 1])]
                     + [format_rational(c) for c in coeffs])
     return rows
 
 
-def write_profile_csv(profile: BlowupVolumeProfile, path: str) -> None:
+def write_profile_csv(profile: PiecewisePolynomial, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(profile_csv_rows(profile))

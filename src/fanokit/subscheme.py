@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate, combinations_with_replacement, compress, repeat
 from math import prod
-from operator import add, and_, floordiv, gt, le, mod, mul
+from operator import add, and_, gt, le, mul
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import lattice
@@ -236,10 +236,10 @@ def product_dual_vertices(X: ToricFanoModel, steps: Sequence[MonomialSubscheme]
             for c in sorted(set().union(*(s.chart_gens for s in steps)))}
 
 
-def _box(top: Sequence[int], floor: int) -> tuple[list[int], list[int]]:
-    """Lex-order strides of the box [0, top] and its cells, all at floor."""
+def _box(top: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Lex-order strides of the box [0, top] and its cells, all at 0."""
     strides = list(accumulate((t + 1 for t in top[:0:-1]), mul, initial=1))[::-1]
-    return strides, [floor] * (strides[0] * (top[0] + 1))
+    return strides, [0] * (strides[0] * (top[0] + 1))
 
 
 class LevelTable:
@@ -293,54 +293,30 @@ class LevelTable:
                 index = map(add, index, map(lut.__getitem__, col))
         return map(self.levels.__getitem__, index)
 
-    def _cells_in(self, strides: Sequence[int]) -> Iterator[int]:
-        """The corner cells re-encoded for a box with the given strides
-        over axes at least as long."""
-        index = repeat(0, len(self.corner_cells))
-        for t, s, new in zip(self.top, self.strides, strides):
-            if t:
-                index = map(add, index, map(mul, map(mod, map(
-                    floordiv, self.corner_cells, repeat(s)), repeat(t + 1)), repeat(new)))
-        return index
 
-    def times(self, other: "LevelTable") -> "LevelTable":
-        """Table of the product, with piece j the sum over j1 + j2 = j of
-        J1(j1) J2(j2): each sum of two corners takes their summed levels."""
-        top = tuple(map(add, self.top, other.top))
-        strides, levels = _box(top, self.levels[0] + other.levels[0])
-        mine = list(zip(self._cells_in(strides), self.corner_levels))
-        for b, j2 in zip(other._cells_in(strides), other.corner_levels):
-            for a, j1 in mine:
-                if j1 + j2 > levels[a + b]:
-                    levels[a + b] = j1 + j2
-        return LevelTable(top, strides, levels)
-
-
-def _tagged_table(dim: int, tags: Sequence[tuple[Sequence[int], int]],
-                  floor: int, reach: int) -> LevelTable:
+def _tagged_table(dim: int, tags: Sequence[tuple[Sequence[int], int]]) -> LevelTable:
     """Table over the box spanned by the tagged vectors: each tag (g, j),
-    in ascending j, sets level j at g over a floor.  Refuses up front a
-    table whose reach-th power would exceed CELL_CAP cells."""
+    in ascending j, sets level j at g over 0.  Refuses up front a table
+    of more than CELL_CAP cells."""
     top = tuple(max((g[i] for g, _ in tags), default=0) for i in range(dim))
-    size = prod(reach * t + 1 for t in top)
+    size = prod(t + 1 for t in top)
     if size > CELL_CAP:
         raise CombinatorialBlowup(f"{size} table cells exceed the cap {CELL_CAP}")
-    strides, levels = _box(top, floor)
+    strides, levels = _box(top)
     for g, j in tags:
         levels[sum(map(mul, g, strides))] = j
     return LevelTable(top, strides, levels)
 
 
 def level_table(steps: Sequence[MonomialSubscheme], chart_index: int,
-                dim: int, floor: int = 0, reach: int = 1) -> LevelTable:
+                dim: int) -> LevelTable:
     """Table on one chart of the pieces steps[0], steps[1], ... at
-    j = floor + 1, floor + 2, ..., the unit ideal at j = floor, for
-    powers up to the reach-th."""
+    j = 1, 2, ..., the unit ideal at j = 0."""
     tags = []
-    for j, s in enumerate(steps, start=floor + 1):
+    for j, s in enumerate(steps, start=1):
         gs = s.gens_on(chart_index)
         tags += [(g, j) for g in ([(0,) * dim] if gs is None else gs)]
-    return _tagged_table(dim, tags, floor, reach)
+    return _tagged_table(dim, tags)
 
 
 def ideal_table(gens: Iterable[Sequence[int]],
@@ -350,8 +326,7 @@ def ideal_table(gens: Iterable[Sequence[int]],
     generator with an entry above its column's maximum holds no vector
     read and is dropped.  So generators of high degree cost no cells."""
     bound = [max(col, default=0) for col in columns]
-    return _tagged_table(len(bound), [(g, 1) for g in gens if all(map(le, g, bound))],
-                         0, 1)
+    return _tagged_table(len(bound), [(g, 1) for g in gens if all(map(le, g, bound))])
 
 
 def _subscheme_contains(big: MonomialSubscheme, small: MonomialSubscheme) -> bool:

@@ -18,11 +18,11 @@ lifted to (u, x).  blowup_volume_integral reads the pseudoeffective
 threshold tau and the profile's integral off its triangulation, in
 polytope.moving_volume_integral; beta, pseudoeffective_threshold and
 ideal-power filtrations need nothing more.  blowup_volume_profile, for
-`fanokit volume`, seshadri_constant and acceptance criterion 3, takes
-the profile's breakpoints from the x-coordinates of the lifted vertices
-and each piece from a few slice volumes, in
-polytope.moving_volume_function; the tests hold its integral against
-the first reader.
+`fanokit volume`, seshadri_constant and acceptance criterion 3, returns
+the profile itself as a PiecewisePolynomial: its breakpoints are the
+x-coordinates of the lifted vertices and each piece is fitted through a
+few slice volumes, in polytope.moving_volume_function.  The tests hold
+its integral against the first reader.
 
 The Newton polyhedron sees only the integral closure of a chart ideal.
 That is exact for every monomial ideal, closed or not: by Rees's
@@ -32,7 +32,6 @@ m, so I and its closure have the same volume profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionTooSmall, NotSmoothPoint, UnsupportedSubscheme
@@ -41,26 +40,6 @@ from .model import ToricFanoModel
 from .piecewise import PiecewisePolynomial, poly_trim
 from .polytope import moving_volume_function, moving_volume_integral
 from .subscheme import MonomialSubscheme, point_subscheme
-
-
-@dataclass(frozen=True)
-class BlowupVolumeProfile:
-    """vol(sigma^*(-K) - x F) on [0, tau], zero afterwards."""
-
-    function: PiecewisePolynomial
-
-    @property
-    def tau(self) -> Fraction:
-        return self.function.breakpoints[-1]
-
-    @property
-    def total_volume(self) -> Fraction:
-        """vol(-K), the profile's value at x = 0."""
-        return self.function.evaluate(0)
-
-    def integral(self) -> Fraction:
-        """Integral over [0, infinity), which is the integral to tau."""
-        return self.function.integrate(0, self.tau)
 
 
 def _moving_rows(X: ToricFanoModel, Z: MonomialSubscheme) -> list[tuple]:
@@ -80,15 +59,15 @@ def _moving_rows(X: ToricFanoModel, Z: MonomialSubscheme) -> list[tuple]:
     return moving
 
 
-def blowup_volume_profile(X: ToricFanoModel, Z: MonomialSubscheme) -> BlowupVolumeProfile:
-    return BlowupVolumeProfile(moving_volume_function(
-        X.dimension, X.polytope.inequalities, _moving_rows(X, Z)))
+def blowup_volume_profile(X: ToricFanoModel, Z: MonomialSubscheme) -> PiecewisePolynomial:
+    """x -> vol(sigma^*(-K) - x F) on [0, tau], zero afterwards: tau is
+    its last breakpoint and vol(-K) its value at 0."""
+    return moving_volume_function(X.dimension, X.polytope.inequalities, _moving_rows(X, Z))
 
 
 def blowup_volume_integral(X: ToricFanoModel, Z: MonomialSubscheme) -> tuple[Fraction, Fraction]:
     """(tau, integral) of Z's profile, read off the lifted region with no
-    profile built: the numbers blowup_volume_profile(X, Z) gives as its
-    tau and integral()."""
+    profile built: its last breakpoint and its integral over [0, tau]."""
     return moving_volume_integral(X.dimension, X.polytope.inequalities, _moving_rows(X, Z))
 
 
@@ -100,14 +79,13 @@ def seshadri_constant(X: ToricFanoModel, chart_index: int) -> Fraction:
     if not chart.smooth:
         raise NotSmoothPoint(f"fixed point at {chart.vertex} is singular")
     profile = blowup_volume_profile(X, point_subscheme(X, chart_index))
-    vol = profile.total_volume
     n = X.dimension
-    target = poly_trim([vol] + [Fraction(0)] * (n - 1) + [Fraction(-1)])
-    eps = profile.function.breakpoints[0]
-    for i, piece in enumerate(profile.function.pieces):
+    target = poly_trim([profile.evaluate(0)] + [Fraction(0)] * (n - 1) + [Fraction(-1)])
+    eps = profile.breakpoints[0]
+    for i, piece in enumerate(profile.pieces):
         if poly_trim(piece) != target:
             break
-        eps = profile.function.breakpoints[i + 1]
+        eps = profile.breakpoints[i + 1]
     return eps
 
 

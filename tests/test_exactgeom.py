@@ -252,10 +252,6 @@ def _lattice_polytope(dim, points):
         assume(False)
 
 
-def _row_volume(dim, rows):
-    return volume(dim, rows, enumerate_basic_feasible(dim, rows))
-
-
 UNIT_SQUARE_ROWS = [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)]
 
 
@@ -266,8 +262,7 @@ class TestRowVolume:
     def test_lattice_polygon_matches_shoelace(self, points):
         P = _lattice_polytope(2, points)
         area = helpers.shoelace_area(P.vertices)
-        assert volume(2, P.inequalities, P.vertices) == area
-        assert _row_volume(2, P.inequalities) == area
+        assert volume(2, P.inequalities) == area
 
     @given(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=4, max_size=7))
     @settings(max_examples=15, deadline=None)
@@ -279,7 +274,7 @@ class TestRowVolume:
             return len(helpers.box_lattice_points(
                 [(nr, k * off) for nr, off in P.inequalities], lo, hi))
 
-        assert volume(3, P.inequalities, P.vertices) == helpers.ehrhart_volume(count, 3)
+        assert volume(3, P.inequalities) == helpers.ehrhart_volume(count, 3)
 
     def test_square_pyramid_with_non_simple_apex(self):
         P = RationalPolytope.from_vertices(
@@ -288,13 +283,12 @@ class TestRowVolume:
         assert sum(1 for nr, off in P.inequalities
                    if sum(a * x for a, x in zip(nr, apex)) == off) == 4
         assert euclidean_volume(P) == 4
-        assert _row_volume(3, P.inequalities) == 4
+        assert volume(3, P.inequalities) == 4
 
     def test_octahedron(self):
         rows = [(signs, -1) for signs in product((1, -1), repeat=3)]
-        verts = enumerate_basic_feasible(3, rows)
-        assert len(verts) == 6
-        assert volume(3, rows, verts) == F(4, 3)
+        assert len(enumerate_basic_feasible(3, rows)) == 6
+        assert volume(3, rows) == F(4, 3)
 
     def test_redundant_rows(self):
         rows = UNIT_SQUARE_ROWS + [((1, 1), 0),        # tight at one vertex
@@ -302,7 +296,7 @@ class TestRowVolume:
                                    ((F(2), F(0)), 0),  # a scaled copy
                                    ((0, 0), 0)]        # zero normal
         assert len(enumerate_basic_feasible(2, rows)) == 4
-        assert _row_volume(2, rows) == 1
+        assert volume(2, rows) == 1
 
     def test_truncation_at_last_breakpoint_is_flat(self):
         S = slice_function(TRIANGLE, (1, 1), 2)
@@ -310,8 +304,8 @@ class TestRowVolume:
         S = slice_function(CUBE, (1, 1, 1), 3)
         assert S.domain == (0, 6) and S.evaluate(6) == 0          # a vertex
         rows = list(CUBE.inequalities) + [((1, 1, 1), 7 - 3)]
-        assert _row_volume(3, rows) == 0                          # empty
-        assert _row_volume(2, UNIT_SQUARE_ROWS + [((-1, 0), 0)]) == 0
+        assert volume(3, rows) == 0                               # empty
+        assert volume(2, UNIT_SQUARE_ROWS + [((-1, 0), 0)]) == 0
         with pytest.raises(DegeneratePolytope):                   # no volume at any x
             moving_volume_function(2, UNIT_SQUARE_ROWS + [((-1, 0), 0)], [((0, 1), 1)])
 
@@ -461,7 +455,7 @@ class TestSlicedVolume:
 
         def row_volume(x):
             at_x = list(P.inequalities) + [(a, x - b) for a, b in moving]
-            return factorial(n) * _row_volume(n, at_x)
+            return factorial(n) * volume(n, at_x)
 
         try:
             S = moving_volume_function(n, P.inequalities, moving)

@@ -15,19 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fanokit.subscheme as subscheme_mod
+import fanokit.oracles as oracles_mod
 from fanokit.errors import (CombinatorialBlowup, NoStabilization, R1NotFound,
                             UnsupportedSubscheme, ZeroIdeal)
-from fanokit.filtration import (_pairing_column, _stable_leading_difference,
-                                _weight_records, compute_d_infty,
-                                compute_weight_series, explicit_filtration,
-                                find_r1,
+from fanokit.filtration import (_pairing_column, compute_d_infty,
+                                explicit_filtration, find_r1,
                                 ideal_power_filtration,
                                 induced_ideal_sequence, saturate,
                                 saturate_points)
 from fanokit.model import CATALOG_RAYS, catalog_model
 from fanokit.polytope import lattice_fibers, lattice_points
-from fanokit.oracles import oracle_h0_quotient
+from fanokit.oracles import (oracle_h0_quotient, oracle_weight_records,
+                             stable_leading_difference)
 from fanokit.subscheme import (MonomialSubscheme, _subscheme_contains,
                                boundary_divisor_subscheme, point_subscheme,
                                product_gens, standard_battery,
@@ -44,6 +43,13 @@ def _trivial_filtration(name, r_max=16):
     X = catalog_model(name)
     table = {r: [(0, None)] for r in range(1, r_max + 1)}
     return X, explicit_filtration(X, table, e_plus=1, e_minus=-1)
+
+
+def _window_records(F, r, k_max):
+    """The weight records of the window's steps at r, counted by the
+    oracle on the induced sequence; level j there is F's level
+    j + k r e_minus."""
+    return oracle_weight_records(F.X, induced_ideal_sequence(F, r), r, k_max)
 
 
 def _chart_product(A, B, chart_count):
@@ -365,7 +371,7 @@ class TestMembership:
             0: ((1000, 0, 0), (0, 1000, 0), (0, 0, 1000))})
         F = ideal_power_filtration(X, Z)
         assert F.value(1, 1) == ()
-        report = compute_d_infty(F, r_list=(1,), k_max=8)
+        report = compute_d_infty(F, r_list=(1,))
         assert report.d_infty == Fraction(-997, 1000)
 
     def test_wrong_arity_refused(self):
@@ -416,8 +422,7 @@ class TestWeightSeries:
     def test_p1_point_frozen_values(self):
         X, F = _point_filtration("P1")
         for r in (1, 2):
-            series = compute_weight_series(F, r, 6)
-            for rec in series.records:
+            for rec in _window_records(F, r, 6):
                 k = rec.k
                 assert rec.h0 == 2 * k * r + 1
                 assert rec.v == 4 * k * k * r * r + 2 * k * r
@@ -425,20 +430,19 @@ class TestWeightSeries:
 
     def test_p1_level_dims_at_k_one(self):
         X, F = _point_filtration("P1")
-        series = compute_weight_series(F, 1, 1)
-        assert series.records[0].level_dims == ((0, 3), (1, 2), (2, 1), (3, 0))
-        assert series.records[0].v == 6
+        rec, = _window_records(F, 1, 1)
+        assert rec.level_dims == ((1, 3), (2, 2), (3, 1), (4, 0))
+        assert rec.v == 6
 
     def test_k_one_matches_per_level_sections(self):
         X, F = _point_filtration("P2")
-        series = compute_weight_series(F, 2, 1)
-        for j, dim in series.records[0].level_dims:
-            assert dim == len(F.value(2, j))
+        rec, = _window_records(F, 2, 1)
+        for j, dim in rec.level_dims:
+            assert dim == len(F.value(2, j + 2 * F.e_minus))
 
     def test_fourth_differences_vanish(self):
         X, F = _point_filtration("P1")
-        series = compute_weight_series(F, 2, 6)
-        ws = [rec.w for rec in series.records]
+        ws = [rec.w for rec in _window_records(F, 2, 6)]
         for _ in range(4):
             ws = [b - a for a, b in zip(ws, ws[1:])]
         assert all(x == 0 for x in ws)
@@ -446,24 +450,21 @@ class TestWeightSeries:
     def test_trivial_filtration_weights(self):
         X, F = _trivial_filtration("P2", r_max=4)
         for r in (1, 2):
-            series = compute_weight_series(F, r, 4)
-            for rec in series.records:
+            for rec in _window_records(F, r, 4):
                 assert rec.v == rec.k * r * rec.h0
                 assert rec.w == -rec.k * r * rec.h0
 
     def test_weight_identity_against_quotient_oracle(self):
         X, F = _point_filtration("P1")
         for r in (1, 2):
-            series = compute_weight_series(F, r, 3)
             seq = induced_ideal_sequence(F, r)
-            for rec in series.records:
+            for rec in oracle_weight_records(X, seq, r, 3):
                 assert rec.w == -oracle_h0_quotient(X, seq, r, rec.k)
 
     def test_weight_identity_on_p2(self):
         X, F = _point_filtration("P2")
-        series = compute_weight_series(F, 1, 2)
         seq = induced_ideal_sequence(F, 1)
-        for rec in series.records:
+        for rec in oracle_weight_records(X, seq, 1, 2):
             assert rec.w == -oracle_h0_quotient(X, seq, 1, rec.k)
 
     def test_graded_piece_inside_saturation(self):
@@ -471,17 +472,11 @@ class TestWeightSeries:
         # dimension at kr, the computable half of the limit sandwich
         X, F = _point_filtration("P2")
         for r in (1, 2):
-            series = compute_weight_series(F, r, 3)
-            for rec in series.records:
+            for rec in _window_records(F, r, 3):
+                shift = rec.k * r * F.e_minus
                 for j, dim in rec.level_dims:
-                    _, closure = saturate(F, rec.k * r, j)
+                    _, closure = saturate(F, rec.k * r, j + shift)
                     assert dim <= len(closure)
-
-    def test_no_sections_give_empty_records(self):
-        X = catalog_model("P1xP2")
-        pt = point_subscheme(X, 0)
-        records = _weight_records(X, 1, (pt, pt.power(2)), 0, 2, lambda s: ())
-        assert [(rec.h0, rec.v, rec.w) for rec in records] == [(0, 0, 0)] * 2
 
     def test_pairing_column_descends_for_a_negative_last_entry(self):
         fibers = [((0,), -1, 1), ((2,), 0, 0)]
@@ -508,7 +503,7 @@ class TestWeightSeries:
         F = explicit_filtration(X, {1: [(-1, None), (0, point_subscheme(X, 0))]},
                                 e_plus=1, e_minus=0, e_min_est=5)
         with pytest.raises(ValueError, match="below r1"):
-            compute_weight_series(F, 1, 3)
+            induced_ideal_sequence(F, 1)
 
     def test_rejects_empty_window(self):
         # a wrong e_min_est lets e_minus pass e_plus; the spec refuses
@@ -520,17 +515,17 @@ class TestWeightSeries:
 
     def test_generator_cap(self, monkeypatch):
         # the P2 point tables have 4 x 4 cells at k = 1, 10 x 10 at k = 3
-        monkeypatch.setattr(subscheme_mod, "CELL_CAP", 16)
+        monkeypatch.setattr(oracles_mod, "CELL_CAP", 16)
         X, F = _point_filtration("P2")
-        compute_weight_series(F, 1, 1)
+        _window_records(F, 1, 1)
         with pytest.raises(CombinatorialBlowup):
-            compute_weight_series(F, 1, 3)
+            _window_records(F, 1, 3)
 
 
 class TestDInfty:
     def test_p1_point_report(self):
         X, F = _point_filtration("P1")
-        report = compute_d_infty(F, r_list=(1, 2, 4, 8), k_max=8)
+        report = compute_d_infty(F, r_list=(1, 2, 4, 8))
         assert report.r1 == 1
         assert report.a_limit == 4
         assert all(a == 4 for _, a in report.a_samples)
@@ -544,14 +539,14 @@ class TestDInfty:
     def test_p2_point_report(self):
         X, F = _point_filtration("P2")
         assert F.e_plus == 4
-        report = compute_d_infty(F, r_list=(1,), k_max=8)
+        report = compute_d_infty(F, r_list=(1,))
         assert report.a_limit == 27
         assert report.d_infty == -1
         assert all(a <= report.a_limit for _, a in report.a_samples)
 
     def test_trivial_filtration_slope(self):
         X, F = _trivial_filtration("P1")
-        report = compute_d_infty(F, r_list=(1, 2, 4), k_max=8)
+        report = compute_d_infty(F, r_list=(1, 2, 4))
         assert report.d_infty == 1 - Fraction(1, X.r0)
         assert report.approximate
         assert report.a_limit == report.a_samples[-1][1]
@@ -561,8 +556,7 @@ class TestDInfty:
         # settled; the slope is the exact integral at any budget
         X, F = _point_filtration("P1")
         with pytest.raises(NoStabilization):
-            _stable_leading_difference(
-                [rec.v for rec in compute_weight_series(F, 1, 4).records], 2, 4)
+            stable_leading_difference([rec.v for rec in _window_records(F, 1, 4)], 2)
         report = compute_d_infty(F, r_list=(1,), k_max=4)
         assert report.a_samples == ((1, 4),)
         assert report.d_samples == ((1, -1),)
@@ -609,8 +603,8 @@ class TestLeadingIntegral:
         n = X.dimension
         report = compute_d_infty(F, r_list=r_list)
         for r, a_r in report.a_samples:
-            values = [rec.v for rec in compute_weight_series(F, r, 8).records]
-            counted = _stable_leading_difference(values, n + 1, 8)
+            values = [rec.v for rec in _window_records(F, r, 8)]
+            counted = stable_leading_difference(values, n + 1)
             assert a_r * (n + 1) * (r * X.r0) ** (n + 1) == counted
 
 

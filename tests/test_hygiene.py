@@ -1,6 +1,7 @@
 """Source hygiene: every name a package module or test file imports is
 used in it, every name a package module defines is used outside the
-tests (the oracles excepted, which only tests read), every function the
+tests (the oracles excepted, which only tests read), no package module
+but the acceptance criteria imports the oracles, every function the
 benchmark's tracer wraps exists, and git tracks no file that .gitignore
 excludes (generated files).
 
@@ -28,7 +29,8 @@ TEST_READ_MODULES = {"oracles.py"}
 # entry points the tracer still lists although the package dropped them
 STALE_ENTRY_POINTS = {"polytope.sliced_volume_function", "subscheme.is_integrally_closed",
                       "oracles.counting_profile", "exactlp.solve_lp",
-                      "lattice.count_points_in_ideals", "lattice.filter_points_in_ideals"}
+                      "lattice.count_points_in_ideals", "lattice.filter_points_in_ideals",
+                      "filtration.compute_weight_series", "stability.ding_weight_series"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -63,6 +65,36 @@ def test_scan_sees_attribute_roots_and_annotations():
                          ids=[p.name for p in MODULES] + [f"tests/{p.name}" for p in TEST_FILES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Dotted names a module imports, relative imports read as fanokit's;
+    each name taken from a module is listed too, since it may be a
+    submodule."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("fanokit" if node.level else "", node.module)))
+            out.add(module)
+            out.update(f"{module}.{alias.name}" for alias in node.names)
+    return out
+
+
+def test_import_scan_sees_every_form():
+    for source in ("from .oracles import f\n", "from . import oracles\n",
+                   "import fanokit.oracles\n", "from fanokit import oracles\n"):
+        assert "fanokit.oracles" in imported_modules(source)
+    assert "fanokit.oracles" not in imported_modules("from .filtration import oracles_x\n")
+
+
+def test_only_acceptance_imports_the_oracles():
+    """A value module that read the oracles would be checked against
+    itself."""
+    importers = [p.name for p in sorted(PACKAGE.glob("*.py"))
+                 if "fanokit.oracles" in imported_modules(p.read_text())]
+    assert importers == ["acceptance.py"]
 
 
 def top_level_definitions(tree: ast.Module) -> list[tuple[str, int, int]]:

@@ -16,14 +16,14 @@ from hypothesis import strategies as st
 from fanokit import piecewise, polytope, stability, volumes
 from fanokit.errors import (EmptyOrFull, FanokitError, NoStabilization,
                             UnsupportedSubscheme)
-from fanokit.filtration import (_stable_leading_difference, compute_d_infty,
-                                ideal_power_filtration, induced_ideal_sequence)
+from fanokit.filtration import (compute_d_infty, ideal_power_filtration,
+                                induced_ideal_sequence)
 from fanokit.model import KE_CATALOG, build_model, catalog, catalog_model
-from fanokit.oracles import oracle_h0_quotient
+from fanokit.oracles import (oracle_h0_quotient, oracle_weight_records,
+                             stable_leading_difference)
 from fanokit.stability import (CONSISTENT, OBSTRUCTS_SEMISTABILITY, ScanEntry,
                                ScanReport, beta, ding_invariant,
-                               ding_weight_series, semistability_scan,
-                               verify_volume_bound)
+                               semistability_scan, verify_volume_bound)
 from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                                NewtonPolyhedron, boundary_divisor_subscheme,
                                point_subscheme, standard_battery,
@@ -37,6 +37,11 @@ def _dnc_sequence():
     X = catalog_model("P1")
     pt = point_subscheme(X, 0)
     return X, IdealSequenceOnXxA1(steps=(pt, pt))
+
+
+def _weights(X, S, r, k_max):
+    """w(k) for k = 1..k_max, off the lattice weight count."""
+    return tuple(rec.w for rec in oracle_weight_records(X, S, r, k_max))
 
 
 class TestBeta:
@@ -102,8 +107,8 @@ class TestBeta:
     def test_volume_integral_is_the_profile_integral(self, name):
         X = catalog_model(name)
         for Z in standard_battery(X):
-            assert (beta(X, Z).volume_integral
-                    == volumes.blowup_volume_profile(X, Z).integral())
+            profile = volumes.blowup_volume_profile(X, Z)
+            assert beta(X, Z).volume_integral == profile.integrate(*profile.domain)
 
     def test_whole_space_rejected(self):
         X = catalog_model("P2")
@@ -140,7 +145,7 @@ class TestDing:
         bad = MonomialSubscheme(label="bad", dimension=2,
                                 chart_gens={0: ((1, 0, 0),)})
         with pytest.raises(UnsupportedSubscheme, match="arity"):
-            ding_weight_series(X, IdealSequenceOnXxA1(steps=(bad,)), 1)
+            ding_invariant(X, IdealSequenceOnXxA1(steps=(bad,)), 1)
 
     def test_ding_builds_each_active_charts_dual_vertices_once(self, monkeypatch):
         # dnc@0 on P1xP2 is active on chart 0 alone: one enumeration feeds
@@ -177,12 +182,12 @@ class TestDing:
 
     def test_weight_series_formula(self):
         X, S = _dnc_sequence()
-        ws = ding_weight_series(X, S, 1, 8)
+        ws = _weights(X, S, 1, 8)
         assert ws == tuple(-k * k - k for k in range(1, 9))
 
     def test_weights_match_quotient_oracle(self):
         X, S = _dnc_sequence()
-        ws = ding_weight_series(X, S, 1, 10)
+        ws = _weights(X, S, 1, 10)
         for k in range(1, 11):
             assert ws[k - 1] == -oracle_h0_quotient(X, S, 1, k)
 
@@ -191,7 +196,7 @@ class TestDing:
         X = catalog_model("P2")
         pt = point_subscheme(X, 0)
         S = IdealSequenceOnXxA1(steps=(pt, pt, pt.power(2)))
-        ws = ding_weight_series(X, S, 2, 4)
+        ws = _weights(X, S, 2, 4)
         for k in range(1, 5):
             assert ws[k - 1] == -oracle_h0_quotient(X, S, 2, k)
 
@@ -199,7 +204,7 @@ class TestDing:
     @given(decreasing_sequences(), st.integers(1, 2))
     def test_weights_match_oracle_on_random_sequences(self, drawn, r):
         X, S = drawn
-        ws = ding_weight_series(X, S, r, 4 - r)
+        ws = _weights(X, S, r, 4 - r)
         assert ws == tuple(-oracle_h0_quotient(X, S, r, k)
                            for k in range(1, 5 - r))
 
@@ -209,14 +214,14 @@ class TestDing:
     @given(decreasing_sequences(models=("P1xP2",), max_steps=2))
     def test_weights_match_oracle_on_random_threefold_sequences(self, drawn):
         X, S = drawn
-        ws = ding_weight_series(X, S, 1, 2)
+        ws = _weights(X, S, 1, 2)
         assert ws == tuple(-oracle_h0_quotient(X, S, 1, k) for k in (1, 2))
 
     def test_weights_match_oracle_on_a_threefold(self):
         X = catalog_model("P1xP2")
         pt = point_subscheme(X, 0)
         S = IdealSequenceOnXxA1(steps=(pt, pt.power(2)))
-        ws = ding_weight_series(X, S, 1, 2)
+        ws = _weights(X, S, 1, 2)
         assert ws == tuple(-oracle_h0_quotient(X, S, 1, k) for k in (1, 2))
 
     def test_scale_covariance(self):
@@ -234,7 +239,7 @@ class TestDing:
         # the sequence induced by the point filtration reproduces d_r
         X = catalog_model("P1")
         F = ideal_power_filtration(X, point_subscheme(X, 0))
-        limits = compute_d_infty(F, r_list=(1, 2), k_max=8)
+        limits = compute_d_infty(F, r_list=(1, 2))
         for r, d_r in limits.d_samples:
             rep = ding_invariant(X, induced_ideal_sequence(F, r), r)
             assert rep.d == d_r
@@ -247,7 +252,7 @@ class TestDing:
         # four weight counts are too few to show the leading difference
         # settled; the Ding value is the exact integral at any budget
         with pytest.raises(NoStabilization):
-            _stable_leading_difference(ding_weight_series(X, S, 1, 4), 2, 4)
+            stable_leading_difference(_weights(X, S, 1, 4), 2)
         rep = ding_invariant(X, S, 1, k_max=4)
         assert (rep.L_power_top, rep.d, rep.ding) == (-2, Fraction(1, 2), Fraction(1, 2))
 
@@ -277,8 +282,7 @@ class TestDingLeadingIntegral:
     @pytest.mark.parametrize("index", range(len(_ding_cases())))
     def test_matches_weight_count(self, index):
         X, S = _ding_cases()[index]
-        counted = _stable_leading_difference(ding_weight_series(X, S, 1, 10),
-                                             X.dimension + 1, 10)
+        counted = stable_leading_difference(_weights(X, S, 1, 10), X.dimension + 1)
         assert ding_invariant(X, S, 1).L_power_top == counted
 
     def test_quasi_polynomial_counts_never_settle(self):
@@ -287,9 +291,9 @@ class TestDingLeadingIntegral:
         # -7/2 + (-1)^k (k + 7/2), and -7/2 is what the integral reads
         X = catalog_model("dP6")
         S = IdealSequenceOnXxA1(steps=(thickened_point_subscheme(X, 0),))
-        ws = ding_weight_series(X, S, 1, 10)
+        ws = _weights(X, S, 1, 10)
         with pytest.raises(NoStabilization):
-            _stable_leading_difference(ws, 3, 10)
+            stable_leading_difference(ws, 3)
         for _ in range(3):
             ws = [b - a for a, b in zip(ws, ws[1:])]
         half = Fraction(7, 2)
@@ -312,6 +316,32 @@ def test_integral_routes_build_no_profile(monkeypatch):
     pt = point_subscheme(X, 0)
     compute_d_infty(ideal_power_filtration(X, pt), r_list=(1,))
     ding_invariant(X, IdealSequenceOnXxA1(steps=(pt, pt)), 1)
+
+
+def test_weight_count_reads_no_integral_route(monkeypatch):
+    """The oracle's weight count is independent of the leading integral it
+    checks: with every step of the integral route refused it still counts
+    the P1xP2 double-point sequence, and its settled difference is the
+    integral's top term."""
+    X = catalog_model("P1xP2")
+    pt = point_subscheme(X, 0)
+    S = IdealSequenceOnXxA1(steps=(pt, pt))
+    top = ding_invariant(X, S, 1).L_power_top
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the weight count read the integral route")
+
+    names = ("moving_volume_integral", "_vertex_bases", "enumerate_basic_feasible",
+             "product_dual_vertices", "_leading_integral")
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("fanokit"):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(NewtonPolyhedron, "__init__", refuse)
+    ws = _weights(X, S, 1, 10)
+    assert ws[:4] == (-2, -10, -30, -70)
+    assert stable_leading_difference(ws, 4) == top == -2
 
 
 class TestVolumeBound:

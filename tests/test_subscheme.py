@@ -190,7 +190,7 @@ class TestIdealSequence:
         assert list(table.read([[], []])) == []
         # the second axis has extent 0: every entry on it reads as 0
         x = MonomialSubscheme(label="x", dimension=2, chart_gens={0: ((1, 0),)})
-        assert list(level_table((x,), 0, 2, floor=3).read([[0, 5], [8, 8]])) == [3, 4]
+        assert list(level_table((x,), 0, 2).read([[0, 5], [8, 8]])) == [0, 1]
 
     @settings(max_examples=60, deadline=None)
     @given(decreasing_sequences(),
@@ -203,9 +203,9 @@ class TestIdealSequence:
         n = X.dimension
         vectors = [tuple(v[:n]) for v in vectors]
         for c in range(len(X.charts)):
-            table = level_table(S.steps, c, n, floor=2)
+            table = level_table(S.steps, c, n)
             columns = [list(col) for col in zip(*vectors)] or [[]] * n
-            expected = [max([2] + [j for j, step in enumerate(S.steps, start=3)
+            expected = [max([0] + [j for j, step in enumerate(S.steps, start=1)
                                    if step.gens_on(c) is None
                                    or lattice.dominates_any(e, step.gens_on(c))])
                         for e in vectors]
