@@ -5,7 +5,8 @@ L^r = -r r0 K at level x when its chart exponents lie in the ceil(x)-th
 power of a fixed monomial ideal; an explicit filtration reads its level
 ideals from a finite table.  Both answer the same queries: F^x V_r as a
 tuple of lattice points of r*r0*P, the saturation of a level into a
-monomial ideal plus its section closure, and the level ideal itself.
+monomial ideal plus its section closure, and the index of the step that
+holds a level.
 
 Downstream every number follows one chain.  The step ideals at a fixed r
 assemble into a t-graded ideal on X x A^1.  On each chart its Newton
@@ -34,12 +35,21 @@ the saturation and integral routes need.
 
 Every membership question, which sections of L^level lie in which chart
 ideals, has one reader, _least_levels: each section's least level over
-one subscheme.LevelTable per active chart.  Filtration values and
-saturation closures read single-step tables and keep the sections at
-level 1.  The reader never lists the sections: it reads them as lattice
-fibers, runs of points that differ only in the last coordinate, along
-which each pairing is affine.  So it builds the column of each distinct
-ray once, a range per fiber, shared by every chart that has the ray.
+one subscheme.LevelTable per chart.  At each r a spec builds two tables
+per chart, once, and every level x at r reads them.  The order tables,
+one per active chart, give each section its step index
+ord(u) = max{i : u in step i}: for an ideal-power filtration by the
+recurrence of subscheme.power_table, with no power of the ideal formed,
+and for an explicit one from the row ideals tagged at their row index.
+The saturated tables, one per chart tagged with (image of u, ord(u)),
+give each section its saturated index, the least read over the charts.
+At step i the value is the sections with ord(u) >= i, the saturated
+ideal is the table corners that minimally generate {level >= i} on each
+chart, and its closure the sections of saturated index >= i.  The
+reader never lists the sections: it reads them as lattice fibers, runs
+of points that differ only in the last coordinate, along which each
+pairing is affine.  So it builds the column of each distinct ray once,
+a range per fiber, shared by every chart that has the ray.
 """
 
 from __future__ import annotations
@@ -47,8 +57,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
-from math import ceil
-from operator import mul
+from math import ceil, inf
+from operator import ge, le, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import R1NotFound, UnsupportedSubscheme
@@ -56,7 +66,7 @@ from .linalg import Vec, matmul_vec, transpose
 from .model import ToricFanoModel, anticanonical_volume
 from .polytope import lattice_fibers, lattice_points, moving_volume_integral
 from .subscheme import (IdealSequenceOnXxA1, LevelTable, MonomialSubscheme,
-                        _subscheme_contains, ideal_table, product,
+                        _subscheme_contains, _tagged_table, power_table,
                         product_dual_vertices)
 from .volumes import blowup_volume_integral
 
@@ -67,11 +77,8 @@ R1_CAP = 64
 
 Point = tuple[int, ...]
 Fiber = tuple[Point, int, int]
-
-
-def _zero_subscheme(X: ToricFanoModel, label: str = "zero") -> MonomialSubscheme:
-    return MonomialSubscheme(label=label, dimension=X.dimension,
-                             chart_gens={i: () for i in range(len(X.charts))})
+# each section's saturated index, and each chart's corner_ranges
+Saturated = tuple[list[int], dict[int, list[tuple[Point, int, int]]]]
 
 
 def _check_arity(X: ToricFanoModel, ideal: MonomialSubscheme) -> None:
@@ -96,8 +103,11 @@ class FiltrationSpec:
     e_plus/e_minus are the integer window of the weight routes, the
     spec's own: the constructors check it once, e_minus < e_min_est,
     e_max_est < e_plus and e_minus < e_plus, and every route reads it
-    from here.  F^x V_r is read off one single-step level table per
-    active chart of the level ideal: the sections whose least level is 1.
+    from here.  Every level x at r reads two tables per chart, built once
+    for r: the order tables give each section its step index ord(u), so
+    F^x V_r is the sections with ord(u) >= level_step(r, x); the
+    saturated tables give each section its saturated index, which
+    saturate reads.
     """
 
     def __init__(self, X: ToricFanoModel, kind: str, *,
@@ -119,7 +129,8 @@ class FiltrationSpec:
         self.profile_integral = profile_integral
         self._sections: dict[int, tuple[Point, ...]] = {}
         self._fibers: dict[int, list[Fiber]] = {}
-        self._powers: list[MonomialSubscheme] = []
+        self._orders: dict[int, list[int]] = {}
+        self._saturated: dict[int, Saturated] = {}
         self._saturations: dict = {}
 
     def sections(self, r: int) -> tuple[Point, ...]:
@@ -138,43 +149,72 @@ class FiltrationSpec:
             self._fibers[r] = lattice_fibers(self.X.polytope, r * self.X.r0)
         return self._fibers[r]
 
-    def level_step(self, r: int, x) -> tuple[int, MonomialSubscheme | None]:
-        """The step of the filtration at r that contains level x: its
-        index, equal exactly when two levels share the step, and the
-        defining ideal of F^x V_r, None for the unit ideal.  The powers
-        of an ideal-power filtration are cached, each the product of the
-        one before and the ideal."""
-        x = Fraction(x)
-        if self.kind == IDEAL_POWER:
-            m = ceil(x)
-            if m <= 0:
-                return 0, None
-            Z = self.subscheme
-            for k in range(len(self._powers) + 1, m + 1):
-                self._powers.append(Z if k == 1 else product(
-                    self._powers[-1], Z, label=f"{Z.label}^{k}"))
-            return m, self._powers[m - 1]
+    def _rows(self, r: int) -> tuple[tuple[Fraction, MonomialSubscheme | None], ...]:
         rows = self.table.get(int(r))
         if rows is None:
             raise KeyError(f"filtration table has no row for r={r}")
-        for i, (threshold, ideal) in enumerate(rows):
-            if x <= threshold:
-                return i, ideal
-        return len(rows), _zero_subscheme(self.X)
+        return rows
+
+    def level_step(self, r: int, x) -> int:
+        """The index of the step of the filtration at r that contains
+        level x, equal exactly when two levels share the step: ceil(x),
+        and 0 from x <= 0, for an ideal-power filtration; for an explicit
+        one the first row whose threshold is at least x, and len(rows),
+        the zero step, past the last."""
+        x = Fraction(x)
+        if self.kind == IDEAL_POWER:
+            return max(ceil(x), 0)
+        rows = self._rows(r)
+        return next((i for i, (threshold, _) in enumerate(rows) if x <= threshold),
+                    len(rows))
 
     def value(self, r: int, x) -> tuple[Point, ...]:
         """F^x V_r as lattice points of r*r0*P."""
-        _, ideal = self.level_step(r, x)
-        return tuple(compress(self.sections(r), self._members(r, ideal)))
+        i = self.level_step(r, x)
+        if i == 0:
+            return self.sections(r)
+        return tuple(compress(self.sections(r), map(ge, self.orders(r), repeat(i))))
 
-    def _members(self, r: int, ideal: MonomialSubscheme | None) -> Iterable[int]:
-        """Per section of V_r, in order, whether it lies in the ideal."""
-        if ideal is None:
-            return repeat(True, len(self.sections(r)))
-        _check_arity(self.X, ideal)
-        gens = ideal.chart_gens
-        return _least_levels(self.X, self.fibers(r), int(r) * self.X.r0, 1, gens,
-                             lambda c, columns: ideal_table(gens[c], columns))
+    def orders(self, r: int) -> list[int]:
+        """Each section's step index ord(u) = max{i : u in step i} at r, in
+        the order of sections(r), cached: its least level over one order
+        table per active chart, read off the pairing columns.  For an
+        ideal-power filtration the table is power_table over the box the
+        columns reach, and where no chart is active every power holds the
+        section, ord = inf.  For an explicit one the row ideals are tagged
+        at their row index and clipped to that box: a generator with an
+        entry above its column's maximum holds no vector read and is
+        dropped, so generators of high degree cost no cells; where no
+        chart is active every row holds the section."""
+        r = int(r)
+        if r not in self._orders:
+            X = self.X
+            if self.kind == IDEAL_POWER:
+                Z = self.subscheme
+                _check_arity(X, Z)
+                charts, top = Z.active_chart_indices(), inf
+
+                def table(c: int, columns: list[list[int]]) -> LevelTable:
+                    return power_table(Z.chart_gens[c], [max(col, default=0) for col in columns])
+            else:
+                ideals = [ideal for _, ideal in self._rows(r)[1:]]
+                given = [ideal for ideal in ideals if ideal is not None]
+                for ideal in given:
+                    _check_arity(X, ideal)
+                charts = sorted(set().union(*(s.chart_gens for s in given)))
+                top = len(ideals)
+
+                def table(c: int, columns: list[list[int]]) -> LevelTable:
+                    bound = [max(col, default=0) for col in columns]
+                    tags = []
+                    for i, ideal in enumerate(ideals, start=1):
+                        gs = None if ideal is None else ideal.gens_on(c)
+                        tags += [(g, i) for g in ([(0,) * len(bound)] if gs is None else gs)
+                                 if all(map(le, g, bound))]
+                    return _tagged_table(len(bound), tags)
+            self._orders[r] = list(_least_levels(X, self.fibers(r), r * X.r0, top,
+                                                 charts, table))
+        return self._orders[r]
 
 
 def ideal_power_filtration(X: ToricFanoModel, Z: MonomialSubscheme) -> FiltrationSpec:
@@ -255,53 +295,78 @@ def saturate_points(X: ToricFanoModel, r: int, points: Iterable[Point],
     The ideal collects the minimal chart exponent vectors of the given
     points on every chart; the closure is all sections of L^r inside the
     ideal.  Saturating the closure again changes nothing.  A point that
-    is not a section of L^r raises ValueError.
+    is not a section of L^r raises ValueError.  The saturated tables are
+    the filtration's, with the given points at level 1 and the rest at 0.
     """
     r = int(r)
-    sections = tuple(lattice_points(X.polytope, r * X.r0))
+    level = r * X.r0
+    sections = tuple(lattice_points(X.polytope, level))
     chosen = set(points)
-    kept = [u in chosen for u in sections]
-    if sum(kept) != len(chosen):
+    orders = [int(u in chosen) for u in sections]
+    if sum(orders) != len(chosen):
         raise ValueError(f"points outside the sections of level r={r}")
-    return _saturate_core(X, r, kept, lattice_fibers(X.polytope, r * X.r0),
-                          sections, label or f"sat(r={r})")
+    return _saturation(X, sections, _saturated_tables(X, lattice_fibers(X.polytope, level),
+                                                      level, orders),
+                       1, label or f"sat(r={r})")
 
 
-def _saturate_core(X: ToricFanoModel, r: int, kept: Sequence[bool],
-                   fibers: Sequence[Fiber], sections: tuple[Point, ...],
-                   label: str) -> tuple[MonomialSubscheme, tuple[Point, ...]]:
-    """Saturation of the kept sections.  On each chart a table is tagged
-    with the kept sections' images: its corners at level 1 are the
-    ideal's minimal generators, and the sections it reads at level 1 on
-    every chart are the closure."""
-    if all(kept):
-        return MonomialSubscheme(label=label, dimension=X.dimension), sections
-    if not any(kept):
-        return _zero_subscheme(X, label=label), ()
-    chart_gens = {}
+def _saturated_tables(X: ToricFanoModel, fibers: Sequence[Fiber], level: int,
+                      orders: Sequence[int]) -> Saturated:
+    """Each section's saturated index and each chart's corner ranges,
+    for the sections of L^level given as lattice fibers with their
+    orders.  On every chart one table is tagged with (image of u, ord(u))
+    for the sections u of positive order, images that are distinct on a
+    chart; so a cell reads the largest order of a section whose image it
+    dominates, and its level >= i exactly on the ideal the images of
+    order >= i generate.  A section's saturated index is the least such
+    read over the charts."""
+    corners = {}
 
     def table(c: int, columns: list[list[int]]) -> LevelTable:
-        t = ideal_table(compress(zip(*columns), kept), columns)
-        chart_gens[c] = tuple(e for e, j in t.corners if j)
+        t = _tagged_table(len(columns), [tag for tag in zip(zip(*columns), orders) if tag[1]])
+        corners[c] = t.corner_ranges()
         return t
 
-    levels = _least_levels(X, fibers, r * X.r0, 1, range(len(X.charts)), table)
-    closure = tuple(compress(sections, levels))
+    saturated = list(_least_levels(X, fibers, level, max(orders, default=0),
+                                   range(len(X.charts)), table))
+    return saturated, corners
+
+
+def _saturation(X: ToricFanoModel, sections: tuple[Point, ...], tables: Saturated,
+                i: int, label: str) -> tuple[MonomialSubscheme, tuple[Point, ...]]:
+    """The saturation of the sections of order >= i: on each chart the
+    corners that minimally generate {level >= i}, and the sections whose
+    saturated index is >= i.  No such section gives the zero ideal on
+    every chart and an empty closure; all of them, the unit ideal, as
+    every chart's vertex section has image 0."""
+    saturated, corners = tables
+    chart_gens = {c: tuple(e for e, lo, j in cs if lo < i <= j) for c, cs in corners.items()}
+    closure = tuple(compress(sections, map(ge, saturated, repeat(i))))
     return MonomialSubscheme(label=label, dimension=X.dimension,
                              chart_gens=chart_gens), closure
 
 
 def saturate(F: FiltrationSpec, r: int, x) -> tuple[MonomialSubscheme, tuple[Point, ...]]:
     """I_(r,x) generated by F^x V_r, plus the saturated value itself.
-    Levels x in one step of the filtration share one saturation, cached
-    and labelled by r and the step's index."""
+    Both read the saturated tables at r, built once from the orders: at
+    the step's index i the ideal is each chart's corners at level >= i,
+    minimalised, and the value the sections of saturated index >= i.
+    Step 0 is all of V_r, with the unit ideal.  Levels x in one step
+    share one saturation, cached and labelled by r and the index."""
     r = int(r)
-    index, ideal = F.level_step(r, x)
+    index = F.level_step(r, x)
     key = (r, index)
     if key not in F._saturations:
-        F._saturations[key] = _saturate_core(
-            F.X, r, list(F._members(r, ideal)), F.fibers(r), F.sections(r),
-            f"sat(r={r},step={index})")
+        label = f"sat(r={r},step={index})"
+        if index == 0:
+            F._saturations[key] = (MonomialSubscheme(label=label, dimension=F.X.dimension),
+                                   F.sections(r))
+        else:
+            if r not in F._saturated:
+                F._saturated[r] = _saturated_tables(F.X, F.fibers(r), r * F.X.r0,
+                                                    F.orders(r))
+            F._saturations[key] = _saturation(F.X, F.sections(r), F._saturated[r], index,
+                                              label)
     return F._saturations[key]
 
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, combinations_with_replacement, compress, repeat
-from math import prod
-from operator import add, and_, gt, le, mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import (accumulate, combinations_with_replacement, compress, count, repeat,
+                       product as cartesian_product)
+from operator import add, and_, ge, gt, le, mul, sub
+from typing import Iterator, Mapping, Sequence
 
 from . import lattice
 from .errors import (CombinatorialBlowup, EmptyOrFull, GluingMismatch, NotSmoothPoint,
@@ -188,10 +188,12 @@ class NewtonPolyhedron:
     __slots__ = ("dual_vertices",)
 
     def __init__(self, generators: Sequence[Sequence[int]]):
-        gens = _normalize_gens(generators)
-        if gens is None:
+        """Generators need not be minimal: a dominated one only adds a
+        redundant row <g, w> >= 1 to Q, so the vertices do not change."""
+        gens = sorted({tuple(int(x) for x in g) for g in generators})
+        if any(not any(g) for g in gens):
             raise ValueError("unit ideal has no Newton polyhedron here")
-        if len(gens) == 0:
+        if not gens:
             raise ZeroIdeal("zero ideal has empty Newton polyhedron")
         n = len(gens[0])
         rows = [(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
@@ -237,9 +239,13 @@ def product_dual_vertices(X: ToricFanoModel, steps: Sequence[MonomialSubscheme]
 
 
 def _box(top: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Lex-order strides of the box [0, top] and its cells, all at 0."""
+    """Lex-order strides of the box [0, top] and its cells, all at 0.
+    Refuses up front a box of more than CELL_CAP cells."""
     strides = list(accumulate((t + 1 for t in top[:0:-1]), mul, initial=1))[::-1]
-    return strides, [0] * (strides[0] * (top[0] + 1))
+    size = strides[0] * (top[0] + 1)
+    if size > CELL_CAP:
+        raise CombinatorialBlowup(f"{size} table cells exceed the cap {CELL_CAP}")
+    return strides, [0] * size
 
 
 class LevelTable:
@@ -279,6 +285,16 @@ class LevelTable:
         return tuple((tuple(i // s % (t + 1) for t, s in zip(self.top, self.strides)), j)
                      for i, j in zip(self.corner_cells, self.corner_levels))
 
+    def corner_ranges(self) -> list[tuple[tuple[int, ...], int, int]]:
+        """(e, lo, j) per corner (e, j), lo the largest level of a lower
+        neighbour of e, -1 at the origin: e is a minimal generator of the
+        ideal {L >= i} exactly when lo < i <= j."""
+        out = []
+        for (e, j), cell in zip(self.corners, self.corner_cells):
+            lo = max((self.levels[cell - s] for x, s in zip(e, self.strides) if x), default=-1)
+            out.append((e, lo, j))
+        return out
+
     def read(self, columns: Sequence[Sequence[int]]) -> Iterator[int]:
         """L at many nonnegative exponent vectors, given as one column of
         equal length per axis, each vector clipped to the box.  The levels
@@ -295,13 +311,10 @@ class LevelTable:
 
 
 def _tagged_table(dim: int, tags: Sequence[tuple[Sequence[int], int]]) -> LevelTable:
-    """Table over the box spanned by the tagged vectors: each tag (g, j),
-    in ascending j, sets level j at g over 0.  Refuses up front a table
-    of more than CELL_CAP cells."""
+    """Table over the box spanned by the tagged vectors: each tag (g, j)
+    sets level j at g over 0, so where tags share a vector the last one
+    wins: list them in ascending j."""
     top = tuple(max((g[i] for g, _ in tags), default=0) for i in range(dim))
-    size = prod(t + 1 for t in top)
-    if size > CELL_CAP:
-        raise CombinatorialBlowup(f"{size} table cells exceed the cap {CELL_CAP}")
     strides, levels = _box(top)
     for g, j in tags:
         levels[sum(map(mul, g, strides))] = j
@@ -319,14 +332,35 @@ def level_table(steps: Sequence[MonomialSubscheme], chart_index: int,
     return _tagged_table(dim, tags)
 
 
-def ideal_table(gens: Iterable[Sequence[int]],
-                columns: Sequence[Sequence[int]]) -> LevelTable:
-    """Single-step table of one chart ideal, level 1 on it and 0 off it,
-    for reading these columns: over the box they reach, since a
-    generator with an entry above its column's maximum holds no vector
-    read and is dropped.  So generators of high degree cost no cells."""
-    bound = [max(col, default=0) for col in columns]
-    return _tagged_table(len(bound), [(g, 1) for g in gens if all(map(le, g, bound))])
+def power_table(gens: Sequence[Sequence[int]], top: Sequence[int]) -> LevelTable:
+    """L(e) = max{m : x^e in I^m} over the box [0, top], I the monomial
+    ideal of these generators, by the recurrence L(e) = max over the
+    generators g <= e of 1 + L(e - g), 0 where none fits: no power of I
+    is formed.  A generator outside the box fits no cell and is dropped.
+    The cells fill one row along the last axis at a time.  A generator
+    off that axis reads an earlier row, shifted by its last entry; one on
+    it, (0, ..., 0, s), reads the row itself, L(j) = max(b(j), 1 + L(j - s)),
+    which along each residue class mod s is k + the running max of
+    b - k, k counting the class.  Only the least such s matters: the
+    others are dominated, and dominated generators leave every power
+    unchanged."""
+    top = tuple(top)
+    strides, levels = _box(top)
+    gens = [tuple(g) for g in gens if all(map(le, g, top))]
+    width = top[-1] + 1
+    s_axis = min((g[-1] for g in gens if not any(g[:-1])), default=0)
+    off_axis = [(g[:-1], g[-1], sum(map(mul, g[:-1], strides))) for g in gens if any(g[:-1])]
+    for row in cartesian_product(*(range(t + 1) for t in top[:-1])):
+        start = sum(map(mul, row, strides))
+        b = [0] * width
+        for head, s, shift in off_axis:
+            if all(map(ge, row, head)):
+                src = start - shift
+                b[s:] = map(max, b[s:], map(add, levels[src:src + width - s], repeat(1)))
+        for c in range(s_axis):
+            b[c::s_axis] = map(add, accumulate(map(sub, b[c::s_axis], count()), max), count())
+        levels[start:start + width] = b
+    return LevelTable(top, strides, levels)
 
 
 def _subscheme_contains(big: MonomialSubscheme, small: MonomialSubscheme) -> bool:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fanokit.oracles as oracles_mod
+import fanokit.subscheme as subscheme_mod
 from fanokit.errors import (CombinatorialBlowup, NoStabilization, R1NotFound,
                             UnsupportedSubscheme, ZeroIdeal)
 from fanokit.filtration import (_pairing_column, compute_d_infty,
@@ -29,7 +30,7 @@ from fanokit.oracles import (oracle_h0_quotient, oracle_weight_records,
                              stable_leading_difference)
 from fanokit.subscheme import (MonomialSubscheme, _subscheme_contains,
                                boundary_divisor_subscheme, point_subscheme,
-                               product_gens, standard_battery,
+                               product, product_gens, standard_battery,
                                thickened_point_subscheme)
 from helpers import monomial_power_membership
 
@@ -43,6 +44,14 @@ def _trivial_filtration(name, r_max=16):
     X = catalog_model(name)
     table = {r: [(0, None)] for r in range(1, r_max + 1)}
     return X, explicit_filtration(X, table, e_plus=1, e_minus=-1)
+
+
+def _shifted_filtration():
+    """An explicit filtration whose unit row ends at x = 1, above e_minus."""
+    X = catalog_model("P1")
+    pt = point_subscheme(X, 0)
+    table = {r: [(1, None), (2, pt), (3, pt.power(2))] for r in (1, 2)}
+    return X, explicit_filtration(X, table, e_plus=4, e_minus=0)
 
 
 def _window_records(F, r, k_max):
@@ -93,12 +102,15 @@ class TestLevels:
         X = catalog_model("P1xP2")
         Z = point_subscheme(X, 1)
         F = ideal_power_filtration(X, Z)
+        chain = [Z]
+        for _ in range(4):
+            chain.append(product(chain[-1], Z))
         for m in (3, 5, 2, 4):
-            index, ideal = F.level_step(1, m)
-            assert index == m
-            assert ideal.label == Z.power(m).label == f"point@1^{m}"
-            assert ideal.chart_gens == Z.power(m).chart_gens
-        assert F.level_step(1, 1) == (1, Z)
+            assert F.level_step(1, m) == m
+            assert Z.power(m).label == f"point@1^{m}"
+            assert Z.power(m).chart_gens == chain[m - 1].chart_gens
+        assert F.level_step(1, 1) == 1
+        assert Z.power(1).chart_gens == Z.chart_gens
 
     def test_fractional_level_rounds_up(self):
         X, F = _point_filtration("P1")
@@ -163,7 +175,7 @@ class TestSaturate:
         X, F = _point_filtration("P2")
         for r, x in [(1, 1), (1, 2), (2, 3), (2, Fraction(5, 2))]:
             ideal, _ = saturate(F, r, x)
-            assert _subscheme_contains(F.level_step(r, x)[1], ideal)
+            assert _subscheme_contains(F.subscheme.power(ceil(x)), ideal)
 
     def test_ideal_power_levels_already_saturated(self):
         X, F = _point_filtration("P2")
@@ -198,6 +210,37 @@ class TestSaturate:
         second, closure2 = saturate_points(X, 1, closure)
         assert dict(second.chart_gens) == dict(first.chart_gens)
         assert closure2 == closure
+
+    @pytest.mark.parametrize("name", [*sorted(CATALOG_RAYS), "shifted"])
+    def test_every_window_step_is_the_saturation_of_its_value(self, name):
+        # the multi-level tables at r against the 0/1 tables of each value,
+        # over every step index of the window and one past it
+        X, F = _shifted_filtration() if name == "shifted" else _point_filtration(name)
+        for r in (1, 2):
+            indices = set()
+            for x in range(r * F.e_minus, r * F.e_plus + 2):
+                index = F.level_step(r, x)
+                indices.add(index)
+                label = f"sat(r={r},step={index})"
+                assert saturate(F, r, x) == saturate_points(X, r, F.value(r, x), label)
+            assert indices == set(range(max(indices) + 1))
+
+    def test_tables_refuse_past_the_cell_cap(self, monkeypatch):
+        # the P2 tables at r = 1 span 4 x 4 cells, but the explicit order
+        # table, clipped to its generators, 3 x 3
+        for build in (lambda: _point_filtration("P2"), _explicit_p2_filtration):
+            X, F = build()
+            expected = F.value(1, 1), saturate(F, 1, 1)
+            monkeypatch.setattr(subscheme_mod, "CELL_CAP", 16)
+            X, F = build()
+            assert (F.value(1, 1), saturate(F, 1, 1)) == expected
+            monkeypatch.setattr(subscheme_mod, "CELL_CAP", 8)
+            X, F = build()
+            with pytest.raises(CombinatorialBlowup):
+                F.value(1, 1)
+            with pytest.raises(CombinatorialBlowup):
+                saturate(F, 1, 1)
+            monkeypatch.undo()
 
 
 class TestSaturationLaws:
@@ -396,10 +439,7 @@ class TestFindR1:
             assert find_r1(F) == 1
 
     def test_shifted_table(self):
-        X = catalog_model("P1")
-        pt = point_subscheme(X, 0)
-        table = {r: [(1, None), (2, pt), (3, pt.power(2))] for r in (1, 2)}
-        F = explicit_filtration(X, table, e_plus=4, e_minus=0)
+        X, F = _shifted_filtration()
         assert find_r1(F) == 1
 
     def test_missing_row_propagates(self):

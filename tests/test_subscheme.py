@@ -1,6 +1,7 @@
 """Monomial subschemes, Newton polyhedra, ideal sequences, chart gluing."""
 
 from fractions import Fraction
+from itertools import product as cartesian_product
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +11,9 @@ from fanokit import lattice
 from fanokit.errors import EmptyOrFull, GluingMismatch, NotSmoothPoint, ZeroIdeal
 from fanokit.model import catalog_model
 from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
-                               NewtonPolyhedron, boundary_divisor_subscheme,
-                               level_table, point_subscheme, product_gens,
+                               NewtonPolyhedron, _tagged_table,
+                               boundary_divisor_subscheme, level_table,
+                               point_subscheme, power_table, product_gens,
                                standard_battery,
                                thickened_point_subscheme, verify_gluing)
 import helpers
@@ -115,8 +117,57 @@ class TestNewtonPolyhedron:
     def test_unit_and_zero_rejected(self):
         with pytest.raises(ValueError):
             NewtonPolyhedron(((0, 0),))
+        with pytest.raises(ValueError):
+            NewtonPolyhedron(((1, 0), (0, 0), (1, 0)))
         with pytest.raises(ZeroIdeal):
             NewtonPolyhedron(())
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.tuples(*[st.integers(0, 4)] * n).filter(any), min_size=1, max_size=7)))
+    def test_dominated_generators_leave_the_dual_vertices(self, gens):
+        # each dominated generator only adds a redundant row to Q
+        assert (NewtonPolyhedron(gens).dual_vertices
+                == NewtonPolyhedron(lattice.minimalize(gens)).dual_vertices)
+
+
+BOXES = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(*[st.integers(0, 3)] * n).filter(any), min_size=1, max_size=4),
+    st.tuples(*[st.integers(0, 3)] * n)))
+
+
+class TestTables:
+    @settings(max_examples=40, deadline=None)
+    @given(BOXES)
+    def test_power_table_is_power_membership(self, drawn):
+        # gens may be dominated, repeated, or outside the box
+        gens, top = drawn
+        table = power_table(gens, top)
+        cells = list(cartesian_product(*(range(t + 1) for t in top)))
+        for e, m in zip(cells, table.read([list(col) for col in zip(*cells)])):
+            assert helpers.monomial_power_membership(e, gens, m)
+            assert not helpers.monomial_power_membership(e, gens, m + 1)
+
+    def test_power_table_of_a_point(self):
+        # L(e) = e_1 + e_2 for the maximal ideal; (0, 1) alone steps along the
+        # last axis, (2, 0) outside the box is dropped
+        table = power_table(((1, 0), (0, 1)), (2, 3))
+        assert table.levels == [a + b for a in range(3) for b in range(4)]
+        table = power_table(((0, 2), (1, 1), (2, 0)), (1, 4))
+        assert table.levels == [0, 0, 1, 1, 2, 0, 1, 1, 2, 2]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 3)] * n), st.integers(1, 4)), max_size=8,
+        unique_by=lambda tag: tag[0])))
+    def test_corner_ranges_are_the_minimal_generators(self, tags):
+        n = len(tags[0][0]) if tags else 1
+        table = _tagged_table(n, tags)
+        cells = list(cartesian_product(*(range(t + 1) for t in table.top)))
+        ranges = table.corner_ranges()
+        for i in range(1, 6):
+            held = [e for e, j in zip(cells, table.levels) if j >= i]
+            assert sorted(e for e, lo, j in ranges if lo < i <= j) == lattice.minimalize(held)
 
 
 @st.composite
