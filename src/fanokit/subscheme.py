@@ -250,9 +250,9 @@ def _box(top: Sequence[int]) -> tuple[list[int], list[int]]:
 
 class LevelTable:
     """L(e) = max{j : x^e in J(j)} for decreasing monomial ideals J(j) on
-    one chart, dense in lex order over the box [0, top] spanned by their
-    generators; past the box L is read at the clip, which keeps every
-    membership.  The corners, the (e, L(e)) whose level beats each lower
+    one chart, dense in lex order over a box [0, top]: the one their
+    generators span, where past the box L is read at the clip, which
+    keeps every membership, or for power_table the box its reads reach.  The corners, the (e, L(e)) whose level beats each lower
     neighbour's, are the minimal generators of sum_j J(j) t^(-j); they
     are kept as flat cell indices plus levels."""
 
