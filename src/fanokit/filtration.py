@@ -87,6 +87,9 @@ def _check_arity(X: ToricFanoModel, ideal: MonomialSubscheme) -> None:
     no public constructor produces."""
     if ideal.dimension != X.dimension:
         raise UnsupportedSubscheme(f"{ideal.label}: dimension does not match {X.dimension}")
+    if ideal.boundary_ray is not None and ideal.boundary_ray not in X.rays:
+        raise UnsupportedSubscheme(f"{ideal.label}: boundary ray {ideal.boundary_ray} "
+                                   f"is not a ray of the fan")
     for idx in ideal.active_chart_indices():
         rows = X.charts[idx].cone_rays
         if any(len(g) != len(rows) for g in ideal.chart_gens[idx]):
@@ -181,18 +184,21 @@ class FiltrationSpec:
         table per active chart, read off the pairing columns.  For an
         ideal-power filtration the table is power_table over the box the
         columns reach, and where no chart is active every power holds the
-        section, ord = inf.  For an explicit one the row ideals are tagged
-        at their row index and clipped to that box: a generator with an
-        entry above its column's maximum holds no vector read and is
-        dropped, so generators of high degree cost no cells; where no
-        chart is active every row holds the section."""
+        section, ord = inf; a boundary ray caps ord at the ray's pairing
+        column <ray, u> + level, the order of vanishing along its divisor,
+        so a subscheme carried by its ray alone is read too.  For an
+        explicit one the row ideals are tagged at their row index and
+        clipped to that box: a generator with an entry above its column's
+        maximum holds no vector read and is dropped, so generators of high
+        degree cost no cells; where no chart is active every row holds the
+        section."""
         r = int(r)
         if r not in self._orders:
             X = self.X
             if self.kind == IDEAL_POWER:
                 Z = self.subscheme
                 _check_arity(X, Z)
-                charts, top = Z.active_chart_indices(), inf
+                charts, top, ray = Z.active_chart_indices(), inf, Z.boundary_ray
 
                 def table(c: int, columns: list[list[int]]) -> LevelTable:
                     return power_table(Z.chart_gens[c], [max(col, default=0) for col in columns])
@@ -202,7 +208,7 @@ class FiltrationSpec:
                 for ideal in given:
                     _check_arity(X, ideal)
                 charts = sorted(set().union(*(s.chart_gens for s in given)))
-                top = len(ideals)
+                top, ray = len(ideals), None
 
                 def table(c: int, columns: list[list[int]]) -> LevelTable:
                     bound = [max(col, default=0) for col in columns]
@@ -212,8 +218,11 @@ class FiltrationSpec:
                         tags += [(g, i) for g in ([(0,) * len(bound)] if gs is None else gs)
                                  if all(map(le, g, bound))]
                     return _tagged_table(len(bound), tags)
-            self._orders[r] = list(_least_levels(X, self.fibers(r), r * X.r0, top,
-                                                 charts, table))
+            fibers, level = self.fibers(r), r * X.r0
+            levels = _least_levels(X, fibers, level, top, charts, table)
+            if ray is not None:
+                levels = map(min, levels, _pairing_column(ray, fibers, level))
+            self._orders[r] = list(levels)
         return self._orders[r]
 
 
@@ -288,8 +297,8 @@ def explicit_filtration(X: ToricFanoModel,
                           e_max_est=e_max_est)
 
 
-def saturate_points(X: ToricFanoModel, r: int, points: Iterable[Point],
-                    label: str = "") -> tuple[MonomialSubscheme, tuple[Point, ...]]:
+def saturate_points(X: ToricFanoModel, r: int,
+                    points: Iterable[Point]) -> tuple[MonomialSubscheme, tuple[Point, ...]]:
     """Ideal generated by a set of level-r sections, and its closure.
 
     The ideal collects the minimal chart exponent vectors of the given
@@ -307,7 +316,7 @@ def saturate_points(X: ToricFanoModel, r: int, points: Iterable[Point],
         raise ValueError(f"points outside the sections of level r={r}")
     return _saturation(X, sections, _saturated_tables(X, lattice_fibers(X.polytope, level),
                                                       level, orders),
-                       1, label or f"sat(r={r})")
+                       1, f"sat(r={r})")
 
 
 def _saturated_tables(X: ToricFanoModel, fibers: Sequence[Fiber], level: int,

@@ -128,19 +128,6 @@ def transpose(rows: Mat) -> Mat:
     return tuple(zip(*rows))
 
 
-def primitive(v: Sequence[int]) -> tuple[int, ...]:
-    """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    ints = [int(x) for x in v]
-    if any(Fraction(x) != ints[i] for i, x in enumerate(v)):
-        raise ValueError(f"primitive: non-integer vector {v!r}")
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return tuple(ints)
-    return tuple(x // g for x in ints)
-
-
 def rational_primitive(v: Sequence) -> tuple[int, ...]:
     """Scale a vector of ints and Fractions to the primitive integer vector
     on the same ray (zero stays zero)."""

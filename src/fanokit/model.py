@@ -26,7 +26,7 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DegeneratePolytope, NotFano, NotSmoothChart, UnboundedPolytope
-from .linalg import Vec, dot, int_det, int_solve, primitive
+from .linalg import Vec, dot, int_det, int_solve, rational_primitive
 from .polytope import (RationalPolytope, euclidean_volume, lattice_points,
                        polytope_from_rays)
 
@@ -142,7 +142,7 @@ def _build_chart(P: RationalPolytope, vertex: Vec) -> Chart:
     # of their inverse (of the adjugate, signed by the determinant), each
     # scaled to a primitive vector
     d, cols = int_solve(tight, [[int(i == j) for i in range(n)] for j in range(n)])
-    edges = tuple(primitive(col if d > 0 else [-a for a in col]) for col in cols)
+    edges = tuple(rational_primitive(col if d > 0 else [-a for a in col]) for col in cols)
     return Chart(vertex=vertex, simplicial=True, index=abs(int_det(edges)),
                  cone_rays=tight, edges=edges)
 
@@ -158,7 +158,7 @@ def build_model(dimension: int, rays: Sequence[Sequence[int]], name: str = "") -
     if len(set(rays_t)) != len(rays_t):
         raise ValueError("duplicate rays")
     for r in rays_t:
-        if primitive(r) != r or all(x == 0 for x in r):
+        if rational_primitive(r) != r or all(x == 0 for x in r):
             raise ValueError(f"ray {r} is not primitive")
     try:
         P = polytope_from_rays(dimension, rays_t)

@@ -10,32 +10,35 @@ Vertices are enumerated in integers by the double description method
 (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996) on
 the rows scaled to primitive integer vectors: the rows are added one at
 a time to the homogenised cone, whose rays with a positive last entry
-are the vertices.  Its work follows the rays it meets, not the n-subsets
-of the rows, most of which are not vertices.  It is the hull algorithm
-too: the facets of conv(V) are the vertices of its polar about an
-interior point.  Volumes build no hulls: the rows that cut a polytope
-out already say which vertices lie on which face, so a pulling
-triangulation reads the facets of every face off those row incidences
-and sums integer simplex determinants.  A region whose rows move
-linearly in a parameter x is the slice at x of the region lifted to
-(u, x) and cut by x >= 0, and one vertex enumeration of those lifted
-rows in dim + 1 variables serves both readers of such a region.  The
-integral of the slice volumes over x needs no slice: it is the volume
-of the lifted region itself, perhaps cut by a cap on x, read off that
-enumeration's triangulation (moving_volume_integral).  The slices
-change combinatorial type only at the x-coordinates of the lifted
-vertices (Ziegler, *Lectures on Polytopes*), so those are the
-breakpoints of the volume as a function of x, and between them the
-volume is one polynomial, fitted through the volumes of a few slices
-(moving_volume_function), which the tests hold the integral against.
+are the vertices, while a ray with last entry 0 is a recession
+direction.  Its work follows the rays it meets, not the n-subsets of the
+rows, most of which are not vertices.  A polytope is enumerated once,
+and its faces are read off which rows are tight at which vertices
+(Ziegler, *Lectures on Polytopes*): the facets are the rows with maximal
+tight sets, and a pulling triangulation sums integer simplex
+determinants down chains of facets.  Only points need a hull: the facets
+of conv(V) are the vertices of its polar about an interior point.  A
+region whose rows move linearly in a parameter x is the slice at x of
+the region lifted to (u, x) and cut by x >= 0, and one vertex
+enumeration of those lifted rows in dim + 1 variables serves both
+readers of such a region.  The integral of the slice volumes over x
+needs no slice: it is the volume of the lifted region itself, perhaps
+cut by a cap on x, read off that enumeration's triangulation
+(moving_volume_integral).  The slices change combinatorial type only at
+the x-coordinates of the lifted vertices (Ziegler, *Lectures on
+Polytopes*), so those are the breakpoints of the volume as a function of
+x, and between them the volume is one polynomial, fitted through the
+volumes of a few slices (moving_volume_function), which the tests hold
+the integral against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import factorial, gcd, lcm
-from operator import mul
+from operator import and_, mul
 from typing import Sequence
 
 from . import lattice
@@ -72,15 +75,17 @@ def _independent_rows(rows: Sequence[Sequence[int]], size: int) -> list[int] | N
     return None
 
 
-def _vertex_bases(dim: int, irows: Sequence[Sequence[int]]) -> set:
+def _vertex_bases(dim: int, irows: Sequence[Sequence[int]]) -> tuple[set, bool]:
     """Vertices of {u : <r[:dim], u> >= r[dim] for all integer rows r}, as
-    Cramer's reduced (nums, den) keys, by integer double description.
+    Cramer's reduced (nums, den) keys, by integer double description, and
+    whether the set is bounded (no direction recedes).
 
     The vertices are the extreme rays (nums, den) with den > 0 of the cone
-    {(u, lam) : <r[:dim], u> - r[dim] lam >= 0, lam >= 0}.  That cone is
-    pointed exactly when its rows have rank dim + 1; otherwise the set has
-    no vertex.  Its rows are added one at a time to the simplicial cone of
-    dim + 1 independent ones, whose rays are the signed columns of their
+    {(u, lam) : <r[:dim], u> - r[dim] lam >= 0, lam >= 0}, and those with
+    den = 0 recede.  That cone is pointed exactly when its rows have rank
+    dim + 1; otherwise the set has no vertex and a line recedes.  Its
+    rows are added one at a time to the simplicial cone of dim + 1
+    independent ones, whose rays are the signed columns of their
     adjugate.  A row keeps the rays on its side and joins each adjacent
     pair it separates; two rays are adjacent when no third ray is tight
     at every row tight at both.  Each ray is a primitive integer vector,
@@ -90,7 +95,7 @@ def _vertex_bases(dim: int, irows: Sequence[Sequence[int]]) -> set:
     size = dim + 1
     start = _independent_rows(cone, size)
     if start is None:
-        return set()
+        return set(), False
     d, cols = int_solve([cone[i] for i in start],
                         [[int(i == j) for i in range(size)] for j in range(size)])
     start_mask = sum(1 << i for i in start)
@@ -122,18 +127,51 @@ def _vertex_bases(dim: int, irows: Sequence[Sequence[int]]) -> set:
                 g = gcd(*ray)
                 kept.append(([a // g for a in ray], common | bit))
         rays = kept
-    return {(tuple(ray[:dim]), ray[dim]) for ray, _ in rays if ray[dim] > 0}
+    return ({(tuple(ray[:dim]), ray[dim]) for ray, _ in rays if ray[dim] > 0},
+            all(ray[dim] for ray, _ in rays))
 
 
 def enumerate_basic_feasible(dim: int, rows: Sequence[tuple[Sequence, object]]) -> list[Vec]:
     """Vertices of {u : <normal, u> >= offset for all rows}, lex sorted.
 
-    Rows may have rational normals.  Unbounded directions are not detected
-    here; callers that care run a recession-cone check first.
+    Rows may have rational normals.  The set may be unbounded, as a
+    Newton polyhedron is: its recession directions are not vertices.
     """
     irows = [rational_primitive((*nr, off)) for nr, off in rows]
     return sorted(tuple([Fraction(x, den) for x in nums])
-                  for nums, den in _vertex_bases(dim, irows))
+                  for nums, den in _vertex_bases(dim, irows)[0])
+
+
+def _common_denominator(keys) -> tuple[list[list[int]], int]:
+    """(pts, den): the points nums / d of _vertex_bases' (nums, d) keys as
+    integer vectors over their least common denominator den."""
+    den = lcm(*[d for _, d in keys])
+    return [[a * (den // d) for a in nums] for nums, d in keys], den
+
+
+def _tight_faces(dim: int, irows: Sequence[Sequence[int]],
+                 pts: Sequence[Sequence[int]], den: int) -> dict | None:
+    """The faces of conv(pts) that single rows cut out, pts scaled to
+    integers by den: {bitmask of the points a row is tight at: the first
+    such row}, over the rows with a nonzero normal tight at some point.
+    None when pts are flat: at most dim of them, or all tight at one row."""
+    if len(pts) <= dim:
+        return None
+    every = (1 << len(pts)) - 1
+    faces = {}
+    for r in irows:
+        if not any(r[:dim]):
+            continue
+        target = r[dim] * den
+        mask = 0
+        for i, p in enumerate(pts):
+            if sum(map(mul, r, p)) == target:
+                mask |= 1 << i
+        if mask == every:
+            return None
+        if mask:
+            faces.setdefault(mask, r)
+    return faces
 
 
 def _pulling_simplices(dim: int, irows: Sequence[Sequence[int]],
@@ -147,23 +185,10 @@ def _pulling_simplices(dim: int, irows: Sequence[Sequence[int]],
     indices of the first vertex of each face down a chain of facets, and
     none when some row is tight at every vertex (a flat set).
     """
-    if len(pts) <= dim:
+    tight_sets = _tight_faces(dim, irows, pts, den)
+    if tight_sets is None:
         return
     every = (1 << len(pts)) - 1
-    tight_sets = set()
-    for r in irows:
-        if not any(r[:dim]):
-            continue
-        target = r[dim] * den
-        mask = 0
-        for i, p in enumerate(pts):
-            if sum(map(mul, r, p)) == target:
-                mask |= 1 << i
-        if mask == every:
-            return
-        if mask:
-            tight_sets.add(mask)
-
     facets_of: dict[int, list[int]] = {}
     stack = [(every, ())]
     while stack:
@@ -188,23 +213,19 @@ def _simplex_det(pts: Sequence[Sequence[int]], simplex: Sequence[int]) -> int:
 
 
 def _pulled_volume(dim: int, irows: Sequence[Sequence[int]],
-                   keys: set) -> tuple[list[list[int]], int, int]:
-    """(pts, den, total) for {u : <r[:dim], u> >= r[dim]} and its vertex
-    keys from _vertex_bases: the vertices over one common denominator den,
-    and total = dim! vol den^dim, the integer |det| summed over a pulling
-    triangulation."""
-    den = lcm(*[d for _, d in keys])
-    pts = [[a * (den // d) for a in nums] for nums, d in keys]
+                   pts: Sequence[Sequence[int]], den: int) -> Fraction:
+    """Volume of {u : <r[:dim], u> >= r[dim]}, its vertices given as pts
+    over one common denominator den: the integer |det| summed over a
+    pulling triangulation, divided by dim! den^dim."""
     total = sum(abs(_simplex_det(pts, s)) for s in _pulling_simplices(dim, irows, pts, den))
-    return pts, den, total
+    return Fraction(total, factorial(dim) * den ** dim)
 
 
 def volume(dim: int, rows: Sequence[tuple[Sequence, object]]) -> Fraction:
     """Exact volume of the bounded set {u : <normal, u> >= offset for all
     rows}, off one vertex enumeration of its rows."""
     irows = [rational_primitive((*nr, off)) for nr, off in rows]
-    _, den, total = _pulled_volume(dim, irows, _vertex_bases(dim, irows))
-    return Fraction(total, factorial(dim) * den ** dim)
+    return _pulled_volume(dim, irows, *_common_denominator(_vertex_bases(dim, irows)[0]))
 
 
 def hull_facets(dim: int, vertices: Sequence[Vec]) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -254,23 +275,32 @@ class RationalPolytope:
 
     @classmethod
     def from_vertices(cls, dimension: int, vertices: Sequence[Sequence]) -> "RationalPolytope":
-        verts = sorted({tuple(Fraction(x) for x in v) for v in vertices})
-        ineqs = hull_facets(dimension, verts)
+        points = sorted({tuple(Fraction(x) for x in v) for v in vertices})
+        ineqs = hull_facets(dimension, points)
         if not ineqs:
             raise DegeneratePolytope(f"vertex set is not {dimension}-dimensional")
-        return cls(dimension, enumerate_basic_feasible(dimension, ineqs), ineqs)
+        return cls(dimension, [points[i] for (i,) in _lone_on_face(ineqs, points, 1)], ineqs)
 
     @classmethod
     def from_inequalities(cls, dimension: int, rows: Sequence[tuple[Sequence, object]]) -> "RationalPolytope":
-        norm_rows = [(tuple(Fraction(x) for x in nr), Fraction(off)) for nr, off in rows]
-        if _recession_cone_nontrivial(dimension, [nr for nr, _ in norm_rows]):
+        """Off one vertex enumeration; each facet is the maximal tight set
+        of some row, kept once: ((2, 0), 1) gives ((1, 0), 1/2)."""
+        irows = [rational_primitive([*map(Fraction, nr), Fraction(off)]) for nr, off in rows]
+        keys, bounded = _vertex_bases(dimension, irows)
+        if not bounded:
             raise UnboundedPolytope("inequality system has a nonzero recession direction")
-        verts = enumerate_basic_feasible(dimension, norm_rows)
-        ineqs = hull_facets(dimension, verts)
-        if not ineqs:
+        pts, den = _common_denominator(keys)
+        faces = _tight_faces(dimension, irows, pts, den)
+        if faces is None:
             raise DegeneratePolytope("inequality system has no "
                                      f"{dimension}-dimensional solution set")
-        return cls(dimension, verts, ineqs)
+        ineqs = []
+        for f, (*normal, off) in faces.items():
+            if not any(f != h and f & h == f for h in faces):
+                g = gcd(*normal)
+                ineqs.append((tuple([a // g for a in normal]), Fraction(off, g)))
+        verts = sorted(tuple([Fraction(a, den) for a in p]) for p in pts)
+        return cls(dimension, verts, sorted(ineqs))
 
     def bounding_box(self, scale: Fraction = Fraction(1)) -> tuple[list[int], list[int]]:
         lo = [_ceil(scale * min(v[i] for v in self.vertices)) for i in range(self.dimension)]
@@ -288,17 +318,6 @@ class RationalPolytope:
 
     def __repr__(self) -> str:
         return f"RationalPolytope(dim={self.dimension}, vertices={list(self.vertices)})"
-
-
-def _recession_cone_nontrivial(dim: int, normals: Sequence[Vec]) -> bool:
-    """True when {d : <normal, d> >= 0 for all normals} contains d != 0.
-
-    The cone is {0} exactly when 0 is interior to the convex hull of the
-    normals: the hull is full-dimensional and every facet offset is
-    strictly negative.
-    """
-    facets = hull_facets(dim, normals)
-    return not facets or any(off >= 0 for _, off in facets)
 
 
 def polytope_from_rays(dimension: int, rays: Sequence[Sequence[int]]) -> RationalPolytope:
@@ -343,24 +362,33 @@ def lattice_fibers(P: RationalPolytope, r) -> list[tuple[tuple[int, ...], int, i
 
 
 def euclidean_volume(P: RationalPolytope) -> Fraction:
-    """Exact Lebesgue volume via a pulling triangulation."""
-    return volume(P.dimension, P.inequalities)
+    """Exact Lebesgue volume via a pulling triangulation of P's own
+    vertices, with no vertex enumeration."""
+    irows = [rational_primitive((*nr, off)) for nr, off in P.inequalities]
+    den = lcm(*[x.denominator for v in P.vertices for x in v])
+    pts = [[int(x * den) for x in v] for v in P.vertices]
+    return _pulled_volume(P.dimension, irows, pts, den)
+
+
+def _lone_on_face(ineqs: Sequence[Ineq], points: Sequence[Vec],
+                  k: int) -> list[tuple[int, ...]]:
+    """Index k-tuples of points alone on the smallest face holding them,
+    the face the rows tight at all k cut out: k = 1 picks a polytope's
+    vertices among its points, and k = 2 its edges among its vertices."""
+    tight = [sum(1 << r for r, (nr, off) in enumerate(ineqs) if dot(nr, p) == off)
+             for p in points]
+    out = []
+    for subset in combinations(range(len(points)), k):
+        common = reduce(and_, [tight[i] for i in subset])
+        if sum(t & common == common for t in tight) == k:
+            out.append(subset)
+    return out
 
 
 def polytope_edges(P: RationalPolytope) -> list[tuple[int, int]]:
-    """Index pairs of vertices joined by an edge.
-
-    The rows tight at both vertices cut out the smallest face containing
-    both, and it is an edge exactly when no third vertex lies on it.
-    """
-    tight = [sum(1 << k for k, (nr, off) in enumerate(P.inequalities) if dot(nr, v) == off)
-             for v in P.vertices]
-    out = []
-    for i, j in combinations(range(len(tight)), 2):
-        common = tight[i] & tight[j]
-        if sum(t & common == common for t in tight) == 2:
-            out.append((i, j))
-    return out
+    """Index pairs of vertices joined by an edge: the pairs alone on the
+    smallest face holding them."""
+    return _lone_on_face(P.inequalities, P.vertices, 2)
 
 
 def _lifted_rows(dim: int, rows: Sequence[tuple[Sequence, object]],
@@ -392,7 +420,7 @@ def moving_volume_function(dim: int, rows: Sequence[tuple[Sequence, object]],
         at_x = [*rows, *[(a, x - b) for a, b in moving]]
         return factorial(dim) * volume(dim, at_x)
 
-    keys = _vertex_bases(dim + 1, _lifted_rows(dim, rows, moving))
+    keys, _ = _vertex_bases(dim + 1, _lifted_rows(dim, rows, moving))
     cuts = sorted({Fraction(0)} | {Fraction(nums[dim], den) for nums, den in keys})
     breakpoints, pieces, last = [cuts[0]], [], None
     for a, b in zip(cuts, cuts[1:]):
@@ -432,9 +460,9 @@ def moving_volume_integral(dim: int, rows: Sequence[tuple[Sequence, object]],
     lifted = _lifted_rows(dim, rows, moving)
     if cap is not None:
         lifted.append(rational_primitive((0,) * dim + (-1, -Fraction(cap))))
-    keys = _vertex_bases(dim + 1, lifted)
+    keys, _ = _vertex_bases(dim + 1, lifted)
     if not keys:
         return Fraction(0), Fraction(0)
-    pts, den, total = _pulled_volume(dim + 1, lifted, keys)
+    pts, den = _common_denominator(keys)
     return (Fraction(max(p[dim] for p in pts), den),
-            Fraction(total, (dim + 1) * den ** (dim + 1)))
+            factorial(dim) * _pulled_volume(dim + 1, lifted, pts, den))

@@ -16,10 +16,9 @@ from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Any, Mapping
 
-from .linalg import primitive
 from .model import ToricFanoModel, build_model
 from .piecewise import PiecewisePolynomial
-from .polytope import RationalPolytope, polytope_from_rays
+from .polytope import RationalPolytope
 from .subscheme import IdealSequenceOnXxA1, MonomialSubscheme
 
 DECIMAL_PLACES = 12
@@ -41,16 +40,17 @@ def parse_rational(text) -> Fraction:
     raise ValueError(f"not a rational: {text!r}")
 
 
-def decimal_string(value, places: int = DECIMAL_PLACES) -> str:
-    """Half-up decimal rendering of a rational, exact in integers."""
+def decimal_string(value) -> str:
+    """Half-up decimal rendering of a rational to DECIMAL_PLACES places,
+    exact in integers."""
     q = Fraction(value)
-    scaled = abs(q) * 10 ** places
+    scaled = abs(q) * 10 ** DECIMAL_PLACES
     units = scaled.numerator // scaled.denominator
     if 2 * (scaled - units) >= 1:
         units += 1
     sign = "-" if q < 0 and units else ""
-    whole, frac = divmod(units, 10 ** places)
-    return f"{sign}{whole}.{str(frac).zfill(places)}"
+    whole, frac = divmod(units, 10 ** DECIMAL_PLACES)
+    return f"{sign}{whole}.{str(frac).zfill(DECIMAL_PLACES)}"
 
 
 def rational_entry(value) -> dict:
@@ -100,26 +100,11 @@ def dump_report(obj, path: str) -> str:
 # ---------------------------------------------------------------------------
 # polytopes and models
 
-def polytope_to_dict(P: RationalPolytope) -> dict:
-    return {"dim": P.dimension,
-            "vertices": [[format_rational(c) for c in v] for v in P.vertices]}
-
-
-def polytope_from_dict(data: Mapping) -> RationalPolytope:
-    """Accepts either the ray form or the vertex form."""
-    dim = int(data["dim"])
-    if "rays" in data:
-        return polytope_from_rays(
-            dim, [tuple(int(x) for x in r) for r in data["rays"]])
-    if "vertices" in data:
-        verts = [[parse_rational(c) for c in v] for v in data["vertices"]]
-        return RationalPolytope.from_vertices(dim, verts)
-    raise ValueError("polytope data needs a 'rays' or 'vertices' key")
-
-
 def model_to_dict(X: ToricFanoModel) -> dict:
-    d = polytope_to_dict(X.polytope)
-    d.update({"rays": [list(r) for r in X.rays], "r0": X.r0})
+    P = X.polytope
+    d = {"dim": P.dimension,
+         "vertices": [[format_rational(c) for c in v] for v in P.vertices],
+         "rays": [list(r) for r in X.rays], "r0": X.r0}
     if X.name:
         d["name"] = X.name
     return d
@@ -132,16 +117,17 @@ def model_from_dict(data: Mapping) -> ToricFanoModel:
     if "rays" in data:
         rays = [tuple(int(x) for x in r) for r in data["rays"]]
     elif "vertices" in data:
-        P = polytope_from_dict({"dim": dim, "vertices": data["vertices"]})
+        P = RationalPolytope.from_vertices(
+            dim, [[parse_rational(c) for c in v] for v in data["vertices"]])
+        # facet normals are primitive, so each is a ray exactly when its
+        # offset is -1
         rays = []
         for nr, off in P.inequalities:
-            ray = primitive(nr)
-            scale = next(Fraction(a, b) for a, b in zip(nr, ray) if b)
-            if off != -scale:
+            if off != -1:
                 raise ValueError(
                     f"facet normal {nr} has offset {off}: the vertices do "
                     f"not cut out an anticanonical polytope")
-            rays.append(ray)
+            rays.append(nr)
     else:
         raise ValueError("model data needs a 'rays' or 'vertices' key")
     X = build_model(dim, rays, name=name)

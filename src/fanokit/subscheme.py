@@ -97,10 +97,9 @@ class MonomialSubscheme:
                                  chart_gens=acc.chart_gens, boundary_ray=None)
 
 
-def product(a: MonomialSubscheme, b: MonomialSubscheme,
-            label: str | None = None) -> MonomialSubscheme:
-    """Chartwise product ideal: unit times I is I, zero times I is zero.
-    Labelled a*b unless a label is given."""
+def product(a: MonomialSubscheme, b: MonomialSubscheme) -> MonomialSubscheme:
+    """Chartwise product ideal, labelled a*b: unit times I is I, zero
+    times I is zero."""
     gens: dict[int, Gens] = {}
     for idx in {**a.chart_gens, **b.chart_gens}:
         ga, gb = a.gens_on(idx), b.gens_on(idx)
@@ -110,7 +109,7 @@ def product(a: MonomialSubscheme, b: MonomialSubscheme,
             gens[idx] = ()
         else:
             gens[idx] = tuple(lattice.minkowski_sum(ga, gb))
-    return MonomialSubscheme(label=label or f"{a.label}*{b.label}",
+    return MonomialSubscheme(label=f"{a.label}*{b.label}",
                              dimension=a.dimension, chart_gens=gens)
 
 

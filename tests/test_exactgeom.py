@@ -104,6 +104,61 @@ def hull_inputs(draw):
     return n, points
 
 
+@st.composite
+def row_systems(draw):
+    """(dim, rows, bounded) in dims 1 to 3.  A bounded system holds the
+    rows of a box; an unbounded one has every normal a with <a, d> >= 0
+    for a drawn d != 0, so d recedes.  Both get random rational rows (a
+    bounded system may end up flat or empty), exact duplicates, rescaled
+    copies and zero normals."""
+    n = draw(st.integers(1, 3))
+    entry = st.fractions(-3, 3, max_denominator=3)
+    extra = draw(st.lists(st.tuples(st.tuples(*[entry] * n), entry), max_size=3))
+    bounded = draw(st.booleans())
+    if bounded:
+        lo = draw(st.lists(st.integers(-3, 0), min_size=n, max_size=n))
+        hi = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+        rows = [(tuple(F(int(i == j)) for j in range(n)), F(lo[i])) for i in range(n)]
+        rows += [(tuple(F(-int(i == j)) for j in range(n)), F(-hi[i])) for i in range(n)]
+    else:
+        d = draw(st.tuples(*[st.integers(-1, 1)] * n).filter(any))
+        rows = [(nr, off) if sum(a * b for a, b in zip(nr, d)) >= 0
+                else (tuple(-a for a in nr), off) for nr, off in extra]
+        extra = []
+    rows += extra
+    rows += [((F(0),) * n, draw(st.integers(-2, 0)))] * draw(st.integers(0, 1))
+    for i, c in draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                        st.sampled_from([1, 2, F(1, 3)])), max_size=2)
+                     if rows else st.just([])):
+        nr, off = rows[i]
+        rows.append((tuple(c * a for a in nr), c * off))
+    return n, draw(st.permutations(rows)), bounded
+
+
+class TestFromInequalities:
+    @given(row_systems())
+    @settings(max_examples=80, deadline=None)
+    @example((2, [((2, 0), 1), ((-1, 0), -3), ((0, 1), 0), ((0, -1), -1)], True))  # x >= 1/2
+    @example((2, [((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), -1)], True))  # flat
+    @example((1, [((1,), 1), ((-1,), 0)], True))                                   # empty
+    @example((2, [((0, 0), 1), ((1, 0), 0), ((-1, 0), -1)], False))  # a strip, infeasible
+    def test_matches_longhand_hull_of_the_vertices(self, system):
+        n, rows, bounded = system
+        if not bounded:
+            with pytest.raises(UnboundedPolytope):
+                RationalPolytope.from_inequalities(n, rows)
+            return
+        vertices = helpers.basic_feasible_points(n, rows)
+        facets = helpers.hull_facets_longhand(n, vertices)
+        if facets is None:
+            with pytest.raises(DegeneratePolytope):
+                RationalPolytope.from_inequalities(n, rows)
+            return
+        P = RationalPolytope.from_inequalities(n, rows)
+        assert list(P.vertices) == vertices
+        assert list(P.inequalities) == facets
+
+
 class TestPolarHull:
     @given(hull_inputs())
     @settings(max_examples=80, deadline=None)

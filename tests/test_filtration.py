@@ -219,10 +219,10 @@ class TestSaturate:
         for r in (1, 2):
             indices = set()
             for x in range(r * F.e_minus, r * F.e_plus + 2):
-                index = F.level_step(r, x)
-                indices.add(index)
-                label = f"sat(r={r},step={index})"
-                assert saturate(F, r, x) == saturate_points(X, r, F.value(r, x), label)
+                indices.add(F.level_step(r, x))
+                ideal, closure = saturate(F, r, x)
+                again, closure2 = saturate_points(X, r, F.value(r, x))
+                assert (again.chart_gens, closure2) == (ideal.chart_gens, closure)
             assert indices == set(range(max(indices) + 1))
 
     def test_tables_refuse_past_the_cell_cap(self, monkeypatch):
@@ -387,6 +387,22 @@ class TestMembership:
         ideal, closure = saturate(F, 1, 1)
         assert dict(ideal.chart_gens) == {0: ((0, 1),), 1: ((0, 2), (1, 1))}
         assert closure == F.value(1, 1)
+
+    def test_ray_alone_reads_as_its_divisor(self):
+        # no chart generators: every level reads the ray's pairing column
+        X = catalog_model("P112")
+        bare = MonomialSubscheme(label="bare", dimension=2, boundary_ray=(1, 0))
+        report = compute_d_infty(ideal_power_filtration(X, bare), r_list=(1, 2))
+        divisor = boundary_divisor_subscheme(X, (1, 0))
+        assert report == compute_d_infty(ideal_power_filtration(X, divisor), r_list=(1, 2))
+        assert report.d_samples == ((1, Fraction(-8, 3)), (2, Fraction(-8, 3)))
+
+    def test_ray_of_another_fan_refused(self):
+        X = catalog_model("P2")
+        far = MonomialSubscheme(label="far", dimension=2, boundary_ray=(1, 1))
+        F = ideal_power_filtration(X, far)
+        with pytest.raises(UnsupportedSubscheme, match="not a ray"):
+            F.value(1, 1)
 
     def test_zero_chart_keeps_nothing(self):
         X = catalog_model("P2")

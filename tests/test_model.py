@@ -5,8 +5,9 @@ from math import factorial
 
 import pytest
 
+import fanokit.polytope as polytope_mod
 from fanokit.errors import NotFano, NotSmoothChart
-from fanokit.model import (anticanonical_volume, build_model, catalog,
+from fanokit.model import (CATALOG_RAYS, anticanonical_volume, build_model, catalog,
                            catalog_model, section_count)
 
 import helpers
@@ -23,6 +24,23 @@ class TestCatalog:
     def test_volumes(self):
         for name, vol in EXPECTED_VOLUMES.items():
             assert anticanonical_volume(catalog_model(name)) == vol, name
+
+    def test_one_vertex_enumeration_per_model(self, monkeypatch):
+        # the facets, boundedness and volume all come off the vertices of
+        # the ray rows, enumerated once
+        real = polytope_mod._vertex_bases
+        calls = []
+
+        def counted(dim, irows):
+            calls.append(dim)
+            return real(dim, irows)
+
+        monkeypatch.setattr(polytope_mod, "_vertex_bases", counted)
+        for name, rays in CATALOG_RAYS.items():
+            calls.clear()
+            X = build_model(len(rays[0]), rays, name=name)
+            assert anticanonical_volume(X) == EXPECTED_VOLUMES[name]
+            assert calls == [X.dimension], name
 
     def test_volume_bound_dim_le_3(self):
         for name, X in catalog().items():

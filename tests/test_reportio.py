@@ -16,8 +16,7 @@ from hypothesis import strategies as st
 from fanokit.model import build_model, catalog_model
 from fanokit.reportio import (decimal_string, dump_report, dumps_report,
                               format_rational, model_from_dict, model_to_dict,
-                              parse_rational, polytope_from_dict,
-                              polytope_to_dict, profile_csv_rows,
+                              parse_rational, profile_csv_rows,
                               rational_entry, sequence_from_dict,
                               subscheme_from_dict,
                               to_jsonable,
@@ -112,8 +111,11 @@ class TestToJsonable:
 
 class TestModelFiles:
     def test_polytope_round_trip(self):
-        P = catalog_model("dP6").polytope
-        assert polytope_from_dict(polytope_to_dict(P)) == P
+        X = catalog_model("dP6")
+        data = model_to_dict(X)
+        Y = model_from_dict({"dim": data["dim"], "vertices": data["vertices"]})
+        assert Y.polytope == X.polytope
+        assert Y.polytope.inequalities == X.polytope.inequalities
 
     def test_model_round_trip_via_rays(self):
         X = catalog_model("P1xP2")
