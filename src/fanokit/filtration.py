@@ -66,8 +66,8 @@ from .linalg import Vec, matmul_vec, transpose
 from .model import ToricFanoModel, anticanonical_volume
 from .polytope import lattice_fibers, lattice_points, moving_volume_integral
 from .subscheme import (IdealSequenceOnXxA1, LevelTable, MonomialSubscheme,
-                        _subscheme_contains, _tagged_table, power_table,
-                        product_dual_vertices)
+                        _minimal_subscheme, _subscheme_contains, _tagged_table,
+                        power_table, product_dual_vertices)
 from .volumes import blowup_volume_integral
 
 IDEAL_POWER = "ideal-power"
@@ -191,14 +191,19 @@ class FiltrationSpec:
         clipped to that box: a generator with an entry above its column's
         maximum holds no vector read and is dropped, so generators of high
         degree cost no cells; where no chart is active every row holds the
-        section."""
+        section.  A row with a boundary ray holds only the sections whose
+        pairing column is positive, those vanishing along the ray's
+        divisor, so the first row with a given ray caps ord below its
+        index where that column is 0."""
         r = int(r)
         if r not in self._orders:
             X = self.X
             if self.kind == IDEAL_POWER:
                 Z = self.subscheme
                 _check_arity(X, Z)
-                charts, top, ray = Z.active_chart_indices(), inf, Z.boundary_ray
+                charts, top = Z.active_chart_indices(), inf
+                # boundary ray -> the first row it carries; None: the column is the cap
+                caps = {} if Z.boundary_ray is None else {Z.boundary_ray: None}
 
                 def table(c: int, columns: list[list[int]]) -> LevelTable:
                     return power_table(Z.chart_gens[c], [max(col, default=0) for col in columns])
@@ -208,7 +213,10 @@ class FiltrationSpec:
                 for ideal in given:
                     _check_arity(X, ideal)
                 charts = sorted(set().union(*(s.chart_gens for s in given)))
-                top, ray = len(ideals), None
+                top, caps = len(ideals), {}
+                for i, ideal in enumerate(ideals, start=1):
+                    if ideal is not None and ideal.boundary_ray is not None:
+                        caps.setdefault(ideal.boundary_ray, i)
 
                 def table(c: int, columns: list[list[int]]) -> LevelTable:
                     bound = [max(col, default=0) for col in columns]
@@ -220,8 +228,10 @@ class FiltrationSpec:
                     return _tagged_table(len(bound), tags)
             fibers, level = self.fibers(r), r * X.r0
             levels = _least_levels(X, fibers, level, top, charts, table)
-            if ray is not None:
-                levels = map(min, levels, _pairing_column(ray, fibers, level))
+            for ray, i in caps.items():
+                column = _pairing_column(ray, fibers, level)
+                levels = map(min, levels,
+                             column if i is None else [top if p else i - 1 for p in column])
             self._orders[r] = list(levels)
         return self._orders[r]
 
@@ -347,19 +357,25 @@ def _saturation(X: ToricFanoModel, sections: tuple[Point, ...], tables: Saturate
     corners that minimally generate {level >= i}, and the sections whose
     saturated index is >= i.  No such section gives the zero ideal on
     every chart and an empty closure; all of them, the unit ideal, as
-    every chart's vertex section has image 0."""
+    every chart's vertex section has image 0.  The corners come minimal
+    and in lex order, so the ideal is not minimalised again; a chart
+    whose first corner is the origin, its only one then, is unit and
+    left out."""
     saturated, corners = tables
-    chart_gens = {c: tuple(e for e, lo, j in cs if lo < i <= j) for c, cs in corners.items()}
+    chart_gens = {}
+    for c, cs in corners.items():
+        gens = tuple(e for e, lo, j in cs if lo < i <= j)
+        if not gens or any(gens[0]):
+            chart_gens[c] = gens
     closure = tuple(compress(sections, map(ge, saturated, repeat(i))))
-    return MonomialSubscheme(label=label, dimension=X.dimension,
-                             chart_gens=chart_gens), closure
+    return _minimal_subscheme(label, X.dimension, chart_gens), closure
 
 
 def saturate(F: FiltrationSpec, r: int, x) -> tuple[MonomialSubscheme, tuple[Point, ...]]:
     """I_(r,x) generated by F^x V_r, plus the saturated value itself.
     Both read the saturated tables at r, built once from the orders: at
-    the step's index i the ideal is each chart's corners at level >= i,
-    minimalised, and the value the sections of saturated index >= i.
+    the step's index i the ideal is each chart's minimal corners of
+    level >= i, and the value the sections of saturated index >= i.
     Step 0 is all of V_r, with the unit ideal.  Levels x in one step
     share one saturation, cached and labelled by r and the index."""
     r = int(r)

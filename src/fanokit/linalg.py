@@ -6,7 +6,8 @@ rows at most).  The geometry scales its rows to integers
 fraction-free (Bareiss) elimination of a square system with any number
 of right-hand sides and returns the determinant d with d times each
 solution, the numerators of Cramer's rule; int_det is its d, written out
-for 2 x 2 and 3 x 3.  Callers divide once, at the end, if at all.
+up to 4 x 4, the simplices of a lifted 3-fold region.  Callers divide
+once, at the end, if at all.
 solve, Gauss-Jordan elimination over fractions.Fraction, is the
 independent reference that the tests hold that integer route against.
 The integer paths build tuples and star-arguments from lists, not
@@ -32,8 +33,9 @@ def dot(a: Sequence, b: Sequence) -> Fraction:
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix: expanded up to 3 x 3, else
-    int_solve's d."""
+    """Determinant of a square integer matrix: expanded up to 4 x 4, else
+    int_solve's d.  4 x 4 is the Laplace expansion along its first two
+    rows, six products of 2 x 2 minors."""
     n = len(rows)
     if n == 2:
         (a, b), (c, d) = rows
@@ -41,6 +43,14 @@ def int_det(rows: Sequence[Sequence[int]]) -> int:
     if n == 3:
         (a, b, c), (d, e, f), (g, h, i) = rows
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 4:
+        (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+        return ((a0 * b1 - a1 * b0) * (c2 * d3 - c3 * d2)
+                - (a0 * b2 - a2 * b0) * (c1 * d3 - c3 * d1)
+                + (a0 * b3 - a3 * b0) * (c1 * d2 - c2 * d1)
+                + (a1 * b2 - a2 * b1) * (c0 * d3 - c3 * d0)
+                - (a1 * b3 - a3 * b1) * (c0 * d2 - c2 * d0)
+                + (a2 * b3 - a3 * b2) * (c0 * d1 - c1 * d0))
     return int_solve(rows, ())[0]
 
 

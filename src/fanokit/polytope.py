@@ -14,11 +14,16 @@ are the vertices, while a ray with last entry 0 is a recession
 direction.  Its work follows the rays it meets, not the n-subsets of the
 rows, most of which are not vertices.  A polytope is enumerated once,
 and its faces are read off which rows are tight at which vertices
-(Ziegler, *Lectures on Polytopes*): the facets are the rows with maximal
-tight sets, and a pulling triangulation sums integer simplex
-determinants down chains of facets.  Only points need a hull: the facets
-of conv(V) are the vertices of its polar about an interior point.  A
-region whose rows move linearly in a parameter x is the slice at x of
+(Ziegler, *Lectures on Polytopes*), incidences the enumeration keeps as
+it goes, one bitmask of tight rows per vertex, so no row is tested at a
+vertex afterwards: the facets are the rows with maximal tight sets, and
+a pulling triangulation sums integer simplex determinants down chains
+of facets.  Rows are tested at points by dot products (_incidences) only
+where no enumeration met the points: euclidean_volume of a polytope's
+own vertices, the vertices and edges picked among given points, and the
+constructor's check.  Only points need a hull: the facets of conv(V)
+are the vertices of its polar about an interior point.  A region whose
+rows move linearly in a parameter x is the slice at x of
 the region lifted to (u, x) and cut by x >= 0, and one vertex
 enumeration of those lifted rows in dim + 1 variables serves both
 readers of such a region.  The integral of the slice volumes over x
@@ -75,10 +80,11 @@ def _independent_rows(rows: Sequence[Sequence[int]], size: int) -> list[int] | N
     return None
 
 
-def _vertex_bases(dim: int, irows: Sequence[Sequence[int]]) -> tuple[set, bool]:
+def _vertex_bases(dim: int, irows: Sequence[Sequence[int]]) -> tuple[dict, bool]:
     """Vertices of {u : <r[:dim], u> >= r[dim] for all integer rows r}, as
-    Cramer's reduced (nums, den) keys, by integer double description, and
-    whether the set is bounded (no direction recedes).
+    Cramer's reduced (nums, den) keys, each mapped to the bitmask of the
+    rows tight at it (bit k for irows[k]), by integer double description,
+    and whether the set is bounded (no direction recedes).
 
     The vertices are the extreme rays (nums, den) with den > 0 of the cone
     {(u, lam) : <r[:dim], u> - r[dim] lam >= 0, lam >= 0}, and those with
@@ -89,13 +95,16 @@ def _vertex_bases(dim: int, irows: Sequence[Sequence[int]]) -> tuple[set, bool]:
     adjugate.  A row keeps the rays on its side and joins each adjacent
     pair it separates; two rays are adjacent when no third ray is tight
     at every row tight at both.  Each ray is a primitive integer vector,
-    kept with the bitmask of the rows it is tight at.
+    kept with the bitmask of the rows it is tight at.  That mask is exact:
+    a joined ray is tight at an earlier row exactly when both its parents
+    are, since it is a positive combination of them, and at the joining
+    row by construction.
     """
     cone = [(0,) * dim + (1,)] + [(*r[:dim], -r[dim]) for r in irows]
     size = dim + 1
     start = _independent_rows(cone, size)
     if start is None:
-        return set(), False
+        return {}, False
     d, cols = int_solve([cone[i] for i in start],
                         [[int(i == j) for i in range(size)] for j in range(size)])
     start_mask = sum(1 << i for i in start)
@@ -127,7 +136,7 @@ def _vertex_bases(dim: int, irows: Sequence[Sequence[int]]) -> tuple[set, bool]:
                 g = gcd(*ray)
                 kept.append(([a // g for a in ray], common | bit))
         rays = kept
-    return ({(tuple(ray[:dim]), ray[dim]) for ray, _ in rays if ray[dim] > 0},
+    return ({(tuple(ray[:dim]), ray[dim]): z >> 1 for ray, z in rays if ray[dim] > 0},
             all(ray[dim] for ray, _ in rays))
 
 
@@ -149,35 +158,56 @@ def _common_denominator(keys) -> tuple[list[list[int]], int]:
     return [[a * (den // d) for a in nums] for nums, d in keys], den
 
 
-def _tight_faces(dim: int, irows: Sequence[Sequence[int]],
-                 pts: Sequence[Sequence[int]], den: int) -> dict | None:
-    """The faces of conv(pts) that single rows cut out, pts scaled to
-    integers by den: {bitmask of the points a row is tight at: the first
-    such row}, over the rows with a nonzero normal tight at some point.
-    None when pts are flat: at most dim of them, or all tight at one row."""
-    if len(pts) <= dim:
+def _incidences(irows: Sequence[Sequence], pts: Sequence[Sequence], den) -> list[int]:
+    """For each point p / den, the bitmask of the rows r tight at it,
+    <r[:-1], p> = r[-1] den, by dot products: the incidences of points
+    that no vertex enumeration met."""
+    return [sum([1 << k for k, r in enumerate(irows) if sum(map(mul, r, p)) == r[-1] * den])
+            for p in pts]
+
+
+def _tight_faces(dim: int, irows: Sequence[Sequence[int]], masks) -> dict | None:
+    """The faces that single rows cut out of the convex hull of points
+    0, 1, ..., masks[i] the bitmask of the rows tight at point i:
+    {bitmask of the points a row is tight at: the first such row}, over
+    the rows with a nonzero normal tight at some point, read by
+    transposing the masks.  None when the points are flat: at most dim of
+    them, or all tight at one row."""
+    if len(masks) <= dim:
         return None
-    every = (1 << len(pts)) - 1
+    tight = [0] * len(irows)
+    for i, z in enumerate(masks):
+        bit = 1 << i
+        while z:
+            low = z & -z
+            tight[low.bit_length() - 1] |= bit
+            z ^= low
+    every = (1 << len(masks)) - 1
     faces = {}
-    for r in irows:
-        if not any(r[:dim]):
-            continue
-        target = r[dim] * den
-        mask = 0
-        for i, p in enumerate(pts):
-            if sum(map(mul, r, p)) == target:
-                mask |= 1 << i
-        if mask == every:
-            return None
-        if mask:
+    for mask, r in zip(tight, irows):
+        if mask and any(r[:dim]):
+            if mask == every:
+                return None
             faces.setdefault(mask, r)
     return faces
 
 
-def _pulling_simplices(dim: int, irows: Sequence[Sequence[int]],
-                       pts: Sequence[Sequence[int]], den: int):
-    """Pulling triangulation of {u : <r[:dim], u> >= r[dim]} from ``pts``,
-    every vertex of that set once, scaled to integers by den.
+def _maximal(sets) -> list[int]:
+    """The distinct bitmasks ``sets`` that no other one contains: taken in
+    decreasing size, each is kept unless a kept one contains it."""
+    kept: list[int] = []
+    for f in sorted(sets, key=int.bit_count, reverse=True):
+        for g in kept:
+            if f & g == f:
+                break
+        else:
+            kept.append(f)
+    return kept
+
+
+def _pulling_simplices(dim: int, irows: Sequence[Sequence[int]], masks):
+    """Pulling triangulation of {u : <r[:dim], u> >= r[dim]} from its
+    vertices 0, 1, ..., masks[i] the bitmask of the rows tight at vertex i.
 
     Each face is a set of vertices, and the facets of a face F are the
     maximal proper nonempty sets F ∩ {row tight} (rows with a zero normal
@@ -185,10 +215,10 @@ def _pulling_simplices(dim: int, irows: Sequence[Sequence[int]],
     indices of the first vertex of each face down a chain of facets, and
     none when some row is tight at every vertex (a flat set).
     """
-    tight_sets = _tight_faces(dim, irows, pts, den)
+    tight_sets = _tight_faces(dim, irows, masks)
     if tight_sets is None:
         return
-    every = (1 << len(pts)) - 1
+    every = (1 << len(masks)) - 1
     facets_of: dict[int, list[int]] = {}
     stack = [(every, ())]
     while stack:
@@ -201,8 +231,7 @@ def _pulling_simplices(dim: int, irows: Sequence[Sequence[int]],
         facets = facets_of.get(face)
         if facets is None:
             faces = {face & m for m in tight_sets} - {face, 0}
-            facets = [f for f in faces if not f & apex_bit
-                      and not any(f != g and f & g == f for g in faces)]
+            facets = [f for f in _maximal(faces) if not f & apex_bit]
             facets_of[face] = facets
         stack.extend((f, chain) for f in facets)
 
@@ -213,11 +242,11 @@ def _simplex_det(pts: Sequence[Sequence[int]], simplex: Sequence[int]) -> int:
 
 
 def _pulled_volume(dim: int, irows: Sequence[Sequence[int]],
-                   pts: Sequence[Sequence[int]], den: int) -> Fraction:
+                   pts: Sequence[Sequence[int]], masks, den: int) -> Fraction:
     """Volume of {u : <r[:dim], u> >= r[dim]}, its vertices given as pts
-    over one common denominator den: the integer |det| summed over a
-    pulling triangulation, divided by dim! den^dim."""
-    total = sum(abs(_simplex_det(pts, s)) for s in _pulling_simplices(dim, irows, pts, den))
+    over one common denominator den, with their row masks: the integer
+    |det| summed over a pulling triangulation, divided by dim! den^dim."""
+    total = sum(abs(_simplex_det(pts, s)) for s in _pulling_simplices(dim, irows, masks))
     return Fraction(total, factorial(dim) * den ** dim)
 
 
@@ -225,7 +254,9 @@ def volume(dim: int, rows: Sequence[tuple[Sequence, object]]) -> Fraction:
     """Exact volume of the bounded set {u : <normal, u> >= offset for all
     rows}, off one vertex enumeration of its rows."""
     irows = [rational_primitive((*nr, off)) for nr, off in rows]
-    return _pulled_volume(dim, irows, *_common_denominator(_vertex_bases(dim, irows)[0]))
+    keys, _ = _vertex_bases(dim, irows)
+    pts, den = _common_denominator(keys)
+    return _pulled_volume(dim, irows, pts, keys.values(), den)
 
 
 def hull_facets(dim: int, vertices: Sequence[Vec]) -> list[tuple[tuple[int, ...], Fraction]]:
@@ -267,7 +298,9 @@ class RationalPolytope:
         for v in self.vertices:
             if len(v) != n:
                 raise ValueError(f"vertex arity {len(v)} != {n}")
-            tight = sum(1 for nr, off in self.inequalities if dot(nr, v) == off)
+        rows = [(*nr, off) for nr, off in self.inequalities]
+        for v, z in zip(self.vertices, _incidences(rows, self.vertices, 1)):
+            tight = z.bit_count()
             if tight < n:
                 raise ValueError(f"vertex {v} tight on only {tight} inequalities")
             if any(dot(nr, v) < off for nr, off in self.inequalities):
@@ -289,17 +322,16 @@ class RationalPolytope:
         keys, bounded = _vertex_bases(dimension, irows)
         if not bounded:
             raise UnboundedPolytope("inequality system has a nonzero recession direction")
-        pts, den = _common_denominator(keys)
-        faces = _tight_faces(dimension, irows, pts, den)
+        faces = _tight_faces(dimension, irows, keys.values())
         if faces is None:
             raise DegeneratePolytope("inequality system has no "
                                      f"{dimension}-dimensional solution set")
         ineqs = []
-        for f, (*normal, off) in faces.items():
-            if not any(f != h and f & h == f for h in faces):
-                g = gcd(*normal)
-                ineqs.append((tuple([a // g for a in normal]), Fraction(off, g)))
-        verts = sorted(tuple([Fraction(a, den) for a in p]) for p in pts)
+        for f in _maximal(faces):
+            *normal, off = faces[f]
+            g = gcd(*normal)
+            ineqs.append((tuple([a // g for a in normal]), Fraction(off, g)))
+        verts = sorted(tuple([Fraction(a, d) for a in nums]) for nums, d in keys)
         return cls(dimension, verts, sorted(ineqs))
 
     def bounding_box(self, scale: Fraction = Fraction(1)) -> tuple[list[int], list[int]]:
@@ -367,7 +399,7 @@ def euclidean_volume(P: RationalPolytope) -> Fraction:
     irows = [rational_primitive((*nr, off)) for nr, off in P.inequalities]
     den = lcm(*[x.denominator for v in P.vertices for x in v])
     pts = [[int(x * den) for x in v] for v in P.vertices]
-    return _pulled_volume(P.dimension, irows, pts, den)
+    return _pulled_volume(P.dimension, irows, pts, _incidences(irows, pts, den), den)
 
 
 def _lone_on_face(ineqs: Sequence[Ineq], points: Sequence[Vec],
@@ -375,8 +407,7 @@ def _lone_on_face(ineqs: Sequence[Ineq], points: Sequence[Vec],
     """Index k-tuples of points alone on the smallest face holding them,
     the face the rows tight at all k cut out: k = 1 picks a polytope's
     vertices among its points, and k = 2 its edges among its vertices."""
-    tight = [sum(1 << r for r, (nr, off) in enumerate(ineqs) if dot(nr, p) == off)
-             for p in points]
+    tight = _incidences([(*nr, off) for nr, off in ineqs], points, 1)
     out = []
     for subset in combinations(range(len(points)), k):
         common = reduce(and_, [tight[i] for i in subset])
@@ -465,4 +496,4 @@ def moving_volume_integral(dim: int, rows: Sequence[tuple[Sequence, object]],
         return Fraction(0), Fraction(0)
     pts, den = _common_denominator(keys)
     return (Fraction(max(p[dim] for p in pts), den),
-            factorial(dim) * _pulled_volume(dim + 1, lifted, pts, den))
+            factorial(dim) * _pulled_volume(dim + 1, lifted, pts, keys.values(), den))

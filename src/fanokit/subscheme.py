@@ -97,6 +97,15 @@ class MonomialSubscheme:
                                  chart_gens=acc.chart_gens, boundary_ray=None)
 
 
+def _minimal_subscheme(label: str, dimension: int,
+                       chart_gens: dict[int, Gens]) -> MonomialSubscheme:
+    """A subscheme whose chart generators are already in normal form,
+    minimal, lex sorted and no chart unit, so none is minimalised again."""
+    Z = MonomialSubscheme(label=label, dimension=dimension)
+    object.__setattr__(Z, "chart_gens", chart_gens)
+    return Z
+
+
 def product(a: MonomialSubscheme, b: MonomialSubscheme) -> MonomialSubscheme:
     """Chartwise product ideal, labelled a*b: unit times I is I, zero
     times I is zero."""

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import fanokit.polytope as polytope_mod
 from fanokit import lattice
 from fanokit.errors import DegeneratePolytope, OutOfDomain, UnboundedPolytope
-from fanokit.linalg import int_det, int_solve, solve
+from fanokit.linalg import int_det, int_solve, rational_primitive, solve
 from fanokit.model import CATALOG_RAYS, catalog_model
 from fanokit.oracles import bruteforce_lct
 from fanokit.piecewise import PiecewisePolynomial, fit_polynomial, poly_eval, poly_trim
@@ -157,6 +158,44 @@ class TestFromInequalities:
         P = RationalPolytope.from_inequalities(n, rows)
         assert list(P.vertices) == vertices
         assert list(P.inequalities) == facets
+
+
+class TestIncidences:
+    @given(row_systems())
+    @settings(max_examples=80, deadline=None)
+    # the zero row is tight at every vertex, and so at every ray
+    @example((2, [((1, 1), -2), ((0, 0), 0), ((-1, 2), 0), ((-1, 0), -1), ((-1, 0), 0)], True))
+    @example((4, [(e, 0) for e in product((0, 1), repeat=4) if sum(e) == 1]  # unbounded
+              + [((1, 1, 1, 1), 1), ((1, -1, 1, -1), -1)], False))          # in dim 4
+    def test_vertex_masks_are_the_tight_rows(self, system):
+        # each vertex's mask from the enumeration against the rows tight
+        # at the longhand vertices, in Fractions
+        n, rows, _ = system
+        irows = [rational_primitive((*nr, off)) for nr, off in rows]
+        keys, _ = polytope_mod._vertex_bases(n, irows)
+        masks = {tuple(F(a, d) for a in nums): z for (nums, d), z in keys.items()}
+        assert masks == {
+            v: sum(1 << k for k, (nr, off) in enumerate(rows)
+                   if sum(F(a) * x for a, x in zip(nr, v)) == off)
+            for v in helpers.basic_feasible_points(n, rows)}
+
+    def test_enumerated_volumes_take_no_dot_products(self, monkeypatch):
+        # volume and moving_volume_integral read their incidences off the
+        # enumeration; only euclidean_volume, which enumerates nothing,
+        # tests rows at points
+        def region():
+            return (volume(3, CUBE.inequalities), volume(2, UNIT_SQUARE_ROWS),
+                    moving_volume_integral(3, CUBE.inequalities, [((1, 1, 1), 12)]),
+                    moving_volume_integral(2, TRIANGLE.inequalities, [], cap=F(1, 2)))
+
+        def refuse(*args):
+            raise AssertionError("dot-product incidences")
+
+        expected = region()
+        monkeypatch.setattr(polytope_mod, "_incidences", refuse)
+        assert region() == expected
+        with pytest.raises(AssertionError, match="dot-product"):
+            euclidean_volume(CUBE)
 
 
 class TestPolarHull:
@@ -448,6 +487,15 @@ class TestBasicFeasible:
     @example(([[1, 2, 3], [2, 4, 6], [0, 1, 1]], [[1, 0, 0], [0, 0, 0]]))  # singular
     @example(([[0, 0], [0, 0]], [[1, 1]]))
     @example(([[3]], [[2], [-6], [0]]))
+    @example(([[0, 1, 2, 3], [4, 0, 1, 2], [3, 5, 0, 1], [2, 3, 4, 0]],   # zero leading
+              [[1, 0, 0, 0], [0, 2, 0, -1]]))                            # entry, 4 x 4
+    @example(([[1, 2, 3, 4], [0, 1, 1, 0], [2, 4, 6, 8], [5, 0, 2, 1]],   # singular
+              [[1, 0, 0, 0]]))
+    @example(([[10 ** 12 + 1, -7 * 10 ** 11, 3, 10 ** 9],                  # large
+               [2 ** 40, 5, -(3 ** 25), 11],
+               [-(10 ** 15), 2 ** 33 + 1, 7, -(5 ** 17)],
+               [13, -(2 ** 50), 10 ** 10, 17]],
+              [[10 ** 14, -1, 2 ** 45, 0]]))
     def test_integer_cramer_matches_fraction_elimination(self, system):
         rows, columns = system
         d, numerators = int_solve(rows, columns)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fanokit.lattice as lattice_mod
 import fanokit.oracles as oracles_mod
 import fanokit.subscheme as subscheme_mod
 from fanokit.errors import (CombinatorialBlowup, NoStabilization, R1NotFound,
@@ -225,6 +226,21 @@ class TestSaturate:
                 assert (again.chart_gens, closure2) == (ideal.chart_gens, closure)
             assert indices == set(range(max(indices) + 1))
 
+    @pytest.mark.parametrize("name", [*sorted(CATALOG_RAYS), "shifted"])
+    def test_saturations_are_minimalised_once(self, name, monkeypatch):
+        # the table corners are already minimal: saturate calls no
+        # minimalize, and each ideal is in the constructor's normal form
+        X, F = _shifted_filtration() if name == "shifted" else _point_filtration(name)
+        calls = []
+        real = lattice_mod.minimalize
+        monkeypatch.setattr(lattice_mod, "minimalize", lambda gens: calls.append(gens) or real(gens))
+        ideals = [saturate(F, r, x)[0] for r in (1, 2)
+                  for x in range(r * F.e_minus, r * F.e_plus + 2)]
+        assert calls == []
+        monkeypatch.undo()
+        assert ideals == [MonomialSubscheme(label=Z.label, dimension=Z.dimension,
+                                            chart_gens=Z.chart_gens) for Z in ideals]
+
     def test_tables_refuse_past_the_cell_cap(self, monkeypatch):
         # the P2 tables at r = 1 span 4 x 4 cells, but the explicit order
         # table, clipped to its generators, 3 x 3
@@ -396,6 +412,17 @@ class TestMembership:
         divisor = boundary_divisor_subscheme(X, (1, 0))
         assert report == compute_d_infty(ideal_power_filtration(X, divisor), r_list=(1, 2))
         assert report.d_samples == ((1, Fraction(-8, 3)), (2, Fraction(-8, 3)))
+
+    def test_explicit_row_carried_by_its_ray_alone(self):
+        # a table step with no chart generators reads its ray's divisor,
+        # on the smooth chart and on the singular one alike
+        X = catalog_model("P112")
+        bare = MonomialSubscheme(label="bare", dimension=2, boundary_ray=(1, 0))
+        divisor = boundary_divisor_subscheme(X, (1, 0))
+        specs = [explicit_filtration(X, {r: [(0, None), (r, Z)] for r in (1, 2)},
+                                     e_plus=2, e_minus=-1) for Z in (bare, divisor)]
+        assert [len(F.value(1, 1)) for F in specs] == [6, 6]
+        assert compute_d_infty(specs[0], r_list=(1, 2)) == compute_d_infty(specs[1], r_list=(1, 2))
 
     def test_ray_of_another_fan_refused(self):
         X = catalog_model("P2")
