@@ -4,7 +4,9 @@ Each criterion recomputes its target from scratch and reports one
 CriterionResult; hand-expected values, brute-force enumerations, and
 lattice counts travel along as OracleResult records, so a report shows
 not only that a check passed but what it was held against.  Criterion
-failures aggregate into the summary; only configuration problems abort.
+failures aggregate into the summary, errors raised inside a criterion
+included.  The criteria take no parameters, so no input but the build
+itself moves a verdict.
 
 Nothing here depends on wall-clock state or iteration order of hashes:
 all loops run over sorted keys and every random draw comes from a
@@ -20,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .config import RunConfig
 from .errors import FanokitError
 from .filtration import (_leading_integral, compute_d_infty, find_r1,
                          ideal_power_filtration, induced_ideal_sequence,
@@ -36,6 +37,9 @@ from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                         _subscheme_contains, point_subscheme, product,
                         product_dual_vertices, standard_battery)
 from .volumes import blowup_volume_profile, seshadri_constant
+
+# criteria 7 and 8 hold exact values against the weight records k <= K_MAX
+K_MAX = 10
 
 
 @dataclass(frozen=True)
@@ -72,7 +76,7 @@ def _verdict(problems: list[str], ok_detail: str, oracles=()) -> tuple:
 # ---------------------------------------------------------------------------
 # 1. anticanonical volume against (n+1)^n, equality exactly on projective space
 
-def _criterion_volume_bound(config: RunConfig) -> tuple:
+def _criterion_volume_bound() -> tuple:
     problems: list[str] = []
     oracles = []
     equal = []
@@ -100,7 +104,7 @@ def _criterion_volume_bound(config: RunConfig) -> tuple:
 # ---------------------------------------------------------------------------
 # 2. Seshadri constant n+1 at every fixed point of projective space
 
-def _criterion_seshadri(config: RunConfig) -> tuple:
+def _criterion_seshadri() -> tuple:
     problems: list[str] = []
     oracles = []
     count = 0
@@ -122,7 +126,7 @@ def _criterion_seshadri(config: RunConfig) -> tuple:
 # ---------------------------------------------------------------------------
 # 3. blowup profile of a point on projective space, coefficient by coefficient
 
-def _criterion_blowup_profile(config: RunConfig) -> tuple:
+def _criterion_blowup_profile() -> tuple:
     problems: list[str] = []
     for n, name in ((1, "P1"), (2, "P2"), (3, "P3")):
         X = catalog_model(name)
@@ -142,7 +146,7 @@ def _criterion_blowup_profile(config: RunConfig) -> tuple:
 # ---------------------------------------------------------------------------
 # 4. beta of a point on projective space degenerates to exactly zero
 
-def _criterion_beta_point(config: RunConfig) -> tuple:
+def _criterion_beta_point() -> tuple:
     problems: list[str] = []
     oracles = []
     for n, name in ((1, "P1"), (2, "P2"), (3, "P3")):
@@ -170,7 +174,7 @@ def _criterion_beta_point(config: RunConfig) -> tuple:
 # ---------------------------------------------------------------------------
 # 5. beta >= 0 across the standard battery on the KE catalog
 
-def _criterion_ke_battery(config: RunConfig) -> tuple:
+def _criterion_ke_battery() -> tuple:
     problems: list[str] = []
     entries = 0
     for name in KE_CATALOG:
@@ -189,7 +193,7 @@ def _criterion_ke_battery(config: RunConfig) -> tuple:
 # ---------------------------------------------------------------------------
 # 6. saturation laws on random samples of the ideal-power filtrations
 
-def _criterion_saturation_laws(config: RunConfig) -> tuple:
+def _criterion_saturation_laws() -> tuple:
     problems: list[str] = []
     samples = 0
     for offset, name in enumerate(sorted(CATALOG_RAYS)):
@@ -248,7 +252,7 @@ def _criterion_saturation_laws(config: RunConfig) -> tuple:
 # 7. weight identity, the leading integral against the weight counts, and
 #    the A_r limit for the point on the line
 
-def _criterion_weight_limit(config: RunConfig) -> tuple:
+def _criterion_weight_limit() -> tuple:
     problems: list[str] = []
     oracles = []
     X = catalog_model("P1")
@@ -256,7 +260,7 @@ def _criterion_weight_limit(config: RunConfig) -> tuple:
     e = F.e_plus - F.e_minus
     for r in (1, 2):
         sequence = induced_ideal_sequence(F, r)
-        records = oracle_weight_records(X, sequence, r, config.k_max)
+        records = oracle_weight_records(X, sequence, r, K_MAX)
         counted = stable_leading_difference([rec.v for rec in records], X.dimension + 1)
         integral = _leading_integral(X, r, sequence.M,
                                      product_dual_vertices(X, sequence.steps))
@@ -269,7 +273,7 @@ def _criterion_weight_limit(config: RunConfig) -> tuple:
             if rec.w != -4 * (rec.k * r) ** 2 - 2 * rec.k * r:
                 problems.append(f"r={r}, k={rec.k}: w={rec.w} off the "
                                 f"hand value")
-        for k in range(1, min(config.k_max, 6) + 1):
+        for k in range(1, 7):
             count = oracle_h0_quotient(X, sequence, r, k)
             if records[k - 1].w != -count:
                 problems.append(f"r={r}, k={k}: w != -oracle ({count})")
@@ -277,7 +281,7 @@ def _criterion_weight_limit(config: RunConfig) -> tuple:
             quantity=f"w(P1 point, r={r})", method="HAND_FORMULA",
             value=Fraction(-4 * r * r - 2 * r),
             parameters=(("form", "-4(kr)^2 - 2kr at k=1"), ("r", r))))
-    rep = compute_d_infty(F, r_list=config.r_list)
+    rep = compute_d_infty(F)
     oracles.append(OracleResult(
         quantity="A_limit(P1 point)", method="HAND_FORMULA",
         value=rep.a_limit, parameters=(("integral", "vol + int_0^2 (2-x)"),)))
@@ -286,7 +290,7 @@ def _criterion_weight_limit(config: RunConfig) -> tuple:
         problems.append(f"A_r gaps {gaps} not shrinking toward the integral")
     return _verdict(problems,
                     f"identity, hand values and leading integral for r in "
-                    f"(1, 2), k <= {config.k_max}; A_r gaps "
+                    f"(1, 2), k <= {K_MAX}; A_r gaps "
                     f"{[str(g) for g in gaps]}",
                     oracles)
 
@@ -295,17 +299,17 @@ def _criterion_weight_limit(config: RunConfig) -> tuple:
 # 8. Ding invariant: trivial configuration and the normal-cone deformation,
 #    each top term against the weight counts
 
-def _weight_count_gap(X, S: IdealSequenceOnXxA1, rep, k_max: int) -> list[str]:
+def _weight_count_gap(X, S: IdealSequenceOnXxA1, rep) -> list[str]:
     """The Ding report's exact top term against the stabilised leading
-    difference of the weight counts w(k), k <= k_max."""
+    difference of the weight counts w(k), k <= K_MAX."""
     counted = stable_leading_difference(
-        [rec.w for rec in oracle_weight_records(X, S, 1, k_max)], X.dimension + 1)
+        [rec.w for rec in oracle_weight_records(X, S, 1, K_MAX)], X.dimension + 1)
     if rep.L_power_top == counted:
         return []
     return [f"{X.name}, M={S.M}: top {rep.L_power_top} != weight count {counted}"]
 
 
-def _criterion_ding(config: RunConfig) -> tuple:
+def _criterion_ding() -> tuple:
     problems: list[str] = []
     oracles = []
     for name in ("P1", "P2"):
@@ -313,7 +317,7 @@ def _criterion_ding(config: RunConfig) -> tuple:
         unit = MonomialSubscheme(label="unit", dimension=X.dimension)
         trivial = IdealSequenceOnXxA1(steps=(unit,))
         rep = ding_invariant(X, trivial, 1)
-        problems += _weight_count_gap(X, trivial, rep, config.k_max)
+        problems += _weight_count_gap(X, trivial, rep)
         if rep.ding != 0 or rep.L_power_top != 0:
             problems.append(f"trivial sequence on {name}: ding {rep.ding}, "
                             f"top {rep.L_power_top}")
@@ -321,28 +325,27 @@ def _criterion_ding(config: RunConfig) -> tuple:
     point = point_subscheme(X, 0)
     dnc = IdealSequenceOnXxA1(steps=(point, point))
     rep = ding_invariant(X, dnc, 1)
-    problems += _weight_count_gap(X, dnc, rep, config.k_max)
+    problems += _weight_count_gap(X, dnc, rep)
     if rep.ding < 0:
         problems.append(f"normal-cone deformation: ding {rep.ding} < 0")
-    k_top = min(config.k_max, 10)
-    for rec in oracle_weight_records(X, dnc, 1, k_top):
+    for rec in oracle_weight_records(X, dnc, 1, K_MAX):
         count = oracle_h0_quotient(X, dnc, 1, rec.k)
         if rec.w != -count:
             problems.append(f"k={rec.k}: w {rec.w} != -oracle ({count})")
     oracles.append(OracleResult(
         quantity="h0_quotient(P1, point normal cone)", method="LATTICE_COUNT",
-        value=Fraction(oracle_h0_quotient(X, dnc, 1, k_top)),
-        parameters=(("k", k_top), ("r", 1))))
+        value=Fraction(oracle_h0_quotient(X, dnc, 1, K_MAX)),
+        parameters=(("k", K_MAX), ("r", 1))))
     return _verdict(problems,
                     f"trivial ding 0; normal-cone ding {rep.ding} >= 0, "
-                    f"oracle-matched to k = {k_top}; top terms match the "
+                    f"oracle-matched to k = {K_MAX}; top terms match the "
                     f"weight counts", oracles)
 
 
 # ---------------------------------------------------------------------------
 # 9. the lct engine against brute force, hand values, and the scaling law
 
-def _criterion_lct_engine(config: RunConfig) -> tuple:
+def _criterion_lct_engine() -> tuple:
     problems: list[str] = []
     oracles = []
     rng = random.Random(900)
@@ -396,22 +399,17 @@ _REGISTRY: tuple[tuple[int, str, object], ...] = (
     (9, "lct-engine", _criterion_lct_engine),
 )
 
-def run_acceptance_suite_timed(
-        config: RunConfig | None = None
-) -> tuple[AcceptanceSummary, dict[int, float]]:
+def run_acceptance_suite_timed() -> tuple[AcceptanceSummary, dict[int, float]]:
     """Summary plus wall-clock seconds per criterion.
 
     Timings stay out of the summary object so that serialized reports
     remain byte-identical across runs; the CLI prints them separately.
     """
-    config = config if config is not None else RunConfig()
-    config.validate_paths()
-
     results, timings = [], {}
     for number, name, fn in _REGISTRY:
         start = time.perf_counter()
         try:
-            passed, detail, oracles = fn(config)
+            passed, detail, oracles = fn()
         except FanokitError as exc:
             passed, detail, oracles = False, f"{type(exc).__name__}: {exc}", ()
         results.append(CriterionResult(number=number, name=name, passed=passed,

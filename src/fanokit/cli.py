@@ -9,16 +9,18 @@ Exit codes for the stability subcommands: 0 when everything checked out,
 2 when an obstruction was found, 1 on configuration or computational
 failure, usage errors on the command line included.  test-acceptance
 exits 0 only when all nine criteria pass.
+The one file a subcommand writes (--out, --report or --profile-csv, all
+parsed into args.out) is checked after parsing, before any work.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .acceptance import run_acceptance_suite_timed
-from .config import (RunConfig, resolve_model, resolve_sequence,
-                     resolve_subscheme)
+from .config import resolve_model, resolve_sequence, resolve_subscheme
 from .errors import ConfigError, FanokitError
 from .filtration import DEFAULT_R_LIST, compute_d_infty, ideal_power_filtration
 from .lct import lct_monomial, lct_on_product_with_line
@@ -60,6 +62,18 @@ def _add_model(parser: argparse.ArgumentParser) -> None:
              f"or a model JSON file")
 
 
+def _check_output(path: str | None) -> None:
+    """Refuse an output path that cannot be written: its directory
+    missing or unwritable, or the path itself a directory."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path!r} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
+        raise ConfigError(f"output path {path!r} is not writable")
+
+
 def _write_if_requested(payload, path: str | None) -> None:
     if path:
         dump_report(payload, path)
@@ -87,16 +101,16 @@ def _cmd_volume(args) -> int:
     vol = anticanonical_volume(X)
     print(f"anticanonical volume: {_show(vol)}")
     if args.subscheme is None:
-        if args.profile_csv:
+        if args.out:
             raise ConfigError("--profile-csv needs --subscheme")
         return 0
     Z = resolve_subscheme(X, args.subscheme)
     profile = blowup_volume_profile(X, Z)
     print(f"profile for {Z.label}: tau = {_show(profile.domain[1])}, "
           f"integral = {_show(profile.integrate(*profile.domain))}")
-    if args.profile_csv:
-        write_profile_csv(profile, args.profile_csv)
-        print(f"profile pieces written to {args.profile_csv}")
+    if args.out:
+        write_profile_csv(profile, args.out)
+        print(f"profile pieces written to {args.out}")
     return 0
 
 
@@ -126,7 +140,7 @@ def _cmd_filtration(args) -> int:
     note = " (approximate)" if report.approximate else ""
     print(f"d_infty = {_show(report.d_infty)}{note}")
     _write_if_requested({"model": X.name or "model", "subscheme": Z.label,
-                         "d_infty": report}, args.report)
+                         "d_infty": report}, args.out)
     return 0
 
 
@@ -186,15 +200,13 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_test_acceptance(args) -> int:
-    config = RunConfig.from_file(args.config) if args.config else RunConfig()
-    config = config.with_overrides(out=args.out)
-    summary, timings = run_acceptance_suite_timed(config)
+    summary, timings = run_acceptance_suite_timed()
     for result in summary.results:
         flag = "PASS" if result.passed else "FAIL"
         print(f"{flag} {result.number} {result.name}: {result.detail} "
               f"[{timings[result.number]:.2f}s]")
     print(f"{'all criteria passed' if summary.passed else 'FAILURES above'}")
-    _write_if_requested(summary.report(), config.out)
+    _write_if_requested(summary.report(), args.out)
     return summary.exit_code
 
 
@@ -229,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subscheme", metavar="FILE|SHORTHAND",
                    help="subscheme JSON file or point@IDX / point2@IDX / "
                         "divisor@i,j shorthand")
-    p.add_argument("--profile-csv", metavar="OUT",
+    p.add_argument("--profile-csv", dest="out", metavar="OUT",
                    help="write profile breakpoints and coefficients as CSV")
     p.set_defaults(func=_cmd_volume)
 
@@ -254,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rlist", type=_r_list, default=DEFAULT_R_LIST,
                    metavar="R1,R2,...", help="levels to sample (default "
                    f"{','.join(map(str, DEFAULT_R_LIST))})")
-    p.add_argument("--report", required=True, metavar="OUT.json",
+    p.add_argument("--report", dest="out", required=True, metavar="OUT.json",
                    help="write the full report as JSON")
     p.set_defaults(func=_cmd_filtration)
 
@@ -290,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("test-acceptance", help="run the nine acceptance "
                                                "criteria")
-    p.add_argument("--config", metavar="FILE", help="RunConfig JSON file")
     p.add_argument("--out", metavar="OUT.json", help="write the summary")
     p.set_defaults(func=_cmd_test_acceptance)
 
@@ -304,6 +315,7 @@ def main(argv=None) -> int:
         if not hasattr(args, "func"):
             parser.print_help()
             return 1
+        _check_output(getattr(args, "out", None))
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Run configuration and source resolution for the CLI and the driver.
+"""Source resolution for the CLI.
 
 A model source is either a catalog name or a path to a model JSON file;
 a subscheme source is a path to a subscheme JSON file or one of the
@@ -14,67 +14,13 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, fields, replace
-from typing import Mapping
 
 from .errors import ConfigError
-from .filtration import DEFAULT_R_LIST
 from .model import CATALOG_RAYS, ToricFanoModel, catalog_model
 from .reportio import model_from_dict, sequence_from_dict, subscheme_from_dict
 from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                         boundary_divisor_subscheme, point_subscheme,
                         thickened_point_subscheme, verify_gluing)
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a run needs beyond the subcommand itself.
-
-    k_max is the power budget of the weight-count cross-check in
-    acceptance criteria 7 and 8: the weight records k = 1..k_max whose
-    stabilised leading difference the exact leading integrals are held
-    against.  No reported value depends on it.  r_list is the levels
-    sampled for the limit slope.
-    """
-
-    k_max: int = 10
-    r_list: tuple[int, ...] = DEFAULT_R_LIST
-    out: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "r_list", tuple(int(r) for r in self.r_list))
-        if int(self.k_max) < 1:
-            raise ConfigError("k_max must be positive")
-        if not self.r_list or any(r < 1 for r in self.r_list):
-            raise ConfigError("r_list must be a nonempty list of positive ints")
-
-    def validate_paths(self) -> None:
-        if self.out is None:
-            return
-        parent = os.path.dirname(os.path.abspath(self.out))
-        if not os.path.isdir(parent) or not os.access(parent, os.W_OK):
-            raise ConfigError(f"output path {self.out!r} is not writable")
-
-    @classmethod
-    def from_file(cls, path: str) -> "RunConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
-        if not isinstance(data, Mapping):
-            raise ConfigError(f"config {path!r} must hold a JSON object")
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-        return cls(**{k: tuple(v) if isinstance(v, list) else v
-                      for k, v in data.items()})
-
-    def with_overrides(self, **kwargs) -> "RunConfig":
-        return replace(self, **{k: v for k, v in kwargs.items()
-                                if v is not None})
 
 
 def _load_json(path: str, what: str) -> dict:

@@ -82,15 +82,19 @@ Saturated = tuple[list[int], dict[int, list[tuple[Point, int, int]]]]
 
 
 def _check_arity(X: ToricFanoModel, ideal: MonomialSubscheme) -> None:
-    """Refuse an ideal of another dimension, or generators whose arity is
-    not their chart's ray count: data written for a different fan, which
-    no public constructor produces."""
+    """Refuse an ideal of another dimension, generators on a chart the
+    model lacks, or generators whose arity is not their chart's ray count:
+    data written for a different fan, which no public constructor
+    produces."""
     if ideal.dimension != X.dimension:
         raise UnsupportedSubscheme(f"{ideal.label}: dimension does not match {X.dimension}")
     if ideal.boundary_ray is not None and ideal.boundary_ray not in X.rays:
         raise UnsupportedSubscheme(f"{ideal.label}: boundary ray {ideal.boundary_ray} "
                                    f"is not a ray of the fan")
     for idx in ideal.active_chart_indices():
+        if not 0 <= idx < len(X.charts):
+            raise UnsupportedSubscheme(f"{ideal.label}: chart {idx} is not one of the "
+                                       f"{len(X.charts)} charts of {X.name or 'the model'}")
         rows = X.charts[idx].cone_rays
         if any(len(g) != len(rows) for g in ideal.chart_gens[idx]):
             raise UnsupportedSubscheme(

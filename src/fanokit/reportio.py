@@ -76,9 +76,6 @@ def to_jsonable(obj) -> Any:
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in fields(obj)}
     if isinstance(obj, tuple) and hasattr(obj, "_asdict"):
         return {k: to_jsonable(v) for k, v in obj._asdict().items()}
-    if isinstance(obj, PiecewisePolynomial):
-        return {"breakpoints": [rational_entry(b) for b in obj.breakpoints],
-                "pieces": [[rational_entry(c) for c in p] for p in obj.pieces]}
     if isinstance(obj, Mapping):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -20,7 +20,7 @@ from typing import Iterator, Mapping, Sequence
 
 from . import lattice
 from .errors import (CombinatorialBlowup, EmptyOrFull, GluingMismatch, NotSmoothPoint,
-                     ZeroIdeal)
+                     UnsupportedSubscheme, ZeroIdeal)
 from .linalg import Vec
 from .model import ToricFanoModel
 from .polytope import enumerate_basic_feasible, polytope_edges
@@ -371,24 +371,33 @@ def power_table(gens: Sequence[Sequence[int]], top: Sequence[int]) -> LevelTable
     return LevelTable(top, strides, levels)
 
 
+def _chart_contains(bg: Gens | None, sg: Gens | None) -> bool:
+    """One chart's ideal sg inside bg; None is the unit ideal, () zero."""
+    if bg is None or sg is None:
+        return bg is None
+    if not bg:
+        return not sg
+    return all(lattice.dominates_any(g, bg) for g in sg)
+
+
 def _subscheme_contains(big: MonomialSubscheme, small: MonomialSubscheme) -> bool:
-    """small subset of big, checked generator-wise on every chart."""
-    idxs = set(big.active_chart_indices()) | set(small.active_chart_indices())
-    for idx in idxs:
-        bg = big.gens_on(idx)
-        sg = small.gens_on(idx)
-        if bg is None:
-            continue
-        if sg is None:
-            return False
-        if len(bg) == 0:
-            if len(sg) != 0:
-                return False
-            continue
-        for g in sg:
-            if not lattice.dominates_any(g, bg):
-                return False
-    return True
+    """small subset of big.  A boundary ray cuts its subscheme's chart
+    ideals by the ideal of the ray's divisor, whose charts only the model
+    knows: a ray is read where it settles the answer, and otherwise
+    UnsupportedSubscheme is raised."""
+    charts = all(_chart_contains(big.gens_on(idx), small.gens_on(idx))
+                 for idx in set(big.chart_gens) | set(small.chart_gens))
+    if big.boundary_ray in (None, small.boundary_ray):
+        # big's ray, if any, cuts small too; small's own ray may yet bring
+        # it inside big where its chart ideals alone are not
+        if charts or small.boundary_ray is None:
+            return charts
+    elif small.is_empty or (small.boundary_ray is None and not charts):
+        # small is its chart ideals: the unit ideal lies in no divisor
+        return False
+    raise UnsupportedSubscheme(
+        f"whether {small.label} lies in {big.label} depends on the charts "
+        f"their boundary rays meet")
 
 
 def verify_gluing(X: ToricFanoModel, Z: MonomialSubscheme) -> None:

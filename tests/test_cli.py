@@ -9,10 +9,10 @@ import json
 
 import pytest
 
+from fanokit import acceptance, cli
 from fanokit.cli import main
-from fanokit.config import (RunConfig, resolve_model, resolve_sequence,
-                            resolve_subscheme)
-from fanokit.errors import ConfigError
+from fanokit.config import resolve_model, resolve_sequence, resolve_subscheme
+from fanokit.errors import ConfigError, NoStabilization
 from fanokit.model import build_model, catalog_model
 from fanokit.reportio import model_to_dict
 
@@ -36,45 +36,6 @@ def p116_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("models") / "p116.json"
     path.write_text(json.dumps(model_to_dict(X)))
     return str(path)
-
-
-class TestRunConfig:
-    def test_defaults(self):
-        config = RunConfig()
-        assert config.k_max == 10
-        assert config.r_list == (1, 2, 4, 8)
-
-    def test_caps_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            RunConfig(k_max=0)
-        with pytest.raises(ConfigError):
-            RunConfig(r_list=())
-
-    def test_from_file(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text('{"k_max": 4, "r_list": [1, 3]}')
-        config = RunConfig.from_file(str(path))
-        assert config.k_max == 4
-        assert config.r_list == (1, 3)
-
-    def test_from_file_rejects_unknown_keys(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text('{"kmax": 4}')
-        with pytest.raises(ConfigError, match="unknown config keys"):
-            RunConfig.from_file(str(path))
-
-    def test_from_file_rejects_bad_json(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text("[1, 2]")
-        with pytest.raises(ConfigError, match="JSON object"):
-            RunConfig.from_file(str(path))
-        with pytest.raises(ConfigError, match="cannot read"):
-            RunConfig.from_file(str(tmp_path / "absent.json"))
-
-    def test_overrides_ignore_none(self):
-        config = RunConfig(k_max=4).with_overrides(k_max=None, r_list=(1, 3))
-        assert config.k_max == 4
-        assert config.r_list == (1, 3)
 
 
 class TestResolvers:
@@ -304,17 +265,19 @@ class TestVerifyBoundAndScan:
 
 
 class TestAcceptanceCommand:
-    def test_short_budget_fails_stabilization(self, run, tmp_path):
-        config_path = tmp_path / "c.json"
-        config_path.write_text('{"k_max": 2}')
+    def test_failing_criterion_is_aggregated(self, run, tmp_path, monkeypatch):
+        def unsettled():
+            raise NoStabilization("weight counts never settled")
+
+        registry = list(acceptance._REGISTRY)
+        registry[6] = (7, "weight-identity-limit", unsettled)
+        monkeypatch.setattr(acceptance, "_REGISTRY", tuple(registry))
         out_path = tmp_path / "summary.json"
-        code, out, _ = run("test-acceptance", "--config", str(config_path),
-                           "--out", str(out_path))
+        code, out, _ = run("test-acceptance", "--out", str(out_path))
         assert code == 1
         lines = out.splitlines()
         assert "FAIL 7 weight-identity-limit: NoStabilization" in out
-        assert "FAIL 8 ding-values: NoStabilization" in out
-        assert sum(line.startswith("PASS") for line in lines) == 7
+        assert sum(line.startswith("PASS") for line in lines) == 8
         assert lines[-3].endswith("s]")
         assert lines[-2] == "FAILURES above"
         assert lines[-1].startswith("report written to")
@@ -322,21 +285,38 @@ class TestAcceptanceCommand:
         assert data["passed"] is False
         assert len(data["criteria"]) == 9
 
-    def test_missing_model_is_config_error(self, run, tmp_path):
-        config_path = tmp_path / "c.json"
-        config_path.write_text('{"model": "/nonexistent/model.json"}')
-        code, out, err = run("test-acceptance", "--config", str(config_path))
-        assert code == 1
-        assert out == ""
-        assert "unknown config keys: model" in err
 
-    def test_retired_r1_cap_key_is_refused(self, run, tmp_path):
-        config_path = tmp_path / "c.json"
-        config_path.write_text('{"k_max": 10, "r1_cap": 64}')
-        code, out, err = run("test-acceptance", "--config", str(config_path))
+class TestOutputPaths:
+    """Every option naming a file to write is checked before any work."""
+
+    COMMANDS = [
+        ("volume", "--model", "P2", "--subscheme", "point@0", "--profile-csv"),
+        ("filtration", "--model", "P1", "--subscheme", "point@0", "--report"),
+        ("beta", "--model", "P2", "--subscheme", "point@0", "--out"),
+        ("ding", "--model", "P1", "--sequence", "dnc@0", "--out"),
+        ("verify-bound", "--model", "P2", "--out"),
+        ("scan", "--model", "P2", "--out"),
+        ("test-acceptance", "--out")]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_refused_up_front(self, run, tmp_path, argv):
+        for path, why in [("/nonexistent/dir/x.json", "is not writable"),
+                          (str(tmp_path), "is a directory")]:
+            code, out, err = run(*argv, path)
+            assert code == 1
+            assert out == ""
+            assert err == f"error: output path {path!r} {why}\n"
+
+    def test_unwritable_output_aborts(self, run, monkeypatch):
+        def suite():
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli, "run_acceptance_suite_timed", suite)
+        code, out, err = run("test-acceptance", "--out",
+                             "/nonexistent/dir/summary.json")
         assert code == 1
         assert out == ""
-        assert "unknown config keys: r1_cap" in err
+        assert "not writable" in err
 
 
 class TestErrorPaths:

@@ -156,6 +156,14 @@ class TestExplicitValidation:
                 {1: [(0, None), (1, self.pt.power(2)), (2, self.pt)]},
                 e_plus=3, e_minus=-1)
 
+    def test_row_carried_by_its_ray_alone_is_not_the_unit(self):
+        # whether point@0 lies in the ray's divisor is the model's to say
+        X = catalog_model("P112")
+        bare = MonomialSubscheme(label="bare", dimension=2, boundary_ray=(1, 0))
+        with pytest.raises(UnsupportedSubscheme, match="point@0 lies in bare"):
+            explicit_filtration(X, {1: [(0, None), (1, bare), (2, point_subscheme(X, 0))]},
+                                e_plus=3, e_minus=-1)
+
     def test_window_must_bracket_estimates(self):
         with pytest.raises(ValueError, match="e_plus"):
             explicit_filtration(self.X, {1: [(0, None), (2, self.pt)]},
@@ -467,6 +475,11 @@ class TestMembership:
         F = explicit_filtration(X, {1: [(0, None), (1, bad)]},
                                 e_plus=2, e_minus=-1)
         with pytest.raises(UnsupportedSubscheme, match="arity"):
+            F.value(1, 1)
+        far = MonomialSubscheme(label="far", dimension=2, chart_gens={7: ((1, 0),)})
+        F = explicit_filtration(X, {1: [(0, None), (1, far)]},
+                                e_plus=2, e_minus=-1)
+        with pytest.raises(UnsupportedSubscheme, match="chart 7 is not one of"):
             F.value(1, 1)
 
     def test_saturate_points_refuses_non_sections(self):

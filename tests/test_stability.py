@@ -428,6 +428,21 @@ class TestScan:
         assert sc.entries[2].report is not None
         assert len(sc.failures) == 1
 
+    def test_chart_the_model_lacks_is_one_error_entry(self):
+        # refused by name in beta, so the scan still evaluates the rest;
+        # ding refuses it the same way
+        X = catalog_model("P2")
+        far = MonomialSubscheme(label="far", dimension=2,
+                                chart_gens={7: ((1, 0), (0, 1))})
+        battery = standard_battery(X)
+        sc = semistability_scan(X, [far] + battery)
+        assert sc.entries[0] == ScanEntry(
+            "far", None,
+            "UnsupportedSubscheme: far: chart 7 is not one of the 3 charts of P2")
+        assert sc.entries[1:] == semistability_scan(X, battery).entries
+        with pytest.raises(UnsupportedSubscheme, match="far: chart 7"):
+            ding_invariant(X, IdealSequenceOnXxA1(steps=(far,)), 1)
+
 
 def _plain_scan(X, candidates):
     """The scan as one beta call per candidate."""

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanokit import lattice
-from fanokit.errors import EmptyOrFull, GluingMismatch, NotSmoothPoint, ZeroIdeal
+from fanokit.errors import (EmptyOrFull, GluingMismatch, NotSmoothPoint,
+                            UnsupportedSubscheme, ZeroIdeal)
 from fanokit.model import catalog_model
 from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
-                               NewtonPolyhedron, _tagged_table,
+                               NewtonPolyhedron, _subscheme_contains, _tagged_table,
                                boundary_divisor_subscheme, level_table,
                                point_subscheme, power_table, product_gens,
                                standard_battery,
@@ -216,6 +217,25 @@ class TestIdealSequence:
         IdealSequenceOnXxA1(steps=(pt, pt.power(2)))  # decreasing: fine
         with pytest.raises(ValueError):
             IdealSequenceOnXxA1(steps=(pt.power(2), pt))
+
+    def test_containment_reads_boundary_rays(self):
+        # a subscheme carried by its ray alone is its divisor, not the unit
+        # ideal; what the ray does not settle is refused
+        X = catalog_model("P112")
+        bare = MonomialSubscheme(label="bare", dimension=2, boundary_ray=(1, 0))
+        divisor = boundary_divisor_subscheme(X, (1, 0))
+        point = point_subscheme(X, 0)
+        unit = MonomialSubscheme(label="unit", dimension=2)
+        assert not _subscheme_contains(divisor, point)
+        assert not _subscheme_contains(bare, unit)
+        for big, small in [(bare, bare), (divisor, divisor), (bare, divisor),
+                           (point, divisor), (unit, bare)]:
+            assert _subscheme_contains(big, small), (big.label, small.label)
+        for big, small in [(bare, point), (divisor, bare), (point, bare)]:
+            with pytest.raises(UnsupportedSubscheme, match="boundary rays"):
+                _subscheme_contains(big, small)
+        with pytest.raises(UnsupportedSubscheme):
+            IdealSequenceOnXxA1(steps=(bare, point))
 
     def test_product_gens(self):
         X, S = catalog_model("P1"), self._dnc()
