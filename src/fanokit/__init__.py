@@ -8,8 +8,7 @@ touches floating point.  The usual entry points:
     print(beta(X, point_subscheme(X, 0)).beta)   # 0
 """
 
-from .filtration import (compute_d_infty, explicit_filtration,
-                         ideal_power_filtration)
+from .filtration import compute_d_infty, ideal_power_filtration
 from .lct import lct_monomial, lct_on_product_with_line
 from .model import (anticanonical_volume, build_model, catalog,
                     catalog_model, section_count)
@@ -27,9 +26,8 @@ __all__ = [
     "IdealSequenceOnXxA1", "MonomialSubscheme", "anticanonical_volume",
     "beta", "blowup_volume_profile", "boundary_divisor_subscheme",
     "build_model", "catalog", "catalog_model", "compute_d_infty",
-    "ding_invariant", "explicit_filtration",
-    "ideal_power_filtration", "lct_monomial", "lct_on_product_with_line",
-    "point_subscheme", "pseudoeffective_threshold", "section_count",
+    "ding_invariant", "ideal_power_filtration", "lct_monomial",
+    "lct_on_product_with_line", "point_subscheme", "pseudoeffective_threshold", "section_count",
     "semistability_scan", "seshadri_constant", "standard_battery",
     "thickened_point_subscheme", "verify_volume_bound",
 ]

@@ -23,9 +23,8 @@ from fractions import Fraction
 from math import ceil
 
 from .errors import FanokitError
-from .filtration import (_leading_integral, compute_d_infty, find_r1,
-                         ideal_power_filtration, induced_ideal_sequence,
-                         saturate, saturate_points)
+from .filtration import (_leading_integral, compute_d_infty, ideal_power_filtration,
+                         induced_ideal_sequence, saturate, saturate_points)
 from .lct import lct_chart, lct_monomial
 from .model import (CATALOG_RAYS, KE_CATALOG, anticanonical_volume,
                     catalog_model)
@@ -200,9 +199,6 @@ def _criterion_saturation_laws() -> tuple:
         X = catalog_model(name)
         Z = standard_battery(X)[0]
         F = ideal_power_filtration(X, Z)
-        r1 = find_r1(F)
-        if r1 != 1:
-            problems.append(f"{name}: r1 = {r1} != 1 for an ideal power")
         rng = random.Random(640 + offset)
         e_hi = ceil(F.e_max_est)
         for _ in range(20):
@@ -232,7 +228,7 @@ def _criterion_saturation_laws() -> tuple:
             # (3) vanishing above r * e_max
             if F.value(r, r * F.e_max_est + 1) != ():
                 problems.append(f"{tag}: nonzero above r*e_max")
-            # (4) triviality below r * e_minus (r1 = 1 covers all r)
+            # (4) triviality at r * e_minus
             full, _ = saturate(F, r, r * F.e_minus)
             if not full.is_empty or len(F.value(r, r * F.e_minus)) != len(F.sections(r)):
                 problems.append(f"{tag}: not full at x = r*e_minus")

@@ -137,8 +137,7 @@ def _cmd_filtration(args) -> int:
     print(f"r1 = {report.r1}; window ({report.e_minus}, {report.e_plus})")
     for r, d_r in report.d_samples:
         print(f"d_{r} = {_show(d_r)}")
-    note = " (approximate)" if report.approximate else ""
-    print(f"d_infty = {_show(report.d_infty)}{note}")
+    print(f"d_infty = {_show(report.d_infty)}")
     _write_if_requested({"model": X.name or "model", "subscheme": Z.label,
                          "d_infty": report}, args.out)
     return 0

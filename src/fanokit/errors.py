@@ -58,14 +58,6 @@ class ConfigError(FanokitError):
     """Run configuration is unusable: bad caps, unreadable sources, unwritable paths."""
 
 
-class R1NotFound(FanokitError):
-    """No r1 below the cap satisfied the stabilisation test."""
-
-    def __init__(self, cap: int):
-        super().__init__(f"no admissible r1 found below cap {cap}")
-        self.cap = cap
-
-
 class NoStabilization(FanokitError):
     """Finite differences did not stabilise within the k budget."""
 

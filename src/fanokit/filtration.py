@@ -1,12 +1,10 @@
 """Filtrations of anticanonical section spaces and their limit slope.
 
-Two kinds are supported.  An ideal-power filtration places a section of
-L^r = -r r0 K at level x when its chart exponents lie in the ceil(x)-th
-power of a fixed monomial ideal; an explicit filtration reads its level
-ideals from a finite table.  Both answer the same queries: F^x V_r as a
-tuple of lattice points of r*r0*P, the saturation of a level into a
-monomial ideal plus its section closure, and the index of the step that
-holds a level.
+The filtration is by ideal powers: a section of L^r = -r r0 K sits at
+level x when its chart exponents lie in the ceil(x)-th power of a fixed
+monomial ideal.  It answers three queries: F^x V_r as a tuple of lattice
+points of r*r0*P, the saturation of a level into a monomial ideal plus
+its section closure, and the index of the step that holds a level.
 
 Downstream every number follows one chain.  The step ideals at a fixed r
 assemble into a t-graded ideal on X x A^1.  On each chart its Newton
@@ -16,16 +14,15 @@ bodies of filtered linear series*, 2011; Witt Nystrom, *Test
 configurations and Okounkov bodies*, 2012): the sample slope d_r reads
 off the exact integral of G - r e_minus over r*r0*P, _leading_integral,
 the volume of {(u, x) : 0 <= x <= G(u) - r e_minus}, which
-polytope.moving_volume_integral reads off one vertex enumeration.  For
-ideal-power filtrations the r -> infinity limit is evaluated in closed
-form through the integral of the blowup volume profile, read the same
-way by volumes.blowup_volume_integral.  The weight sums v_r(k) of the
+polytope.moving_volume_integral reads off one vertex enumeration.  The
+r -> infinity limit is evaluated in closed form through the integral of
+the blowup volume profile, read the same way by
+volumes.blowup_volume_integral.  The weight sums v_r(k) of the
 k-th powers of induced_ideal_sequence count the same thing in lattice
 points: their (n+1)-st finite difference tends to that integral.  That
 count is a check, in oracles, and no route here.  The integer window
-[e_minus, e_plus] of the steps belongs to the filtration: the
-constructor that builds a spec checks it, and no route takes a window
-of its own.
+[e_minus, e_plus] of the steps belongs to the filtration:
+ideal_power_filtration sets it, and no route takes a window of its own.
 
 Chart exponent vectors here are ray pairings <rho, u> + level over the
 cone rays of each chart.  On smooth charts this is the usual exponent
@@ -38,9 +35,8 @@ ideals, has one reader, _least_levels: each section's least level over
 one subscheme.LevelTable per chart.  At each r a spec builds two tables
 per chart, once, and every level x at r reads them.  The order tables,
 one per active chart, give each section its step index
-ord(u) = max{i : u in step i}: for an ideal-power filtration by the
-recurrence of subscheme.power_table, with no power of the ideal formed,
-and for an explicit one from the row ideals tagged at their row index.
+ord(u) = max{i : u in step i} by the recurrence of
+subscheme.power_table, with no power of the ideal formed.
 The saturated tables, one per chart tagged with (image of u, ord(u)),
 give each section its saturated index, the least read over the charts.
 At step i the value is the sections with ord(u) >= i, the saturated
@@ -58,22 +54,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import ceil, inf
-from operator import ge, le, mul
+from operator import ge, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import R1NotFound, UnsupportedSubscheme
+from .errors import UnsupportedSubscheme
 from .linalg import Vec, matmul_vec, transpose
 from .model import ToricFanoModel, anticanonical_volume
 from .polytope import lattice_fibers, lattice_points, moving_volume_integral
 from .subscheme import (IdealSequenceOnXxA1, LevelTable, MonomialSubscheme,
-                        _minimal_subscheme, _subscheme_contains, _tagged_table,
-                        power_table, product_dual_vertices)
+                        _minimal_subscheme, _tagged_table, power_table,
+                        product_dual_vertices)
 from .volumes import blowup_volume_integral
-
-IDEAL_POWER = "ideal-power"
-EXPLICIT = "explicit"
-
-R1_CAP = 64
 
 Point = tuple[int, ...]
 Fiber = tuple[Point, int, int]
@@ -81,58 +72,28 @@ Fiber = tuple[Point, int, int]
 Saturated = tuple[list[int], dict[int, list[tuple[Point, int, int]]]]
 
 
-def _check_arity(X: ToricFanoModel, ideal: MonomialSubscheme) -> None:
-    """Refuse an ideal of another dimension, generators on a chart the
-    model lacks, or generators whose arity is not their chart's ray count:
-    data written for a different fan, which no public constructor
-    produces."""
-    if ideal.dimension != X.dimension:
-        raise UnsupportedSubscheme(f"{ideal.label}: dimension does not match {X.dimension}")
-    if ideal.boundary_ray is not None and ideal.boundary_ray not in X.rays:
-        raise UnsupportedSubscheme(f"{ideal.label}: boundary ray {ideal.boundary_ray} "
-                                   f"is not a ray of the fan")
-    for idx in ideal.active_chart_indices():
-        if not 0 <= idx < len(X.charts):
-            raise UnsupportedSubscheme(f"{ideal.label}: chart {idx} is not one of the "
-                                       f"{len(X.charts)} charts of {X.name or 'the model'}")
-        rows = X.charts[idx].cone_rays
-        if any(len(g) != len(rows) for g in ideal.chart_gens[idx]):
-            raise UnsupportedSubscheme(
-                f"{ideal.label}: generator arity does not match the "
-                f"{len(rows)} cone rays of chart {idx}")
-
-
 class FiltrationSpec:
     """Decreasing, multiplicative, linearly bounded filtration of the
-    spaces V_r of level-r anticanonical sections.
+    spaces V_r of level-r anticanonical sections by vanishing order along
+    a subscheme.
 
-    Build instances with ideal_power_filtration or explicit_filtration.
-    e_plus/e_minus are the integer window of the weight routes, the
-    spec's own: the constructors check it once, e_minus < e_min_est,
-    e_max_est < e_plus and e_minus < e_plus, and every route reads it
-    from here.  Every level x at r reads two tables per chart, built once
-    for r: the order tables give each section its step index ord(u), so
-    F^x V_r is the sections with ord(u) >= level_step(r, x); the
+    Build instances with ideal_power_filtration.  e_plus/e_minus are the
+    integer window of the weight routes, the spec's own, and every route
+    reads it from here.  Every level x at r reads two tables per chart,
+    built once for r: the order tables give each section its step index
+    ord(u), so F^x V_r is the sections with ord(u) >= level_step(x); the
     saturated tables give each section its saturated index, which
     saturate reads.
     """
 
-    def __init__(self, X: ToricFanoModel, kind: str, *,
-                 subscheme: MonomialSubscheme | None = None,
-                 table: Mapping[int, tuple[tuple[Fraction, MonomialSubscheme | None], ...]] | None = None,
-                 e_plus: int, e_minus: int,
-                 e_min_est, e_max_est,
-                 profile_integral: Fraction | None = None):
-        if kind not in (IDEAL_POWER, EXPLICIT):
-            raise ValueError(f"unknown filtration kind {kind!r}")
+    def __init__(self, X: ToricFanoModel, subscheme: MonomialSubscheme, *,
+                 e_plus: int, e_minus: int, e_max_est: Fraction,
+                 profile_integral: Fraction):
         self.X = X
-        self.kind = kind
         self.subscheme = subscheme
-        self.table = table
-        self.e_plus = int(e_plus)
-        self.e_minus = int(e_minus)
-        self.e_min_est = Fraction(e_min_est)
-        self.e_max_est = Fraction(e_max_est)
+        self.e_plus = e_plus
+        self.e_minus = e_minus
+        self.e_max_est = e_max_est
         self.profile_integral = profile_integral
         self._sections: dict[int, tuple[Point, ...]] = {}
         self._fibers: dict[int, list[Fiber]] = {}
@@ -156,86 +117,38 @@ class FiltrationSpec:
             self._fibers[r] = lattice_fibers(self.X.polytope, r * self.X.r0)
         return self._fibers[r]
 
-    def _rows(self, r: int) -> tuple[tuple[Fraction, MonomialSubscheme | None], ...]:
-        rows = self.table.get(int(r))
-        if rows is None:
-            raise KeyError(f"filtration table has no row for r={r}")
-        return rows
-
-    def level_step(self, r: int, x) -> int:
-        """The index of the step of the filtration at r that contains
-        level x, equal exactly when two levels share the step: ceil(x),
-        and 0 from x <= 0, for an ideal-power filtration; for an explicit
-        one the first row whose threshold is at least x, and len(rows),
-        the zero step, past the last."""
-        x = Fraction(x)
-        if self.kind == IDEAL_POWER:
-            return max(ceil(x), 0)
-        rows = self._rows(r)
-        return next((i for i, (threshold, _) in enumerate(rows) if x <= threshold),
-                    len(rows))
+    @staticmethod
+    def level_step(x) -> int:
+        """The index of the step that contains level x, equal exactly when
+        two levels share the step: ceil(x), and 0 from x <= 0."""
+        return max(ceil(x), 0)
 
     def value(self, r: int, x) -> tuple[Point, ...]:
         """F^x V_r as lattice points of r*r0*P."""
-        i = self.level_step(r, x)
+        i = self.level_step(x)
         if i == 0:
             return self.sections(r)
         return tuple(compress(self.sections(r), map(ge, self.orders(r), repeat(i))))
 
     def orders(self, r: int) -> list[int]:
         """Each section's step index ord(u) = max{i : u in step i} at r, in
-        the order of sections(r), cached: its least level over one order
-        table per active chart, read off the pairing columns.  For an
-        ideal-power filtration the table is power_table over the box the
-        columns reach, and where no chart is active every power holds the
-        section, ord = inf; a boundary ray caps ord at the ray's pairing
-        column <ray, u> + level, the order of vanishing along its divisor,
-        so a subscheme carried by its ray alone is read too.  For an
-        explicit one the row ideals are tagged at their row index and
-        clipped to that box: a generator with an entry above its column's
-        maximum holds no vector read and is dropped, so generators of high
-        degree cost no cells; where no chart is active every row holds the
-        section.  A row with a boundary ray holds only the sections whose
-        pairing column is positive, those vanishing along the ray's
-        divisor, so the first row with a given ray caps ord below its
-        index where that column is 0."""
+        the order of sections(r), cached: its least level over one
+        power_table per active chart, over the box the pairing columns
+        reach.  Where no chart is active every power holds the section,
+        ord = inf; a boundary ray caps ord at the ray's pairing column
+        <ray, u> + level, the order of vanishing along its divisor, so a
+        subscheme carried by its ray alone is read too."""
         r = int(r)
         if r not in self._orders:
-            X = self.X
-            if self.kind == IDEAL_POWER:
-                Z = self.subscheme
-                _check_arity(X, Z)
-                charts, top = Z.active_chart_indices(), inf
-                # boundary ray -> the first row it carries; None: the column is the cap
-                caps = {} if Z.boundary_ray is None else {Z.boundary_ray: None}
+            X, Z = self.X, self.subscheme
 
-                def table(c: int, columns: list[list[int]]) -> LevelTable:
-                    return power_table(Z.chart_gens[c], [max(col, default=0) for col in columns])
-            else:
-                ideals = [ideal for _, ideal in self._rows(r)[1:]]
-                given = [ideal for ideal in ideals if ideal is not None]
-                for ideal in given:
-                    _check_arity(X, ideal)
-                charts = sorted(set().union(*(s.chart_gens for s in given)))
-                top, caps = len(ideals), {}
-                for i, ideal in enumerate(ideals, start=1):
-                    if ideal is not None and ideal.boundary_ray is not None:
-                        caps.setdefault(ideal.boundary_ray, i)
+            def table(c: int, columns: list[list[int]]) -> LevelTable:
+                return power_table(Z.chart_gens[c], [max(col, default=0) for col in columns])
 
-                def table(c: int, columns: list[list[int]]) -> LevelTable:
-                    bound = [max(col, default=0) for col in columns]
-                    tags = []
-                    for i, ideal in enumerate(ideals, start=1):
-                        gs = None if ideal is None else ideal.gens_on(c)
-                        tags += [(g, i) for g in ([(0,) * len(bound)] if gs is None else gs)
-                                 if all(map(le, g, bound))]
-                    return _tagged_table(len(bound), tags)
             fibers, level = self.fibers(r), r * X.r0
-            levels = _least_levels(X, fibers, level, top, charts, table)
-            for ray, i in caps.items():
-                column = _pairing_column(ray, fibers, level)
-                levels = map(min, levels,
-                             column if i is None else [top if p else i - 1 for p in column])
+            levels = _least_levels(X, fibers, level, inf, Z.active_chart_indices(), table)
+            if Z.boundary_ray is not None:
+                levels = map(min, levels, _pairing_column(Z.boundary_ray, fibers, level))
             self._orders[r] = list(levels)
         return self._orders[r]
 
@@ -246,69 +159,16 @@ def ideal_power_filtration(X: ToricFanoModel, Z: MonomialSubscheme) -> Filtratio
     Level x keeps the sections whose chart exponents lie in the
     ceil(x)-th power of Z's ideal; nonpositive x keeps everything.  The
     window is e_minus = -1 and e_plus one past the scaled
-    pseudoeffective threshold tau; it brackets the slope estimates 0 and
-    that threshold by construction.  tau and the integral of the blowup
+    pseudoeffective threshold tau, e_max_est; it brackets 0 and that
+    threshold by construction.  tau and the integral of the blowup
     volume profile, which the limit slope reads, come exactly from
-    volumes.blowup_volume_integral, with no profile built.
+    volumes.blowup_volume_integral, with no profile built; it refuses a
+    subscheme that does not fit the model.
     """
     tau, integral = blowup_volume_integral(X, Z)
     e_max = X.r0 * tau
-    return FiltrationSpec(X, IDEAL_POWER, subscheme=Z,
-                          e_plus=ceil(e_max) + 1, e_minus=-1,
-                          e_min_est=0, e_max_est=e_max, profile_integral=integral)
-
-
-def explicit_filtration(X: ToricFanoModel,
-                        table: Mapping[int, Sequence[tuple]],
-                        *, e_plus: int, e_minus: int,
-                        e_min_est=None, e_max_est=None) -> FiltrationSpec:
-    """Filtration read off a finite table of step ideals.
-
-    ``table[r]`` is a sequence of (threshold, ideal) pairs with strictly
-    increasing thresholds; the ideal applies on the half-open interval up
-    to and including its threshold, the first entry (which must be the
-    unit ideal, spelled None) covers everything below, and past the last
-    threshold the filtration is zero.  Ideals must decrease along each
-    row.  Slope estimates are read from the table unless supplied.  The
-    window must be nonempty and bracket them strictly: e_minus < e_min_est
-    and e_max_est < e_plus.  It is checked here, once, and every route
-    reads it from the spec.
-    """
-    norm: dict[int, tuple[tuple[Fraction, MonomialSubscheme | None], ...]] = {}
-    for r, rows in table.items():
-        r = int(r)
-        if r < 1:
-            raise ValueError("table rows need positive r")
-        entries = [(Fraction(x), ideal) for x, ideal in rows]
-        if not entries:
-            raise ValueError(f"empty table row for r={r}")
-        if entries[0][1] is not None:
-            raise ValueError(f"r={r}: first entry must be the unit ideal")
-        for (xa, _), (xb, _) in zip(entries, entries[1:]):
-            if not xa < xb:
-                raise ValueError(f"r={r}: thresholds must increase")
-        for (_, a), (_, b) in zip(entries, entries[1:]):
-            if a is None:
-                continue
-            if b is None or not _subscheme_contains(a, b):
-                raise ValueError(f"r={r}: entries must decrease")
-        norm[r] = tuple(entries)
-
-    if e_min_est is None:
-        e_min_est = min(max(x for x, ideal in rows if ideal is None) / r
-                        for r, rows in norm.items())
-    if e_max_est is None:
-        e_max_est = max(rows[-1][0] / r for r, rows in norm.items())
-    e_plus, e_minus = int(e_plus), int(e_minus)
-    if not Fraction(e_plus) > Fraction(e_max_est):
-        raise ValueError(f"e_plus={e_plus} must exceed e_max_est={e_max_est}")
-    if not Fraction(e_minus) < Fraction(e_min_est):
-        raise ValueError(f"e_minus={e_minus} must sit below e_min_est={e_min_est}")
-    if not e_plus > e_minus:
-        raise ValueError(f"e_plus={e_plus} must exceed e_minus={e_minus}")
-    return FiltrationSpec(X, EXPLICIT, table=norm, e_plus=e_plus,
-                          e_minus=e_minus, e_min_est=e_min_est,
-                          e_max_est=e_max_est)
+    return FiltrationSpec(X, Z, e_plus=ceil(e_max) + 1, e_minus=-1,
+                          e_max_est=e_max, profile_integral=integral)
 
 
 def saturate_points(X: ToricFanoModel, r: int,
@@ -383,7 +243,7 @@ def saturate(F: FiltrationSpec, r: int, x) -> tuple[MonomialSubscheme, tuple[Poi
     Step 0 is all of V_r, with the unit ideal.  Levels x in one step
     share one saturation, cached and labelled by r and the index."""
     r = int(r)
-    index = F.level_step(r, x)
+    index = F.level_step(x)
     key = (r, index)
     if key not in F._saturations:
         label = f"sat(r={r},step={index})"
@@ -399,38 +259,12 @@ def saturate(F: FiltrationSpec, r: int, x) -> tuple[MonomialSubscheme, tuple[Poi
     return F._saturations[key]
 
 
-def find_r1(F: FiltrationSpec) -> int:
-    """Smallest r1 <= R1_CAP with F^{r e_minus} V_r full for all r in
-    [r1, 2 r1], at the spec's e_minus.
-
-    Fullness is checked both as a point count and through the saturated
-    ideal being the unit ideal.
-    """
-    for r1 in range(1, R1_CAP + 1):
-        good = True
-        for r in range(r1, 2 * r1 + 1):
-            if len(F.value(r, r * F.e_minus)) != len(F.sections(r)):
-                good = False
-                break
-            ideal, _ = saturate(F, r, r * F.e_minus)
-            if not ideal.is_empty:
-                good = False
-                break
-        if good:
-            return r1
-    raise R1NotFound(R1_CAP)
-
-
 def _window_steps(F: FiltrationSpec, r: int) -> list[MonomialSubscheme]:
     """The saturated level ideals at x = j for the integers j in
     (r e_minus, r e_plus], the steps of the spec's window at r.  The
-    routes put the unit ideal at the bottom, so F^x V_r must be full at
-    x = r e_minus."""
-    lo = r * F.e_minus
-    if len(F.value(r, lo)) != len(F.sections(r)):
-        raise ValueError(
-            f"F^x V_r not full at x = {lo}; r={r} is below r1")
-    return [saturate(F, r, j)[0] for j in range(lo + 1, r * F.e_plus + 1)]
+    routes put the unit ideal at x = r e_minus, where F^x V_r is full as
+    e_minus < 0."""
+    return [saturate(F, r, j)[0] for j in range(r * F.e_minus + 1, r * F.e_plus + 1)]
 
 
 def _leading_integral(X: ToricFanoModel, r: int, M: int,
@@ -514,12 +348,13 @@ class DInftyReport:
 
     e_plus: int
     e_minus: int
+    # always 1, as the window starts below every section; kept because
+    # perfbench/run.py still reads it
     r1: int
     a_samples: tuple[tuple[int, Fraction], ...]
     a_limit: Fraction
     d_samples: tuple[tuple[int, Fraction], ...]
     d_infty: Fraction
-    approximate: bool
 
 
 DEFAULT_R_LIST = (1, 2, 4, 8)
@@ -533,36 +368,29 @@ def compute_d_infty(F: FiltrationSpec, r_list: Sequence[int] = DEFAULT_R_LIST,
     Each A_r comes from _leading_integral over the window's steps at r,
     exact, with no power budget.  k_max is accepted and ignored: the
     benchmark harness, perfbench/run.py, still passes it, and it goes
-    when that call does.  The limit value is the exact profile integral
-    for ideal-power filtrations and the last sample, flagged approximate,
-    otherwise.
+    when that call does.  The limit value is exact, read off the profile
+    integral.
     """
     X = F.X
     n = X.dimension
     vol = anticanonical_volume(X)
     e = F.e_plus - F.e_minus
-    r1 = find_r1(F)
     a_samples = []
     d_samples = []
     for r in r_list:
         r = int(r)
-        if r < r1:
-            raise ValueError(f"r={r} is below r1={r1}")
+        if r < 1:
+            raise ValueError(f"level r={r} must be positive")
         steps = _window_steps(F, r)
         lead = _leading_integral(X, r, len(steps), product_dual_vertices(X, steps))
         a_r = lead / ((n + 1) * Fraction(r * X.r0) ** (n + 1))
         a_samples.append((r, a_r))
         d_samples.append((r, 1 - Fraction(e, X.r0) + a_r / vol))
-    approximate = F.kind != IDEAL_POWER
-    if approximate:
-        a_limit = a_samples[-1][1]
-    else:
-        a_limit = -Fraction(F.e_minus) * vol / X.r0 + F.profile_integral
+    a_limit = -Fraction(F.e_minus) * vol / X.r0 + F.profile_integral
     d_infty = 1 - Fraction(e, X.r0) + a_limit / vol
-    return DInftyReport(e_plus=F.e_plus, e_minus=F.e_minus, r1=r1,
+    return DInftyReport(e_plus=F.e_plus, e_minus=F.e_minus, r1=1,
                         a_samples=tuple(a_samples), a_limit=a_limit,
-                        d_samples=tuple(d_samples), d_infty=d_infty,
-                        approximate=approximate)
+                        d_samples=tuple(d_samples), d_infty=d_infty)
 
 
 def induced_ideal_sequence(F: FiltrationSpec, r: int) -> IdealSequenceOnXxA1:

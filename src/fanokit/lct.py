@@ -25,7 +25,7 @@ from .errors import NotSmoothChart
 from .linalg import Vec
 from .model import ToricFanoModel
 from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme, NewtonPolyhedron,
-                        product_dual_vertices)
+                        check_model_fit, product_dual_vertices)
 
 
 def lct_chart(gens: Sequence[Sequence[int]]) -> Fraction | None:
@@ -40,6 +40,7 @@ def lct_monomial(X: ToricFanoModel, Z: MonomialSubscheme, power: int = 1) -> Fra
     """lct(X, I_Z^power) for a monomial subscheme with smooth-chart data."""
     if power < 1:
         raise ValueError("power must be >= 1")
+    check_model_fit(X, Z)
     Z.require_usable()
     if Z.boundary_ray is not None:
         # (X, sum of boundary divisors) is log canonical and the ray's own

@@ -9,9 +9,13 @@ occur twice, in two unrelated pieces of code, to slip through.
 
 The weight count, oracle_weight_records, the fast check of the leading
 integrals in dimension 3, shares level tables, lattice fibers and
-filtration._least_levels with the saturation route, and nothing of the
-integral route: no Newton polyhedron, no vertex enumeration.  Only the
-acceptance criteria and the tests read this module.
+filtration._least_levels with the saturation route.  Of the integral
+route it shares the corners of subscheme.level_table, which
+product_dual_vertices reads too, and nothing past them: no Newton
+polyhedron, no vertex enumeration.  So a wrong corner would pass it; the
+acceptance criteria also hold the count against oracle_h0_quotient,
+which shares none of that.  Only the acceptance criteria and the tests
+read this module.
 """
 
 from __future__ import annotations

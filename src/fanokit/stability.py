@@ -26,10 +26,11 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .errors import EmptyOrFull, FanokitError
-from .filtration import _check_arity, _leading_integral
+from .filtration import _leading_integral
 from .lct import lct_monomial, product_line_threshold
 from .model import ToricFanoModel, anticanonical_volume
-from .subscheme import IdealSequenceOnXxA1, MonomialSubscheme, product_dual_vertices
+from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme, check_model_fit,
+                        product_dual_vertices)
 from .volumes import blowup_volume_integral, seshadri_constant
 
 CONSISTENT = "CONSISTENT"
@@ -61,12 +62,11 @@ def beta(X: ToricFanoModel, Z: MonomialSubscheme) -> BetaReport:
     profile being zero past the pseudoeffective threshold, read by
     volumes.blowup_volume_integral off one vertex enumeration of the
     lifted region: no profile is built.  Both terms are exact: chart data
-    on a singular chart is refused by the threshold before the region is
-    read.
+    on a singular chart, and data written for another fan, is refused by
+    the threshold before the region is read.
     """
     if Z.is_empty or Z.has_zero_chart:
         raise EmptyOrFull(f"{Z.label}: beta needs a nonzero proper subscheme")
-    _check_arity(X, Z)
     lct_value = lct_monomial(X, Z)
     _, integral = blowup_volume_integral(X, Z)
     vol = anticanonical_volume(X)
@@ -114,7 +114,7 @@ def ding_invariant(X: ToricFanoModel, S: IdealSequenceOnXxA1, r: int,
     if r < 1:
         raise ValueError("r must be positive")
     for step in S.steps:
-        _check_arity(X, step)
+        check_model_fit(X, step)
     n = X.dimension
     vol = anticanonical_volume(X)
     scale = Fraction(r * X.r0)

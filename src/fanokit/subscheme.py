@@ -94,7 +94,28 @@ class MonomialSubscheme:
         for _ in range(m - 1):
             acc = product(acc, self)
         return MonomialSubscheme(label=f"{self.label}^{m}", dimension=self.dimension,
-                                 chart_gens=acc.chart_gens, boundary_ray=None)
+                                 chart_gens=acc.chart_gens, boundary_ray=acc.boundary_ray)
+
+
+def check_model_fit(X: ToricFanoModel, Z: MonomialSubscheme) -> None:
+    """Refuse a subscheme of another dimension, a boundary ray the fan
+    lacks, generators on a chart the model lacks, or generators whose
+    arity is not their chart's ray count: data written for a different
+    fan, which no public constructor produces."""
+    if Z.dimension != X.dimension:
+        raise UnsupportedSubscheme(f"{Z.label}: dimension does not match {X.dimension}")
+    if Z.boundary_ray is not None and Z.boundary_ray not in X.rays:
+        raise UnsupportedSubscheme(f"{Z.label}: boundary ray {Z.boundary_ray} "
+                                   f"is not a ray of the fan")
+    for idx in Z.active_chart_indices():
+        if not 0 <= idx < len(X.charts):
+            raise UnsupportedSubscheme(f"{Z.label}: chart {idx} is not one of the "
+                                       f"{len(X.charts)} charts of {X.name or 'the model'}")
+        rows = X.charts[idx].cone_rays
+        if any(len(g) != len(rows) for g in Z.chart_gens[idx]):
+            raise UnsupportedSubscheme(
+                f"{Z.label}: generator arity does not match the "
+                f"{len(rows)} cone rays of chart {idx}")
 
 
 def _minimal_subscheme(label: str, dimension: int,
@@ -108,7 +129,12 @@ def _minimal_subscheme(label: str, dimension: int,
 
 def product(a: MonomialSubscheme, b: MonomialSubscheme) -> MonomialSubscheme:
     """Chartwise product ideal, labelled a*b: unit times I is I, zero
-    times I is zero."""
+    times I is zero.  A boundary ray stands for its reduced divisor, and
+    no ray expresses a multiple of it, so an operand with one is
+    refused."""
+    if a.boundary_ray is not None or b.boundary_ray is not None:
+        raise UnsupportedSubscheme(f"{a.label}*{b.label}: a boundary ray stands for a "
+                                   f"reduced divisor, not a product with one")
     gens: dict[int, Gens] = {}
     for idx in {**a.chart_gens, **b.chart_gens}:
         ga, gb = a.gens_on(idx), b.gens_on(idx)

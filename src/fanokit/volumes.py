@@ -39,11 +39,12 @@ from .linalg import matmul_vec, transpose
 from .model import ToricFanoModel
 from .piecewise import PiecewisePolynomial, poly_trim
 from .polytope import moving_volume_function, moving_volume_integral
-from .subscheme import MonomialSubscheme, point_subscheme
+from .subscheme import MonomialSubscheme, check_model_fit, point_subscheme
 
 
 def _moving_rows(X: ToricFanoModel, Z: MonomialSubscheme) -> list[tuple]:
     """The rows <a, u> >= x - b of Z's profile region, as (a, b)."""
+    check_model_fit(X, Z)
     Z.require_usable()
     if Z.boundary_ray is not None:
         return [(Z.boundary_ray, 1)]

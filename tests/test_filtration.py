@@ -3,7 +3,7 @@
 Frozen expected values come from hand computation on P1 and P2 (recorded
 in the working notes): level dimensions on P1, v_r(k) = 4 k^2 r^2 + 2 k r
 for the point filtration on P1, A_r = 4 with limit slope -1, the limit
-slope -1 on P2, and v = k r h0 for the trivial filtration.
+slope -1 on P2, and v = k r h0 for the trivial sequence.
 """
 
 from fractions import Fraction
@@ -18,20 +18,20 @@ from hypothesis import strategies as st
 import fanokit.lattice as lattice_mod
 import fanokit.oracles as oracles_mod
 import fanokit.subscheme as subscheme_mod
-from fanokit.errors import (CombinatorialBlowup, NoStabilization, R1NotFound,
+from fanokit.errors import (CombinatorialBlowup, NoStabilization,
                             UnsupportedSubscheme, ZeroIdeal)
-from fanokit.filtration import (_pairing_column, compute_d_infty,
-                                explicit_filtration, find_r1,
-                                ideal_power_filtration,
+from fanokit.filtration import (_leading_integral, _pairing_column,
+                                compute_d_infty, ideal_power_filtration,
                                 induced_ideal_sequence, saturate,
                                 saturate_points)
 from fanokit.model import CATALOG_RAYS, catalog_model
 from fanokit.polytope import lattice_fibers, lattice_points
 from fanokit.oracles import (oracle_h0_quotient, oracle_weight_records,
                              stable_leading_difference)
-from fanokit.subscheme import (MonomialSubscheme, _subscheme_contains,
-                               boundary_divisor_subscheme, point_subscheme,
-                               product, product_gens, standard_battery,
+from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
+                               _subscheme_contains, boundary_divisor_subscheme,
+                               point_subscheme, product, product_dual_vertices,
+                               product_gens, standard_battery,
                                thickened_point_subscheme)
 from helpers import monomial_power_membership
 
@@ -41,18 +41,12 @@ def _point_filtration(name):
     return X, ideal_power_filtration(X, point_subscheme(X, 0))
 
 
-def _trivial_filtration(name, r_max=16):
-    X = catalog_model(name)
-    table = {r: [(0, None)] for r in range(1, r_max + 1)}
-    return X, explicit_filtration(X, table, e_plus=1, e_minus=-1)
-
-
-def _shifted_filtration():
-    """An explicit filtration whose unit row ends at x = 1, above e_minus."""
-    X = catalog_model("P1")
-    pt = point_subscheme(X, 0)
-    table = {r: [(1, None), (2, pt), (3, pt.power(2))] for r in (1, 2)}
-    return X, explicit_filtration(X, table, e_plus=4, e_minus=0)
+def _trivial_sequence(X, r):
+    """r unit steps, then r steps that are zero on every chart."""
+    unit = MonomialSubscheme(label="unit", dimension=X.dimension)
+    zero = MonomialSubscheme(label="zero", dimension=X.dimension,
+                             chart_gens={c: () for c in range(len(X.charts))})
+    return IdealSequenceOnXxA1(steps=(unit,) * r + (zero,) * r)
 
 
 def _window_records(F, r, k_max):
@@ -86,7 +80,6 @@ class TestLevels:
     def test_p1_point_window(self):
         X, F = _point_filtration("P1")
         assert (F.e_minus, F.e_plus) == (-1, 3)
-        assert F.e_min_est == 0
         assert F.e_max_est == 2
 
     def test_p1_level_one_keeps_two_of_three(self):
@@ -107,10 +100,10 @@ class TestLevels:
         for _ in range(4):
             chain.append(product(chain[-1], Z))
         for m in (3, 5, 2, 4):
-            assert F.level_step(1, m) == m
+            assert F.level_step(m) == m
             assert Z.power(m).label == f"point@1^{m}"
             assert Z.power(m).chart_gens == chain[m - 1].chart_gens
-        assert F.level_step(1, 1) == 1
+        assert F.level_step(1) == 1
         assert Z.power(1).chart_gens == Z.chart_gens
 
     def test_fractional_level_rounds_up(self):
@@ -121,56 +114,11 @@ class TestLevels:
         X, F = _point_filtration("P2")
         assert F.value(1, 4) == ()
 
-    def test_explicit_missing_row(self):
-        X = catalog_model("P1")
-        F = explicit_filtration(X, {1: [(0, None)]}, e_plus=1, e_minus=-1)
-        with pytest.raises(KeyError):
-            F.value(2, 0)
-
     def test_zero_ideal_refused(self):
         X = catalog_model("P1")
         zero = MonomialSubscheme(label="z", dimension=1, chart_gens={0: ()})
         with pytest.raises(ZeroIdeal):
             ideal_power_filtration(X, zero)
-
-
-class TestExplicitValidation:
-    def setup_method(self):
-        self.X = catalog_model("P1")
-        self.pt = point_subscheme(self.X, 0)
-
-    def test_first_entry_must_be_unit(self):
-        with pytest.raises(ValueError, match="unit"):
-            explicit_filtration(self.X, {1: [(0, self.pt)]},
-                                e_plus=1, e_minus=-1)
-
-    def test_thresholds_must_increase(self):
-        with pytest.raises(ValueError, match="increase"):
-            explicit_filtration(self.X, {1: [(0, None), (0, self.pt)]},
-                                e_plus=1, e_minus=-1)
-
-    def test_entries_must_decrease(self):
-        with pytest.raises(ValueError, match="decrease"):
-            explicit_filtration(
-                self.X,
-                {1: [(0, None), (1, self.pt.power(2)), (2, self.pt)]},
-                e_plus=3, e_minus=-1)
-
-    def test_row_carried_by_its_ray_alone_is_not_the_unit(self):
-        # whether point@0 lies in the ray's divisor is the model's to say
-        X = catalog_model("P112")
-        bare = MonomialSubscheme(label="bare", dimension=2, boundary_ray=(1, 0))
-        with pytest.raises(UnsupportedSubscheme, match="point@0 lies in bare"):
-            explicit_filtration(X, {1: [(0, None), (1, bare), (2, point_subscheme(X, 0))]},
-                                e_plus=3, e_minus=-1)
-
-    def test_window_must_bracket_estimates(self):
-        with pytest.raises(ValueError, match="e_plus"):
-            explicit_filtration(self.X, {1: [(0, None), (2, self.pt)]},
-                                e_plus=2, e_minus=-1)
-        with pytest.raises(ValueError, match="e_minus"):
-            explicit_filtration(self.X, {1: [(0, None), (2, self.pt)]},
-                                e_plus=3, e_minus=0)
 
 
 class TestSaturate:
@@ -220,25 +168,25 @@ class TestSaturate:
         assert dict(second.chart_gens) == dict(first.chart_gens)
         assert closure2 == closure
 
-    @pytest.mark.parametrize("name", [*sorted(CATALOG_RAYS), "shifted"])
+    @pytest.mark.parametrize("name", sorted(CATALOG_RAYS))
     def test_every_window_step_is_the_saturation_of_its_value(self, name):
         # the multi-level tables at r against the 0/1 tables of each value,
         # over every step index of the window and one past it
-        X, F = _shifted_filtration() if name == "shifted" else _point_filtration(name)
+        X, F = _point_filtration(name)
         for r in (1, 2):
             indices = set()
             for x in range(r * F.e_minus, r * F.e_plus + 2):
-                indices.add(F.level_step(r, x))
+                indices.add(F.level_step(x))
                 ideal, closure = saturate(F, r, x)
                 again, closure2 = saturate_points(X, r, F.value(r, x))
                 assert (again.chart_gens, closure2) == (ideal.chart_gens, closure)
             assert indices == set(range(max(indices) + 1))
 
-    @pytest.mark.parametrize("name", [*sorted(CATALOG_RAYS), "shifted"])
+    @pytest.mark.parametrize("name", sorted(CATALOG_RAYS))
     def test_saturations_are_minimalised_once(self, name, monkeypatch):
         # the table corners are already minimal: saturate calls no
         # minimalize, and each ideal is in the constructor's normal form
-        X, F = _shifted_filtration() if name == "shifted" else _point_filtration(name)
+        X, F = _point_filtration(name)
         calls = []
         real = lattice_mod.minimalize
         monkeypatch.setattr(lattice_mod, "minimalize", lambda gens: calls.append(gens) or real(gens))
@@ -250,21 +198,18 @@ class TestSaturate:
                                             chart_gens=Z.chart_gens) for Z in ideals]
 
     def test_tables_refuse_past_the_cell_cap(self, monkeypatch):
-        # the P2 tables at r = 1 span 4 x 4 cells, but the explicit order
-        # table, clipped to its generators, 3 x 3
-        for build in (lambda: _point_filtration("P2"), _explicit_p2_filtration):
-            X, F = build()
-            expected = F.value(1, 1), saturate(F, 1, 1)
-            monkeypatch.setattr(subscheme_mod, "CELL_CAP", 16)
-            X, F = build()
-            assert (F.value(1, 1), saturate(F, 1, 1)) == expected
-            monkeypatch.setattr(subscheme_mod, "CELL_CAP", 8)
-            X, F = build()
-            with pytest.raises(CombinatorialBlowup):
-                F.value(1, 1)
-            with pytest.raises(CombinatorialBlowup):
-                saturate(F, 1, 1)
-            monkeypatch.undo()
+        # the P2 tables at r = 1 span 4 x 4 cells
+        X, F = _point_filtration("P2")
+        expected = F.value(1, 1), saturate(F, 1, 1)
+        monkeypatch.setattr(subscheme_mod, "CELL_CAP", 16)
+        X, F = _point_filtration("P2")
+        assert (F.value(1, 1), saturate(F, 1, 1)) == expected
+        monkeypatch.setattr(subscheme_mod, "CELL_CAP", 8)
+        X, F = _point_filtration("P2")
+        with pytest.raises(CombinatorialBlowup):
+            F.value(1, 1)
+        with pytest.raises(CombinatorialBlowup):
+            saturate(F, 1, 1)
 
 
 class TestSaturationLaws:
@@ -317,7 +262,9 @@ class TestSaturationLaws:
 
     def test_full_below_e_min(self):
         for X, F in self._filtrations():
-            assert find_r1(F) == 1
+            for r in (1, 2, 3):
+                assert F.value(r, r * F.e_minus) == F.sections(r)
+                assert saturate(F, r, r * F.e_minus)[0].is_empty
 
     def test_value_inside_closure(self):
         rng = random.Random(17)
@@ -421,42 +368,11 @@ class TestMembership:
         assert report == compute_d_infty(ideal_power_filtration(X, divisor), r_list=(1, 2))
         assert report.d_samples == ((1, Fraction(-8, 3)), (2, Fraction(-8, 3)))
 
-    def test_explicit_row_carried_by_its_ray_alone(self):
-        # a table step with no chart generators reads its ray's divisor,
-        # on the smooth chart and on the singular one alike
-        X = catalog_model("P112")
-        bare = MonomialSubscheme(label="bare", dimension=2, boundary_ray=(1, 0))
-        divisor = boundary_divisor_subscheme(X, (1, 0))
-        specs = [explicit_filtration(X, {r: [(0, None), (r, Z)] for r in (1, 2)},
-                                     e_plus=2, e_minus=-1) for Z in (bare, divisor)]
-        assert [len(F.value(1, 1)) for F in specs] == [6, 6]
-        assert compute_d_infty(specs[0], r_list=(1, 2)) == compute_d_infty(specs[1], r_list=(1, 2))
-
     def test_ray_of_another_fan_refused(self):
         X = catalog_model("P2")
         far = MonomialSubscheme(label="far", dimension=2, boundary_ray=(1, 1))
-        F = ideal_power_filtration(X, far)
         with pytest.raises(UnsupportedSubscheme, match="not a ray"):
-            F.value(1, 1)
-
-    def test_zero_chart_keeps_nothing(self):
-        X = catalog_model("P2")
-        pt = point_subscheme(X, 0)
-        zero = MonomialSubscheme(label="z", dimension=2,
-                                 chart_gens={0: (), 1: ((1, 0),)})
-        F = explicit_filtration(X, {1: [(0, None), (1, pt), (2, zero)]},
-                                e_plus=3, e_minus=-1)
-        assert F.value(1, 2) == ()
-        assert saturate(F, 1, 2)[1] == ()
-
-    def test_no_active_chart_keeps_everything(self):
-        X = catalog_model("P2")
-        unit = MonomialSubscheme(label="unit", dimension=2)
-        F = explicit_filtration(X, {1: [(0, None), (1, unit)]},
-                                e_plus=2, e_minus=-1)
-        assert F.value(1, 1) == F.sections(1)
-        ideal, closure = saturate(F, 1, 1)
-        assert ideal.is_empty and closure == F.sections(1)
+            ideal_power_filtration(X, far)
 
     def test_high_degree_generators_cost_no_cells(self):
         # a dense table over these generators would hold 10^9 cells
@@ -472,46 +388,13 @@ class TestMembership:
         X = catalog_model("P2")
         bad = MonomialSubscheme(label="bad", dimension=2,
                                 chart_gens={0: ((1, 0, 0),)})
-        F = explicit_filtration(X, {1: [(0, None), (1, bad)]},
-                                e_plus=2, e_minus=-1)
         with pytest.raises(UnsupportedSubscheme, match="arity"):
-            F.value(1, 1)
-        far = MonomialSubscheme(label="far", dimension=2, chart_gens={7: ((1, 0),)})
-        F = explicit_filtration(X, {1: [(0, None), (1, far)]},
-                                e_plus=2, e_minus=-1)
-        with pytest.raises(UnsupportedSubscheme, match="chart 7 is not one of"):
-            F.value(1, 1)
+            ideal_power_filtration(X, bad)
 
     def test_saturate_points_refuses_non_sections(self):
         X = catalog_model("P2")
         with pytest.raises(ValueError, match="outside"):
             saturate_points(X, 1, [(0, 0), (5, 5)])
-
-
-class TestFindR1:
-    def test_ideal_power_is_one(self):
-        for name in ("P1", "P2"):
-            X, F = _point_filtration(name)
-            assert find_r1(F) == 1
-
-    def test_shifted_table(self):
-        X, F = _shifted_filtration()
-        assert find_r1(F) == 1
-
-    def test_missing_row_propagates(self):
-        X = catalog_model("P1")
-        F = explicit_filtration(X, {1: [(0, None)]}, e_plus=1, e_minus=-1)
-        with pytest.raises(KeyError):
-            find_r1(F)
-
-    def test_not_found_under_dishonest_estimate(self):
-        X = catalog_model("P1")
-        pt = point_subscheme(X, 0)
-        table = {r: [(-1, None), (0, pt)] for r in range(1, 129)}
-        F = explicit_filtration(X, table, e_plus=1, e_minus=0, e_min_est=5)
-        with pytest.raises(R1NotFound) as info:
-            find_r1(F)
-        assert info.value.cap == 64
 
 
 class TestWeightSeries:
@@ -544,9 +427,9 @@ class TestWeightSeries:
         assert all(x == 0 for x in ws)
 
     def test_trivial_filtration_weights(self):
-        X, F = _trivial_filtration("P2", r_max=4)
+        X = catalog_model("P2")
         for r in (1, 2):
-            for rec in _window_records(F, r, 4):
+            for rec in oracle_weight_records(X, _trivial_sequence(X, r), r, 4):
                 assert rec.v == rec.k * r * rec.h0
                 assert rec.w == -rec.k * r * rec.h0
 
@@ -592,23 +475,6 @@ class TestWeightSeries:
                 assert _pairing_column(ray, fibers, level) == [
                     sum(a * x for a, x in zip(ray, u)) + level for u in pts]
 
-    def test_requires_fullness_at_window_bottom(self):
-        # an e_min_est above the true one lets the window start where
-        # the filtration is not yet full
-        X = catalog_model("P1")
-        F = explicit_filtration(X, {1: [(-1, None), (0, point_subscheme(X, 0))]},
-                                e_plus=1, e_minus=0, e_min_est=5)
-        with pytest.raises(ValueError, match="below r1"):
-            induced_ideal_sequence(F, 1)
-
-    def test_rejects_empty_window(self):
-        # a wrong e_min_est lets e_minus pass e_plus; the spec refuses
-        # that window when it is built, before any route reads it
-        X = catalog_model("P1")
-        with pytest.raises(ValueError, match="e_plus=1 must exceed e_minus=3"):
-            explicit_filtration(X, {1: [(0, None)]}, e_plus=1, e_minus=3,
-                                e_min_est=4)
-
     def test_generator_cap(self, monkeypatch):
         # the P2 point tables have 4 x 4 cells at k = 1, 10 x 10 at k = 3
         monkeypatch.setattr(oracles_mod, "CELL_CAP", 16)
@@ -627,7 +493,6 @@ class TestDInfty:
         assert all(a == 4 for _, a in report.a_samples)
         assert all(d == -1 for _, d in report.d_samples)
         assert report.d_infty == -1
-        assert not report.approximate
         gap_first = abs(report.a_samples[0][1] - report.a_limit)
         gap_last = abs(report.a_samples[-1][1] - report.a_limit)
         assert gap_last <= gap_first
@@ -640,13 +505,6 @@ class TestDInfty:
         assert report.d_infty == -1
         assert all(a <= report.a_limit for _, a in report.a_samples)
 
-    def test_trivial_filtration_slope(self):
-        X, F = _trivial_filtration("P1")
-        report = compute_d_infty(F, r_list=(1, 2, 4))
-        assert report.d_infty == 1 - Fraction(1, X.r0)
-        assert report.approximate
-        assert report.a_limit == report.a_samples[-1][1]
-
     def test_needs_enough_k(self):
         # four weight records are too few to show the leading difference
         # settled; the slope is the exact integral at any budget
@@ -658,13 +516,16 @@ class TestDInfty:
         assert report.d_samples == ((1, -1),)
 
 
-def _explicit_p2_filtration():
-    X = catalog_model("P2")
+def _p2_point_steps(X, r):
+    """Steps on P2 that are powers of the point at levels other than
+    their exponents: at r = 1 the unit ideal, pt, pt^2, then zero; at
+    r = 2 two unit steps, pt, pt^2 twice, pt^3, then zero twice."""
     pt = point_subscheme(X, 0)
     pt2 = thickened_point_subscheme(X, 0)
-    table = {1: [(0, None), (1, pt), (2, pt2)],
-             2: [(0, None), (1, pt), (3, pt2), (4, pt.power(3))]}
-    return X, explicit_filtration(X, table, e_plus=3, e_minus=-1)
+    unit, zero = _trivial_sequence(X, 1).steps
+    steps = {1: (unit, pt, pt2, zero),
+             2: (unit, unit, pt, pt2, pt2, pt.power(3), zero, zero)}[r]
+    return IdealSequenceOnXxA1(steps=steps)
 
 
 def _battery_filtration_at(name, label):
@@ -675,7 +536,10 @@ def _battery_filtration_at(name, label):
 
 class TestLeadingIntegral:
     """The exact A_r against the stabilised leading difference of the
-    weight sums v_r(k), the lattice count it replaced as the value route."""
+    weight sums v_r(k), the lattice count it replaced as the value route.
+    A filtration's A_r is read off its report; a t-graded ideal given by
+    a function of (X, r) goes through _leading_integral, as ding_invariant
+    reads it."""
 
     CASES = [
         # the P1 window at r = 1 ends in a zero step
@@ -688,20 +552,26 @@ class TestLeadingIntegral:
         (lambda: _battery_filtration_at("P112", "divisor@(1, 0)"), (1, 2)),
         (lambda: _battery_filtration_at("P112", "point@0"), (1,)),
         # unit steps, then steps that are zero on every chart
-        (lambda: _trivial_filtration("P2", r_max=4), (1, 2)),
-        (_explicit_p2_filtration, (1, 2)),
+        (lambda: (catalog_model("P2"), _trivial_sequence), (1, 2)),
+        (lambda: (catalog_model("P2"), _p2_point_steps), (1, 2)),
     ]
 
     @pytest.mark.parametrize("index", range(len(CASES)))
     def test_matches_weight_count(self, index):
         build, r_list = self.CASES[index]
-        X, F = build()
+        X, source = build()
         n = X.dimension
-        report = compute_d_infty(F, r_list=r_list)
-        for r, a_r in report.a_samples:
-            values = [rec.v for rec in _window_records(F, r, 8)]
-            counted = stable_leading_difference(values, n + 1)
-            assert a_r * (n + 1) * (r * X.r0) ** (n + 1) == counted
+        if callable(source):
+            sequences = {r: source(X, r) for r in r_list}
+            leads = {r: _leading_integral(X, r, S.M, product_dual_vertices(X, S.steps))
+                     for r, S in sequences.items()}
+        else:
+            sequences = {r: induced_ideal_sequence(source, r) for r in r_list}
+            leads = {r: a_r * (n + 1) * (r * X.r0) ** (n + 1)
+                     for r, a_r in compute_d_infty(source, r_list=r_list).a_samples}
+        for r, S in sequences.items():
+            values = [rec.v for rec in oracle_weight_records(X, S, r, 8)]
+            assert leads[r] == stable_leading_difference(values, n + 1)
 
 
 class TestInducedSequence:

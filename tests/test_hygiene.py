@@ -2,14 +2,15 @@
 used in it, every name a package module defines is used outside the
 tests (the oracles excepted, which only tests read), no package module
 but the acceptance criteria imports the oracles, every function the
-benchmark's tracer wraps exists, and git tracks no file that .gitignore
-excludes (generated files).
+benchmark's tracer wraps and every report field it reads exists, and
+git tracks no file that .gitignore excludes (generated files).
 
 The name checks go by name only: a definition, a method above all, that
 shares its name with a live one elsewhere escapes them, because every
 reference to the live one counts for it too."""
 
 import ast
+import dataclasses
 import importlib
 import re
 import shutil
@@ -18,6 +19,9 @@ from pathlib import Path
 from typing import Sequence
 
 import pytest
+
+from fanokit.filtration import DInftyReport
+from fanokit.stability import DingReport
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "fanokit"
@@ -30,7 +34,8 @@ TEST_READ_MODULES = {"oracles.py"}
 STALE_ENTRY_POINTS = {"polytope.sliced_volume_function", "subscheme.is_integrally_closed",
                       "oracles.counting_profile", "exactlp.solve_lp",
                       "lattice.count_points_in_ideals", "lattice.filter_points_in_ideals",
-                      "filtration.compute_weight_series", "stability.ding_weight_series"}
+                      "filtration.compute_weight_series", "stability.ding_weight_series",
+                      "filtration.find_r1"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -182,6 +187,23 @@ def test_tracer_entry_points_resolve():
         if not found:
             unresolved.add(f"{module}.{attr}")
     assert unresolved <= STALE_ENTRY_POINTS
+
+
+def test_benchmark_fields_are_report_fields():
+    """The benchmark holds each dinfty and ding pass to these report
+    fields; a dropped one would fail every such operation there."""
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    summarize = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "summarize")
+    table = next(node.value.value for node in ast.walk(summarize)
+                 if isinstance(node, ast.Assign) and node.targets[0].id == "fields")
+    reports = {"dinfty": DInftyReport, "ding": DingReport}
+    read = {key.value: [name.value for name in value.elts]
+            for key, value in zip(table.keys, table.values)}
+    assert set(read) == set(reports)
+    for workload, names in read.items():
+        fields = {f.name for f in dataclasses.fields(reports[workload])}
+        assert set(names) <= fields, workload
 
 
 def test_no_ignored_file_is_tracked():

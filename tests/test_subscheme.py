@@ -10,13 +10,17 @@ from hypothesis import strategies as st
 from fanokit import lattice
 from fanokit.errors import (EmptyOrFull, GluingMismatch, NotSmoothPoint,
                             UnsupportedSubscheme, ZeroIdeal)
+from fanokit.filtration import ideal_power_filtration
+from fanokit.lct import lct_monomial
 from fanokit.model import catalog_model
+from fanokit.stability import beta
 from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                                NewtonPolyhedron, _subscheme_contains, _tagged_table,
                                boundary_divisor_subscheme, level_table,
-                               point_subscheme, power_table, product_gens,
+                               point_subscheme, power_table, product, product_gens,
                                standard_battery,
                                thickened_point_subscheme, verify_gluing)
+from fanokit.volumes import blowup_volume_profile, pseudoeffective_threshold
 import helpers
 from strategies import decreasing_sequences
 
@@ -52,6 +56,36 @@ class TestMonomialSubscheme:
     def test_power_keeps_zero_charts_zero(self):
         Z = MonomialSubscheme(label="z", dimension=1, chart_gens={0: ()})
         assert Z.power(3).gens_on(0) == ()
+
+    def test_power_and_product_refuse_a_boundary_ray(self):
+        # no ray expresses m D_rho: dropping it read both as the unit ideal
+        X = catalog_model("P112")
+        bare = MonomialSubscheme(label="bare", dimension=2, boundary_ray=(1, 0))
+        divisor = boundary_divisor_subscheme(X, (1, 0))
+        assert bare.power(1).boundary_ray == (1, 0)
+        for Z in (bare, divisor):
+            with pytest.raises(UnsupportedSubscheme, match="boundary ray"):
+                Z.power(2)
+            with pytest.raises(UnsupportedSubscheme, match="boundary ray"):
+                product(Z, Z)
+        with pytest.raises(UnsupportedSubscheme, match="boundary ray"):
+            product(point_subscheme(X, 0), bare)
+
+
+class TestModelFit:
+    """Data written for another fan meets one check at every entry point
+    that reads a subscheme against a model."""
+
+    @pytest.mark.parametrize("Z", [
+        MonomialSubscheme(label="far", dimension=2, chart_gens={7: ((1, 0), (0, 1))}),
+        MonomialSubscheme(label="stray", dimension=2, boundary_ray=(1, 1))],
+        ids=["chart-the-model-lacks", "ray-the-fan-lacks"])
+    @pytest.mark.parametrize("entry", [
+        lct_monomial, blowup_volume_profile, pseudoeffective_threshold,
+        ideal_power_filtration, beta], ids=lambda entry: entry.__name__)
+    def test_refused_at_every_entry_point(self, entry, Z):
+        with pytest.raises(UnsupportedSubscheme, match=Z.label):
+            entry(catalog_model("P2"), Z)
 
 
 class TestBatteryConstructors:
