@@ -58,10 +58,10 @@ from operator import ge, mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import UnsupportedSubscheme
-from .linalg import Vec, matmul_vec, transpose
+from .linalg import int_primitive
 from .model import ToricFanoModel, anticanonical_volume
 from .polytope import lattice_fibers, lattice_points, moving_volume_integral
-from .subscheme import (IdealSequenceOnXxA1, LevelTable, MonomialSubscheme,
+from .subscheme import (DualVertex, IdealSequenceOnXxA1, LevelTable, MonomialSubscheme,
                         _minimal_subscheme, _tagged_table, power_table,
                         product_dual_vertices)
 from .volumes import blowup_volume_integral
@@ -268,7 +268,7 @@ def _window_steps(F: FiltrationSpec, r: int) -> list[MonomialSubscheme]:
 
 
 def _leading_integral(X: ToricFanoModel, r: int, M: int,
-                      duals: Mapping[int, Sequence[Vec]]) -> Fraction:
+                      duals: Mapping[int, Sequence[DualVertex]]) -> Fraction:
     """(n+1)! times the integral over r*r0*P of G - lo, G the level
     function of the t-graded ideal with the unit ideal at j = lo and M
     decreasing steps at j = lo + 1, ..., lo + M: the exact limit of the
@@ -280,9 +280,10 @@ def _leading_integral(X: ToricFanoModel, r: int, M: int,
     the induced ideal}, D the chart's cone rays; G is the least G_c, and
     lo + M where no chart is active.  The k-th powers and their integral
     closures count alike to leading order (Rees), so the polyhedron is
-    all that matters.  Each dual vertex (w, w_t) gives one row of
-    {G - lo >= x}, moving in x:
-    <D^T w / w_t, u> >= x - M + (1 - r r0 sum(w)) / w_t.  Charts that see
+    all that matters.  Each dual vertex (W, W_t) / den gives one row of
+    {G - lo >= x}, moving in x, in integers and lifted to (u, x):
+    (D^T W, -W_t, den - r r0 sum(W) - M W_t) divided by its gcd, meaning
+    <D^T W, u> - W_t x >= den - r r0 sum(W) - M W_t.  Charts that see
     the same part of the filtration give the same rows, kept once.  The
     integral is the integral over 0 <= x <= M, where G reaches its cap,
     of that region's volume: polytope.moving_volume_integral reads it
@@ -292,15 +293,24 @@ def _leading_integral(X: ToricFanoModel, r: int, M: int,
     lifted region is flat and the integral 0.
     """
     scale = r * X.r0
+    rows = [(*row[:-1], scale * row[-1]) for row in X.polytope.integer_rows]
+    _, integral = moving_volume_integral(X.dimension, rows, _leading_rows(X, r, M, duals),
+                                         cap=M)
+    return (X.dimension + 1) * integral
+
+
+def _leading_rows(X: ToricFanoModel, r: int, M: int,
+                  duals: Mapping[int, Sequence[DualVertex]]) -> list[tuple[int, ...]]:
+    """The moving rows of _leading_integral's region, in integers and
+    lifted to (u, x), each kept once."""
+    scale = r * X.r0
     moving = {}
     for c, vertices in duals.items():
-        cols = transpose(X.charts[c].cone_rays)
-        for *w, wt in vertices:
-            moving[(tuple(a / wt for a in matmul_vec(cols, w)),
-                    M - (1 - scale * sum(w)) / wt)] = None
-    rows = [(nr, scale * off) for nr, off in X.polytope.inequalities]
-    _, integral = moving_volume_integral(X.dimension, rows, list(moving), cap=M)
-    return (X.dimension + 1) * integral
+        cols = list(zip(*X.charts[c].cone_rays))
+        for (*W, wt), den in vertices:
+            moving[int_primitive([*[sum(map(mul, col, W)) for col in cols],
+                                  -wt, den - scale * sum(W) - M * wt])] = None
+    return list(moving)
 
 
 def _pairing_column(ray: Point, fibers: Sequence[Fiber], level: int) -> list[int]:

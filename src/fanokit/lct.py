@@ -14,18 +14,25 @@ off the dual vertices (w, w_t) of each active chart's induced ideal, the
 Newton polyhedra the leading integral reads.  Each point of the dual
 region bounds c2 by 1 + (sum(w) - c1) / w_t, linear-fractional there with
 w_t > 0, so the least bound is at a vertex or is the limit 1 along t.
+The vertices come in integers, (W, W_t) / den, and the bound is read as
+1 + (sum(W) - c1 den) / W_t, as the least weight sum is sum(W) / den.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Mapping, Sequence
 
 from .errors import NotSmoothChart
-from .linalg import Vec
 from .model import ToricFanoModel
-from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme, NewtonPolyhedron,
-                        check_model_fit, product_dual_vertices)
+from .subscheme import (DualVertex, IdealSequenceOnXxA1, MonomialSubscheme,
+                        NewtonPolyhedron, check_model_fit, product_dual_vertices)
+
+
+def _least_weight(vertices: Iterable[DualVertex]) -> Fraction:
+    """The least weight sum sum(W) / den over dual vertices W / den."""
+    return min([Fraction(sum(W), den) for W, den in vertices])
 
 
 def lct_chart(gens: Sequence[Sequence[int]]) -> Fraction | None:
@@ -33,7 +40,7 @@ def lct_chart(gens: Sequence[Sequence[int]]) -> Fraction | None:
     (a generator is 1, so the ideal is the unit ideal)."""
     if any(not any(g) for g in gens):
         return None
-    return min(sum(w) for w in NewtonPolyhedron(gens).dual_vertices)
+    return _least_weight(NewtonPolyhedron(gens).dual_vertices)
 
 
 def lct_monomial(X: ToricFanoModel, Z: MonomialSubscheme, power: int = 1) -> Fraction:
@@ -51,8 +58,7 @@ def lct_monomial(X: ToricFanoModel, Z: MonomialSubscheme, power: int = 1) -> Fra
         if not chart.smooth:
             raise NotSmoothChart(
                 f"{Z.label} lives on the singular chart at {chart.vertex}")
-    return min(sum(w) for duals in Z.dual_vertices.values()
-               for w in duals) / power
+    return _least_weight(chain.from_iterable(Z.dual_vertices.values())) / power
 
 
 def lct_on_product_with_line(X: ToricFanoModel, S: IdealSequenceOnXxA1, c1) -> Fraction:
@@ -60,9 +66,10 @@ def lct_on_product_with_line(X: ToricFanoModel, S: IdealSequenceOnXxA1, c1) -> F
     return product_line_threshold(X, product_dual_vertices(X, S.steps), c1)
 
 
-def product_line_threshold(X: ToricFanoModel, duals: Mapping[int, Sequence[Vec]],
+def product_line_threshold(X: ToricFanoModel, duals: Mapping[int, Sequence[DualVertex]],
                            c1) -> Fraction:
-    """The threshold at weight c1 from a sequence's product_dual_vertices.
+    """The threshold at weight c1 from a sequence's product_dual_vertices,
+    each vertex (W, W_t) / den bounding c2 by 1 + (sum(W) - c1 den) / W_t.
     Requires every chart of X to be smooth, since the log discrepancy of
     a monomial valuation is its weight sum only there."""
     c1 = Fraction(c1)
@@ -71,5 +78,5 @@ def product_line_threshold(X: ToricFanoModel, duals: Mapping[int, Sequence[Vec]]
     for chart in X.charts:
         if not chart.smooth:
             raise NotSmoothChart(f"chart at {chart.vertex} is singular")
-    return 1 + min([Fraction(0), *((sum(w) - c1) / wt for vertices in duals.values()
-                                   for *w, wt in vertices)])
+    return 1 + min([Fraction(0), *((sum(W) - c1 * den) / wt for vertices in duals.values()
+                                   for (*W, wt), den in vertices)])

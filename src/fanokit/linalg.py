@@ -23,7 +23,6 @@ from math import gcd, lcm
 from typing import Sequence
 
 Vec = tuple[Fraction, ...]
-Mat = tuple[Vec, ...]
 
 
 def dot(a: Sequence, b: Sequence) -> Fraction:
@@ -130,19 +129,15 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> Vec | None:
     return tuple(row[-1] for row in m)
 
 
-def matmul_vec(rows: Sequence[Sequence], x: Sequence) -> Vec:
-    return tuple(dot(r, x) for r in rows)
-
-
-def transpose(rows: Mat) -> Mat:
-    return tuple(zip(*rows))
+def int_primitive(v: Sequence[int]) -> tuple[int, ...]:
+    """An integer vector divided by the gcd of its entries (zero stays
+    zero): the primitive vector on its ray."""
+    g = gcd(*v)
+    return tuple([x // g for x in v]) if g else tuple(v)
 
 
 def rational_primitive(v: Sequence) -> tuple[int, ...]:
     """Scale a vector of ints and Fractions to the primitive integer vector
     on the same ray (zero stays zero)."""
     den = lcm(*[x.denominator for x in v])
-    ints = [x.numerator * (den // x.denominator) for x in v]
-    g = gcd(*ints)
-    return tuple([x // g for x in ints]) if g else tuple(ints)
-
+    return int_primitive([x.numerator * (den // x.denominator) for x in v])

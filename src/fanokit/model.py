@@ -26,9 +26,9 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DegeneratePolytope, NotFano, NotSmoothChart, UnboundedPolytope
-from .linalg import Vec, dot, int_det, int_solve, rational_primitive
+from .linalg import Vec, int_det, int_primitive, int_solve
 from .polytope import (RationalPolytope, euclidean_volume, lattice_points,
-                       polytope_from_rays)
+                       polytope_from_rays, vertex_incidences)
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,11 @@ class ToricFanoModel:
         return tuple(out)
 
 
-def _build_chart(P: RationalPolytope, vertex: Vec) -> Chart:
+def _build_chart(P: RationalPolytope, vertex: Vec, mask: int) -> Chart:
+    """The chart at a vertex of P, given the bitmask of the inequalities
+    tight at it."""
     n = P.dimension
-    tight = tuple(sorted(nr for nr, off in P.inequalities if dot(nr, vertex) == off))
+    tight = tuple(sorted(nr for k, (nr, _) in enumerate(P.inequalities) if mask >> k & 1))
     if len(tight) != n:
         return Chart(vertex=vertex, simplicial=False, index=0,
                      cone_rays=tight, edges=None)
@@ -142,7 +144,7 @@ def _build_chart(P: RationalPolytope, vertex: Vec) -> Chart:
     # of their inverse (of the adjugate, signed by the determinant), each
     # scaled to a primitive vector
     d, cols = int_solve(tight, [[int(i == j) for i in range(n)] for j in range(n)])
-    edges = tuple(rational_primitive(col if d > 0 else [-a for a in col]) for col in cols)
+    edges = tuple(int_primitive(col if d > 0 else [-a for a in col]) for col in cols)
     return Chart(vertex=vertex, simplicial=True, index=abs(int_det(edges)),
                  cone_rays=tight, edges=edges)
 
@@ -158,7 +160,7 @@ def build_model(dimension: int, rays: Sequence[Sequence[int]], name: str = "") -
     if len(set(rays_t)) != len(rays_t):
         raise ValueError("duplicate rays")
     for r in rays_t:
-        if rational_primitive(r) != r or all(x == 0 for x in r):
+        if int_primitive(r) != r or all(x == 0 for x in r):
             raise ValueError(f"ray {r} is not primitive")
     try:
         P = polytope_from_rays(dimension, rays_t)
@@ -169,7 +171,7 @@ def build_model(dimension: int, rays: Sequence[Sequence[int]], name: str = "") -
         if r not in facet_normals:
             raise NotFano(f"ray {r} supports no facet of the polytope")
     r0 = lcm(*[x.denominator for v in P.vertices for x in v])
-    charts = tuple(_build_chart(P, v) for v in P.vertices)
+    charts = tuple(_build_chart(P, v, z) for v, z in zip(P.vertices, vertex_incidences(P)))
     return ToricFanoModel(name=name, dimension=dimension, rays=rays_t,
                           polytope=P, r0=r0, charts=charts)
 

@@ -11,11 +11,12 @@ The weight count, oracle_weight_records, the fast check of the leading
 integrals in dimension 3, shares level tables, lattice fibers and
 filtration._least_levels with the saturation route.  Of the integral
 route it shares the corners of subscheme.level_table, which
-product_dual_vertices reads too, and nothing past them: no Newton
-polyhedron, no vertex enumeration.  So a wrong corner would pass it; the
-acceptance criteria also hold the count against oracle_h0_quotient,
-which shares none of that.  Only the acceptance criteria and the tests
-read this module.
+product_gens reads too, and nothing past them: no Newton polyhedron and
+none of its integer dual vertices, no integer moving rows
+(filtration._leading_rows), no vertex enumeration.  So a wrong corner
+would pass it; the acceptance criteria also hold the count against
+oracle_h0_quotient, which shares none of that.  Only the acceptance
+criteria and the tests read this module.
 """
 
 from __future__ import annotations

@@ -18,15 +18,20 @@ and its faces are read off which rows are tight at which vertices
 it goes, one bitmask of tight rows per vertex, so no row is tested at a
 vertex afterwards: the facets are the rows with maximal tight sets, and
 a pulling triangulation sums integer simplex determinants down chains
-of facets.  Rows are tested at points by dot products (_incidences) only
-where no enumeration met the points: euclidean_volume of a polytope's
-own vertices, the vertices and edges picked among given points, and the
-constructor's check.  Only points need a hull: the facets of conv(V)
-are the vertices of its polar about an interior point.  A region whose
-rows move linearly in a parameter x is the slice at x of
-the region lifted to (u, x) and cut by x >= 0, and one vertex
+of facets.  Rows are tested at points by integer dot products
+(_incidences), over the points' common denominator, only where no
+enumeration met the points: euclidean_volume of a polytope's own
+vertices, the vertices and edges picked among given points, and the
+constructor's check, which reads the inequalities as the primitive
+integer rows a polytope keeps (integer_rows).  Only points need a hull:
+the facets of conv(V) are the vertices of its polar about an interior
+point.  A region whose rows move linearly in a parameter x is the slice
+at x of the region lifted to (u, x) and cut by x >= 0, and one vertex
 enumeration of those lifted rows in dim + 1 variables serves both
-readers of such a region.  The integral of the slice volumes over x
+readers of such a region.  They take the rows in integers: the static
+ones as (*normal, offset), meaning <normal, u> >= offset, and the moving
+ones already lifted, as (*a, c, b), meaning <a, u> + c x >= b with
+c < 0.  The integral of the slice volumes over x
 needs no slice: it is the volume of the lifted region itself, perhaps
 cut by a cap on x, read off that enumeration's triangulation
 (moving_volume_integral).  The slices change combinatorial type only at
@@ -158,9 +163,17 @@ def _common_denominator(keys) -> tuple[list[list[int]], int]:
     return [[a * (den // d) for a in nums] for nums, d in keys], den
 
 
-def _incidences(irows: Sequence[Sequence], pts: Sequence[Sequence], den) -> list[int]:
-    """For each point p / den, the bitmask of the rows r tight at it,
-    <r[:-1], p> = r[-1] den, by dot products: the incidences of points
+def _over_common_denominator(points: Sequence[Vec]) -> tuple[list[list[int]], int]:
+    """(pts, den): rational points as integer vectors over their least
+    common denominator den."""
+    den = lcm(*[x.denominator for v in points for x in v])
+    return [[x.numerator * (den // x.denominator) for x in v] for v in points], den
+
+
+def _incidences(irows: Sequence[Sequence[int]], pts: Sequence[Sequence[int]],
+                den: int) -> list[int]:
+    """For each point p / den, the bitmask of the integer rows r tight at
+    it, <r[:-1], p> = r[-1] den, by dot products: the incidences of points
     that no vertex enumeration met."""
     return [sum([1 << k for k, r in enumerate(irows) if sum(map(mul, r, p)) == r[-1] * den])
             for p in pts]
@@ -280,7 +293,7 @@ def hull_facets(dim: int, vertices: Sequence[Vec]) -> list[tuple[tuple[int, ...]
 class RationalPolytope:
     """Bounded full-dimensional rational polytope with both representations."""
 
-    __slots__ = ("dimension", "vertices", "inequalities")
+    __slots__ = ("dimension", "vertices", "inequalities", "integer_rows")
 
     def __init__(self, dimension: int, vertices: Sequence[Sequence],
                  inequalities: Sequence[Ineq]):
@@ -289,22 +302,32 @@ class RationalPolytope:
             tuple(Fraction(x) for x in v) for v in vertices)
         self.inequalities: tuple[Ineq, ...] = tuple(
             (tuple(int(a) for a in nr), Fraction(off)) for nr, off in inequalities)
+        # the inequalities as primitive integer rows (*normal, offset)
+        self.integer_rows: tuple[tuple[int, ...], ...] = tuple(
+            rational_primitive((*nr, off)) for nr, off in self.inequalities)
         self._validate()
 
     def _validate(self) -> None:
+        """Refuse repeated vertices, vertices of another arity, and vertices
+        tight at fewer than dimension rows or outside a row, tested in
+        integers over the vertices' common denominator.  A normal of
+        another arity is refused when a vertex is tested against it."""
         n = self.dimension
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertices")
         for v in self.vertices:
             if len(v) != n:
                 raise ValueError(f"vertex arity {len(v)} != {n}")
-        rows = [(*nr, off) for nr, off in self.inequalities]
-        for v, z in zip(self.vertices, _incidences(rows, self.vertices, 1)):
+        pts, den = _over_common_denominator(self.vertices)
+        for v, p, z in zip(self.vertices, pts, _incidences(self.integer_rows, pts, den)):
             tight = z.bit_count()
             if tight < n:
                 raise ValueError(f"vertex {v} tight on only {tight} inequalities")
-            if any(dot(nr, v) < off for nr, off in self.inequalities):
-                raise ValueError(f"vertex {v} violates an inequality")
+            for r in self.integer_rows:
+                if len(r) != n + 1:
+                    raise ValueError(f"dot: length mismatch {len(r) - 1} vs {n}")
+                if sum(map(mul, r, p)) < r[n] * den:
+                    raise ValueError(f"vertex {v} violates an inequality")
 
     @classmethod
     def from_vertices(cls, dimension: int, vertices: Sequence[Sequence]) -> "RationalPolytope":
@@ -312,7 +335,9 @@ class RationalPolytope:
         ineqs = hull_facets(dimension, points)
         if not ineqs:
             raise DegeneratePolytope(f"vertex set is not {dimension}-dimensional")
-        return cls(dimension, [points[i] for (i,) in _lone_on_face(ineqs, points, 1)], ineqs)
+        pts, den = _over_common_denominator(points)
+        tight = _incidences([rational_primitive((*nr, off)) for nr, off in ineqs], pts, den)
+        return cls(dimension, [points[i] for (i,) in _lone_on_face(tight, 1)], ineqs)
 
     @classmethod
     def from_inequalities(cls, dimension: int, rows: Sequence[tuple[Sequence, object]]) -> "RationalPolytope":
@@ -393,23 +418,28 @@ def lattice_fibers(P: RationalPolytope, r) -> list[tuple[tuple[int, ...], int, i
     return [] if system is None else lattice.enum_fibers(*system)
 
 
+def vertex_incidences(P: RationalPolytope) -> list[int]:
+    """For each vertex of P, the bitmask of P's inequalities tight at it
+    (bit k for P.inequalities[k]), in integers."""
+    pts, den = _over_common_denominator(P.vertices)
+    return _incidences(P.integer_rows, pts, den)
+
+
 def euclidean_volume(P: RationalPolytope) -> Fraction:
     """Exact Lebesgue volume via a pulling triangulation of P's own
     vertices, with no vertex enumeration."""
-    irows = [rational_primitive((*nr, off)) for nr, off in P.inequalities]
-    den = lcm(*[x.denominator for v in P.vertices for x in v])
-    pts = [[int(x * den) for x in v] for v in P.vertices]
-    return _pulled_volume(P.dimension, irows, pts, _incidences(irows, pts, den), den)
+    pts, den = _over_common_denominator(P.vertices)
+    return _pulled_volume(P.dimension, P.integer_rows, pts,
+                          _incidences(P.integer_rows, pts, den), den)
 
 
-def _lone_on_face(ineqs: Sequence[Ineq], points: Sequence[Vec],
-                  k: int) -> list[tuple[int, ...]]:
+def _lone_on_face(tight: Sequence[int], k: int) -> list[tuple[int, ...]]:
     """Index k-tuples of points alone on the smallest face holding them,
-    the face the rows tight at all k cut out: k = 1 picks a polytope's
-    vertices among its points, and k = 2 its edges among its vertices."""
-    tight = _incidences([(*nr, off) for nr, off in ineqs], points, 1)
+    the face the rows tight at all k cut out, given the bitmask of the
+    rows tight at each point: k = 1 picks a polytope's vertices among its
+    points, and k = 2 its edges among its vertices."""
     out = []
-    for subset in combinations(range(len(points)), k):
+    for subset in combinations(range(len(tight)), k):
         common = reduce(and_, [tight[i] for i in subset])
         if sum(t & common == common for t in tight) == k:
             out.append(subset)
@@ -419,23 +449,23 @@ def _lone_on_face(ineqs: Sequence[Ineq], points: Sequence[Vec],
 def polytope_edges(P: RationalPolytope) -> list[tuple[int, int]]:
     """Index pairs of vertices joined by an edge: the pairs alone on the
     smallest face holding them."""
-    return _lone_on_face(P.inequalities, P.vertices, 2)
+    return _lone_on_face(vertex_incidences(P), 2)
 
 
-def _lifted_rows(dim: int, rows: Sequence[tuple[Sequence, object]],
-                 moving: Sequence[tuple[Sequence, object]]) -> list[tuple[int, ...]]:
-    """The region cut out by the static ``rows`` and, for each moving
-    (a, b), the row <a, u> >= x - b, lifted to (u, x) and cut by x >= 0:
-    integer rows (*normal, c, offset) meaning <normal, u> + c x >= offset."""
-    return ([rational_primitive((*nr, 0, off)) for nr, off in rows]
-            + [rational_primitive((*a, -1, -b)) for a, b in moving]
-            + [(0,) * dim + (1, 0)])
+def _lifted_rows(dim: int, rows: Sequence[Sequence[int]],
+                 moving: Sequence[Sequence[int]]) -> list[Sequence[int]]:
+    """The static integer ``rows`` (*normal, offset) lifted to (u, x), the
+    ``moving`` rows, already lifted, and x >= 0: integer rows
+    (*normal, c, offset) meaning <normal, u> + c x >= offset."""
+    return [*[(*r[:dim], 0, r[dim]) for r in rows], *moving, (0,) * dim + (1, 0)]
 
 
-def moving_volume_function(dim: int, rows: Sequence[tuple[Sequence, object]],
-                           moving: Sequence[tuple[Sequence, object]]) -> PiecewisePolynomial:
-    """x -> dim! * vol of the region cut out by the static ``rows`` and, for
-    each moving (a, b), the row <a, u> >= x - b, on [0, tau].
+def moving_volume_function(dim: int, rows: Sequence[Sequence[int]],
+                           moving: Sequence[Sequence[int]]) -> PiecewisePolynomial:
+    """x -> dim! * vol of the region cut out by the static integer ``rows``
+    (*normal, offset), meaning <normal, u> >= offset, and the ``moving``
+    integer rows (*a, c, b), meaning <a, u> + c x >= b with c < 0, on
+    [0, tau].
 
     The region shrinks as x grows and tau is where its volume reaches 0.
     Its combinatorial type changes only at the x-coordinates of the
@@ -445,13 +475,18 @@ def moving_volume_function(dim: int, rows: Sequence[tuple[Sequence, object]],
     breakpoints the volume is a polynomial of degree <= dim, fitted
     through the volumes of dim + 1 slices inside the piece, and equal
     neighbouring pieces are merged.
-    Raises DegeneratePolytope when the region has no volume for any x > 0.
+    Raises DegeneratePolytope when the region has no volume for any x > 0,
+    and UnboundedPolytope when the lifted region is unbounded.
     """
+    static = [(r[:dim], r[dim]) for r in rows]
+
     def slice_volume(x):
-        at_x = [*rows, *[(a, x - b) for a, b in moving]]
+        at_x = [*static, *[(r[:dim], r[dim + 1] - r[dim] * x) for r in moving]]
         return factorial(dim) * volume(dim, at_x)
 
-    keys, _ = _vertex_bases(dim + 1, _lifted_rows(dim, rows, moving))
+    keys, bounded = _vertex_bases(dim + 1, _lifted_rows(dim, rows, moving))
+    if keys and not bounded:
+        raise UnboundedPolytope("the lifted region is unbounded")
     cuts = sorted({Fraction(0)} | {Fraction(nums[dim], den) for nums, den in keys})
     breakpoints, pieces, last = [cuts[0]], [], None
     for a, b in zip(cuts, cuts[1:]):
@@ -472,8 +507,8 @@ def moving_volume_function(dim: int, rows: Sequence[tuple[Sequence, object]],
     return PiecewisePolynomial(breakpoints, pieces, degree_bound=dim)
 
 
-def moving_volume_integral(dim: int, rows: Sequence[tuple[Sequence, object]],
-                           moving: Sequence[tuple[Sequence, object]],
+def moving_volume_integral(dim: int, rows: Sequence[Sequence[int]],
+                           moving: Sequence[Sequence[int]],
                            cap=None) -> tuple[Fraction, Fraction]:
     """(tau, integral) for the region of moving_volume_function, with no
     profile built: the integral over 0 <= x <= cap of dim! * vol of the
@@ -485,15 +520,20 @@ def moving_volume_integral(dim: int, rows: Sequence[tuple[Sequence, object]],
     lifted region gives (0, 0), a flat one the integral 0.  The static
     rows must cut out a bounded set; each moving row then bounds x, and
     with neither a moving row nor a cap the region is unbounded in x.
+    A nonempty lifted region that is unbounded, as a moving row with
+    c >= 0 or unbounded static rows make it, raises UnboundedPolytope.
     """
     if cap is None and not moving:
         raise UnboundedPolytope("no moving row and no cap: x is unbounded")
     lifted = _lifted_rows(dim, rows, moving)
     if cap is not None:
-        lifted.append(rational_primitive((0,) * dim + (-1, -Fraction(cap))))
-    keys, _ = _vertex_bases(dim + 1, lifted)
+        num, den = cap.as_integer_ratio()
+        lifted.append((0,) * dim + (-den, -num))
+    keys, bounded = _vertex_bases(dim + 1, lifted)
     if not keys:
         return Fraction(0), Fraction(0)
+    if not bounded:
+        raise UnboundedPolytope("the lifted region is unbounded")
     pts, den = _common_denominator(keys)
     return (Fraction(max(p[dim] for p in pts), den),
             factorial(dim) * _pulled_volume(dim + 1, lifted, pts, keys.values(), den))

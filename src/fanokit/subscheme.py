@@ -21,11 +21,12 @@ from typing import Iterator, Mapping, Sequence
 from . import lattice
 from .errors import (CombinatorialBlowup, EmptyOrFull, GluingMismatch, NotSmoothPoint,
                      UnsupportedSubscheme, ZeroIdeal)
-from .linalg import Vec
 from .model import ToricFanoModel
-from .polytope import enumerate_basic_feasible, polytope_edges
+from .polytope import _vertex_bases, polytope_edges
 
 Gens = tuple[tuple[int, ...], ...]
+# a Newton dual vertex W / den as its integer key (W, den)
+DualVertex = tuple[tuple[int, ...], int]
 
 CELL_CAP = 1_000_000
 
@@ -76,7 +77,7 @@ class MonomialSubscheme:
         return sorted(self.chart_gens)
 
     @cached_property
-    def dual_vertices(self) -> dict[int, tuple[Vec, ...]]:
+    def dual_vertices(self) -> dict[int, tuple[DualVertex, ...]]:
         """Each active chart's Newton dual vertices, for lct and profile."""
         return {idx: NewtonPolyhedron(gens).dual_vertices
                 for idx, gens in self.chart_gens.items()}
@@ -213,10 +214,13 @@ def standard_battery(X: ToricFanoModel) -> list[MonomialSubscheme]:
 class NewtonPolyhedron:
     """conv(generators) + nonnegative orthant, with its facet duals.
 
-    ``dual_vertices`` are the vertices of Q = {w >= 0 : <g, w> >= 1 for
-    all generators}; a point a >= 0 lies in x*N iff <w, a> >= x for every
-    dual vertex w.  Facet inequalities of N are the scaled dual vertices
-    plus the coordinate halfspaces.
+    ``dual_vertices`` are the vertices w = W / den of Q = {w >= 0 :
+    <g, w> >= 1 for all generators}, kept in integers as the sorted
+    (W, den) keys of the vertex enumeration: den > 0 and W an integer
+    vector with no factor common to den and all of W.  A point a >= 0
+    lies in x*N iff <W, a> >= x den for every dual vertex.  Facet
+    inequalities of N are the scaled dual vertices plus the coordinate
+    halfspaces.
     """
 
     __slots__ = ("dual_vertices",)
@@ -230,9 +234,9 @@ class NewtonPolyhedron:
         if not gens:
             raise ZeroIdeal("zero ideal has empty Newton polyhedron")
         n = len(gens[0])
-        rows = [(tuple(int(i == j) for j in range(n)), 0) for i in range(n)]
-        self.dual_vertices: tuple[Vec, ...] = tuple(
-            enumerate_basic_feasible(n, rows + [(g, 1) for g in gens]))
+        rows = [tuple(int(i == j) for j in range(n)) + (0,) for i in range(n)]
+        keys, _ = _vertex_bases(n, rows + [(*g, 1) for g in gens])
+        self.dual_vertices: tuple[DualVertex, ...] = tuple(sorted(keys))
 
 
 @dataclass(frozen=True)
@@ -264,10 +268,10 @@ def product_gens(X: ToricFanoModel, steps: Sequence[MonomialSubscheme],
 
 
 def product_dual_vertices(X: ToricFanoModel, steps: Sequence[MonomialSubscheme]
-                          ) -> dict[int, tuple[Vec, ...]]:
-    """Each active chart's Newton dual vertices (w, w_t) of product_gens;
-    w_t > 0, some (0, M - j) with j < M being a generator.  Charts where
-    every step is unit have no entry."""
+                          ) -> dict[int, tuple[DualVertex, ...]]:
+    """Each active chart's Newton dual vertices ((W, W_t), den) of
+    product_gens; W_t > 0, some (0, M - j) with j < M being a generator.
+    Charts where every step is unit have no entry."""
     return {c: NewtonPolyhedron(product_gens(X, steps, c)).dual_vertices
             for c in sorted(set().union(*(s.chart_gens for s in steps)))}
 

@@ -11,7 +11,10 @@ moving linearly in x:
     through singular charts;
   * monomial data on smooth charts gives, for every dual vertex w of the
     chart's Newton polyhedron, the row <D^T w, u> >= x - sum(w) that
-    puts the chart exponents D u + 1 into x times the polyhedron.
+    puts the chart exponents D u + 1 into x times the polyhedron.  The
+    vertex is kept in integers, w = W / den, and so is the row, lifted
+    to (u, x): (D^T W, -den, -sum(W)) divided by its gcd, meaning
+    <D^T W, u> - den x >= -sum(W).
 
 Both readers of that region start from one vertex enumeration of it
 lifted to (u, x).  blowup_volume_integral reads the pseudoeffective
@@ -33,43 +36,49 @@ m, so I and its closure have the same volume profile.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionTooSmall, NotSmoothPoint, UnsupportedSubscheme
-from .linalg import matmul_vec, transpose
+from .linalg import int_primitive
 from .model import ToricFanoModel
 from .piecewise import PiecewisePolynomial, poly_trim
 from .polytope import moving_volume_function, moving_volume_integral
 from .subscheme import MonomialSubscheme, check_model_fit, point_subscheme
 
 
-def _moving_rows(X: ToricFanoModel, Z: MonomialSubscheme) -> list[tuple]:
-    """The rows <a, u> >= x - b of Z's profile region, as (a, b)."""
+def _moving_rows(X: ToricFanoModel, Z: MonomialSubscheme) -> list[tuple[int, ...]]:
+    """The rows of Z's profile region lifted to (u, x), as the integer
+    moving rows (*a, c, b), <a, u> + c x >= b, of moving_volume_integral:
+    (rho, -1, -1) for a boundary ray rho, and on each chart, for each
+    Newton dual vertex W / den, (D^T W, -den, -sum(W)) divided by its
+    gcd, D the chart's cone-ray matrix, each row kept once."""
     check_model_fit(X, Z)
     Z.require_usable()
     if Z.boundary_ray is not None:
-        return [(Z.boundary_ray, 1)]
-    moving = []
+        return [(*Z.boundary_ray, -1, -1)]
+    moving = {}
     for idx in Z.active_chart_indices():
         chart = X.charts[idx]
         if not chart.smooth:
             raise UnsupportedSubscheme(
                 f"{Z.label} touches the singular chart at {chart.vertex}")
-        cols = transpose(chart.dual)
-        moving.extend((matmul_vec(cols, w), sum(w))
-                      for w in Z.dual_vertices[idx])
-    return moving
+        cols = list(zip(*chart.dual))
+        for W, den in Z.dual_vertices[idx]:
+            moving[int_primitive([*[sum(map(mul, col, W)) for col in cols],
+                                  -den, -sum(W)])] = None
+    return list(moving)
 
 
 def blowup_volume_profile(X: ToricFanoModel, Z: MonomialSubscheme) -> PiecewisePolynomial:
     """x -> vol(sigma^*(-K) - x F) on [0, tau], zero afterwards: tau is
     its last breakpoint and vol(-K) its value at 0."""
-    return moving_volume_function(X.dimension, X.polytope.inequalities, _moving_rows(X, Z))
+    return moving_volume_function(X.dimension, X.polytope.integer_rows, _moving_rows(X, Z))
 
 
 def blowup_volume_integral(X: ToricFanoModel, Z: MonomialSubscheme) -> tuple[Fraction, Fraction]:
     """(tau, integral) of Z's profile, read off the lifted region with no
     profile built: its last breakpoint and its integral over [0, tau]."""
-    return moving_volume_integral(X.dimension, X.polytope.inequalities, _moving_rows(X, Z))
+    return moving_volume_integral(X.dimension, X.polytope.integer_rows, _moving_rows(X, Z))
 
 
 def seshadri_constant(X: ToricFanoModel, chart_index: int) -> Fraction:

@@ -77,6 +77,26 @@ def basic_feasible_points(dim, rows):
     return sorted(found)
 
 
+def newton_dual_points(gens):
+    """Vertices of {w >= 0 : <g, w> >= 1 for every generator g}, lex
+    sorted, in Fractions: basic_feasible_points on those rows."""
+    n = len(gens[0])
+    rows = [(tuple(int(i == j) for i in range(n)), 0) for j in range(n)]
+    return basic_feasible_points(n, rows + [(g, 1) for g in gens])
+
+
+def lifted_rays(int_rows) -> set:
+    """Each integer row (*a, c, b) with c < 0 on its ray, scaled in
+    Fractions to x entry c = -1; AssertionError unless the rows are
+    distinct and primitive."""
+    assert len(set(int_rows)) == len(int_rows), "a row is repeated"
+    out = set()
+    for row in int_rows:
+        assert gcd(*row) == 1 and row[-2] < 0, f"{row} is not primitive with c < 0"
+        out.add(tuple(Fraction(a, -row[-2]) for a in row))
+    return out
+
+
 def least_edge_length(rays, vertex) -> Fraction:
     """Least lattice length of the edges of P = {u : <u, ray> >= -1} at a
     smooth vertex: the Seshadri constant of -K at its fixed point (Di

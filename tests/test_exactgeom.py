@@ -32,10 +32,21 @@ CUBE = polytope_from_rays(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0),
                               (0, -1, 0), (0, 0, 1), (0, 0, -1)])
 
 
+def _moving(pairs):
+    """Moving rows <a, u> >= x - b, given as (a, b) pairs, in the integer
+    form (*a, -1, -b) the moving-volume readers take, made primitive."""
+    return [rational_primitive((*a, -1, -b)) for a, b in pairs]
+
+
+def _rows(pairs):
+    """Static rows (normal, offset) as primitive integer rows."""
+    return [rational_primitive((*nr, off)) for nr, off in pairs]
+
+
 def slice_function(P, lam_linear, lam_offset):
     """x -> n! vol(P ∩ {lam(u) + lam_offset >= x}): one moving row."""
-    return moving_volume_function(P.dimension, P.inequalities,
-                                  [(lam_linear, lam_offset)])
+    return moving_volume_function(P.dimension, P.integer_rows,
+                                  _moving([(lam_linear, lam_offset)]))
 
 
 CUBE_SLICE = slice_function(CUBE, (1, 1, 1), 12)
@@ -185,8 +196,8 @@ class TestIncidences:
         # tests rows at points
         def region():
             return (volume(3, CUBE.inequalities), volume(2, UNIT_SQUARE_ROWS),
-                    moving_volume_integral(3, CUBE.inequalities, [((1, 1, 1), 12)]),
-                    moving_volume_integral(2, TRIANGLE.inequalities, [], cap=F(1, 2)))
+                    moving_volume_integral(3, CUBE.integer_rows, _moving([((1, 1, 1), 12)])),
+                    moving_volume_integral(2, TRIANGLE.integer_rows, [], cap=F(1, 2)))
 
         def refuse(*args):
             raise AssertionError("dot-product incidences")
@@ -401,7 +412,8 @@ class TestRowVolume:
         assert volume(3, rows) == 0                               # empty
         assert volume(2, UNIT_SQUARE_ROWS + [((-1, 0), 0)]) == 0
         with pytest.raises(DegeneratePolytope):                   # no volume at any x
-            moving_volume_function(2, UNIT_SQUARE_ROWS + [((-1, 0), 0)], [((0, 1), 1)])
+            moving_volume_function(2, _rows(UNIT_SQUARE_ROWS + [((-1, 0), 0)]),
+                                   _moving([((0, 1), 1)]))
 
     def test_constant_functional_keeps_the_polytope(self):
         S = slice_function(TRIANGLE, (0, 0), 1)
@@ -444,7 +456,8 @@ class TestBasicFeasible:
         rows += [(tuple(F(x) for x in g), F(1)) for g in gens]
         expected = helpers.basic_feasible_points(n, rows)
         assert enumerate_basic_feasible(n, rows) == expected
-        assert list(NewtonPolyhedron(gens).dual_vertices) == expected
+        assert sorted(tuple(F(a, d) for a in W)
+                      for W, d in NewtonPolyhedron(gens).dual_vertices) == expected
         assert bruteforce_lct(gens) == min(sum(v) for v in expected)
         scales = data.draw(st.lists(st.fractions(F(1, 6), 6).filter(lambda q: q > 0),
                                     min_size=len(rows), max_size=len(rows)))
@@ -561,7 +574,7 @@ class TestSlicedVolume:
             return factorial(n) * volume(n, at_x)
 
         try:
-            S = moving_volume_function(n, P.inequalities, moving)
+            S = moving_volume_function(n, P.integer_rows, _moving(moving))
         except DegeneratePolytope:      # no volume at any x > 0
             assert all(row_volume(x) == 0 for x in [F(1, 1000), *shares] if x > 0)
             return
@@ -588,10 +601,10 @@ class TestSlicedVolume:
         n = P.dimension
 
         def integral(cap=None):
-            return moving_volume_integral(n, P.inequalities, moving, cap)
+            return moving_volume_integral(n, P.integer_rows, _moving(moving), cap)
 
         try:
-            S = moving_volume_function(n, P.inequalities, moving)
+            S = moving_volume_function(n, P.integer_rows, _moving(moving))
         except DegeneratePolytope:      # flat or empty past x = 0
             assert integral()[1] == 0
             assert all(integral(cap)[1] == 0 for cap in [1, *shares])
@@ -603,16 +616,28 @@ class TestSlicedVolume:
             assert integral(cap) == (min(cap, tau), S.integrate(0, min(cap, tau)))
 
     def test_integral_of_a_static_region(self):
-        rows = TRIANGLE.inequalities
+        rows = TRIANGLE.integer_rows
         with pytest.raises(UnboundedPolytope):
             moving_volume_integral(2, rows, [])
         assert moving_volume_integral(2, rows, [], cap=F(1, 2)) == (F(1, 2), F(9, 2))
         assert moving_volume_integral(2, rows, [], cap=0) == (0, 0)
         assert moving_volume_integral(2, rows, [], cap=-1) == (0, 0)
         # no volume at any x > 0, with and without a cap
-        flat = UNIT_SQUARE_ROWS + [((-1, 0), 0)]
-        assert moving_volume_integral(2, flat, [((0, 1), 1)])[1] == 0
+        flat = _rows(UNIT_SQUARE_ROWS + [((-1, 0), 0)])
+        assert moving_volume_integral(2, flat, _moving([((0, 1), 1)]))[1] == 0
         assert moving_volume_integral(2, flat, [], cap=3)[1] == 0
+
+    def test_unbounded_lifted_region_refused(self):
+        # a moving row with c >= 0 leaves x unbounded, and so do static
+        # rows that cut out no bounded set
+        quadrant = _rows([((1, 0), 0), ((0, 1), 0)])
+        for rows, moving in [(TRIANGLE.integer_rows, [(1, 1, 0, -2)]),
+                             (TRIANGLE.integer_rows, [(1, 1, 1, -2)]),
+                             (quadrant, _moving([((1, 1), 1)]))]:
+            with pytest.raises(UnboundedPolytope):
+                moving_volume_integral(2, rows, moving)
+            with pytest.raises(UnboundedPolytope):
+                moving_volume_function(2, rows, moving)
 
     def test_triangle_slice(self):
         S = slice_function(TRIANGLE, (1, 1), 2)
@@ -653,7 +678,7 @@ class TestSlicedVolume:
         P = RationalPolytope.from_vertices(2, [(-2, -1), (-2, 1), (0, -1), (2, 1)])
         moving = [((-2, 2), 0), ((-1, 0), 2)]
         assert 2 in {v[2] for v in helpers.basic_feasible_points(3, _lifted(P, moving))}
-        S = moving_volume_function(2, P.inequalities, moving)
+        S = moving_volume_function(2, P.integer_rows, _moving(moving))
         assert S.breakpoints == (0, 4)
         for x in (0, 1, 2, F(5, 2), 4):
             rows = list(P.inequalities) + [(a, x - b) for a, b in moving]

@@ -20,7 +20,7 @@ import fanokit.oracles as oracles_mod
 import fanokit.subscheme as subscheme_mod
 from fanokit.errors import (CombinatorialBlowup, NoStabilization,
                             UnsupportedSubscheme, ZeroIdeal)
-from fanokit.filtration import (_leading_integral, _pairing_column,
+from fanokit.filtration import (_leading_integral, _leading_rows, _pairing_column,
                                 compute_d_infty, ideal_power_filtration,
                                 induced_ideal_sequence, saturate,
                                 saturate_points)
@@ -33,7 +33,8 @@ from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                                point_subscheme, product, product_dual_vertices,
                                product_gens, standard_battery,
                                thickened_point_subscheme)
-from helpers import monomial_power_membership
+from helpers import lifted_rays, monomial_power_membership, newton_dual_points
+from strategies import decreasing_sequences
 
 
 def _point_filtration(name):
@@ -572,6 +573,24 @@ class TestLeadingIntegral:
         for r, S in sequences.items():
             values = [rec.v for rec in oracle_weight_records(X, S, r, 8)]
             assert leads[r] == stable_leading_difference(values, n + 1)
+
+
+    @given(decreasing_sequences(), st.integers(1, 2))
+    @settings(max_examples=30, deadline=None)
+    def test_rows_are_the_fraction_rows_lifted(self, case, r):
+        # each integer moving row is a positive multiple of the row
+        # <D^T w / w_t, u> >= x - M + (1 - r r0 sum(w)) / w_t lifted to
+        # (u, x), built in Fractions from the longhand dual vertices
+        X, S = case
+        n, M, scale = X.dimension, S.M, r * X.r0
+        expected = set()
+        for c in set().union(*(s.chart_gens for s in S.steps)):
+            rays = X.charts[c].cone_rays
+            for *w, wt in newton_dual_points(product_gens(X, S.steps, c)):
+                a = [sum(wi * ray[j] for wi, ray in zip(w, rays)) / wt for j in range(n)]
+                expected.add((*a, -1, (1 - scale * sum(w)) / wt - M))
+        rows = _leading_rows(X, r, M, product_dual_vertices(X, S.steps))
+        assert lifted_rays(rows) == expected
 
 
 class TestInducedSequence:

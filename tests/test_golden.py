@@ -30,3 +30,14 @@ def test_dinfty_report_matches_golden():
     text = dumps_report(
         {"model": X.name, "subscheme": pt.label, "d_infty": report})
     assert text == (GOLDEN / "dinfty-P1-point.json").read_text()
+
+
+def test_threefold_dinfty_report_matches_golden():
+    # fanokit filtration's run, at the default r_list: the window's rows
+    # at r = 2, 4 and 8 reach no other test
+    X = catalog_model("P1xP2")
+    pt = point_subscheme(X, 1)
+    report = compute_d_infty(ideal_power_filtration(X, pt))
+    text = dumps_report(
+        {"model": X.name, "subscheme": pt.label, "d_infty": report})
+    assert text == (GOLDEN / "dinfty-P1xP2-point1.json").read_text()

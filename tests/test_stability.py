@@ -26,7 +26,7 @@ from fanokit.stability import (CONSISTENT, OBSTRUCTS_SEMISTABILITY, ScanEntry,
                                semistability_scan, verify_volume_bound)
 from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                                NewtonPolyhedron, boundary_divisor_subscheme,
-                               point_subscheme, standard_battery,
+                               point_subscheme, product_gens, standard_battery,
                                thickened_point_subscheme)
 import helpers
 from strategies import decreasing_sequences
@@ -148,24 +148,21 @@ class TestDing:
             ding_invariant(X, IdealSequenceOnXxA1(steps=(bad,)), 1)
 
     def test_ding_builds_each_active_charts_dual_vertices_once(self, monkeypatch):
-        # dnc@0 on P1xP2 is active on chart 0 alone: one enumeration feeds
-        # both the leading integral and the threshold
-        real = polytope.enumerate_basic_feasible
-        calls = []
+        # dnc@0 on P1xP2 is active on chart 0 alone: one Newton polyhedron
+        # feeds both the leading integral and the threshold
+        built = []
+        init = NewtonPolyhedron.__init__
 
-        def counted(dim, rows):
-            calls.append(dim)
-            return real(dim, rows)
+        def counting(self, generators):
+            built.append(generators)
+            init(self, generators)
 
-        for module in list(sys.modules.values()):
-            if (module.__name__.startswith("fanokit")
-                    and getattr(module, "enumerate_basic_feasible", None) is real):
-                monkeypatch.setattr(module, "enumerate_basic_feasible", counted)
+        monkeypatch.setattr(NewtonPolyhedron, "__init__", counting)
         X = catalog_model("P1xP2")
         pt = point_subscheme(X, 0)
-        X.polytope  # built before counting
-        rep = ding_invariant(X, IdealSequenceOnXxA1(steps=(pt, pt)), 1)
-        assert calls == [4]
+        steps = (pt, pt)
+        rep = ding_invariant(X, IdealSequenceOnXxA1(steps=steps), 1)
+        assert built == [product_gens(X, steps, 0)]
         assert (rep.lct_product, rep.ding) == (1, Fraction(1, 108))
 
     def test_two_step_point_sequence_on_p1(self):
@@ -332,7 +329,8 @@ def test_weight_count_reads_no_integral_route(monkeypatch):
         raise AssertionError("the weight count read the integral route")
 
     names = ("moving_volume_integral", "_vertex_bases", "enumerate_basic_feasible",
-             "product_dual_vertices", "_leading_integral")
+             "product_dual_vertices", "_leading_integral", "_leading_rows",
+             "int_primitive", "_lifted_rows", "_pulled_volume")
     for module in list(sys.modules.values()):
         if module.__name__.startswith("fanokit"):
             for name in names:

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import product as cartesian_product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -137,17 +138,18 @@ class TestBatteryConstructors:
 class TestNewtonPolyhedron:
     def test_cusp_ideal_single_dual_vertex(self):
         N = NewtonPolyhedron(((2, 0), (0, 3)))
-        assert N.dual_vertices == ((Fraction(1, 2), Fraction(1, 3)),)
-        # a >= 0 lies in x * N iff <w, a> >= x at every dual vertex w:
+        # the vertex (1/2, 1/3) as its integer key (W, den)
+        assert N.dual_vertices == (((3, 2), 6),)
+        # a >= 0 lies in x * N iff <W, a> >= x den at every dual vertex:
         # (1, 2) lies in N, and (1, 1) in x * N exactly for x <= 5/6
-        (w,) = N.dual_vertices
-        assert sum(a * b for a, b in zip(w, (1, 2))) == Fraction(7, 6)
-        assert sum(a * b for a, b in zip(w, (1, 1))) == Fraction(5, 6)
+        ((W, den),) = N.dual_vertices
+        assert Fraction(sum(a * b for a, b in zip(W, (1, 2))), den) == Fraction(7, 6)
+        assert Fraction(sum(a * b for a, b in zip(W, (1, 1))), den) == Fraction(5, 6)
 
     def test_maximal_ideal_and_its_square(self):
-        assert NewtonPolyhedron(((1, 0), (0, 1))).dual_vertices == ((1, 1),)
+        assert NewtonPolyhedron(((1, 0), (0, 1))).dual_vertices == (((1, 1), 1),)
         N2 = NewtonPolyhedron(((2, 0), (1, 1), (0, 2)))
-        assert N2.dual_vertices == ((Fraction(1, 2), Fraction(1, 2)),)
+        assert N2.dual_vertices == (((1, 1), 2),)
 
     def test_unit_and_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -164,6 +166,28 @@ class TestNewtonPolyhedron:
         # each dominated generator only adds a redundant row to Q
         assert (NewtonPolyhedron(gens).dual_vertices
                 == NewtonPolyhedron(lattice.minimalize(gens)).dual_vertices)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.lists(st.tuples(*[st.integers(0, 4)] * n).filter(any), min_size=1, max_size=5),
+        st.lists(st.tuples(st.integers(0, 4), st.tuples(*[st.integers(0, 2)] * n)),
+                 max_size=3))))
+    def test_keys_are_the_row_subset_vertices(self, data):
+        # the integer keys, read as Fractions, are the vertices that
+        # Gauss-Jordan elimination over every n-subset of Q's rows finds;
+        # the generators carry repeats and dominated ones: g + e for
+        # a drawn generator g and e >= 0, e = 0 repeating g
+        gens, extra = data
+        gens = gens + [tuple(a + b for a, b in zip(gens[i % len(gens)], e))
+                       for i, e in extra]
+        n = len(gens[0])
+        rows = [(tuple(int(i == j) for i in range(n)), 0) for j in range(n)]
+        rows += [(g, 1) for g in gens]
+        keys = NewtonPolyhedron(gens).dual_vertices
+        assert list(keys) == sorted(keys)
+        assert all(den > 0 and gcd(*W, den) == 1 for W, den in keys)
+        assert (sorted(tuple(Fraction(a, den) for a in W) for W, den in keys)
+                == helpers.basic_feasible_points(n, rows))
 
 
 BOXES = st.integers(1, 3).flatmap(lambda n: st.tuples(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanokit import volumes
 from fanokit.errors import (DimensionTooSmall, EmptyOrFull, NotSmoothPoint,
                             UnsupportedSubscheme)
 from fanokit.model import anticanonical_volume, catalog, catalog_model
@@ -147,6 +148,27 @@ class TestGeneralEngine:
         X = catalog_model("P2")
         with pytest.raises(EmptyOrFull):
             blowup_volume_profile(X, MonomialSubscheme(label="all", dimension=2))
+
+
+class TestIntegerRows:
+    @pytest.mark.parametrize("name", sorted(catalog()))
+    def test_profile_rows_are_the_fraction_rows_lifted(self, name):
+        # each integer moving row is a positive multiple of the row
+        # <D^T w, u> >= x - sum(w) lifted to (u, x), (D^T w, -1, -sum(w)),
+        # built in Fractions from the longhand dual vertices w
+        X = catalog_model(name)
+        n = X.dimension
+        for Z in standard_battery(X):
+            if Z.boundary_ray is not None:
+                expected = {(*map(Fraction, Z.boundary_ray), -1, -1)}
+            else:
+                expected = set()
+                for idx, gens in Z.chart_gens.items():
+                    rays = X.charts[idx].cone_rays
+                    for w in helpers.newton_dual_points(gens):
+                        a = [sum(wi * ray[j] for wi, ray in zip(w, rays)) for j in range(n)]
+                        expected.add((*a, -1, -sum(w)))
+            assert helpers.lifted_rays(volumes._moving_rows(X, Z)) == expected
 
 
 class TestSeshadri:
