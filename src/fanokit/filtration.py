@@ -135,9 +135,9 @@ class FiltrationSpec:
         the order of sections(r), cached: its least level over one
         power_table per active chart, over the box the pairing columns
         reach.  Where no chart is active every power holds the section,
-        ord = inf; a boundary ray caps ord at the ray's pairing column
-        <ray, u> + level, the order of vanishing along its divisor, so a
-        subscheme carried by its ray alone is read too."""
+        ord = inf.  A boundary divisor's chart ideal (y_rho) reads as its
+        pairing column <rho, u> + level, the order of vanishing along
+        it."""
         r = int(r)
         if r not in self._orders:
             X, Z = self.X, self.subscheme
@@ -145,11 +145,8 @@ class FiltrationSpec:
             def table(c: int, columns: list[list[int]]) -> LevelTable:
                 return power_table(Z.chart_gens[c], [max(col, default=0) for col in columns])
 
-            fibers, level = self.fibers(r), r * X.r0
-            levels = _least_levels(X, fibers, level, inf, Z.active_chart_indices(), table)
-            if Z.boundary_ray is not None:
-                levels = map(min, levels, _pairing_column(Z.boundary_ray, fibers, level))
-            self._orders[r] = list(levels)
+            self._orders[r] = list(_least_levels(X, self.fibers(r), r * X.r0, inf,
+                                                 Z.active_chart_indices(), table))
         return self._orders[r]
 
 

@@ -4,9 +4,9 @@ On a smooth chart the threshold of a monomial ideal is the least weight
 sum over the dual region {w >= 0 : <g, w> >= 1 for every generator g},
 attained at one of its vertices: the dual vertices of the ideal's Newton
 polyhedron.  The global value is the minimum over charts carrying a
-proper ideal.  Reduced toric boundary divisors short-circuit to 1 through
-the global valuation of their ray, which also covers divisors passing
-through singular charts.
+proper ideal.  A singular chart may carry only m times a boundary
+divisor, (y_rho^m) in pairing coordinates, whose one dual vertex
+e_rho / m gives 1/m: the divisor's valuation has log discrepancy 1.
 
 For ideals on X x A^1 of the form I_M + I_{M-1} t + ... + (t^M) the
 largest c2 with (X x A^1, ideal^c1 * (t)^c2) sub log canonical is read
@@ -27,7 +27,8 @@ from typing import Iterable, Mapping, Sequence
 from .errors import NotSmoothChart
 from .model import ToricFanoModel
 from .subscheme import (DualVertex, IdealSequenceOnXxA1, MonomialSubscheme,
-                        NewtonPolyhedron, check_model_fit, product_dual_vertices)
+                        NewtonPolyhedron, check_model_fit, divisor_multiple,
+                        product_dual_vertices)
 
 
 def _least_weight(vertices: Iterable[DualVertex]) -> Fraction:
@@ -44,18 +45,15 @@ def lct_chart(gens: Sequence[Sequence[int]]) -> Fraction | None:
 
 
 def lct_monomial(X: ToricFanoModel, Z: MonomialSubscheme, power: int = 1) -> Fraction:
-    """lct(X, I_Z^power) for a monomial subscheme with smooth-chart data."""
+    """lct(X, I_Z^power) for a monomial subscheme whose data on singular
+    charts is a multiple of a boundary divisor."""
     if power < 1:
         raise ValueError("power must be >= 1")
     check_model_fit(X, Z)
     Z.require_usable()
-    if Z.boundary_ray is not None:
-        # (X, sum of boundary divisors) is log canonical and the ray's own
-        # valuation has log discrepancy 1, so the threshold is exactly 1
-        return Fraction(1, power)
     for idx in Z.active_chart_indices():
         chart = X.charts[idx]
-        if not chart.smooth:
+        if not (chart.smooth or divisor_multiple(Z.chart_gens[idx])):
             raise NotSmoothChart(
                 f"{Z.label} lives on the singular chart at {chart.vertex}")
     return _least_weight(chain.from_iterable(Z.dual_vertices.values())) / power

@@ -9,10 +9,11 @@ chart the exponent vector of a level-k section u in local coordinates is
     a_i(u) = <dual[i], u> + k,
 
 nonnegative integers, zero exactly at the fixed point.  Singular charts
-keep their cone rays and index but expose no exponent map.
+keep their cone rays and index but expose no exponent map; the pairings
+<rho, u> + k over their cone rays still serve as coordinates.
 A lattice map of N that permutes the rays is an automorphism of the fan
-(Cox-Little-Schenck, Toric Varieties, 3.3); it carries smooth charts to
-smooth charts and relabels their local coordinates.
+(Cox-Little-Schenck, Toric Varieties, 3.3); it carries charts to charts
+of the same kind and relabels their cone rays.
 """
 
 from __future__ import annotations
@@ -64,9 +65,9 @@ class Chart:
 
 class FanAutomorphism(NamedTuple):
     """A lattice map g of N permuting the rays, with its action on the
-    smooth charts: g takes chart i to chart j, where (j, perm) =
-    charts[i], and the exponent vector e of chart i to the one of chart j
-    whose k-th entry is e[perm[k]]."""
+    charts: g takes chart i to chart j, where (j, perm) = charts[i], and
+    the pairing vector e over chart i's cone rays to the one over chart
+    j's whose k-th entry is e[perm[k]]."""
 
     matrix: tuple[tuple[int, ...], ...]
     charts: dict[int, tuple[int, tuple[int, ...]]]
@@ -105,30 +106,34 @@ class ToricFanoModel:
         basis: every ordering of every smooth chart's cone rays is tried,
         and g is kept when it permutes the rays.  g is then integer and
         unimodular, being a product of two unimodular bases.  Without a
-        smooth chart only the identity is listed.
+        smooth chart only the identity is listed.  The rays are mapped
+        once per candidate, and every chart's image and the permutation
+        of its cone rays are read off that map.
         """
         n = self.dimension
         smooth = self.smooth_chart_indices()
-        if not smooth:
-            identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-            return (FanAutomorphism(identity, {}),)
-        base = self.charts[smooth[0]].cone_rays
-        by_cone = {self.charts[i].cone_rays: i for i in smooth}
+        matrices = [tuple(tuple(int(i == j) for j in range(n)) for i in range(n))]
+        if smooth:
+            base = self.charts[smooth[0]].cone_rays
+            # row j of g solves <row, base ray i> = image[i][j] for all i
+            solved = (int_solve(base, list(zip(*image)))
+                      for target in smooth
+                      for image in permutations(self.charts[target].cone_rays))
+            matrices = [tuple(tuple(v // d for v in row) for row in g_rows)
+                        for d, g_rows in solved]
+        by_cone = {c.cone_rays: i for i, c in enumerate(self.charts)}
         rays = sorted(self.rays)
         out = []
-        for target in smooth:
-            for image in permutations(self.charts[target].cone_rays):
-                # row j of g solves <row, base ray i> = image[i][j] for all i
-                d, g_rows = int_solve(base, list(zip(*image)))
-                g = FanAutomorphism(tuple(tuple(v // d for v in row) for row in g_rows), {})
-                if sorted(map(g.apply, self.rays)) != rays:
-                    continue
-                for i in smooth:
-                    moved = [g.apply(ray) for ray in self.charts[i].cone_rays]
-                    j = by_cone[tuple(sorted(moved))]
-                    g.charts[i] = (j, tuple(moved.index(ray)
-                                            for ray in self.charts[j].cone_rays))
-                out.append(g)
+        for matrix in matrices:
+            g = FanAutomorphism(matrix, {})
+            images = {ray: g.apply(ray) for ray in self.rays}
+            if sorted(images.values()) != rays:
+                continue
+            for i, chart in enumerate(self.charts):
+                moved = [images[ray] for ray in chart.cone_rays]
+                j = by_cone[tuple(sorted(moved))]
+                g.charts[i] = (j, tuple(map(moved.index, self.charts[j].cone_rays)))
+            out.append(g)
         return tuple(out)
 
 

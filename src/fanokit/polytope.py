@@ -295,13 +295,14 @@ class RationalPolytope:
 
     __slots__ = ("dimension", "vertices", "inequalities", "integer_rows")
 
-    def __init__(self, dimension: int, vertices: Sequence[Sequence],
+    def __init__(self, dimension: int, vertices: Sequence[Vec],
                  inequalities: Sequence[Ineq]):
+        """vertices are tuples of Fractions and inequalities (integer
+        normal, Fraction offset) pairs, as from_vertices and
+        from_inequalities build them; neither is converted again."""
         self.dimension = dimension
-        self.vertices: tuple[Vec, ...] = tuple(
-            tuple(Fraction(x) for x in v) for v in vertices)
-        self.inequalities: tuple[Ineq, ...] = tuple(
-            (tuple(int(a) for a in nr), Fraction(off)) for nr, off in inequalities)
+        self.vertices: tuple[Vec, ...] = tuple(vertices)
+        self.inequalities: tuple[Ineq, ...] = tuple(inequalities)
         # the inequalities as primitive integer rows (*normal, offset)
         self.integer_rows: tuple[tuple[int, ...], ...] = tuple(
             rational_primitive((*nr, off)) for nr, off in self.inequalities)
@@ -343,7 +344,7 @@ class RationalPolytope:
     def from_inequalities(cls, dimension: int, rows: Sequence[tuple[Sequence, object]]) -> "RationalPolytope":
         """Off one vertex enumeration; each facet is the maximal tight set
         of some row, kept once: ((2, 0), 1) gives ((1, 0), 1/2)."""
-        irows = [rational_primitive([*map(Fraction, nr), Fraction(off)]) for nr, off in rows]
+        irows = [rational_primitive([*nr, off]) for nr, off in rows]
         keys, bounded = _vertex_bases(dimension, irows)
         if not bounded:
             raise UnboundedPolytope("inequality system has a nonzero recession direction")
@@ -383,7 +384,7 @@ def polytope_from_rays(dimension: int, rays: Sequence[Sequence[int]]) -> Rationa
     Raises UnboundedPolytope when the rays do not positively span, and
     DegeneratePolytope when the result is not full-dimensional.
     """
-    rows = [(tuple(int(x) for x in ray), Fraction(-1)) for ray in rays]
+    rows = [(tuple(int(x) for x in ray), -1) for ray in rays]
     for ray, _ in rows:
         if len(ray) != dimension:
             raise ValueError(f"ray arity {len(ray)} != {dimension}")

@@ -142,13 +142,16 @@ def model_from_dict(data: Mapping) -> ToricFanoModel:
 # subschemes and ideal sequences
 
 def subscheme_from_dict(data: Mapping) -> MonomialSubscheme:
+    """A subscheme is its chart ideals alone; a boundary divisor is named
+    by the divisor@i,j shorthand, so a 'boundary_ray' key is refused."""
+    if "boundary_ray" in data:
+        raise ValueError("the 'boundary_ray' key is not read: name a boundary "
+                         "divisor with the divisor@i,j shorthand")
     charts = {int(i): tuple(tuple(int(x) for x in g) for g in gens)
               for i, gens in data.get("charts", {}).items()}
-    ray = data.get("boundary_ray")
     return MonomialSubscheme(
         label=str(data.get("label", "subscheme")), dimension=int(data["dim"]),
-        chart_gens=charts,
-        boundary_ray=tuple(int(x) for x in ray) if ray is not None else None)
+        chart_gens=charts)
 
 
 def sequence_from_dict(data: Mapping) -> IdealSequenceOnXxA1:

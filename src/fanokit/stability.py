@@ -61,9 +61,10 @@ def beta(X: ToricFanoModel, Z: MonomialSubscheme) -> BetaReport:
     The volume integral is the profile's integral over [0, tau], the
     profile being zero past the pseudoeffective threshold, read by
     volumes.blowup_volume_integral off one vertex enumeration of the
-    lifted region: no profile is built.  Both terms are exact: chart data
-    on a singular chart, and data written for another fan, is refused by
-    the threshold before the region is read.
+    lifted region: no profile is built.  Both terms are exact: data on a
+    singular chart other than a multiple of a boundary divisor, and data
+    written for another fan, is refused by the threshold before the
+    region is read.
     """
     if Z.is_empty or Z.has_zero_chart:
         raise EmptyOrFull(f"{Z.label}: beta needs a nonzero proper subscheme")
@@ -179,26 +180,21 @@ class ScanReport:
                      for e in self.entries if e.error is not None)
 
 
-def _scan_key(chart_gens, ray) -> tuple:
-    return tuple(sorted(chart_gens.items())), None if ray is None else tuple(ray)
+def _scan_key(chart_gens) -> tuple:
+    return tuple(sorted(chart_gens.items()))
 
 
 def _orbit_keys(X: ToricFanoModel, Z: MonomialSubscheme) -> list[tuple]:
     """The scan keys of Z's images under the fan automorphisms: on each
-    chart the exponents permuted and the generators re-sorted, the chart
-    renumbered, and the boundary ray mapped.  Empty when Z has a chart
-    off the smooth ones, which no automorphism is known to carry."""
-    smooth = X.smooth_chart_indices()
-    if any(idx not in smooth for idx in Z.chart_gens):
-        return []
+    chart the exponents permuted and the generators re-sorted, and the
+    chart renumbered, singular charts included."""
     keys = []
     for g in X.automorphisms:
         gens = {}
         for idx, chart_gens in Z.chart_gens.items():
             j, perm = g.charts[idx]
             gens[j] = tuple(sorted(tuple(e[p] for p in perm) for e in chart_gens))
-        ray = None if Z.boundary_ray is None else g.apply(Z.boundary_ray)
-        keys.append(_scan_key(gens, ray))
+        keys.append(_scan_key(gens))
     return keys
 
 
@@ -210,14 +206,14 @@ def semistability_scan(X: ToricFanoModel,
 
     beta is invariant under the automorphisms of X, so it runs once per
     orbit of the fan's automorphism group: every later candidate in the
-    orbit of an evaluated one reuses that report under its own label.
-    Errors are not shared, their texts naming the candidate, and a
-    candidate with generators on a singular chart is always evaluated.
+    orbit of an evaluated one reuses that report under its own label;
+    candidates with the same chart ideals, whatever their labels, share
+    one report.  Errors are not shared, their texts naming the candidate.
     """
     entries = []
     known: dict[tuple, BetaReport] = {}
     for Z in candidates:
-        report = known.get(_scan_key(Z.chart_gens, Z.boundary_ray))
+        report = known.get(_scan_key(Z.chart_gens))
         if report is not None:
             report = replace(report, subscheme=Z.label)
         else:

@@ -1,11 +1,12 @@
 """Monomial subschemes, Newton polyhedra, and ideal sequences on X x A^1.
 
 A MonomialSubscheme stores one monomial ideal per chart, in that chart's
-local exponent coordinates.  Chart indices missing from the mapping carry
-the unit ideal; an explicitly empty generator tuple is the zero ideal.
-Reduced toric boundary divisors additionally remember their ray, which
-lets global valuation routes work even through singular charts where no
-exponent coordinates exist.
+pairing coordinates y_i = <rho_i, u> + level over its cone rays rho_i:
+the exponent coordinates on a smooth chart.  Chart indices missing from
+the mapping carry the unit ideal; an explicitly empty generator tuple is
+the zero ideal.  The boundary divisor of a ray rho is (y_rho) on every
+chart whose cone holds rho, singular charts included; a singular chart
+may carry only such an ideal or a power of it (divisor_multiple).
 A t-graded ideal, decreasing chart ideals J(j), is one LevelTable per chart.
 """
 
@@ -44,12 +45,8 @@ class MonomialSubscheme:
     label: str
     dimension: int
     chart_gens: Mapping[int, Gens] = field(default_factory=dict)
-    boundary_ray: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.boundary_ray is not None and len(self.boundary_ray) != self.dimension:
-            raise ValueError(f"{self.label}: boundary ray {self.boundary_ray} "
-                             f"is not {self.dimension}-dimensional")
         norm: dict[int, Gens] = {}
         for idx, gens in self.chart_gens.items():
             if len(gens) == 0:
@@ -67,7 +64,7 @@ class MonomialSubscheme:
     @property
     def is_empty(self) -> bool:
         """The unit ideal everywhere: the subscheme is the empty scheme."""
-        return not self.chart_gens and self.boundary_ray is None
+        return not self.chart_gens
 
     @property
     def has_zero_chart(self) -> bool:
@@ -95,19 +92,16 @@ class MonomialSubscheme:
         for _ in range(m - 1):
             acc = product(acc, self)
         return MonomialSubscheme(label=f"{self.label}^{m}", dimension=self.dimension,
-                                 chart_gens=acc.chart_gens, boundary_ray=acc.boundary_ray)
+                                 chart_gens=acc.chart_gens)
 
 
 def check_model_fit(X: ToricFanoModel, Z: MonomialSubscheme) -> None:
-    """Refuse a subscheme of another dimension, a boundary ray the fan
-    lacks, generators on a chart the model lacks, or generators whose
-    arity is not their chart's ray count: data written for a different
-    fan, which no public constructor produces."""
+    """Refuse a subscheme of another dimension, generators on a chart the
+    model lacks, or generators whose arity is not their chart's ray
+    count: data written for a different fan, which no public constructor
+    produces."""
     if Z.dimension != X.dimension:
         raise UnsupportedSubscheme(f"{Z.label}: dimension does not match {X.dimension}")
-    if Z.boundary_ray is not None and Z.boundary_ray not in X.rays:
-        raise UnsupportedSubscheme(f"{Z.label}: boundary ray {Z.boundary_ray} "
-                                   f"is not a ray of the fan")
     for idx in Z.active_chart_indices():
         if not 0 <= idx < len(X.charts):
             raise UnsupportedSubscheme(f"{Z.label}: chart {idx} is not one of the "
@@ -117,6 +111,12 @@ def check_model_fit(X: ToricFanoModel, Z: MonomialSubscheme) -> None:
             raise UnsupportedSubscheme(
                 f"{Z.label}: generator arity does not match the "
                 f"{len(rows)} cone rays of chart {idx}")
+
+
+def divisor_multiple(gens: Gens) -> bool:
+    """True for (y_rho^m), one generator with one nonzero entry: m times
+    a boundary divisor, the only data a singular chart may carry."""
+    return len(gens) == 1 and sum(map(bool, gens[0])) == 1
 
 
 def _minimal_subscheme(label: str, dimension: int,
@@ -130,12 +130,7 @@ def _minimal_subscheme(label: str, dimension: int,
 
 def product(a: MonomialSubscheme, b: MonomialSubscheme) -> MonomialSubscheme:
     """Chartwise product ideal, labelled a*b: unit times I is I, zero
-    times I is zero.  A boundary ray stands for its reduced divisor, and
-    no ray expresses a multiple of it, so an operand with one is
-    refused."""
-    if a.boundary_ray is not None or b.boundary_ray is not None:
-        raise UnsupportedSubscheme(f"{a.label}*{b.label}: a boundary ray stands for a "
-                                   f"reduced divisor, not a product with one")
+    times I is zero."""
     gens: dict[int, Gens] = {}
     for idx in {**a.chart_gens, **b.chart_gens}:
         ga, gb = a.gens_on(idx), b.gens_on(idx)
@@ -177,25 +172,18 @@ def thickened_point_subscheme(X: ToricFanoModel, chart_index: int) -> MonomialSu
 
 
 def boundary_divisor_subscheme(X: ToricFanoModel, ray: Sequence[int]) -> MonomialSubscheme:
-    """Reduced toric boundary divisor attached to one fan ray.
-
-    Chart data is recorded on every smooth chart whose cone contains the
-    ray; singular charts are covered by the remembered ray itself, which
-    global valuation formulas use directly.
-    """
+    """Reduced toric boundary divisor attached to one fan ray: the ideal
+    (y_rho) on every chart whose cone holds the ray, singular and
+    non-simplicial charts included."""
     ray_t = tuple(int(x) for x in ray)
     if ray_t not in X.rays:
         raise ValueError(f"{ray_t} is not a ray of {X.name or 'the model'}")
     chart_gens: dict[int, Gens] = {}
-    n = X.dimension
     for idx, chart in enumerate(X.charts):
-        if not chart.smooth or ray_t not in chart.cone_rays:
-            continue
-        pos = chart.cone_rays.index(ray_t)
-        gen = tuple(1 if j == pos else 0 for j in range(n))
-        chart_gens[idx] = (gen,)
-    return MonomialSubscheme(label=f"divisor@{ray_t}", dimension=n,
-                             chart_gens=chart_gens, boundary_ray=ray_t)
+        if ray_t in chart.cone_rays:
+            chart_gens[idx] = (tuple(int(r == ray_t) for r in chart.cone_rays),)
+    return MonomialSubscheme(label=f"divisor@{ray_t}", dimension=X.dimension,
+                             chart_gens=chart_gens)
 
 
 def standard_battery(X: ToricFanoModel) -> list[MonomialSubscheme]:
@@ -215,9 +203,9 @@ class NewtonPolyhedron:
     """conv(generators) + nonnegative orthant, with its facet duals.
 
     ``dual_vertices`` are the vertices w = W / den of Q = {w >= 0 :
-    <g, w> >= 1 for all generators}, kept in integers as the sorted
-    (W, den) keys of the vertex enumeration: den > 0 and W an integer
-    vector with no factor common to den and all of W.  A point a >= 0
+    <g, w> >= 1 for all generators}, kept in integers as sorted (W, den)
+    keys: den > 0 and W an integer vector with no factor common to den
+    and all of W.  A point a >= 0
     lies in x*N iff <W, a> >= x den for every dual vertex.  Facet
     inequalities of N are the scaled dual vertices plus the coordinate
     halfspaces.
@@ -234,8 +222,13 @@ class NewtonPolyhedron:
         if not gens:
             raise ZeroIdeal("zero ideal has empty Newton polyhedron")
         n = len(gens[0])
-        rows = [tuple(int(i == j) for j in range(n)) + (0,) for i in range(n)]
-        keys, _ = _vertex_bases(n, rows + [(*g, 1) for g in gens])
+        axes = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+        if len(gens) == 1:
+            # Q is the orthant cut by <g, w> >= 1: one vertex e_i / g_i per
+            # g_i > 0, as for every boundary divisor and its multiples
+            keys = [(e, x) for e, x in zip(axes, gens[0]) if x]
+        else:
+            keys, _ = _vertex_bases(n, [(*e, 0) for e in axes] + [(*g, 1) for g in gens])
         self.dual_vertices: tuple[DualVertex, ...] = tuple(sorted(keys))
 
 
@@ -411,23 +404,9 @@ def _chart_contains(bg: Gens | None, sg: Gens | None) -> bool:
 
 
 def _subscheme_contains(big: MonomialSubscheme, small: MonomialSubscheme) -> bool:
-    """small subset of big.  A boundary ray cuts its subscheme's chart
-    ideals by the ideal of the ray's divisor, whose charts only the model
-    knows: a ray is read where it settles the answer, and otherwise
-    UnsupportedSubscheme is raised."""
-    charts = all(_chart_contains(big.gens_on(idx), small.gens_on(idx))
-                 for idx in set(big.chart_gens) | set(small.chart_gens))
-    if big.boundary_ray in (None, small.boundary_ray):
-        # big's ray, if any, cuts small too; small's own ray may yet bring
-        # it inside big where its chart ideals alone are not
-        if charts or small.boundary_ray is None:
-            return charts
-    elif small.is_empty or (small.boundary_ray is None and not charts):
-        # small is its chart ideals: the unit ideal lies in no divisor
-        return False
-    raise UnsupportedSubscheme(
-        f"whether {small.label} lies in {big.label} depends on the charts "
-        f"their boundary rays meet")
+    """small subset of big, chart by chart."""
+    return all(_chart_contains(big.gens_on(idx), small.gens_on(idx))
+               for idx in set(big.chart_gens) | set(small.chart_gens))
 
 
 def verify_gluing(X: ToricFanoModel, Z: MonomialSubscheme) -> None:

@@ -4,17 +4,15 @@ The profile of a subscheme Z is x -> vol of (pullback of -K_X) minus x
 times the exceptional divisor, as an exact piecewise polynomial.  It is
 n! times the volume of the part of the moment polytope P where the
 sections vanish to order >= x along Z, a region cut from P by rows
-moving linearly in x:
-
-  * a reduced boundary divisor gives the one row <rho, u> >= x - 1, the
-    global valuation of its ray, which needs no chart and so also works
-    through singular charts;
-  * monomial data on smooth charts gives, for every dual vertex w of the
-    chart's Newton polyhedron, the row <D^T w, u> >= x - sum(w) that
-    puts the chart exponents D u + 1 into x times the polyhedron.  The
-    vertex is kept in integers, w = W / den, and so is the row, lifted
-    to (u, x): (D^T W, -den, -sum(W)) divided by its gcd, meaning
-    <D^T W, u> - den x >= -sum(W).
+moving linearly in x.  Each chart's ideal gives, for every dual vertex w
+of its Newton polyhedron, the row <D^T w, u> >= x - sum(w) that puts the
+pairing coordinates D u + 1 into x times the polyhedron, D the chart's
+cone-ray matrix.  The vertex is kept in integers, w = W / den, and so is
+the row, lifted to (u, x): (D^T W, -den, -sum(W)) divided by its gcd,
+meaning <D^T W, u> - den x >= -sum(W).  On a smooth chart D u + 1 are
+the exponents.  A singular chart may carry only m times a boundary
+divisor, (y_rho^m), whose one dual vertex e_rho / m gives the row
+<rho, u> + 1 >= m x: the divisor's valuation, which needs no exponents.
 
 Both readers of that region start from one vertex enumeration of it
 lifted to (u, x).  blowup_volume_integral reads the pseudoeffective
@@ -43,26 +41,25 @@ from .linalg import int_primitive
 from .model import ToricFanoModel
 from .piecewise import PiecewisePolynomial, poly_trim
 from .polytope import moving_volume_function, moving_volume_integral
-from .subscheme import MonomialSubscheme, check_model_fit, point_subscheme
+from .subscheme import (MonomialSubscheme, check_model_fit, divisor_multiple,
+                        point_subscheme)
 
 
 def _moving_rows(X: ToricFanoModel, Z: MonomialSubscheme) -> list[tuple[int, ...]]:
     """The rows of Z's profile region lifted to (u, x), as the integer
     moving rows (*a, c, b), <a, u> + c x >= b, of moving_volume_integral:
-    (rho, -1, -1) for a boundary ray rho, and on each chart, for each
-    Newton dual vertex W / den, (D^T W, -den, -sum(W)) divided by its
-    gcd, D the chart's cone-ray matrix, each row kept once."""
+    on each chart, for each Newton dual vertex W / den, (D^T W, -den,
+    -sum(W)) divided by its gcd, D the chart's cone-ray matrix, each row
+    kept once."""
     check_model_fit(X, Z)
     Z.require_usable()
-    if Z.boundary_ray is not None:
-        return [(*Z.boundary_ray, -1, -1)]
     moving = {}
     for idx in Z.active_chart_indices():
         chart = X.charts[idx]
-        if not chart.smooth:
+        if not (chart.smooth or divisor_multiple(Z.chart_gens[idx])):
             raise UnsupportedSubscheme(
                 f"{Z.label} touches the singular chart at {chart.vertex}")
-        cols = list(zip(*chart.dual))
+        cols = list(zip(*chart.cone_rays))
         for W, den in Z.dual_vertices[idx]:
             moving[int_primitive([*[sum(map(mul, col, W)) for col in cols],
                                   -den, -sum(W)])] = None

@@ -155,12 +155,9 @@ def fraction_horner(coeffs, x) -> Fraction:
 
 def subscheme_to_dict(Z) -> dict:
     """A subscheme in the file format that config and reportio read."""
-    out = {"label": Z.label, "dim": Z.dimension,
-           "charts": {str(i): [list(g) for g in gens]
-                      for i, gens in sorted(Z.chart_gens.items())}}
-    if Z.boundary_ray is not None:
-        out["boundary_ray"] = list(Z.boundary_ray)
-    return out
+    return {"label": Z.label, "dim": Z.dimension,
+            "charts": {str(i): [list(g) for g in gens]
+                       for i, gens in sorted(Z.chart_gens.items())}}
 
 
 def fan_image(X, matrix, Z, label):
@@ -184,9 +181,7 @@ def fan_image(X, matrix, Z, label):
                         for r in X.rays))
         at = [src.cone_rays.index(preimage[r]) for r in X.charts[j].cone_rays]
         gens[j] = tuple(tuple(e[i] for i in at) for e in chart_gens)
-    ray = None if Z.boundary_ray is None else image(Z.boundary_ray)
-    return MonomialSubscheme(label=label, dimension=Z.dimension,
-                             chart_gens=gens, boundary_ray=ray)
+    return MonomialSubscheme(label=label, dimension=Z.dimension, chart_gens=gens)
 
 
 def sequence_power(S, m):

@@ -55,7 +55,8 @@ class TestResolvers:
         assert resolve_subscheme(X, "point@0").label == "point@0"
         assert resolve_subscheme(X, "point2@0").label == "point2@0"
         Z = resolve_subscheme(X, "divisor@-1,-2")
-        assert Z.boundary_ray == (-1, -2)
+        assert Z.label == "divisor@(-1, -2)"
+        assert dict(Z.chart_gens) == {1: ((1, 0),), 2: ((1, 0),)}
         with pytest.raises(ConfigError, match="shorthand"):
             resolve_subscheme(X, "blowup@0")
 
@@ -175,13 +176,18 @@ class TestBetaAndDing:
         assert "beta" not in out
         assert f"GluingMismatch: z: {pair} disagree" in err
 
-    def test_subscheme_file_with_a_boundary_ray_of_the_wrong_arity(self, run, tmp_path):
+    @pytest.mark.parametrize("body", ['"boundary_ray": [1, 0]',
+                                      '"charts": {"0": [[0, 1]]}, "boundary_ray": [-1, -1]'],
+                             ids=["key-alone", "key-and-charts"])
+    def test_subscheme_file_with_a_boundary_ray_key_refused(self, run, tmp_path, body):
+        # a subscheme file holds chart ideals only; divisor@i,j names a divisor
         path = tmp_path / "w.json"
-        path.write_text('{"label": "w", "dim": 2, "boundary_ray": [1, 0, 0]}')
+        path.write_text(f'{{"label": "w", "dim": 2, {body}}}')
         code, out, err = run("beta", "--model", "P2", "--subscheme", str(path))
         assert code == 1
-        assert "beta" not in out
-        assert "w: boundary ray (1, 0, 0) is not 2-dimensional" in err
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "'boundary_ray' key is not read" in err and "divisor@i,j" in err
 
     def test_sequence_file_step_that_does_not_glue(self, run, tmp_path):
         path = tmp_path / "s.json"

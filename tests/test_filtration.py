@@ -361,19 +361,32 @@ class TestMembership:
         assert closure == F.value(1, 1)
 
     def test_ray_alone_reads_as_its_divisor(self):
-        # no chart generators: every level reads the ray's pairing column
+        # (y_rho) on the singular chart alone: every level reads the ray's
+        # pairing column over that chart, as the whole divisor does
         X = catalog_model("P112")
-        bare = MonomialSubscheme(label="bare", dimension=2, boundary_ray=(1, 0))
-        report = compute_d_infty(ideal_power_filtration(X, bare), r_list=(1, 2))
+        assert X.charts[1].cone_rays[1] == (1, 0)
+        alone = MonomialSubscheme(label="alone", dimension=2, chart_gens={1: ((0, 1),)})
+        report = compute_d_infty(ideal_power_filtration(X, alone), r_list=(1, 2))
         divisor = boundary_divisor_subscheme(X, (1, 0))
         assert report == compute_d_infty(ideal_power_filtration(X, divisor), r_list=(1, 2))
         assert report.d_samples == ((1, Fraction(-8, 3)), (2, Fraction(-8, 3)))
 
     def test_ray_of_another_fan_refused(self):
+        # the divisor of a third cone ray, which P2's chart 0 lacks
         X = catalog_model("P2")
-        far = MonomialSubscheme(label="far", dimension=2, boundary_ray=(1, 1))
-        with pytest.raises(UnsupportedSubscheme, match="not a ray"):
+        far = MonomialSubscheme(label="far", dimension=2, chart_gens={0: ((0, 0, 1),)})
+        with pytest.raises(UnsupportedSubscheme, match="generator arity"):
             ideal_power_filtration(X, far)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_RAYS))
+    def test_divisor_orders_are_the_ray_pairings(self, name):
+        # ord(u) along D_rho is its vanishing order <rho, u> + r r0
+        X = catalog_model(name)
+        for ray in X.rays:
+            F = ideal_power_filtration(X, boundary_divisor_subscheme(X, ray))
+            for r in (1, 2):
+                assert F.orders(r) == [sum(a * b for a, b in zip(ray, u)) + r * X.r0
+                                       for u in F.sections(r)], (ray, r)
 
     def test_high_degree_generators_cost_no_cells(self):
         # a dense table over these generators would hold 10^9 cells

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from fanokit.errors import EmptyOrFull, NotSmoothChart, ZeroIdeal
 from fanokit.lct import lct_chart, lct_monomial, lct_on_product_with_line
-from fanokit.model import catalog_model
+from fanokit.model import catalog, catalog_model
 from fanokit.oracles import bruteforce_lct
 from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
-                               boundary_divisor_subscheme, point_subscheme,
+                               boundary_divisor_subscheme, point_subscheme, product,
                                product_gens, thickened_point_subscheme)
 from helpers import basic_feasible_points, bruteforce_lct_chart
 from strategies import decreasing_sequences
@@ -73,8 +73,7 @@ class TestLctMonomial:
             assert lct_monomial(X, Z, power=m) == lct_monomial(X, Z.power(m))
 
     def test_boundary_divisors(self):
-        for name in ("P2", "P112", "P1xP1"):
-            X = catalog_model(name)
+        for X in catalog().values():
             for ray in X.rays:
                 D = boundary_divisor_subscheme(X, ray)
                 assert lct_monomial(X, D) == 1
@@ -91,11 +90,18 @@ class TestLctMonomial:
                                               chart_gens={0: ()}))
 
     def test_singular_chart_refused_without_ray_data(self):
+        # a singular chart may carry only a multiple of a boundary divisor
         X = catalog_model("P112")
-        Z = MonomialSubscheme(label="sing", dimension=2,
-                              chart_gens={1: ((1, 0),)})
-        with pytest.raises(NotSmoothChart):
-            lct_monomial(X, Z)
+        meet = product(boundary_divisor_subscheme(X, (1, 0)),
+                       boundary_divisor_subscheme(X, (-1, -2)))
+        for Z in [meet, *(MonomialSubscheme(label="sing", dimension=2, chart_gens={1: gens})
+                          for gens in (((1, 1),), ((2, 0), (1, 1))))]:
+            with pytest.raises(NotSmoothChart, match="lives on the singular chart"):
+                lct_monomial(X, Z)
+        # (y_rho^m) there alone is m times the divisor of its ray
+        for m in (1, 2):
+            Z = MonomialSubscheme(label="sing", dimension=2, chart_gens={1: ((m, 0),)})
+            assert lct_monomial(X, Z) == Fraction(1, m)
 
 
 class TestProductLine:

@@ -158,14 +158,12 @@ class TestSubschemeFiles:
         W = subscheme_from_dict(helpers.subscheme_to_dict(Z))
         assert W.label == Z.label
         assert W.chart_gens == Z.chart_gens
-        assert W.boundary_ray == Z.boundary_ray is None
 
     def test_battery_round_trips(self):
         X = catalog_model("P112")
         for Z in standard_battery(X):
             W = subscheme_from_dict(helpers.subscheme_to_dict(Z))
             assert W.chart_gens == Z.chart_gens
-            assert W.boundary_ray == Z.boundary_ray
 
     def test_sequence_round_trip(self):
         X = catalog_model("P1")

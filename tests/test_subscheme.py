@@ -13,7 +13,8 @@ from fanokit.errors import (EmptyOrFull, GluingMismatch, NotSmoothPoint,
                             UnsupportedSubscheme, ZeroIdeal)
 from fanokit.filtration import ideal_power_filtration
 from fanokit.lct import lct_monomial
-from fanokit.model import catalog_model
+from fanokit.model import build_model, catalog, catalog_model
+from fanokit.piecewise import poly_trim
 from fanokit.stability import beta
 from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                                NewtonPolyhedron, _subscheme_contains, _tagged_table,
@@ -33,10 +34,6 @@ class TestMonomialSubscheme:
         assert Z.gens_on(0) == ((1, 0),)
         assert Z.gens_on(1) is None  # a unit generator makes the chart unit
         assert Z.active_chart_indices() == [0]
-
-    def test_boundary_ray_of_the_wrong_arity_refused(self):
-        with pytest.raises(ValueError, match="not 2-dimensional"):
-            MonomialSubscheme(label="w", dimension=2, boundary_ray=(1, 0, 0))
 
     def test_zero_chart_and_empty(self):
         zero = MonomialSubscheme(label="zero", dimension=1, chart_gens={0: ()})
@@ -58,19 +55,36 @@ class TestMonomialSubscheme:
         Z = MonomialSubscheme(label="z", dimension=1, chart_gens={0: ()})
         assert Z.power(3).gens_on(0) == ()
 
-    def test_power_and_product_refuse_a_boundary_ray(self):
-        # no ray expresses m D_rho: dropping it read both as the unit ideal
-        X = catalog_model("P112")
-        bare = MonomialSubscheme(label="bare", dimension=2, boundary_ray=(1, 0))
-        divisor = boundary_divisor_subscheme(X, (1, 0))
-        assert bare.power(1).boundary_ray == (1, 0)
-        for Z in (bare, divisor):
-            with pytest.raises(UnsupportedSubscheme, match="boundary ray"):
-                Z.power(2)
-            with pytest.raises(UnsupportedSubscheme, match="boundary ray"):
-                product(Z, Z)
-        with pytest.raises(UnsupportedSubscheme, match="boundary ray"):
-            product(point_subscheme(X, 0), bare)
+
+# P2 modulo Z/3: every chart has index 3
+P2_MOD_3 = build_model(2, [(2, -1), (-1, 2), (-1, -1)], name="P2modZ3")
+
+
+def _scaled(profile, m):
+    """x -> profile(m x) as its breakpoints and trimmed pieces."""
+    return (tuple(b / m for b in profile.breakpoints),
+            tuple(poly_trim([c * m ** j for j, c in enumerate(p)]) for p in profile.pieces))
+
+
+class TestDivisorMultiples:
+    """m D_rho is (y_rho^m) on every chart that holds rho, singular ones
+    included: vol(-K - x m D) = vol(-K - m x D), so its profile is the
+    divisor's read at m x, its threshold 1/m and its beta beta(D) / m."""
+
+    @pytest.mark.parametrize("X", [*catalog().values(), P2_MOD_3],
+                             ids=lambda X: X.name)
+    def test_power_and_product_scale_the_divisor(self, X):
+        for ray in X.rays:
+            D = boundary_divisor_subscheme(X, ray)
+            profile, b = blowup_volume_profile(X, D), beta(X, D).beta
+            for m, mD in [(2, D.power(2)), (2, product(D, D)), (3, D.power(3))]:
+                assert mD.chart_gens == {idx: (tuple(m * e for e in g),)
+                                         for idx, (g,) in D.chart_gens.items()}
+                mprofile = blowup_volume_profile(X, mD)
+                assert (mprofile.breakpoints, tuple(map(poly_trim, mprofile.pieces))) \
+                    == _scaled(profile, m), (X.name, ray, m)
+                assert lct_monomial(X, mD) == Fraction(1, m)
+                assert beta(X, mD).beta == b / m, (X.name, ray, m)
 
 
 class TestModelFit:
@@ -79,7 +93,8 @@ class TestModelFit:
 
     @pytest.mark.parametrize("Z", [
         MonomialSubscheme(label="far", dimension=2, chart_gens={7: ((1, 0), (0, 1))}),
-        MonomialSubscheme(label="stray", dimension=2, boundary_ray=(1, 1))],
+        # the divisor of a third cone ray, which P2's chart 0 lacks
+        MonomialSubscheme(label="stray", dimension=2, chart_gens={0: ((0, 0, 1),)})],
         ids=["chart-the-model-lacks", "ray-the-fan-lacks"])
     @pytest.mark.parametrize("entry", [
         lct_monomial, blowup_volume_profile, pseudoeffective_threshold,
@@ -95,7 +110,6 @@ class TestBatteryConstructors:
         Z = point_subscheme(X, 0)
         assert Z.gens_on(0) == ((0, 1), (1, 0))
         assert Z.gens_on(1) is None and Z.gens_on(2) is None
-        assert Z.boundary_ray is None
 
     def test_point_refused_on_singular_chart(self):
         X = catalog_model("P112")
@@ -112,16 +126,19 @@ class TestBatteryConstructors:
     def test_boundary_divisor_on_p2(self):
         X = catalog_model("P2")
         D = boundary_divisor_subscheme(X, (1, 0))
-        assert D.boundary_ray == (1, 0)
         # the ray is tight at vertices (-1,-1) and (-1,2), charts 0 and 1
         assert D.active_chart_indices() == [0, 1]
         assert D.gens_on(0) == ((0, 1),)
 
-    def test_boundary_divisor_skips_singular_chart(self):
+    def test_boundary_divisor_covers_singular_chart(self):
+        # (y_rho) in pairing coordinates on every chart whose cone holds
+        # rho: P112's chart 1 has cone rays (-1, -2), (1, 0) and index 2
         X = catalog_model("P112")
         D = boundary_divisor_subscheme(X, (1, 0))
-        assert D.boundary_ray == (1, 0)
-        assert D.active_chart_indices() == [0]
+        assert not X.charts[1].smooth
+        assert dict(D.chart_gens) == {0: ((0, 1),), 1: ((0, 1),)}
+        assert dict(boundary_divisor_subscheme(P2_MOD_3, (-1, -1)).chart_gens) == {
+            1: ((1, 0),), 2: ((1, 0),)}
 
     def test_unknown_ray_rejected(self):
         X = catalog_model("P2")
@@ -277,23 +294,21 @@ class TestIdealSequence:
             IdealSequenceOnXxA1(steps=(pt.power(2), pt))
 
     def test_containment_reads_boundary_rays(self):
-        # a subscheme carried by its ray alone is its divisor, not the unit
-        # ideal; what the ray does not settle is refused
+        # a boundary divisor is its chart ideals, the singular chart's
+        # included, so containment is read chart by chart
         X = catalog_model("P112")
-        bare = MonomialSubscheme(label="bare", dimension=2, boundary_ray=(1, 0))
         divisor = boundary_divisor_subscheme(X, (1, 0))
         point = point_subscheme(X, 0)
         unit = MonomialSubscheme(label="unit", dimension=2)
-        assert not _subscheme_contains(divisor, point)
-        assert not _subscheme_contains(bare, unit)
-        for big, small in [(bare, bare), (divisor, divisor), (bare, divisor),
-                           (point, divisor), (unit, bare)]:
+        for big, small in [(divisor, divisor), (divisor, divisor.power(2)),
+                           (point, divisor), (unit, divisor)]:
             assert _subscheme_contains(big, small), (big.label, small.label)
-        for big, small in [(bare, point), (divisor, bare), (point, bare)]:
-            with pytest.raises(UnsupportedSubscheme, match="boundary rays"):
-                _subscheme_contains(big, small)
-        with pytest.raises(UnsupportedSubscheme):
-            IdealSequenceOnXxA1(steps=(bare, point))
+        for big, small in [(divisor, point), (divisor, unit), (divisor.power(2), divisor),
+                           (point, boundary_divisor_subscheme(X, (-1, -2)))]:
+            assert not _subscheme_contains(big, small), (big.label, small.label)
+        IdealSequenceOnXxA1(steps=(divisor, divisor.power(2)))
+        with pytest.raises(ValueError, match="not contained"):
+            IdealSequenceOnXxA1(steps=(divisor, point))
 
     def test_product_gens(self):
         X, S = catalog_model("P1"), self._dnc()

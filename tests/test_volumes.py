@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fanokit import volumes
-from fanokit.errors import (DimensionTooSmall, EmptyOrFull, NotSmoothPoint,
-                            UnsupportedSubscheme)
+from fanokit.errors import (DimensionTooSmall, EmptyOrFull, NotSmoothChart,
+                            NotSmoothPoint, UnsupportedSubscheme)
 from fanokit.model import anticanonical_volume, catalog, catalog_model
 from fanokit.stability import beta
 from fanokit.subscheme import (MonomialSubscheme, boundary_divisor_subscheme,
-                               point_subscheme, standard_battery,
+                               point_subscheme, product, standard_battery,
                                thickened_point_subscheme)
 from fanokit.volumes import (blowup_volume_integral, blowup_volume_profile,
                              pseudoeffective_threshold, seshadri_constant)
@@ -138,11 +138,24 @@ class TestGeneralEngine:
         assert beta(X, I).beta >= 0
 
     def test_singular_chart_refused(self):
+        # a singular chart may carry only a multiple of a boundary divisor;
+        # D_(1, 0) and D_(-1, -2) meet only on P112's singular chart 1
         X = catalog_model("P112")
-        Z = MonomialSubscheme(label="sing", dimension=2,
-                              chart_gens={1: ((1, 0),)})
-        with pytest.raises(UnsupportedSubscheme):
-            blowup_volume_profile(X, Z)
+        meet = product(boundary_divisor_subscheme(X, (1, 0)),
+                       boundary_divisor_subscheme(X, (-1, -2)))
+        assert meet.gens_on(1) == ((1, 1),)
+        for Z in [meet, *(MonomialSubscheme(label="sing", dimension=2, chart_gens={1: gens})
+                          for gens in (((1, 1),), ((2, 0), (1, 1))))]:
+            with pytest.raises(UnsupportedSubscheme, match="touches the singular chart"):
+                blowup_volume_profile(X, Z)
+            with pytest.raises(NotSmoothChart, match="lives on the singular chart"):
+                beta(X, Z)
+        # (y_rho) there alone reads as the divisor of its ray
+        ray = X.charts[1].cone_rays[0]
+        alone = MonomialSubscheme(label="sing", dimension=2, chart_gens={1: ((1, 0),)})
+        D = boundary_divisor_subscheme(X, ray)
+        assert blowup_volume_profile(X, alone) == blowup_volume_profile(X, D)
+        assert beta(X, alone).beta == beta(X, D).beta == Fraction(-8, 3)
 
     def test_unit_subscheme_refused(self):
         X = catalog_model("P2")
@@ -159,16 +172,21 @@ class TestIntegerRows:
         X = catalog_model(name)
         n = X.dimension
         for Z in standard_battery(X):
-            if Z.boundary_ray is not None:
-                expected = {(*map(Fraction, Z.boundary_ray), -1, -1)}
-            else:
-                expected = set()
-                for idx, gens in Z.chart_gens.items():
-                    rays = X.charts[idx].cone_rays
-                    for w in helpers.newton_dual_points(gens):
-                        a = [sum(wi * ray[j] for wi, ray in zip(w, rays)) for j in range(n)]
-                        expected.add((*a, -1, -sum(w)))
+            expected = set()
+            for idx, gens in Z.chart_gens.items():
+                rays = X.charts[idx].cone_rays
+                for w in helpers.newton_dual_points(gens):
+                    a = [sum(wi * ray[j] for wi, ray in zip(w, rays)) for j in range(n)]
+                    expected.add((*a, -1, -sum(w)))
             assert helpers.lifted_rays(volumes._moving_rows(X, Z)) == expected
+
+    @pytest.mark.parametrize("name", sorted(catalog()))
+    def test_divisor_rows_are_the_ray_row(self, name):
+        # <rho, u> + 1 >= x on every chart that holds rho
+        X = catalog_model(name)
+        for ray in X.rays:
+            D = boundary_divisor_subscheme(X, ray)
+            assert volumes._moving_rows(X, D) == [(*ray, -1, -1)]
 
 
 class TestSeshadri:
