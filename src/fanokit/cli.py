@@ -98,14 +98,16 @@ def _cmd_catalog(args) -> int:
 
 def _cmd_volume(args) -> int:
     X = resolve_model(args.model)
-    vol = anticanonical_volume(X)
-    print(f"anticanonical volume: {_show(vol)}")
+    line = f"anticanonical volume: {_show(anticanonical_volume(X))}"
     if args.subscheme is None:
+        print(line)
         if args.out:
             raise ConfigError("--profile-csv needs --subscheme")
         return 0
+    # a refused subscheme prints nothing on stdout
     Z = resolve_subscheme(X, args.subscheme)
     profile = blowup_volume_profile(X, Z)
+    print(line)
     print(f"profile for {Z.label}: tau = {_show(profile.domain[1])}, "
           f"integral = {_show(profile.integrate(*profile.domain))}")
     if args.out:

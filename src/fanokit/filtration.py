@@ -285,14 +285,14 @@ def _leading_integral(X: ToricFanoModel, r: int, M: int,
     integral is the integral over 0 <= x <= M, where G reaches its cap,
     of that region's volume: polytope.moving_volume_integral reads it
     off one vertex enumeration of the region lifted to (u, x), capped at
-    x = M, with no profile built.  Where no chart is active the region
-    is r r0 P at every x; where a chart has the zero ideal at lo + 1 the
-    lifted region is flat and the integral 0.
+    x = M, with no profile built, given X.polytope and the scale r r0:
+    the enumeration starts from the cone of r r0 P x [0, oo), read off
+    P's vertices, and adds only the moving rows and the cap.  Where no
+    chart is active the region is r r0 P at every x; where a chart has
+    the zero ideal at lo + 1 the lifted region is flat and the integral 0.
     """
-    scale = r * X.r0
-    rows = [(*row[:-1], scale * row[-1]) for row in X.polytope.integer_rows]
-    _, integral = moving_volume_integral(X.dimension, rows, _leading_rows(X, r, M, duals),
-                                         cap=M)
+    _, integral = moving_volume_integral(X.polytope, r * X.r0,
+                                         _leading_rows(X, r, M, duals), cap=M)
     return (X.dimension + 1) * integral
 
 

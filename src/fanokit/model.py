@@ -28,8 +28,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import DegeneratePolytope, NotFano, NotSmoothChart, UnboundedPolytope
 from .linalg import Vec, int_det, int_primitive, int_solve
-from .polytope import (RationalPolytope, euclidean_volume, lattice_points,
-                       polytope_from_rays, vertex_incidences)
+from .polytope import RationalPolytope, euclidean_volume, lattice_points, polytope_from_rays
 
 
 @dataclass(frozen=True)
@@ -176,7 +175,7 @@ def build_model(dimension: int, rays: Sequence[Sequence[int]], name: str = "") -
         if r not in facet_normals:
             raise NotFano(f"ray {r} supports no facet of the polytope")
     r0 = lcm(*[x.denominator for v in P.vertices for x in v])
-    charts = tuple(_build_chart(P, v, z) for v, z in zip(P.vertices, vertex_incidences(P)))
+    charts = tuple(_build_chart(P, v, z) for v, z in zip(P.vertices, P.vertex_masks))
     return ToricFanoModel(name=name, dimension=dimension, rays=rays_t,
                           polytope=P, r0=r0, charts=charts)
 

@@ -9,37 +9,44 @@ set.
 Vertices are enumerated in integers by the double description method
 (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda and Prodon 1996) on
 the rows scaled to primitive integer vectors: the rows are added one at
-a time to the homogenised cone, whose rays with a positive last entry
-are the vertices, while a ray with last entry 0 is a recession
-direction.  Its work follows the rays it meets, not the n-subsets of the
-rows, most of which are not vertices.  A polytope is enumerated once,
-and its faces are read off which rows are tight at which vertices
-(Ziegler, *Lectures on Polytopes*), incidences the enumeration keeps as
-it goes, one bitmask of tight rows per vertex, so no row is tested at a
-vertex afterwards: the facets are the rows with maximal tight sets, and
-a pulling triangulation sums integer simplex determinants down chains
-of facets.  Rows are tested at points by integer dot products
-(_incidences), over the points' common denominator, only where no
-enumeration met the points: euclidean_volume of a polytope's own
-vertices, the vertices and edges picked among given points, and the
+a time to a start cone inside the homogenised cone, whose rays with a
+positive last entry are the vertices, while a ray with last entry 0 is
+a recession direction.  Its work follows the rays it meets, not the
+n-subsets of the rows, most of which are not vertices.  Where the caller
+already knows the cone of some rows, the enumeration starts there: a
+lifted region (below) from the cone of P x [0, oo), whose rays are P's
+vertices and the direction of x, so that only its moving rows and cap
+are added, and a Newton polyhedron from the orthant of its rows
+w_i >= 0.  Only from_inequalities, hull_facets and the slice volumes
+start from scratch, from the simplicial cone of dim + 1 independent
+rows.  A polytope is enumerated once, and its faces are read off which
+rows are tight at which vertices (Ziegler, *Lectures on Polytopes*),
+incidences the enumeration keeps as it goes, one bitmask of tight rows
+per vertex, so no row is tested at a vertex afterwards: the facets are
+the rows with maximal tight sets, and a pulling triangulation sums
+integer simplex determinants down chains of facets.  Rows are tested at
+points by integer dot products (_incidences), over the points' common
+denominator, only where no enumeration met the points: the
 constructor's check, which reads the inequalities as the primitive
-integer rows a polytope keeps (integer_rows).  Only points need a hull:
-the facets of conv(V) are the vertices of its polar about an interior
-point.  A region whose rows move linearly in a parameter x is the slice
-at x of the region lifted to (u, x) and cut by x >= 0, and one vertex
-enumeration of those lifted rows in dim + 1 variables serves both
-readers of such a region.  They take the rows in integers: the static
-ones as (*normal, offset), meaning <normal, u> >= offset, and the moving
-ones already lifted, as (*a, c, b), meaning <a, u> + c x >= b with
-c < 0.  The integral of the slice volumes over x
-needs no slice: it is the volume of the lifted region itself, perhaps
-cut by a cap on x, read off that enumeration's triangulation
-(moving_volume_integral).  The slices change combinatorial type only at
-the x-coordinates of the lifted vertices (Ziegler, *Lectures on
-Polytopes*), so those are the breakpoints of the volume as a function of
-x, and between them the volume is one polynomial, fitted through the
-volumes of a few slices (moving_volume_function), which the tests hold
-the integral against.
+integer rows a polytope keeps (integer_rows) and keeps each vertex's
+mask (vertex_masks) for euclidean_volume, the edges, the charts and the
+lifted start cones, and the vertices that from_vertices picks among
+given points.  Only points need a hull: the facets of conv(V) are the
+vertices of its polar about an interior point.  A region whose rows
+move linearly in a parameter x is the slice at x of the region lifted
+to (u, x) and cut by x >= 0, and one vertex enumeration of those lifted
+rows in dim + 1 variables serves both readers of such a region.  They
+take the static rows as a polytope P and a positive integer scale, the
+region being cut from scale*P, and the moving rows in integers, already
+lifted, as (*a, c, b), meaning <a, u> + c x >= b with c < 0.  The
+integral of the slice volumes over x needs no slice: it is the volume
+of the lifted region itself, perhaps cut by a cap on x, read off that
+enumeration's triangulation (moving_volume_integral).  The slices
+change combinatorial type only at the x-coordinates of the lifted
+vertices (Ziegler, *Lectures on Polytopes*), so those are the
+breakpoints of the volume as a function of x, and between them the
+volume is one polynomial, fitted through the volumes of a few slices
+(moving_volume_function), which the tests hold the integral against.
 """
 
 from __future__ import annotations
@@ -85,7 +92,36 @@ def _independent_rows(rows: Sequence[Sequence[int]], size: int) -> list[int] | N
     return None
 
 
-def _vertex_bases(dim: int, irows: Sequence[Sequence[int]]) -> tuple[dict, bool]:
+def _simplicial_start(cone: Sequence[Sequence[int]], size: int) -> tuple[int, list] | None:
+    """The from-scratch start of _vertex_bases: the simplicial cone of the
+    first ``size`` independent homogenised rows, as (covered, rays), its
+    rays the signed columns of their adjugate; None when the rows have
+    smaller rank."""
+    start = _independent_rows(cone, size)
+    if start is None:
+        return None
+    d, cols = int_solve([cone[i] for i in start],
+                        [[int(i == j) for i in range(size)] for j in range(size)])
+    covered = sum(1 << i for i in start)
+    rays = []
+    for i, col in zip(start, cols):
+        g = gcd(*col) if d > 0 else -gcd(*col)
+        rays.append(([a // g for a in col], covered ^ (1 << i)))
+    return covered, rays
+
+
+def _orthant_start(dim: int) -> tuple[int, list]:
+    """The start cone of rows whose first dim are u_i >= 0, as a Newton
+    polyhedron's dual rows are: with lam >= 0 they are the identity, so
+    the cone is the orthant and its rays are the unit vectors, e_i tight
+    at every row but u_i >= 0 and e_dim at every row but lam >= 0."""
+    covered = (1 << (dim + 1)) - 1
+    return covered, [(tuple([int(i == j) for j in range(dim + 1)]),
+                      covered ^ (1 << (i + 1) % (dim + 1))) for i in range(dim + 1)]
+
+
+def _vertex_bases(dim: int, irows: Sequence[Sequence[int]],
+                  start: tuple[int, list] | None = None) -> tuple[dict, bool]:
     """Vertices of {u : <r[:dim], u> >= r[dim] for all integer rows r}, as
     Cramer's reduced (nums, den) keys, each mapped to the bitmask of the
     rows tight at it (bit k for irows[k]), by integer double description,
@@ -95,31 +131,29 @@ def _vertex_bases(dim: int, irows: Sequence[Sequence[int]]) -> tuple[dict, bool]
     {(u, lam) : <r[:dim], u> - r[dim] lam >= 0, lam >= 0}, and those with
     den = 0 recede.  That cone is pointed exactly when its rows have rank
     dim + 1; otherwise the set has no vertex and a line recedes.  Its
-    rows are added one at a time to the simplicial cone of dim + 1
-    independent ones, whose rays are the signed columns of their
-    adjugate.  A row keeps the rays on its side and joins each adjacent
-    pair it separates; two rays are adjacent when no third ray is tight
-    at every row tight at both.  Each ray is a primitive integer vector,
-    kept with the bitmask of the rows it is tight at.  That mask is exact:
-    a joined ray is tight at an earlier row exactly when both its parents
-    are, since it is a positive combination of them, and at the joining
-    row by construction.
+    rows are added one at a time to a start cone.  A caller that knows
+    the cone of some of the rows passes it as ``start``, (covered, rays):
+    covered the bitmask of those rows, bit 0 for lam >= 0 and bit k + 1
+    for irows[k], and rays its extreme rays, each a primitive integer
+    vector with the bitmask of the covered rows tight at it; the cone
+    must be pointed.  Otherwise the start is the simplicial cone of
+    dim + 1 independent rows (_simplicial_start).  A row keeps the rays
+    on its side and joins each adjacent pair it separates; two rays are
+    adjacent when no third ray is tight at every row tight at both.  Each
+    ray is a primitive integer vector, kept with the bitmask of the rows
+    it is tight at.  That mask is exact: a joined ray is tight at an
+    earlier row exactly when both its parents are, since it is a positive
+    combination of them, and at the joining row by construction.
     """
     cone = [(0,) * dim + (1,)] + [(*r[:dim], -r[dim]) for r in irows]
-    size = dim + 1
-    start = _independent_rows(cone, size)
     if start is None:
-        return {}, False
-    d, cols = int_solve([cone[i] for i in start],
-                        [[int(i == j) for i in range(size)] for j in range(size)])
-    start_mask = sum(1 << i for i in start)
-    rays = []
-    for i, col in zip(start, cols):
-        g = gcd(*col) if d > 0 else -gcd(*col)
-        rays.append(([a // g for a in col], start_mask ^ (1 << i)))
+        start = _simplicial_start(cone, dim + 1)
+        if start is None:
+            return {}, False
+    covered, rays = start
     for k, row in enumerate(cone):
         bit = 1 << k
-        if start_mask & bit:
+        if covered & bit:
             continue
         kept, pos, neg = [], [], []
         for ray, z in rays:
@@ -293,7 +327,7 @@ def hull_facets(dim: int, vertices: Sequence[Vec]) -> list[tuple[tuple[int, ...]
 class RationalPolytope:
     """Bounded full-dimensional rational polytope with both representations."""
 
-    __slots__ = ("dimension", "vertices", "inequalities", "integer_rows")
+    __slots__ = ("dimension", "vertices", "inequalities", "integer_rows", "vertex_masks")
 
     def __init__(self, dimension: int, vertices: Sequence[Vec],
                  inequalities: Sequence[Ineq]):
@@ -306,13 +340,16 @@ class RationalPolytope:
         # the inequalities as primitive integer rows (*normal, offset)
         self.integer_rows: tuple[tuple[int, ...], ...] = tuple(
             rational_primitive((*nr, off)) for nr, off in self.inequalities)
-        self._validate()
+        # for each vertex, the bitmask of the inequalities tight at it
+        # (bit k for inequalities[k])
+        self.vertex_masks: tuple[int, ...] = self._validate()
 
-    def _validate(self) -> None:
+    def _validate(self) -> tuple[int, ...]:
         """Refuse repeated vertices, vertices of another arity, and vertices
         tight at fewer than dimension rows or outside a row, tested in
-        integers over the vertices' common denominator.  A normal of
-        another arity is refused when a vertex is tested against it."""
+        integers over the vertices' common denominator, and return each
+        vertex's tight rows as a bitmask.  A normal of another arity is
+        refused when a vertex is tested against it."""
         n = self.dimension
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertices")
@@ -320,7 +357,8 @@ class RationalPolytope:
             if len(v) != n:
                 raise ValueError(f"vertex arity {len(v)} != {n}")
         pts, den = _over_common_denominator(self.vertices)
-        for v, p, z in zip(self.vertices, pts, _incidences(self.integer_rows, pts, den)):
+        masks = tuple(_incidences(self.integer_rows, pts, den))
+        for v, p, z in zip(self.vertices, pts, masks):
             tight = z.bit_count()
             if tight < n:
                 raise ValueError(f"vertex {v} tight on only {tight} inequalities")
@@ -329,6 +367,7 @@ class RationalPolytope:
                     raise ValueError(f"dot: length mismatch {len(r) - 1} vs {n}")
                 if sum(map(mul, r, p)) < r[n] * den:
                     raise ValueError(f"vertex {v} violates an inequality")
+        return masks
 
     @classmethod
     def from_vertices(cls, dimension: int, vertices: Sequence[Sequence]) -> "RationalPolytope":
@@ -419,19 +458,11 @@ def lattice_fibers(P: RationalPolytope, r) -> list[tuple[tuple[int, ...], int, i
     return [] if system is None else lattice.enum_fibers(*system)
 
 
-def vertex_incidences(P: RationalPolytope) -> list[int]:
-    """For each vertex of P, the bitmask of P's inequalities tight at it
-    (bit k for P.inequalities[k]), in integers."""
-    pts, den = _over_common_denominator(P.vertices)
-    return _incidences(P.integer_rows, pts, den)
-
-
 def euclidean_volume(P: RationalPolytope) -> Fraction:
     """Exact Lebesgue volume via a pulling triangulation of P's own
-    vertices, with no vertex enumeration."""
+    vertices and their masks, with no vertex enumeration."""
     pts, den = _over_common_denominator(P.vertices)
-    return _pulled_volume(P.dimension, P.integer_rows, pts,
-                          _incidences(P.integer_rows, pts, den), den)
+    return _pulled_volume(P.dimension, P.integer_rows, pts, P.vertex_masks, den)
 
 
 def _lone_on_face(tight: Sequence[int], k: int) -> list[tuple[int, ...]]:
@@ -450,21 +481,43 @@ def _lone_on_face(tight: Sequence[int], k: int) -> list[tuple[int, ...]]:
 def polytope_edges(P: RationalPolytope) -> list[tuple[int, int]]:
     """Index pairs of vertices joined by an edge: the pairs alone on the
     smallest face holding them."""
-    return _lone_on_face(vertex_incidences(P), 2)
+    return _lone_on_face(P.vertex_masks, 2)
 
 
-def _lifted_rows(dim: int, rows: Sequence[Sequence[int]],
-                 moving: Sequence[Sequence[int]]) -> list[Sequence[int]]:
-    """The static integer ``rows`` (*normal, offset) lifted to (u, x), the
-    ``moving`` rows, already lifted, and x >= 0: integer rows
-    (*normal, c, offset) meaning <normal, u> + c x >= offset."""
-    return [*[(*r[:dim], 0, r[dim]) for r in rows], *moving, (0,) * dim + (1, 0)]
+def _lifted_region(P: RationalPolytope, scale: int, moving: Sequence[Sequence[int]],
+                   cap=None) -> tuple[list[Sequence[int]], dict, bool]:
+    """(rows, keys, bounded): the integer rows (*normal, c, offset),
+    meaning <normal, u> + c x >= offset, of scale*P lifted to (u, x),
+    then x >= 0, then the ``moving`` rows, already lifted, then x <= cap
+    if a cap is given; and _vertex_bases of those rows in dim + 1
+    variables, started from the cone of the rows of P x [0, oo).
+
+    That cone's rays are known: one ray (den v, 0, den) per vertex v of
+    scale*P, tight at v's rows of P (P.vertex_masks) and at x >= 0, and
+    the ray (0, 1, 0), tight at every row of P.  P is bounded, so these
+    are all of its rays, and only the moving rows and the cap go through
+    the enumeration.  scale is a positive integer.
+    """
+    dim = P.dimension
+    rows: list[Sequence[int]] = [(*r[:dim], 0, scale * r[dim]) for r in P.integer_rows]
+    # the bit of x >= 0 in the masks, bit 0 being lam >= 0
+    x_bit = 1 << (len(rows) + 1)
+    pts, den = _over_common_denominator(P.vertices)
+    rays = [((0,) * dim + (1, 0), x_bit - 1)]
+    for p, z in zip(pts, P.vertex_masks):
+        ray = (*[scale * a for a in p], 0, den)
+        g = gcd(*ray)
+        rays.append(([a // g for a in ray], z << 1 | x_bit))
+    rows += [(0,) * dim + (1, 0), *moving]
+    if cap is not None:
+        num, cap_den = cap.as_integer_ratio()
+        rows.append((0,) * dim + (-cap_den, -num))
+    return (rows, *_vertex_bases(dim + 1, rows, (2 * x_bit - 1, rays)))
 
 
-def moving_volume_function(dim: int, rows: Sequence[Sequence[int]],
+def moving_volume_function(P: RationalPolytope, scale: int,
                            moving: Sequence[Sequence[int]]) -> PiecewisePolynomial:
-    """x -> dim! * vol of the region cut out by the static integer ``rows``
-    (*normal, offset), meaning <normal, u> >= offset, and the ``moving``
+    """x -> dim! * vol of the region cut out of scale*P by the ``moving``
     integer rows (*a, c, b), meaning <a, u> + c x >= b with c < 0, on
     [0, tau].
 
@@ -472,20 +525,22 @@ def moving_volume_function(dim: int, rows: Sequence[Sequence[int]],
     Its combinatorial type changes only at the x-coordinates of the
     vertices of the lifted polyhedron {(u, x) : x >= 0} (Ziegler,
     *Lectures on Polytopes*), so those and 0 are the breakpoints: one
-    vertex enumeration of the rows moving_volume_integral reads.  Between
-    breakpoints the volume is a polynomial of degree <= dim, fitted
-    through the volumes of dim + 1 slices inside the piece, and equal
-    neighbouring pieces are merged.
+    vertex enumeration of the rows moving_volume_integral reads, started
+    from the cone of P x [0, oo) (_lifted_region).  Between breakpoints
+    the volume is a polynomial of degree <= dim, fitted through the
+    volumes of dim + 1 slices inside the piece, each slice enumerated
+    from scratch, and equal neighbouring pieces are merged.
     Raises DegeneratePolytope when the region has no volume for any x > 0,
     and UnboundedPolytope when the lifted region is unbounded.
     """
-    static = [(r[:dim], r[dim]) for r in rows]
+    dim = P.dimension
+    static = [(r[:dim], scale * r[dim]) for r in P.integer_rows]
 
     def slice_volume(x):
         at_x = [*static, *[(r[:dim], r[dim + 1] - r[dim] * x) for r in moving]]
         return factorial(dim) * volume(dim, at_x)
 
-    keys, bounded = _vertex_bases(dim + 1, _lifted_rows(dim, rows, moving))
+    _, keys, bounded = _lifted_region(P, scale, moving)
     if keys and not bounded:
         raise UnboundedPolytope("the lifted region is unbounded")
     cuts = sorted({Fraction(0)} | {Fraction(nums[dim], den) for nums, den in keys})
@@ -501,14 +556,14 @@ def moving_volume_function(dim: int, rows: Sequence[Sequence[int]],
             breakpoints.append(b)
             last = trimmed
     # rows that flatten the region at some x include a moving row, which
-    # empties it past x, unless static rows flatten it at every x: so a
-    # zero piece can only be the only piece
+    # empties it past x, as P is full-dimensional: so a zero piece can
+    # only be the only piece
     if not pieces or last == ():
         raise DegeneratePolytope("region has no volume for x > 0")
     return PiecewisePolynomial(breakpoints, pieces, degree_bound=dim)
 
 
-def moving_volume_integral(dim: int, rows: Sequence[Sequence[int]],
+def moving_volume_integral(P: RationalPolytope, scale: int,
                            moving: Sequence[Sequence[int]],
                            cap=None) -> tuple[Fraction, Fraction]:
     """(tau, integral) for the region of moving_volume_function, with no
@@ -517,20 +572,18 @@ def moving_volume_integral(dim: int, rows: Sequence[Sequence[int]],
 
     That integral is dim! times the (dim+1)-volume of the region lifted
     to (u, x) and cut by x >= 0 and x <= cap, so it is read off one
-    vertex enumeration of the lifted rows, by _pulled_volume.  An empty
-    lifted region gives (0, 0), a flat one the integral 0.  The static
-    rows must cut out a bounded set; each moving row then bounds x, and
-    with neither a moving row nor a cap the region is unbounded in x.
-    A nonempty lifted region that is unbounded, as a moving row with
-    c >= 0 or unbounded static rows make it, raises UnboundedPolytope.
+    vertex enumeration of the lifted rows, started from the cone of
+    P x [0, oo) (_lifted_region), by _pulled_volume.  An empty lifted
+    region gives (0, 0), a flat one the integral 0.  Each moving row
+    with c < 0 bounds x, and with neither a moving row nor a cap the
+    region is unbounded in x.  A nonempty lifted region that is
+    unbounded, as moving rows with c >= 0 alone make it, raises
+    UnboundedPolytope.
     """
     if cap is None and not moving:
         raise UnboundedPolytope("no moving row and no cap: x is unbounded")
-    lifted = _lifted_rows(dim, rows, moving)
-    if cap is not None:
-        num, den = cap.as_integer_ratio()
-        lifted.append((0,) * dim + (-den, -num))
-    keys, bounded = _vertex_bases(dim + 1, lifted)
+    dim = P.dimension
+    lifted, keys, bounded = _lifted_region(P, scale, moving, cap)
     if not keys:
         return Fraction(0), Fraction(0)
     if not bounded:

@@ -23,7 +23,7 @@ from . import lattice
 from .errors import (CombinatorialBlowup, EmptyOrFull, GluingMismatch, NotSmoothPoint,
                      UnsupportedSubscheme, ZeroIdeal)
 from .model import ToricFanoModel
-from .polytope import _vertex_bases, polytope_edges
+from .polytope import _orthant_start, _vertex_bases, polytope_edges
 
 Gens = tuple[tuple[int, ...], ...]
 # a Newton dual vertex W / den as its integer key (W, den)
@@ -150,9 +150,8 @@ def point_subscheme(X: ToricFanoModel, chart_index: int) -> MonomialSubscheme:
     if not chart.smooth:
         raise NotSmoothPoint(f"fixed point at {chart.vertex} is singular")
     n = X.dimension
-    gens = tuple(tuple(1 if j == i else 0 for j in range(n)) for i in range(n))
-    return MonomialSubscheme(label=f"point@{chart_index}", dimension=n,
-                             chart_gens={chart_index: gens})
+    gens = tuple(tuple(int(j == i) for j in range(n)) for i in reversed(range(n)))
+    return _minimal_subscheme(f"point@{chart_index}", n, {chart_index: gens})
 
 
 def thickened_point_subscheme(X: ToricFanoModel, chart_index: int) -> MonomialSubscheme:
@@ -167,8 +166,7 @@ def thickened_point_subscheme(X: ToricFanoModel, chart_index: int) -> MonomialSu
         g[i] += 1
         g[j] += 1
         gens.append(tuple(g))
-    return MonomialSubscheme(label=f"point2@{chart_index}", dimension=n,
-                             chart_gens={chart_index: tuple(gens)})
+    return _minimal_subscheme(f"point2@{chart_index}", n, {chart_index: tuple(sorted(gens))})
 
 
 def boundary_divisor_subscheme(X: ToricFanoModel, ray: Sequence[int]) -> MonomialSubscheme:
@@ -182,8 +180,7 @@ def boundary_divisor_subscheme(X: ToricFanoModel, ray: Sequence[int]) -> Monomia
     for idx, chart in enumerate(X.charts):
         if ray_t in chart.cone_rays:
             chart_gens[idx] = (tuple(int(r == ray_t) for r in chart.cone_rays),)
-    return MonomialSubscheme(label=f"divisor@{ray_t}", dimension=X.dimension,
-                             chart_gens=chart_gens)
+    return _minimal_subscheme(f"divisor@{ray_t}", X.dimension, chart_gens)
 
 
 def standard_battery(X: ToricFanoModel) -> list[MonomialSubscheme]:
@@ -208,7 +205,8 @@ class NewtonPolyhedron:
     and all of W.  A point a >= 0
     lies in x*N iff <W, a> >= x den for every dual vertex.  Facet
     inequalities of N are the scaled dual vertices plus the coordinate
-    halfspaces.
+    halfspaces.  The enumeration of Q starts from the orthant w >= 0,
+    whose rays are the unit vectors, and adds only the generator rows.
     """
 
     __slots__ = ("dual_vertices",)
@@ -228,7 +226,8 @@ class NewtonPolyhedron:
             # g_i > 0, as for every boundary divisor and its multiples
             keys = [(e, x) for e, x in zip(axes, gens[0]) if x]
         else:
-            keys, _ = _vertex_bases(n, [(*e, 0) for e in axes] + [(*g, 1) for g in gens])
+            keys, _ = _vertex_bases(n, [(*e, 0) for e in axes] + [(*g, 1) for g in gens],
+                                    _orthant_start(n))
         self.dual_vertices: tuple[DualVertex, ...] = tuple(sorted(keys))
 
 

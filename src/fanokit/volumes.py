@@ -15,7 +15,9 @@ divisor, (y_rho^m), whose one dual vertex e_rho / m gives the row
 <rho, u> + 1 >= m x: the divisor's valuation, which needs no exponents.
 
 Both readers of that region start from one vertex enumeration of it
-lifted to (u, x).  blowup_volume_integral reads the pseudoeffective
+lifted to (u, x), which itself starts from the cone of P x [0, oo), its
+rays read off P's vertices and their tight rows, so that only the moving
+rows go through it.  blowup_volume_integral reads the pseudoeffective
 threshold tau and the profile's integral off its triangulation, in
 polytope.moving_volume_integral; beta, pseudoeffective_threshold and
 ideal-power filtrations need nothing more.  blowup_volume_profile, for
@@ -69,13 +71,13 @@ def _moving_rows(X: ToricFanoModel, Z: MonomialSubscheme) -> list[tuple[int, ...
 def blowup_volume_profile(X: ToricFanoModel, Z: MonomialSubscheme) -> PiecewisePolynomial:
     """x -> vol(sigma^*(-K) - x F) on [0, tau], zero afterwards: tau is
     its last breakpoint and vol(-K) its value at 0."""
-    return moving_volume_function(X.dimension, X.polytope.integer_rows, _moving_rows(X, Z))
+    return moving_volume_function(X.polytope, 1, _moving_rows(X, Z))
 
 
 def blowup_volume_integral(X: ToricFanoModel, Z: MonomialSubscheme) -> tuple[Fraction, Fraction]:
     """(tau, integral) of Z's profile, read off the lifted region with no
     profile built: its last breakpoint and its integral over [0, tau]."""
-    return moving_volume_integral(X.dimension, X.polytope.integer_rows, _moving_rows(X, Z))
+    return moving_volume_integral(X.polytope, 1, _moving_rows(X, Z))
 
 
 def seshadri_constant(X: ToricFanoModel, chart_index: int) -> Fraction:

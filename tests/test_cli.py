@@ -107,6 +107,18 @@ class TestCatalogAndVolume:
         assert "integral = 18 (18.000000000000)" in out
         assert csv_path.read_text() == "start,end,c0,c1,c2\n0,3,9,0,-1\n"
 
+    @pytest.mark.parametrize("model, body", [
+        ("P2", '"boundary_ray": [1, 0]'),
+        ("P112", '"charts": {"1": [[1, 1]]}')], ids=["boundary-ray-key", "singular-chart"])
+    def test_refused_subscheme_prints_nothing(self, run, tmp_path, model, body):
+        # the subscheme is resolved and its profile built before any output
+        path = tmp_path / "w.json"
+        path.write_text(f'{{"label": "w", "dim": 2, {body}}}')
+        code, out, err = run("volume", "--model", model, "--subscheme", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1
+
     def test_profile_csv_requires_subscheme(self, run, tmp_path):
         code, _, err = run("volume", "--model", "P2",
                            "--profile-csv", str(tmp_path / "x.csv"))

@@ -38,15 +38,9 @@ def _moving(pairs):
     return [rational_primitive((*a, -1, -b)) for a, b in pairs]
 
 
-def _rows(pairs):
-    """Static rows (normal, offset) as primitive integer rows."""
-    return [rational_primitive((*nr, off)) for nr, off in pairs]
-
-
 def slice_function(P, lam_linear, lam_offset):
     """x -> n! vol(P ∩ {lam(u) + lam_offset >= x}): one moving row."""
-    return moving_volume_function(P.dimension, P.integer_rows,
-                                  _moving([(lam_linear, lam_offset)]))
+    return moving_volume_function(P, 1, _moving([(lam_linear, lam_offset)]))
 
 
 CUBE_SLICE = slice_function(CUBE, (1, 1, 1), 12)
@@ -192,12 +186,13 @@ class TestIncidences:
 
     def test_enumerated_volumes_take_no_dot_products(self, monkeypatch):
         # volume and moving_volume_integral read their incidences off the
-        # enumeration; only euclidean_volume, which enumerates nothing,
-        # tests rows at points
+        # enumeration, and euclidean_volume off the polytope's vertex
+        # masks; only the constructor's check tests rows at points
         def region():
             return (volume(3, CUBE.inequalities), volume(2, UNIT_SQUARE_ROWS),
-                    moving_volume_integral(3, CUBE.integer_rows, _moving([((1, 1, 1), 12)])),
-                    moving_volume_integral(2, TRIANGLE.integer_rows, [], cap=F(1, 2)))
+                    moving_volume_integral(CUBE, 1, _moving([((1, 1, 1), 12)])),
+                    moving_volume_integral(TRIANGLE, 1, [], cap=F(1, 2)),
+                    euclidean_volume(CUBE))
 
         def refuse(*args):
             raise AssertionError("dot-product incidences")
@@ -206,7 +201,7 @@ class TestIncidences:
         monkeypatch.setattr(polytope_mod, "_incidences", refuse)
         assert region() == expected
         with pytest.raises(AssertionError, match="dot-product"):
-            euclidean_volume(CUBE)
+            RationalPolytope(CUBE.dimension, CUBE.vertices, CUBE.inequalities)
 
 
 class TestPolarHull:
@@ -358,6 +353,10 @@ def _lattice_polytope(dim, points):
 
 
 UNIT_SQUARE_ROWS = [((1, 0), 0), ((-1, 0), -1), ((0, 1), 0), ((0, -1), -1)]
+UNIT_SQUARE = RationalPolytope.from_inequalities(2, UNIT_SQUARE_ROWS)
+# the moving row -u1 >= x, which leaves of the unit square only its edge
+# u1 = 0 at x = 0: a lifted region with no volume
+SQUARE_EDGE = [(-1, 0, -1, 0)]
 
 
 class TestRowVolume:
@@ -412,8 +411,7 @@ class TestRowVolume:
         assert volume(3, rows) == 0                               # empty
         assert volume(2, UNIT_SQUARE_ROWS + [((-1, 0), 0)]) == 0
         with pytest.raises(DegeneratePolytope):                   # no volume at any x
-            moving_volume_function(2, _rows(UNIT_SQUARE_ROWS + [((-1, 0), 0)]),
-                                   _moving([((0, 1), 1)]))
+            moving_volume_function(UNIT_SQUARE, 1, SQUARE_EDGE)
 
     def test_constant_functional_keeps_the_polytope(self):
         S = slice_function(TRIANGLE, (0, 0), 1)
@@ -574,7 +572,7 @@ class TestSlicedVolume:
             return factorial(n) * volume(n, at_x)
 
         try:
-            S = moving_volume_function(n, P.integer_rows, _moving(moving))
+            S = moving_volume_function(P, 1, _moving(moving))
         except DegeneratePolytope:      # no volume at any x > 0
             assert all(row_volume(x) == 0 for x in [F(1, 1000), *shares] if x > 0)
             return
@@ -601,10 +599,10 @@ class TestSlicedVolume:
         n = P.dimension
 
         def integral(cap=None):
-            return moving_volume_integral(n, P.integer_rows, _moving(moving), cap)
+            return moving_volume_integral(P, 1, _moving(moving), cap)
 
         try:
-            S = moving_volume_function(n, P.integer_rows, _moving(moving))
+            S = moving_volume_function(P, 1, _moving(moving))
         except DegeneratePolytope:      # flat or empty past x = 0
             assert integral()[1] == 0
             assert all(integral(cap)[1] == 0 for cap in [1, *shares])
@@ -616,28 +614,24 @@ class TestSlicedVolume:
             assert integral(cap) == (min(cap, tau), S.integrate(0, min(cap, tau)))
 
     def test_integral_of_a_static_region(self):
-        rows = TRIANGLE.integer_rows
         with pytest.raises(UnboundedPolytope):
-            moving_volume_integral(2, rows, [])
-        assert moving_volume_integral(2, rows, [], cap=F(1, 2)) == (F(1, 2), F(9, 2))
-        assert moving_volume_integral(2, rows, [], cap=0) == (0, 0)
-        assert moving_volume_integral(2, rows, [], cap=-1) == (0, 0)
+            moving_volume_integral(TRIANGLE, 1, [])
+        assert moving_volume_integral(TRIANGLE, 1, [], cap=F(1, 2)) == (F(1, 2), F(9, 2))
+        assert moving_volume_integral(TRIANGLE, 2, [], cap=F(1, 2)) == (F(1, 2), 18)
+        assert moving_volume_integral(TRIANGLE, 1, [], cap=0) == (0, 0)
+        assert moving_volume_integral(TRIANGLE, 1, [], cap=-1) == (0, 0)
         # no volume at any x > 0, with and without a cap
-        flat = _rows(UNIT_SQUARE_ROWS + [((-1, 0), 0)])
-        assert moving_volume_integral(2, flat, _moving([((0, 1), 1)]))[1] == 0
-        assert moving_volume_integral(2, flat, [], cap=3)[1] == 0
+        assert moving_volume_integral(UNIT_SQUARE, 1, SQUARE_EDGE) == (0, 0)
+        assert moving_volume_integral(UNIT_SQUARE, 1, SQUARE_EDGE, cap=3) == (0, 0)
 
     def test_unbounded_lifted_region_refused(self):
-        # a moving row with c >= 0 leaves x unbounded, and so do static
-        # rows that cut out no bounded set
-        quadrant = _rows([((1, 0), 0), ((0, 1), 0)])
-        for rows, moving in [(TRIANGLE.integer_rows, [(1, 1, 0, -2)]),
-                             (TRIANGLE.integer_rows, [(1, 1, 1, -2)]),
-                             (quadrant, _moving([((1, 1), 1)]))]:
+        # moving rows with c >= 0 alone leave x unbounded
+        for P, moving in [(TRIANGLE, [(1, 1, 0, -2)]), (TRIANGLE, [(1, 1, 1, -2)]),
+                          (CUBE, [(1, 0, 0, 0, -1), (0, 1, -1, 2, -3)])]:
             with pytest.raises(UnboundedPolytope):
-                moving_volume_integral(2, rows, moving)
+                moving_volume_integral(P, 1, moving)
             with pytest.raises(UnboundedPolytope):
-                moving_volume_function(2, rows, moving)
+                moving_volume_function(P, 1, moving)
 
     def test_triangle_slice(self):
         S = slice_function(TRIANGLE, (1, 1), 2)
@@ -678,7 +672,7 @@ class TestSlicedVolume:
         P = RationalPolytope.from_vertices(2, [(-2, -1), (-2, 1), (0, -1), (2, 1)])
         moving = [((-2, 2), 0), ((-1, 0), 2)]
         assert 2 in {v[2] for v in helpers.basic_feasible_points(3, _lifted(P, moving))}
-        S = moving_volume_function(2, P.integer_rows, _moving(moving))
+        S = moving_volume_function(P, 1, _moving(moving))
         assert S.breakpoints == (0, 4)
         for x in (0, 1, 2, F(5, 2), 4):
             rows = list(P.inequalities) + [(a, x - b) for a, b in moving]
@@ -691,6 +685,37 @@ class TestSlicedVolume:
             S.evaluate(F(5, 2))
         with pytest.raises(OutOfDomain):
             S.integrate(0, 3)
+
+
+class TestKnownStartCones:
+    @example(FOUR_CUBE, 2, F(1, 2), False)
+    @example(CORNER_REGION, 3, None, True)
+    @example((SQUARE_PYRAMID, [((0, 0, 1), 0)]), 1, F(0), False)
+    @given(moving_regions(), st.integers(1, 3),
+           st.none() | st.fractions(-1, 4, max_denominator=5), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_lifted_start_matches_a_scratch_start(self, region, scale, cap, flip):
+        # the enumeration started from the cone of P x [0, oo) against one
+        # started from scratch on the same lifted rows: the same vertices,
+        # the same mask of tight rows at each, the same bounded flag;
+        # flip turns the first moving row's c to +1, which may unbound x
+        points, moving = region
+        P = _lattice_polytope(len(points[0]), points)
+        rows = _moving(moving)
+        if flip:
+            rows[0] = (*rows[0][:P.dimension], -rows[0][P.dimension], rows[0][-1])
+        lifted, keys, bounded = polytope_mod._lifted_region(P, scale, rows, cap)
+        assert (keys, bounded) == polytope_mod._vertex_bases(P.dimension + 1, lifted)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_orthant_start_is_the_scratch_start(self, n):
+        # the rows u_i >= 0 with lam >= 0 are the identity, whose cone's
+        # rays are the unit vectors
+        cone = [(0,) * n + (1,)] + [tuple(int(i == j) for j in range(n + 1)) for i in range(n)]
+        covered, rays = polytope_mod._orthant_start(n)
+        scratch, scratch_rays = polytope_mod._simplicial_start(cone, n + 1)
+        assert covered == scratch
+        assert sorted(rays) == sorted((tuple(r), z) for r, z in scratch_rays)
 
 
 class TestPiecewisePolynomial:

@@ -315,6 +315,29 @@ def test_integral_routes_build_no_profile(monkeypatch):
     ding_invariant(X, IdealSequenceOnXxA1(steps=(pt, pt)), 1)
 
 
+def test_scan_and_slope_enumerations_start_from_known_cones(monkeypatch):
+    """Each lifted region starts from the cone of P x [0, oo) and each
+    Newton polyhedron from the orthant: a battery scan of every catalog
+    model and a P1xP2 slope make no from-scratch start."""
+    models = catalog()
+    starts = []
+    real = polytope._simplicial_start
+
+    def counted(*args):
+        starts.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polytope, "_simplicial_start", counted)
+    for X in models.values():
+        semistability_scan(X, standard_battery(X))
+    X = models["P1xP2"]
+    compute_d_infty(ideal_power_filtration(X, point_subscheme(X, 0)), r_list=(1,))
+    assert starts == []
+    # a system with no known cone does start from scratch
+    polytope.RationalPolytope.from_inequalities(1, [((1,), 0), ((-1,), -1)])
+    assert len(starts) == 1
+
+
 def test_weight_count_reads_no_integral_route(monkeypatch):
     """The oracle's weight count is independent of the leading integral it
     checks: with every step of the integral route refused it still counts
@@ -330,7 +353,7 @@ def test_weight_count_reads_no_integral_route(monkeypatch):
 
     names = ("moving_volume_integral", "_vertex_bases", "enumerate_basic_feasible",
              "product_dual_vertices", "_leading_integral", "_leading_rows",
-             "int_primitive", "_lifted_rows", "_pulled_volume")
+             "int_primitive", "_lifted_region", "_pulled_volume")
     for module in list(sys.modules.values()):
         if module.__name__.startswith("fanokit"):
             for name in names:

@@ -151,6 +151,15 @@ class TestBatteryConstructors:
         # six fixed points, five rays, six thickened points
         assert len(standard_battery(catalog_model("P1xP2"))) == 17
 
+    @pytest.mark.parametrize("X", [*catalog().values(), P2_MOD_3],
+                             ids=lambda X: X.name)
+    def test_battery_gens_are_already_normal(self, X):
+        # the constructors build minimal, lex-sorted generators themselves
+        for Z in standard_battery(X):
+            normal = MonomialSubscheme(label=Z.label, dimension=Z.dimension,
+                                       chart_gens=Z.chart_gens)
+            assert Z.chart_gens == normal.chart_gens, Z.label
+
 
 class TestNewtonPolyhedron:
     def test_cusp_ideal_single_dual_vertex(self):
