@@ -26,8 +26,8 @@ from .errors import FanokitError
 from .filtration import (_leading_integral, compute_d_infty, ideal_power_filtration,
                          induced_ideal_sequence, saturate, saturate_points)
 from .lct import lct_chart, lct_monomial
-from .model import (CATALOG_RAYS, KE_CATALOG, anticanonical_volume,
-                    catalog_model)
+from .model import (CATALOG_RAYS, anticanonical_volume, catalog_model,
+                    is_kahler_einstein)
 from .oracles import (OracleResult, bruteforce_lct, oracle_h0_quotient,
                       oracle_weight_records, stable_leading_difference)
 from .piecewise import poly_trim
@@ -171,22 +171,23 @@ def _criterion_beta_point() -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# 5. beta >= 0 across the standard battery on the KE catalog
+# 5. beta >= 0 across the standard battery on the KE catalog models, those
+#    whose barycenter b_P is 0
 
 def _criterion_ke_battery() -> tuple:
     problems: list[str] = []
     entries = 0
-    for name in KE_CATALOG:
-        X = catalog_model(name)
+    models = [X for X in map(catalog_model, CATALOG_RAYS) if is_kahler_einstein(X)]
+    for X in models:
         for entry in semistability_scan(X, standard_battery(X)).entries:
             entries += 1
             if entry.error is not None:
-                problems.append(f"{name}/{entry.subscheme}: {entry.error}")
+                problems.append(f"{X.name}/{entry.subscheme}: {entry.error}")
             elif entry.report.beta < 0:
-                problems.append(f"{name}/{entry.subscheme}: beta "
+                problems.append(f"{X.name}/{entry.subscheme}: beta "
                                 f"{entry.report.beta}")
     return _verdict(problems, f"{entries} battery entries nonnegative across "
-                              f"{len(KE_CATALOG)} models")
+                              f"{len(models)} models")
 
 
 # ---------------------------------------------------------------------------

@@ -100,9 +100,9 @@ def _cmd_volume(args) -> int:
     X = resolve_model(args.model)
     line = f"anticanonical volume: {_show(anticanonical_volume(X))}"
     if args.subscheme is None:
-        print(line)
         if args.out:
             raise ConfigError("--profile-csv needs --subscheme")
+        print(line)
         return 0
     # a refused subscheme prints nothing on stdout
     Z = resolve_subscheme(X, args.subscheme)

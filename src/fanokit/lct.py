@@ -54,8 +54,7 @@ def lct_monomial(X: ToricFanoModel, Z: MonomialSubscheme, power: int = 1) -> Fra
     for idx in Z.active_chart_indices():
         chart = X.charts[idx]
         if not (chart.smooth or divisor_multiple(Z.chart_gens[idx])):
-            raise NotSmoothChart(
-                f"{Z.label} lives on the singular chart at {chart.vertex}")
+            raise NotSmoothChart(f"{Z.label} lives on the singular {chart.name}")
     return _least_weight(chain.from_iterable(Z.dual_vertices.values())) / power
 
 
@@ -75,6 +74,6 @@ def product_line_threshold(X: ToricFanoModel, duals: Mapping[int, Sequence[DualV
         raise ValueError("c1 must be nonnegative")
     for chart in X.charts:
         if not chart.smooth:
-            raise NotSmoothChart(f"chart at {chart.vertex} is singular")
+            raise NotSmoothChart(f"{chart.name} is singular")
     return 1 + min([Fraction(0), *((sum(W) - c1 * den) / wt for vertices in duals.values()
                                    for (*W, wt), den in vertices)])

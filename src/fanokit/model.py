@@ -13,7 +13,11 @@ keep their cone rays and index but expose no exponent map; the pairings
 <rho, u> + k over their cone rays still serve as coordinates.
 A lattice map of N that permutes the rays is an automorphism of the fan
 (Cox-Little-Schenck, Toric Varieties, 3.3); it carries charts to charts
-of the same kind and relabels their cone rays.
+of the same kind and relabels their cone rays.  The barycenter b_P of P
+is 0 exactly on the smooth models that carry a Kähler-Einstein metric
+(Wang-Zhu 2004); like the volume and the automorphisms it is computed on
+first use, off the pulling triangulation of the volume, and kept on the
+model.
 """
 
 from __future__ import annotations
@@ -28,13 +32,16 @@ from typing import NamedTuple, Sequence
 
 from .errors import DegeneratePolytope, NotFano, NotSmoothChart, UnboundedPolytope
 from .linalg import Vec, int_det, int_primitive, int_solve
-from .polytope import RationalPolytope, euclidean_volume, lattice_points, polytope_from_rays
+from .polytope import (RationalPolytope, euclidean_volume, lattice_points, polytope_from_rays,
+                       pulled_moments)
 
 
 @dataclass(frozen=True)
 class Chart:
-    """Local data at one vertex of the moment polytope."""
+    """Local data at one vertex of the moment polytope, the position-th
+    chart of its model."""
 
+    position: int
     vertex: Vec
     simplicial: bool
     index: int
@@ -46,10 +53,15 @@ class Chart:
         return self.simplicial and self.index == 1
 
     @property
+    def name(self) -> str:
+        """The chart as messages name it: 'chart 1 at [-1, 1]'."""
+        return f"chart {self.position} at [{', '.join(map(str, self.vertex))}]"
+
+    @property
     def dual(self) -> tuple[tuple[int, ...], ...]:
         """Rows of the exponent map on a smooth chart (= the cone rays)."""
         if not self.smooth:
-            raise NotSmoothChart(f"chart at {self.vertex} has index {self.index}")
+            raise NotSmoothChart(f"{self.name} has index {self.index}")
         return self.cone_rays
 
     def exponents(self, u: Sequence, k: int) -> tuple[int, ...]:
@@ -97,6 +109,13 @@ class ToricFanoModel:
         return factorial(self.dimension) * euclidean_volume(self.polytope)
 
     @cached_property
+    def _moments(self) -> tuple[list[list[int]], int, int, list[int]]:
+        """(pts, den, total, first) of polytope.pulled_moments, computed on
+        first use: P's vertices pts / den, and the barycenter
+        first / ((dimension + 1) den total) in integers."""
+        return pulled_moments(self.polytope)
+
+    @cached_property
     def automorphisms(self) -> tuple[FanAutomorphism, ...]:
         """The fan's automorphism group, computed on first use.
 
@@ -136,20 +155,20 @@ class ToricFanoModel:
         return tuple(out)
 
 
-def _build_chart(P: RationalPolytope, vertex: Vec, mask: int) -> Chart:
-    """The chart at a vertex of P, given the bitmask of the inequalities
-    tight at it."""
+def _build_chart(P: RationalPolytope, position: int, vertex: Vec, mask: int) -> Chart:
+    """The position-th chart, at a vertex of P, given the bitmask of the
+    inequalities tight at it."""
     n = P.dimension
     tight = tuple(sorted(nr for k, (nr, _) in enumerate(P.inequalities) if mask >> k & 1))
     if len(tight) != n:
-        return Chart(vertex=vertex, simplicial=False, index=0,
+        return Chart(position=position, vertex=vertex, simplicial=False, index=0,
                      cone_rays=tight, edges=None)
     # n rows tight at a vertex are independent; the edges are the columns
     # of their inverse (of the adjugate, signed by the determinant), each
     # scaled to a primitive vector
     d, cols = int_solve(tight, [[int(i == j) for i in range(n)] for j in range(n)])
     edges = tuple(int_primitive(col if d > 0 else [-a for a in col]) for col in cols)
-    return Chart(vertex=vertex, simplicial=True, index=abs(int_det(edges)),
+    return Chart(position=position, vertex=vertex, simplicial=True, index=abs(int_det(edges)),
                  cone_rays=tight, edges=edges)
 
 
@@ -175,7 +194,8 @@ def build_model(dimension: int, rays: Sequence[Sequence[int]], name: str = "") -
         if r not in facet_normals:
             raise NotFano(f"ray {r} supports no facet of the polytope")
     r0 = lcm(*[x.denominator for v in P.vertices for x in v])
-    charts = tuple(_build_chart(P, v, z) for v, z in zip(P.vertices, P.vertex_masks))
+    charts = tuple(_build_chart(P, i, v, z)
+                   for i, (v, z) in enumerate(zip(P.vertices, P.vertex_masks)))
     return ToricFanoModel(name=name, dimension=dimension, rays=rays_t,
                           polytope=P, r0=r0, charts=charts)
 
@@ -184,6 +204,20 @@ def anticanonical_volume(X: ToricFanoModel) -> Fraction:
     """Top self-intersection of -K: n! times the Euclidean volume of P,
     computed on first use and kept on the (frozen) model."""
     return X._anticanonical_volume
+
+
+def barycenter(X: ToricFanoModel) -> tuple[Fraction, ...]:
+    """The barycenter b_P of the moment polytope, computed on first use
+    off the pulling triangulation of its volume and kept on the model."""
+    _, den, total, first = X._moments
+    return tuple(Fraction(a, (X.dimension + 1) * den * total) for a in first)
+
+
+def is_kahler_einstein(X: ToricFanoModel) -> bool:
+    """True when b_P = 0: a smooth toric Fano manifold carries a
+    Kähler-Einstein metric exactly then (Wang-Zhu, *Kähler-Ricci solitons
+    on toric manifolds with positive first Chern class*, 2004)."""
+    return not any(barycenter(X))
 
 
 def section_count(X: ToricFanoModel, k) -> int:
@@ -200,8 +234,6 @@ CATALOG_RAYS: dict[str, tuple[tuple[int, ...], ...]] = {
     "P1xP2": ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, -1)),
     "P112": ((1, 0), (0, 1), (-1, -2)),
 }
-
-KE_CATALOG = ("P1", "P2", "P3", "P1xP1", "P1xP2", "dP6")
 
 
 @lru_cache(maxsize=None)

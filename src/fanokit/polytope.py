@@ -24,7 +24,9 @@ rows are tight at which vertices (Ziegler, *Lectures on Polytopes*),
 incidences the enumeration keeps as it goes, one bitmask of tight rows
 per vertex, so no row is tested at a vertex afterwards: the facets are
 the rows with maximal tight sets, and a pulling triangulation sums
-integer simplex determinants down chains of facets.  Rows are tested at
+integer simplex determinants down chains of facets, for the volume, and
+those determinants times the simplices' vertex sums for the barycenter
+(pulled_moments).  Rows are tested at
 points by integer dot products (_incidences), over the points' common
 denominator, only where no enumeration met the points: the
 constructor's check, which reads the inequalities as the primitive
@@ -463,6 +465,24 @@ def euclidean_volume(P: RationalPolytope) -> Fraction:
     vertices and their masks, with no vertex enumeration."""
     pts, den = _over_common_denominator(P.vertices)
     return _pulled_volume(P.dimension, P.integer_rows, pts, P.vertex_masks, den)
+
+
+def pulled_moments(P: RationalPolytope) -> tuple[list[list[int]], int, int, list[int]]:
+    """(pts, den, total, first): P's vertices as integer vectors pts over
+    their common denominator den, and the moments of the pulling
+    triangulation of euclidean_volume in integers.  total is the sum of
+    its simplices' |det|, dim! den^dim vol(P), and first the sum of each
+    |det| times the sum of its simplex's vertices, so that the barycenter
+    of P is first / ((dim + 1) den total): a simplex's barycenter is the
+    mean of its dim + 1 vertices."""
+    n = P.dimension
+    pts, den = _over_common_denominator(P.vertices)
+    total, first = 0, [0] * n
+    for s in _pulling_simplices(n, P.integer_rows, P.vertex_masks):
+        w = abs(_simplex_det(pts, s))
+        total += w
+        first = [f + w * sum(col) for f, col in zip(first, zip(*[pts[i] for i in s]))]
+    return pts, den, total, first
 
 
 def _lone_on_face(tight: Sequence[int], k: int) -> list[tuple[int, ...]]:

@@ -1,8 +1,9 @@
 """Headline semistability invariants: beta, Ding, and the volume bound.
 
 beta pairs the log canonical threshold of a monomial subscheme with the
-integral of its blowup volume profile, read off the lifted region's
-vertices (volumes.blowup_volume_integral) with no profile built; a
+integral of its blowup volume profile, read with no profile built
+(volumes.blowup_volume_integral): off the barycenter of P when the
+region has one moving row, else off the lifted region's vertices; a
 negative value certifies that the model is not Ding semistable, while
 nonnegative values certify nothing.  Ding invariants of t-graded ideal
 sequences on X x A^1 are evaluated in the product-space form: the limit
@@ -60,8 +61,11 @@ def beta(X: ToricFanoModel, Z: MonomialSubscheme) -> BetaReport:
 
     The volume integral is the profile's integral over [0, tau], the
     profile being zero past the pseudoeffective threshold, read by
-    volumes.blowup_volume_integral off one vertex enumeration of the
-    lifted region: no profile is built.  Both terms are exact: data on a
+    volumes.blowup_volume_integral with no profile built: for one moving
+    row, as points, thickened points and boundary divisors give, it is
+    vol(-K) times that row's height at the barycenter of P, and otherwise
+    the volume of the lifted region, off one vertex enumeration of it.
+    Both terms are exact: data on a
     singular chart other than a multiple of a boundary divisor, and data
     written for another fan, is refused by the threshold before the
     region is read.
@@ -193,7 +197,7 @@ def _orbit_keys(X: ToricFanoModel, Z: MonomialSubscheme) -> list[tuple]:
         gens = {}
         for idx, chart_gens in Z.chart_gens.items():
             j, perm = g.charts[idx]
-            gens[j] = tuple(sorted(tuple(e[p] for p in perm) for e in chart_gens))
+            gens[j] = tuple(sorted([tuple([e[p] for p in perm]) for e in chart_gens]))
         keys.append(_scan_key(gens))
     return keys
 

@@ -148,7 +148,7 @@ def point_subscheme(X: ToricFanoModel, chart_index: int) -> MonomialSubscheme:
     """Reduced torus-fixed point: the maximal ideal of one smooth chart."""
     chart = X.charts[chart_index]
     if not chart.smooth:
-        raise NotSmoothPoint(f"fixed point at {chart.vertex} is singular")
+        raise NotSmoothPoint(f"the fixed point of {chart.name} is singular")
     n = X.dimension
     gens = tuple(tuple(int(j == i) for j in range(n)) for i in reversed(range(n)))
     return _minimal_subscheme(f"point@{chart_index}", n, {chart_index: gens})
@@ -158,7 +158,7 @@ def thickened_point_subscheme(X: ToricFanoModel, chart_index: int) -> MonomialSu
     """Square of the maximal ideal at a smooth fixed point."""
     chart = X.charts[chart_index]
     if not chart.smooth:
-        raise NotSmoothPoint(f"fixed point at {chart.vertex} is singular")
+        raise NotSmoothPoint(f"the fixed point of {chart.name} is singular")
     n = X.dimension
     gens = []
     for i, j in combinations_with_replacement(range(n), 2):

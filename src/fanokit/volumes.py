@@ -14,18 +14,24 @@ the exponents.  A singular chart may carry only m times a boundary
 divisor, (y_rho^m), whose one dual vertex e_rho / m gives the row
 <rho, u> + 1 >= m x: the divisor's valuation, which needs no exponents.
 
-Both readers of that region start from one vertex enumeration of it
-lifted to (u, x), which itself starts from the cone of P x [0, oo), its
-rays read off P's vertices and their tight rows, so that only the moving
-rows go through it.  blowup_volume_integral reads the pseudoeffective
-threshold tau and the profile's integral off its triangulation, in
-polytope.moving_volume_integral; beta, pseudoeffective_threshold and
-ideal-power filtrations need nothing more.  blowup_volume_profile, for
-`fanokit volume`, seshadri_constant and acceptance criterion 3, returns
-the profile itself as a PiecewisePolynomial: its breakpoints are the
-x-coordinates of the lifted vertices and each piece is fitted through a
-few slice volumes, in polytope.moving_volume_function.  The tests hold
-its integral against the first reader.
+blowup_volume_integral reads the pseudoeffective threshold tau and the
+profile's integral, all that beta, pseudoeffective_threshold and
+ideal-power filtrations need, by one of two routes.  When the region
+has one moving row, as every point, thickened point and boundary
+divisor has, it is {(u, x) : u in P, 0 <= x <= l(u)} for an affine
+l >= 0 on P: tau is the largest l at a vertex of P, and the integral is
+vol(-K) l(b_P), b_P the barycenter of P, kept on the model.  Any other
+region is read off the triangulation of one vertex enumeration of it
+lifted to (u, x), in polytope.moving_volume_integral, which starts from
+the cone of P x [0, oo), its rays read off P's vertices and their tight
+rows, so that only the moving rows go through it.  The tests hold the
+first route against the second.  blowup_volume_profile, for `fanokit
+volume`, seshadri_constant and acceptance criterion 3, returns the
+profile itself as a PiecewisePolynomial, off that lifted enumeration:
+its breakpoints are the x-coordinates of the lifted vertices, and each
+piece is fitted through a few slice volumes, in
+polytope.moving_volume_function.  The tests hold its integral against
+blowup_volume_integral.
 
 The Newton polyhedron sees only the integral closure of a chart ideal.
 That is exact for every monomial ideal, closed or not: by Rees's
@@ -59,8 +65,7 @@ def _moving_rows(X: ToricFanoModel, Z: MonomialSubscheme) -> list[tuple[int, ...
     for idx in Z.active_chart_indices():
         chart = X.charts[idx]
         if not (chart.smooth or divisor_multiple(Z.chart_gens[idx])):
-            raise UnsupportedSubscheme(
-                f"{Z.label} touches the singular chart at {chart.vertex}")
+            raise UnsupportedSubscheme(f"{Z.label} touches the singular {chart.name}")
         cols = list(zip(*chart.cone_rays))
         for W, den in Z.dual_vertices[idx]:
             moving[int_primitive([*[sum(map(mul, col, W)) for col in cols],
@@ -75,9 +80,28 @@ def blowup_volume_profile(X: ToricFanoModel, Z: MonomialSubscheme) -> PiecewiseP
 
 
 def blowup_volume_integral(X: ToricFanoModel, Z: MonomialSubscheme) -> tuple[Fraction, Fraction]:
-    """(tau, integral) of Z's profile, read off the lifted region with no
-    profile built: its last breakpoint and its integral over [0, tau]."""
-    return moving_volume_integral(X.polytope, 1, _moving_rows(X, Z))
+    """(tau, integral) of Z's profile, with no profile built: its last
+    breakpoint and its integral over [0, tau].
+
+    With one moving row (*a, c, b), c < 0, whose l(u) = (<a, u> - b) / -c
+    is >= 0 at every vertex of P, the lifted region is {(u, x) : u in P,
+    0 <= x <= l(u)}: tau is the largest l at a vertex, and the integral,
+    n! times that of l over P, is vol(-K) l(b_P) as l is affine, read in
+    integers off the model's barycenter.  Any other rows go through the
+    lifted vertex enumeration, polytope.moving_volume_integral."""
+    moving = _moving_rows(X, Z)
+    if len(moving) == 1 and moving[0][-2] < 0:
+        *a, c, b = moving[0]
+        pts, den, total, first = X._moments
+        heights = [sum(map(mul, a, p)) - b * den for p in pts]
+        if min(heights) >= 0:
+            n = X.dimension
+            # n! times the integral of l over P, with P's volume
+            # total / (n! den^n) and first moment first / ((n+1)! den^(n+1))
+            return (Fraction(max(heights), -c * den),
+                    Fraction(sum(map(mul, a, first)) - (n + 1) * den * b * total,
+                             -c * (n + 1) * den ** (n + 1)))
+    return moving_volume_integral(X.polytope, 1, moving)
 
 
 def seshadri_constant(X: ToricFanoModel, chart_index: int) -> Fraction:
@@ -86,7 +110,7 @@ def seshadri_constant(X: ToricFanoModel, chart_index: int) -> Fraction:
         raise DimensionTooSmall("Seshadri scan needs dimension >= 2")
     chart = X.charts[chart_index]
     if not chart.smooth:
-        raise NotSmoothPoint(f"fixed point at {chart.vertex} is singular")
+        raise NotSmoothPoint(f"the fixed point of {chart.name} is singular")
     profile = blowup_volume_profile(X, point_subscheme(X, chart_index))
     n = X.dimension
     target = poly_trim([profile.evaluate(0)] + [Fraction(0)] * (n - 1) + [Fraction(-1)])

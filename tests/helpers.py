@@ -50,6 +50,32 @@ def box_lattice_points(inequalities, lo, hi) -> list[tuple[int, ...]]:
                   if all(sum(a * x for a, x in zip(nr, u)) >= off for nr, off in rows))
 
 
+def lattice_barycenter(X) -> tuple[Fraction, ...]:
+    """The barycenter of X's polytope P from lattice sums, with no
+    triangulation: over the multiples k r0 P, lattice polytopes, the
+    number of integer points and their coordinate sums are polynomials in
+    k of degrees n and n + 1 (Ehrhart; weighted Ehrhart for the sums),
+    with leading coefficients r0^n vol(P) and r0^(n+1) times the
+    integral of u over P.  Each leading difference is read from k = 0 and
+    from k = 1, and the two must agree: the difference has stabilised."""
+    P, n, s = X.polytope, X.dimension, X.r0
+    counts, sums = [], []
+    for k in range(n + 3):
+        lo = [k * s * min(v[i] for v in P.vertices) for i in range(n)]
+        hi = [k * s * max(v[i] for v in P.vertices) for i in range(n)]
+        pts = box_lattice_points([(nr, k * s * off) for nr, off in P.inequalities], lo, hi)
+        counts.append(len(pts))
+        sums.append([sum(u[i] for u in pts) for i in range(n)])
+
+    def lead(values, degree):
+        first, second = (finite_difference_leading(values[j:], degree) for j in (0, 1))
+        assert first == second, "the leading difference has not stabilised"
+        return first
+
+    size = lead(counts, n)
+    return tuple(lead([m[i] for m in sums], n + 1) / (s * size) for i in range(n))
+
+
 def basic_feasible_points(dim, rows):
     """Vertices of {u : <normal, u> >= offset for all rows}, lex sorted.
 

@@ -120,10 +120,11 @@ class TestCatalogAndVolume:
         assert err.count("\n") == 1
 
     def test_profile_csv_requires_subscheme(self, run, tmp_path):
-        code, _, err = run("volume", "--model", "P2",
-                           "--profile-csv", str(tmp_path / "x.csv"))
-        assert code == 1
-        assert "--profile-csv needs --subscheme" in err
+        # refused before the volume line is printed
+        code, out, err = run("volume", "--model", "P2",
+                             "--profile-csv", str(tmp_path / "x.csv"))
+        assert (code, out) == (1, "")
+        assert err == "error: --profile-csv needs --subscheme\n"
 
 
 class TestLct:

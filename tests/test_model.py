@@ -5,10 +5,11 @@ from math import factorial
 
 import pytest
 
+import fanokit.model as model_mod
 import fanokit.polytope as polytope_mod
 from fanokit.errors import NotFano, NotSmoothChart
-from fanokit.model import (CATALOG_RAYS, anticanonical_volume, build_model, catalog,
-                           catalog_model, section_count)
+from fanokit.model import (CATALOG_RAYS, anticanonical_volume, barycenter, build_model,
+                           catalog, catalog_model, is_kahler_einstein, section_count)
 
 import helpers
 
@@ -64,12 +65,54 @@ class TestCatalog:
         assert smooth_flags == [True, False, True]
         singular = X.charts[1]
         assert singular.index == 2
-        with pytest.raises(NotSmoothChart):
+        with pytest.raises(NotSmoothChart) as err:
             singular.dual  # noqa: B018  - property raises
+        assert str(err.value) == "chart 1 at [-1, 1] has index 2"
 
     def test_smooth_models_all_smooth(self):
         for name in ("P1", "P2", "P1xP1", "dP6", "P3", "P1xP2"):
             assert catalog_model(name).all_charts_smooth, name
+
+
+class TestBarycenter:
+    def test_matches_lattice_sums(self):
+        # the catalog, plus the blowup of P2 at a point and P(1, 1, 6),
+        # whose barycenters are not 0
+        models = [*catalog().values(),
+                  build_model(2, ((1, 0), (0, 1), (-1, -1), (1, 1))),
+                  build_model(2, ((1, 0), (0, 1), (-1, -6)))]
+        for X in models:
+            assert barycenter(X) == helpers.lattice_barycenter(X), X.rays
+
+    def test_symmetric_models_are_kahler_einstein(self):
+        # the automorphisms fix only 0 in N_R exactly when their sum, |G|
+        # times the projection onto the fixed space, is 0; then b_P = 0
+        # (Batyrev-Selivanova 1999); the converse does not hold in general
+        symmetric = set()
+        for name, X in catalog().items():
+            n = X.dimension
+            if not any(sum(g.matrix[i][j] for g in X.automorphisms)
+                       for i in range(n) for j in range(n)):
+                symmetric.add(name)
+                assert barycenter(X) == (0,) * n, name
+        assert symmetric == {"P1", "P2", "P1xP1", "dP6", "P3", "P1xP2"}
+        assert {name for name, X in catalog().items() if is_kahler_einstein(X)} == symmetric
+
+    def test_weighted_plane(self):
+        X = catalog_model("P112")
+        assert barycenter(X) == (F(1, 3), F(-1, 3))
+        assert not is_kahler_einstein(X)
+
+    def test_computed_once_on_first_use(self, monkeypatch):
+        # building a model walks no triangulation for its barycenter
+        calls = []
+        real = model_mod.pulled_moments
+        monkeypatch.setattr(model_mod, "pulled_moments",
+                            lambda P: calls.append(P) or real(P))
+        X = build_model(2, ((1, 0), (0, 1), (-1, -1)))
+        assert calls == []
+        assert barycenter(X) == (0, 0) and is_kahler_einstein(X)
+        assert calls == [X.polytope]
 
 
 class TestSectionCount:

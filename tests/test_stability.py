@@ -18,7 +18,7 @@ from fanokit.errors import (EmptyOrFull, FanokitError, NoStabilization,
                             UnsupportedSubscheme)
 from fanokit.filtration import (compute_d_infty, ideal_power_filtration,
                                 induced_ideal_sequence)
-from fanokit.model import KE_CATALOG, build_model, catalog, catalog_model
+from fanokit.model import build_model, catalog, catalog_model, is_kahler_einstein
 from fanokit.oracles import (oracle_h0_quotient, oracle_weight_records,
                              stable_leading_difference)
 from fanokit.stability import (CONSISTENT, OBSTRUCTS_SEMISTABILITY, ScanEntry,
@@ -338,6 +338,26 @@ def test_scan_and_slope_enumerations_start_from_known_cones(monkeypatch):
     assert len(starts) == 1
 
 
+def test_battery_scans_enumerate_no_lifted_region(monkeypatch):
+    """Every standard-battery candidate of the catalog has one moving row,
+    so its scan reads each integral off the barycenter of P; an ideal
+    with two dual vertices still takes the lifted enumeration."""
+    calls = []
+    real = polytope._lifted_region
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polytope, "_lifted_region", counted)
+    for X in catalog().values():
+        semistability_scan(X, standard_battery(X))
+    assert calls == []
+    X = catalog_model("P2")
+    beta(X, MonomialSubscheme(label="two", dimension=2, chart_gens={0: ((3, 0), (1, 1), (0, 3))}))
+    assert len(calls) == 1
+
+
 def test_weight_count_reads_no_integral_route(monkeypatch):
     """The oracle's weight count is independent of the leading integral it
     checks: with every step of the integral route refused it still counts
@@ -418,8 +438,7 @@ class TestScan:
         assert negatives == {"divisor@(1, 0)", "divisor@(-1, -2)"}
 
     def test_ke_catalog_battery(self):
-        for name in KE_CATALOG:
-            X = catalog_model(name)
+        for X in filter(is_kahler_einstein, catalog().values()):
             sc = semistability_scan(X, standard_battery(X))
             assert sc.failures == ()
             assert not sc.obstructed

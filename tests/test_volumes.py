@@ -10,6 +10,7 @@ from fanokit import volumes
 from fanokit.errors import (DimensionTooSmall, EmptyOrFull, NotSmoothChart,
                             NotSmoothPoint, UnsupportedSubscheme)
 from fanokit.model import anticanonical_volume, catalog, catalog_model
+from fanokit.polytope import moving_volume_integral
 from fanokit.stability import beta
 from fanokit.subscheme import (MonomialSubscheme, boundary_divisor_subscheme,
                                point_subscheme, product, standard_battery,
@@ -157,6 +158,19 @@ class TestGeneralEngine:
         assert blowup_volume_profile(X, alone) == blowup_volume_profile(X, D)
         assert beta(X, alone).beta == beta(X, D).beta == Fraction(-8, 3)
 
+    def test_singular_chart_messages_name_the_chart(self):
+        X = catalog_model("P112")
+        w = MonomialSubscheme(label="w", dimension=2, chart_gens={1: ((1, 1),)})
+        with pytest.raises(UnsupportedSubscheme) as err:
+            blowup_volume_integral(X, w)
+        assert str(err.value) == "w touches the singular chart 1 at [-1, 1]"
+        with pytest.raises(NotSmoothChart) as err:
+            beta(X, w)
+        assert str(err.value) == "w lives on the singular chart 1 at [-1, 1]"
+        with pytest.raises(NotSmoothPoint) as err:
+            thickened_point_subscheme(X, 1)
+        assert str(err.value) == "the fixed point of chart 1 at [-1, 1] is singular"
+
     def test_unit_subscheme_refused(self):
         X = catalog_model("P2")
         with pytest.raises(EmptyOrFull):
@@ -187,6 +201,38 @@ class TestIntegerRows:
         for ray in X.rays:
             D = boundary_divisor_subscheme(X, ray)
             assert volumes._moving_rows(X, D) == [(*ray, -1, -1)]
+
+
+class TestBarycenterRoute:
+    """blowup_volume_integral reads a region with one moving row off the
+    barycenter of P; the lifted vertex enumeration is the reference."""
+
+    @pytest.mark.parametrize("name", sorted(catalog()))
+    def test_battery_matches_the_lifted_route(self, name):
+        # P112's divisors of (1, 0) and (-1, -2) pass its singular chart
+        X = catalog_model(name)
+        for Z in standard_battery(X):
+            rows = volumes._moving_rows(X, Z)
+            assert len(rows) == 1
+            assert blowup_volume_integral(X, Z) == moving_volume_integral(X.polytope, 1, rows)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_single_chart_ideals_match_the_lifted_route(self, data):
+        # one or more moving rows; a singular chart carries only m times a
+        # boundary divisor
+        X = catalog_model(data.draw(st.sampled_from(sorted(catalog()))))
+        idx = data.draw(st.sampled_from(range(len(X.charts))))
+        n = X.dimension
+        if X.charts[idx].smooth:
+            gens = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * n).filter(any),
+                                      min_size=1, max_size=4))
+        else:
+            m, k = data.draw(st.integers(1, 3)), data.draw(st.integers(0, n - 1))
+            gens = [tuple(m * (i == k) for i in range(n))]
+        Z = MonomialSubscheme(label="z", dimension=n, chart_gens={idx: tuple(gens)})
+        assert blowup_volume_integral(X, Z) == moving_volume_integral(
+            X.polytope, 1, volumes._moving_rows(X, Z))
 
 
 class TestSeshadri:
