@@ -3,10 +3,15 @@
 On a smooth chart the threshold of a monomial ideal is the least weight
 sum over the dual region {w >= 0 : <g, w> >= 1 for every generator g},
 attained at one of its vertices: the dual vertices of the ideal's Newton
-polyhedron.  The global value is the minimum over charts carrying a
-proper ideal.  A singular chart may carry only m times a boundary
-divisor, (y_rho^m) in pairing coordinates, whose one dual vertex
-e_rho / m gives 1/m: the divisor's valuation has log discrepancy 1.
+polyhedron.  A diagonal ideal, holding a pure power x_i^a_i of every
+coordinate with every generator on or above the simplex through them,
+has the one dual vertex 1/a, so its threshold is sum 1/a_i (Howald,
+*Multiplier ideals of monomial ideals*, 2001): n for a smooth point,
+n/2 for a thickened one.  The global value is the minimum over charts
+carrying a proper ideal.  A singular chart may carry only m times a
+boundary divisor, (y_rho^m) in pairing coordinates, whose one dual
+vertex e_rho / m gives 1/m: the divisor's valuation has log
+discrepancy 1.
 
 For ideals on X x A^1 of the form I_M + I_{M-1} t + ... + (t^M) the
 largest c2 with (X x A^1, ideal^c1 * (t)^c2) sub log canonical is read

@@ -189,15 +189,22 @@ def _scan_key(chart_gens) -> tuple:
 
 
 def _orbit_keys(X: ToricFanoModel, Z: MonomialSubscheme) -> list[tuple]:
-    """The scan keys of Z's images under the fan automorphisms: on each
-    chart the exponents permuted and the generators re-sorted, and the
-    chart renumbered, singular charts included."""
+    """The scan keys of Z's images under the fan automorphisms, in the
+    group's order: on each chart the exponents permuted and the
+    generators re-sorted, and the chart renumbered, singular charts
+    included.  Many automorphisms move a chart by the same permutation,
+    so each chart's image under each permutation is built once."""
+    images: dict[tuple[int, tuple[int, ...]], tuple] = {}
     keys = []
     for g in X.automorphisms:
         gens = {}
         for idx, chart_gens in Z.chart_gens.items():
             j, perm = g.charts[idx]
-            gens[j] = tuple(sorted([tuple([e[p] for p in perm]) for e in chart_gens]))
+            image = images.get((idx, perm))
+            if image is None:
+                image = images[idx, perm] = tuple(sorted(
+                    [tuple([e[p] for p in perm]) for e in chart_gens]))
+            gens[j] = image
         keys.append(_scan_key(gens))
     return keys
 
@@ -212,7 +219,10 @@ def semistability_scan(X: ToricFanoModel,
     orbit of the fan's automorphism group: every later candidate in the
     orbit of an evaluated one reuses that report under its own label;
     candidates with the same chart ideals, whatever their labels, share
-    one report.  Errors are not shared, their texts naming the candidate.
+    one report.  An evaluated candidate's orbit keys come from a table,
+    local to the call, of each chart's generators permuted once per
+    distinct (chart, permutation) pair that the automorphisms use.
+    Errors are not shared, their texts naming the candidate.
     """
     entries = []
     known: dict[tuple, BetaReport] = {}

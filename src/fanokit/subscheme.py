@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import (accumulate, combinations_with_replacement, compress, count, repeat,
                        product as cartesian_product)
+from math import lcm
 from operator import add, and_, ge, gt, le, mul, sub
 from typing import Iterator, Mapping, Sequence
 
@@ -99,7 +100,8 @@ def check_model_fit(X: ToricFanoModel, Z: MonomialSubscheme) -> None:
     """Refuse a subscheme of another dimension, generators on a chart the
     model lacks, or generators whose arity is not their chart's ray
     count: data written for a different fan, which no public constructor
-    produces."""
+    produces.  Refuse a negative exponent too: a Laurent monomial names
+    no ideal of the chart."""
     if Z.dimension != X.dimension:
         raise UnsupportedSubscheme(f"{Z.label}: dimension does not match {X.dimension}")
     for idx in Z.active_chart_indices():
@@ -107,10 +109,14 @@ def check_model_fit(X: ToricFanoModel, Z: MonomialSubscheme) -> None:
             raise UnsupportedSubscheme(f"{Z.label}: chart {idx} is not one of the "
                                        f"{len(X.charts)} charts of {X.name or 'the model'}")
         rows = X.charts[idx].cone_rays
-        if any(len(g) != len(rows) for g in Z.chart_gens[idx]):
-            raise UnsupportedSubscheme(
-                f"{Z.label}: generator arity does not match the "
-                f"{len(rows)} cone rays of chart {idx}")
+        for g in Z.chart_gens[idx]:
+            if len(g) != len(rows):
+                raise UnsupportedSubscheme(
+                    f"{Z.label}: generator arity does not match the "
+                    f"{len(rows)} cone rays of chart {idx}")
+            if min(g) < 0:
+                raise UnsupportedSubscheme(
+                    f"{Z.label}: generator {list(g)} on chart {idx} has a negative exponent")
 
 
 def divisor_multiple(gens: Gens) -> bool:
@@ -205,30 +211,62 @@ class NewtonPolyhedron:
     and all of W.  A point a >= 0
     lies in x*N iff <W, a> >= x den for every dual vertex.  Facet
     inequalities of N are the scaled dual vertices plus the coordinate
-    halfspaces.  The enumeration of Q starts from the orthant w >= 0,
-    whose rays are the unit vectors, and adds only the generator rows.
+    halfspaces.  Two shapes of ideal have their vertices in closed form.
+    One generator g: Q is the orthant cut by <g, w> >= 1, with one vertex
+    e_i / g_i per g_i > 0, as for every boundary divisor.  A diagonal
+    ideal, holding a pure power x_i^a_i of every coordinate with every
+    generator on or above the simplex through them, <g, 1/a> >= 1: Q is
+    1/a + orthant, so its one vertex is 1/a, the key ((L/a_1, ..., L/a_n),
+    L) with L = lcm(a), as for every point and thickened point (Howald's
+    lct = sum 1/a_i).  Any other ideal is enumerated by double
+    description, starting from the orthant w >= 0, whose rays are the
+    unit vectors, and adding only the generator rows.
     """
 
     __slots__ = ("dual_vertices",)
 
     def __init__(self, generators: Sequence[Sequence[int]]):
         """Generators need not be minimal: a dominated one only adds a
-        redundant row <g, w> >= 1 to Q, so the vertices do not change."""
+        redundant row <g, w> >= 1 to Q, so the vertices do not change.
+        They must be nonnegative and of one arity."""
         gens = sorted({tuple(int(x) for x in g) for g in generators})
         if any(not any(g) for g in gens):
             raise ValueError("unit ideal has no Newton polyhedron here")
         if not gens:
             raise ZeroIdeal("zero ideal has empty Newton polyhedron")
         n = len(gens[0])
+        if any(len(g) != n or min(g) < 0 for g in gens):
+            raise ValueError("Newton generators must be nonnegative and of one arity")
         axes = [tuple(int(i == j) for j in range(n)) for i in range(n)]
         if len(gens) == 1:
-            # Q is the orthant cut by <g, w> >= 1: one vertex e_i / g_i per
-            # g_i > 0, as for every boundary divisor and its multiples
             keys = [(e, x) for e, x in zip(axes, gens[0]) if x]
         else:
-            keys, _ = _vertex_bases(n, [(*e, 0) for e in axes] + [(*g, 1) for g in gens],
-                                    _orthant_start(n))
+            keys = _diagonal_vertex(n, gens)
+            if keys is None:
+                keys, _ = _vertex_bases(n, [(*e, 0) for e in axes] + [(*g, 1) for g in gens],
+                                        _orthant_start(n))
         self.dual_vertices: tuple[DualVertex, ...] = tuple(sorted(keys))
+
+
+def _diagonal_vertex(n: int, gens: Sequence[tuple[int, ...]]) -> list[DualVertex] | None:
+    """[((L/a_1, ..., L/a_n), L)] when the nonnegative generators hold a
+    least pure power a_i of each coordinate and <g, (L/a_i)> >= L for
+    every g, L = lcm(a); else None.  No prime divides every L/a_i, since
+    some a_i carries its full power in L, so the key is reduced."""
+    least = [0] * n
+    for g in gens:
+        support = [i for i, x in enumerate(g) if x]
+        if len(support) == 1:
+            i = support[0]
+            if not least[i] or g[i] < least[i]:
+                least[i] = g[i]
+    if not all(least):
+        return None
+    den = lcm(*least)
+    W = tuple([den // a for a in least])
+    if any(sum(map(mul, g, W)) < den for g in gens):
+        return None
+    return [(W, den)]
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,11 @@ class TestLctChart:
         assert lct_chart(((2, 0), (1, 1), (0, 2))) == 1
         assert lct_chart(((1,),)) == 1
         assert lct_chart(((3,),)) == Fraction(1, 3)
+        # diagonal ideals, every generator on or above the simplex of the
+        # pure powers x_i^a_i: sum 1/a_i (Howald)
+        assert lct_chart(((2, 0, 0), (0, 3, 0), (0, 0, 5), (1, 2, 0))) == Fraction(31, 30)
+        assert lct_chart(((4, 0), (2, 1), (0, 2))) == Fraction(3, 4)
+        assert lct_chart(((6, 0), (0, 4), (3, 2))) == Fraction(5, 12)
 
     def test_unit_generator_gives_no_bound(self):
         assert lct_chart(((0, 0),)) is None

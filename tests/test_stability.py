@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanokit import piecewise, polytope, stability, volumes
+from fanokit import piecewise, polytope, stability, subscheme, volumes
 from fanokit.errors import (EmptyOrFull, FanokitError, NoStabilization,
                             UnsupportedSubscheme)
 from fanokit.filtration import (compute_d_infty, ideal_power_filtration,
@@ -358,6 +358,27 @@ def test_battery_scans_enumerate_no_lifted_region(monkeypatch):
     assert len(calls) == 1
 
 
+def test_battery_scans_run_no_newton_enumeration(monkeypatch):
+    """Every standard-battery ideal of the catalog is one generator or
+    diagonal, so its Newton polyhedron is read in closed form; an ideal
+    with a generator below the simplex of its pure powers is still
+    enumerated."""
+    calls = []
+    real = subscheme._vertex_bases
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(subscheme, "_vertex_bases", counted)
+    for X in catalog().values():
+        semistability_scan(X, standard_battery(X))
+    assert calls == []
+    X = catalog_model("P2")
+    beta(X, MonomialSubscheme(label="two", dimension=2, chart_gens={0: ((3, 0), (1, 1), (0, 3))}))
+    assert len(calls) == 1
+
+
 def test_weight_count_reads_no_integral_route(monkeypatch):
     """The oracle's weight count is independent of the leading integral it
     checks: with every step of the integral route refused it still counts
@@ -591,6 +612,34 @@ class TestScanOrbits:
         for entry in sc.entries[:3]:
             assert entry.error.startswith("UnsupportedSubscheme: " + entry.subscheme)
         assert sc.entries[3].report is not None
+
+    def test_negative_exponents_are_error_entries(self):
+        # a Laurent monomial names no ideal: refused, never a beta
+        X = catalog_model("P2")
+        candidates = [MonomialSubscheme(label=f"neg{k}", dimension=2,
+                                        chart_gens={0: ((-1, 1), (1, 0))})
+                      for k in range(2)]
+        sc = semistability_scan(X, candidates)
+        assert [e.report for e in sc.entries] == [None, None]
+        for entry in sc.entries:
+            assert entry.error.startswith("UnsupportedSubscheme: " + entry.subscheme)
+            assert "chart 0" in entry.error and "negative" in entry.error
+
+    def test_orbit_keys_are_the_images_one_automorphism_at_a_time(self):
+        # the per-call table of permuted charts gives the same keys, in
+        # the group's order and with repeats, as moving Z by each
+        # automorphism's lattice map on its own
+        for X in [*catalog().values(), CHIRAL]:
+            n = X.dimension
+            candidates = standard_battery(X) + [
+                MonomialSubscheme(label=f"asym@{i}", dimension=n,
+                                  chart_gens={i: ASYMMETRIC[X.name]})
+                for i in range(len(X.charts))]
+            for Z in candidates:
+                longhand = [stability._scan_key(
+                    helpers.fan_image(X, g.matrix, Z, "image").chart_gens)
+                    for g in X.automorphisms]
+                assert stability._orbit_keys(X, Z) == longhand, (X.name, Z.label)
 
     @settings(max_examples=15, deadline=None)
     @given(decreasing_sequences(), st.data())

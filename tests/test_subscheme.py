@@ -2,19 +2,22 @@
 
 from fractions import Fraction
 from itertools import product as cartesian_product
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fanokit import lattice
+from fanokit import subscheme as subscheme_mod
 from fanokit.errors import (EmptyOrFull, GluingMismatch, NotSmoothPoint,
                             UnsupportedSubscheme, ZeroIdeal)
 from fanokit.filtration import ideal_power_filtration
 from fanokit.lct import lct_monomial
 from fanokit.model import build_model, catalog, catalog_model
 from fanokit.piecewise import poly_trim
+from fanokit.polytope import _orthant_start, _vertex_bases
 from fanokit.stability import beta
 from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                                NewtonPolyhedron, _subscheme_contains, _tagged_table,
@@ -94,14 +97,17 @@ class TestModelFit:
     @pytest.mark.parametrize("Z", [
         MonomialSubscheme(label="far", dimension=2, chart_gens={7: ((1, 0), (0, 1))}),
         # the divisor of a third cone ray, which P2's chart 0 lacks
-        MonomialSubscheme(label="stray", dimension=2, chart_gens={0: ((0, 0, 1),)})],
-        ids=["chart-the-model-lacks", "ray-the-fan-lacks"])
+        MonomialSubscheme(label="stray", dimension=2, chart_gens={0: ((0, 0, 1),)}),
+        # a Laurent monomial: x^-1 y is no element of the chart's ring
+        MonomialSubscheme(label="neg", dimension=2, chart_gens={0: ((-1, 1), (1, 0))})],
+        ids=["chart-the-model-lacks", "ray-the-fan-lacks", "negative-exponent"])
     @pytest.mark.parametrize("entry", [
         lct_monomial, blowup_volume_profile, pseudoeffective_threshold,
         ideal_power_filtration, beta], ids=lambda entry: entry.__name__)
     def test_refused_at_every_entry_point(self, entry, Z):
         with pytest.raises(UnsupportedSubscheme, match=Z.label):
             entry(catalog_model("P2"), Z)
+
 
 
 class TestBatteryConstructors:
@@ -161,6 +167,61 @@ class TestBatteryConstructors:
             assert Z.chart_gens == normal.chart_gens, Z.label
 
 
+@st.composite
+def diagonal_ideals(draw):
+    """Generators holding a pure power x_i^a_i of every coordinate, and
+    every other generator on or above the simplex through them: larger
+    or repeated pure powers, points on the simplex between two pure
+    powers, and drawn vectors raised along one axis until they reach it,
+    landing on it exactly when that axis's step divides the shortfall."""
+    n = draw(st.integers(1, 3))
+    a = draw(st.lists(st.integers(1, 6), min_size=n, max_size=n))
+    den = lcm(*a)
+    W = [den // x for x in a]
+    gens = [tuple(x * (i == j) for j in range(n)) for i, x in enumerate(a)]
+    for i, k in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 2)),
+                              max_size=2)):
+        gens.append(tuple((a[i] + k) * (i == j) for j in range(n)))
+    for i, j, k in draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 2,
+                                           st.integers(1, 5)), max_size=3)):
+        d = gcd(a[i], a[j])
+        if i != j and d > 1:
+            k = k % (d - 1) + 1
+            g = [0] * n
+            g[i], g[j] = a[i] // d * k, a[j] // d * (d - k)
+            gens.append(tuple(g))
+    for g, k in draw(st.lists(st.tuples(st.lists(st.integers(0, 6), min_size=n, max_size=n),
+                                        st.integers(0, n - 1)), max_size=3)):
+        short = den - sum(map(mul, g, W))
+        if short > 0:
+            g[k] += -(-short // W[k])
+        gens.append(tuple(g))
+    return draw(st.permutations(gens))
+
+
+def _newton_keys(gens):
+    """NewtonPolyhedron(gens)'s keys and how many double descriptions it ran."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = subscheme_mod._vertex_bases
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(subscheme_mod, "_vertex_bases", counted)
+        keys = NewtonPolyhedron(gens).dual_vertices
+    return keys, len(calls)
+
+
+def _enumerated_keys(gens):
+    """The reference: Q's rows enumerated from the orthant."""
+    n = len(gens[0])
+    rows = [tuple(int(i == j) for j in range(n)) + (0,) for i in range(n)]
+    rows += [(*g, 1) for g in gens]
+    return tuple(sorted(_vertex_bases(n, rows, _orthant_start(n))[0]))
+
+
 class TestNewtonPolyhedron:
     def test_cusp_ideal_single_dual_vertex(self):
         N = NewtonPolyhedron(((2, 0), (0, 3)))
@@ -184,6 +245,40 @@ class TestNewtonPolyhedron:
             NewtonPolyhedron(((1, 0), (0, 0), (1, 0)))
         with pytest.raises(ZeroIdeal):
             NewtonPolyhedron(())
+
+    @pytest.mark.parametrize("gens", [((1, 0), (1,)), ((1,), (0, 1)),
+                                      ((-1, 1), (1, 0)), ((2, 0), (0, -1), (1, 1))],
+                             ids=["long-first", "short-first", "negative", "negative-axis"])
+    def test_malformed_generators_rejected(self, gens):
+        # the arity is every generator's, not the first one's
+        with pytest.raises(ValueError, match="nonnegative and of one arity"):
+            NewtonPolyhedron(gens)
+
+    @settings(max_examples=150, deadline=None)
+    @given(diagonal_ideals())
+    @example([(2, 0), (1, 1), (0, 2)])                      # a thickened point
+    @example([(0, 2), (4, 0), (2, 1), (0, 3), (6, 0)])      # on it, repeats
+    @example([(2, 0, 0), (0, 4, 0), (0, 0, 4), (1, 1, 1), (1, 2, 0)])
+    def test_diagonal_ideals_take_the_closed_form(self, gens):
+        # one vertex 1/a, read without a double description, equal to the
+        # orthant-seeded enumeration of the same rows
+        keys, enumerations = _newton_keys(gens)
+        assert enumerations == 0
+        assert keys == _enumerated_keys(gens)
+        ((W, den),) = keys
+        assert gcd(*W, den) == 1
+
+    @pytest.mark.parametrize("gens", [
+        ((3, 0), (1, 1), (0, 3)),              # (1, 1) just below the simplex
+        ((4, 0), (1, 2), (0, 4)),
+        ((2, 0, 0), (0, 3, 0), (0, 0, 6), (1, 1, 0)),   # 5/6 of the way
+        ((2, 0), (1, 1)),                      # no pure power of y
+        ((2, 1), (1, 2)),                      # no pure power at all
+        ((2, 0, 0), (0, 2, 0), (1, 1, 1))])    # none of z
+    def test_near_misses_take_the_double_description(self, gens):
+        keys, enumerations = _newton_keys(gens)
+        assert enumerations == 1
+        assert keys == _enumerated_keys(gens)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda n: st.lists(
