@@ -109,7 +109,6 @@ class TestModelFit:
             entry(catalog_model("P2"), Z)
 
 
-
 class TestBatteryConstructors:
     def test_point_gens_are_the_chart_variables(self):
         X = catalog_model("P2")
@@ -202,12 +201,12 @@ def diagonal_ideals(draw):
 def _newton_keys(gens):
     """NewtonPolyhedron(gens)'s keys and how many double descriptions it ran."""
     calls = []
+    real = subscheme_mod._vertex_bases
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    real = subscheme_mod._vertex_bases
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(subscheme_mod, "_vertex_bases", counted)
         keys = NewtonPolyhedron(gens).dual_vertices
