@@ -14,12 +14,13 @@ bodies of filtered linear series*, 2011; Witt Nystrom, *Test
 configurations and Okounkov bodies*, 2012): the sample slope d_r reads
 off the exact integral of G - r e_minus over r*r0*P, _leading_integral,
 the volume of {(u, x) : 0 <= x <= G(u) - r e_minus}, which
-polytope.moving_volume_integral reads off one vertex enumeration.  The
-r -> infinity limit is evaluated in closed form through the integral of
-the blowup volume profile, read the same way by
-volumes.blowup_volume_integral.  The weight sums v_r(k) of the
-k-th powers of induced_ideal_sequence count the same thing in lattice
-points: their (n+1)-st finite difference tends to that integral.  That
+polytope.moving_volume_integral reads off one vertex enumeration (or
+polytope.single_row_integral, for one row).  The r -> infinity limit
+is evaluated in closed form through the integral of the blowup volume
+profile, read the same way by volumes.blowup_volume_integral.  The
+weight sums v_r(k) of the k-th powers of induced_ideal_sequence count
+the same thing in lattice points: their (n+1)-st finite difference
+tends to that integral.  That
 count is a check, in oracles, and no route here.  The integer window
 [e_minus, e_plus] of the steps belongs to the filtration:
 ideal_power_filtration sets it, and no route takes a window of its own.
@@ -60,7 +61,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .errors import UnsupportedSubscheme
 from .linalg import int_primitive
 from .model import ToricFanoModel, anticanonical_volume
-from .polytope import lattice_fibers, lattice_points, moving_volume_integral
+from .polytope import (lattice_fibers, lattice_points, moving_volume_integral,
+                       single_row_integral)
 from .subscheme import (DualVertex, IdealSequenceOnXxA1, LevelTable, MonomialSubscheme,
                         _minimal_subscheme, _tagged_table, power_table,
                         product_dual_vertices)
@@ -283,16 +285,26 @@ def _leading_integral(X: ToricFanoModel, r: int, M: int,
     <D^T W, u> - W_t x >= den - r r0 sum(W) - M W_t.  Charts that see
     the same part of the filtration give the same rows, kept once.  The
     integral is the integral over 0 <= x <= M, where G reaches its cap,
-    of that region's volume: polytope.moving_volume_integral reads it
-    off one vertex enumeration of the region lifted to (u, x), capped at
-    x = M, with no profile built, given X.polytope and the scale r r0:
-    the enumeration starts from the cone of r r0 P x [0, oo), read off
-    P's vertices, and adds only the moving rows and the cap.  Where no
-    chart is active the region is r r0 P at every x; where a chart has
-    the zero ideal at lo + 1 the lifted region is flat and the integral 0.
+    of that region's volume, with no profile built.  With one row
+    (*a, c, b), c < 0, as a point double has, that is n! times the
+    integral over r r0 P of min(l, M)^+ = l^+ - (l - M)^+, l(u) =
+    (<a, u> - b) / -c: polytope.single_row_integral of the row less
+    that of the row (*a, c, b - c M), with no enumeration.  Otherwise
+    polytope.moving_volume_integral reads it off one vertex enumeration
+    of the region lifted to (u, x), capped at x = M, given X.polytope and
+    the scale r r0: the enumeration starts from the cone of
+    r r0 P x [0, oo), read off P's vertices, and adds only the moving
+    rows and the cap.  Where no chart is active the region is r r0 P at
+    every x; where a chart has the zero ideal at lo + 1 the region is
+    flat and the integral 0.
     """
-    _, integral = moving_volume_integral(X.polytope, r * X.r0,
-                                         _leading_rows(X, r, M, duals), cap=M)
+    P, scale, moving = X.polytope, r * X.r0, _leading_rows(X, r, M, duals)
+    if len(moving) == 1 and moving[0][-2] < 0:
+        *a, c, b = moving[0]
+        integral = (single_row_integral(P, scale, moving[0], X._moments, X._edges)[1]
+                    - single_row_integral(P, scale, (*a, c, b - c * M), X._moments, X._edges)[1])
+    else:
+        _, integral = moving_volume_integral(P, scale, moving, cap=M)
     return (X.dimension + 1) * integral
 
 

@@ -32,8 +32,8 @@ from typing import NamedTuple, Sequence
 
 from .errors import DegeneratePolytope, NotFano, NotSmoothChart, UnboundedPolytope
 from .linalg import Vec, int_det, int_primitive, int_solve
-from .polytope import (RationalPolytope, euclidean_volume, lattice_points, polytope_from_rays,
-                       pulled_moments)
+from .polytope import (RationalPolytope, euclidean_volume, lattice_points, polytope_edges,
+                       polytope_from_rays, pulled_moments)
 
 
 @dataclass(frozen=True)
@@ -114,6 +114,12 @@ class ToricFanoModel:
         first use: P's vertices pts / den, and the barycenter
         first / ((dimension + 1) den total) in integers."""
         return pulled_moments(self.polytope)
+
+    @cached_property
+    def _edges(self) -> list[tuple[int, int]]:
+        """polytope.polytope_edges of P, computed on first use: the index
+        pairs of the vertices joined by an edge, in the order of pts."""
+        return polytope_edges(self.polytope)
 
     @cached_property
     def automorphisms(self) -> tuple[FanAutomorphism, ...]:

@@ -43,7 +43,9 @@ region being cut from scale*P, and the moving rows in integers, already
 lifted, as (*a, c, b), meaning <a, u> + c x >= b with c < 0.  The
 integral of the slice volumes over x needs no slice: it is the volume
 of the lifted region itself, perhaps cut by a cap on x, read off that
-enumeration's triangulation (moving_volume_integral).  The slices
+enumeration's triangulation (moving_volume_integral), or, for one
+moving row x <= l(u), off P's moments and one cut of P by l = 0
+(single_row_integral), with no enumeration.  The slices
 change combinatorial type only at the x-coordinates of the lifted
 vertices (Ziegler, *Lectures on Polytopes*), so those are the
 breakpoints of the volume as a function of x, and between them the
@@ -475,14 +477,80 @@ def pulled_moments(P: RationalPolytope) -> tuple[list[list[int]], int, int, list
     |det| times the sum of its simplex's vertices, so that the barycenter
     of P is first / ((dim + 1) den total): a simplex's barycenter is the
     mean of its dim + 1 vertices."""
-    n = P.dimension
     pts, den = _over_common_denominator(P.vertices)
-    total, first = 0, [0] * n
-    for s in _pulling_simplices(n, P.integer_rows, P.vertex_masks):
+    return (pts, den, *_pulled_sums(P.dimension, P.integer_rows, pts, P.vertex_masks))
+
+
+def _pulled_sums(dim: int, irows: Sequence[Sequence[int]],
+                 pts: Sequence[Sequence[int]], masks) -> tuple[int, list[int]]:
+    """(total, first) of pulled_moments for the set of _pulling_simplices
+    with integer vertices pts and their row masks."""
+    total, first = 0, [0] * dim
+    for s in _pulling_simplices(dim, irows, masks):
         w = abs(_simplex_det(pts, s))
         total += w
         first = [f + w * sum(col) for f, col in zip(first, zip(*[pts[i] for i in s]))]
-    return pts, den, total, first
+    return total, first
+
+
+def _affine_moment(a: Sequence[int], b: int, den: int, total: int, first: Sequence[int]) -> int:
+    """dim! times the integral of <a, u> - b over a set whose pulled sums
+    over the common denominator den are total and first, times
+    (dim + 1) den^(dim + 1): its dim! volume total / den^dim times the
+    row's value at its barycenter, in integers."""
+    return sum(map(mul, a, first)) - (len(first) + 1) * den * b * total
+
+
+def single_row_integral(P: RationalPolytope, scale: int, row: Sequence[int],
+                        moments, edges: Sequence[tuple[int, int]]) -> tuple[Fraction, Fraction]:
+    """moving_volume_integral(P, scale, [row]) for one moving row
+    (*a, c, b), c < 0, with no enumeration, given P's pulled_moments and
+    polytope_edges: tau is the largest l^+ / -c at a vertex of scale*P,
+    l = <a, u> - b, and the integral is dim! times that of l^+ / -c over
+    scale*P, read as scale^dim times the same over P of l = <scale a, u> - b.
+
+    With l >= 0 at every vertex the integral is read off the moments, and
+    with l <= 0 it is 0.  Otherwise only the side of the cut l = 0 with
+    fewer vertices is triangulated: P's vertices on that side, tight at
+    their rows of P and at the cut where l = 0, and the crossing point of
+    each edge whose ends lie strictly on opposite sides, tight at the rows
+    its ends share and at the cut.  That side's integral is the answer,
+    or, on the side l <= 0, is taken off the whole.
+    """
+    *a, c, b = row
+    a = [scale * x for x in a]
+    pts, den, total, first = moments
+    heights = [sum(map(mul, a, p)) - b * den for p in pts]
+    top = max(heights)
+    if top <= 0:
+        return Fraction(0), Fraction(0)
+    n = P.dimension
+    tau = Fraction(top, -c * den)
+    whole = scale ** n * _affine_moment(a, b, den, total, first)
+    if min(heights) >= 0:
+        return tau, Fraction(whole, -c * (n + 1) * den ** (n + 1))
+    # the side l >= 0 when at most as many vertices lie above as below
+    sign = 1 if sum([(h > 0) - (h < 0) for h in heights]) <= 0 else -1
+    masks, cut = P.vertex_masks, 1 << len(P.integer_rows)
+    points, tight = [], []
+    for p, h, z in zip(pts, heights, masks):
+        if sign * h >= 0:
+            points.append((p, 1))
+            tight.append(z | cut * (h == 0))
+    for i, j in edges:
+        hi, hj = heights[i], heights[j]
+        if hi * hj < 0:
+            points.append(([hi * y - hj * x for x, y in zip(pts[i], pts[j])], hi - hj))
+            tight.append(masks[i] & masks[j] | cut)
+    # every point p / d over the common denominator den m
+    m = lcm(*[d for _, d in points])
+    side = [[x * (m // d) for x in p] for p, d in points]
+    # the triangulation reads only which rows are tight where, and which
+    # have a nonzero normal
+    part = scale ** n * _affine_moment(
+        a, b, den * m, *_pulled_sums(n, (*P.integer_rows, (*a, b)), side, tight))
+    return tau, Fraction(part if sign > 0 else whole * m ** (n + 1) - part,
+                         -c * (n + 1) * (den * m) ** (n + 1))
 
 
 def _lone_on_face(tight: Sequence[int], k: int) -> list[tuple[int, ...]]:

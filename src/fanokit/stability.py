@@ -9,7 +9,7 @@ nonnegative values certify nothing.  Ding invariants of t-graded ideal
 sequences on X x A^1 are evaluated in the product-space form: the limit
 self-intersection of the polarisation is the exact leading integral that
 filtration slopes read (filtration._leading_integral, the integral of
-the concave transform over r*r0*P, off the same kind of lifted region),
+the concave transform over r*r0*P, off the same kind of region),
 less the (n+1) M (r r0)^n vol(-K) of the t^M shift, and the threshold
 term is read off the same dual vertices, built once per chart.  The
 quotient weight counts w(k) of the k-th powers count the same
@@ -22,7 +22,7 @@ at the fixed points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -32,7 +32,7 @@ from .lct import lct_monomial, product_line_threshold
 from .model import ToricFanoModel, anticanonical_volume
 from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme, check_model_fit,
                         product_dual_vertices)
-from .volumes import blowup_volume_integral, seshadri_constant
+from .volumes import _moving_rows, _rows_integral, seshadri_constant
 
 CONSISTENT = "CONSISTENT"
 OBSTRUCTS_SEMISTABILITY = "OBSTRUCTS_SEMISTABILITY"
@@ -60,20 +60,20 @@ def beta(X: ToricFanoModel, Z: MonomialSubscheme) -> BetaReport:
     """Threshold-versus-volume invariant of a nonzero proper subscheme.
 
     The volume integral is the profile's integral over [0, tau], the
-    profile being zero past the pseudoeffective threshold, read by
-    volumes.blowup_volume_integral with no profile built: for one moving
-    row, as points, thickened points and boundary divisors give, it is
-    vol(-K) times that row's height at the barycenter of P, and otherwise
-    the volume of the lifted region, off one vertex enumeration of it.
-    Both terms are exact: data on a
-    singular chart other than a multiple of a boundary divisor, and data
-    written for another fan, is refused by the threshold before the
-    region is read.
+    profile being zero past the pseudoeffective threshold, read by the
+    route of volumes.blowup_volume_integral with no profile built: for
+    one moving row, as points, thickened points and boundary divisors
+    give, it is vol(-K) times that row's height at the barycenter of P,
+    and otherwise the volume of the lifted region, off one vertex
+    enumeration of it.  Both terms are exact: data on a singular chart
+    other than a multiple of a boundary divisor, and data written for
+    another fan, is refused by the threshold, once, before the region
+    is read.
     """
     if Z.is_empty or Z.has_zero_chart:
         raise EmptyOrFull(f"{Z.label}: beta needs a nonzero proper subscheme")
     lct_value = lct_monomial(X, Z)
-    _, integral = blowup_volume_integral(X, Z)
+    _, integral = _rows_integral(X, _moving_rows(X, Z))
     vol = anticanonical_volume(X)
     value = lct_value * vol - integral
     verdict = OBSTRUCTS_SEMISTABILITY if value < 0 else CONSISTENT
@@ -229,7 +229,8 @@ def semistability_scan(X: ToricFanoModel,
     for Z in candidates:
         report = known.get(_scan_key(Z.chart_gens))
         if report is not None:
-            report = replace(report, subscheme=Z.label)
+            report = BetaReport(report.model, Z.label, report.lct_value, report.volume_integral,
+                                report.anticanonical_volume, report.beta, report.verdict)
         else:
             try:
                 report = beta(X, Z)

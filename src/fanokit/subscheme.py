@@ -24,7 +24,7 @@ from . import lattice
 from .errors import (CombinatorialBlowup, EmptyOrFull, GluingMismatch, NotSmoothPoint,
                      UnsupportedSubscheme, ZeroIdeal)
 from .model import ToricFanoModel
-from .polytope import _orthant_start, _vertex_bases, polytope_edges
+from .polytope import _orthant_start, _vertex_bases
 
 Gens = tuple[tuple[int, ...], ...]
 # a Newton dual vertex W / den as its integer key (W, den)
@@ -459,7 +459,7 @@ def verify_gluing(X: ToricFanoModel, Z: MonomialSubscheme) -> None:
         if not 0 <= idx < len(X.charts):
             raise GluingMismatch(f"{Z.label}: chart {idx} is not one of the "
                                  f"{len(X.charts)} charts of {X.name}")
-    for i, j in polytope_edges(X.polytope):
+    for i, j in X._edges:
         ci, cj = X.charts[i], X.charts[j]
         if not (ci.smooth and cj.smooth):
             continue

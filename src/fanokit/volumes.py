@@ -20,11 +20,12 @@ ideal-power filtrations need, by one of two routes.  When the region
 has one moving row, as every point, thickened point and boundary
 divisor has, it is {(u, x) : u in P, 0 <= x <= l(u)} for an affine
 l >= 0 on P: tau is the largest l at a vertex of P, and the integral is
-vol(-K) l(b_P), b_P the barycenter of P, kept on the model.  Any other
-region is read off the triangulation of one vertex enumeration of it
-lifted to (u, x), in polytope.moving_volume_integral, which starts from
-the cone of P x [0, oo), its rays read off P's vertices and their tight
-rows, so that only the moving rows go through it.  The tests hold the
+vol(-K) l(b_P), b_P the barycenter of P, kept on the model
+(polytope.single_row_integral).  Any other region is read off the
+triangulation of one vertex enumeration of it lifted to (u, x), in
+polytope.moving_volume_integral, which starts from the cone of
+P x [0, oo), its rays read off P's vertices and their tight rows, so
+that only the moving rows go through it.  The tests hold the
 first route against the second.  blowup_volume_profile, for `fanokit
 volume`, seshadri_constant and acceptance criterion 3, returns the
 profile itself as a PiecewisePolynomial, off that lifted enumeration:
@@ -48,7 +49,7 @@ from .errors import DimensionTooSmall, NotSmoothPoint, UnsupportedSubscheme
 from .linalg import int_primitive
 from .model import ToricFanoModel
 from .piecewise import PiecewisePolynomial, poly_trim
-from .polytope import moving_volume_function, moving_volume_integral
+from .polytope import moving_volume_function, moving_volume_integral, single_row_integral
 from .subscheme import (MonomialSubscheme, check_model_fit, divisor_multiple,
                         point_subscheme)
 
@@ -58,9 +59,7 @@ def _moving_rows(X: ToricFanoModel, Z: MonomialSubscheme) -> list[tuple[int, ...
     moving rows (*a, c, b), <a, u> + c x >= b, of moving_volume_integral:
     on each chart, for each Newton dual vertex W / den, (D^T W, -den,
     -sum(W)) divided by its gcd, D the chart's cone-ray matrix, each row
-    kept once."""
-    check_model_fit(X, Z)
-    Z.require_usable()
+    kept once.  Z is taken as checked against X (_checked_rows)."""
     moving = {}
     for idx in Z.active_chart_indices():
         chart = X.charts[idx]
@@ -73,34 +72,38 @@ def _moving_rows(X: ToricFanoModel, Z: MonomialSubscheme) -> list[tuple[int, ...
     return list(moving)
 
 
+def _checked_rows(X: ToricFanoModel, Z: MonomialSubscheme) -> list[tuple[int, ...]]:
+    """_moving_rows, once Z is refused if written for another fan or
+    empty, full or zero on a chart."""
+    check_model_fit(X, Z)
+    Z.require_usable()
+    return _moving_rows(X, Z)
+
+
 def blowup_volume_profile(X: ToricFanoModel, Z: MonomialSubscheme) -> PiecewisePolynomial:
     """x -> vol(sigma^*(-K) - x F) on [0, tau], zero afterwards: tau is
     its last breakpoint and vol(-K) its value at 0."""
-    return moving_volume_function(X.polytope, 1, _moving_rows(X, Z))
+    return moving_volume_function(X.polytope, 1, _checked_rows(X, Z))
 
 
 def blowup_volume_integral(X: ToricFanoModel, Z: MonomialSubscheme) -> tuple[Fraction, Fraction]:
     """(tau, integral) of Z's profile, with no profile built: its last
     breakpoint and its integral over [0, tau].
 
-    With one moving row (*a, c, b), c < 0, whose l(u) = (<a, u> - b) / -c
-    is >= 0 at every vertex of P, the lifted region is {(u, x) : u in P,
-    0 <= x <= l(u)}: tau is the largest l at a vertex, and the integral,
-    n! times that of l over P, is vol(-K) l(b_P) as l is affine, read in
-    integers off the model's barycenter.  Any other rows go through the
-    lifted vertex enumeration, polytope.moving_volume_integral."""
-    moving = _moving_rows(X, Z)
+    With one moving row (*a, c, b), c < 0, the lifted region is
+    {(u, x) : u in P, 0 <= x <= l(u)}, l(u) = (<a, u> - b) / -c: tau is
+    the largest l^+ at a vertex of P, and the integral, n! times that of
+    l^+ over P, is read by polytope.single_row_integral: vol(-K) l(b_P)
+    when l >= 0 on P, as every subscheme's sum W_i (<rho_i, u> + 1) / den
+    is, else off one cut of P.  Any other rows go through the lifted
+    vertex enumeration, polytope.moving_volume_integral."""
+    return _rows_integral(X, _checked_rows(X, Z))
+
+
+def _rows_integral(X: ToricFanoModel, moving: list[tuple[int, ...]]) -> tuple[Fraction, Fraction]:
+    """blowup_volume_integral off the region's moving rows."""
     if len(moving) == 1 and moving[0][-2] < 0:
-        *a, c, b = moving[0]
-        pts, den, total, first = X._moments
-        heights = [sum(map(mul, a, p)) - b * den for p in pts]
-        if min(heights) >= 0:
-            n = X.dimension
-            # n! times the integral of l over P, with P's volume
-            # total / (n! den^n) and first moment first / ((n+1)! den^(n+1))
-            return (Fraction(max(heights), -c * den),
-                    Fraction(sum(map(mul, a, first)) - (n + 1) * den * b * total,
-                             -c * (n + 1) * den ** (n + 1)))
+        return single_row_integral(X.polytope, 1, moving[0], X._moments, X._edges)
     return moving_volume_integral(X.polytope, 1, moving)
 
 

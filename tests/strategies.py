@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from math import floor
+from operator import mul
+
 from hypothesis import strategies as st
 
-from fanokit.model import catalog_model
+from fanokit.linalg import int_primitive
+from fanokit.model import CATALOG_RAYS, catalog_model
 from fanokit.subscheme import IdealSequenceOnXxA1, MonomialSubscheme, product
 
 # drawn per chart and factor; hypothesis shrinks towards the first entry
@@ -38,3 +42,31 @@ def decreasing_sequences(draw, models=("P1", "P2", "P1xP1", "dP6"),
                                    chart_gens=gens)
         steps.append(factor if not steps else product(steps[-1], factor))
     return X, IdealSequenceOnXxA1(steps=tuple(steps))
+
+
+@st.composite
+def single_rows(draw):
+    """(model, scale, row, cap): a catalog model, a scale s in 1..3, one
+    moving row (*a, c, b), c < 0, meaning <a, u> + c x >= b on s*P, and
+    a cap on x: none, 0, small, or past the row's largest value
+    l = (<a, u> - b) / -c on s*P.
+
+    b is the height <a, v> of a vertex v of s*P, so that the row is >= 0
+    and tight at its lowest vertex, <= 0 with a flat region at its
+    highest, and cut through a vertex otherwise, or any integer from just
+    below the lowest to just above the highest, where one side of the cut
+    may be empty.  Every catalog polytope is a lattice polytope, so the
+    heights are integers.
+    """
+    X = catalog_model(draw(st.sampled_from(sorted(CATALOG_RAYS))))
+    scale = draw(st.integers(1, 3))
+    a = draw(st.tuples(*[st.integers(-3, 3)] * X.dimension))
+    heights = sorted(int(scale * sum(map(mul, a, v)))
+                     for v in X.polytope.vertices)
+    b = draw(st.sampled_from(heights) | st.integers(heights[0] - 2, heights[-1] + 2))
+    *a, c, b = int_primitive((*a, -draw(st.integers(1, 3)), b))
+    top = floor(max(scale * sum(map(mul, a, v)) - b
+                    for v in X.polytope.vertices) / -c)
+    cap = draw(st.sampled_from([None, 0]) | st.integers(1, 3)
+               | st.integers(max(top, 0) + 1, max(top, 0) + 3))
+    return X, scale, (*a, c, b), cap

@@ -18,10 +18,12 @@ from fanokit.piecewise import PiecewisePolynomial, fit_polynomial, poly_eval, po
 from fanokit.polytope import (RationalPolytope, enumerate_basic_feasible,
                               euclidean_volume, lattice_fibers, lattice_points,
                               moving_volume_function, moving_volume_integral,
-                              polytope_edges, polytope_from_rays, volume)
+                              polytope_edges, polytope_from_rays, pulled_moments,
+                              single_row_integral, volume)
 from fanokit.subscheme import NewtonPolyhedron
 
 import helpers
+from strategies import single_rows
 
 F = Fraction
 
@@ -685,6 +687,47 @@ class TestSlicedVolume:
             S.evaluate(F(5, 2))
         with pytest.raises(OutOfDomain):
             S.integrate(0, 3)
+
+
+def _single_row(P, scale, row, cap, moments, edges):
+    """moving_volume_integral(P, scale, [row], cap) off single_row_integral
+    F: F itself without a cap, and with an integer cap the tau of F, cut
+    at the cap, and the integral F(b) - F(b - c cap), as
+    min(l, cap)^+ = l^+ - (l - cap)^+ for l = (<a, u> - b) / -c."""
+    tau, integral = single_row_integral(P, scale, row, moments, edges)
+    if cap is None:
+        return tau, integral
+    *a, c, b = row
+    beyond = single_row_integral(P, scale, (*a, c, b - c * cap), moments, edges)[1]
+    return min(tau, max(cap, 0)), integral - beyond
+
+
+class TestSingleRowIntegral:
+    """single_row_integral, off P's moments and one cut, against the
+    lifted vertex enumeration of moving_volume_integral."""
+
+    @example((catalog_model("P1xP2"), 1, (2, 0, -2, -1, -6), 2))   # the ding row
+    @example((catalog_model("P2"), 2, (2, 1, -1, 0), None))        # cut through a vertex
+    @example((catalog_model("P112"), 3, (1, 1, -2, 6), 1))         # the row <= 0: flat
+    @example((catalog_model("P112"), 1, (0, 1, -1, -1), 5))        # the row >= 0, tight
+    @example((catalog_model("P1"), 3, (0, -1, -1), 0))             # a = 0, cap 0
+    @given(single_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_lifted_route(self, drawn):
+        X, scale, row, cap = drawn
+        assert (_single_row(X.polytope, scale, row, cap, X._moments, X._edges)
+                == moving_volume_integral(X.polytope, scale, [row], cap))
+
+    @pytest.mark.parametrize("row", [(1, 0, -1, 0), (3, 1, -2, 1), (-2, 3, -1, -1),
+                                     (1, -1, -2, 0), (0, 1, -1, 1)])
+    def test_rational_polytope(self, row):
+        # crossing points over a denominator other than P's own
+        P = RationalPolytope.from_vertices(2, [(0, 0), (F(3, 2), 0), (0, F(2, 3)), (1, F(1, 2))])
+        moments, edges = pulled_moments(P), polytope_edges(P)
+        for scale in (1, 2):
+            for cap in (None, 1):
+                assert (_single_row(P, scale, row, cap, moments, edges)
+                        == moving_volume_integral(P, scale, [row], cap))
 
 
 class TestKnownStartCones:

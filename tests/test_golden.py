@@ -11,8 +11,9 @@ from pathlib import Path
 from fanokit.filtration import compute_d_infty, ideal_power_filtration
 from fanokit.model import catalog_model
 from fanokit.reportio import dumps_report
-from fanokit.stability import beta
-from fanokit.subscheme import boundary_divisor_subscheme, point_subscheme
+from fanokit.stability import beta, ding_invariant
+from fanokit.subscheme import (IdealSequenceOnXxA1, boundary_divisor_subscheme,
+                               point_subscheme)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -41,3 +42,11 @@ def test_threefold_dinfty_report_matches_golden():
     text = dumps_report(
         {"model": X.name, "subscheme": pt.label, "d_infty": report})
     assert text == (GOLDEN / "dinfty-P1xP2-point1.json").read_text()
+
+
+def test_ding_report_matches_golden():
+    # the benchmark's ding workload at chart 1: one capped moving row
+    X = catalog_model("P1xP2")
+    pt = point_subscheme(X, 1)
+    text = dumps_report(ding_invariant(X, IdealSequenceOnXxA1(steps=(pt, pt)), 1))
+    assert text == (GOLDEN / "ding-P1xP2-point1.json").read_text()

@@ -358,6 +358,53 @@ def test_battery_scans_enumerate_no_lifted_region(monkeypatch):
     assert len(calls) == 1
 
 
+def test_beta_checks_each_candidate_once(monkeypatch):
+    """The threshold checks the subscheme against the model and refuses
+    unusable data; the volume integral reads the rows unchecked."""
+    X = catalog_model("P1xP2")
+    fits, usable = [], []
+    real_fit, real_usable = subscheme.check_model_fit, MonomialSubscheme.require_usable
+
+    def fit(*args):
+        fits.append(args)
+        return real_fit(*args)
+
+    def use(Z):
+        usable.append(Z)
+        return real_usable(Z)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("fanokit") and hasattr(module, "check_model_fit"):
+            monkeypatch.setattr(module, "check_model_fit", fit)
+    monkeypatch.setattr(MonomialSubscheme, "require_usable", use)
+    battery = standard_battery(X)
+    for Z in battery:
+        beta(X, Z)
+    assert len(fits) == len(usable) == len(battery)
+
+
+def test_double_point_ding_enumerates_no_vertices(monkeypatch):
+    """The P1xP2 double point's leading integral has one moving row, capped
+    at M = 2, so it is read off the moments of P and one cut of P: no
+    vertex enumeration at all.  A sequence with two moving rows still
+    enumerates its lifted region."""
+    X = catalog_model("P1xP2")
+    pt = point_subscheme(X, 1)
+    calls = []
+    real = polytope._vertex_bases
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polytope, "_vertex_bases", counted)
+    assert ding_invariant(X, IdealSequenceOnXxA1(steps=(pt, pt)), 1).L_power_top == -2
+    assert calls == []
+    two = MonomialSubscheme(label="two", dimension=3, chart_gens={1: ((2, 0, 0), (0, 1, 1))})
+    ding_invariant(X, IdealSequenceOnXxA1(steps=(two,)), 1)
+    assert len(calls) == 1
+
+
 def test_battery_scans_run_no_newton_enumeration(monkeypatch):
     """Every standard-battery ideal of the catalog is one generator or
     diagonal, so its Newton polyhedron is read in closed form; an ideal

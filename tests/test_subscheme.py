@@ -25,7 +25,8 @@ from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                                point_subscheme, power_table, product, product_gens,
                                standard_battery,
                                thickened_point_subscheme, verify_gluing)
-from fanokit.volumes import blowup_volume_profile, pseudoeffective_threshold
+from fanokit.volumes import (blowup_volume_integral, blowup_volume_profile,
+                             pseudoeffective_threshold)
 import helpers
 from strategies import decreasing_sequences
 
@@ -102,7 +103,7 @@ class TestModelFit:
         MonomialSubscheme(label="neg", dimension=2, chart_gens={0: ((-1, 1), (1, 0))})],
         ids=["chart-the-model-lacks", "ray-the-fan-lacks", "negative-exponent"])
     @pytest.mark.parametrize("entry", [
-        lct_monomial, blowup_volume_profile, pseudoeffective_threshold,
+        lct_monomial, blowup_volume_profile, blowup_volume_integral, pseudoeffective_threshold,
         ideal_power_filtration, beta], ids=lambda entry: entry.__name__)
     def test_refused_at_every_entry_point(self, entry, Z):
         with pytest.raises(UnsupportedSubscheme, match=Z.label):

@@ -1,6 +1,8 @@
 """Volume profiles along blowups, Seshadri constants, thresholds."""
 
+import itertools
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from fanokit import volumes
 from fanokit.errors import (DimensionTooSmall, EmptyOrFull, NotSmoothChart,
-                            NotSmoothPoint, UnsupportedSubscheme)
+                            NotSmoothPoint, UnsupportedSubscheme, ZeroIdeal)
 from fanokit.model import anticanonical_volume, catalog, catalog_model
 from fanokit.polytope import moving_volume_integral
 from fanokit.stability import beta
@@ -175,6 +177,11 @@ class TestGeneralEngine:
         X = catalog_model("P2")
         with pytest.raises(EmptyOrFull):
             blowup_volume_profile(X, MonomialSubscheme(label="all", dimension=2))
+        with pytest.raises(EmptyOrFull):
+            blowup_volume_integral(X, MonomialSubscheme(label="all", dimension=2))
+        with pytest.raises(ZeroIdeal):
+            blowup_volume_integral(X, MonomialSubscheme(label="zero", dimension=2,
+                                                        chart_gens={0: ()}))
 
 
 class TestIntegerRows:
@@ -233,6 +240,23 @@ class TestBarycenterRoute:
         Z = MonomialSubscheme(label="z", dimension=n, chart_gens={idx: tuple(gens)})
         assert blowup_volume_integral(X, Z) == moving_volume_integral(
             X.polytope, 1, volumes._moving_rows(X, Z))
+
+    @pytest.mark.parametrize("name", sorted(catalog()))
+    def test_rows_negative_at_a_vertex_match_the_lifted_route(self, name):
+        # no subscheme gives such a row: each is sum W_i (<rho_i, u> + 1)
+        # over den, W >= 0, so >= 0 on P; beta's route, _rows_integral,
+        # still reads a row cut by P or negative on all of it
+        X = catalog_model(name)
+        pts, den = X._moments[:2]
+        for Z in standard_battery(X):
+            *a, c, b = volumes._moving_rows(X, Z)[0]
+            assert min(sum(map(mul, a, p)) for p in pts) >= b * den
+        for a in itertools.product((-1, 0, 2), repeat=X.dimension):
+            heights = {sum(map(mul, a, p)) // den for p in pts}
+            for b in {*heights, max(heights) + 1, min(heights) + 1}:
+                rows = [(*a, -2, b)]
+                expected = moving_volume_integral(X.polytope, 1, rows)
+                assert volumes._rows_integral(X, rows) == expected
 
 
 class TestSeshadri:
