@@ -7,8 +7,10 @@ points of r*r0*P, the saturation of a level into a monomial ideal plus
 its section closure, and the index of the step that holds a level.
 
 Downstream every number follows one chain.  The step ideals at a fixed r
-assemble into a t-graded ideal on X x A^1.  On each chart its Newton
-polyhedron is the hypograph of a concave function, and their least, G,
+assemble into a t-graded ideal on X x A^1, whose generators on each
+chart are the corners of the spec's tagged table there (below).  On
+each chart its Newton polyhedron is the hypograph of a concave
+function, and their least, G,
 is the concave transform of the filtration (Boucksom and Chen, *Okounkov
 bodies of filtered linear series*, 2011; Witt Nystrom, *Test
 configurations and Okounkov bodies*, 2012): the sample slope d_r reads
@@ -34,19 +36,23 @@ the saturation and integral routes need.
 Every membership question, which sections of L^level lie in which chart
 ideals, has one reader, _least_levels: each section's least level over
 one subscheme.LevelTable per chart.  At each r a spec builds two tables
-per chart, once, and every level x at r reads them.  The order tables,
-one per active chart, give each section its step index
-ord(u) = max{i : u in step i} by the recurrence of
-subscheme.power_table, with no power of the ideal formed.
-The saturated tables, one per chart tagged with (image of u, ord(u)),
-give each section its saturated index, the least read over the charts.
-At step i the value is the sections with ord(u) >= i, the saturated
-ideal is the table corners that minimally generate {level >= i} on each
-chart, and its closure the sections of saturated index >= i.  The
-reader never lists the sections: it reads them as lattice fibers, runs
-of points that differ only in the last coordinate, along which each
-pairing is affine.  So it builds the column of each distinct ray once,
-a range per fiber, shared by every chart that has the ray.
+per chart, once.  The order tables, one per active chart, give each
+section its step index ord(u) = max{i : u in step i} by the recurrence
+of subscheme.power_table, with no power of the ideal formed.  The
+tagged tables, one per chart tagged with (image of u, ord(u)), level
+>= i exactly on the ideal the sections of order >= i generate, are the
+t-graded ideal itself: compute_d_infty reads each chart's generators
+straight off their corners, (e, M - min(j - r e_minus, M)) from corner
+(e, j), with no step ideal formed.  Only saturate reads them at the
+sections, each one's saturated index being the least read over the
+charts: at step i the value is the sections with ord(u) >= i, the
+saturated ideal is the table corners that minimally generate
+{level >= i} on each chart, and its closure the sections of saturated
+index >= i.  The reader never lists the sections: it reads
+them as lattice fibers, runs of points that differ only in the last
+coordinate, along which each pairing is affine.  So it builds the
+column of each distinct ray once, a range per fiber, shared by every
+chart that has the ray.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import ceil, inf
 from operator import ge, mul
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import UnsupportedSubscheme
 from .linalg import int_primitive
@@ -64,8 +70,8 @@ from .model import ToricFanoModel, anticanonical_volume
 from .polytope import (lattice_fibers, lattice_points, moving_volume_integral,
                        single_row_integral)
 from .subscheme import (DualVertex, IdealSequenceOnXxA1, LevelTable, MonomialSubscheme,
-                        _minimal_subscheme, _tagged_table, power_table,
-                        product_dual_vertices)
+                        _minimal_subscheme, _tagged_table, chart_dual_vertices,
+                        power_table)
 from .volumes import blowup_volume_integral
 
 Point = tuple[int, ...]
@@ -81,11 +87,13 @@ class FiltrationSpec:
 
     Build instances with ideal_power_filtration.  e_plus/e_minus are the
     integer window of the weight routes, the spec's own, and every route
-    reads it from here.  Every level x at r reads two tables per chart,
-    built once for r: the order tables give each section its step index
-    ord(u), so F^x V_r is the sections with ord(u) >= level_step(x); the
-    saturated tables give each section its saturated index, which
-    saturate reads.
+    reads it from here.  Every level x at r reads tables built once for
+    r: the order tables give each section its step index ord(u), so
+    F^x V_r is the sections with ord(u) >= level_step(x); the tagged
+    tables, one per chart, kept once, are the t-graded ideal of the
+    window, whose corners compute_d_infty reads as generators, and give
+    each section its saturated index, which saturate derives from them
+    when it is first called at r.
     """
 
     def __init__(self, X: ToricFanoModel, subscheme: MonomialSubscheme, *,
@@ -100,6 +108,7 @@ class FiltrationSpec:
         self._sections: dict[int, tuple[Point, ...]] = {}
         self._fibers: dict[int, list[Fiber]] = {}
         self._orders: dict[int, list[int]] = {}
+        self._tables: dict[int, dict[int, LevelTable]] = {}
         self._saturated: dict[int, Saturated] = {}
         self._saturations: dict = {}
 
@@ -151,6 +160,15 @@ class FiltrationSpec:
                                                  Z.active_chart_indices(), table))
         return self._orders[r]
 
+    def tables(self, r: int) -> dict[int, LevelTable]:
+        """The tagged tables at r, one per chart, cached: _tagged_tables
+        of the orders."""
+        r = int(r)
+        if r not in self._tables:
+            self._tables[r] = _tagged_tables(self.X, self.fibers(r), r * self.X.r0,
+                                             self.orders(r))
+        return self._tables[r]
+
 
 def ideal_power_filtration(X: ToricFanoModel, Z: MonomialSubscheme) -> FiltrationSpec:
     """Filtration of V_r by vanishing order along Z.
@@ -187,31 +205,31 @@ def saturate_points(X: ToricFanoModel, r: int,
     orders = [int(u in chosen) for u in sections]
     if sum(orders) != len(chosen):
         raise ValueError(f"points outside the sections of level r={r}")
-    return _saturation(X, sections, _saturated_tables(X, lattice_fibers(X.polytope, level),
-                                                      level, orders),
-                       1, f"sat(r={r})")
+    fibers = lattice_fibers(X.polytope, level)
+    saturated = _saturated(X, fibers, level, orders, _tagged_tables(X, fibers, level, orders))
+    return _saturation(X, sections, saturated, 1, f"sat(r={r})")
 
 
-def _saturated_tables(X: ToricFanoModel, fibers: Sequence[Fiber], level: int,
-                      orders: Sequence[int]) -> Saturated:
-    """Each section's saturated index and each chart's corner ranges,
-    for the sections of L^level given as lattice fibers with their
-    orders.  On every chart one table is tagged with (image of u, ord(u))
-    for the sections u of positive order, images that are distinct on a
-    chart; so a cell reads the largest order of a section whose image it
+def _tagged_tables(X: ToricFanoModel, fibers: Sequence[Fiber], level: int,
+                   orders: Sequence[int]) -> dict[int, LevelTable]:
+    """One table per chart for the sections of L^level, given as lattice
+    fibers with their orders, tagged with (image of u, ord(u)) for the
+    sections u of positive order, images that are distinct on a chart;
+    so a cell reads the largest order of a section whose image it
     dominates, and its level >= i exactly on the ideal the images of
-    order >= i generate.  A section's saturated index is the least such
-    read over the charts."""
-    corners = {}
+    order >= i generate."""
+    return {c: _tagged_table(len(columns), [tag for tag in zip(zip(*columns), orders) if tag[1]])
+            for c, columns in _chart_columns(X, fibers, level, range(len(X.charts)))}
 
-    def table(c: int, columns: list[list[int]]) -> LevelTable:
-        t = _tagged_table(len(columns), [tag for tag in zip(zip(*columns), orders) if tag[1]])
-        corners[c] = t.corner_ranges()
-        return t
 
-    saturated = list(_least_levels(X, fibers, level, max(orders, default=0),
-                                   range(len(X.charts)), table))
-    return saturated, corners
+def _saturated(X: ToricFanoModel, fibers: Sequence[Fiber], level: int, orders: Sequence[int],
+               tables: Mapping[int, LevelTable]) -> Saturated:
+    """Each section's saturated index, the least read of the orders'
+    tagged tables over the charts (the largest order where none reads
+    lower), and each chart's corner ranges."""
+    return (list(_least_levels(X, fibers, level, max(orders, default=0), tables,
+                               lambda c, columns: tables[c])),
+            {c: t.corner_ranges() for c, t in tables.items()})
 
 
 def _saturation(X: ToricFanoModel, sections: tuple[Point, ...], tables: Saturated,
@@ -236,25 +254,22 @@ def _saturation(X: ToricFanoModel, sections: tuple[Point, ...], tables: Saturate
 
 def saturate(F: FiltrationSpec, r: int, x) -> tuple[MonomialSubscheme, tuple[Point, ...]]:
     """I_(r,x) generated by F^x V_r, plus the saturated value itself.
-    Both read the saturated tables at r, built once from the orders: at
-    the step's index i the ideal is each chart's minimal corners of
+    Both read the spec's tagged tables at r, the ones compute_d_infty
+    reads, from which the first call at r derives each chart's
+    corner_ranges and each section's saturated index, building no table:
+    at the step's index i the ideal is each chart's minimal corners of
     level >= i, and the value the sections of saturated index >= i.
-    Step 0 is all of V_r, with the unit ideal.  Levels x in one step
-    share one saturation, cached and labelled by r and the index."""
+    Step 0 is all of V_r, with the unit ideal, every chart's origin
+    being a corner of level >= 0.  Levels x in one step share one
+    saturation, cached and labelled by r and the index."""
     r = int(r)
     index = F.level_step(x)
     key = (r, index)
     if key not in F._saturations:
-        label = f"sat(r={r},step={index})"
-        if index == 0:
-            F._saturations[key] = (MonomialSubscheme(label=label, dimension=F.X.dimension),
-                                   F.sections(r))
-        else:
-            if r not in F._saturated:
-                F._saturated[r] = _saturated_tables(F.X, F.fibers(r), r * F.X.r0,
-                                                    F.orders(r))
-            F._saturations[key] = _saturation(F.X, F.sections(r), F._saturated[r], index,
-                                              label)
+        if r not in F._saturated:
+            F._saturated[r] = _saturated(F.X, F.fibers(r), r * F.X.r0, F.orders(r), F.tables(r))
+        F._saturations[key] = _saturation(F.X, F.sections(r), F._saturated[r], index,
+                                          f"sat(r={r},step={index})")
     return F._saturations[key]
 
 
@@ -274,9 +289,11 @@ def _leading_integral(X: ToricFanoModel, r: int, M: int,
     (n+1)-st finite difference of the weight sums v(k) of its k-th
     powers.  Only G - lo enters, so lo does not.
 
-    duals are the steps' product_dual_vertices, and on each active chart
-    G_c(u) - lo is M - min{s : (D u + r r0, s) in the Newton polyhedron of
-    the induced ideal}, D the chart's cone rays; G is the least G_c, and
+    duals are the steps' dual vertices: product_dual_vertices of the
+    steps, or for a filtration those compute_d_infty reads off the
+    corners of its tagged tables.  On each active chart G_c(u) - lo is
+    M - min{s : (D u + r r0, s) in the Newton polyhedron of the induced
+    ideal}, D the chart's cone rays; G is the least G_c, and
     lo + M where no chart is active.  The k-th powers and their integral
     closures count alike to leading order (Rees), so the polyhedron is
     all that matters.  Each dual vertex (W, W_t) / den gives one row of
@@ -335,24 +352,28 @@ def _pairing_column(ray: Point, fibers: Sequence[Fiber], level: int) -> list[int
     return list(chain.from_iterable(runs))
 
 
+def _chart_columns(X: ToricFanoModel, fibers: Sequence[Fiber], level: int,
+                   charts: Collection[int]) -> Iterator[tuple[int, list[list[int]]]]:
+    """Each chart with the pairing columns <rho, u> + level of its rays,
+    over the sections of L^level given as lattice fibers; each column is
+    built once per distinct ray, fiber by fiber, and shared by every
+    chart that has the ray."""
+    rays = dict.fromkeys(ray for c in charts for ray in X.charts[c].cone_rays)
+    pairings = {ray: _pairing_column(ray, fibers, level) for ray in rays}
+    return ((c, [pairings[ray] for ray in X.charts[c].cone_rays]) for c in charts)
+
+
 def _least_levels(X: ToricFanoModel, fibers: Sequence[Fiber], level: int,
-                  top: int, charts: Iterable[int],
+                  top: int, charts: Collection[int],
                   table: Callable[[int, list[list[int]]], LevelTable]) -> Iterator[int]:
     """Each section's least level over the charts' tables, top where no
     chart reads lower, for the sections of L^level given as lattice
-    fibers.  table(c, columns) is chart c's table, given the pairing
-    columns <rho, u> + level of its rays; each column is built once per
-    distinct ray, fiber by fiber, and shared by every chart that has the
-    ray.  The levels come lazily: the columns live until they are read.
+    fibers.  table(c, columns) is chart c's table, given its
+    _chart_columns.  The levels come lazily: the columns live until they
+    are read.
     """
-    pairings: dict[Point, list[int]] = {}
     levels = repeat(top, sum(last - first + 1 for _, first, last in fibers))
-    for c in charts:
-        rays = X.charts[c].cone_rays
-        for ray in rays:
-            if ray not in pairings:
-                pairings[ray] = _pairing_column(ray, fibers, level)
-        columns = [pairings[ray] for ray in rays]
+    for c, columns in _chart_columns(X, fibers, level, charts):
         levels = map(min, levels, table(c, columns).read(columns))
     return levels
 
@@ -385,24 +406,28 @@ def compute_d_infty(F: FiltrationSpec, r_list: Sequence[int] = DEFAULT_R_LIST,
     the spec's window.
 
     Each A_r comes from _leading_integral over the window's steps at r,
-    exact, with no power budget.  k_max is accepted and ignored: the
+    exact, with no power budget.  The steps' dual vertices come straight
+    off the spec's tagged tables at r, by subscheme.chart_dual_vertices:
+    corner (e, j) of chart c gives the generator (e, M - min(j - r e_minus,
+    M)), M = r (e_plus - e_minus), the one the level table of the window's
+    saturated steps would have, and a chart whose origin reaches M is unit
+    there; no step ideal is formed.  k_max is accepted and ignored: the
     benchmark harness, perfbench/run.py, still passes it, and it goes
     when that call does.  The limit value is exact, read off the profile
     integral.
     """
-    X = F.X
-    n = X.dimension
+    X, n = F.X, F.X.dimension
     vol = anticanonical_volume(X)
     e = F.e_plus - F.e_minus
-    a_samples = []
-    d_samples = []
+    a_samples, d_samples = [], []
     for r in r_list:
         r = int(r)
         if r < 1:
             raise ValueError(f"level r={r} must be positive")
-        steps = _window_steps(F, r)
-        lead = _leading_integral(X, r, len(steps), product_dual_vertices(X, steps))
-        a_r = lead / ((n + 1) * Fraction(r * X.r0) ** (n + 1))
+        M, shift = r * e, r * F.e_minus
+        duals = chart_dual_vertices({c: tuple([(*g, M - min(j - shift, M)) for g, j in t.corners])
+                                     for c, t in F.tables(r).items()})
+        a_r = Fraction(_leading_integral(X, r, M, duals), (n + 1) * (r * X.r0) ** (n + 1))
         a_samples.append((r, a_r))
         d_samples.append((r, 1 - Fraction(e, X.r0) + a_r / vol))
     a_limit = -Fraction(F.e_minus) * vol / X.r0 + F.profile_integral

@@ -11,7 +11,9 @@ The weight count, oracle_weight_records, the fast check of the leading
 integrals in dimension 3, shares level tables, lattice fibers and
 filtration._least_levels with the saturation route.  Of the integral
 route it shares the corners of subscheme.level_table, which
-product_gens reads too, and nothing past them: no Newton polyhedron and
+product_gens reads too (for a filtration, the corners of the tagged
+tables its saturated steps come from, which compute_d_infty reads as
+generators), and nothing past them: no Newton polyhedron and
 none of its integer dual vertices, no integer moving rows
 (filtration._leading_rows), no vertex enumeration.  So a wrong corner
 would pass it; the acceptance criteria also hold the count against

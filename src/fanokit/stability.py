@@ -122,11 +122,11 @@ def ding_invariant(X: ToricFanoModel, S: IdealSequenceOnXxA1, r: int,
         check_model_fit(X, step)
     n = X.dimension
     vol = anticanonical_volume(X)
-    scale = Fraction(r * X.r0)
+    scale = r * X.r0
     duals = product_dual_vertices(X, S.steps)
     lead = _leading_integral(X, r, S.M, duals) - (n + 1) * S.M * scale ** n * vol
     d = 1 + lead / ((n + 1) * scale ** (n + 1) * vol)
-    lct_product = product_line_threshold(X, duals, 1 / scale)
+    lct_product = product_line_threshold(X, duals, Fraction(1, scale))
     return DingReport(r=r, r0=X.r0, M=S.M, L_power_top=lead, d=d,
                       lct_product=lct_product, ding=lct_product - d)
 

@@ -300,10 +300,26 @@ def product_gens(X: ToricFanoModel, steps: Sequence[MonomialSubscheme],
 def product_dual_vertices(X: ToricFanoModel, steps: Sequence[MonomialSubscheme]
                           ) -> dict[int, tuple[DualVertex, ...]]:
     """Each active chart's Newton dual vertices ((W, W_t), den) of
-    product_gens; W_t > 0, some (0, M - j) with j < M being a generator.
-    Charts where every step is unit have no entry."""
-    return {c: NewtonPolyhedron(product_gens(X, steps, c)).dual_vertices
-            for c in sorted(set().union(*(s.chart_gens for s in steps)))}
+    product_gens, off one level table per chart of the steps, as the
+    Ding value, the threshold on X x A^1 and an induced sequence read
+    them; W_t > 0, some (0, M - j) with j < M being a generator.  Charts
+    where every step is unit have no entry.  A filtration's slope reads
+    the same generators off the filtration's own tagged tables instead;
+    both go through chart_dual_vertices."""
+    return chart_dual_vertices({c: product_gens(X, steps, c)
+                                for c in sorted(set().union(*(s.chart_gens for s in steps)))})
+
+
+def chart_dual_vertices(chart_gens: Mapping[int, Gens]) -> dict[int, tuple[DualVertex, ...]]:
+    """Newton dual vertices of each chart's induced ideal in M steps,
+    given its generators (e, M - j), one per corner (e, j) of a level
+    table of the steps, in lex order.  A chart whose first generator,
+    the origin's, is all 0 is unit and has no entry.  Charts with equal
+    generators share one NewtonPolyhedron, kept in a table local to the
+    call."""
+    unique = {gens: NewtonPolyhedron(gens).dual_vertices
+              for gens in dict.fromkeys(chart_gens.values()) if any(gens[0])}
+    return {c: unique[gens] for c, gens in chart_gens.items() if gens in unique}
 
 
 def _box(top: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -320,9 +336,10 @@ class LevelTable:
     """L(e) = max{j : x^e in J(j)} for decreasing monomial ideals J(j) on
     one chart, dense in lex order over a box [0, top]: the one their
     generators span, where past the box L is read at the clip, which
-    keeps every membership, or for power_table the box its reads reach.  The corners, the (e, L(e)) whose level beats each lower
-    neighbour's, are the minimal generators of sum_j J(j) t^(-j); they
-    are kept as flat cell indices plus levels."""
+    keeps every membership, or for power_table the box its reads reach.
+    The corners, the (e, L(e)) whose level beats each lower neighbour's,
+    are the minimal generators of sum_j J(j) t^(-j); they are kept as
+    flat cell indices plus levels."""
 
     __slots__ = ("top", "strides", "levels", "corner_cells", "corner_levels")
 
@@ -486,13 +503,10 @@ def verify_gluing(X: ToricFanoModel, Z: MonomialSubscheme) -> None:
 def _localize(gens: Gens | None, inverted: int):
     """Canonical localized ideal: None for unit, () for zero, else gens
     with the inverted exponent zeroed and re-minimalized."""
-    if gens is None:
-        return None
-    if len(gens) == 0:
-        return ()
+    if not gens:
+        return gens
     out = [tuple(0 if k == inverted else x for k, x in enumerate(g)) for g in gens]
-    norm = _normalize_gens(out)
-    return norm
+    return _normalize_gens(out)
 
 
 def _transport(local, T, inv_target):

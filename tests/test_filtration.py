@@ -15,21 +15,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fanokit.filtration as filtration_mod
 import fanokit.lattice as lattice_mod
 import fanokit.oracles as oracles_mod
 import fanokit.subscheme as subscheme_mod
 from fanokit.errors import (CombinatorialBlowup, NoStabilization,
                             UnsupportedSubscheme, ZeroIdeal)
-from fanokit.filtration import (_leading_integral, _leading_rows, _pairing_column,
-                                compute_d_infty, ideal_power_filtration,
-                                induced_ideal_sequence, saturate,
+from fanokit.filtration import (FiltrationSpec, _leading_integral, _leading_rows,
+                                _pairing_column, _window_steps, compute_d_infty,
+                                ideal_power_filtration, induced_ideal_sequence, saturate,
                                 saturate_points)
 from fanokit.model import CATALOG_RAYS, catalog_model
 from fanokit.polytope import lattice_fibers, lattice_points
 from fanokit.oracles import (oracle_h0_quotient, oracle_weight_records,
                              stable_leading_difference)
-from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
-                               _subscheme_contains, boundary_divisor_subscheme,
+from fanokit.subscheme import (IdealSequenceOnXxA1, LevelTable, MonomialSubscheme,
+                               NewtonPolyhedron, _subscheme_contains,
+                               boundary_divisor_subscheme,
                                point_subscheme, product, product_dual_vertices,
                                product_gens, standard_battery,
                                thickened_point_subscheme)
@@ -528,6 +530,70 @@ class TestDInfty:
         report = compute_d_infty(F, r_list=(1,), k_max=4)
         assert report.a_samples == ((1, 4),)
         assert report.d_samples == ((1, -1),)
+
+    @pytest.mark.parametrize("name", sorted(CATALOG_RAYS))
+    def test_duals_are_the_window_steps_duals(self, name, monkeypatch):
+        # the slope reads each chart's generators off the spec's tagged
+        # tables; the window's saturated steps, through one level table
+        # per chart, give the same dual vertices, singular charts included
+        X = catalog_model(name)
+        for Z in standard_battery(X):
+            _assert_slope_reads_the_window_steps(ideal_power_filtration(X, Z), monkeypatch)
+
+    @pytest.mark.parametrize("e_plus", [0, 1, 2])
+    def test_short_window_caps_the_corners(self, e_plus, monkeypatch):
+        # a window that ends below the top order caps the corners at M, and
+        # charts 1 and 2, whose origins reach M, are unit, as in the steps
+        X, F = _point_filtration("P2")
+        short = FiltrationSpec(X, F.subscheme, e_plus=e_plus, e_minus=-1,
+                               e_max_est=F.e_max_est, profile_integral=F.profile_integral)
+        _assert_slope_reads_the_window_steps(short, monkeypatch)
+
+    def test_slope_reads_one_table_per_chart(self, monkeypatch):
+        # the benchmark's dinfty pass: no window subscheme and no second
+        # table; charts 0 and 2 share their generators, and so do 3 and 5,
+        # so 4 Newton polyhedra serve the 6 charts
+        X = catalog_model("P1xP2")
+        F = ideal_power_filtration(X, point_subscheme(X, 1))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the slope built window steps")
+
+        monkeypatch.setattr(filtration_mod, "saturate", refuse)
+        monkeypatch.setattr(subscheme_mod, "level_table", refuse)
+        built, duals = [], []
+        init, real = NewtonPolyhedron.__init__, filtration_mod._leading_integral
+        monkeypatch.setattr(NewtonPolyhedron, "__init__",
+                            lambda self, gens: built.append(gens) or init(self, gens))
+        monkeypatch.setattr(filtration_mod, "_leading_integral",
+                            lambda X, r, M, ds: duals.append(ds) or real(X, r, M, ds))
+        compute_d_infty(F, r_list=(1,))
+        assert len(built) == len(set(built)) == 4
+        assert sorted(duals[0]) == list(range(6))
+        assert duals[0][0] == duals[0][2] and duals[0][3] == duals[0][5]
+        monkeypatch.undo()
+        tables = []
+        table_init = LevelTable.__init__
+        monkeypatch.setattr(LevelTable, "__init__",
+                            lambda self, *args: tables.append(args) or table_init(self, *args))
+        saturate(F, 1, 1)
+        assert tables == []
+
+
+def _assert_slope_reads_the_window_steps(F, monkeypatch):
+    """compute_d_infty at r = 1, 2 hands _leading_integral the dual
+    vertices that product_dual_vertices reads off the window's steps."""
+    seen = []
+    real = filtration_mod._leading_integral
+    monkeypatch.setattr(filtration_mod, "_leading_integral",
+                        lambda X, r, M, duals: seen.append((r, M, duals)) or real(X, r, M, duals))
+    compute_d_infty(F, r_list=(1, 2))
+    assert [r for r, _, _ in seen] == [1, 2]
+    for r, M, duals in seen:
+        steps = _window_steps(F, r)
+        assert M == len(steps)
+        assert duals == product_dual_vertices(F.X, steps)
+    monkeypatch.undo()
 
 
 def _p2_point_steps(X, r):

@@ -44,6 +44,17 @@ def test_threefold_dinfty_report_matches_golden():
     assert text == (GOLDEN / "dinfty-P1xP2-point1.json").read_text()
 
 
+def test_singular_chart_dinfty_report_matches_golden():
+    # a divisor through P112's singular chart at the default r_list: the
+    # slope reads that chart's generators off its tagged table too
+    X = catalog_model("P112")
+    D = boundary_divisor_subscheme(X, (1, 0))
+    report = compute_d_infty(ideal_power_filtration(X, D))
+    text = dumps_report(
+        {"model": X.name, "subscheme": D.label, "d_infty": report})
+    assert text == (GOLDEN / "dinfty-P112-divisor.json").read_text()
+
+
 def test_ding_report_matches_golden():
     # the benchmark's ding workload at chart 1: one capped moving row
     X = catalog_model("P1xP2")
