@@ -15,9 +15,9 @@ is the concave transform of the filtration (Boucksom and Chen, *Okounkov
 bodies of filtered linear series*, 2011; Witt Nystrom, *Test
 configurations and Okounkov bodies*, 2012): the sample slope d_r reads
 off the exact integral of G - r e_minus over r*r0*P, _leading_integral,
-the volume of {(u, x) : 0 <= x <= G(u) - r e_minus}, which
-polytope.moving_volume_integral reads off one vertex enumeration (or
-polytope.single_row_integral, for one row).  The r -> infinity limit
+the volume of {(u, x) : 0 <= x <= G(u) - r e_minus}, capped, which
+volumes.region_integral reads off one vertex enumeration, or, for one
+row, off P's moments and one cut.  The r -> infinity limit
 is evaluated in closed form through the integral of the blowup volume
 profile, read the same way by volumes.blowup_volume_integral.  The
 weight sums v_r(k) of the k-th powers of induced_ideal_sequence count
@@ -67,12 +67,11 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from .errors import UnsupportedSubscheme
 from .linalg import int_primitive
 from .model import ToricFanoModel, anticanonical_volume
-from .polytope import (lattice_fibers, lattice_points, moving_volume_integral,
-                       single_row_integral)
+from .polytope import lattice_fibers, lattice_points
 from .subscheme import (DualVertex, IdealSequenceOnXxA1, LevelTable, MonomialSubscheme,
                         _minimal_subscheme, _tagged_table, chart_dual_vertices,
                         power_table)
-from .volumes import blowup_volume_integral
+from .volumes import blowup_volume_integral, region_integral
 
 Point = tuple[int, ...]
 Fiber = tuple[Point, int, int]
@@ -302,26 +301,15 @@ def _leading_integral(X: ToricFanoModel, r: int, M: int,
     <D^T W, u> - W_t x >= den - r r0 sum(W) - M W_t.  Charts that see
     the same part of the filtration give the same rows, kept once.  The
     integral is the integral over 0 <= x <= M, where G reaches its cap,
-    of that region's volume, with no profile built.  With one row
-    (*a, c, b), c < 0, as a point double has, that is n! times the
-    integral over r r0 P of min(l, M)^+ = l^+ - (l - M)^+, l(u) =
-    (<a, u> - b) / -c: polytope.single_row_integral of the row less
-    that of the row (*a, c, b - c M), with no enumeration.  Otherwise
-    polytope.moving_volume_integral reads it off one vertex enumeration
-    of the region lifted to (u, x), capped at x = M, given X.polytope and
-    the scale r r0: the enumeration starts from the cone of
-    r r0 P x [0, oo), read off P's vertices, and adds only the moving
-    rows and the cap.  Where no chart is active the region is r r0 P at
+    of that region's volume, with no profile built, by
+    volumes.region_integral at the scale r r0 with the cap M: with one
+    row, off P's moments and one cut, and otherwise off one vertex
+    enumeration of the region lifted to (u, x), started from the cone of
+    r r0 P x [0, oo).  Where no chart is active the region is r r0 P at
     every x; where a chart has the zero ideal at lo + 1 the region is
     flat and the integral 0.
     """
-    P, scale, moving = X.polytope, r * X.r0, _leading_rows(X, r, M, duals)
-    if len(moving) == 1 and moving[0][-2] < 0:
-        *a, c, b = moving[0]
-        integral = (single_row_integral(P, scale, moving[0], X._moments, X._edges)[1]
-                    - single_row_integral(P, scale, (*a, c, b - c * M), X._moments, X._edges)[1])
-    else:
-        _, integral = moving_volume_integral(P, scale, moving, cap=M)
+    _, integral = region_integral(X, r * X.r0, _leading_rows(X, r, M, duals), cap=M)
     return (X.dimension + 1) * integral
 
 
@@ -409,8 +397,8 @@ def compute_d_infty(F: FiltrationSpec, r_list: Sequence[int] = DEFAULT_R_LIST,
     exact, with no power budget.  The steps' dual vertices come straight
     off the spec's tagged tables at r, by subscheme.chart_dual_vertices:
     corner (e, j) of chart c gives the generator (e, M - min(j - r e_minus,
-    M)), M = r (e_plus - e_minus), the one the level table of the window's
-    saturated steps would have, and a chart whose origin reaches M is unit
+    M)), M = r (e_plus - e_minus), the one product_gens of the window's
+    saturated steps would give, and a chart whose origin reaches M is unit
     there; no step ideal is formed.  k_max is accepted and ignored: the
     benchmark harness, perfbench/run.py, still passes it, and it goes
     when that call does.  The limit value is exact, read off the profile

@@ -25,12 +25,6 @@ from typing import Sequence
 Vec = tuple[Fraction, ...]
 
 
-def dot(a: Sequence, b: Sequence) -> Fraction:
-    if len(a) != len(b):
-        raise ValueError(f"dot: length mismatch {len(a)} vs {len(b)}")
-    return Fraction(sum(x * y for x, y in zip(a, b)))
-
-
 def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix: expanded up to 4 x 4, else
     int_solve's d.  4 x 4 is the Laplace expansion along its first two

@@ -9,16 +9,18 @@ occur twice, in two unrelated pieces of code, to slip through.
 
 The weight count, oracle_weight_records, the fast check of the leading
 integrals in dimension 3, shares level tables, lattice fibers and
-filtration._least_levels with the saturation route.  Of the integral
-route it shares the corners of subscheme.level_table, which
-product_gens reads too (for a filtration, the corners of the tagged
-tables its saturated steps come from, which compute_d_infty reads as
-generators), and nothing past them: no Newton polyhedron and
-none of its integer dual vertices, no integer moving rows
-(filtration._leading_rows), no vertex enumeration.  So a wrong corner
-would pass it; the acceptance criteria also hold the count against
-oracle_h0_quotient, which shares none of that.  Only the acceptance
-criteria and the tests read this module.
+filtration._least_levels with the saturation route.  Its level tables
+(level_table) are its own: the integral route reads an induced
+sequence's generators straight off the steps (subscheme.product_gens),
+so a wrong generator there cannot pass the count.  For a filtration
+both read the tagged tables its saturated steps come from, whose
+corners compute_d_infty reads as generators.  Past those it shares
+nothing with the integral route: no Newton polyhedron and none of its
+integer dual vertices, no integer moving rows
+(filtration._leading_rows), no vertex enumeration.  The acceptance
+criteria also hold the count against oracle_h0_quotient, which shares
+none of that.  Only the acceptance criteria and the tests read this
+module.
 """
 
 from __future__ import annotations
@@ -35,7 +37,8 @@ from .filtration import _least_levels
 from .linalg import solve
 from .model import ToricFanoModel
 from .polytope import lattice_fibers, lattice_points
-from .subscheme import CELL_CAP, IdealSequenceOnXxA1, LevelTable, _box, level_table
+from .subscheme import (CELL_CAP, IdealSequenceOnXxA1, LevelTable, MonomialSubscheme, _box,
+                        _tagged_table)
 
 _ORACLE_CAP = 2_000_000
 
@@ -122,6 +125,15 @@ class WeightRecord:
     v: int
     w: int
     level_dims: tuple[tuple[int, int], ...]
+
+
+def level_table(steps: Sequence[MonomialSubscheme], chart_index: int,
+                dim: int) -> LevelTable:
+    """Table on one chart of the pieces steps[0], steps[1], ... at
+    j = 1, 2, ..., the unit ideal at j = 0: a step that is unit on the
+    chart, absent from its chart_gens, has the origin for generator."""
+    return _tagged_table(dim, [(g, j) for j, s in enumerate(steps, start=1)
+                               for g in s.chart_gens.get(chart_index, [(0,) * dim])])
 
 
 def oracle_weight_records(X: ToricFanoModel, sequence: IdealSequenceOnXxA1,

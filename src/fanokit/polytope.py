@@ -17,10 +17,10 @@ already knows the cone of some rows, the enumeration starts there: a
 lifted region (below) from the cone of P x [0, oo), whose rays are P's
 vertices and the direction of x, so that only its moving rows and cap
 are added, and a Newton polyhedron from the orthant of its rows
-w_i >= 0.  Only from_inequalities, hull_facets and the slice volumes
-start from scratch, from the simplicial cone of dim + 1 independent
-rows.  A polytope is enumerated once, and its faces are read off which
-rows are tight at which vertices (Ziegler, *Lectures on Polytopes*),
+w_i >= 0.  Only from_inequalities and hull_facets start from scratch,
+from the simplicial cone of dim + 1 independent rows.  A polytope is
+enumerated once, and its faces are read off which rows are tight at
+which vertices (Ziegler, *Lectures on Polytopes*),
 incidences the enumeration keeps as it goes, one bitmask of tight rows
 per vertex, so no row is tested at a vertex afterwards: the facets are
 the rows with maximal tight sets, and a pulling triangulation sums
@@ -32,9 +32,9 @@ denominator, only where no enumeration met the points: the
 constructor's check, which reads the inequalities as the primitive
 integer rows a polytope keeps (integer_rows) and keeps each vertex's
 mask (vertex_masks) for euclidean_volume, the edges, the charts and the
-lifted start cones, and the vertices that from_vertices picks among
-given points.  Only points need a hull: the facets of conv(V) are the
-vertices of its polar about an interior point.  A region whose rows
+lifted start cones.  Only points need a hull: the facets of conv(V) are
+the vertices of its polar about an interior point, and from_vertices
+is from_inequalities of those facets.  A region whose rows
 move linearly in a parameter x is the slice at x of the region lifted
 to (u, x) and cut by x >= 0, and one vertex enumeration of those lifted
 rows in dim + 1 variables serves both readers of such a region.  They
@@ -51,20 +51,23 @@ vertices (Ziegler, *Lectures on Polytopes*), so those are the
 breakpoints of the volume as a function of x, and between them the
 volume is one polynomial, fitted through the volumes of a few slices
 (moving_volume_function), which the tests hold the integral against.
+Each slice is read off the same enumeration: it holds no lifted
+vertex, so its vertices are the points where the lifted region's edges
+cross it, each tight at the rows both ends share (_crossings), as the
+cut of single_row_integral is read off P's edges.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
 from math import factorial, gcd, lcm
-from operator import and_, mul
+from operator import mul
 from typing import Sequence
 
 from . import lattice
 from .errors import DegeneratePolytope, UnboundedPolytope
-from .linalg import Vec, dot, int_det, int_solve, rational_primitive
+from .linalg import Vec, int_det, int_primitive, int_solve, rational_primitive
 from .piecewise import PiecewisePolynomial, fit_polynomial, poly_trim
 
 Ineq = tuple[tuple[int, ...], Fraction]
@@ -183,20 +186,10 @@ def _vertex_bases(dim: int, irows: Sequence[Sequence[int]],
             all(ray[dim] for ray, _ in rays))
 
 
-def enumerate_basic_feasible(dim: int, rows: Sequence[tuple[Sequence, object]]) -> list[Vec]:
-    """Vertices of {u : <normal, u> >= offset for all rows}, lex sorted.
-
-    Rows may have rational normals.  The set may be unbounded, as a
-    Newton polyhedron is: its recession directions are not vertices.
-    """
-    irows = [rational_primitive((*nr, off)) for nr, off in rows]
-    return sorted(tuple([Fraction(x, den) for x in nums])
-                  for nums, den in _vertex_bases(dim, irows)[0])
-
-
 def _common_denominator(keys) -> tuple[list[list[int]], int]:
-    """(pts, den): the points nums / d of _vertex_bases' (nums, d) keys as
-    integer vectors over their least common denominator den."""
+    """(pts, den): the points nums / d of (nums, d) pairs, _vertex_bases'
+    keys or _crossings' points, as integer vectors over their least
+    common denominator den."""
     den = lcm(*[d for _, d in keys])
     return [[a * (den // d) for a in nums] for nums, d in keys], den
 
@@ -301,15 +294,6 @@ def _pulled_volume(dim: int, irows: Sequence[Sequence[int]],
     return Fraction(total, factorial(dim) * den ** dim)
 
 
-def volume(dim: int, rows: Sequence[tuple[Sequence, object]]) -> Fraction:
-    """Exact volume of the bounded set {u : <normal, u> >= offset for all
-    rows}, off one vertex enumeration of its rows."""
-    irows = [rational_primitive((*nr, off)) for nr, off in rows]
-    keys, _ = _vertex_bases(dim, irows)
-    pts, den = _common_denominator(keys)
-    return _pulled_volume(dim, irows, pts, keys.values(), den)
-
-
 def hull_facets(dim: int, vertices: Sequence[Vec]) -> list[tuple[tuple[int, ...], Fraction]]:
     """Facets of conv(vertices) as sorted (inward primitive normal, offset)
     pairs; none when the points are not full-dimensional.
@@ -318,14 +302,15 @@ def hull_facets(dim: int, vertices: Sequence[Vec]) -> list[tuple[tuple[int, ...]
     polar {y : <v - c, y> >= -1 for every point v}, each the normal of the
     facet <y, u - c> = -1.  The polar has a vertex only when the v - c have
     rank dim, and it is bounded when they do, since c is then interior.
+    With the k points as integer vectors p over their common denominator
+    den, its rows are <k p - sum(p), y> >= -k den, and each vertex key
+    (nums, d) of their enumeration gives the normal nums made primitive.
     """
-    c = [Fraction(sum(xs), len(vertices)) for xs in zip(*vertices)]
-    polar = [([x - m for x, m in zip(v, c)], -1) for v in vertices]
-    facets = []
-    for y in enumerate_basic_feasible(dim, polar):
-        normal = rational_primitive(y)
-        facets.append((normal, min(dot(normal, v) for v in vertices)))
-    return sorted(facets)
+    pts, den = _over_common_denominator(vertices)
+    k, total = len(pts), [sum(xs) for xs in zip(*pts)]
+    polar = [(*[k * a - s for a, s in zip(p, total)], -k * den) for p in pts]
+    normals = [int_primitive(nums) for nums, _ in _vertex_bases(dim, polar)[0]]
+    return sorted((a, Fraction(min(sum(map(mul, a, p)) for p in pts), den)) for a in normals)
 
 
 class RationalPolytope:
@@ -368,20 +353,22 @@ class RationalPolytope:
                 raise ValueError(f"vertex {v} tight on only {tight} inequalities")
             for r in self.integer_rows:
                 if len(r) != n + 1:
-                    raise ValueError(f"dot: length mismatch {len(r) - 1} vs {n}")
+                    raise ValueError(f"normal arity {len(r) - 1} != {n}")
                 if sum(map(mul, r, p)) < r[n] * den:
                     raise ValueError(f"vertex {v} violates an inequality")
         return masks
 
     @classmethod
     def from_vertices(cls, dimension: int, vertices: Sequence[Sequence]) -> "RationalPolytope":
+        """The hull of the points: from_inequalities of its facets."""
         points = sorted({tuple(Fraction(x) for x in v) for v in vertices})
+        for v in points:
+            if len(v) != dimension:
+                raise ValueError(f"vertex arity {len(v)} != {dimension}")
         ineqs = hull_facets(dimension, points)
         if not ineqs:
             raise DegeneratePolytope(f"vertex set is not {dimension}-dimensional")
-        pts, den = _over_common_denominator(points)
-        tight = _incidences([rational_primitive((*nr, off)) for nr, off in ineqs], pts, den)
-        return cls(dimension, [points[i] for (i,) in _lone_on_face(tight, 1)], ineqs)
+        return cls.from_inequalities(dimension, ineqs)
 
     @classmethod
     def from_inequalities(cls, dimension: int, rows: Sequence[tuple[Sequence, object]]) -> "RationalPolytope":
@@ -537,14 +524,10 @@ def single_row_integral(P: RationalPolytope, scale: int, row: Sequence[int],
         if sign * h >= 0:
             points.append((p, 1))
             tight.append(z | cut * (h == 0))
-    for i, j in edges:
-        hi, hj = heights[i], heights[j]
-        if hi * hj < 0:
-            points.append(([hi * y - hj * x for x, y in zip(pts[i], pts[j])], hi - hj))
-            tight.append(masks[i] & masks[j] | cut)
-    # every point p / d over the common denominator den m
-    m = lcm(*[d for _, d in points])
-    side = [[x * (m // d) for x in p] for p, d in points]
+    crossing, shared = _crossings(pts, heights, masks, edges)
+    points += crossing
+    tight += [z | cut for z in shared]
+    side, m = _common_denominator(points)
     # the triangulation reads only which rows are tight where, and which
     # have a nonzero normal
     part = scale ** n * _affine_moment(
@@ -553,23 +536,37 @@ def single_row_integral(P: RationalPolytope, scale: int, row: Sequence[int],
                          -c * (n + 1) * (den * m) ** (n + 1))
 
 
-def _lone_on_face(tight: Sequence[int], k: int) -> list[tuple[int, ...]]:
-    """Index k-tuples of points alone on the smallest face holding them,
-    the face the rows tight at all k cut out, given the bitmask of the
-    rows tight at each point: k = 1 picks a polytope's vertices among its
-    points, and k = 2 its edges among its vertices."""
+def _crossings(pts: Sequence[Sequence[int]], heights: Sequence[int], masks: Sequence[int],
+               edges: Sequence[tuple[int, int]]) -> tuple[list[tuple[list[int], int]], list[int]]:
+    """Where the edges (i, j) whose ends have heights of strictly opposite
+    signs cross height 0: each point as (p, d), the point p / d in the
+    units of pts, and the bitmask of the rows tight at it, those tight at
+    both ends.  A positive multiple of the heights gives the same points."""
+    points, tight = [], []
+    for i, j in edges:
+        hi, hj = heights[i], heights[j]
+        if hi * hj < 0:
+            points.append(([hi * y - hj * x for x, y in zip(pts[i], pts[j])], hi - hj))
+            tight.append(masks[i] & masks[j])
+    return points, tight
+
+
+def _lone_on_face(tight: Sequence[int]) -> list[tuple[int, int]]:
+    """Index pairs of vertices alone on the smallest face holding them, the
+    face the rows tight at both cut out, given the bitmask of the rows
+    tight at each vertex: the polytope's edges."""
     out = []
-    for subset in combinations(range(len(tight)), k):
-        common = reduce(and_, [tight[i] for i in subset])
-        if sum(t & common == common for t in tight) == k:
-            out.append(subset)
+    for i, j in combinations(range(len(tight)), 2):
+        common = tight[i] & tight[j]
+        if sum(t & common == common for t in tight) == 2:
+            out.append((i, j))
     return out
 
 
 def polytope_edges(P: RationalPolytope) -> list[tuple[int, int]]:
     """Index pairs of vertices joined by an edge: the pairs alone on the
     smallest face holding them."""
-    return _lone_on_face(P.vertex_masks, 2)
+    return _lone_on_face(P.vertex_masks)
 
 
 def _lifted_region(P: RationalPolytope, scale: int, moving: Sequence[Sequence[int]],
@@ -616,22 +613,31 @@ def moving_volume_function(P: RationalPolytope, scale: int,
     vertex enumeration of the rows moving_volume_integral reads, started
     from the cone of P x [0, oo) (_lifted_region).  Between breakpoints
     the volume is a polynomial of degree <= dim, fitted through the
-    volumes of dim + 1 slices inside the piece, each slice enumerated
-    from scratch, and equal neighbouring pieces are merged.
+    volumes of dim + 1 slices inside the piece, and equal neighbouring
+    pieces are merged.  Each slice is read off the same enumeration: no
+    lifted vertex lies at its x, so its vertices are the points where the
+    lifted region's edges cross x, each tight at the rows both ends share
+    (_crossings), and those incidences triangulate it (_pulled_volume).
     Raises DegeneratePolytope when the region has no volume for any x > 0,
     and UnboundedPolytope when the lifted region is unbounded.
     """
     dim = P.dimension
-    static = [(r[:dim], scale * r[dim]) for r in P.integer_rows]
-
-    def slice_volume(x):
-        at_x = [*static, *[(r[:dim], r[dim + 1] - r[dim] * x) for r in moving]]
-        return factorial(dim) * volume(dim, at_x)
-
-    _, keys, bounded = _lifted_region(P, scale, moving)
+    lifted, keys, bounded = _lifted_region(P, scale, moving)
     if keys and not bounded:
         raise UnboundedPolytope("the lifted region is unbounded")
-    cuts = sorted({Fraction(0)} | {Fraction(nums[dim], den) for nums, den in keys})
+    pts, den = _common_denominator(keys)
+    masks = list(keys.values())
+    edges = _lone_on_face(masks)
+
+    def slice_volume(x):
+        s, q = x.as_integer_ratio()
+        points, tight = _crossings(pts, [q * p[dim] - s * den for p in pts], masks, edges)
+        side, m = _common_denominator(points)
+        # the lifted rows' first dim entries are the slice's normals
+        return factorial(dim) * _pulled_volume(dim, lifted, [p[:dim] for p in side],
+                                               tight, den * m)
+
+    cuts = sorted({Fraction(0)} | {Fraction(p[dim], den) for p in pts})
     breakpoints, pieces, last = [cuts[0]], [], None
     for a, b in zip(cuts, cuts[1:]):
         xs = [a + (b - a) * k / (dim + 2) for k in range(1, dim + 2)]

@@ -2,8 +2,8 @@
 
 beta pairs the log canonical threshold of a monomial subscheme with the
 integral of its blowup volume profile, read with no profile built
-(volumes.blowup_volume_integral): off the barycenter of P when the
-region has one moving row, else off the lifted region's vertices; a
+(volumes.region_integral): off the barycenter of P when the region has
+one moving row, else off the lifted region's vertices; a
 negative value certifies that the model is not Ding semistable, while
 nonnegative values certify nothing.  Ding invariants of t-graded ideal
 sequences on X x A^1 are evaluated in the product-space form: the limit
@@ -32,7 +32,7 @@ from .lct import lct_monomial, product_line_threshold
 from .model import ToricFanoModel, anticanonical_volume
 from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme, check_model_fit,
                         product_dual_vertices)
-from .volumes import _moving_rows, _rows_integral, seshadri_constant
+from .volumes import _moving_rows, region_integral, seshadri_constant
 
 CONSISTENT = "CONSISTENT"
 OBSTRUCTS_SEMISTABILITY = "OBSTRUCTS_SEMISTABILITY"
@@ -60,8 +60,8 @@ def beta(X: ToricFanoModel, Z: MonomialSubscheme) -> BetaReport:
     """Threshold-versus-volume invariant of a nonzero proper subscheme.
 
     The volume integral is the profile's integral over [0, tau], the
-    profile being zero past the pseudoeffective threshold, read by the
-    route of volumes.blowup_volume_integral with no profile built: for
+    profile being zero past the pseudoeffective threshold, read by
+    volumes.region_integral with no profile built: for
     one moving row, as points, thickened points and boundary divisors
     give, it is vol(-K) times that row's height at the barycenter of P,
     and otherwise the volume of the lifted region, off one vertex
@@ -73,7 +73,7 @@ def beta(X: ToricFanoModel, Z: MonomialSubscheme) -> BetaReport:
     if Z.is_empty or Z.has_zero_chart:
         raise EmptyOrFull(f"{Z.label}: beta needs a nonzero proper subscheme")
     lct_value = lct_monomial(X, Z)
-    _, integral = _rows_integral(X, _moving_rows(X, Z))
+    _, integral = region_integral(X, 1, _moving_rows(X, Z))
     vol = anticanonical_volume(X)
     value = lct_value * vol - integral
     verdict = OBSTRUCTS_SEMISTABILITY if value < 0 else CONSISTENT

@@ -291,16 +291,20 @@ class IdealSequenceOnXxA1:
 def product_gens(X: ToricFanoModel, steps: Sequence[MonomialSubscheme],
                  chart_index: int) -> Gens:
     """Generators of the induced chart ideal in the chart's cone-ray count
-    of exponents and a last one for t: the corners (e, j) of the chart's
-    level table as (e, M - j), so (0, M) when no step is unit."""
-    table = level_table(steps, chart_index, len(X.charts[chart_index].cone_rays))
-    return tuple((*e, len(steps) - j) for e, j in table.corners)
+    of exponents and a last one for t, in lex order: the minimal ones
+    among (g, M - j) for each generator g of step j, (0, M - j) for a
+    step that is unit on the chart, absent from its chart_gens, and
+    (0, M)."""
+    dim, M = len(X.charts[chart_index].cone_rays), len(steps)
+    return tuple(lattice.minimalize([(0,) * dim + (M,)] + [
+        (*g, M - j) for j, s in enumerate(steps, start=1)
+        for g in s.chart_gens.get(chart_index, [(0,) * dim])]))
 
 
 def product_dual_vertices(X: ToricFanoModel, steps: Sequence[MonomialSubscheme]
                           ) -> dict[int, tuple[DualVertex, ...]]:
     """Each active chart's Newton dual vertices ((W, W_t), den) of
-    product_gens, off one level table per chart of the steps, as the
+    product_gens, off the steps' generators on each chart, as the
     Ding value, the threshold on X x A^1 and an induced sequence read
     them; W_t > 0, some (0, M - j) with j < M being a generator.  Charts
     where every step is unit have no entry.  A filtration's slope reads
@@ -404,17 +408,6 @@ def _tagged_table(dim: int, tags: Sequence[tuple[Sequence[int], int]]) -> LevelT
     for g, j in tags:
         levels[sum(map(mul, g, strides))] = j
     return LevelTable(top, strides, levels)
-
-
-def level_table(steps: Sequence[MonomialSubscheme], chart_index: int,
-                dim: int) -> LevelTable:
-    """Table on one chart of the pieces steps[0], steps[1], ... at
-    j = 1, 2, ..., the unit ideal at j = 0."""
-    tags = []
-    for j, s in enumerate(steps, start=1):
-        gs = s.gens_on(chart_index)
-        tags += [(g, j) for g in ([(0,) * dim] if gs is None else gs)]
-    return _tagged_table(dim, tags)
 
 
 def power_table(gens: Sequence[Sequence[int]], top: Sequence[int]) -> LevelTable:

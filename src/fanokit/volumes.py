@@ -16,11 +16,13 @@ divisor, (y_rho^m), whose one dual vertex e_rho / m gives the row
 
 blowup_volume_integral reads the pseudoeffective threshold tau and the
 profile's integral, all that beta, pseudoeffective_threshold and
-ideal-power filtrations need, by one of two routes.  When the region
-has one moving row, as every point, thickened point and boundary
-divisor has, it is {(u, x) : u in P, 0 <= x <= l(u)} for an affine
-l >= 0 on P: tau is the largest l at a vertex of P, and the integral is
-vol(-K) l(b_P), b_P the barycenter of P, kept on the model
+ideal-power filtrations need, through region_integral, the one place
+that chooses between two routes; the slopes' capped leading integral
+goes through it too.  When the region has one moving row, as every
+point, thickened point and boundary divisor has, it is
+{(u, x) : u in P, 0 <= x <= l(u)} for an affine l >= 0 on P: tau is
+the largest l at a vertex of P, and the integral is vol(-K) l(b_P),
+b_P the barycenter of P, kept on the model
 (polytope.single_row_integral).  Any other region is read off the
 triangulation of one vertex enumeration of it lifted to (u, x), in
 polytope.moving_volume_integral, which starts from the cone of
@@ -30,7 +32,8 @@ first route against the second.  blowup_volume_profile, for `fanokit
 volume`, seshadri_constant and acceptance criterion 3, returns the
 profile itself as a PiecewisePolynomial, off that lifted enumeration:
 its breakpoints are the x-coordinates of the lifted vertices, and each
-piece is fitted through a few slice volumes, in
+piece is fitted through a few slice volumes, each read off where the
+lifted region's edges cross the slice, in
 polytope.moving_volume_function.  The tests hold its integral against
 blowup_volume_integral.
 
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import mul
+from typing import Sequence
 
 from .errors import DimensionTooSmall, NotSmoothPoint, UnsupportedSubscheme
 from .linalg import int_primitive
@@ -88,23 +92,31 @@ def blowup_volume_profile(X: ToricFanoModel, Z: MonomialSubscheme) -> PiecewiseP
 
 def blowup_volume_integral(X: ToricFanoModel, Z: MonomialSubscheme) -> tuple[Fraction, Fraction]:
     """(tau, integral) of Z's profile, with no profile built: its last
-    breakpoint and its integral over [0, tau].
-
-    With one moving row (*a, c, b), c < 0, the lifted region is
-    {(u, x) : u in P, 0 <= x <= l(u)}, l(u) = (<a, u> - b) / -c: tau is
-    the largest l^+ at a vertex of P, and the integral, n! times that of
-    l^+ over P, is read by polytope.single_row_integral: vol(-K) l(b_P)
-    when l >= 0 on P, as every subscheme's sum W_i (<rho_i, u> + 1) / den
-    is, else off one cut of P.  Any other rows go through the lifted
-    vertex enumeration, polytope.moving_volume_integral."""
-    return _rows_integral(X, _checked_rows(X, Z))
+    breakpoint and its integral over [0, tau], by region_integral.  With
+    one moving row, l = (<a, u> - b) / -c is sum W_i (<rho_i, u> + 1) / den
+    for every subscheme, so l >= 0 on P and the integral is vol(-K) l(b_P)."""
+    return region_integral(X, 1, _checked_rows(X, Z))
 
 
-def _rows_integral(X: ToricFanoModel, moving: list[tuple[int, ...]]) -> tuple[Fraction, Fraction]:
-    """blowup_volume_integral off the region's moving rows."""
-    if len(moving) == 1 and moving[0][-2] < 0:
-        return single_row_integral(X.polytope, 1, moving[0], X._moments, X._edges)
-    return moving_volume_integral(X.polytope, 1, moving)
+def region_integral(X: ToricFanoModel, scale: int, moving: Sequence[Sequence[int]],
+                    cap=None) -> tuple[Fraction, Fraction]:
+    """moving_volume_integral(X.polytope, scale, moving, cap), by the one
+    choice of route there is: a lone moving row (*a, c, b) with c < 0
+    goes through polytope.single_row_integral, off X's moments and edges
+    with no enumeration, and any other rows through the lifted vertex
+    enumeration of polytope.moving_volume_integral.
+
+    A cap, a nonnegative integer, caps the row's l = (<a, u> - b) / -c:
+    min(l, cap)^+ = l^+ - (l - cap)^+, so the integral is the row's less
+    that of the row (*a, c, b - c cap), and tau is cut at the cap."""
+    if len(moving) != 1 or moving[0][-2] >= 0:
+        return moving_volume_integral(X.polytope, scale, moving, cap)
+    tau, integral = single_row_integral(X.polytope, scale, moving[0], X._moments, X._edges)
+    if cap is None:
+        return tau, integral
+    *a, c, b = moving[0]
+    beyond = single_row_integral(X.polytope, scale, (*a, c, b - c * cap), X._moments, X._edges)
+    return min(tau, cap), integral - beyond[1]
 
 
 def seshadri_constant(X: ToricFanoModel, chart_index: int) -> Fraction:

@@ -119,6 +119,16 @@ class TestCatalogAndVolume:
         assert out == ""
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("vertex, arity", [('["5"]', 1), ('["1", "1", "1"]', 3)],
+                             ids=["short", "long"])
+    def test_model_file_vertex_of_another_arity(self, run, tmp_path, vertex, arity):
+        # refused before any hull is taken
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"dim": 2, "vertices": [["0", "0"], ["2", "0"], ["0", "2"], {vertex}]}}')
+        code, out, err = run("volume", "--model", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: model file {str(path)!r}: vertex arity {arity} != 2\n"
+
     def test_profile_csv_requires_subscheme(self, run, tmp_path):
         # refused before the volume line is printed
         code, out, err = run("volume", "--model", "P2",

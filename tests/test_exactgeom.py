@@ -3,6 +3,7 @@
 from fractions import Fraction
 from itertools import product
 from math import ceil, factorial, floor
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -15,12 +16,12 @@ from fanokit.linalg import int_det, int_solve, rational_primitive, solve
 from fanokit.model import CATALOG_RAYS, catalog_model
 from fanokit.oracles import bruteforce_lct
 from fanokit.piecewise import PiecewisePolynomial, fit_polynomial, poly_eval, poly_trim
-from fanokit.polytope import (RationalPolytope, enumerate_basic_feasible,
-                              euclidean_volume, lattice_fibers, lattice_points,
-                              moving_volume_function, moving_volume_integral,
-                              polytope_edges, polytope_from_rays, pulled_moments,
-                              single_row_integral, volume)
+from fanokit.polytope import (RationalPolytope, euclidean_volume, lattice_fibers,
+                              lattice_points, moving_volume_function,
+                              moving_volume_integral, polytope_edges, polytope_from_rays,
+                              pulled_moments)
 from fanokit.subscheme import NewtonPolyhedron
+from fanokit.volumes import region_integral
 
 import helpers
 from strategies import single_rows
@@ -46,6 +47,24 @@ def slice_function(P, lam_linear, lam_offset):
 
 
 CUBE_SLICE = slice_function(CUBE, (1, 1, 1), 12)
+
+
+def basic_feasible(dim, rows):
+    """Vertices of {u : <normal, u> >= offset for all rows}, lex sorted, off
+    _vertex_bases of the rows made primitive integer rows; rows may have
+    rational normals."""
+    irows = [rational_primitive((*nr, off)) for nr, off in rows]
+    return sorted(tuple(F(x, d) for x in nums)
+                  for nums, d in polytope_mod._vertex_bases(dim, irows)[0])
+
+
+def rows_volume(dim, rows):
+    """Volume of the bounded set {u : <normal, u> >= offset for all rows},
+    off a from-scratch enumeration of its rows: 0 when it is flat or empty."""
+    try:
+        return euclidean_volume(RationalPolytope.from_inequalities(dim, rows))
+    except DegeneratePolytope:
+        return 0
 
 
 class TestPolytopeFromRays:
@@ -187,11 +206,12 @@ class TestIncidences:
             for v in helpers.basic_feasible_points(n, rows)}
 
     def test_enumerated_volumes_take_no_dot_products(self, monkeypatch):
-        # volume and moving_volume_integral read their incidences off the
-        # enumeration, and euclidean_volume off the polytope's vertex
-        # masks; only the constructor's check tests rows at points
+        # moving_volume_function and moving_volume_integral read their
+        # incidences off the enumeration, and euclidean_volume off the
+        # polytope's vertex masks; only the constructor's check tests rows
+        # at points
         def region():
-            return (volume(3, CUBE.inequalities), volume(2, UNIT_SQUARE_ROWS),
+            return (slice_function(CUBE, (1, 1, 1), 3), slice_function(TRIANGLE, (1, 1), 2),
                     moving_volume_integral(CUBE, 1, _moving([((1, 1, 1), 12)])),
                     moving_volume_integral(TRIANGLE, 1, [], cap=F(1, 2)),
                     euclidean_volume(CUBE))
@@ -368,7 +388,7 @@ class TestRowVolume:
     def test_lattice_polygon_matches_shoelace(self, points):
         P = _lattice_polytope(2, points)
         area = helpers.shoelace_area(P.vertices)
-        assert volume(2, P.inequalities) == area
+        assert rows_volume(2, P.inequalities) == area
 
     @given(st.lists(st.tuples(*[st.integers(0, 2)] * 3), min_size=4, max_size=7))
     @settings(max_examples=15, deadline=None)
@@ -380,7 +400,7 @@ class TestRowVolume:
             return len(helpers.box_lattice_points(
                 [(nr, k * off) for nr, off in P.inequalities], lo, hi))
 
-        assert volume(3, P.inequalities) == helpers.ehrhart_volume(count, 3)
+        assert rows_volume(3, P.inequalities) == helpers.ehrhart_volume(count, 3)
 
     def test_square_pyramid_with_non_simple_apex(self):
         P = RationalPolytope.from_vertices(
@@ -389,20 +409,20 @@ class TestRowVolume:
         assert sum(1 for nr, off in P.inequalities
                    if sum(a * x for a, x in zip(nr, apex)) == off) == 4
         assert euclidean_volume(P) == 4
-        assert volume(3, P.inequalities) == 4
+        assert rows_volume(3, P.inequalities) == 4
 
     def test_octahedron(self):
         rows = [(signs, -1) for signs in product((1, -1), repeat=3)]
-        assert len(enumerate_basic_feasible(3, rows)) == 6
-        assert volume(3, rows) == F(4, 3)
+        assert len(basic_feasible(3, rows)) == 6
+        assert rows_volume(3, rows) == F(4, 3)
 
     def test_redundant_rows(self):
         rows = UNIT_SQUARE_ROWS + [((1, 1), 0),        # tight at one vertex
                                    ((1, 1), -5),       # tight nowhere
                                    ((F(2), F(0)), 0),  # a scaled copy
                                    ((0, 0), 0)]        # zero normal
-        assert len(enumerate_basic_feasible(2, rows)) == 4
-        assert volume(2, rows) == 1
+        assert len(basic_feasible(2, rows)) == 4
+        assert rows_volume(2, rows) == 1
 
     def test_truncation_at_last_breakpoint_is_flat(self):
         S = slice_function(TRIANGLE, (1, 1), 2)
@@ -410,8 +430,8 @@ class TestRowVolume:
         S = slice_function(CUBE, (1, 1, 1), 3)
         assert S.domain == (0, 6) and S.evaluate(6) == 0          # a vertex
         rows = list(CUBE.inequalities) + [((1, 1, 1), 7 - 3)]
-        assert volume(3, rows) == 0                               # empty
-        assert volume(2, UNIT_SQUARE_ROWS + [((-1, 0), 0)]) == 0
+        assert rows_volume(3, rows) == 0                          # empty
+        assert rows_volume(2, UNIT_SQUARE_ROWS + [((-1, 0), 0)]) == 0
         with pytest.raises(DegeneratePolytope):                   # no volume at any x
             moving_volume_function(UNIT_SQUARE, 1, SQUARE_EDGE)
 
@@ -455,7 +475,7 @@ class TestBasicFeasible:
         rows = [(tuple(F(int(i == j)) for i in range(n)), F(0)) for j in range(n)]
         rows += [(tuple(F(x) for x in g), F(1)) for g in gens]
         expected = helpers.basic_feasible_points(n, rows)
-        assert enumerate_basic_feasible(n, rows) == expected
+        assert basic_feasible(n, rows) == expected
         assert sorted(tuple(F(a, d) for a in W)
                       for W, d in NewtonPolyhedron(gens).dual_vertices) == expected
         assert bruteforce_lct(gens) == min(sum(v) for v in expected)
@@ -463,7 +483,7 @@ class TestBasicFeasible:
                                     min_size=len(rows), max_size=len(rows)))
         scaled = [(tuple(c * a for a in nr), c * off)
                   for c, (nr, off) in zip(scales, rows)]
-        assert enumerate_basic_feasible(n, scaled) == expected
+        assert basic_feasible(n, scaled) == expected
 
     @given(rational_systems())
     @settings(max_examples=150, deadline=None)
@@ -487,7 +507,7 @@ class TestBasicFeasible:
               + [((1, 1, 1, 1), 1), ((1, -1, 1, -1), -1)]))                  # in dim 4
     def test_double_description_matches_row_subsets(self, system):
         dim, rows = system
-        assert enumerate_basic_feasible(dim, rows) == helpers.basic_feasible_points(dim, rows)
+        assert basic_feasible(dim, rows) == helpers.basic_feasible_points(dim, rows)
 
     @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
         st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
@@ -571,7 +591,7 @@ class TestSlicedVolume:
 
         def row_volume(x):
             at_x = list(P.inequalities) + [(a, x - b) for a, b in moving]
-            return factorial(n) * volume(n, at_x)
+            return factorial(n) * rows_volume(n, at_x)
 
         try:
             S = moving_volume_function(P, 1, _moving(moving))
@@ -689,22 +709,10 @@ class TestSlicedVolume:
             S.integrate(0, 3)
 
 
-def _single_row(P, scale, row, cap, moments, edges):
-    """moving_volume_integral(P, scale, [row], cap) off single_row_integral
-    F: F itself without a cap, and with an integer cap the tau of F, cut
-    at the cap, and the integral F(b) - F(b - c cap), as
-    min(l, cap)^+ = l^+ - (l - cap)^+ for l = (<a, u> - b) / -c."""
-    tau, integral = single_row_integral(P, scale, row, moments, edges)
-    if cap is None:
-        return tau, integral
-    *a, c, b = row
-    beyond = single_row_integral(P, scale, (*a, c, b - c * cap), moments, edges)[1]
-    return min(tau, max(cap, 0)), integral - beyond
-
-
 class TestSingleRowIntegral:
-    """single_row_integral, off P's moments and one cut, against the
-    lifted vertex enumeration of moving_volume_integral."""
+    """region_integral of one row, read by single_row_integral off P's
+    moments and one cut, against the lifted vertex enumeration of
+    moving_volume_integral."""
 
     @example((catalog_model("P1xP2"), 1, (2, 0, -2, -1, -6), 2))   # the ding row
     @example((catalog_model("P2"), 2, (2, 1, -1, 0), None))        # cut through a vertex
@@ -715,7 +723,7 @@ class TestSingleRowIntegral:
     @settings(max_examples=200, deadline=None)
     def test_matches_the_lifted_route(self, drawn):
         X, scale, row, cap = drawn
-        assert (_single_row(X.polytope, scale, row, cap, X._moments, X._edges)
+        assert (region_integral(X, scale, [row], cap)
                 == moving_volume_integral(X.polytope, scale, [row], cap))
 
     @pytest.mark.parametrize("row", [(1, 0, -1, 0), (3, 1, -2, 1), (-2, 3, -1, -1),
@@ -723,10 +731,10 @@ class TestSingleRowIntegral:
     def test_rational_polytope(self, row):
         # crossing points over a denominator other than P's own
         P = RationalPolytope.from_vertices(2, [(0, 0), (F(3, 2), 0), (0, F(2, 3)), (1, F(1, 2))])
-        moments, edges = pulled_moments(P), polytope_edges(P)
+        X = SimpleNamespace(polytope=P, _moments=pulled_moments(P), _edges=polytope_edges(P))
         for scale in (1, 2):
             for cap in (None, 1):
-                assert (_single_row(P, scale, row, cap, moments, edges)
+                assert (region_integral(X, scale, [row], cap)
                         == moving_volume_integral(P, scale, [row], cap))
 
 

@@ -550,9 +550,10 @@ class TestDInfty:
         _assert_slope_reads_the_window_steps(short, monkeypatch)
 
     def test_slope_reads_one_table_per_chart(self, monkeypatch):
-        # the benchmark's dinfty pass: no window subscheme and no second
-        # table; charts 0 and 2 share their generators, and so do 3 and 5,
-        # so 4 Newton polyhedra serve the 6 charts
+        # the benchmark's dinfty pass: no window subscheme and no
+        # generators but the tagged tables' corners; charts 0 and 2 share
+        # their generators, and so do 3 and 5, so 4 Newton polyhedra serve
+        # the 6 charts
         X = catalog_model("P1xP2")
         F = ideal_power_filtration(X, point_subscheme(X, 1))
 
@@ -560,7 +561,7 @@ class TestDInfty:
             raise AssertionError("the slope built window steps")
 
         monkeypatch.setattr(filtration_mod, "saturate", refuse)
-        monkeypatch.setattr(subscheme_mod, "level_table", refuse)
+        monkeypatch.setattr(subscheme_mod, "product_gens", refuse)
         built, duals = [], []
         init, real = NewtonPolyhedron.__init__, filtration_mod._leading_integral
         monkeypatch.setattr(NewtonPolyhedron, "__init__",

@@ -35,7 +35,7 @@ STALE_ENTRY_POINTS = {"polytope.sliced_volume_function", "subscheme.is_integrall
                       "oracles.counting_profile", "exactlp.solve_lp",
                       "lattice.count_points_in_ideals", "lattice.filter_points_in_ideals",
                       "filtration.compute_weight_series", "stability.ding_weight_series",
-                      "filtration.find_r1"}
+                      "filtration.find_r1", "polytope.enumerate_basic_feasible"}
 
 
 def unused_imports(source: str) -> list[str]:

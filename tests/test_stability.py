@@ -439,9 +439,9 @@ def test_weight_count_reads_no_integral_route(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the weight count read the integral route")
 
-    names = ("moving_volume_integral", "_vertex_bases", "enumerate_basic_feasible",
-             "product_dual_vertices", "_leading_integral", "_leading_rows",
-             "int_primitive", "_lifted_region", "_pulled_volume")
+    names = ("moving_volume_integral", "_vertex_bases", "product_dual_vertices",
+             "_leading_integral", "_leading_rows", "int_primitive", "_lifted_region",
+             "_pulled_volume")
     for module in list(sys.modules.values()):
         if module.__name__.startswith("fanokit"):
             for name in names:

@@ -16,14 +16,14 @@ from fanokit.errors import (EmptyOrFull, GluingMismatch, NotSmoothPoint,
 from fanokit.filtration import ideal_power_filtration
 from fanokit.lct import lct_monomial
 from fanokit.model import build_model, catalog, catalog_model
+from fanokit.oracles import level_table
 from fanokit.piecewise import poly_trim
 from fanokit.polytope import _orthant_start, _vertex_bases
 from fanokit.stability import beta
 from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                                NewtonPolyhedron, _subscheme_contains, _tagged_table,
-                               boundary_divisor_subscheme, level_table,
-                               point_subscheme, power_table, product, product_gens,
-                               standard_battery,
+                               boundary_divisor_subscheme, point_subscheme, power_table,
+                               product, product_gens, standard_battery,
                                thickened_point_subscheme, verify_gluing)
 from fanokit.volumes import (blowup_volume_integral, blowup_volume_profile,
                              pseudoeffective_threshold)

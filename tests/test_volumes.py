@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanokit import volumes
+from fanokit import polytope, subscheme, volumes
 from fanokit.errors import (DimensionTooSmall, EmptyOrFull, NotSmoothChart,
                             NotSmoothPoint, UnsupportedSubscheme, ZeroIdeal)
 from fanokit.model import anticanonical_volume, catalog, catalog_model
@@ -183,6 +183,23 @@ class TestGeneralEngine:
             blowup_volume_integral(X, MonomialSubscheme(label="zero", dimension=2,
                                                         chart_gens={0: ()}))
 
+    def test_profiles_enumerate_once_from_the_known_cone(self, monkeypatch):
+        # every slice is read off the one lifted enumeration, which starts
+        # from the cone of P x [0, oo)
+        cases = [(X, Z) for X in catalog().values() for Z in standard_battery(X)]
+        calls, starts = [], []
+        real_bases, real_start = polytope._vertex_bases, polytope._simplicial_start
+        for module in (polytope, subscheme):
+            monkeypatch.setattr(module, "_vertex_bases",
+                                lambda *args: calls.append(args) or real_bases(*args))
+        monkeypatch.setattr(polytope, "_simplicial_start",
+                            lambda *args: starts.append(args) or real_start(*args))
+        for X, Z in cases:
+            calls.clear()
+            blowup_volume_profile(X, Z)
+            assert len(calls) == 1
+        assert starts == []
+
 
 class TestIntegerRows:
     @pytest.mark.parametrize("name", sorted(catalog()))
@@ -244,7 +261,7 @@ class TestBarycenterRoute:
     @pytest.mark.parametrize("name", sorted(catalog()))
     def test_rows_negative_at_a_vertex_match_the_lifted_route(self, name):
         # no subscheme gives such a row: each is sum W_i (<rho_i, u> + 1)
-        # over den, W >= 0, so >= 0 on P; beta's route, _rows_integral,
+        # over den, W >= 0, so >= 0 on P; beta's route, region_integral,
         # still reads a row cut by P or negative on all of it
         X = catalog_model(name)
         pts, den = X._moments[:2]
@@ -256,7 +273,7 @@ class TestBarycenterRoute:
             for b in {*heights, max(heights) + 1, min(heights) + 1}:
                 rows = [(*a, -2, b)]
                 expected = moving_volume_integral(X.polytope, 1, rows)
-                assert volumes._rows_integral(X, rows) == expected
+                assert volumes.region_integral(X, 1, rows) == expected
 
 
 class TestSeshadri:
