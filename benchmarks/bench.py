@@ -13,6 +13,11 @@ the stamps of its runs (commit, Python, seed, seconds), the label and
 the date.  run.py's defaults hold: seed 1, 35 seconds per workload.
 Bench a before and after pair on the same machine, one right after the
 other; the checkout must be a git clone for its stamp to name the commit.
+
+run.py's setup_s times the import of the package, which compiles its
+sources only where no bytecode cache is at hand.  So run.py runs with
+PYTHONDONTWRITEBYTECODE=1, and a checkout that holds
+src/fanokit/__pycache__ is refused until the cache is removed.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import os
 import re
 import subprocess
 import sys
@@ -42,12 +48,17 @@ def main(argv=None) -> int:
     path = ROOT / f"BENCH_{date}_{args.label}.json"
     if path.exists():
         sys.exit(f"bench: {path.name} exists; pick another --label")
+    cache = args.checkout / "src" / "fanokit" / "__pycache__"
+    if cache.exists():
+        sys.exit(f"bench: {cache} holds bytecode, which setup_s would time "
+                 f"in place of compiling the sources; remove it first")
     manifest = json.loads((args.checkout / "BENCHMARK.json").read_text())
     record = {"label": args.label, "date": date, "stamps": [], "workloads": {}}
     for name in [w["name"] for w in manifest["workloads"]]:
         proc = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", name],
-            cwd=args.checkout, capture_output=True, text=True)
+            cwd=args.checkout, capture_output=True, text=True,
+            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
         if proc.returncode != 0:
             sys.exit(f"bench: perfbench/run.py --workload {name} exited "
                      f"{proc.returncode}:\n{proc.stderr}")

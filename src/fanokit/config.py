@@ -22,6 +22,9 @@ from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                         boundary_divisor_subscheme, point_subscheme,
                         thickened_point_subscheme, verify_gluing)
 
+# what reading file data of the wrong keys, values or JSON shape raises
+_BAD_DATA = (KeyError, ValueError, TypeError, AttributeError)
+
 
 def _load_json(path: str, what: str) -> dict:
     try:
@@ -42,7 +45,7 @@ def resolve_model(source: str) -> ToricFanoModel:
             f"({', '.join(sorted(CATALOG_RAYS))}) nor an existing file")
     try:
         return model_from_dict(_load_json(source, "model file"))
-    except (KeyError, ValueError) as exc:
+    except _BAD_DATA as exc:
         raise ConfigError(f"model file {source!r}: {exc}") from exc
 
 
@@ -50,7 +53,7 @@ def resolve_subscheme(X: ToricFanoModel, source: str) -> MonomialSubscheme:
     if os.path.exists(source):
         try:
             Z = subscheme_from_dict(_load_json(source, "subscheme file"))
-        except (KeyError, ValueError) as exc:
+        except _BAD_DATA as exc:
             raise ConfigError(f"subscheme file {source!r}: {exc}") from exc
         if Z.dimension != X.dimension:
             raise ConfigError(
@@ -78,7 +81,7 @@ def resolve_sequence(X: ToricFanoModel, source: str) -> IdealSequenceOnXxA1:
     if os.path.exists(source):
         try:
             S = sequence_from_dict(_load_json(source, "sequence file"))
-        except (KeyError, ValueError) as exc:
+        except _BAD_DATA as exc:
             raise ConfigError(f"sequence file {source!r}: {exc}") from exc
         if S.steps[0].dimension != X.dimension:
             raise ConfigError(

@@ -35,11 +35,16 @@ the saturation and integral routes need.
 
 Every membership question, which sections of L^level lie in which chart
 ideals, has one reader, _least_levels: each section's least level over
-one subscheme.LevelTable per chart.  At each r a spec builds two tables
-per chart, once.  The order tables, one per active chart, give each
-section its step index ord(u) = max{i : u in step i} by the recurrence
-of subscheme.power_table, with no power of the ideal formed.  The
-tagged tables, one per chart tagged with (image of u, ord(u)), level
+one subscheme.LevelTable per chart.  A spec keeps one _Record per r,
+built on first use by _record, the one place that checks r.  It holds
+the sections as lattice fibers, runs of points that differ only in the
+last coordinate, along which each pairing is affine, so _chart_columns
+builds the column of each distinct ray once, a range per fiber, shared
+by every chart that has the ray.  Off those columns the record's build
+reads two tables per chart.  The order tables, one per active chart,
+give each section its step index ord(u) = max{i : u in step i} by the
+recurrence of subscheme.power_table, with no power of the ideal formed.
+The tagged tables, one per chart tagged with (image of u, ord(u)), level
 >= i exactly on the ideal the sections of order >= i generate, are the
 t-graded ideal itself: compute_d_infty reads each chart's generators
 straight off their corners, (e, M - min(j - r e_minus, M)) from corner
@@ -48,11 +53,11 @@ sections, each one's saturated index being the least read over the
 charts: at step i the value is the sections with ord(u) >= i, the
 saturated ideal is the table corners that minimally generate
 {level >= i} on each chart, and its closure the sections of saturated
-index >= i.  The reader never lists the sections: it reads
-them as lattice fibers, runs of points that differ only in the last
-coordinate, along which each pairing is affine.  So it builds the
-column of each distinct ray once, a range per fiber, shared by every
-chart that has the ray.
+index >= i.  The record derives the saturated indices and the corner
+ranges, off columns built again then, and expands the fibers into
+points, once each, where they are first read; it keeps no columns, so
+the slopes hold no more than their tables.  saturate_points builds the
+same record from 0/1 orders.
 """
 
 from __future__ import annotations
@@ -62,12 +67,13 @@ from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import ceil, inf
 from operator import ge, mul
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import UnsupportedSubscheme
+from .lattice import expand_fibers
 from .linalg import int_primitive
 from .model import ToricFanoModel, anticanonical_volume
-from .polytope import lattice_fibers, lattice_points
+from .polytope import lattice_fibers
 from .subscheme import (DualVertex, IdealSequenceOnXxA1, LevelTable, MonomialSubscheme,
                         _minimal_subscheme, _tagged_table, chart_dual_vertices,
                         power_table)
@@ -75,8 +81,56 @@ from .volumes import blowup_volume_integral, region_integral
 
 Point = tuple[int, ...]
 Fiber = tuple[Point, int, int]
-# each section's saturated index, and each chart's corner_ranges
-Saturated = tuple[list[int], dict[int, list[tuple[Point, int, int]]]]
+
+
+class _Record:
+    """The sections of L^level and what is read off them: the lattice
+    fibers, each section's order, and one table per chart tagged with
+    (image of u, ord(u)) for the sections u of positive order, images
+    that are distinct on a chart; so a cell reads the largest order of a
+    section whose image it dominates, and its level >= i exactly on the
+    ideal the images of order >= i generate.  The tables come off the
+    columns the orders were read at, which are not kept.  The sections
+    as points, and each section's saturated index with each chart's
+    corner ranges, are built where they are first read."""
+
+    def __init__(self, X: ToricFanoModel, level: int, fibers: list[Fiber],
+                 columns: list[list[list[int]]], orders: list[int],
+                 points: tuple[Point, ...] | None = None):
+        self.X, self.level, self.fibers, self.orders = X, level, fibers, orders
+        self.tables = {c: _tagged_table(len(cols), [t for t in zip(zip(*cols), orders) if t[1]])
+                       for c, cols in enumerate(columns)}
+        self._points, self._saturated = points, None
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        """The sections as lattice points, in the fibers' order."""
+        if self._points is None:
+            self._points = tuple(expand_fibers(self.fibers))
+        return self._points
+
+    def saturation(self, i: int, label: str) -> tuple[MonomialSubscheme, tuple[Point, ...]]:
+        """The saturation of the sections of order >= i: on each chart the
+        corners that minimally generate {level >= i}, and the sections
+        whose saturated index, the least read of the tagged tables over
+        the charts (the largest order where none reads lower), is >= i.
+        No such section gives the zero ideal on every chart and an empty
+        closure; all of them, the unit ideal, as every chart's vertex
+        section has image 0.  The corners come minimal and in lex order,
+        so the ideal is not minimalised again; a chart whose first corner
+        is the origin, its only one then, is unit and left out."""
+        if self._saturated is None:
+            columns = _chart_columns(self.X, self.fibers, self.level)
+            self._saturated = (list(_least_levels(columns, max(self.orders, default=0), self.tables)),
+                               {c: t.corner_ranges() for c, t in self.tables.items()})
+        saturated, corners = self._saturated
+        chart_gens = {}
+        for c, cs in corners.items():
+            gens = tuple(e for e, lo, j in cs if lo < i <= j)
+            if not gens or any(gens[0]):
+                chart_gens[c] = gens
+        closure = tuple(compress(self.points, map(ge, saturated, repeat(i))))
+        return _minimal_subscheme(label, self.X.dimension, chart_gens), closure
 
 
 class FiltrationSpec:
@@ -86,13 +140,13 @@ class FiltrationSpec:
 
     Build instances with ideal_power_filtration.  e_plus/e_minus are the
     integer window of the weight routes, the spec's own, and every route
-    reads it from here.  Every level x at r reads tables built once for
-    r: the order tables give each section its step index ord(u), so
-    F^x V_r is the sections with ord(u) >= level_step(x); the tagged
-    tables, one per chart, kept once, are the t-graded ideal of the
-    window, whose corners compute_d_infty reads as generators, and give
-    each section its saturated index, which saturate derives from them
-    when it is first called at r.
+    reads it from here.  Every level x at r reads one _Record of the
+    sections of L^r, built once for r: its orders give each section its
+    step index ord(u), so F^x V_r is the sections with ord(u) >= level_step(x);
+    its tagged tables are the t-graded ideal of the window, whose corners
+    compute_d_infty reads as generators, and give each section its
+    saturated index, which saturate derives from them when it is first
+    called at r.  Besides the records the spec keeps saturate's cache.
     """
 
     def __init__(self, X: ToricFanoModel, subscheme: MonomialSubscheme, *,
@@ -104,28 +158,34 @@ class FiltrationSpec:
         self.e_minus = e_minus
         self.e_max_est = e_max_est
         self.profile_integral = profile_integral
-        self._sections: dict[int, tuple[Point, ...]] = {}
-        self._fibers: dict[int, list[Fiber]] = {}
-        self._orders: dict[int, list[int]] = {}
-        self._tables: dict[int, dict[int, LevelTable]] = {}
-        self._saturated: dict[int, Saturated] = {}
+        self._records: dict[int, _Record] = {}
         self._saturations: dict = {}
+
+    def _record(self, r: int) -> _Record:
+        """The record of the sections of L^r, built on first use; a level
+        r below 1 raises ValueError.  Each section's order is its least
+        level over one power_table per active chart, over the box the
+        pairing columns reach.  Where no chart is active every power
+        holds the section, ord = inf.  A boundary divisor's chart ideal
+        (y_rho) reads as its pairing column <rho, u> + level, the order
+        of vanishing along it."""
+        r = int(r)
+        if r < 1:
+            raise ValueError(f"level r={r} must be positive")
+        if r not in self._records:
+            X, Z = self.X, self.subscheme
+            level = r * X.r0
+            fibers = lattice_fibers(X.polytope, level)
+            columns = _chart_columns(X, fibers, level)
+            orders = list(_least_levels(columns, inf, {
+                c: power_table(Z.chart_gens[c], [max(col, default=0) for col in columns[c]])
+                for c in Z.active_chart_indices()}))
+            self._records[r] = _Record(X, level, fibers, columns, orders)
+        return self._records[r]
 
     def sections(self, r: int) -> tuple[Point, ...]:
         """All lattice points of r*r0*P, cached."""
-        r = int(r)
-        if r < 1:
-            raise ValueError("level r must be positive")
-        if r not in self._sections:
-            self._sections[r] = tuple(lattice_points(self.X.polytope, r * self.X.r0))
-        return self._sections[r]
-
-    def fibers(self, r: int) -> list[Fiber]:
-        """The sections as lattice fibers, in the same order, cached."""
-        r = int(r)
-        if r not in self._fibers:
-            self._fibers[r] = lattice_fibers(self.X.polytope, r * self.X.r0)
-        return self._fibers[r]
+        return self._record(r).points
 
     @staticmethod
     def level_step(x) -> int:
@@ -136,37 +196,15 @@ class FiltrationSpec:
     def value(self, r: int, x) -> tuple[Point, ...]:
         """F^x V_r as lattice points of r*r0*P."""
         i = self.level_step(x)
+        record = self._record(r)
         if i == 0:
-            return self.sections(r)
-        return tuple(compress(self.sections(r), map(ge, self.orders(r), repeat(i))))
+            return record.points
+        return tuple(compress(record.points, map(ge, record.orders, repeat(i))))
 
     def orders(self, r: int) -> list[int]:
         """Each section's step index ord(u) = max{i : u in step i} at r, in
-        the order of sections(r), cached: its least level over one
-        power_table per active chart, over the box the pairing columns
-        reach.  Where no chart is active every power holds the section,
-        ord = inf.  A boundary divisor's chart ideal (y_rho) reads as its
-        pairing column <rho, u> + level, the order of vanishing along
-        it."""
-        r = int(r)
-        if r not in self._orders:
-            X, Z = self.X, self.subscheme
-
-            def table(c: int, columns: list[list[int]]) -> LevelTable:
-                return power_table(Z.chart_gens[c], [max(col, default=0) for col in columns])
-
-            self._orders[r] = list(_least_levels(X, self.fibers(r), r * X.r0, inf,
-                                                 Z.active_chart_indices(), table))
-        return self._orders[r]
-
-    def tables(self, r: int) -> dict[int, LevelTable]:
-        """The tagged tables at r, one per chart, cached: _tagged_tables
-        of the orders."""
-        r = int(r)
-        if r not in self._tables:
-            self._tables[r] = _tagged_tables(self.X, self.fibers(r), r * self.X.r0,
-                                             self.orders(r))
-        return self._tables[r]
+        the order of sections(r), cached."""
+        return self._record(r).orders
 
 
 def ideal_power_filtration(X: ToricFanoModel, Z: MonomialSubscheme) -> FiltrationSpec:
@@ -194,67 +232,26 @@ def saturate_points(X: ToricFanoModel, r: int,
     The ideal collects the minimal chart exponent vectors of the given
     points on every chart; the closure is all sections of L^r inside the
     ideal.  Saturating the closure again changes nothing.  A point that
-    is not a section of L^r raises ValueError.  The saturated tables are
-    the filtration's, with the given points at level 1 and the rest at 0.
+    is not a section of L^r raises ValueError.  The saturation is the
+    filtration's, read off a _Record with the given points at order 1
+    and the rest at 0.
     """
     r = int(r)
     level = r * X.r0
-    sections = tuple(lattice_points(X.polytope, level))
+    fibers = lattice_fibers(X.polytope, level)
+    sections = tuple(expand_fibers(fibers))
     chosen = set(points)
     orders = [int(u in chosen) for u in sections]
     if sum(orders) != len(chosen):
         raise ValueError(f"points outside the sections of level r={r}")
-    fibers = lattice_fibers(X.polytope, level)
-    saturated = _saturated(X, fibers, level, orders, _tagged_tables(X, fibers, level, orders))
-    return _saturation(X, sections, saturated, 1, f"sat(r={r})")
-
-
-def _tagged_tables(X: ToricFanoModel, fibers: Sequence[Fiber], level: int,
-                   orders: Sequence[int]) -> dict[int, LevelTable]:
-    """One table per chart for the sections of L^level, given as lattice
-    fibers with their orders, tagged with (image of u, ord(u)) for the
-    sections u of positive order, images that are distinct on a chart;
-    so a cell reads the largest order of a section whose image it
-    dominates, and its level >= i exactly on the ideal the images of
-    order >= i generate."""
-    return {c: _tagged_table(len(columns), [tag for tag in zip(zip(*columns), orders) if tag[1]])
-            for c, columns in _chart_columns(X, fibers, level, range(len(X.charts)))}
-
-
-def _saturated(X: ToricFanoModel, fibers: Sequence[Fiber], level: int, orders: Sequence[int],
-               tables: Mapping[int, LevelTable]) -> Saturated:
-    """Each section's saturated index, the least read of the orders'
-    tagged tables over the charts (the largest order where none reads
-    lower), and each chart's corner ranges."""
-    return (list(_least_levels(X, fibers, level, max(orders, default=0), tables,
-                               lambda c, columns: tables[c])),
-            {c: t.corner_ranges() for c, t in tables.items()})
-
-
-def _saturation(X: ToricFanoModel, sections: tuple[Point, ...], tables: Saturated,
-                i: int, label: str) -> tuple[MonomialSubscheme, tuple[Point, ...]]:
-    """The saturation of the sections of order >= i: on each chart the
-    corners that minimally generate {level >= i}, and the sections whose
-    saturated index is >= i.  No such section gives the zero ideal on
-    every chart and an empty closure; all of them, the unit ideal, as
-    every chart's vertex section has image 0.  The corners come minimal
-    and in lex order, so the ideal is not minimalised again; a chart
-    whose first corner is the origin, its only one then, is unit and
-    left out."""
-    saturated, corners = tables
-    chart_gens = {}
-    for c, cs in corners.items():
-        gens = tuple(e for e, lo, j in cs if lo < i <= j)
-        if not gens or any(gens[0]):
-            chart_gens[c] = gens
-    closure = tuple(compress(sections, map(ge, saturated, repeat(i))))
-    return _minimal_subscheme(label, X.dimension, chart_gens), closure
+    record = _Record(X, level, fibers, _chart_columns(X, fibers, level), orders, sections)
+    return record.saturation(1, f"sat(r={r})")
 
 
 def saturate(F: FiltrationSpec, r: int, x) -> tuple[MonomialSubscheme, tuple[Point, ...]]:
     """I_(r,x) generated by F^x V_r, plus the saturated value itself.
-    Both read the spec's tagged tables at r, the ones compute_d_infty
-    reads, from which the first call at r derives each chart's
+    Both read the spec's record at r, whose tagged tables compute_d_infty
+    reads; the first call at r derives from them each chart's
     corner_ranges and each section's saturated index, building no table:
     at the step's index i the ideal is each chart's minimal corners of
     level >= i, and the value the sections of saturated index >= i.
@@ -265,10 +262,7 @@ def saturate(F: FiltrationSpec, r: int, x) -> tuple[MonomialSubscheme, tuple[Poi
     index = F.level_step(x)
     key = (r, index)
     if key not in F._saturations:
-        if r not in F._saturated:
-            F._saturated[r] = _saturated(F.X, F.fibers(r), r * F.X.r0, F.orders(r), F.tables(r))
-        F._saturations[key] = _saturation(F.X, F.sections(r), F._saturated[r], index,
-                                          f"sat(r={r},step={index})")
+        F._saturations[key] = F._record(r).saturation(index, f"sat(r={r},step={index})")
     return F._saturations[key]
 
 
@@ -340,29 +334,28 @@ def _pairing_column(ray: Point, fibers: Sequence[Fiber], level: int) -> list[int
     return list(chain.from_iterable(runs))
 
 
-def _chart_columns(X: ToricFanoModel, fibers: Sequence[Fiber], level: int,
-                   charts: Collection[int]) -> Iterator[tuple[int, list[list[int]]]]:
-    """Each chart with the pairing columns <rho, u> + level of its rays,
-    over the sections of L^level given as lattice fibers; each column is
-    built once per distinct ray, fiber by fiber, and shared by every
-    chart that has the ray."""
-    rays = dict.fromkeys(ray for c in charts for ray in X.charts[c].cone_rays)
-    pairings = {ray: _pairing_column(ray, fibers, level) for ray in rays}
-    return ((c, [pairings[ray] for ray in X.charts[c].cone_rays]) for c in charts)
+def _chart_columns(X: ToricFanoModel, fibers: Sequence[Fiber],
+                   level: int) -> list[list[list[int]]]:
+    """Each chart's pairing columns <rho, u> + level, in chart order, over
+    the sections of L^level given as lattice fibers; each column is built
+    once per distinct ray, fiber by fiber, and shared by every chart that
+    has the ray."""
+    pairings = {ray: _pairing_column(ray, fibers, level)
+                for ray in dict.fromkeys(ray for chart in X.charts for ray in chart.cone_rays)}
+    return [[pairings[ray] for ray in chart.cone_rays] for chart in X.charts]
 
 
-def _least_levels(X: ToricFanoModel, fibers: Sequence[Fiber], level: int,
-                  top: int, charts: Collection[int],
-                  table: Callable[[int, list[list[int]]], LevelTable]) -> Iterator[int]:
-    """Each section's least level over the charts' tables, top where no
-    chart reads lower, for the sections of L^level given as lattice
-    fibers.  table(c, columns) is chart c's table, given its
-    _chart_columns.  The levels come lazily: the columns live until they
-    are read.
+def _least_levels(columns: Sequence[Sequence[Sequence[int]]], top,
+                  tables: Mapping[int, LevelTable]) -> Iterator[int]:
+    """Each section's least level over the tables, chart c's read at its
+    columns[c], top where no table reads lower; columns holds every
+    chart's _chart_columns, so chart 0's first one counts the sections.
+    The levels come lazily: leave the columns unchanged until they are
+    read.
     """
-    levels = repeat(top, sum(last - first + 1 for _, first, last in fibers))
-    for c, columns in _chart_columns(X, fibers, level, charts):
-        levels = map(min, levels, table(c, columns).read(columns))
+    levels = repeat(top, len(columns[0][0]))
+    for c, table in tables.items():
+        levels = map(min, levels, table.read(columns[c]))
     return levels
 
 
@@ -395,7 +388,8 @@ def compute_d_infty(F: FiltrationSpec, r_list: Sequence[int] = DEFAULT_R_LIST,
 
     Each A_r comes from _leading_integral over the window's steps at r,
     exact, with no power budget.  The steps' dual vertices come straight
-    off the spec's tagged tables at r, by subscheme.chart_dual_vertices:
+    off the tagged tables of the spec's record at r, by
+    subscheme.chart_dual_vertices:
     corner (e, j) of chart c gives the generator (e, M - min(j - r e_minus,
     M)), M = r (e_plus - e_minus), the one product_gens of the window's
     saturated steps would give, and a chart whose origin reaches M is unit
@@ -410,11 +404,9 @@ def compute_d_infty(F: FiltrationSpec, r_list: Sequence[int] = DEFAULT_R_LIST,
     a_samples, d_samples = [], []
     for r in r_list:
         r = int(r)
-        if r < 1:
-            raise ValueError(f"level r={r} must be positive")
         M, shift = r * e, r * F.e_minus
         duals = chart_dual_vertices({c: tuple([(*g, M - min(j - shift, M)) for g, j in t.corners])
-                                     for c, t in F.tables(r).items()})
+                                     for c, t in F._record(r).tables.items()})
         a_r = Fraction(_leading_integral(X, r, M, duals), (n + 1) * (r * X.r0) ** (n + 1))
         a_samples.append((r, a_r))
         d_samples.append((r, 1 - Fraction(e, X.r0) + a_r / vol))

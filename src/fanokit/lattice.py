@@ -1,13 +1,14 @@
 """The integer lattice kernels, the package's hot loops.
 
 ``enum_fibers`` enumerates the integer points that satisfy an integer
-inequality system inside a box as fibers of the last coordinate, and
-``enum_points`` expands them into points; ``dominates_any``,
-``minkowski_sum`` and ``minimalize`` are the dominance, sum and
-minimalisation of monomial generators.  The only call among them is
-enum_points' call of enum_fibers; minimalize tests dominance itself, so
-a tracer that wraps these names at their callers counts outside calls
-only:
+inequality system inside a box as fibers of the last coordinate,
+``expand_fibers`` expands fibers into points, and ``enum_points`` is the
+two in one; ``dominates_any``, ``minkowski_sum`` and ``minimalize`` are
+the dominance, sum and minimalisation of monomial generators.  The only
+calls among them are enum_points' calls of enum_fibers and
+expand_fibers, which filtration also calls on the fibers it keeps;
+minimalize tests dominance itself, so a tracer that wraps these names at
+their callers counts outside calls only:
 
     from fanokit.lattice import enum_points, minimalize
 
@@ -74,15 +75,21 @@ def _prefix_residuals(rows: Sequence[tuple[Sequence[int], int]], lo: Sequence[in
             res = list(map(sub, res, step))
 
 
+def expand_fibers(fibers: Sequence[tuple[tuple[int, ...], int, int]]) -> list[tuple[int, ...]]:
+    """The points (*prefix, x), first <= x <= last, of the fibers, fiber
+    by fiber in order."""
+    out: list[tuple[int, ...]] = []
+    for p, first, last in fibers:
+        out.extend(zip(*map(repeat, p), range(first, last + 1)))
+    return out
+
+
 def enum_points(normals: Sequence[Sequence[int]], offsets: Sequence[int],
                 lo: Sequence[int], hi: Sequence[int]) -> list[tuple[int, ...]]:
     """Integer points u with lo <= u <= hi and <normal, u> >= offset for all
     rows, in ascending lexicographic order: the expansion of enum_fibers,
     whose fibers each ascend."""
-    out: list[tuple[int, ...]] = []
-    for p, first, last in enum_fibers(normals, offsets, lo, hi):
-        out.extend(zip(*map(repeat, p), range(first, last + 1)))
-    return out
+    return expand_fibers(enum_fibers(normals, offsets, lo, hi))
 
 
 def dominates_any(point: Sequence[int], gens: Sequence[Sequence[int]]) -> bool:

@@ -8,19 +8,21 @@ scan.  Keep it that way; the whole point is that a bug would have to
 occur twice, in two unrelated pieces of code, to slip through.
 
 The weight count, oracle_weight_records, the fast check of the leading
-integrals in dimension 3, shares level tables, lattice fibers and
-filtration._least_levels with the saturation route.  Its level tables
-(level_table) are its own: the integral route reads an induced
-sequence's generators straight off the steps (subscheme.product_gens),
-so a wrong generator there cannot pass the count.  For a filtration
-both read the tagged tables its saturated steps come from, whose
-corners compute_d_infty reads as generators.  Past those it shares
-nothing with the integral route: no Newton polyhedron and none of its
-integer dual vertices, no integer moving rows
-(filtration._leading_rows), no vertex enumeration.  The acceptance
-criteria also hold the count against oracle_h0_quotient, which shares
-none of that.  Only the acceptance criteria and the tests read this
-module.
+integrals in dimension 3, shares level tables, lattice fibers, the
+pairing columns of filtration._chart_columns and
+filtration._least_levels with the saturation route, and calls
+_least_levels as a filtration's record does: every chart's columns, a
+top level, a table per chart read.  Its level tables (level_table) are
+its own: the integral route reads an induced sequence's generators
+straight off the steps (subscheme.product_gens), so a wrong generator
+there cannot pass the count.  For a filtration both read the tagged
+tables its saturated steps come from, whose corners compute_d_infty
+reads as generators.  Past those it shares nothing with the integral
+route: no Newton polyhedron and none of its integer dual vertices, no
+integer moving rows (filtration._leading_rows), no vertex enumeration.
+The acceptance criteria also hold the count against oracle_h0_quotient,
+which shares none of that.  Only the acceptance criteria and the tests
+read this module.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from operator import add, floordiv, mod, mul
 from typing import Mapping, Sequence
 
 from .errors import CombinatorialBlowup, NoStabilization, SizeCap
-from .filtration import _least_levels
+from .filtration import _chart_columns, _least_levels
 from .linalg import solve
 from .model import ToricFanoModel
 from .polytope import lattice_fibers, lattice_points
@@ -193,7 +195,7 @@ def _weight_record(X: ToricFanoModel, level: int, k: int, M: int,
     top = k * M
     h0 = sum(last - first + 1 for _, first, last in fibers)
     histogram = [0] * (top + 1)
-    for j in _least_levels(X, fibers, level, top, tables, lambda c, columns: tables[c]):
+    for j in _least_levels(_chart_columns(X, fibers, level), top, tables):
         histogram[top - j] += 1
     dims = list(zip(range(top, 0, -1), accumulate(histogram[:-1])))[::-1]
     v = sum(d for _, d in dims)

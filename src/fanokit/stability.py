@@ -30,8 +30,7 @@ from .errors import EmptyOrFull, FanokitError
 from .filtration import _leading_integral
 from .lct import lct_monomial, product_line_threshold
 from .model import ToricFanoModel, anticanonical_volume
-from .subscheme import (IdealSequenceOnXxA1, MonomialSubscheme, check_model_fit,
-                        product_dual_vertices)
+from .subscheme import IdealSequenceOnXxA1, MonomialSubscheme, product_dual_vertices
 from .volumes import _moving_rows, region_integral, seshadri_constant
 
 CONSISTENT = "CONSISTENT"
@@ -118,8 +117,6 @@ def ding_invariant(X: ToricFanoModel, S: IdealSequenceOnXxA1, r: int,
     r = int(r)
     if r < 1:
         raise ValueError("r must be positive")
-    for step in S.steps:
-        check_model_fit(X, step)
     n = X.dimension
     vol = anticanonical_volume(X)
     scale = r * X.r0

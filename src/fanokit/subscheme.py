@@ -307,9 +307,13 @@ def product_dual_vertices(X: ToricFanoModel, steps: Sequence[MonomialSubscheme]
     product_gens, off the steps' generators on each chart, as the
     Ding value, the threshold on X x A^1 and an induced sequence read
     them; W_t > 0, some (0, M - j) with j < M being a generator.  Charts
-    where every step is unit have no entry.  A filtration's slope reads
-    the same generators off the filtration's own tagged tables instead;
-    both go through chart_dual_vertices."""
+    where every step is unit have no entry.  Refuses first, by
+    check_model_fit, a step that does not fit the model, for every
+    reader.  A filtration's slope reads the same generators off the
+    filtration's own tagged tables instead; both go through
+    chart_dual_vertices."""
+    for step in steps:
+        check_model_fit(X, step)
     return chart_dual_vertices({c: product_gens(X, steps, c)
                                 for c in sorted(set().union(*(s.chart_gens for s in steps)))})
 

@@ -61,13 +61,40 @@ def test_refuses_to_overwrite_a_record(tmp_path, monkeypatch):
     assert (tmp_path / name).read_text() == "kept\n"
 
 
+def _clean_checkout(tmp_path):
+    """A checkout holding this repository's BENCHMARK.json and no
+    bytecode cache, which a test run may have left in this one."""
+    checkout = tmp_path / "checkout"
+    (checkout / "src" / "fanokit").mkdir(parents=True)
+    (checkout / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+    return checkout
+
+
+def test_refuses_a_checkout_with_a_bytecode_cache(tmp_path, monkeypatch):
+    # setup_s would time loading the cached bytecode, not compiling
+    bench = _load_bench()
+    checkout = _clean_checkout(tmp_path)
+    (checkout / "src" / "fanokit" / "__pycache__").mkdir()
+    monkeypatch.setattr(bench, "ROOT", tmp_path)
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the benchmark ran")
+
+    monkeypatch.setattr(bench.subprocess, "run", no_run)
+    with pytest.raises(SystemExit) as exit_info:
+        bench.main(["--label", "change", "--checkout", str(checkout)])
+    assert "__pycache__" in str(exit_info.value.code)
+    assert list(tmp_path.glob("BENCH_*")) == []
+
+
 def test_runs_each_workload_in_its_own_process(tmp_path, monkeypatch):
     bench = _load_bench()
-    checkout = BENCH.parent.parent
+    checkout = _clean_checkout(tmp_path)
     monkeypatch.setattr(bench, "ROOT", tmp_path)
     calls = []
 
-    def fake_run(cmd, cwd, **kwargs):
+    def fake_run(cmd, cwd, env, **kwargs):
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
         calls.append((cmd[1:], cwd))
         name = cmd[cmd.index("--workload") + 1]
         line = {"correct": True, "attempted": 1, "failed": 0,

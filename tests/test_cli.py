@@ -157,6 +157,16 @@ class TestLct:
         assert code == 1
         assert "--product-line needs --c1" in err
 
+    def test_product_line_step_of_another_arity(self, run, tmp_path):
+        # verify_gluing's pairwise zip would read only the first two entries
+        path = tmp_path / "long.json"
+        path.write_text('{"steps": [{"dim": 2, "charts": {"0": [[0, 0, 1]]}}]}')
+        code, out, err = run("lct", "--model", "P2", "--product-line", "--c1", "0",
+                             "--subscheme", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: UnsupportedSubscheme:")
+        assert err.count("\n") == 1
+
 
 class TestFiltration:
     def test_point_on_line_report(self, run, tmp_path):
@@ -380,6 +390,21 @@ class TestErrorPaths:
                            "point@0", "--report", "d.json", "--kmax", "8")
         assert code == 1
         assert "unrecognized arguments: --kmax 8" in err
+
+    @pytest.mark.parametrize("argv, body", [
+        (("beta", "--model", "P2", "--subscheme"), '[1, 2]'),
+        (("beta", "--model", "P2", "--subscheme"), '{"dim": 2, "charts": {"0": 5}}'),
+        (("ding", "--model", "P2", "--sequence"), '{"steps": [1]}'),
+        (("volume", "--model"), '{"rays": 5, "dim": 2}'),
+        (("volume", "--model"), '[1, 2]')],
+        ids=["subscheme-list", "chart-int", "step-int", "rays-int", "model-list"])
+    def test_file_of_the_wrong_json_shape(self, run, tmp_path, argv, body):
+        path = tmp_path / "shape.json"
+        path.write_text(body)
+        code, out, err = run(*argv, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and repr(str(path)) in err
+        assert err.count("\n") == 1
 
     def test_unknown_model_name(self, run):
         code, _, err = run("volume", "--model", "Q7")

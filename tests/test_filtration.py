@@ -200,6 +200,21 @@ class TestSaturate:
         assert ideals == [MonomialSubscheme(label=Z.label, dimension=Z.dimension,
                                             chart_gens=Z.chart_gens) for Z in ideals]
 
+    def test_sections_are_enumerated_once_per_r(self, monkeypatch):
+        # the slope, a saturation, a value and the sections at r = 1 all
+        # read the spec's one record of r = 1
+        X = catalog_model("P1xP2")
+        F = ideal_power_filtration(X, point_subscheme(X, 1))
+        calls = []
+        real = lattice_mod.enum_fibers
+        monkeypatch.setattr(lattice_mod, "enum_fibers",
+                            lambda *system: calls.append(system) or real(*system))
+        compute_d_infty(F, r_list=(1,))
+        saturate(F, 1, 1)
+        F.value(1, 2)
+        F.sections(1)
+        assert len(calls) == 1
+
     def test_tables_refuse_past_the_cell_cap(self, monkeypatch):
         # the P2 tables at r = 1 span 4 x 4 cells
         X, F = _point_filtration("P2")

@@ -14,12 +14,12 @@ from fanokit import subscheme as subscheme_mod
 from fanokit.errors import (EmptyOrFull, GluingMismatch, NotSmoothPoint,
                             UnsupportedSubscheme, ZeroIdeal)
 from fanokit.filtration import ideal_power_filtration
-from fanokit.lct import lct_monomial
+from fanokit.lct import lct_monomial, lct_on_product_with_line
 from fanokit.model import build_model, catalog, catalog_model
 from fanokit.oracles import level_table
 from fanokit.piecewise import poly_trim
 from fanokit.polytope import _orthant_start, _vertex_bases
-from fanokit.stability import beta
+from fanokit.stability import beta, ding_invariant
 from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                                NewtonPolyhedron, _subscheme_contains, _tagged_table,
                                boundary_divisor_subscheme, point_subscheme, power_table,
@@ -95,19 +95,30 @@ class TestModelFit:
     """Data written for another fan meets one check at every entry point
     that reads a subscheme against a model."""
 
-    @pytest.mark.parametrize("Z", [
+    misfits = pytest.mark.parametrize("Z", [
         MonomialSubscheme(label="far", dimension=2, chart_gens={7: ((1, 0), (0, 1))}),
         # the divisor of a third cone ray, which P2's chart 0 lacks
         MonomialSubscheme(label="stray", dimension=2, chart_gens={0: ((0, 0, 1),)}),
         # a Laurent monomial: x^-1 y is no element of the chart's ring
         MonomialSubscheme(label="neg", dimension=2, chart_gens={0: ((-1, 1), (1, 0))})],
         ids=["chart-the-model-lacks", "ray-the-fan-lacks", "negative-exponent"])
+
+    @misfits
     @pytest.mark.parametrize("entry", [
         lct_monomial, blowup_volume_profile, blowup_volume_integral, pseudoeffective_threshold,
         ideal_power_filtration, beta], ids=lambda entry: entry.__name__)
     def test_refused_at_every_entry_point(self, entry, Z):
         with pytest.raises(UnsupportedSubscheme, match=Z.label):
             entry(catalog_model("P2"), Z)
+
+    @misfits
+    @pytest.mark.parametrize("entry", [
+        lambda X, S: lct_on_product_with_line(X, S, 0),
+        lambda X, S: ding_invariant(X, S, 1)], ids=["lct_on_product_with_line", "ding_invariant"])
+    def test_refused_as_a_sequence_step(self, entry, Z):
+        # both read the steps through product_dual_vertices
+        with pytest.raises(UnsupportedSubscheme, match=Z.label):
+            entry(catalog_model("P2"), IdealSequenceOnXxA1(steps=(Z,)))
 
 
 class TestBatteryConstructors:
