@@ -5,9 +5,12 @@ a subscheme source is a path to a subscheme JSON file or one of the
 shorthands "point@IDX", "point2@IDX", "divisor@i,j,...".  Sequence
 sources accept a steps JSON file or "trivial@M" / "dnc@IDX" (the
 deformation to the normal cone of the fixed point on chart IDX, two
-equal steps).  A subscheme or sequence step read from a file must glue
-across the model's charts (``subscheme.verify_gluing``); the shorthands
-glue by construction.
+equal steps).  File entries are read as integers by reportio, which
+refuses a float, a string, a bool or a non-canonical chart key with a
+ValueError naming the key.  A subscheme or sequence step read from a
+file must then fit the model and glue across its charts
+(``subscheme.verify_gluing``: equal ideals at the rays two adjacent
+smooth charts share); the shorthands glue by construction.
 """
 
 from __future__ import annotations

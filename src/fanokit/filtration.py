@@ -83,6 +83,14 @@ Point = tuple[int, ...]
 Fiber = tuple[Point, int, int]
 
 
+def _level(r) -> int:
+    """r itself when it is an int >= 1, not a bool: the one reading of a
+    level, so no level is truncated or coerced; else ValueError."""
+    if isinstance(r, bool) or not isinstance(r, int) or r < 1:
+        raise ValueError(f"level r={r!r} must be a positive integer")
+    return r
+
+
 class _Record:
     """The sections of L^level and what is read off them: the lattice
     fibers, each section's order, and one table per chart tagged with
@@ -163,15 +171,13 @@ class FiltrationSpec:
 
     def _record(self, r: int) -> _Record:
         """The record of the sections of L^r, built on first use; a level
-        r below 1 raises ValueError.  Each section's order is its least
-        level over one power_table per active chart, over the box the
-        pairing columns reach.  Where no chart is active every power
-        holds the section, ord = inf.  A boundary divisor's chart ideal
-        (y_rho) reads as its pairing column <rho, u> + level, the order
-        of vanishing along it."""
-        r = int(r)
-        if r < 1:
-            raise ValueError(f"level r={r} must be positive")
+        r that is not a positive integer raises ValueError (_level).  Each
+        section's order is its least level over one power_table per active
+        chart, over the box the pairing columns reach.  Where no chart is
+        active every power holds the section, ord = inf.  A boundary
+        divisor's chart ideal (y_rho) reads as its pairing column
+        <rho, u> + level, the order of vanishing along it."""
+        r = _level(r)
         if r not in self._records:
             X, Z = self.X, self.subscheme
             level = r * X.r0
@@ -232,11 +238,12 @@ def saturate_points(X: ToricFanoModel, r: int,
     The ideal collects the minimal chart exponent vectors of the given
     points on every chart; the closure is all sections of L^r inside the
     ideal.  Saturating the closure again changes nothing.  A point that
-    is not a section of L^r raises ValueError.  The saturation is the
+    is not a section of L^r, or a level r that is not a positive
+    integer, raises ValueError.  The saturation is the
     filtration's, read off a _Record with the given points at order 1
     and the rest at 0.
     """
-    r = int(r)
+    r = _level(r)
     level = r * X.r0
     fibers = lattice_fibers(X.polytope, level)
     sections = tuple(expand_fibers(fibers))
@@ -258,7 +265,7 @@ def saturate(F: FiltrationSpec, r: int, x) -> tuple[MonomialSubscheme, tuple[Poi
     Step 0 is all of V_r, with the unit ideal, every chart's origin
     being a corner of level >= 0.  Levels x in one step share one
     saturation, cached and labelled by r and the index."""
-    r = int(r)
+    r = _level(r)
     index = F.level_step(x)
     key = (r, index)
     if key not in F._saturations:
@@ -402,8 +409,7 @@ def compute_d_infty(F: FiltrationSpec, r_list: Sequence[int] = DEFAULT_R_LIST,
     vol = anticanonical_volume(X)
     e = F.e_plus - F.e_minus
     a_samples, d_samples = [], []
-    for r in r_list:
-        r = int(r)
+    for r in tuple(map(_level, r_list)):
         M, shift = r * e, r * F.e_minus
         duals = chart_dual_vertices({c: tuple([(*g, M - min(j - shift, M)) for g, j in t.corners])
                                      for c, t in F._record(r).tables.items()})
@@ -427,7 +433,7 @@ def induced_ideal_sequence(F: FiltrationSpec, r: int) -> IdealSequenceOnXxA1:
     sequence's unit markers would have the wrong arity.
     """
     n = F.X.dimension
-    steps = _window_steps(F, int(r))
+    steps = _window_steps(F, _level(r))
     for ideal in steps:
         for idx, gens in ideal.chart_gens.items():
             if any(len(g) != n for g in gens):

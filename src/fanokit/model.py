@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations
-from math import factorial, lcm
+from math import factorial
 from operator import mul
 from typing import NamedTuple, Sequence
 
@@ -109,7 +109,7 @@ class ToricFanoModel:
         return factorial(self.dimension) * euclidean_volume(self.polytope)
 
     @cached_property
-    def _moments(self) -> tuple[list[list[int]], int, int, list[int]]:
+    def _moments(self) -> tuple[tuple[tuple[int, ...], ...], int, int, list[int]]:
         """(pts, den, total, first) of polytope.pulled_moments, computed on
         first use: P's vertices pts / den, and the barycenter
         first / ((dimension + 1) den total) in integers."""
@@ -199,7 +199,7 @@ def build_model(dimension: int, rays: Sequence[Sequence[int]], name: str = "") -
     for r in rays_t:
         if r not in facet_normals:
             raise NotFano(f"ray {r} supports no facet of the polytope")
-    r0 = lcm(*[x.denominator for v in P.vertices for x in v])
+    r0 = P.denominator
     charts = tuple(_build_chart(P, i, v, z)
                    for i, (v, z) in enumerate(zip(P.vertices, P.vertex_masks)))
     return ToricFanoModel(name=name, dimension=dimension, rays=rays_t,

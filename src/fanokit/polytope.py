@@ -30,9 +30,12 @@ those determinants times the simplices' vertex sums for the barycenter
 points by integer dot products (_incidences), over the points' common
 denominator, only where no enumeration met the points: the
 constructor's check, which reads the inequalities as the primitive
-integer rows a polytope keeps (integer_rows) and keeps each vertex's
-mask (vertex_masks) for euclidean_volume, the edges, the charts and the
-lifted start cones.  Only points need a hull: the facets of conv(V) are
+integer rows a polytope keeps (integer_rows), and its vertices as the
+integer vectors it keeps over their least common denominator
+(integer_vertices, denominator), and keeps each vertex's mask
+(vertex_masks) for euclidean_volume, the edges, the charts and the
+lifted start cones.  The same integers give the bounding box of a
+dilation by integer division, and a model's r0 is that denominator.  Only points need a hull: the facets of conv(V) are
 the vertices of its polar about an interior point, and from_vertices
 is from_inequalities of those facets.  A region whose rows
 move linearly in a parameter x is the slice at x of the region lifted
@@ -75,10 +78,6 @@ Ineq = tuple[tuple[int, ...], Fraction]
 
 def _ceil(q: Fraction) -> int:
     return -((-q.numerator) // q.denominator)
-
-
-def _floor(q: Fraction) -> int:
-    return q.numerator // q.denominator
 
 
 def _independent_rows(rows: Sequence[Sequence[int]], size: int) -> list[int] | None:
@@ -194,11 +193,11 @@ def _common_denominator(keys) -> tuple[list[list[int]], int]:
     return [[a * (den // d) for a in nums] for nums, d in keys], den
 
 
-def _over_common_denominator(points: Sequence[Vec]) -> tuple[list[list[int]], int]:
+def _over_common_denominator(points: Sequence[Vec]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(pts, den): rational points as integer vectors over their least
     common denominator den."""
     den = lcm(*[x.denominator for v in points for x in v])
-    return [[x.numerator * (den // x.denominator) for x in v] for v in points], den
+    return tuple(tuple([x.numerator * (den // x.denominator) for x in v]) for v in points), den
 
 
 def _incidences(irows: Sequence[Sequence[int]], pts: Sequence[Sequence[int]],
@@ -316,7 +315,8 @@ def hull_facets(dim: int, vertices: Sequence[Vec]) -> list[tuple[tuple[int, ...]
 class RationalPolytope:
     """Bounded full-dimensional rational polytope with both representations."""
 
-    __slots__ = ("dimension", "vertices", "inequalities", "integer_rows", "vertex_masks")
+    __slots__ = ("dimension", "vertices", "inequalities", "integer_rows", "integer_vertices",
+                 "denominator", "vertex_masks")
 
     def __init__(self, dimension: int, vertices: Sequence[Vec],
                  inequalities: Sequence[Ineq]):
@@ -329,6 +329,9 @@ class RationalPolytope:
         # the inequalities as primitive integer rows (*normal, offset)
         self.integer_rows: tuple[tuple[int, ...], ...] = tuple(
             rational_primitive((*nr, off)) for nr, off in self.inequalities)
+        # the vertices as integer vectors over their least common
+        # denominator, the r0 of a model's polytope
+        self.integer_vertices, self.denominator = _over_common_denominator(self.vertices)
         # for each vertex, the bitmask of the inequalities tight at it
         # (bit k for inequalities[k])
         self.vertex_masks: tuple[int, ...] = self._validate()
@@ -345,7 +348,7 @@ class RationalPolytope:
         for v in self.vertices:
             if len(v) != n:
                 raise ValueError(f"vertex arity {len(v)} != {n}")
-        pts, den = _over_common_denominator(self.vertices)
+        pts, den = self.integer_vertices, self.denominator
         masks = tuple(_incidences(self.integer_rows, pts, den))
         for v, p, z in zip(self.vertices, pts, masks):
             tight = z.bit_count()
@@ -391,9 +394,12 @@ class RationalPolytope:
         return cls(dimension, verts, sorted(ineqs))
 
     def bounding_box(self, scale: Fraction = Fraction(1)) -> tuple[list[int], list[int]]:
-        lo = [_ceil(scale * min(v[i] for v in self.vertices)) for i in range(self.dimension)]
-        hi = [_floor(scale * max(v[i] for v in self.vertices)) for i in range(self.dimension)]
-        return lo, hi
+        """The least integer box around scale*P, by integer division of the
+        integer vertices scaled by scale = a / b over b den."""
+        a, b = Fraction(scale).as_integer_ratio()
+        cols, den = list(zip(*self.integer_vertices)), b * self.denominator
+        return ([-(-min([a * x for x in c]) // den) for c in cols],
+                [max([a * x for x in c]) // den for c in cols])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalPolytope):
@@ -452,11 +458,11 @@ def lattice_fibers(P: RationalPolytope, r) -> list[tuple[tuple[int, ...], int, i
 def euclidean_volume(P: RationalPolytope) -> Fraction:
     """Exact Lebesgue volume via a pulling triangulation of P's own
     vertices and their masks, with no vertex enumeration."""
-    pts, den = _over_common_denominator(P.vertices)
-    return _pulled_volume(P.dimension, P.integer_rows, pts, P.vertex_masks, den)
+    return _pulled_volume(P.dimension, P.integer_rows, P.integer_vertices, P.vertex_masks,
+                          P.denominator)
 
 
-def pulled_moments(P: RationalPolytope) -> tuple[list[list[int]], int, int, list[int]]:
+def pulled_moments(P: RationalPolytope) -> tuple[tuple[tuple[int, ...], ...], int, int, list[int]]:
     """(pts, den, total, first): P's vertices as integer vectors pts over
     their common denominator den, and the moments of the pulling
     triangulation of euclidean_volume in integers.  total is the sum of
@@ -464,7 +470,7 @@ def pulled_moments(P: RationalPolytope) -> tuple[list[list[int]], int, int, list
     |det| times the sum of its simplex's vertices, so that the barycenter
     of P is first / ((dim + 1) den total): a simplex's barycenter is the
     mean of its dim + 1 vertices."""
-    pts, den = _over_common_denominator(P.vertices)
+    pts, den = P.integer_vertices, P.denominator
     return (pts, den, *_pulled_sums(P.dimension, P.integer_rows, pts, P.vertex_masks))
 
 
@@ -587,10 +593,9 @@ def _lifted_region(P: RationalPolytope, scale: int, moving: Sequence[Sequence[in
     rows: list[Sequence[int]] = [(*r[:dim], 0, scale * r[dim]) for r in P.integer_rows]
     # the bit of x >= 0 in the masks, bit 0 being lam >= 0
     x_bit = 1 << (len(rows) + 1)
-    pts, den = _over_common_denominator(P.vertices)
     rays = [((0,) * dim + (1, 0), x_bit - 1)]
-    for p, z in zip(pts, P.vertex_masks):
-        ray = (*[scale * a for a in p], 0, den)
+    for p, z in zip(P.integer_vertices, P.vertex_masks):
+        ray = (*[scale * a for a in p], 0, P.denominator)
         g = gcd(*ray)
         rays.append(([a // g for a in ray], z << 1 | x_bit))
     rows += [(0,) * dim + (1, 0), *moving]

@@ -107,12 +107,21 @@ def model_to_dict(X: ToricFanoModel) -> dict:
     return d
 
 
+def _int(value, key: str) -> int:
+    """value itself when it is an int, not a bool; else ValueError naming
+    the key it was read from, so no entry is truncated or coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{key}: {value!r} is not an integer")
+    return value
+
+
 def model_from_dict(data: Mapping) -> ToricFanoModel:
-    """Model from its JSON form; any redundant fields are cross-checked."""
-    dim = int(data["dim"])
+    """Model from its JSON form; any redundant fields are cross-checked.
+    dim, r0 and ray entries must be integers."""
+    dim = _int(data["dim"], "dim")
     name = str(data.get("name", ""))
     if "rays" in data:
-        rays = [tuple(int(x) for x in r) for r in data["rays"]]
+        rays = [tuple(_int(x, "rays") for x in r) for r in data["rays"]]
     elif "vertices" in data:
         P = RationalPolytope.from_vertices(
             dim, [[parse_rational(c) for c in v] for v in data["vertices"]])
@@ -133,7 +142,7 @@ def model_from_dict(data: Mapping) -> ToricFanoModel:
                        for v in data["vertices"])
         if given != sorted(X.polytope.vertices):
             raise ValueError("vertex list disagrees with the ray data")
-    if "r0" in data and int(data["r0"]) != X.r0:
+    if "r0" in data and _int(data["r0"], "r0") != X.r0:
         raise ValueError(f"declared r0={data['r0']}, computed r0={X.r0}")
     return X
 
@@ -143,14 +152,20 @@ def model_from_dict(data: Mapping) -> ToricFanoModel:
 
 def subscheme_from_dict(data: Mapping) -> MonomialSubscheme:
     """A subscheme is its chart ideals alone; a boundary divisor is named
-    by the divisor@i,j shorthand, so a 'boundary_ray' key is refused."""
+    by the divisor@i,j shorthand, so a 'boundary_ray' key is refused.
+    dim and generator entries must be integers, and a chart key the
+    canonical decimal of its index, "0" and not "00", so no two keys name
+    one chart."""
     if "boundary_ray" in data:
         raise ValueError("the 'boundary_ray' key is not read: name a boundary "
                          "divisor with the divisor@i,j shorthand")
-    charts = {int(i): tuple(tuple(int(x) for x in g) for g in gens)
-              for i, gens in data.get("charts", {}).items()}
+    charts = {}
+    for key, gens in data.get("charts", {}).items():
+        if not (str(key).isdecimal() and str(int(key)) == str(key)):
+            raise ValueError(f"charts: {key!r} is not a chart index")
+        charts[int(key)] = tuple(tuple(_int(x, f"chart {key}") for x in g) for g in gens)
     return MonomialSubscheme(
-        label=str(data.get("label", "subscheme")), dimension=int(data["dim"]),
+        label=str(data.get("label", "subscheme")), dimension=_int(data["dim"], "dim"),
         chart_gens=charts)
 
 

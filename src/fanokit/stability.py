@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .errors import EmptyOrFull, FanokitError
-from .filtration import _leading_integral
+from .filtration import _leading_integral, _level
 from .lct import lct_monomial, product_line_threshold
 from .model import ToricFanoModel, anticanonical_volume
 from .subscheme import IdealSequenceOnXxA1, MonomialSubscheme, product_dual_vertices
@@ -110,13 +110,11 @@ def ding_invariant(X: ToricFanoModel, S: IdealSequenceOnXxA1, r: int,
     """Ding invariant of the test configuration attached to S at level r.
 
     Needs -r r0 K to be the Cartier multiple the sequence was written
-    for.  L_power_top is exact, read off the leading integral with no
+    for; r must be a positive integer (filtration._level).  L_power_top is exact, read off the leading integral with no
     power budget.  k_max is accepted and ignored: the benchmark harness,
     perfbench/run.py, still passes it, and it goes when that call does.
     """
-    r = int(r)
-    if r < 1:
-        raise ValueError("r must be positive")
+    r = _level(r)
     n = X.dimension
     vol = anticanonical_volume(X)
     scale = r * X.r0

@@ -8,6 +8,10 @@ the zero ideal.  The boundary divisor of a ray rho is (y_rho) on every
 chart whose cone holds rho, singular charts included; a singular chart
 may carry only such an ideal or a power of it (divisor_multiple).
 A t-graded ideal, decreasing chart ideals J(j), is one LevelTable per chart.
+
+Chart ideals glue with no change of coordinates: a shared ray's
+pairing is the same number on both charts, so verify_gluing compares
+two adjacent smooth charts' ideals read at the rays they share.
 """
 
 from __future__ import annotations
@@ -463,56 +467,42 @@ def _subscheme_contains(big: MonomialSubscheme, small: MonomialSubscheme) -> boo
 def verify_gluing(X: ToricFanoModel, Z: MonomialSubscheme) -> None:
     """Check chart ideals agree on overlaps of adjacent smooth charts.
 
-    For vertices joined by a polytope edge the overlap inverts exactly one
-    coordinate on each side; the localized ideals must coincide under the
-    monomial coordinate change.  Raises GluingMismatch naming a chart
-    index the model lacks, or else the first chart pair that disagrees;
-    singular charts are skipped (they carry no exponent coordinates).
+    Two smooth charts whose cones share a facet overlap where each side
+    inverts its one coordinate off that facet.  A chart coordinate is the
+    pairing <rho, u> + level, so a shared ray's coordinate is the same
+    number on both charts, and an ideal sheaf glues along the shared face
+    (Cox, Little and Schenck, *Toric Varieties*): each side's localized
+    ideal is its generators read at the shared rays, minimalized, and the
+    two must be equal, with no change of coordinates.  Raises
+    GluingMismatch naming a chart index the model lacks; then refuses, by
+    check_model_fit, generators of the wrong arity or with a negative
+    exponent; then raises GluingMismatch naming the first chart pair that
+    disagrees.  Singular charts are skipped.
     """
     for idx in Z.chart_gens:
         if not 0 <= idx < len(X.charts):
             raise GluingMismatch(f"{Z.label}: chart {idx} is not one of the "
                                  f"{len(X.charts)} charts of {X.name}")
+    check_model_fit(X, Z)
     for i, j in X._edges:
         ci, cj = X.charts[i], X.charts[j]
         if not (ci.smooth and cj.smooth):
             continue
-        common = [r for r in ci.cone_rays if r in cj.cone_rays]
-        if len(common) != X.dimension - 1:
+        shared = [r for r in ci.cone_rays if r in cj.cone_rays]
+        if len(shared) != X.dimension - 1:
             continue
-        inv_i = next(k for k, r in enumerate(ci.cone_rays) if r not in common)
-        inv_j = next(k for k, r in enumerate(cj.cone_rays) if r not in common)
-        gi = Z.gens_on(i)
-        gj = Z.gens_on(j)
-        li = _localize(gi, inv_i)
-        lj = _localize(gj, inv_j)
-        # transported version of chart i's localized gens, in chart j
-        # coordinates: exponents map by the transpose of D_i * D_j^{-1},
-        # and D_j is unimodular, so its edges are the columns of D_j^{-1}
-        T = [[sum(a * b for a, b in zip(r, e)) for r in ci.cone_rays] for e in cj.edges]
-        ti = _transport(li, T, inv_j)
-        if ti != lj:
+        li, lj = (_at_rays(Z.gens_on(c), X.charts[c].cone_rays, shared) for c in (i, j))
+        if li != lj:
             raise GluingMismatch(
                 f"{Z.label}: charts {i} and {j} disagree on their overlap: "
-                f"{ti} vs {lj}")
+                f"{li} vs {lj}")
 
 
-def _localize(gens: Gens | None, inverted: int):
-    """Canonical localized ideal: None for unit, () for zero, else gens
-    with the inverted exponent zeroed and re-minimalized."""
+def _at_rays(gens: Gens | None, rays: Sequence, shared: Sequence) -> Gens | None:
+    """A chart ideal localized by inverting its coordinates off the shared
+    rays: its generators read at the shared rays, in their order, and
+    minimalized; None (unit) and () (zero) stay as they are."""
     if not gens:
         return gens
-    out = [tuple(0 if k == inverted else x for k, x in enumerate(g)) for g in gens]
-    return _normalize_gens(out)
-
-
-def _transport(local, T, inv_target):
-    """Apply the integer exponent transform T then canonicalize at the
-    target's inverted coordinate."""
-    if local is None or len(local) == 0:
-        return local
-    moved = [tuple([0 if k == inv_target else sum(a * b for a, b in zip(row, g))
-                    for k, row in enumerate(T)]) for g in local]
-    if any(any(x < 0 for x in g) for g in moved):
-        raise ValueError("transported generator has a negative exponent")
-    return _normalize_gens(moved)
+    at = [rays.index(r) for r in shared]
+    return _normalize_gens([[g[k] for k in at] for g in gens])

@@ -158,7 +158,7 @@ class TestLct:
         assert "--product-line needs --c1" in err
 
     def test_product_line_step_of_another_arity(self, run, tmp_path):
-        # verify_gluing's pairwise zip would read only the first two entries
+        # refused by type (check_model_fit) before any chart is compared
         path = tmp_path / "long.json"
         path.write_text('{"steps": [{"dim": 2, "charts": {"0": [[0, 0, 1]]}}]}')
         code, out, err = run("lct", "--model", "P2", "--product-line", "--c1", "0",
@@ -404,6 +404,45 @@ class TestErrorPaths:
         code, out, err = run(*argv, str(path))
         assert (code, out) == (1, "")
         assert err.startswith("error: ") and repr(str(path)) in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, what, body, message", [
+        (("volume", "--model"), "model file",
+         '{"dim": 2, "rays": [[1.9, 0], [0, 1], [-1, -1]]}', "rays: 1.9 is not an integer"),
+        (("volume", "--model"), "model file",
+         '{"dim": 2, "rays": [[true, 0], [0, 1], [-1, -1]]}', "rays: True is not an integer"),
+        (("volume", "--model"), "model file",
+         '{"dim": "2", "rays": [[1, 0], [0, 1], [-1, -1]]}', "dim: '2' is not an integer"),
+        (("volume", "--model"), "model file",
+         '{"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "r0": true}',
+         "r0: True is not an integer"),
+        (("beta", "--model", "P2", "--subscheme"), "subscheme file",
+         '{"dim": 2, "charts": {"0": [[1.5, 0], [0, 1.5]]}}', "chart 0: 1.5 is not an integer"),
+        (("beta", "--model", "P2", "--subscheme"), "subscheme file",
+         '{"dim": 2.0, "charts": {"0": [[1, 0], [0, 1]]}}', "dim: 2.0 is not an integer"),
+        (("beta", "--model", "P2", "--subscheme"), "subscheme file",
+         '{"dim": 2, "charts": {"00": [[1, 0], [0, 1]]}}', "charts: '00' is not a chart index"),
+        (("ding", "--model", "P1", "--sequence"), "sequence file",
+         '{"steps": [{"dim": 1, "charts": {"0": [[1.7]]}}]}', "chart 0: 1.7 is not an integer"),
+        (("ding", "--model", "P1", "--sequence"), "sequence file",
+         '{"steps": [{"dim": 1, "charts": {"0": [["1"]]}}]}', "chart 0: '1' is not an integer")],
+        ids=["ray-float", "ray-bool", "dim-string", "r0-bool", "generator-float",
+             "subscheme-dim-float", "chart-key-00", "step-float", "step-string"])
+    def test_file_entry_that_is_not_an_integer(self, run, tmp_path, argv, what, body, message):
+        # read as int() these printed a number for the truncated data and exited 0
+        path = tmp_path / "f.json"
+        path.write_text(body)
+        code, out, err = run(*argv, str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {what} {str(path)!r}: {message}\n"
+
+    def test_subscheme_file_with_a_negative_exponent(self, run, tmp_path):
+        # refused by type before any chart is compared
+        path = tmp_path / "neg.json"
+        path.write_text('{"label": "neg", "dim": 2, "charts": {"0": [[2, -1]], "1": [[1, 0]]}}')
+        code, out, err = run("beta", "--model", "P2", "--subscheme", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: UnsupportedSubscheme:")
         assert err.count("\n") == 1
 
     def test_unknown_model_name(self, run):

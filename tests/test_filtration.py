@@ -35,6 +35,7 @@ from fanokit.subscheme import (IdealSequenceOnXxA1, LevelTable, MonomialSubschem
                                point_subscheme, product, product_dual_vertices,
                                product_gens, standard_battery,
                                thickened_point_subscheme)
+from fanokit.stability import ding_invariant
 from helpers import lifted_rays, monomial_power_membership, newton_dual_points
 from strategies import decreasing_sequences
 
@@ -122,6 +123,24 @@ class TestLevels:
         zero = MonomialSubscheme(label="z", dimension=1, chart_gens={0: ()})
         with pytest.raises(ZeroIdeal):
             ideal_power_filtration(X, zero)
+
+    @pytest.mark.parametrize("r", [0, 1.5, Fraction(3, 2), True],
+                             ids=["zero", "float", "fraction", "bool"])
+    @pytest.mark.parametrize("call", [
+        lambda X, F, r: F.sections(r),
+        lambda X, F, r: saturate(F, r, 1),
+        lambda X, F, r: saturate_points(X, r, [(0, 0)]),
+        lambda X, F, r: compute_d_infty(F, r_list=(r,)),
+        lambda X, F, r: induced_ideal_sequence(F, r),
+        lambda X, F, r: ding_invariant(X, IdealSequenceOnXxA1(steps=(F.subscheme,) * 2), r)],
+        ids=["record", "saturate", "saturate_points", "compute_d_infty",
+             "induced_ideal_sequence", "ding_invariant"])
+    def test_level_is_a_positive_integer(self, call, r):
+        # no entry point truncates or coerces r: 1.5 and True are refused
+        # where int() read them as 1
+        X, F = _point_filtration("P2")
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            call(X, F, r)
 
 
 class TestSaturate:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 from itertools import product as cartesian_product
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,12 +13,12 @@ from fanokit import lattice
 from fanokit import subscheme as subscheme_mod
 from fanokit.errors import (EmptyOrFull, GluingMismatch, NotSmoothPoint,
                             UnsupportedSubscheme, ZeroIdeal)
-from fanokit.filtration import ideal_power_filtration
+from fanokit.filtration import ideal_power_filtration, saturate_points
 from fanokit.lct import lct_monomial, lct_on_product_with_line
 from fanokit.model import build_model, catalog, catalog_model
 from fanokit.oracles import level_table
 from fanokit.piecewise import poly_trim
-from fanokit.polytope import _orthant_start, _vertex_bases
+from fanokit.polytope import _orthant_start, _vertex_bases, lattice_points
 from fanokit.stability import beta, ding_invariant
 from fanokit.subscheme import (IdealSequenceOnXxA1, MonomialSubscheme,
                                NewtonPolyhedron, _subscheme_contains, _tagged_table,
@@ -518,3 +518,44 @@ class TestGluing:
         zero = MonomialSubscheme(label="zero", dimension=1, chart_gens={0: ()})
         with pytest.raises(GluingMismatch, match="disagree"):
             verify_gluing(X, zero)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(catalog())), st.data())
+    def test_products_of_battery_members_glue(self, name, data):
+        X = catalog_model(name)
+        members = data.draw(st.lists(st.sampled_from(standard_battery(X)),
+                                     min_size=1, max_size=3))
+        Z = members[0]
+        for W in members[1:]:
+            Z = product(Z, W)
+        verify_gluing(X, Z)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(sorted(catalog())), st.sampled_from((1, 2)), st.data())
+    def test_saturations_of_sections_glue(self, name, r, data):
+        # an ideal generated by global sections is a sheaf
+        X = catalog_model(name)
+        chosen = data.draw(st.lists(st.sampled_from(lattice_points(X.polytope, r * X.r0)),
+                                    min_size=1, max_size=4, unique=True))
+        verify_gluing(X, saturate_points(X, r, chosen)[0])
+
+    def test_a_shared_ray_coordinate_on_one_side_does_not_glue(self):
+        # I y_rho differs from I for a nonzero I, and rho stays a coordinate
+        # on the overlap with the neighbour, whose ideal is still I there
+        cases = 0
+        for name in catalog():
+            X = catalog_model(name)
+            for i, j in X._edges:
+                ci, cj = X.charts[i], X.charts[j]
+                shared = [r for r in ci.cone_rays if r in cj.cone_rays]
+                if not (ci.smooth and cj.smooth and len(shared) == X.dimension - 1):
+                    continue
+                for rho, Z in cartesian_product(shared, standard_battery(X)):
+                    y = [int(r == rho) for r in ci.cone_rays]
+                    gens = Z.gens_on(i) or (tuple([0] * len(y)),)
+                    chart_gens = {**Z.chart_gens, i: tuple(tuple(map(add, g, y)) for g in gens)}
+                    with pytest.raises(GluingMismatch, match="disagree"):
+                        verify_gluing(X, MonomialSubscheme(f"{Z.label}*y", X.dimension,
+                                                           chart_gens))
+                    cases += 1
+        assert cases > 0
