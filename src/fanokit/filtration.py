@@ -62,12 +62,11 @@ same record from 0/1 orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, repeat
 from math import ceil, inf
 from operator import ge, mul
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import UnsupportedSubscheme
 from .lattice import expand_fibers
@@ -366,8 +365,7 @@ def _least_levels(columns: Sequence[Sequence[Sequence[int]]], top,
     return levels
 
 
-@dataclass(frozen=True)
-class DInftyReport:
+class DInftyReport(NamedTuple):
     """Sampled and limiting slopes of one filtration.
 
     Each A_r is the exact leading integral over r*r0*P divided by

@@ -130,6 +130,15 @@ def int_primitive(v: Sequence[int]) -> tuple[int, ...]:
     return tuple([x // g for x in v]) if g else tuple(v)
 
 
+def exact_int(value, where: str) -> int:
+    """value itself when it is an int, not a bool; else ValueError naming
+    where it was read, so no entry is truncated or coerced: the one
+    reading of an integer in file data and in the records' constructors."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}: {value!r} is not an integer")
+    return value
+
+
 def rational_primitive(v: Sequence) -> tuple[int, ...]:
     """Scale a vector of ints and Fractions to the primitive integer vector
     on the same ray (zero stays zero)."""

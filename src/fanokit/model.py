@@ -22,7 +22,6 @@ model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import permutations
@@ -31,13 +30,12 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from .errors import DegeneratePolytope, NotFano, NotSmoothChart, UnboundedPolytope
-from .linalg import Vec, int_det, int_primitive, int_solve
+from .linalg import Vec, exact_int, int_det, int_primitive, int_solve
 from .polytope import (RationalPolytope, euclidean_volume, lattice_points, polytope_edges,
                        polytope_from_rays, pulled_moments)
 
 
-@dataclass(frozen=True)
-class Chart:
+class Chart(NamedTuple):
     """Local data at one vertex of the moment polytope, the position-th
     chart of its model."""
 
@@ -88,14 +86,18 @@ class FanAutomorphism(NamedTuple):
         return tuple(sum(map(mul, row, v)) for row in self.matrix)
 
 
-@dataclass(frozen=True)
-class ToricFanoModel:
+class _ModelFields(NamedTuple):
     name: str
     dimension: int
     rays: tuple[tuple[int, ...], ...]
     polytope: RationalPolytope
     r0: int
     charts: tuple[Chart, ...]
+
+
+class ToricFanoModel(_ModelFields):
+    """The fields of a model, fixed at construction, and the values
+    computed on first use, kept in the instance's __dict__."""
 
     @property
     def all_charts_smooth(self) -> bool:
@@ -185,7 +187,7 @@ def build_model(dimension: int, rays: Sequence[Sequence[int]], name: str = "") -
     polytope, or when some ray contributes no facet (the data then does
     not come from a Fano polytope).
     """
-    rays_t = tuple(tuple(int(x) for x in r) for r in rays)
+    rays_t = tuple(tuple([exact_int(x, f"ray {list(r)}") for x in r]) for r in rays)
     if len(set(rays_t)) != len(rays_t):
         raise ValueError("duplicate rays")
     for r in rays_t:
@@ -208,7 +210,7 @@ def build_model(dimension: int, rays: Sequence[Sequence[int]], name: str = "") -
 
 def anticanonical_volume(X: ToricFanoModel) -> Fraction:
     """Top self-intersection of -K: n! times the Euclidean volume of P,
-    computed on first use and kept on the (frozen) model."""
+    computed on first use and kept on the (immutable) model."""
     return X._anticanonical_volume
 
 

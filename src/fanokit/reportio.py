@@ -16,6 +16,7 @@ from dataclasses import fields, is_dataclass
 from fractions import Fraction
 from typing import Any, Mapping
 
+from .linalg import exact_int
 from .model import ToricFanoModel, build_model
 from .piecewise import PiecewisePolynomial
 from .polytope import RationalPolytope
@@ -107,21 +108,24 @@ def model_to_dict(X: ToricFanoModel) -> dict:
     return d
 
 
-def _int(value, key: str) -> int:
-    """value itself when it is an int, not a bool; else ValueError naming
-    the key it was read from, so no entry is truncated or coerced."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{key}: {value!r} is not an integer")
-    return value
+def _read_only(data: Mapping, keys: tuple[str, ...]) -> None:
+    """Refuse a key the reader does not read, naming it, so that a
+    misspelt key is not read as an absent one."""
+    if not isinstance(data, Mapping):
+        raise ValueError(f"expected a JSON object, not {data!r}")
+    for key in data:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r}; the keys read are {', '.join(keys)}")
 
 
 def model_from_dict(data: Mapping) -> ToricFanoModel:
     """Model from its JSON form; any redundant fields are cross-checked.
-    dim, r0 and ray entries must be integers."""
-    dim = _int(data["dim"], "dim")
+    dim, r0 and ray entries must be integers, and no other key is read."""
+    _read_only(data, ("dim", "name", "rays", "vertices", "r0"))
+    dim = exact_int(data["dim"], "dim")
     name = str(data.get("name", ""))
     if "rays" in data:
-        rays = [tuple(_int(x, "rays") for x in r) for r in data["rays"]]
+        rays = [tuple(exact_int(x, "rays") for x in r) for r in data["rays"]]
     elif "vertices" in data:
         P = RationalPolytope.from_vertices(
             dim, [[parse_rational(c) for c in v] for v in data["vertices"]])
@@ -142,7 +146,7 @@ def model_from_dict(data: Mapping) -> ToricFanoModel:
                        for v in data["vertices"])
         if given != sorted(X.polytope.vertices):
             raise ValueError("vertex list disagrees with the ray data")
-    if "r0" in data and _int(data["r0"], "r0") != X.r0:
+    if "r0" in data and exact_int(data["r0"], "r0") != X.r0:
         raise ValueError(f"declared r0={data['r0']}, computed r0={X.r0}")
     return X
 
@@ -155,21 +159,23 @@ def subscheme_from_dict(data: Mapping) -> MonomialSubscheme:
     by the divisor@i,j shorthand, so a 'boundary_ray' key is refused.
     dim and generator entries must be integers, and a chart key the
     canonical decimal of its index, "0" and not "00", so no two keys name
-    one chart."""
-    if "boundary_ray" in data:
+    one chart.  No key but label, dim and charts is read."""
+    if isinstance(data, Mapping) and "boundary_ray" in data:
         raise ValueError("the 'boundary_ray' key is not read: name a boundary "
                          "divisor with the divisor@i,j shorthand")
+    _read_only(data, ("label", "dim", "charts"))
     charts = {}
     for key, gens in data.get("charts", {}).items():
         if not (str(key).isdecimal() and str(int(key)) == str(key)):
             raise ValueError(f"charts: {key!r} is not a chart index")
-        charts[int(key)] = tuple(tuple(_int(x, f"chart {key}") for x in g) for g in gens)
+        charts[int(key)] = tuple(tuple(exact_int(x, f"chart {key}") for x in g) for g in gens)
     return MonomialSubscheme(
-        label=str(data.get("label", "subscheme")), dimension=_int(data["dim"], "dim"),
+        label=str(data.get("label", "subscheme")), dimension=exact_int(data["dim"], "dim"),
         chart_gens=charts)
 
 
 def sequence_from_dict(data: Mapping) -> IdealSequenceOnXxA1:
+    _read_only(data, ("steps",))
     steps = data["steps"]
     if not steps:
         raise ValueError("an ideal sequence needs at least one step")

@@ -81,8 +81,7 @@ def beta(X: ToricFanoModel, Z: MonomialSubscheme) -> BetaReport:
                       beta=value, verdict=verdict)
 
 
-@dataclass(frozen=True)
-class DingReport:
+class DingReport(NamedTuple):
     """Ding invariant of one ideal sequence at level r.
 
     L_power_top is the computed (L-bar^{n+1}): the exact leading
@@ -159,8 +158,7 @@ class ScanEntry:
     error: str | None
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """beta over a candidate battery, entry order following input order."""
 
     model: str

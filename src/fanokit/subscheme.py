@@ -16,17 +16,17 @@ two adjacent smooth charts' ideals read at the rays they share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import (accumulate, combinations_with_replacement, compress, count, repeat,
                        product as cartesian_product)
 from math import lcm
 from operator import add, and_, ge, gt, le, mul, sub
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from . import lattice
 from .errors import (CombinatorialBlowup, EmptyOrFull, GluingMismatch, NotSmoothPoint,
                      UnsupportedSubscheme, ZeroIdeal)
+from .linalg import exact_int
 from .model import ToricFanoModel
 from .polytope import _orthant_start, _vertex_bases
 
@@ -39,28 +39,37 @@ CELL_CAP = 1_000_000
 
 def _normalize_gens(gens: Sequence[Sequence[int]]) -> Gens | None:
     """Minimalized sorted generators; None signals the unit ideal."""
-    cleaned = [tuple(int(x) for x in g) for g in gens]
-    if any(all(x == 0 for x in g) for g in cleaned):
+    if any(not any(g) for g in gens):
         return None
-    return tuple(lattice.minimalize(cleaned))
+    return tuple(lattice.minimalize(gens))
 
 
-@dataclass(frozen=True)
-class MonomialSubscheme:
+class _SubschemeFields(NamedTuple):
     label: str
     dimension: int
-    chart_gens: Mapping[int, Gens] = field(default_factory=dict)
+    chart_gens: Mapping[int, Gens]
 
-    def __post_init__(self):
+
+class MonomialSubscheme(_SubschemeFields):
+    """One monomial ideal per chart, keyed by chart index; the dual
+    vertices, computed on first use, are kept in the instance's __dict__.
+
+    The constructor takes chart keys and generator entries as ints only,
+    refusing a bool, float or string with a ValueError naming the label
+    and chart, and stores each chart's generators minimalized and sorted;
+    a chart holding the generator 0 is unit and dropped."""
+
+    def __new__(cls, label: str, dimension: int, chart_gens: Mapping[int, Gens] = {}):
         norm: dict[int, Gens] = {}
-        for idx, gens in self.chart_gens.items():
-            if len(gens) == 0:
-                norm[int(idx)] = ()
-                continue
-            g = _normalize_gens(gens)
-            if g is not None:
-                norm[int(idx)] = g
-        object.__setattr__(self, "chart_gens", norm)
+        for idx, gens in chart_gens.items():
+            exact_int(idx, f"{label}: chart key")
+            where = f"{label}: chart {idx}"
+            gens = [tuple([exact_int(x, where) for x in g]) for g in gens]
+            if not gens:
+                norm[idx] = ()
+            elif (g := _normalize_gens(gens)) is not None:
+                norm[idx] = g
+        return tuple.__new__(cls, (label, dimension, norm))
 
     def gens_on(self, chart_index: int) -> Gens | None:
         """Generators on a chart; None means the unit ideal there."""
@@ -133,9 +142,7 @@ def _minimal_subscheme(label: str, dimension: int,
                        chart_gens: dict[int, Gens]) -> MonomialSubscheme:
     """A subscheme whose chart generators are already in normal form,
     minimal, lex sorted and no chart unit, so none is minimalised again."""
-    Z = MonomialSubscheme(label=label, dimension=dimension)
-    object.__setattr__(Z, "chart_gens", chart_gens)
-    return Z
+    return tuple.__new__(MonomialSubscheme, (label, dimension, chart_gens))
 
 
 def product(a: MonomialSubscheme, b: MonomialSubscheme) -> MonomialSubscheme:
@@ -273,19 +280,23 @@ def _diagonal_vertex(n: int, gens: Sequence[tuple[int, ...]]) -> list[DualVertex
     return [(W, den)]
 
 
-@dataclass(frozen=True)
-class IdealSequenceOnXxA1:
-    """I_M <= I_{M-1} <= ... <= I_1 of monomial subschemes on a model,
-    encoding the ideal I_M + I_{M-1} t + ... + I_1 t^{M-1} + (t^M)."""
-
+class _SequenceFields(NamedTuple):
     steps: tuple[MonomialSubscheme, ...]
 
-    def __post_init__(self):
-        for j in range(len(self.steps) - 1):
-            small, big = self.steps[j + 1], self.steps[j]
-            if not _subscheme_contains(big, small):
+
+class IdealSequenceOnXxA1(_SequenceFields):
+    """I_M <= I_{M-1} <= ... <= I_1 of monomial subschemes on a model,
+    encoding the ideal I_M + I_{M-1} t + ... + I_1 t^{M-1} + (t^M).
+    The constructor refuses steps that do not decrease chartwise."""
+
+    __slots__ = ()
+
+    def __new__(cls, steps: tuple[MonomialSubscheme, ...]):
+        for j in range(len(steps) - 1):
+            if not _subscheme_contains(steps[j], steps[j + 1]):
                 raise ValueError(
                     f"step {j + 2} not contained in step {j + 1} chartwise")
+        return tuple.__new__(cls, (steps,))
 
     @property
     def M(self) -> int:

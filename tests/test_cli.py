@@ -436,6 +436,25 @@ class TestErrorPaths:
         assert (code, out) == (1, "")
         assert err == f"error: {what} {str(path)!r}: {message}\n"
 
+    @pytest.mark.parametrize("argv, body, key", [
+        (("beta", "--model", "P2", "--subscheme"),
+         '{"label": "z", "dim": 2, "chart": {"0": [[1, 0], [0, 1]]}}', "chart"),
+        (("beta", "--model", "P2", "--subscheme"),
+         '{"label": "z", "dim": 2, "charts": {"0": [[1, 0], [0, 1]]}, "charts2": 1}', "charts2"),
+        (("volume", "--model"), '{"dim": 2, "rays": [[1, 0], [0, 1], [-1, -1]], "ray": 1}', "ray"),
+        (("ding", "--model", "P1", "--sequence"),
+         '{"steps": [{"dim": 1, "charts": {"0": [[1]]}}], "step": []}', "step")],
+        ids=["misspelt-chart", "extra-charts2", "model-extra", "sequence-extra"])
+    def test_file_with_an_unknown_key(self, run, tmp_path, argv, body, key):
+        # read as absent, the misspelt key left beta with no charts, and
+        # the extra one printed beta 0 and exited 0
+        path = tmp_path / "f.json"
+        path.write_text(body)
+        code, out, err = run(*argv, str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and f"unknown key {key!r}" in err
+        assert err.count("\n") == 1
+
     def test_subscheme_file_with_a_negative_exponent(self, run, tmp_path):
         # refused by type before any chart is compared
         path = tmp_path / "neg.json"

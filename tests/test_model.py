@@ -227,3 +227,9 @@ class TestBuildModelErrors:
     def test_duplicate_ray(self):
         with pytest.raises(ValueError):
             build_model(2, [(1, 0), (1, 0), (0, 1), (-1, -1)])
+
+    @pytest.mark.parametrize("bad", [1.5, True, "1"])
+    def test_ray_entry_that_is_not_an_integer(self, bad):
+        # read through int() these built P2 from the truncated ray
+        with pytest.raises(ValueError, match=r"^ray \[.*\]: .* is not an integer$"):
+            build_model(2, [[bad, 0], [0, 1], [-1, -1]])

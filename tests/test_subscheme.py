@@ -59,6 +59,17 @@ class TestMonomialSubscheme:
         Z = MonomialSubscheme(label="z", dimension=1, chart_gens={0: ()})
         assert Z.power(3).gens_on(0) == ()
 
+    @pytest.mark.parametrize("bad", [1.5, True, "1"])
+    def test_generator_entry_that_is_not_an_integer(self, bad):
+        # read through int() a 1.5 stored the point's generators, beta 0
+        with pytest.raises(ValueError, match=r"^z: chart 0: .* is not an integer$"):
+            MonomialSubscheme("z", 2, {0: ((bad, 0), (0, 1))})
+
+    @pytest.mark.parametrize("bad", [1.5, True, "1"])
+    def test_chart_key_that_is_not_an_integer(self, bad):
+        with pytest.raises(ValueError, match=r"^z: chart key: .* is not an integer$"):
+            MonomialSubscheme("z", 2, {bad: ((1, 0), (0, 1))})
+
 
 # P2 modulo Z/3: every chart has index 3
 P2_MOD_3 = build_model(2, [(2, -1), (-1, 2), (-1, -1)], name="P2modZ3")
